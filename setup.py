@@ -3,14 +3,15 @@
 All metadata lives in pyproject.toml; this file exists so that
 ``pip install -e .`` works in offline environments whose setuptools
 lacks the PEP 517 editable hooks (no `wheel` package available), and
-so the optional C dispatch core can be built on demand::
+so the optional C drain loop can be built on demand (``make ckernel``)::
 
     REPRO_BUILD_CKERNEL=1 python setup.py build_ext --inplace
 
-The extension is opt-in (gated on the environment variable) because
-the default install must stay pure-Python: no compiler is assumed,
-and the 'compiled' kernel backend degrades gracefully through
-repro.sim.backends.compiled when the module is absent.
+The build is gated on the environment variable because the default
+install must stay pure-Python: no compiler is assumed, and
+repro.sim.kernel runs its reference loop when the module is absent.
+Under the gate a failed compile is an error, not a skip — a build
+that silently produced nothing would leave the C loop untested.
 """
 
 import os
@@ -23,7 +24,6 @@ if os.environ.get("REPRO_BUILD_CKERNEL", "").strip() == "1":
         Extension(
             "repro.sim._ckernel",
             sources=["src/repro/sim/_ckernel.c"],
-            optional=True,
         ))
 
 setup(ext_modules=ext_modules)

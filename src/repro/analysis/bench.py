@@ -24,7 +24,7 @@ The JSON schema is flat and versioned::
       "partitions": 1,
       "peak_rss_bytes": 48234496,
       "sessions": null,
-      "kernel_backend": null
+      "kernel_backend": "python"
     }
 
 ``deterministic`` is stamped by the ``repro-det --perturb`` differ
@@ -39,9 +39,11 @@ concurrent-session count for scale-sweep records (heavy traffic,
 paper-scale experiments, whose session count is fixed by the MIX/CROSS
 configuration.
 
-``kernel_backend`` names the dispatch engine the run selected
-("python", "batch", "compiled"); ``null`` for records that predate
-pluggable backends or that ran on the ambient default.
+``kernel_backend`` records which kernel drain loop ran: "compiled"
+when the optional C extension is built (``make ckernel``) and the
+sanitizer is off, "python" otherwise.  It is a fact about the run,
+never a request.  Records from before the field was stamped carry
+``null``, and older ones may say "batch" (a loop since deleted).
 
 ``simulated_s`` is the *total* simulated horizon across all cells of
 the sweep (duration × cells for a uniform sweep), so
@@ -132,10 +134,10 @@ class BenchRecord:
     #: heavy-traffic experiment, ``throughput --sessions``); None for
     #: fixed-population experiments.  Additive default.
     sessions: Optional[int] = None
-    #: Kernel dispatch engine the run used ("python", "batch",
-    #: "compiled"); None for records that predate pluggable backends
-    #: or whose backend is the ambient default.  Additive default —
-    #: same compatibility story as ``deterministic``.
+    #: Kernel drain loop that ran ("python" or "compiled"), stamped by
+    #: :func:`make_record`; None in records that predate the stamp.
+    #: Additive default — same compatibility story as
+    #: ``deterministic``.
     kernel_backend: Optional[str] = None
 
 
@@ -191,15 +193,34 @@ def git_rev() -> str:
     return rev if proc.returncode == 0 and rev else "unknown"
 
 
+def kernel_loop() -> str:
+    """The drain loop this process's runs used.
+
+    The C loop runs whenever ``repro.sim._ckernel`` is built, except
+    under the sanitizer, which always takes the Python loop.
+    """
+    from repro.sim import kernel
+    if kernel._ckernel is None:
+        return "python"
+    requested = os.environ.get("REPRO_SANITIZE")
+    if requested:
+        # Imported only here: the verify package is far heavier than
+        # this module, and a sanitized run has loaded it already.
+        from repro.analysis.verify.sanitizer import sanitize_enabled
+        if sanitize_enabled(requested):
+            return "python"
+    return "compiled"
+
+
 def make_record(experiment: str, *, wall_time_s: float,
                 events_dispatched: int, workers: int,
                 simulated_s: float, cells: int,
                 deterministic: Optional[bool] = None,
                 partitions: int = 1,
                 peak_rss: Optional[int] = None,
-                sessions: Optional[int] = None,
-                kernel_backend: Optional[str] = None) -> BenchRecord:
-    """Assemble a record, deriving events/sec, RSS, and the git rev.
+                sessions: Optional[int] = None) -> BenchRecord:
+    """Assemble a record, deriving events/sec, RSS, the kernel loop
+    and the git rev.
 
     ``peak_rss`` overrides the stamped high-water mark — scale sweeps
     that measured RSS in a child process pass the child's value here.
@@ -219,7 +240,7 @@ def make_record(experiment: str, *, wall_time_s: float,
         peak_rss_bytes=peak_rss if peak_rss is not None
         else peak_rss_bytes(),
         sessions=sessions,
-        kernel_backend=kernel_backend,
+        kernel_backend=kernel_loop(),
     )
 
 

@@ -18,19 +18,6 @@ tier-1 smoke test measures a short spin and gates it against that file
 with a generous regression ceiling (CI machines vary; the ceiling only
 catches order-of-magnitude slips like an accidental O(n) scan in the
 dispatch loop).
-
-``--kernel-backend <name>`` switches to the per-backend mode: the same
-spin fanned out to ``BACKEND_FANOUT`` concurrent tick chains (the
-same-timestamp-run shape of the heavy-traffic regime), dispatched on
-the named kernel backend, recorded as ``BENCH_throughput_<name>.json``
-with its own committed baseline.  Re-record *all* backends
-back-to-back when touching any of them — the committed numbers carry
-the cross-backend speedup claims in docs/performance.md::
-
-    for b in python batch compiled; do
-        PYTHONPATH=src python -m repro.analysis.throughput \\
-            --kernel-backend $b
-    done
 """
 
 from __future__ import annotations
@@ -44,38 +31,14 @@ from repro.analysis import bench
 from repro.units import ms, seconds
 
 __all__ = ["EXPERIMENT", "BASELINE", "SCALING_EXPERIMENT",
-           "SCALING_BASELINE", "KERNEL_EXPERIMENTS", "BACKEND_FANOUT",
-           "BACKEND_HORIZON", "kernel_baseline", "kernel_spin",
-           "measure", "measure_backend", "measure_sessions", "main"]
+           "SCALING_BASELINE", "kernel_spin", "measure",
+           "measure_sessions", "main"]
 
 #: Experiment name stamped into the record (file: BENCH_throughput.json).
 EXPERIMENT = "throughput"
 
 #: The committed gate baseline, relative to the repository root.
 BASELINE = Path("benchmarks") / "baselines" / "BENCH_throughput.json"
-
-#: Per-kernel-backend experiment names (``--kernel-backend`` mode):
-#: each backend gets its own record and committed baseline, so `bench
-#: compare` never crosses backends (it refuses mismatched experiment
-#: names).  These run the *fan-out* spin — ``BACKEND_FANOUT``
-#: concurrent tick chains, the same-timestamp-run shape of the
-#: heavy-traffic regime — unlike the single-chain ``throughput``
-#: record above, which stays byte-identical to its PR 3 definition.
-KERNEL_EXPERIMENTS = {
-    "python": "throughput_python",
-    "batch": "throughput_batch",
-    "compiled": "throughput_compiled",
-}
-
-#: Concurrent tick chains of the per-backend fan-out spin.  1024 makes
-#: every instant a 1024-event same-(time, priority) run: the batch
-#: backend's drained-run shape and a 10-deep heap for the others.
-BACKEND_FANOUT = 1024
-
-#: Simulated seconds per fan-out run: 0.25 s x 1024 chains at one
-#: event per 0.1 ms is ~2.6M dispatches per measurement — enough to
-#: swamp startup noise without slowing the gate.
-BACKEND_HORIZON = seconds(0.25)
 
 #: The ``--sessions`` scaling mode's record name and committed
 #: baseline (one heavy-traffic cell: events/sec and peak RSS at a
@@ -97,32 +60,18 @@ DEFAULT_HORIZON = seconds(1.0)
 DEFAULT_BEST_OF = 7
 
 
-def kernel_baseline(backend: str) -> Path:
-    """Committed gate baseline of one backend's fan-out record."""
-    return (Path("benchmarks") / "baselines"
-            / f"BENCH_{KERNEL_EXPERIMENTS[backend]}.json")
-
-
-def kernel_spin(horizon: float = DEFAULT_HORIZON, *,
-                fanout: int = 1,
-                backend: Optional[str] = None) -> Tuple[int, float]:
-    """One timed spin; returns ``(events_dispatched, wall_seconds)``.
-
-    ``fanout`` independent tick chains start at t=0; the default of 1
-    is the original single-chain spin.  ``backend`` selects the kernel
-    dispatch engine (None: the ambient default).
-    """
+def kernel_spin(horizon: float = DEFAULT_HORIZON) -> Tuple[int, float]:
+    """One timed spin; returns ``(events_dispatched, wall_seconds)``."""
     from repro.sim.kernel import Simulator
 
     watch = bench.Stopwatch()
-    sim = Simulator(backend=backend)
+    sim = Simulator()
 
     def tick() -> None:
         if sim.now < horizon:
             sim.schedule(TICK, tick)  # repro: disable=untiebroken-event-transitive -- pure-dispatch benchmark; the kwarg would perturb the measured workload
 
-    for _ in range(fanout):
-        sim.schedule(0.0, tick)  # repro: disable=untiebroken-event-transitive -- pure-dispatch benchmark; the kwarg would perturb the measured workload
+    sim.schedule(0.0, tick)  # repro: disable=untiebroken-event-transitive -- pure-dispatch benchmark; the kwarg would perturb the measured workload
     sim.run()
     return sim.events_dispatched, watch.elapsed()
 
@@ -142,38 +91,6 @@ def measure(best_of: int = DEFAULT_BEST_OF,
     return bench.make_record(
         EXPERIMENT, wall_time_s=wall, events_dispatched=events,
         workers=1, simulated_s=horizon, cells=1)
-
-
-def measure_backend(backend: str, best_of: int = DEFAULT_BEST_OF,
-                    horizon: float = BACKEND_HORIZON,
-                    fanout: int = BACKEND_FANOUT) -> bench.BenchRecord:
-    """Best-of fan-out throughput of one kernel backend.
-
-    The record's experiment name is backend-specific
-    (``throughput_<backend>``) so ``bench compare`` gates each backend
-    against its own committed baseline and refuses cross-backend
-    comparisons.  Re-record all backends back-to-back on one machine —
-    the committed numbers carry the cross-backend speedup claim in
-    docs/performance.md, which only holds within a single session.
-    """
-    if backend not in KERNEL_EXPERIMENTS:
-        raise ValueError(
-            f"unknown kernel backend {backend!r}; expected one of "
-            f"{', '.join(sorted(KERNEL_EXPERIMENTS))}")
-    if best_of < 1:
-        raise ValueError(f"best_of must be >= 1, got {best_of}")
-    best: Optional[Tuple[int, float]] = None
-    for _ in range(best_of):
-        events, wall = kernel_spin(horizon, fanout=fanout,
-                                   backend=backend)
-        if best is None or events * best[1] > best[0] * wall:
-            best = (events, wall)
-    assert best is not None
-    events, wall = best
-    return bench.make_record(
-        KERNEL_EXPERIMENTS[backend], wall_time_s=wall,
-        events_dispatched=events, workers=1, simulated_s=horizon,
-        cells=1, kernel_backend=backend)
 
 
 def measure_sessions(sessions: int, *, backend: str = "soa",
@@ -229,35 +146,10 @@ def main(argv: Optional[list] = None) -> int:
                         default="soa",
                         help="state backend for --sessions mode "
                              "(default: soa)")
-    parser.add_argument("--kernel-backend",
-                        choices=sorted(KERNEL_EXPERIMENTS),
-                        default=None,
-                        help="per-backend mode: measure this kernel "
-                             "dispatch engine on the fan-out spin and "
-                             "write its own gate record (file: "
-                             "BENCH_throughput_<backend>.json)")
-    parser.add_argument("--fanout", type=int, default=BACKEND_FANOUT,
-                        metavar="N",
-                        help="concurrent tick chains in "
-                             "--kernel-backend mode "
-                             f"(default: {BACKEND_FANOUT})")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="output directory (default: "
                              f"{BASELINE.parent})")
     args = parser.parse_args(argv)
-    if args.kernel_backend is not None:
-        horizon = BACKEND_HORIZON if args.horizon is None \
-            else args.horizon
-        record = measure_backend(args.kernel_backend, args.best_of,
-                                 horizon, args.fanout)
-        out = args.out if args.out is not None else str(BASELINE.parent)
-        path = bench.write_record(record, out)
-        print(f"{record.experiment}: "
-              f"{record.events_per_sec:,.0f} events/s "
-              f"({record.events_dispatched} events, fanout "
-              f"{args.fanout}, {record.wall_time_s:.4f} s wall) "
-              f"-> {path}")
-        return 0
     horizon = DEFAULT_HORIZON if args.horizon is None else args.horizon
     if args.sessions is not None:
         record = measure_sessions(args.sessions,

@@ -119,16 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "SessionTable, needs the [scale] extra); "
                              "sets REPRO_STATE_BACKEND so sweep worker "
                              "processes inherit it (default: objects)")
-    parser.add_argument("--kernel-backend",
-                        choices=["python", "batch", "compiled"],
-                        default=None,
-                        help="kernel dispatch engine: 'python' "
-                             "(reference fused loop), 'batch' "
-                             "(same-instant run draining, pure "
-                             "stdlib), or 'compiled' (C core, needs "
-                             "`make compiled-backend`); sets "
-                             "REPRO_KERNEL_BACKEND so sweep worker "
-                             "processes inherit it (default: python)")
     parser.add_argument("--sanitize", action="store_true",
                         help="install runtime conservation-law checkers "
                              "(packet conservation, reservation sums, "
@@ -184,14 +174,6 @@ def main(argv: Optional[list] = None) -> int:
         # reason as --sanitize below: pool workers inherit it.
         import os
         os.environ["REPRO_STATE_BACKEND"] = args.state_backend
-    if args.kernel_backend is not None:
-        import os
-        os.environ["REPRO_KERNEL_BACKEND"] = args.kernel_backend
-        if args.kernel_backend == "compiled":
-            # Fail at argument time with the build hint, not minutes
-            # into a sweep inside a pool worker.
-            from repro.sim.backends.compiled import require_ckernel
-            require_ckernel()
     if args.sanitize:
         # The env var (not a threaded parameter) is the switch so the
         # parallel runner's pool workers — which inherit the

@@ -1,15 +1,16 @@
-/* The compiled kernel dispatch core behind the "compiled" backend.
+/* The C drain loop: Simulator.run's hot path when this module is built.
  *
  * One entry point: drain(sim, queue, until, exclusive) — the reference
  * fused loop from repro/sim/kernel.py rewritten as C against the same
  * data structures.  The heap stays a Python list of
  * (time, priority, seq, Event) tuples, so scheduling from callbacks
  * (which runs the ordinary Python schedule()) interleaves freely with
- * the C pops, and every other backend sees an identical queue layout.
+ * the C pops, and the Python loops (sanitized and max_events-bounded
+ * runs) see an identical queue layout.
  *
- * Semantics are held to the same bar as the Python backends: the
+ * Semantics are held bit-identical to the reference loop: the
  * dispatch-digest goldens and the fused-vs-naive hypothesis suite run
- * bit-identically.  Specifically:
+ * on both.  Specifically:
  *
  *  - (time, priority, seq) total order via tuple comparison.  The
  *    comparison never reaches the Event in slot 3 because seq values
@@ -38,9 +39,9 @@
  * with extra slots keep working — their inherited slots sit at the
  * base offsets.
  *
- * Built on demand: REPRO_BUILD_CKERNEL=1 python setup.py build_ext
- * --inplace (or `make compiled-backend`).  repro/sim/backends/
- * compiled.py degrades gracefully when this module is absent.
+ * Built on demand: `make ckernel` (REPRO_BUILD_CKERNEL=1 python
+ * setup.py build_ext --inplace).  repro/sim/kernel.py imports this
+ * module if it is there and runs the reference loop if it is not.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -541,7 +542,7 @@ PyDoc_STRVAR(drain_doc,
 "drain(sim, queue, until, exclusive) -> float\n\
 \n\
 Dispatch pending events in (time, priority, seq) order up to the\n\
-horizon; the C core of the 'compiled' kernel backend.  Returns the\n\
+horizon; the C form of Simulator.run's reference loop.  Returns the\n\
 clock when the loop stopped.  Internal: call Simulator.run() instead.");
 
 static PyMethodDef ckernel_methods[] = {
@@ -550,7 +551,7 @@ static PyMethodDef ckernel_methods[] = {
 };
 
 PyDoc_STRVAR(ckernel_doc,
-"C dispatch core for the 'compiled' kernel backend (internal).");
+"C drain loop behind repro.sim.kernel.Simulator.run (internal).");
 
 static struct PyModuleDef ckernel_module = {
     PyModuleDef_HEAD_INIT,

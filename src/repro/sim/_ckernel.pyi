@@ -1,4 +1,4 @@
-"""Type stub for the optional C dispatch core (repro/sim/_ckernel.c).
+"""Type stub for the optional C drain loop (repro/sim/_ckernel.c).
 
 Keeps strict mypy over repro.sim.* working whether or not the
 extension has been built in this checkout.

@@ -29,16 +29,14 @@ Design notes
   so a held handle can never be mutated into a different event.  The
   loop is behaviourally identical to ``while step(): ...`` — proven by
   the digest-equality tests in ``tests/sim/test_dispatch_digest.py``.
-* The dispatch engine is *pluggable*: ``Simulator(backend=...)`` is a
-  factory that resolves a backend name (argument >
-  ``REPRO_KERNEL_BACKEND`` > ``"python"``) and builds the matching
-  implementation class — this reference loop, the batch-dispatch
-  engine, or the compiled C core (:mod:`repro.sim.backends`).  Every
-  backend honours the five-method contract in
-  :mod:`repro.sim.backends.base` and is held to bit-identical dispatch
-  digests.  Subclasses other than :class:`Simulator` itself are never
-  redirected, so test doubles and the perturbation kernels instantiate
-  directly.
+* When the optional C extension ``repro.sim._ckernel`` is built
+  (``make ckernel``), :meth:`Simulator.run` hands the un-sanitized,
+  unbounded drain to its ``drain()`` — the same loop over the same
+  heap, free list and :class:`~repro.sim.events.Event` slots, written
+  in C.  Nothing selects it: it runs whenever it imports.  Sanitized
+  and ``max_events``-bounded runs always take the Python loops below,
+  which are the reference the C loop is held bit-identical to
+  (``tests/sim/test_kernel_backends.py``).
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ import heapq
 from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.events import (FREE_LIST_MAX, USER_PRIORITY_MAX,
                               USER_PRIORITY_MIN, Event, EventQueue,
                               _recycled)
@@ -63,6 +61,11 @@ except ImportError:  # pragma: no cover - non-CPython fallback
     def _refcount(obj: object, /) -> int:
         """No refcounts available: report a value that never recycles."""
         return -1
+
+try:
+    from repro.sim import _ckernel
+except ImportError:  # not built (the default checkout)
+    _ckernel = None  # type: ignore[assignment]
 
 __all__ = ["Simulator"]
 
@@ -105,34 +108,7 @@ class Simulator:
 
     __slots__ = ("_queue", "now", "_running", "_dispatched", "sanitizer")
 
-    #: Canonical backend name of this implementation class.  The
-    #: ``backend`` property reports it and the ``Simulator(...)``
-    #: factory selects an implementation by it; backend subclasses
-    #: override it (:mod:`repro.sim.backends`).
-    backend_name = "python"
-
-    def __new__(cls, *args: Any, backend: Optional[str] = None,
-                **kwargs: Any) -> "Simulator":
-        # Factory hook: a plain `Simulator(...)` call resolves the
-        # backend name (argument > REPRO_KERNEL_BACKEND env > default)
-        # and builds the matching implementation class.  Subclasses —
-        # the backends themselves, TiebreakShuffledSimulator, test
-        # doubles — are never redirected and construct directly.
-        if cls is Simulator:
-            from repro.sim import backends
-            cls = backends.simulator_class(
-                backends.resolve_backend(backend))
-        instance: "Simulator" = object.__new__(cls)
-        return instance
-
-    def __init__(self, *, backend: Optional[str] = None) -> None:
-        if backend is not None and backend != self.backend_name:
-            # Reachable only by instantiating a backend class directly
-            # with a conflicting name; the factory path always agrees.
-            raise ConfigurationError(
-                f"{type(self).__name__} implements the "
-                f"{self.backend_name!r} kernel backend; it cannot be "
-                f"instantiated as {backend!r}")
+    def __init__(self) -> None:
         self._queue = EventQueue()
         #: Current simulated time in seconds.  A plain attribute rather
         #: than a property: callbacks read the clock several times per
@@ -149,11 +125,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """Name of the kernel backend this simulator dispatches on."""
-        return self.backend_name
-
     @property
     def events_dispatched(self) -> int:
         """Total number of events executed so far (for diagnostics)."""
@@ -228,28 +199,18 @@ class Simulator:
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event without running it.
 
-        Part of the backend contract
-        (:class:`~repro.sim.backends.base.KernelBackend`): the handle
-        goes stale exactly as it would at dispatch, so a later
-        ``cancel()`` is a no-op.  Returns ``None`` when nothing is
-        pending.
+        The handle goes stale exactly as it would at dispatch, so a
+        later ``cancel()`` is a no-op.  Returns ``None`` when nothing
+        is pending.
         """
         return self._queue.pop()
-
-    def dispatch(self, until: Optional[float] = None,
-                 max_events: Optional[int] = None, *,
-                 exclusive: bool = False) -> float:
-        """Drain pending events — the backend-contract name for
-        :meth:`run`; identical semantics and return value."""
-        return self.run(until, max_events, exclusive=exclusive)
 
     def step(self) -> bool:
         """Dispatch the single earliest event.
 
         Returns ``True`` if an event ran, ``False`` if the queue was
         empty.  The cold-path sibling of :meth:`run`: same dispatch
-        semantics, no event recycling.  Routed through :meth:`pop` so
-        backends that stage entries outside the heap stay correct.
+        semantics, no event recycling.
         """
         event = self.pop()
         if event is None:
@@ -291,6 +252,13 @@ class Simulator:
         if exclusive and until is None:
             raise SimulationError(
                 "run(exclusive=True) needs an explicit until horizon")
+        if (_ckernel is not None and max_events is None
+                and self.sanitizer is None):
+            self._running = True
+            try:
+                return _ckernel.drain(self, self._queue, until, exclusive)
+            finally:
+                self._running = False
         self._running = True
         # Hot-loop locals: the heap list and free list keep their
         # identity for the queue's whole lifetime (clear() empties them
@@ -446,9 +414,7 @@ class Simulator:
         """Drop every pending event, marking their handles stale.
 
         The clock and the dispatch counter keep their values; use
-        :meth:`reset` to rewind those too.  Part of the backend
-        contract — backends that stage entries outside the heap
-        override this to invalidate them as well.
+        :meth:`reset` to rewind those too.
         """
         self._queue.clear()
 

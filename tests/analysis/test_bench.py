@@ -30,6 +30,13 @@ class TestRecord:
     def test_git_rev_is_nonempty(self):
         assert sample_record().git_rev
 
+    def test_kernel_backend_records_the_loop_that_ran(
+            self, kernel_loop, monkeypatch):
+        assert sample_record().kernel_backend == kernel_loop
+        # The sanitizer always takes the Python loop.
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        assert sample_record().kernel_backend == "python"
+
     def test_deterministic_defaults_to_unverified(self):
         assert sample_record().deterministic is None
 
@@ -87,6 +94,14 @@ class TestRoundTrip:
         del payload["partitions"]  # a pre-space-parallel record
         path.write_text(json.dumps(payload))
         assert bench.read_record(path).partitions == 1
+
+    def test_records_naming_a_deleted_kernel_backend_still_load(
+            self, tmp_path):
+        path = bench.write_record(sample_record(), tmp_path)
+        payload = json.loads(path.read_text())
+        payload["kernel_backend"] = "batch"  # a PR 9-era record
+        path.write_text(json.dumps(payload))
+        assert bench.read_record(path).kernel_backend == "batch"
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = bench.write_record(sample_record(), tmp_path)

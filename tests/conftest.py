@@ -14,6 +14,7 @@ import pytest
 from repro.analysis import bench
 from repro.net.network import Network
 from repro.net.session import Session
+from repro.sim import kernel
 from repro.sim.trace import Tracer
 from repro.traffic.trace_source import TraceSource
 
@@ -30,6 +31,21 @@ def _bench_isolation(tmp_path, monkeypatch):
     monkeypatch.delenv(bench.ENV_ENABLE, raising=False)
     yield
     bench.configure(enabled=False, directory=None)
+
+
+@pytest.fixture(params=["python", "compiled"])
+def kernel_loop(request, monkeypatch):
+    """Run the test once per drain loop of ``Simulator.run``.
+
+    ``python`` forces the reference loop by hiding the C extension
+    (also on a box that has it built); ``compiled`` leaves it in place
+    and skips where it is not built (``make ckernel``).
+    """
+    if request.param == "python":
+        monkeypatch.setattr(kernel, "_ckernel", None)
+    elif kernel._ckernel is None:
+        pytest.skip("repro.sim._ckernel is not built (make ckernel)")
+    return request.param
 
 
 def make_network(scheduler_factory: Callable[[], object], *,

@@ -19,6 +19,22 @@ def test_parser_rejects_unknown_experiment():
         build_parser().parse_args(["figure99"])
 
 
+@pytest.mark.parametrize("argv, complaint", [
+    # argparse reads the value of a flag it does not know as the
+    # experiment name, and complains about that first.
+    (["--kernel-backend", "batch", "figure07"], "invalid choice: 'batch'"),
+    (["--kernel-backend=batch", "figure07"],
+     "unrecognized arguments: --kernel-backend=batch"),
+])
+def test_retired_kernel_backend_flag_is_rejected(capsys, argv, complaint):
+    # The kernel has no backends to choose from any more; the old flag
+    # must fail loudly, not be accepted and ignored.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert complaint in capsys.readouterr().err
+
+
 def test_analytic_experiment_runs(capsys):
     assert main(["section4"]) == 0
     out = capsys.readouterr().out

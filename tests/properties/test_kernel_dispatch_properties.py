@@ -8,6 +8,10 @@ Two claims the kernel overhaul must uphold:
 * recycling can never let a held :class:`Event` handle reach into
   somebody else's event — a stale handle's ``cancel()`` is a no-op and
   the live-event count stays exact no matter how handles are abused.
+
+Every test takes the ``kernel_loop`` fixture (tests/conftest.py), so
+both claims are held on the Python loop and, where it is built, on the
+C drain loop.
 """
 
 from __future__ import annotations
@@ -15,24 +19,15 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, List, Optional, Tuple
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.backends import (KERNEL_BACKENDS, available_backends,
-                                simulator_class)
 from repro.sim.kernel import Simulator
 
-# Every claim below holds per backend: the fused-vs-naive equality is
-# the semantic half of the backend contract, and the recycling claims
-# keep handle safety honest under batched dispatch too.
-pytestmark = pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
-
-
-def make_simulator(kernel_backend: str) -> Simulator:
-    if kernel_backend not in available_backends():
-        pytest.skip(f"kernel backend {kernel_backend!r} not built here")
-    return simulator_class(kernel_backend)()
+#: ``kernel_loop`` is function-scoped and hypothesis runs every example
+#: inside one call; that is what is wanted here — the fixture only
+#: picks the loop, it holds no state an example could dirty.
+SAME_LOOP_FOR_ALL_EXAMPLES = [HealthCheck.function_scoped_fixture]
 
 
 #: Small grid with repeats so same-instant ties are common.
@@ -155,7 +150,8 @@ def run_workload(engine, script, until: float, max_events: int):
     return log
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=SAME_LOOP_FOR_ALL_EXAMPLES)
 @given(script=st.lists(
            st.tuples(st.integers(0, len(DELAYS) - 1),
                      st.integers(-2, 2),
@@ -164,23 +160,22 @@ def run_workload(engine, script, until: float, max_events: int):
        until_idx=st.integers(0, len(DELAYS) - 1),
        max_events=st.integers(1, 60))
 def test_fused_loop_dispatches_identically_to_reference(
-        kernel_backend, script, until_idx, max_events):
+        kernel_loop, script, until_idx, max_events):
     until = DELAYS[until_idx] * 3 + 0.001
-    fused = run_workload(make_simulator(kernel_backend), script, until,
-                         max_events)
+    fused = run_workload(Simulator(), script, until, max_events)
     reference = run_workload(RefEngine(), script, until, max_events)
     assert fused == reference
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=SAME_LOOP_FOR_ALL_EXAMPLES)
 @given(script=st.lists(
            st.tuples(st.integers(0, len(DELAYS) - 1),
                      st.integers(-2, 2),
                      st.integers(0, 9)),
            min_size=1, max_size=20))
-def test_live_count_survives_stale_handle_abuse(kernel_backend,
-                                                   script):
-    sim = make_simulator(kernel_backend)
+def test_live_count_survives_stale_handle_abuse(kernel_loop, script):
+    sim = Simulator()
     handles = [sim.schedule(DELAYS[d], lambda: None, priority=p)
                for d, p, _ in script]
     # Cancel a few, dispatch everything, then abuse every stale handle.
@@ -199,8 +194,8 @@ def test_live_count_survives_stale_handle_abuse(kernel_backend,
     assert sim.pending == 0
 
 
-def test_held_handle_is_never_recycled(kernel_backend):
-    sim = make_simulator(kernel_backend)
+def test_held_handle_is_never_recycled(kernel_loop):
+    sim = Simulator()
     held = sim.schedule(0.1, lambda: None)
     sim.run()
     assert held.cancelled  # stale after dispatch
@@ -214,8 +209,8 @@ def test_held_handle_is_never_recycled(kernel_backend):
     sim.run()
 
 
-def test_discarded_handles_are_recycled_and_reused(kernel_backend):
-    sim = make_simulator(kernel_backend)
+def test_discarded_handles_are_recycled_and_reused(kernel_loop):
+    sim = Simulator()
     for _ in range(5):
         sim.schedule(0.1, lambda: None)  # handles discarded
     sim.run()

@@ -10,6 +10,12 @@ class TestScheduling:
     def test_clock_starts_at_zero(self):
         assert Simulator().now == 0.0
 
+    def test_takes_no_backend_argument(self):
+        # The kernel has one class and no selector; the old keyword
+        # fails the way any unknown keyword does.
+        with pytest.raises(TypeError):
+            Simulator(backend="batch")
+
     def test_schedule_relative_delay(self):
         sim = Simulator()
         seen = []
@@ -93,6 +99,21 @@ class TestRunControl:
 
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
+
+    def test_pop_step_and_clear(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(0.2, seen.append, "b")
+        sim.schedule(0.1, seen.append, "a")
+        event = sim.pop()
+        assert event is not None and event.args == ("a",)
+        assert sim.pending == 1
+        assert sim.step() is True
+        assert seen == ["b"]
+        assert sim.step() is False
+        sim.schedule(0.3, seen.append, "c")
+        sim.clear()
+        assert sim.pending == 0
 
     def test_run_is_not_reentrant(self):
         sim = Simulator()

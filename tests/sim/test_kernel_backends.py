@@ -1,132 +1,55 @@
-"""Kernel-backend selection plumbing and batch-dispatch edge cases.
+"""Loop equivalence: the C drain loop against the reference loop.
 
-Two halves:
+``Simulator.run`` has one Python reference loop and, when
+``repro.sim._ckernel`` is built, a C loop that takes over the
+un-sanitized unbounded drain.  Nothing selects between them, so the
+only thing that may differ is speed.  Each test here takes the
+``kernel_loop`` fixture (tests/conftest.py) and so runs once on the
+reference loop and once on the C loop (skipped where it is not built),
+and checks *exact dispatch-log equality against the reference loop* on
+the corners where a drain loop can go wrong: a tied run spanning the
+``until`` horizon (inclusive and exclusive), cancellation among
+same-instant events, a mid-run ``reset()``, a callback exception with
+a horizon armed, and recycled-handle safety.
 
-* the factory contract — ``Simulator(backend=...)`` resolves argument
-  > ``REPRO_KERNEL_BACKEND`` > default, rejects unknown names with a
-  :class:`~repro.errors.ConfigurationError`, and every implementation
-  satisfies the structural :class:`~repro.sim.backends.base
-  .KernelBackend` protocol;
-* the nasty corners of batched run draining, each checked by *exact
-  dispatch-log equality against the python reference backend* on the
-  same scripted workload: a same-timestamp run spanning the ``until``
-  horizon (inclusive and exclusive), cancellation from inside a
-  drained run, same-instant lower-priority preemption out of a run,
-  recycled-handle safety, a mid-run ``reset()``, and a callback
-  exception mid-run.
+The figure-level gates close the file: call churn, fault sweep clean
+and faulted, and the 2-shard space-parallel digest must come out
+bit-identical to the reference loop's.  The golden dispatch digests
+and the fused-vs-naive hypothesis suite take the same fixture in
+``test_dispatch_digest.py`` and
+``tests/properties/test_kernel_dispatch_properties.py``.
 
-The figure-level equivalence gates (call churn, fault sweep clean and
-faulted, the space-parallel shard digest) close the file: every
-backend must reproduce the python backend's digests bit-for-bit, the
-same standard ``test_state_backends.py`` holds the session-state
-backends to.
+The file keeps its name from the time the kernel had selectable
+backends so that the ids of the surviving tests did not change.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import call_churn, fault_sweep
-from repro.sim import backends
-from repro.sim.backends import (KERNEL_BACKENDS, KernelBackend,
-                                available_backends, resolve_backend,
-                                simulator_class)
-from repro.sim.backends.batch import BatchSimulator
+from repro.sim import kernel
 from repro.sim.kernel import Simulator
 
-
-@pytest.fixture(params=KERNEL_BACKENDS)
-def kernel_backend(request):
-    name = request.param
-    if name not in available_backends():
-        pytest.skip(f"kernel backend {name!r} not built here")
-    return name
-
-
-def make_sim(backend: str) -> Simulator:
-    return simulator_class(backend)()
-
-
-# ----------------------------------------------------------------------
-# Selection plumbing: argument > env > default
-# ----------------------------------------------------------------------
-class TestSelection:
-    def test_default_is_python(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        sim = Simulator()
-        assert type(sim) is Simulator
-        assert sim.backend == "python"
-
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batch")
-        sim = Simulator()
-        assert type(sim) is BatchSimulator
-        assert sim.backend == "batch"
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batch")
-        sim = Simulator(backend="python")
-        assert type(sim) is Simulator
-        assert sim.backend == "python"
-
-    def test_blank_env_means_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "  ")
-        assert resolve_backend() == "python"
-
-    def test_unknown_argument_rejected(self):
-        with pytest.raises(ConfigurationError, match="valid backends"):
-            Simulator(backend="turbo")
-
-    def test_unknown_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "turbo")
-        with pytest.raises(ConfigurationError, match="valid backends"):
-            Simulator()
-
-    def test_backend_class_rejects_conflicting_name(self):
-        with pytest.raises(ConfigurationError, match="batch"):
-            BatchSimulator(backend="python")
-
-    def test_subclasses_are_not_redirected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batch")
-
-        class Probe(Simulator):
-            __slots__ = ()
-
-        assert type(Probe()) is Probe
-
-    def test_registry_and_availability(self):
-        assert set(available_backends()) <= set(KERNEL_BACKENDS)
-        assert {"python", "batch"} <= set(available_backends())
-        assert ("compiled" in available_backends()
-                ) == backends.compiled_available()
-
-    def test_every_backend_satisfies_the_protocol(self, kernel_backend):
-        assert isinstance(make_sim(kernel_backend), KernelBackend)
-
-    def test_compiled_absent_fails_with_build_hint(self, monkeypatch):
-        from repro.sim.backends import compiled
-        monkeypatch.setattr(compiled, "_ckernel", None)
-        assert not compiled.ckernel_available()
-        assert "compiled" not in available_backends()
-        with pytest.raises(SimulationError, match="compiled-backend"):
-            Simulator(backend="compiled")
-
-
-# ----------------------------------------------------------------------
-# Batch edge cases, each pinned to the python reference by exact
-# dispatch-log equality
-# ----------------------------------------------------------------------
 Log = List[Tuple[float, str]]
 
 
-def _horizon_workload(sim: Simulator, *, exclusive: bool,
-                      resume: bool) -> Log:
+def on_reference_loop(fn: Callable[..., Any], *args: Any,
+                      **kwargs: Any) -> Any:
+    """``fn(*args, **kwargs)`` with the C loop hidden, whatever loop
+    the calling test runs on."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_ckernel", None)
+        return fn(*args, **kwargs)
+
+
+def _horizon_workload(*, exclusive: bool, resume: bool) -> Log:
     """A 6-event same-(time, priority) run parked exactly at the
     ``until`` horizon, with earlier and later traffic around it."""
+    sim = Simulator()
     log: Log = []
 
     def cb(tag: str) -> None:
@@ -149,18 +72,17 @@ def _horizon_workload(sim: Simulator, *, exclusive: bool,
 @pytest.mark.parametrize("exclusive", [False, True],
                          ids=["inclusive", "exclusive"])
 @pytest.mark.parametrize("resume", [False, True])
-def test_run_spanning_horizon_matches_reference(kernel_backend,
+def test_run_spanning_horizon_matches_reference(kernel_loop,
                                                 exclusive, resume):
-    reference = _horizon_workload(make_sim("python"),
-                                  exclusive=exclusive, resume=resume)
-    candidate = _horizon_workload(make_sim(kernel_backend),
-                                  exclusive=exclusive, resume=resume)
-    assert candidate == reference
+    assert (_horizon_workload(exclusive=exclusive, resume=resume)
+            == on_reference_loop(_horizon_workload,
+                                 exclusive=exclusive, resume=resume))
 
 
-def _cancel_inside_run_workload(sim: Simulator) -> Log:
-    """Members of one drained run cancelling later (and earlier)
-    members of the same run, plus an outsider at the next instant."""
+def _cancel_inside_run_workload() -> Log:
+    """Members of one tied run cancelling later (and earlier) members
+    of the same run, plus an outsider at the next instant."""
+    sim = Simulator()
     log: Log = []
     handles = []
 
@@ -180,44 +102,16 @@ def _cancel_inside_run_workload(sim: Simulator) -> Log:
     return log
 
 
-def test_cancellation_inside_drained_run_matches_reference(
-        kernel_backend):
-    reference = _cancel_inside_run_workload(make_sim("python"))
-    candidate = _cancel_inside_run_workload(make_sim(kernel_backend))
-    assert candidate == reference
+def test_cancellation_inside_drained_run_matches_reference(kernel_loop):
+    assert (_cancel_inside_run_workload()
+            == on_reference_loop(_cancel_inside_run_workload))
 
 
-def _preemption_workload(sim: Simulator) -> Log:
-    """A run member schedules same-instant work at *lower* priority —
-    it must preempt the rest of the run (lower runs first)."""
-    log: Log = []
-
-    def cb(tag: str) -> None:
-        log.append((sim.now, tag))
-
-    def spawner(tag: str) -> None:
-        log.append((sim.now, tag))
-        sim.schedule(0.0, cb, f"{tag}/preempt", priority=-5)
-        sim.schedule(0.0, cb, f"{tag}/same", priority=0)
-        sim.schedule(0.0, cb, f"{tag}/later", priority=9)
-
-    for k in range(4):
-        sim.schedule_at(0.1, spawner if k == 1 else cb, f"run{k}")
-    sim.run()
-    log.append((sim.now, f"end:{sim.events_dispatched}:{sim.pending}"))
-    return log
-
-
-def test_same_instant_lower_priority_preempts_run(kernel_backend):
-    reference = _preemption_workload(make_sim("python"))
-    candidate = _preemption_workload(make_sim(kernel_backend))
-    assert candidate == reference
-
-
-def _mid_run_reset_workload(sim: Simulator) -> Log:
-    """reset() fired from inside a drained run: the rest of the run
-    (and everything later) must evaporate, and the kernel must accept
-    a fresh schedule/run afterwards."""
+def _mid_run_reset_workload() -> Log:
+    """reset() fired from inside a tied run: the rest of the run (and
+    everything later) must evaporate, and the kernel must accept a
+    fresh schedule/run afterwards."""
+    sim = Simulator()
     log: Log = []
 
     def cb(tag: str) -> None:
@@ -238,19 +132,21 @@ def _mid_run_reset_workload(sim: Simulator) -> Log:
     return log
 
 
-def test_mid_run_reset_matches_reference(kernel_backend):
-    reference = _mid_run_reset_workload(make_sim("python"))
-    candidate = _mid_run_reset_workload(make_sim(kernel_backend))
-    assert candidate == reference
+def test_mid_run_reset_matches_reference(kernel_loop):
+    assert (_mid_run_reset_workload()
+            == on_reference_loop(_mid_run_reset_workload))
 
 
 class _Boom(Exception):
     pass
 
 
-def _exception_workload(sim: Simulator) -> Log:
-    """A callback raising mid-run must leave the undispatched tail
-    pending and the live count exact."""
+def _exception_workload() -> Log:
+    """A callback raising mid-run, with an ``until`` horizon armed,
+    must leave the undispatched tail pending and the live count exact
+    — and no stale horizon: the next run() drains past 0.5 (the
+    reference loop defuses its stop sentinel on the way out)."""
+    sim = Simulator()
     log: Log = []
 
     def cb(tag: str) -> None:
@@ -262,27 +158,28 @@ def _exception_workload(sim: Simulator) -> Log:
 
     for k in range(6):
         sim.schedule_at(0.2, bomb if k == 3 else cb, f"run{k}")
+    sim.schedule_at(0.9, cb, "past-horizon")
     with pytest.raises(_Boom):
-        sim.run()
+        sim.run(until=0.5)
     log.append((sim.now, f"mid:{sim.events_dispatched}:{sim.pending}"))
     sim.run()
     log.append((sim.now, f"end:{sim.events_dispatched}:{sim.pending}"))
     return log
 
 
-def test_exception_mid_run_matches_reference(kernel_backend):
-    reference = _exception_workload(make_sim("python"))
-    candidate = _exception_workload(make_sim(kernel_backend))
-    assert candidate == reference
+def test_exception_mid_run_matches_reference(kernel_loop):
+    log = _exception_workload()
+    assert log == on_reference_loop(_exception_workload)
+    assert log[-2] == (0.9, "past-horizon")
 
 
-def test_recycled_handles_stay_safe_under_batching(kernel_backend):
-    """Recycling under run draining: discarded members of a tie run
-    are parked for reuse, held handles never are, and a stale handle
-    can never cancel the event that reused its object."""
-    sim = make_sim(kernel_backend)
+def test_recycled_handles_stay_safe_across_a_tied_run(kernel_loop):
+    """Discarded members of a tied run are parked for reuse, held
+    handles never are, and a stale handle can never cancel the event
+    that reused its object."""
+    sim = Simulator()
     for _ in range(6):
-        sim.schedule_at(0.1, lambda: None)  # a drained run, discarded
+        sim.schedule_at(0.1, lambda: None)  # a tied run, discarded
     held = sim.schedule_at(0.1, lambda: None)
     sim.run()
     free = sim._queue._free
@@ -300,26 +197,9 @@ def test_recycled_handles_stay_safe_under_batching(kernel_backend):
     assert sim.pending == 0
 
 
-def test_pop_and_step_see_staged_entries(kernel_backend):
-    """The backend-contract maintenance ops: pop() returns the
-    earliest live event (staged or heaped) and step() dispatches it."""
-    sim = make_sim(kernel_backend)
-    seen: List[str] = []
-    sim.schedule(0.2, seen.append, "b")
-    sim.schedule(0.1, seen.append, "a")
-    event = sim.pop()
-    assert event is not None and event.args == ("a",)
-    assert sim.pending == 1
-    assert sim.step() is True
-    assert seen == ["b"]
-    assert sim.step() is False
-    sim.clear()
-    assert sim.pending == 0
-
-
 # ----------------------------------------------------------------------
-# Figure-level equivalence: every backend reproduces the python
-# backend's digests bit-for-bit
+# Figure-level equivalence: each loop reproduces the reference loop's
+# digests bit-for-bit
 # ----------------------------------------------------------------------
 def _churn_digest() -> str:
     output = call_churn._cell(duration=8.0, seed=0,
@@ -337,32 +217,19 @@ def _fault_digest(outage: float) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
-def test_call_churn_digest_identical_across_backends(monkeypatch):
-    digests = {}
-    for backend in available_backends():
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
-        digests[backend] = _churn_digest()
-    assert len(set(digests.values())) == 1, digests
+def test_call_churn_digest_matches_reference(kernel_loop):
+    assert _churn_digest() == on_reference_loop(_churn_digest)
 
 
 @pytest.mark.parametrize("outage", [0.0, 1.0],
                          ids=["clean", "faulted"])
-def test_fault_sweep_digest_identical_across_backends(monkeypatch,
-                                                      outage):
-    digests = {}
-    for backend in available_backends():
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
-        digests[backend] = _fault_digest(outage)
-    assert len(set(digests.values())) == 1, digests
+def test_fault_sweep_digest_matches_reference(kernel_loop, outage):
+    assert _fault_digest(outage) == on_reference_loop(_fault_digest,
+                                                      outage)
 
 
-def test_space_parallel_shard_digest_identical_across_backends(
-        monkeypatch):
+def test_space_parallel_shard_digest_matches_reference(kernel_loop):
     from repro.sim.parallel import run_serial, run_sharded
     from tests.sim.test_space_parallel import DURATION, build
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "python")
-    golden = run_serial(build, DURATION).digest
-    for backend in available_backends():
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
-        sharded = run_sharded(build, DURATION, partitions=2)
-        assert sharded.digest == golden, backend
+    golden = on_reference_loop(run_serial, build, DURATION).digest
+    assert run_sharded(build, DURATION, partitions=2).digest == golden
