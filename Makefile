@@ -11,7 +11,7 @@ export PYTHONPATH
 .PHONY: ci test ruff repro-lint repro-verify repro-det repro-hot \
 	repro-analyze hot-profile-smoke perturb-smoke \
 	parallel-smoke sanitize mypy perf-guard heavy-traffic-smoke \
-	ckernel
+	ckernel ab
 
 # ckernel goes last: it leaves the built extension under src/, and
 # every python process after that runs the C drain loop.
@@ -129,3 +129,14 @@ ckernel:
 	else \
 		echo "-- no C compiler: skipped (runs in GitHub Actions) --"; \
 	fi
+
+# Not a CI job: the A/B protocol a perf PR is held to, as one command.
+#   make ab BASE=<rev> [WORKLOADS=mix_onoff,heavy_1e4] [PAIRS=10]
+# Alternated base/working-tree pairs of the ledger's driver form; prints
+# both medians, the base's IQR, the change and pairs won per metric.
+PAIRS ?= 10
+AB_SCRATCH ?= /tmp/repro-ab
+ab:
+	@test -n "$(BASE)" || { echo "usage: make ab BASE=<rev> [WORKLOADS=a,b] [PAIRS=10]"; exit 2; }
+	$(PYTHON) benchmarks/ab.py --base $(BASE) --pairs $(PAIRS) \
+		--scratch $(AB_SCRATCH) $(if $(WORKLOADS),--workloads $(WORKLOADS))

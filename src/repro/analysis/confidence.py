@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats
-
 from repro.errors import ConfigurationError
 
 __all__ = ["ConfidenceInterval", "batch_means"]
@@ -77,6 +75,9 @@ def batch_means(samples: Sequence[float], *, batches: int = 20,
     grand_mean = sum(means) / batches
     variance = (sum((m - grand_mean) ** 2 for m in means)
                 / (batches - 1))
+    # Here, not at module level: scipy.stats costs about a second to
+    # import and drags numpy in, and the CLI imports this module.
+    from scipy import stats
     t_value = stats.t.ppf(0.5 + level / 2.0, df=batches - 1)
     half_width = t_value * math.sqrt(variance / batches)
     return ConfidenceInterval(mean=grand_mean, half_width=half_width,

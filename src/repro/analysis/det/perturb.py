@@ -100,15 +100,15 @@ class TiebreakShuffledSimulator(Simulator):
 
     def schedule(self, delay: float, callback: Callable[..., Any],
                  *args: Any, priority: int = PRIORITY_NORMAL) -> Event:
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(
-                f"negative delay {delay!r} scheduling {callback!r}")
+                f"negative or NaN delay {delay!r} scheduling {callback!r}")
         return self._push_shuffled(self.now + delay, priority,
                                    callback, args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
                     *args: Any, priority: int = PRIORITY_NORMAL) -> Event:
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, clock already at "
                 f"{self.now!r}")

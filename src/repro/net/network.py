@@ -279,10 +279,13 @@ class Network:
                 f"session {session.id!r} is not registered (removed or "
                 f"never added) but its source is still injecting; stop "
                 f"the source before remove_session")
-        if length > session.l_max:
+        # Written so NaN fails it too; the hop path divides this length
+        # by link capacities without looking at it again.
+        if not 0 < length <= session.l_max:
             raise SimulationError(
-                f"session {session.id!r} generated a packet of {length} bits "
-                f"exceeding its declared l_max {session.l_max}")
+                f"session {session.id!r} generated a packet of {length} bits; "
+                f"lengths must be positive and must not exceed its "
+                f"declared l_max {session.l_max}")
         session.packets_sent += 1
         packet = Packet(session, session.packets_sent, length, self.sim.now)
         packet.hop_index = 0
@@ -299,7 +302,9 @@ class Network:
             faults.corrupt_dropped(packet)
             return
         session = packet.session
-        if session.is_last_hop(packet.hop_index):
+        route = session.route
+        hop = packet.hop_index + 1
+        if hop == len(route):
             san = self.sanitizer
             if san is not None:
                 san.on_sink(packet)
@@ -307,8 +312,8 @@ class Network:
             if self._draining:
                 self._drain_progress(session.id)
             return
-        packet.hop_index += 1
-        self.nodes[session.node_at(packet.hop_index)].receive(packet)
+        packet.hop_index = hop
+        self.nodes[route[hop]].receive(packet)
 
     # ------------------------------------------------------------------
     # Execution

@@ -86,6 +86,11 @@ class ServerNode:
         self.sim = sim
         self.tracer = tracer or Tracer(False)
         scheduler.bind(self, sim, self.tracer)
+        #: The scheduler's three data-path entry points, bound once:
+        #: each is called once per packet-hop.
+        self._on_arrival = scheduler.on_arrival
+        self._next_packet = scheduler.next_packet
+        self._on_transmit_complete = scheduler.on_transmit_complete
         self.network: Optional["Network"] = None
         #: Armed fault state, set by FaultInjector.install for nodes a
         #: plan references; None otherwise, so the fault-free data path
@@ -257,11 +262,12 @@ class ServerNode:
         if tracer.enabled:
             tracer.emit(now, "arrival", node=self.name,
                         session=session_id, packet=packet.seq)
-        self.scheduler.on_arrival(packet, now)
+        self._on_arrival(packet, now)
         san = self.sanitizer
         if san is not None:
             san.on_receive(self, packet)
-        self._try_start()
+        if self.transmitting is None:
+            self._try_start()
 
     def _drop_on_arrival(self, packet: Packet, session_id: str,
                          now: float) -> None:
@@ -290,11 +296,12 @@ class ServerNode:
             return
         sim = self.sim
         now = sim.now
-        packet = self.scheduler.next_packet(now)
+        packet = self._next_packet(now)
         if packet is None:
             return
         self.transmitting = packet
-        transmission = self.link.transmission_time(packet.length)
+        # Lengths are validated once, at Network.inject.
+        transmission = packet.length / self.link.capacity
         # busy_time accrues at completion; remember the start so
         # utilization() can pro-rate a transmission still in flight.
         self._tx_started_at = now
@@ -324,7 +331,7 @@ class ServerNode:
                 f"node {self.name}: transmission completion for a packet "
                 f"that is not on the link")
         packet.finish_time = now
-        self.scheduler.on_transmit_complete(packet, now)
+        self._on_transmit_complete(packet, now)
 
         session = packet.session
         session_id = session.id
@@ -366,7 +373,7 @@ class ServerNode:
                     return
         # Tie-break: NORMAL. With zero propagation the delivery lands at
         # this same instant; insertion order then runs it after this
-        # completion handler's _try_start below, i.e. the downstream
+        # completion handler's dequeue below, i.e. the downstream
         # arrival never preempts this node's own dequeue decision.
         #
         # Sharded runs intercept here — *before* the propagation delay
@@ -374,14 +381,33 @@ class ServerNode:
         # must leave this shard stamped with arrival ``now + Γ``, not
         # after the delay has already been consumed on this clock.
         network = self.network
+        link = self.link
         shard = network.shard
         if shard is None or not shard.intercept(self, packet):
-            sim.schedule(self.link.propagation, network.deliver,
+            sim.schedule(link.propagation, network.deliver,
                          packet, priority=PRIORITY_NORMAL)
         san = self.sanitizer
         if san is not None:
             san.on_forward(self, packet)
-        self._try_start()
+        # Start the next transmission: ``_try_start`` inlined, minus
+        # its idle test — nothing between clearing ``transmitting``
+        # above and here can have put a packet on the link.
+        if faults is not None and faults.blocked:
+            return
+        head = self._next_packet(now)
+        if head is None:
+            return
+        self.transmitting = head
+        transmission = head.length / link.capacity
+        self._tx_started_at = now
+        self._tx_time = transmission
+        if tracer.enabled:
+            tracer.emit(now, "tx_start", node=self.name,
+                        session=head.session.id, packet=head.seq,
+                        deadline=head.deadline)
+        self._tx_event = sim.schedule(
+            transmission, self._finish_transmission, head,
+            priority=PRIORITY_NORMAL)
 
     def abort_transmission(self, reason: str) -> None:
         """Abort the in-flight transmission, if any, for fault ``reason``.

@@ -46,7 +46,10 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, \
     TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.optdeps import np as _np
+from repro import optdeps
+
+#: The guarded numpy binding; the numpy-missing tests set it to None.
+_np = optdeps.np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.session import Session
@@ -62,18 +65,19 @@ _INITIAL_CAPACITY = 64
 
 def numpy_available() -> bool:
     """Whether the optional ``[scale]`` extra (numpy) is importable."""
-    return _np is not None
+    return _np is not None and optdeps.numpy_available()
 
 
 def require_numpy() -> Any:
-    """Return numpy or raise the backend-selection error."""
-    if _np is None:
+    """Return the real numpy module or raise the backend-selection error."""
+    numpy = optdeps.load_numpy() if _np is not None else None
+    if numpy is None:
         raise SimulationError(
             "state_backend='soa' requires numpy, which is not "
             "installed; install the optional extra "
             "(pip install 'repro[scale]') or use "
             "state_backend='objects'")
-    return _np
+    return numpy
 
 
 class ColumnGroup:

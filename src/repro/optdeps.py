@@ -10,8 +10,8 @@ paper's tables — is pure standard library.  numpy is needed only by
   M/D/1 comparisons, delay-bound CDFs).
 
 so pyproject ships it as the optional ``[scale]`` extra rather than a
-hard dependency.  Modules that can work without it import the guarded
-binding::
+hard dependency, and nothing imports it until an array is actually
+needed.  Modules that can work without it import the guarded binding::
 
     from repro.optdeps import np
 
@@ -24,21 +24,50 @@ stays importable.
 
 from __future__ import annotations
 
+import sys
 from typing import Any
 
 from repro.errors import SimulationError
 
-__all__ = ["np", "numpy_available", "require_numpy"]
+__all__ = ["np", "load_numpy", "numpy_available", "require_numpy"]
 
-try:  # pragma: no cover - exercised via tests that stub the import
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    np = None  # type: ignore[assignment]
+
+class _LazyNumpy:
+    """Stands in for numpy and imports it on first attribute use.
+
+    numpy costs ~100 ms and ~12 MB to import, and an objects-backend
+    run or a CLI start-up never touches an array.  Attributes are kept
+    on the proxy, so each is resolved once.
+    """
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("__"):
+            # Introspection (copy, inspect, pytest) must not import numpy.
+            raise AttributeError(name)
+        value = getattr(require_numpy(f"np.{name}"), name)
+        setattr(self, name, value)
+        return value
+
+
+np: Any = _LazyNumpy()
+
+
+def load_numpy() -> Any:
+    """Import and return numpy, or None when it is not installed."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
 
 
 def numpy_available() -> bool:
-    """Whether the optional ``[scale]`` extra (numpy) is importable."""
-    return np is not None
+    """Whether the optional ``[scale]`` extra is installed (no import)."""
+    if sys.modules.get("numpy") is not None:
+        return True
+    # importlib.util is itself a few ms; only this question needs it.
+    from importlib.util import find_spec
+    return find_spec("numpy") is not None
 
 
 def require_numpy(feature: str) -> Any:
@@ -48,8 +77,9 @@ def require_numpy(feature: str) -> Any:
     tells the user exactly what to install and (where one exists) the
     pure-Python alternative.
     """
-    if np is None:
+    numpy = load_numpy()
+    if numpy is None:
         raise SimulationError(
             f"{feature} requires numpy, which is not installed; "
             "install the optional extra (pip install 'repro[scale]')")
-    return np
+    return numpy

@@ -41,6 +41,9 @@ from repro.net.packet import Packet
 __all__ = ["DeadlineQueue", "HeapDeadlineQueue", "ApproximateDeadlineQueue",
            "drain_expired"]
 
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+
 
 class DeadlineQueue(Protocol):
     """The queue interface deadline-based schedulers depend on."""
@@ -80,13 +83,15 @@ class HeapDeadlineQueue:
         self._seq = 0
 
     def push(self, packet: Packet) -> None:
-        heapq.heappush(self._heap, (packet.deadline, self._seq, packet))
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._heap, (packet.deadline, seq, packet))
 
     def pop(self) -> Optional[Packet]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
+        heap = self._heap
+        if heap:
+            return _heappop(heap)[2]
+        return None
 
     def peek_deadline(self) -> Optional[float]:
         return self._heap[0][0] if self._heap else None

@@ -114,6 +114,9 @@ class LeaveInTime(Scheduler):
     def __init__(self, queue: Optional[DeadlineQueue] = None) -> None:
         super().__init__()
         self._eligible: DeadlineQueue = queue or HeapDeadlineQueue()
+        #: The queue's two per-packet operations, bound once.
+        self._push = self._eligible.push
+        self._pop = self._eligible.pop
         self._sessions: Dict[str, _SessionState] = {}
         self._held = 0
         #: soa backend: recursion/policy columns in the network's
@@ -189,7 +192,9 @@ class LeaveInTime(Scheduler):
             if state is None:
                 state = _SessionState(session)
                 self._sessions[session.id] = state
-            policy = state.resolve_policy(node.name)
+            policy = state.policy
+            if policy is None:
+                policy = state.resolve_policy(node.name)
         else:
             slot = session.slot
             if slot < 0:
@@ -208,7 +213,7 @@ class LeaveInTime(Scheduler):
             if holding < -_HOLD_EPSILON:
                 raise SimulationError(
                     f"negative holding time {holding} for "
-                    f"{session.id}#{packet.seq} at {self.node.name}")
+                    f"{session.id}#{packet.seq} at {node.name}")
             eligible_at = now + max(0.0, holding)
         else:
             eligible_at = now
@@ -224,9 +229,10 @@ class LeaveInTime(Scheduler):
                 state.initialized = True
             base = eligible_at if eligible_at > state.k_prev \
                 else state.k_prev
-            packet.deadline = base + policy.d_of(packet.length)
-            state.k_prev = base + packet.length / session.rate
-            k_next = state.k_prev
+            length = packet.length
+            packet.deadline = base + (policy.slope * length
+                                      + policy.offset)
+            k_next = state.k_prev = base + length / session.rate
         else:
             if not soa.started.item(slot):
                 k_prev = now
@@ -252,7 +258,7 @@ class LeaveInTime(Scheduler):
                               packet.deadline, k_next, now)
 
         if eligible_at <= now:
-            self._eligible.push(packet)
+            self._push(packet)
         else:
             self._held += 1
             # Tie-break: NORMAL, so a release coinciding with the node
@@ -284,7 +290,7 @@ class LeaveInTime(Scheduler):
             if holds is not None:
                 holds.pop(packet.seq, None)
         self._held -= 1
-        self._eligible.push(packet)
+        self._push(packet)
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(self.sim.now, "eligible", node=self.node.name,
@@ -292,19 +298,17 @@ class LeaveInTime(Scheduler):
         self._wake_node()
 
     def next_packet(self, now: float) -> Optional[Packet]:
-        packet = self._eligible.pop()
+        packet = self._pop()
         san = self.sanitizer
         if san is not None and packet is not None:
             san.on_lit_serve(self.node.name, packet, now)
         return packet
 
     def on_transmit_complete(self, packet: Packet, now: float) -> None:
-        super().on_transmit_complete(packet, now)
+        self.lateness.observe(now - packet.deadline)
         session = packet.session
-        if session.is_last_hop(packet.hop_index):
-            packet.holding_time = 0.0
-            return
-        if not session.jitter_control:
+        if (not session.jitter_control
+                or packet.hop_index == len(session.route) - 1):
             packet.holding_time = 0.0
             return
         # Holding time for the next node (eq. 9). All quantities are
@@ -312,47 +316,39 @@ class LeaveInTime(Scheduler):
         # d_i from the session's policy here, L_MAX network-wide, C of
         # this node's outgoing link.
         node = self.node
-        l_max_network = node.network.l_max
+        length = packet.length
+        d_max = policy = None
         soa = self._soa
-        if soa is not None:
+        if soa is None:
+            state = self._sessions.get(session.id)
+            if state is not None:
+                policy = state.policy
+                if policy is None:
+                    policy = state.resolve_policy(node.name)
+        else:
             slot = session.slot
             if slot >= 0 and soa.member.item(slot):
                 if not soa.resolved.item(slot):
                     self._soa_resolve(session, slot)
                 d_max = soa.d_ceiling.item(slot)
-                d_i = (soa.d_slope.item(slot) * packet.length
+                d_i = (soa.d_slope.item(slot) * length
                        + soa.d_offset.item(slot))
-            else:
+        if d_max is None:
+            if policy is None:
                 # Session torn down while this packet was in flight:
-                # relabel from the session's own assignment (never
-                # caching into a possibly recycled slot).
+                # relabel from the session's own assignment (VirtualClock
+                # default; never cached into a possibly recycled slot) so
+                # draining packets still carry a consistent downstream
+                # holding time instead of raising KeyError.
                 policy = session.policy_for(node.name) \
                     or virtual_clock_policy(session.rate, session.l_max,
                                             session.l_min)
-                d_max = policy.d_max
-                d_i = policy.d_of(packet.length)
-            holding = (packet.deadline + l_max_network / self.capacity
-                       - now + d_max - d_i)
-            if holding < -_HOLD_EPSILON:
-                raise SimulationError(
-                    f"holding-time computation went negative ({holding}) "
-                    f"for {session.id}#{packet.seq} at {node.name}; "
-                    "this indicates scheduler saturation")
-            packet.holding_time = max(0.0, holding)
-            return
-        state = self._sessions.get(session.id)
-        if state is not None:
-            policy = state.resolve_policy(node.name)
-        else:
-            # Session torn down while this packet was in flight:
-            # relabel with the session's own assignment (VirtualClock
-            # default) so draining packets still carry a consistent
-            # downstream holding time instead of raising KeyError.
-            policy = session.policy_for(node.name) \
-                or virtual_clock_policy(session.rate, session.l_max,
-                                        session.l_min)
-        holding = (packet.deadline + l_max_network / self.capacity - now
-                   + policy.d_max - policy.d_of(packet.length))
+            slope = policy.slope
+            offset = policy.offset
+            d_max = slope * policy.l_max + offset
+            d_i = slope * length + offset
+        holding = (packet.deadline + node.network.l_max / node.link.capacity
+                   - now + d_max - d_i)
         if holding < -_HOLD_EPSILON:
             raise SimulationError(
                 f"holding-time computation went negative ({holding}) for "

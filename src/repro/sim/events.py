@@ -34,6 +34,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, List, Optional, Tuple
 
+from repro.errors import SimulationError
+
 __all__ = ["Event", "EventQueue", "FREE_LIST_MAX",
            "USER_PRIORITY_MIN", "USER_PRIORITY_MAX"]
 
@@ -145,8 +147,12 @@ class EventQueue:
 
         Reuses a recycled :class:`Event` when one is available, so
         steady-state dispatch through the fused ``Simulator.run`` loop
-        allocates nothing per event.
+        allocates nothing per event.  The callers' clocks differ, so
+        the only input rejected here is the one no clock can order: NaN
+        (``schedule``/``schedule_at`` fold that into their range test).
         """
+        if time != time:
+            raise SimulationError(f"cannot schedule at {time!r}")
         seq = self._seq
         self._seq = seq + 1
         self._live += 1

@@ -145,9 +145,11 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable[..., Any],
                  *args: Any, priority: int = PRIORITY_NORMAL) -> Event:
         """Run ``callback(*args)`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
+        # ``not >=`` rather than ``<``: NaN fails every comparison, so
+        # this form rejects it for the price of the same one test.
+        if not delay >= 0:
             raise SimulationError(
-                f"negative delay {delay!r} scheduling {callback!r}")
+                f"negative or NaN delay {delay!r} scheduling {callback!r}")
         time = self.now + delay
         queue = self._queue
         seq = queue._seq
@@ -171,7 +173,7 @@ class Simulator:
     def schedule_at(self, time: float, callback: Callable[..., Any],
                     *args: Any, priority: int = PRIORITY_NORMAL) -> Event:
         """Run ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, clock already at {self.now!r}")
         queue = self._queue

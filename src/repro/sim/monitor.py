@@ -48,14 +48,17 @@ class Tally:
         self._m2 = 0.0
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        if self.minimum is None or value < self.minimum:
+        count = self.count = self.count + 1
+        if count == 1:
+            self.minimum = self.maximum = value
+        elif value < self.minimum:
             self.minimum = value
-        if self.maximum is None or value > self.maximum:
+        elif value > self.maximum:
             self.maximum = value
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
+        mean = self._mean
+        delta = value - mean
+        mean = self._mean = mean + delta / count
+        self._m2 += delta * (value - mean)
 
     @property
     def mean(self) -> float:

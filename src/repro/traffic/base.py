@@ -1,21 +1,28 @@
 """Common machinery for traffic sources.
 
-A source is bound to a network and a session; when started it runs as a
-generator process that injects packets at the session's first node. A
-source optionally keeps its emission trace (times and lengths), which
-the distribution experiments feed to the session's *reference server*
-to obtain the paper's "simulated upper bound" without a second run.
+A source is bound to a network and a session; when started it drives
+itself with kernel timers — one per gap drawn from :meth:`TrafficSource
+.intervals` — and injects a packet at the session's first node each
+time one fires. A source optionally keeps its emission trace (times and
+lengths), which the distribution experiments feed to the session's
+*reference server* to obtain the paper's "simulated upper bound" without
+a second run.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.errors import SimulationError
 from repro.net.network import Network
 from repro.net.session import Session
-from repro.sim.process import Process
+from repro.sim.events import Event
+from repro.sim.kernel import PRIORITY_NORMAL
 
 __all__ = ["TrafficSource"]
+
+#: What ``next`` returns when ``intervals()`` has no more gaps.
+_EXHAUSTED = object()
 
 
 class TrafficSource:
@@ -77,7 +84,12 @@ class TrafficSource:
         self.trace_times: List[float] = []
         self.trace_lengths: List[float] = []
         self.started = False
-        self._process: Optional[Process] = None
+        self._gaps = None
+        #: The one timer this source has in the kernel (start offset,
+        #: gap, or shaper hold); None exactly when it is not running.
+        #: While a timer callback runs this still names the dispatched
+        #: event, so a ``stop()`` from inside an emission shows as None.
+        self._pending: Optional[Event] = None
         network.add_source(self)
 
     # ------------------------------------------------------------------
@@ -105,39 +117,61 @@ class TrafficSource:
         if self.started:
             return self
         self.started = True
-        self._process = Process(self.network.sim, self._run(),
-                                name=f"source:{self.session.id}")
-        self._process.start(self.start_delay)
+        self._gaps = iter(self.intervals())
+        self._pending = self.network.sim.schedule(
+            self.start_delay, self._arm, priority=PRIORITY_NORMAL)
         return self
 
     def stop(self) -> None:
-        if self._process is not None:
-            self._process.stop()
+        """Cancel the pending timer; the source never emits again."""
+        pending = self._pending
+        if pending is not None:
+            pending.cancel()
+            self._pending = None
 
-    def _run(self):
-        network = self.network
-        sim = network.sim
-        bucket = self._shaper_bucket
-        for gap in self.intervals():
-            yield gap
-            length = self.next_length()
-            if bucket is not None:
-                now = sim.now
-                release = bucket.earliest(length, now)
-                if release > now:
-                    yield release - now
-                bucket.consume(length, sim.now)
-            self._emit(length)
-            if (self.max_packets is not None
-                    and self.emitted >= self.max_packets):
+    def _arm(self) -> None:
+        """Draw the next gap and set the timer that ends it."""
+        if self._pending is None:
+            return
+        gap = next(self._gaps, _EXHAUSTED)
+        if not isinstance(gap, (int, float)) or gap < 0:
+            self._pending = None
+            if gap is _EXHAUSTED:
                 return
+            raise SimulationError(
+                f"source of session {self.session.id!r} yielded {gap!r}; "
+                "intervals() must yield non-negative numbers of seconds")
+        self._pending = self.network.sim.schedule(
+            float(gap), self._tick, priority=PRIORITY_NORMAL)
 
-    def _emit(self, length: Optional[float] = None) -> None:
-        if length is None:
-            length = self.next_length()
+    def _tick(self) -> None:
+        """A gap ran out: emit a packet, or hold it until it conforms."""
+        length = self.next_length()
+        bucket = self._shaper_bucket
+        if bucket is not None:
+            sim = self.network.sim
+            now = sim.now
+            release = bucket.earliest(length, now)
+            if release > now:
+                self._pending = sim.schedule(
+                    release - now, self._emit, length,
+                    priority=PRIORITY_NORMAL)
+                return
+        self._emit(length)
+
+    def _emit(self, length: float) -> None:
+        """Inject one packet now, then arm the next gap."""
         network = self.network
-        network.inject(self.session, length)
+        bucket = self._shaper_bucket
+        if bucket is not None:
+            bucket.consume(length, network.sim.now)
+        packet = network.inject(self.session, length)
         self.emitted += 1
         if self.keep_trace:
-            self.trace_times.append(network.sim.now)
+            self.trace_times.append(packet.entry_time)
             self.trace_lengths.append(length)
+        if (self.max_packets is not None
+                and self.emitted >= self.max_packets):
+            self._pending = None
+            return
+        self._arm()

@@ -31,7 +31,8 @@ from typing import List, Optional, Sequence
 from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.net.session import Session
-from repro.sim.process import Process
+from repro.sim.events import Event
+from repro.sim.kernel import PRIORITY_NORMAL
 from repro.sim.rng import ExponentialSampler
 
 __all__ = ["SuperposedPoissonSource"]
@@ -76,7 +77,9 @@ class SuperposedPoissonSource:
         self.max_packets = max_packets
         self.emitted = 0
         self.started = False
-        self._process: Optional[Process] = None
+        #: The one pending timer; None exactly when the source is not
+        #: running (see :class:`~repro.traffic.base.TrafficSource`).
+        self._pending: Optional[Event] = None
         network.add_source(self)
 
     @property
@@ -88,22 +91,32 @@ class SuperposedPoissonSource:
         if self.started:
             return self
         self.started = True
-        self._process = Process(self.network.sim, self._run(),
-                                name=f"superposed:{self.label}")
-        self._process.start(self.start_delay)
+        self._pending = self.network.sim.schedule(
+            self.start_delay, self._arm, priority=PRIORITY_NORMAL)
         return self
 
     def stop(self) -> None:
-        if self._process is not None:
-            self._process.stop()
+        """Cancel the pending timer; the source never emits again."""
+        pending = self._pending
+        if pending is not None:
+            pending.cancel()
+            self._pending = None
 
-    def _run(self):
-        n = len(self.sessions)
-        while True:
-            yield self._gap.sample()
-            session = self.sessions[self._pick.randrange(n)]
-            self.network.inject(session, self.length)
-            self.emitted += 1
-            if (self.max_packets is not None
-                    and self.emitted >= self.max_packets):
-                return
+    def _arm(self) -> None:
+        """Draw the next aggregate gap and set the timer that ends it."""
+        if self._pending is None:
+            return
+        self._pending = self.network.sim.schedule(
+            self._gap.sample(), self._tick, priority=PRIORITY_NORMAL)
+
+    def _tick(self) -> None:
+        """The clock fired: mark the arrival with a session and inject."""
+        sessions = self.sessions
+        session = sessions[self._pick.randrange(len(sessions))]
+        self.network.inject(session, self.length)
+        self.emitted += 1
+        if (self.max_packets is not None
+                and self.emitted >= self.max_packets):
+            self._pending = None
+            return
+        self._arm()

@@ -144,6 +144,37 @@ class TestNetworkValidation:
         with pytest.raises(SimulationError):
             network.inject(session, 200.0)
 
+    @pytest.mark.parametrize("length", [float("nan"), -5.0, 0.0])
+    def test_unusable_length_rejected_at_injection(self, length,
+                                                   kernel_loop):
+        # Used to be accepted; a negative one tripped
+        # Link.transmission_time hops later, NaN and zero never did.
+        network = make_network(FCFS)
+        session = Session("s", rate=1.0, route=["n1"], l_max=100.0)
+        network.add_session(session)
+        with pytest.raises(SimulationError, match="positive"):
+            network.inject(session, length)
+        assert session.packets_sent == 0
+        assert network.sim.pending == 0
+        network.inject(session, 100.0)
+        network.run(1000.0)
+        assert network.sink("s").received == 1
+
+    def test_source_drawing_a_nan_length_stops_the_run(self, kernel_loop):
+        from repro.traffic.deterministic import DeterministicSource
+        network = make_network(FCFS)
+        session = Session("s", rate=1.0, route=["n1"], l_max=100.0)
+        network.add_session(session)
+
+        class Broken(DeterministicSource):
+            def next_length(self):
+                return float("nan") if self.emitted == 2 else self.length
+
+        source = Broken(network, session, length=100.0, interval=1.0)
+        with pytest.raises(SimulationError, match="positive"):
+            network.run(10.0)
+        assert source.emitted == 2
+
     def test_l_max_tracks_registered_sessions(self):
         network = make_network(FCFS)
         add_trace_session(network, "a", rate=1.0, times=[], lengths=64.0)

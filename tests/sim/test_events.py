@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim.events import Event, EventQueue
 
 
@@ -19,6 +20,13 @@ class TestOrdering:
         while (event := queue.pop()) is not None:
             times.append(event.time)
         assert times == [1.0, 2.0, 3.0]
+
+    def test_nan_time_rejected(self):
+        # The reference push accepts what schedule/schedule_at accept.
+        queue = make_queue()
+        with pytest.raises(SimulationError, match="nan"):
+            queue.push(float("nan"), 0, lambda: None, ())
+        assert len(queue) == 0
 
     def test_priority_breaks_time_ties(self):
         queue = make_queue()

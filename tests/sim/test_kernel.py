@@ -213,3 +213,51 @@ class TestExclusiveHorizon:
     def test_exclusive_requires_until(self):
         with pytest.raises(SimulationError):
             Simulator().run(exclusive=True)
+
+
+class TestNaNIsRejected:
+    """NaN fails every comparison: ``nan < 0`` let it into the heap,
+    where it silently breaks the ordering of everything around it."""
+
+    def test_schedule_rejects_nan_delay(self, kernel_loop):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending == 0
+
+    def test_schedule_at_rejects_nan_time(self, kernel_loop):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending == 0
+
+    def test_rejection_inside_a_run_leaves_the_order_intact(
+            self, kernel_loop):
+        sim = Simulator()
+        seen = []
+
+        def poison():
+            try:
+                sim.schedule(float("nan"), seen.append, "nan")
+            except SimulationError:
+                seen.append("rejected")
+
+        for delay in (3.0, 1.0, 2.0):
+            sim.schedule(delay, seen.append, delay)
+        sim.schedule(1.5, poison)
+        sim.run()
+        assert seen == [1.0, "rejected", 2.0, 3.0]
+
+    def test_nan_raised_from_a_callback_surfaces_from_run(
+            self, kernel_loop):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: sim.schedule_at(float("nan"), print))
+        with pytest.raises(SimulationError):
+            sim.run()
+
+    def test_infinite_delay_is_still_a_time(self, kernel_loop):
+        sim = Simulator()
+        sim.schedule(float("inf"), lambda: None)
+        sim.schedule(1.0, lambda: None)
+        assert sim.run(until=5.0) == 5.0
+        assert sim.pending == 1
