@@ -126,7 +126,7 @@ class UnslottedHotClass(HotRule):
 
     A class instantiated from a kernel-reachable function without
     ``__slots__`` pays a dict allocation per instance and defeats the
-    SoA backend's memory ceiling.  Only flagged when adding
+    session table's memory ceiling.  Only flagged when adding
     ``__slots__`` provably helps: every base resolves in-tree and is
     itself slotted (or ``object``), and the class is not an exception
     type (exceptions are cold by the raise-exclusion rule anyway).

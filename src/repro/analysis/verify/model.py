@@ -955,7 +955,7 @@ class _FunctionScanner:
                      if _concrete(spec) is not None]
             if known and all(dim == known[0] for dim in known):
                 return _as_spec(known[0])
-        # Array-typed constants (the SoA backend's ColumnGroup): an
+        # Array-typed constants (the session table's ColumnGroup): an
         # array built by numpy.full(shape, fill) — or declared via
         # ColumnGroup.add("name", fill), whose first argument is the
         # column-name string — holds the fill value's dimension in

@@ -247,7 +247,7 @@ class Sanitizer:
 
     def _check_conservation(self, node: Any) -> None:
         self.checks_run += 1
-        ledger = self._ledgers[node.name]
+        ledger = self._ledger(node.name)
         try:
             backlog = node.scheduler.backlog
         except NotImplementedError:

@@ -112,13 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run under cProfile and print the top N "
                              "functions by cumulative time "
                              "(default N: 25)")
-    parser.add_argument("--state-backend", choices=["objects", "soa"],
-                        default=None,
-                        help="per-session hot-state storage: 'objects' "
-                             "(reference) or 'soa' (struct-of-arrays "
-                             "SessionTable, needs the [scale] extra); "
-                             "sets REPRO_STATE_BACKEND so sweep worker "
-                             "processes inherit it (default: objects)")
     parser.add_argument("--sanitize", action="store_true",
                         help="install runtime conservation-law checkers "
                              "(packet conservation, reservation sums, "
@@ -169,11 +162,6 @@ def main(argv: Optional[list] = None) -> int:
     workers = args.workers if args.workers is not None \
         else default_workers()
     bench.configure(enabled=True, directory=args.bench_dir)
-    if args.state_backend is not None:
-        # Env var rather than a threaded parameter, for the same
-        # reason as --sanitize below: pool workers inherit it.
-        import os
-        os.environ["REPRO_STATE_BACKEND"] = args.state_backend
     if args.sanitize:
         # The env var (not a threaded parameter) is the switch so the
         # parallel runner's pool workers — which inherit the

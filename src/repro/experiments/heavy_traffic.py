@@ -9,29 +9,26 @@ one.  This experiment pushes the simulator there: one bottleneck node
 each reserving an equal share ``C/N`` of the link, fed by a superposed
 Poisson process at load ``ρ``.
 
-Each backend runs its *characteristic construction*, because that is
-what the comparison is about:
+Session state is the same slot-indexed table in every cell; the two
+``backends`` labels name the *traffic construction* (the names are kept
+for ``benchmarks/ledger/`` until a benchmark PR renames them):
 
-* ``objects`` — the reference pipeline exactly as every paper-scale
-  experiment assembles it: one :class:`~repro.traffic.poisson
-  .PoissonSource` (own named RNG stream, own pending timer event) and
-  one :class:`~repro.net.sink.Sink` per session.
+* ``objects`` — the pipeline exactly as every paper-scale experiment
+  assembles it: one :class:`~repro.traffic.poisson.PoissonSource` (own
+  named RNG stream, own pending timer event) and one
+  :class:`~repro.net.sink.Sink` per session.
 * ``soa`` — the scale pipeline: one
   :class:`~repro.traffic.superposed.SuperposedPoissonSource` clock
   marking arrivals uniformly across sessions (statistically identical
   by Poisson superposition, two RNG streams total, one pending event)
   and one shared sink.
 
-So the BENCH numbers answer "what does moving to the scale path buy"
-end to end — per-object session state *and* per-session source/sink
-machinery versus tabulated state and aggregate traffic — not merely
-the state-table delta.  The backends draw different random numbers
-and are not digest-comparable here; bit-identity between backends is
-pinned where both run the identical construction
-(``tests/sim/test_state_backends.py``).
+So the BENCH numbers answer "what does the aggregate source and sink
+buy" end to end.  The two constructions draw different random numbers
+and are not digest-comparable.
 
 Two measurements per cell, directly comparable across disciplines
-because cells of one backend replay the *same* arrival sample path
+because cells of one construction replay the *same* arrival sample path
 (source streams are named independently of the discipline):
 
 * **Lead-time profile** — the bottleneck scheduler's lateness tally
@@ -47,10 +44,9 @@ because cells of one backend replay the *same* arrival sample path
 
 Each cell runs in a **fresh process** so its ``peak_rss_bytes`` (a
 process-wide high-water mark) is attributable to that cell alone —
-this is what makes the objects-vs-soa memory comparison in
-``BENCH_heavy_traffic.json`` honest.  The backend sweep defaults to
-both backends when numpy is available; this experiment compares
-*cost*: events/sec and peak RSS per session count.
+this is what makes the memory comparison between the constructions in
+``BENCH_heavy_traffic.json`` honest.  This experiment compares *cost*:
+events/sec and peak RSS per session count.
 """
 
 from __future__ import annotations
@@ -100,10 +96,13 @@ DEFAULT_SESSIONS = 10_000
 #: Default load sweep approaching the heavy-traffic limit.
 DEFAULT_RHOS = (0.90, 0.99)
 
+#: The two traffic constructions (see the module docstring).
+DEFAULT_BACKENDS = ("objects", "soa")
+
 
 @dataclass
 class HeavyTrafficRow:
-    """One (topology, discipline, backend, ρ) cell's measurements."""
+    """One (topology, discipline, construction, ρ) cell's measurements."""
 
     topology: str
     discipline: str
@@ -125,22 +124,6 @@ class HeavyTrafficRow:
     lateness_std_ms: float
 
 
-def _backends_default() -> Tuple[str, ...]:
-    """Both backends when numpy is present; objects alone otherwise.
-
-    ``REPRO_STATE_BACKEND`` (or the CLI's ``--state-backend``) pins the
-    sweep to that single backend.
-    """
-    import os
-    pinned = os.environ.get("REPRO_STATE_BACKEND", "").strip()
-    if pinned:
-        return (pinned,)
-    from repro.net.session_table import numpy_available
-    if numpy_available():
-        return ("objects", "soa")
-    return ("objects",)
-
-
 def _cell(*, topology: str, discipline: str, backend: str,
           sessions: int, rho: float, duration: float,
           seed: int) -> CellOutput:
@@ -148,8 +131,8 @@ def _cell(*, topology: str, discipline: str, backend: str,
     watch = bench.Stopwatch()
     factory = dict(_DISCIPLINES)[discipline]
     node_count = _TOPOLOGIES[topology]
-    network = PaperTopology(factory, node_count=node_count, seed=seed,
-                            state_backend=backend).build()
+    network = PaperTopology(factory, node_count=node_count,
+                            seed=seed).build()
     route = [f"n{i}" for i in range(1, node_count + 1)]
     per_session_rate = T1_RATE_BPS / sessions
     # Per-session mean interarrival L·N / (ρ·C) seconds, i.e. an
@@ -222,7 +205,7 @@ class HeavyTrafficResult:
     def workload_conserved(self, tolerance: float = 0.02) -> bool:
         """Utilization spread across disciplines within ``tolerance``.
 
-        All cells sharing (topology, backend, ρ) replay the same
+        All cells sharing (topology, construction, ρ) replay the same
         arrival sample path with work-conserving disciplines, so their
         busy times may differ only by edge effects (the packets still
         in service when the horizon ends).
@@ -262,12 +245,17 @@ def cells(*, duration: float, seed: int, sessions: int,
           rhos: Sequence[float],
           backends: Sequence[str],
           topologies: Sequence[str]) -> List[Cell]:
-    """The declarative sweep: topology × discipline × backend × ρ."""
+    """The declarative sweep: topology × discipline × construction × ρ."""
     unknown = [t for t in topologies if t not in _TOPOLOGIES]
     if unknown:
         raise ConfigurationError(
             f"unknown heavy-traffic topologies {unknown}; "
             f"expected subset of {sorted(_TOPOLOGIES)}")
+    unknown = [b for b in backends if b not in DEFAULT_BACKENDS]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown heavy-traffic constructions {unknown}; "
+            f"expected subset of {DEFAULT_BACKENDS}")
     return [Cell(label=f"heavy[{topology},{discipline},{backend},"
                        f"rho={rho:g}]",
                  fn=_cell,
@@ -285,8 +273,8 @@ def _run_isolated(cell_list: List[Cell]) -> List[CellOutput]:
     """Each cell in a fresh single-use process (accurate per-cell RSS).
 
     ``ru_maxrss`` is a process-lifetime high-water mark, so reusing a
-    process would let a big objects-backend cell inflate every later
-    soa cell's reading.  Falls back to in-process execution (RSS then
+    process would let a big per-session-source cell inflate every later
+    aggregate cell's reading.  Falls back to in-process execution (RSS then
     reflects the largest cell so far) where pools are unavailable.
     """
     outputs: List[CellOutput] = []
@@ -304,7 +292,7 @@ def _run_isolated(cell_list: List[Cell]) -> List[CellOutput]:
 def run(*, duration: float = 2.0, seed: int = 0,
         sessions: int = DEFAULT_SESSIONS,
         rhos: Sequence[float] = DEFAULT_RHOS,
-        backends: Optional[Sequence[str]] = None,
+        backends: Sequence[str] = DEFAULT_BACKENDS,
         topologies: Sequence[str] = ("single", "tandem"),
         workers: Optional[int] = None) -> HeavyTrafficResult:
     """Run the heavy-traffic sweep and emit its BENCH record.
@@ -314,8 +302,6 @@ def run(*, duration: float = 2.0, seed: int = 0,
     attribution requires it.
     """
     del workers  # isolation policy is fixed; see _run_isolated
-    if backends is None:
-        backends = _backends_default()
     cell_list = cells(duration=duration, seed=seed, sessions=sessions,
                       rhos=rhos, backends=backends,
                       topologies=topologies)

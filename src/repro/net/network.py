@@ -18,6 +18,7 @@ from repro.net.link import Link
 from repro.net.node import ServerNode
 from repro.net.packet import Packet
 from repro.net.session import Session
+from repro.net.session_table import SessionTable
 from repro.net.sink import Sink
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
@@ -26,32 +27,27 @@ from repro.sim.trace import Tracer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.verify.sanitizer import Sanitizer
     from repro.faults.injector import FaultInjector
-    from repro.net.session_table import SessionTable
     from repro.sim.parallel import ShardContext
 
 __all__ = ["Network"]
 
-#: Recognised values for ``Network(state_backend=...)`` and the
-#: ``REPRO_STATE_BACKEND`` environment variable.
-_BACKENDS = ("objects", "soa")
+#: The values ``Network(state_backend=...)`` still accepts.
+_BACKENDS = (None, "objects", "soa")
 
 
 class Network:
     """A packet network with pluggable per-node service disciplines.
 
-    ``state_backend`` selects how per-session hot state is stored:
-
-    * ``"objects"`` (default) — one small Python object per session per
-      concern, the reference implementation.
-    * ``"soa"`` — a shared :class:`~repro.net.session_table.SessionTable`
-      of numpy parallel arrays, built for 10^5-10^6 concurrent sessions
-      (requires the optional ``[scale]`` extra).
-
-    ``None`` defers to the ``REPRO_STATE_BACKEND`` environment variable
-    (so experiment builders need no plumbing), falling back to
-    ``"objects"``.  Both backends produce bit-identical dispatch
-    digests (``tests/sim/test_state_backends.py``).
+    Per-session hot state lives in one slot-indexed
+    :class:`~repro.net.session_table.SessionTable` shared by every node
+    and scheduler.  ``state_backend`` selects nothing: the argument and
+    the constant :attr:`state_backend` attribute are kept, as inert
+    labels, for ``benchmarks/ledger/`` until a benchmark PR renames
+    them.
     """
+
+    #: What ``benchmarks/ledger/`` records per run; always ``"soa"``.
+    state_backend = "soa"
 
     def __init__(self, *, sim: Optional[Simulator] = None, seed: int = 0,
                  tracer: Optional[Tracer] = None,
@@ -59,20 +55,11 @@ class Network:
                  sanitizer: Optional["Sanitizer"] = None,
                  state_backend: Optional[str] = None) -> None:
         self.sim = sim or Simulator()
-        if state_backend is None:
-            state_backend = os.environ.get(
-                "REPRO_STATE_BACKEND", "").strip() or "objects"
         if state_backend not in _BACKENDS:
             raise ConfigurationError(
                 f"unknown state_backend {state_backend!r}; "
                 f"expected one of {_BACKENDS}")
-        self.state_backend = state_backend
-        self.session_table: Optional["SessionTable"] = None
-        if state_backend == "soa":
-            # Lazy import: the objects backend must not pay for (or
-            # require) numpy.
-            from repro.net.session_table import SessionTable
-            self.session_table = SessionTable()
+        self.session_table = SessionTable()
         if sanitizer is None and os.environ.get("REPRO_SANITIZE"):
             # Lazy import: the sanitizer module (and the env check
             # itself) must cost nothing on the default path, and the
@@ -124,13 +111,12 @@ class Network:
         if name in self.nodes:
             raise ConfigurationError(f"duplicate node name {name!r}")
         link = Link(capacity, propagation)
-        node = ServerNode(name, link, scheduler, self.sim, self.tracer)
+        node = ServerNode(name, link, scheduler, self.sim, self.tracer,
+                          self.session_table)
         node.network = self
         if self.sanitizer is not None:
             node.sanitizer = self.sanitizer
             scheduler.sanitizer = self.sanitizer
-        if self.session_table is not None:
-            node.use_session_table(self.session_table)
         self.nodes[name] = node
         return node
 
@@ -157,11 +143,15 @@ class Network:
             raise ConfigurationError(
                 f"session {session.id!r} routes through unknown nodes "
                 f"{missing}")
+        if session.slot >= 0:
+            raise ConfigurationError(
+                f"session object {session.id!r} already holds slot "
+                f"{session.slot} of a live network's session table; "
+                f"remove it there first or build a fresh Session")
         self.sessions[session.id] = session
         if session.l_max > self._l_max_seen:
             self._l_max_seen = session.l_max
-        if self.session_table is not None:
-            session.slot = self.session_table.acquire(session)
+        session.slot = self.session_table.acquire(session)
         for node_name in session.route:
             self.nodes[node_name].register_session(session)
         if sink is None:
@@ -214,9 +204,8 @@ class Network:
             node = self.nodes[node_name]
             node.scheduler.forget_session(session.id)
             node.forget_session(session.id)
-        if self.session_table is not None:
-            self.session_table.release(session.id)
-            session.slot = -1
+        self.session_table.release(session.id)
+        session.slot = -1
         self._draining.pop(session.id, None)
         if not keep_sink:
             self.sinks.pop(session.id, None)

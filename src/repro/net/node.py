@@ -15,33 +15,33 @@ The node also measures per-session buffer occupancy the way the paper's
 Figures 12-13 do: sampled at the instant a packet's last bit arrives,
 counting queued, held, *and in-transmission* bits of that session.
 
-Buffer accounting has two interchangeable backends (selected by
-``Network(state_backend=...)``, digest-equivalent by construction):
+Occupancy, peak, limit and drop counters are columns of the network's
+:class:`~repro.net.session_table.SessionTable`, indexed by the packet's
+dense ``session.slot`` — ~33 bytes of array rows per session and node,
+no per-session object and no dict probe on the arrival path (see
+``docs/performance.md``).  Reports and tests read them through the
+dict-shaped views (``buffer_bits`` etc.).
 
-* **objects** — one :class:`_SessionBuffer` record per session,
-  resolved once on the arrival path; ``receive`` used to probe four
-  separate dicts per packet, which profiled as a top-three cost of the
-  forwarding benchmarks.  The reference implementation.
-* **soa** — occupancy, peak, limit, and drop counters live in numpy
-  columns of the network's
-  :class:`~repro.net.session_table.SessionTable`, indexed by the
-  packet's dense ``session.slot``; at 10^5-10^6 sessions this replaces
-  ~150 bytes of per-session record with ~33 bytes of array rows (see
-  ``docs/performance.md``).
-
-The legacy dict attributes (``buffer_bits`` etc.) remain as read-only
-views for reports and tests under both backends.
+Slot invariant: :meth:`ServerNode.receive` is the one place that checks
+``slot >= 0``.  Everything downstream of it (the scheduler hooks,
+``_finish_transmission``, ``fault_drop``) indexes ``session.slot``
+unguarded, relying on ``Network`` releasing a slot only once the
+session's in-flight count is zero — no packet that passed ``receive``
+outlives its row.  A ``-1`` there would alias the table's last row;
+the table property suite under ``tests/properties`` keeps that row free
+and checks it still reads its fill values after in-flight removals.
 """
 
 from __future__ import annotations
 
 from math import inf, isfinite
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.session import Session
+from repro.net.session_table import SessionTable
 from repro.sim.events import Event
 from repro.sim.kernel import PRIORITY_NORMAL, Simulator
 from repro.sim.monitor import TimeSeries
@@ -51,40 +51,40 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.verify.sanitizer import Sanitizer
     from repro.faults.injector import NodeFaultState
     from repro.net.network import Network
-    from repro.net.session_table import ColumnGroup, SessionTable
     from repro.sched.base import Scheduler
 
 __all__ = ["ServerNode"]
 
 
-class _SessionBuffer:
-    """Per-session buffer accounting at one node, resolved once.
+class ServerNode:
+    """One server: scheduler + outgoing link.
 
-    One record bundles everything ``receive`` needs per packet:
-    occupancy, peak, the optional finite limit, the optional
-    arrival-sampled monitor series, and the drop count.
+    ``table`` is the owning network's session table; a node built on
+    its own gets a private, empty one — it constructs, but only a
+    :class:`~repro.net.network.Network` hands sessions the slots its
+    data path needs.
     """
 
-    __slots__ = ("bits", "peak", "limit", "samples", "drops")
-
-    def __init__(self) -> None:
-        self.bits = 0.0
-        self.peak = 0.0
-        self.limit: Optional[float] = None
-        self.samples: Optional[TimeSeries] = None
-        self.drops = 0
-
-
-class ServerNode:
-    """One server: scheduler + outgoing link."""
-
     def __init__(self, name: str, link: Link, scheduler: "Scheduler",
-                 sim: Simulator, tracer: Optional[Tracer] = None) -> None:
+                 sim: Simulator, tracer: Optional[Tracer] = None,
+                 table: Optional[SessionTable] = None) -> None:
         self.name = name
         self.link = link
         self.scheduler = scheduler
         self.sim = sim
         self.tracer = tracer or Tracer(False)
+        self.table = table if table is not None else SessionTable()
+        #: Buffer columns, indexed by ``packet.session.slot``.  A
+        #: session without a configured limit reads the +inf fill.
+        group = self.table.group()
+        self._bits = group.add("bits", 0.0)
+        self._peak = group.add("peak", 0.0)
+        self._limit = group.add("limit", inf)
+        self._drops = group.add("drops", 0)
+        self._member = group.add("member", False)
+        #: Arrival-sampled occupancy series for monitored sessions,
+        #: keyed by slot (sparse — monitoring is rare).
+        self._samples: Dict[int, TimeSeries] = {}
         scheduler.bind(self, sim, self.tracer)
         #: The scheduler's three data-path entry points, bound once:
         #: each is called once per packet-hop.
@@ -102,19 +102,6 @@ class ServerNode:
         self.sanitizer: Optional["Sanitizer"] = None
 
         self.transmitting: Optional[Packet] = None
-        #: Per-session buffer records (occupancy, peak, limit, monitor,
-        #: drops) — one dict probe per packet instead of four.  Unused
-        #: (left empty) under the soa backend.
-        self._buffers: Dict[str, _SessionBuffer] = {}
-        #: soa backend: buffer columns in the network's SessionTable
-        #: (``bits``/``peak``/``limit``/``drops``/``member``), indexed
-        #: by ``packet.session.slot``; None under the objects backend.
-        self._soa: Optional["ColumnGroup"] = None
-        self._table: Optional["SessionTable"] = None
-        #: soa backend: arrival-sampled occupancy series for monitored
-        #: sessions, keyed by slot (sparse — monitoring is rare).
-        self._soa_samples: Dict[int, TimeSeries] = {}
-
         self.packets_served = 0
         self.bits_served = 0.0
         #: Link-busy seconds, accrued when a transmission *completes*
@@ -131,60 +118,27 @@ class ServerNode:
     # ------------------------------------------------------------------
     # Session registration
     # ------------------------------------------------------------------
-    def use_session_table(self, table: "SessionTable") -> None:
-        """Switch buffer accounting to SessionTable columns (``soa``).
-
-        Called once per node by :meth:`repro.net.network.Network
-        .add_node` under ``state_backend="soa"``, before any session
-        registers; the scheduler receives the same hook.  The ``limit``
-        column's +inf fill makes the arrival-path check ``occupancy >
-        limit + 1e-9`` unconditionally false for sessions without a
-        configured limit — the same outcome as the objects path's
-        ``limit is not None`` guard, with no extra branch.
-        """
-        group = table.group()
-        group.add("bits", 0.0)
-        group.add("peak", 0.0)
-        group.add("limit", inf)
-        group.add("drops", 0, dtype="i8")
-        group.add("member", False, dtype="bool")
-        self._soa = group
-        self._table = table
-        self.scheduler.use_session_table(table)
-
     def register_session(self, session: Session) -> None:
         """Prepare per-session state and inform the scheduler."""
-        soa = self._soa
-        if soa is None:
-            buf = self._buffers.get(session.id)
-            if buf is None:
-                buf = self._buffers[session.id] = _SessionBuffer()
-            if session.monitor_buffer and buf.samples is None:
-                buf.samples = TimeSeries(
-                    f"{self.name}.{session.id}.buffer")
-        else:
-            slot = session.slot
-            if slot < 0:
-                raise SimulationError(
-                    f"session {session.id!r} has no session-table slot; "
-                    f"register sessions through Network.add_session "
-                    f"under the soa backend")
-            soa.member[slot] = True
-            if session.monitor_buffer and slot not in self._soa_samples:
-                self._soa_samples[slot] = TimeSeries(
-                    f"{self.name}.{session.id}.buffer")
+        slot = session.slot
+        if slot < 0:
+            raise SimulationError(
+                f"session {session.id!r} has no session-table slot; "
+                f"register sessions through Network.add_session")
+        self._member[slot] = True
+        if session.monitor_buffer and slot not in self._samples:
+            self._samples[slot] = TimeSeries(
+                f"{self.name}.{session.id}.buffer")
         self.scheduler.register_session(session)
 
     def forget_session(self, session_id: str) -> None:
-        """Drop this node's buffer record for a fully drained session."""
-        soa = self._soa
-        if soa is None:
-            self._buffers.pop(session_id, None)
-            return
-        slot = self._table.slot(session_id)
-        if slot >= 0:
-            soa.reset_slot(slot)
-            self._soa_samples.pop(slot, None)
+        """Drop a fully drained session's monitor series.
+
+        Its table row is reset by :meth:`SessionTable.release
+        <repro.net.session_table.SessionTable.release>`.
+        """
+        if self._samples:
+            self._samples.pop(self.table.slot(session_id), None)
 
     # ------------------------------------------------------------------
     # Data path
@@ -194,74 +148,42 @@ class ServerNode:
         if bits <= 0:
             raise SimulationError(
                 f"buffer limit must be positive, got {bits}")
-        soa = self._soa
-        if soa is None:
-            buf = self._buffers.get(session_id)
-            if buf is None:
-                buf = self._buffers[session_id] = _SessionBuffer()
-            buf.limit = float(bits)
-            return
-        slot = self._table.slot(session_id)
+        slot = self.table.slot(session_id)
         if slot < 0:
             raise SimulationError(
                 f"cannot set a buffer limit for unknown session "
-                f"{session_id!r} under the soa backend; add the "
-                f"session first")
-        soa.limit[slot] = float(bits)
+                f"{session_id!r}; add the session to the network first")
+        self._limit[slot] = float(bits)
 
     def receive(self, packet: Packet) -> None:
         """A packet's last bit arrived at this node."""
         now = self.sim.now
         packet.arrival_time = now
         session = packet.session
-        session_id = session.id
-
-        soa = self._soa
-        if soa is None:
-            buf = self._buffers.get(session_id)
-            if buf is None:
-                # Unregistered sessions can still deliver here while a
-                # removed session drains; account for them the same way.
-                buf = self._buffers[session_id] = _SessionBuffer()
-            occupancy = buf.bits + packet.length
-            limit = buf.limit
-            if limit is not None and occupancy > limit + 1e-9:
-                buf.drops += 1
-                self._drop_on_arrival(packet, session_id, now)
-                return
-            buf.bits = occupancy
-            if occupancy > buf.peak:
-                buf.peak = occupancy
-            samples = buf.samples
+        slot = session.slot
+        if slot < 0:
+            raise SimulationError(
+                f"packet of session {session.id!r} reached node "
+                f"{self.name} without a session-table slot; add the "
+                f"session through Network.add_session before it sends")
+        bits = self._bits
+        occupancy = bits[slot] + packet.length
+        if occupancy > self._limit[slot] + 1e-9:
+            self._drops[slot] += 1
+            self._drop_on_arrival(packet, now)
+            return
+        bits[slot] = occupancy
+        if occupancy > self._peak[slot]:
+            self._peak[slot] = occupancy
+        if self._samples:
+            samples = self._samples.get(slot)
             if samples is not None:
                 samples.record(now, occupancy)
-        else:
-            slot = session.slot
-            if slot < 0:
-                raise SimulationError(
-                    f"packet of session {session_id!r} reached node "
-                    f"{self.name} without a session-table slot")
-            # Scalar reads via .item() return Python floats, so the
-            # arithmetic below is the same IEEE-754 sequence as the
-            # objects branch — the bit-identical-digest guarantee.
-            bits = soa.bits
-            occupancy = bits.item(slot) + packet.length
-            if occupancy > soa.limit.item(slot) + 1e-9:
-                soa.drops[slot] += 1
-                self._drop_on_arrival(packet, session_id, now)
-                return
-            bits[slot] = occupancy
-            if occupancy > soa.peak.item(slot):
-                soa.peak[slot] = occupancy
-            if self._soa_samples:
-                samples = self._soa_samples.get(slot)
-                if samples is not None:
-                    samples.record(now, occupancy)
 
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(now, "arrival", node=self.name,
-                        session=session_id, packet=packet.seq)
+                        session=session.id, packet=packet.seq)
         self._on_arrival(packet, now)
         san = self.sanitizer
         if san is not None:
@@ -269,13 +191,12 @@ class ServerNode:
         if self.transmitting is None:
             self._try_start()
 
-    def _drop_on_arrival(self, packet: Packet, session_id: str,
-                         now: float) -> None:
-        """Shared tail of a finite-buffer drop (both backends)."""
+    def _drop_on_arrival(self, packet: Packet, now: float) -> None:
+        """The rest of a finite-buffer drop, off the arrival path."""
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(now, "drop", node=self.name,
-                        session=session_id, packet=packet.seq)
+                        session=packet.session.id, packet=packet.seq)
         san = self.sanitizer
         if san is not None:
             san.on_buffer_drop(self, packet)
@@ -334,16 +255,7 @@ class ServerNode:
         self._on_transmit_complete(packet, now)
 
         session = packet.session
-        session_id = session.id
-        soa = self._soa
-        if soa is None:
-            buf = self._buffers.get(session_id)
-            if buf is not None:
-                buf.bits -= packet.length
-        else:
-            slot = session.slot
-            if slot >= 0:
-                soa.bits[slot] -= packet.length
+        self._bits[session.slot] -= packet.length
         self.packets_served += 1
         self.bits_served += packet.length
         self.busy_time += self._tx_time
@@ -353,7 +265,7 @@ class ServerNode:
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(now, "tx_end", node=self.name,
-                        session=session_id, packet=packet.seq)
+                        session=session.id, packet=packet.seq)
         if self.network is None:
             raise SimulationError(
                 f"node {self.name} is not attached to a network")
@@ -455,19 +367,10 @@ class ServerNode:
         san = self.sanitizer
         if san is not None:
             san.on_fault_drop(self, packet, reason)
-        soa = self._soa
-        if soa is None:
-            buf = self._buffers.get(session_id)
-            if buf is not None:
-                if release_buffer:
-                    buf.bits -= packet.length
-                buf.drops += 1
-        else:
-            slot = session.slot
-            if slot >= 0:
-                if release_buffer:
-                    soa.bits[slot] -= packet.length
-                soa.drops[slot] += 1
+        slot = session.slot
+        if release_buffer:
+            self._bits[slot] -= packet.length
+        self._drops[slot] += 1
         state = self.faults
         if state is not None:
             state.count_drop(reason, session_id)
@@ -482,69 +385,46 @@ class ServerNode:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def _rows(self, column: Sequence[float]) -> Dict[str, float]:
+        """``column`` as a dict over the sessions routed through here."""
+        member = self._member
+        return {sid: column[slot] for sid, slot in self.table.items()
+                if member[slot]}
+
     @property
     def buffer_bits(self) -> Dict[str, float]:
         """Bits of each session currently at this node (read-only view)."""
-        soa = self._soa
-        if soa is None:
-            return {sid: buf.bits for sid, buf in self._buffers.items()}
-        return {sid: soa.bits.item(slot)
-                for sid, slot in self._table.items()
-                if soa.member.item(slot)}
+        return self._rows(self._bits)
 
     @property
     def buffer_peak(self) -> Dict[str, float]:
         """Peak per-session occupancy (read-only view)."""
-        soa = self._soa
-        if soa is None:
-            return {sid: buf.peak for sid, buf in self._buffers.items()}
-        return {sid: soa.peak.item(slot)
-                for sid, slot in self._table.items()
-                if soa.member.item(slot)}
+        return self._rows(self._peak)
 
     @property
     def buffer_samples(self) -> Dict[str, TimeSeries]:
         """Arrival-sampled occupancy series for monitored sessions."""
-        soa = self._soa
-        if soa is None:
-            return {sid: buf.samples
-                    for sid, buf in self._buffers.items()
-                    if buf.samples is not None}
-        ids = self._table.ids
+        ids = self.table.ids
         return {ids[slot]: series
-                for slot, series in self._soa_samples.items()
+                for slot, series in self._samples.items()
                 if ids[slot] is not None}
 
     @property
     def buffer_limits(self) -> Dict[str, float]:
         """Configured finite buffer limits in bits (read-only view)."""
-        soa = self._soa
-        if soa is None:
-            return {sid: buf.limit for sid, buf in self._buffers.items()
-                    if buf.limit is not None}
-        return {sid: soa.limit.item(slot)
-                for sid, slot in self._table.items()
-                if isfinite(soa.limit.item(slot))}
+        return {sid: limit for sid, limit in self._rows(self._limit).items()
+                if isfinite(limit)}
 
     @property
     def drops(self) -> Dict[str, int]:
         """Dropped-packet counts for sessions that dropped (read-only)."""
-        soa = self._soa
-        if soa is None:
-            return {sid: buf.drops for sid, buf in self._buffers.items()
-                    if buf.drops > 0}
-        return {sid: int(soa.drops.item(slot))
-                for sid, slot in self._table.items()
-                if soa.drops.item(slot) > 0}
+        return {sid: count for sid, count in self._rows(self._drops).items()
+                if count > 0}
 
     def drop_count(self, session_id: str) -> int:
         """Packets of ``session_id`` dropped at this node."""
-        soa = self._soa
-        if soa is None:
-            buf = self._buffers.get(session_id)
-            return buf.drops if buf is not None else 0
-        slot = self._table.slot(session_id)
-        return int(soa.drops.item(slot)) if slot >= 0 else 0
+        slot = self.table.slot(session_id)
+        return self._drops[slot] if slot >= 0 else 0
 
     def utilization(self, now: Optional[float] = None) -> float:
         """Fraction of time the link has been busy since time zero.

@@ -116,10 +116,10 @@ class Session:
         self._delay_policies: Optional[Dict[str, "DelayPolicy"]] = None
         #: Number of packets injected so far (source bookkeeping).
         self.packets_sent = 0
-        #: Dense slot in the network's
-        #: :class:`~repro.net.session_table.SessionTable` under the
-        #: ``soa`` state backend; -1 when unassigned (objects backend,
-        #: or released after drain).
+        #: Dense slot in the owning network's
+        #: :class:`~repro.net.session_table.SessionTable`, assigned by
+        #: ``Network.add_session``; -1 before that and again once the
+        #: session has been removed and has drained.
         self.slot = -1
 
     @property

@@ -83,10 +83,6 @@ class PaperTopology:
         default) lets :class:`Network` create its own.  The
         schedule-perturbation differ (``repro-det --perturb``) injects
         an instrumented kernel through this.
-    state_backend:
-        Forwarded to :class:`~repro.net.network.Network`: ``"objects"``
-        (reference), ``"soa"`` (struct-of-arrays), or ``None`` to defer
-        to the ``REPRO_STATE_BACKEND`` environment variable.
     """
 
     def __init__(self, scheduler_factory: Callable[[], object], *,
@@ -95,8 +91,7 @@ class PaperTopology:
                  node_count: int = PAPER_NODE_COUNT,
                  seed: int = 0,
                  l_max_network: Optional[float] = None,
-                 sim: Optional[Simulator] = None,
-                 state_backend: Optional[str] = None) -> None:
+                 sim: Optional[Simulator] = None) -> None:
         self.scheduler_factory = scheduler_factory
         self.capacity = capacity
         self.propagation = propagation
@@ -104,13 +99,11 @@ class PaperTopology:
         self.seed = seed
         self.l_max_network = l_max_network
         self.sim = sim
-        self.state_backend = state_backend
 
     def build(self) -> Network:
         """Create the network with its tandem of server nodes."""
         network = Network(sim=self.sim, seed=self.seed,
-                          l_max_network=self.l_max_network,
-                          state_backend=self.state_backend)
+                          l_max_network=self.l_max_network)
         for index in range(1, self.node_count + 1):
             network.add_node(f"n{index}", self.scheduler_factory(),
                              capacity=self.capacity,
@@ -123,13 +116,11 @@ def build_paper_network(scheduler_factory: Callable[[], object], *,
                         propagation: float = PAPER_PROPAGATION_S,
                         seed: int = 0,
                         l_max_network: Optional[float] = None,
-                        sim: Optional[Simulator] = None,
-                        state_backend: Optional[str] = None) -> Network:
+                        sim: Optional[Simulator] = None) -> Network:
     """One-call construction of the Figure-6 network."""
     return PaperTopology(scheduler_factory, capacity=capacity,
                          propagation=propagation, seed=seed,
-                         l_max_network=l_max_network, sim=sim,
-                         state_backend=state_backend).build()
+                         l_max_network=l_max_network, sim=sim).build()
 
 
 def mix_session_specs() -> List[Dict[str, object]]:

@@ -1,17 +1,12 @@
 """Guarded import of numpy, the optional ``[scale]`` extra.
 
-The core simulator — kernel, network, schedulers under the default
-``objects`` backend, and every tier-1 experiment that matters for the
-paper's tables — is pure standard library.  numpy is needed only by
-
-* the struct-of-arrays session table (``state_backend="soa"``,
-  ``repro.net.session_table``), and
-* the analysis helpers that post-process distributions (histograms,
-  M/D/1 comparisons, delay-bound CDFs).
-
-so pyproject ships it as the optional ``[scale]`` extra rather than a
-hard dependency, and nothing imports it until an array is actually
-needed.  Modules that can work without it import the guarded binding::
+The simulator — kernel, network, session table, schedulers, and every
+experiment's simulation — is pure standard library.  numpy is needed
+only by the analysis and figure helpers that post-process distributions
+(histograms, M/D/1 comparisons, delay-bound CDFs), so pyproject ships
+it as the optional ``[scale]`` extra rather than a hard dependency, and
+nothing imports it until an array is actually needed.  Modules that
+can work without it import the guarded binding::
 
     from repro.optdeps import np
 
@@ -35,8 +30,8 @@ __all__ = ["np", "load_numpy", "numpy_available", "require_numpy"]
 class _LazyNumpy:
     """Stands in for numpy and imports it on first attribute use.
 
-    numpy costs ~100 ms and ~12 MB to import, and an objects-backend
-    run or a CLI start-up never touches an array.  Attributes are kept
+    numpy costs ~100 ms and ~12 MB to import, and a simulation run
+    or a CLI start-up never touches an array.  Attributes are kept
     on the proxy, so each is resolved once.
     """
 

@@ -65,17 +65,17 @@ class Scheduler(ABC):
         self.sim = sim
         if tracer is not None:
             self.tracer = tracer
+        self.use_session_table(node.table)
 
     def use_session_table(self, table: "SessionTable") -> None:
-        """Adopt the network's struct-of-arrays session state (optional).
+        """Declare per-session columns in the node's table (optional hook).
 
-        Called once, right after :meth:`bind`, when the owning network
-        runs with ``state_backend="soa"``.  Disciplines with
-        per-session hot state (Leave-in-Time's F/K recursion, EDD's
-        local bounds) override this to allocate columns in the shared
-        :class:`~repro.net.session_table.SessionTable`; disciplines
-        without per-session state (FCFS) ignore it — there is nothing
-        to tabulate.
+        Called once by :meth:`bind`.  Disciplines with per-session hot
+        state (Leave-in-Time's F/K recursion, EDD's local bounds)
+        override this to add a column group to the network's
+        :class:`~repro.net.session_table.SessionTable`, whose rows the
+        table resets when a session's slot is released; disciplines
+        without per-session state (FCFS) have nothing to tabulate.
         """
 
     def register_session(self, session: Session) -> None:

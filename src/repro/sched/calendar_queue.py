@@ -21,10 +21,10 @@ We provide both:
 Both expose the same interface so :class:`~repro.sched.leave_in_time.
 LeaveInTime` can be constructed with either.
 
-Queue entries stay per-packet ``(deadline, seq, packet)`` tuples even
-under the struct-of-arrays state backend: the queues index by *packet*,
-not by session, and their population is bounded by the in-flight packet
-count (small at any load the paper admits), not by the 10^5-10^6
+Queue entries are per-packet ``(deadline, seq, packet)`` tuples, not
+session-table columns: the queues index by *packet*, not by session,
+and their population is bounded by the in-flight packet count
+(small at any load the paper admits), not by the 10^5-10^6
 admitted sessions the :class:`~repro.net.session_table.SessionTable`
 is built for — tabulating them would buy nothing.
 """

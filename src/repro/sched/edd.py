@@ -21,6 +21,7 @@ local bound, every prefix must satisfy ``Σ L_max/C ≤ d_j`` — see
 
 from __future__ import annotations
 
+from math import nan
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, \
     TYPE_CHECKING
 
@@ -33,7 +34,7 @@ from repro.sched.calendar_queue import (DeadlineQueue, HeapDeadlineQueue,
 from repro.sim.kernel import PRIORITY_NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.session_table import ColumnGroup, SessionTable
+    from repro.net.session_table import SessionTable
 
 __all__ = ["DelayEDD", "JitterEDD", "edd_schedulable"]
 
@@ -79,39 +80,24 @@ class DelayEDD(Scheduler):
                  queue: Optional[DeadlineQueue] = None) -> None:
         super().__init__()
         self._eligible: DeadlineQueue = queue or HeapDeadlineQueue()
-        #: Explicitly configured bounds (constructor argument).  Under
-        #: the objects backend this dict also caches the per-session
-        #: defaults; the soa backend caches defaults in a table column
-        #: instead, so call churn never grows this dict.
+        #: Explicitly configured bounds (constructor argument); the
+        #: per-session defaults are cached in the table column, so call
+        #: churn never grows this dict.
         self.local_delays: Dict[str, float] = dict(local_delays or {})
-        self._soa: Optional["ColumnGroup"] = None
-        self._table: Optional["SessionTable"] = None
 
     def use_session_table(self, table: "SessionTable") -> None:
-        group = table.group()
-        group.add("d_local", 0.0)
-        group.add("cached", False, dtype="bool")
-        self._soa = group
-        self._table = table
+        #: Each session's resolved bound; NaN until its first packet.
+        self._d_local = table.group().add("d_local", nan)
 
     def local_delay(self, session: Session) -> float:
-        soa = self._soa
-        if soa is not None:
-            slot = session.slot
-            if slot >= 0 and soa.cached.item(slot):
-                return soa.d_local.item(slot)
-        else:
-            slot = -1
-        bound = self.local_delays.get(session.id)
-        if bound is None:
-            bound = session.l_max / session.rate
-            if soa is None:
-                self.local_delays[session.id] = bound
-        if soa is not None and slot >= 0:
-            soa.d_local[slot] = bound
-            soa.cached[slot] = True
-        # A torn-down session (slot < 0 in SoA mode) resolves without
-        # caching: the slot may already belong to another session.
+        """``d_s`` of a session admitted to this node's network."""
+        slot = session.slot
+        bound = self._d_local[slot]
+        if bound != bound:  # NaN: the session's first packet here
+            bound = self.local_delays.get(session.id)
+            if bound is None:
+                bound = session.l_max / session.rate
+            self._d_local[slot] = bound
         return bound
 
     def _eligibility(self, packet: Packet, now: float) -> float:
@@ -143,10 +129,6 @@ class DelayEDD(Scheduler):
 
     def forget_session(self, session_id: str) -> None:
         self.local_delays.pop(session_id, None)
-        if self._soa is not None:
-            slot = self._table.slot(session_id)
-            if slot >= 0:
-                self._soa.reset_slot(slot)
 
     def on_transmit_complete(self, packet: Packet, now: float) -> None:
         super().on_transmit_complete(packet, now)

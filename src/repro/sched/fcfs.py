@@ -5,10 +5,9 @@ Kept as the simplest baseline: it provides no isolation, so a bursty
 session inflates every other session's delay — the behaviour the
 firewall experiments contrast Leave-in-Time against.
 
-FCFS keeps no per-session state at all, so it ignores the
-``state_backend`` choice entirely: it inherits the no-op
-:meth:`~repro.sched.base.Scheduler.use_session_table` hook and runs
-identically (same objects, same digests) under both backends.
+FCFS keeps no per-session state at all: it inherits the no-op
+:meth:`~repro.sched.base.Scheduler.use_session_table` hook and adds no
+column to the network's session table.
 """
 
 from __future__ import annotations

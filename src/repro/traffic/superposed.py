@@ -18,10 +18,9 @@ streams total.
 
 The two forms are *statistically* equivalent but draw different random
 numbers, so they are **not** bit-identical to each other — use the
-same source construction on both sides of any digest comparison (the
-cross-backend gates in ``tests/sim/test_state_backends.py`` do;
-``repro.experiments.heavy_traffic`` compares backends on throughput
-and memory, not digests, and uses the superposed form under both).
+same source construction on both sides of any digest comparison
+(``repro.experiments.heavy_traffic`` compares the two constructions on
+throughput and memory, not digests).
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from repro.analysis.hot.cli import main
 from repro.analysis.hot.profile import (
     HotnessIndex,
     ProfileScenario,
+    profile_scenario,
     rank_findings,
     scenarios,
 )
@@ -362,3 +363,10 @@ def test_profile_bench_record(tmp_path, monkeypatch):
 def test_unknown_scenario_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["--profile", "no-such-scenario", str(FIXTURES)])
+
+
+@pytest.mark.parametrize("name", sorted(scenarios()))
+def test_registered_scenarios_run(name):
+    # Listing a scenario never calls its runner; a stale call fails here.
+    report = profile_scenario(name, horizon=0.05)
+    assert report.scenario == name and report.simulated_s > 0.0

@@ -35,6 +35,16 @@ def test_retired_kernel_backend_flag_is_rejected(capsys, argv, complaint):
     assert complaint in capsys.readouterr().err
 
 
+def test_retired_state_backend_flags_are_rejected():
+    from repro.analysis import throughput
+    for entry, argv in [
+            (main, ["--state-backend", "soa", "heavy_traffic"]),
+            (throughput.main, ["--sessions", "10", "--state-backend=soa"])]:
+        with pytest.raises(SystemExit) as exit_info:
+            entry(argv)
+        assert exit_info.value.code == 2
+
+
 def test_analytic_experiment_runs(capsys):
     assert main(["section4"]) == 0
     out = capsys.readouterr().out

@@ -61,6 +61,12 @@ class TestDropMechanics:
         with pytest.raises(SimulationError):
             network.node("n1").set_buffer_limit("s", 0.0)
 
+    def test_rejects_a_session_the_network_does_not_know(self):
+        # Used to create a record silently on one state backend.
+        network = make_network(FCFS)
+        with pytest.raises(SimulationError, match="add the session"):
+            network.node("n1").set_buffer_limit("ghost", 500.0)
+
 
 class TestProvisioningAtTheBound:
     def test_provisioned_session_never_drops(self):

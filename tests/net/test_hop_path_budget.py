@@ -22,7 +22,6 @@ import pstats
 import pytest
 
 from repro.experiments.common import build_mix_network, mix_specs
-from repro.net.session_table import numpy_available
 from repro.units import ms
 
 HORIZON_S = 1.0
@@ -30,27 +29,17 @@ HORIZON_S = 1.0
 #: jitter control -> (events dispatched, packet-hops served), seed 0.
 EVENTS_AND_HOPS = {False: (44142, 17723), True: (52628, 17503)}
 
-#: (state backend, jitter control) -> Python calls per packet-hop.
-#: Before the timer-callback sources and the flattened forwarding chain
-#: these read 24.7 / 29.9 (objects) and 22.7 / 26.4 (soa).
-CALLS_PER_HOP_CEILING = {
-    ("objects", False): 16.2, ("objects", True): 19.3,
-    ("soa", False): 16.2, ("soa", True): 19.4,
-}
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="needs the [scale] extra (numpy)")
+#: jitter control -> Python calls per packet-hop.  Before the
+#: timer-callback sources and the flattened forwarding chain these
+#: read 24.7 / 29.9.
+CALLS_PER_HOP_CEILING = {False: 16.2, True: 19.3}
 
 
 @pytest.mark.parametrize("jitter", [False, True], ids=["plain", "jitter"])
-@pytest.mark.parametrize("state", [
-    "objects", pytest.param("soa", marks=needs_numpy)])
-def test_hop_path_budget(state, jitter, monkeypatch):
-    monkeypatch.setenv("REPRO_STATE_BACKEND", state)
+def test_hop_path_budget(jitter):
     jitter_ids = (frozenset(spec.session_id for spec in mix_specs())
                   if jitter else frozenset())
     network = build_mix_network(ms(6.5), seed=0, jitter_ids=jitter_ids)
-    assert network.state_backend == state
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -62,8 +51,8 @@ def test_hop_path_budget(state, jitter, monkeypatch):
     calls = sum(row[1] for (filename, _, _), row
                 in pstats.Stats(profiler).stats.items()
                 if filename != "~")
-    ceiling = CALLS_PER_HOP_CEILING[state, jitter]
+    ceiling = CALLS_PER_HOP_CEILING[jitter]
     assert calls / hops <= ceiling, (
-        f"{calls / hops:.3f} Python calls per packet-hop on {state}"
+        f"{calls / hops:.3f} Python calls per packet-hop"
         f"{' with jitter control' if jitter else ''}; the committed "
         f"ceiling is {ceiling}")

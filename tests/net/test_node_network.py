@@ -137,6 +137,29 @@ class TestNetworkValidation:
         with pytest.raises(ConfigurationError):
             network.add_session(session)
 
+    def test_state_backend_argument_selects_nothing(self):
+        # Kept for benchmarks/ledger: old names inert, garbage refused.
+        for name in (None, "objects", "soa"):
+            assert Network(state_backend=name).state_backend == "soa"
+        with pytest.raises(ConfigurationError, match="bogus"):
+            Network(state_backend="bogus")
+
+    def test_session_live_in_another_network_rejected(self):
+        # Its slot indexes the first network's table rows.
+        session = Session("s", rate=1.0, route=["n1"], l_max=100.0)
+        make_network(FCFS).add_session(session)
+        with pytest.raises(ConfigurationError, match="already holds slot"):
+            make_network(FCFS).add_session(session)
+
+    def test_packet_of_a_session_never_added_fails_loud(self):
+        from repro.net.packet import Packet
+        network = make_network(FCFS)
+        stray = Session("s", rate=1.0, route=["n1"], l_max=100.0)
+        with pytest.raises(SimulationError, match="Network.add_session"):
+            network.node("n1").receive(Packet(stray, 1, 100.0, 0.0))
+        with pytest.raises(SimulationError, match="Network.add_session"):
+            network.node("n1").register_session(stray)
+
     def test_oversized_packet_rejected_at_injection(self):
         network = make_network(FCFS)
         session = Session("s", rate=1.0, route=["n1"], l_max=100.0)

@@ -1,10 +1,21 @@
 """Tests for dynamic session teardown."""
 
+from math import inf
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.sched.leave_in_time import LeaveInTime
 from tests.conftest import add_trace_session, make_network
+
+
+def assert_row_reset(network, node_name, slot):
+    """``s`` left the table; its ``slot`` reads fill values at the LiT."""
+    assert network.session_table.slot("s") == -1
+    scheduler = network.node(node_name).scheduler
+    assert scheduler._k_prev[slot] == -inf
+    assert scheduler._d_slope[slot] != scheduler._d_slope[slot]  # NaN
+    assert slot not in scheduler._pending
 
 
 def drained_network():
@@ -18,12 +29,12 @@ def drained_network():
 
 def test_remove_after_drain_clears_state():
     network, session, sink = drained_network()
-    scheduler = network.node("n1").scheduler
-    assert scheduler.session_state("s") is not None
+    slot = network.session_table.slot("s")
+    assert network.node("n1").scheduler._k_prev[slot] > 0.0
     network.remove_session("s")
     assert "s" not in network.sessions
-    with pytest.raises(KeyError):
-        scheduler.session_state("s")
+    assert session.slot == -1
+    assert_row_reset(network, "n1", slot)
     assert "s" not in network.node("n1").buffer_bits
     # Sink survives by default for post-hoc analysis.
     assert network.sink("s").received == 2
@@ -47,6 +58,7 @@ def test_remove_with_in_flight_packets_defers_cleanup():
     network = make_network(LeaveInTime, capacity=1.0)
     add_trace_session(network, "s", rate=1.0, times=[0.0], lengths=10.0)
     network.run(5.0)  # still transmitting (10 s long)
+    slot = network.session_table.slot("s")
     network.remove_session("s")
     # Gone from the routing table at once; node state lingers while
     # the packet is still on the link.
@@ -58,8 +70,7 @@ def test_remove_with_in_flight_packets_defers_cleanup():
     assert network.sink("s").received == 1
     assert "s" not in network._draining
     assert "s" not in network.node("n1").buffer_bits
-    with pytest.raises(KeyError):
-        network.node("n1").scheduler.session_state("s")
+    assert_row_reset(network, "n1", slot)
 
 
 def test_remove_mid_flight_discarding_sink():
@@ -83,13 +94,12 @@ def test_remove_while_packet_held_by_regulator():
                       jitter_control=True)
     # Run just long enough for packets to reach n2's regulator.
     network.run(0.3)
+    slot = network.session_table.slot("s")
     network.remove_session("s")
     network.run(60.0)
     assert network.sink("s").received == 2
     assert "s" not in network._draining
-    scheduler = network.node("n2").scheduler
-    with pytest.raises(KeyError):
-        scheduler.session_state("s")
+    assert_row_reset(network, "n2", slot)
 
 
 def test_inject_after_removal_rejected():
@@ -167,14 +177,14 @@ class TestChurnFaultOverlap:
         # second packet is stuck behind the paused node.
         network = self._paused_network(0.05, 2.0)
         network.run(0.2)
+        slot = network.session_table.slot("s")
         network.remove_session("s")
         assert "s" in network._draining
         network.run(5.0)
         assert network.sink("s").received == 2
         assert "s" not in network._draining
         assert "s" not in network.node("n1").buffer_bits
-        with pytest.raises(KeyError):
-            network.node("n1").scheduler.session_state("s")
+        assert_row_reset(network, "n1", slot)
 
     def test_pause_starting_mid_drain_only_defers_it(self):
         # Removal happens first (packet 2 queued behind the in-flight
@@ -209,13 +219,13 @@ class TestChurnFaultOverlap:
         injector = FaultInjector(plan)
         injector.install(network)
         network.run(0.03)        # one tx in flight, two queued
+        slot = network.session_table.slot("s")
         network.remove_session("s")
         assert "s" in network._draining
         network.run(5.0)
         assert "s" not in network._draining
         assert "s" not in network.node("n1").buffer_bits
-        with pytest.raises(KeyError):
-            network.node("n1").scheduler.session_state("s")
+        assert_row_reset(network, "n1", slot)
         drops = injector.states["n1"].drops.get("flush", {})
         assert drops.get("s", 0) >= 1
 

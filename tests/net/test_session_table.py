@@ -1,25 +1,17 @@
-"""Unit tests for the struct-of-arrays session table.
+"""Unit tests for the slot-indexed session table.
 
-The cross-backend behavioural gates live in
-``tests/sim/test_state_backends.py``; this file pins the table's own
-contract: slot assignment is deterministic (lowest fresh first, LIFO
-reuse), release resets every attached column group, growth preserves
-contents, and the numpy gate fails with an actionable message.
+Behavioural gates: ``tests/sim/test_state_backends.py``.  Here, the
+table's own contract: lowest fresh slot first, LIFO reuse, release resets
+every column of every group, growth extends the arrays in place.
 """
+
+from math import inf
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.net import session_table as st_module
 from repro.net.session import Session
-from repro.net.session_table import (
-    SessionTable,
-    numpy_available,
-    require_numpy,
-)
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="needs the [scale] extra (numpy)")
+from repro.net.session_table import SessionTable
 
 
 def _session(sid: str, rate: float = 100.0) -> Session:
@@ -62,31 +54,32 @@ def test_slot_lookup_returns_minus_one_for_unknown():
 
 def test_release_resets_every_attached_group():
     table = SessionTable(capacity=2)
-    group = table.group()
-    group.add("k_prev", 0.0)
-    group.add("member", False, dtype="bool")
-    slot = table.acquire(_session("s", rate=250.0))
-    group.k_prev[slot] = 7.5
-    group.member[slot] = True
-    assert table.core.rate.item(slot) == 250.0
+    first, second = table.group(), table.group()
+    k_prev = first.add("k_prev", -inf)
+    member = first.add("member", False)
+    drops = second.add("drops", 0)
+    slot = table.acquire(_session("s"))
+    k_prev[slot], member[slot], drops[slot] = 7.5, True, 3
     table.release("s")
-    assert group.k_prev.item(slot) == 0.0
-    assert not group.member.item(slot)
-    assert table.core.rate.item(slot) == 0.0
+    assert (k_prev[slot], member[slot], drops[slot]) == (-inf, 0, 0)
+    assert first.k_prev is k_prev and second.drops is drops
 
 
 def test_growth_preserves_slot_contents():
     table = SessionTable(capacity=2)
     group = table.group()
-    group.add("value", -1.0)
-    first = table.acquire(_session("s0", rate=111.0))
-    group.value[first] = 42.0
+    value = group.add("value", inf)
+    flag = group.add("flag", False)
+    first = table.acquire(_session("s0"))
+    value[first], flag[first] = 42.0, True
     for i in range(1, 10):  # forces two doublings past capacity 2
         table.acquire(_session(f"s{i}"))
     assert table.capacity >= 10
-    assert group.value.item(first) == 42.0
-    assert table.core.rate.item(first) == 111.0
-    assert group.value.item(9) == -1.0  # fresh slots hold the fill
+    assert len(value) == len(flag) == table.capacity
+    # Grown in place: the references taken before still are the columns.
+    assert group.value is value and group.flag is flag
+    assert (value[first], flag[first]) == (42.0, 1)
+    assert (value[9], flag[9]) == (inf, 0)  # fresh slots hold the fill
 
 
 def test_duplicate_column_name_rejected():
@@ -101,17 +94,4 @@ def test_reserved_attribute_name_rejected():
     table = SessionTable(capacity=2)
     group = table.group()
     with pytest.raises(SimulationError, match="duplicate"):
-        group.add("reset_slot", 0.0)
-
-
-def test_require_numpy_raises_actionable_error(monkeypatch):
-    monkeypatch.setattr(st_module, "_np", None)
-    with pytest.raises(SimulationError, match=r"repro\[scale\]"):
-        require_numpy()
-
-
-def test_soa_backend_unavailable_without_numpy(monkeypatch):
-    from repro.net.network import Network
-    monkeypatch.setattr(st_module, "_np", None)
-    with pytest.raises(SimulationError, match="state_backend"):
-        Network(state_backend="soa")
+        group.add("columns", 0.0)

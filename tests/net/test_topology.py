@@ -69,6 +69,12 @@ def test_custom_node_count():
     assert sorted(network.nodes) == ["n1", "n2", "n3"]
 
 
+def test_retired_state_backend_parameter_is_a_type_error():
+    from repro.net.topology import PaperTopology
+    with pytest.raises(TypeError, match="state_backend"):
+        PaperTopology(FCFS, state_backend="soa")
+
+
 def tandem(propagations, route=None):
     """A tandem whose node k has link propagation ``propagations[k]``;
     one session along ``route`` (default: every node) defines the route

@@ -1,28 +1,12 @@
-"""Cross-backend equivalence gates for the soa session table.
+"""Golden gates for the slot-indexed session state.
 
-``Network(state_backend="soa")`` swaps every per-session Python object
-(node buffer records, Leave-in-Time recursion state, EDD bound caches)
-for flat numpy arrays.  The refactor must be *behaviourally invisible*:
-the soa hot paths read scalars out of the arrays with ``ndarray.item``
-and do the arithmetic in Python floats — the exact IEEE-754 operations
-the objects path performs — so every observable must come out
-bit-identical, not merely close.  These gates pin that on the same
-cells earlier overhauls used (PR 3's fused kernel, PR 7's space-
-parallel sharding):
-
-* the shortened Figure-7 MIX cell, tracing off and on (against the
-  committed goldens, so both backends also match the pre-overhaul
-  kernel);
-* a call-churn cell — admission, per-call teardown, and slot reuse
-  under dynamic load;
-* fault-sweep cells, clean and faulted — drops, link flaps, and
-  requeue recovery mutating per-session counters.
-
-Plus the dense-id regression the refactor is most likely to break:
-slot recycling after ``forget_session`` must hand a *zeroed* slot to
-the next admission, never a stale one.
-
-The randomized generalisation of these gates lives in
+Until PR 14 a per-session-object store produced the same digests as the
+:class:`~repro.net.session_table.SessionTable`; they are frozen here,
+next to the Figure-7 goldens of ``test_dispatch_digest.py``: the Fig. 7
+MIX cell (tracing off and on), a call-churn cell (admission, teardown,
+slot reuse) and fault-sweep cells, clean and faulted.  Plus the
+regression a table is most likely to break: slot recycling must hand a
+*zeroed* slot to the next admission.  The randomized generalisation is
 ``tests/properties/test_state_backend_properties.py``.
 """
 
@@ -33,7 +17,6 @@ import hashlib
 import pytest
 
 from repro.experiments import call_churn, fault_sweep
-from repro.net.session_table import numpy_available
 from repro.sched.leave_in_time import LeaveInTime
 from tests.conftest import add_trace_session, make_network
 from tests.sim.test_dispatch_digest import (
@@ -42,10 +25,14 @@ from tests.sim.test_dispatch_digest import (
     fig07_cell_digest,
 )
 
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="needs the [scale] extra (numpy)")
-
-BACKENDS = ("objects", "soa")
+#: Recorded at PR 13 (95b6e5d), where the per-session-object store and
+#: the table both produced them.
+CHURN_CELL_DIGEST = \
+    "b75f1a6daeff047fc22096b1bfed851ea1f4ddc4ad23d2a2f4740fe930159b76"
+FAULT_CELL_DIGEST = {
+    0.0: "62545ef5b1e77a93b45dcf974ff4ff84924c495c437cae526c81cf10ab6b9fbd",
+    1.0: "709c99c554fbcb3756073d64a7782079a51c6ac54a7b298a8e36c7085707e2b0",
+}
 
 
 def _churn_digest() -> str:
@@ -67,37 +54,28 @@ def _fault_digest(outage: float) -> str:
 @pytest.mark.parametrize("trace_on", [False, True])
 def test_fig07_cell_digest_matches_golden_under_soa(
         monkeypatch, trace_on):
-    monkeypatch.setenv("REPRO_STATE_BACKEND", "soa")
+    # The retired selector must be ignored, not obeyed or rejected.
+    monkeypatch.setenv("REPRO_STATE_BACKEND", "objects")
     golden = (FIG07_CELL_DIGEST_TRACE_ON if trace_on
               else FIG07_CELL_DIGEST_TRACE_OFF)
     assert fig07_cell_digest(trace_on=trace_on) == golden
 
 
-def test_call_churn_cell_digest_identical_across_backends(monkeypatch):
-    digests = {}
-    for backend in BACKENDS:
-        monkeypatch.setenv("REPRO_STATE_BACKEND", backend)
-        digests[backend] = _churn_digest()
-    assert digests["objects"] == digests["soa"]
+def test_call_churn_cell_digest_matches_golden():
+    assert _churn_digest() == CHURN_CELL_DIGEST
 
 
 @pytest.mark.parametrize("outage", [0.0, 1.0],
                          ids=["clean", "faulted"])
-def test_fault_sweep_cell_digest_identical_across_backends(
-        monkeypatch, outage):
-    digests = {}
-    for backend in BACKENDS:
-        monkeypatch.setenv("REPRO_STATE_BACKEND", backend)
-        digests[backend] = _fault_digest(outage)
-    assert digests["objects"] == digests["soa"]
+def test_fault_sweep_cell_digest_matches_golden(outage):
+    assert _fault_digest(outage) == FAULT_CELL_DIGEST[outage]
 
 
 # ----------------------------------------------------------------------
 # Slot reuse after teardown
 # ----------------------------------------------------------------------
-def test_forget_session_recycles_a_zeroed_slot(monkeypatch):
+def test_forget_session_recycles_a_zeroed_slot():
     """A reused slot must start from fill values, not stale state."""
-    monkeypatch.setenv("REPRO_STATE_BACKEND", "soa")
     network = make_network(LeaveInTime, nodes=2, capacity=1000.0)
     add_trace_session(network, "a", rate=100.0,
                       times=[0.0, 0.1, 0.2], lengths=100.0,
@@ -108,7 +86,6 @@ def test_forget_session_recycles_a_zeroed_slot(monkeypatch):
     network.run(5.0)
     table = network.session_table
     slot_a = table.slot("a")
-    assert slot_a >= 0
     network.remove_session("a")
     assert table.slot("a") == -1
     # LIFO reuse: the next admission takes a's slot back.
@@ -128,9 +105,8 @@ def test_forget_session_recycles_a_zeroed_slot(monkeypatch):
     assert network.sink("b").received == 2
 
 
-def test_drain_accounting_survives_mid_flight_removal(monkeypatch):
-    """Drain-then-forget keeps array accounting exact under soa."""
-    monkeypatch.setenv("REPRO_STATE_BACKEND", "soa")
+def test_drain_accounting_survives_mid_flight_removal():
+    """Drain-then-forget keeps array accounting exact."""
     network = make_network(LeaveInTime, capacity=1.0)
     add_trace_session(network, "s", rate=1.0, times=[0.0],
                       lengths=10.0)

@@ -13,20 +13,23 @@ _NO_NUMPY_YET = """
 import sys
 import repro, repro.bounds, repro.experiments, repro.cli
 from repro import optdeps
-from repro.net.session_table import numpy_available
 assert "numpy" not in sys.modules, "importing the package imported numpy"
-optdeps.numpy_available(), numpy_available()
+optdeps.numpy_available()
 assert "numpy" not in sys.modules, "numpy_available() imported numpy"
-from repro.experiments import figure07
+from repro.experiments import figure07, heavy_traffic
 result = figure07.run(duration=0.3, a_off_values=(0.0065,))
 assert result.rows[0].packets > 0
-assert "numpy" not in sys.modules, "an objects-backend cell imported numpy"
+cell = heavy_traffic.cells(
+    duration=0.2, seed=0, sessions=200, rhos=(0.9,), backends=("soa",),
+    topologies=("single",))[0]
+assert cell.fn(**cell.kwargs).value.packets > 0
+assert "numpy" not in sys.modules, "a simulation cell imported numpy"
 """
 
 
-def test_imports_and_an_objects_backend_cell_leave_numpy_alone():
+def test_imports_and_simulation_cells_leave_numpy_alone():
     env = {key: value for key, value in os.environ.items()
-           if key not in ("REPRO_STATE_BACKEND", "REPRO_SANITIZE")}
+           if key != "REPRO_SANITIZE"}
     done = subprocess.run([sys.executable, "-c", _NO_NUMPY_YET], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -53,9 +56,3 @@ def test_missing_numpy_keeps_its_messages(monkeypatch):
         optdeps.require_numpy("histogram()")
     with pytest.raises(SimulationError, match=wording):
         optdeps.np.linspace
-
-    from repro.net import session_table
-    assert not session_table.numpy_available()
-    with pytest.raises(SimulationError, match="state_backend='soa' "
-                       + wording):
-        session_table.require_numpy()
