@@ -8,15 +8,13 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: ci test ruff repro-lint repro-verify repro-det repro-hot \
-	repro-analyze hot-profile-smoke perturb-smoke \
+.PHONY: ci test ruff repro-analyze hot-profile-smoke perturb-smoke \
 	parallel-smoke sanitize mypy perf-guard heavy-traffic-smoke \
 	ckernel ab
 
 # ckernel goes last: it leaves the built extension under src/, and
 # every python process after that runs the C drain loop.
-ci: test ruff repro-lint repro-verify repro-det repro-hot \
-	hot-profile-smoke perturb-smoke \
+ci: test ruff repro-analyze hot-profile-smoke perturb-smoke \
 	parallel-smoke sanitize mypy perf-guard heavy-traffic-smoke \
 	ckernel
 	@echo "== ci: all jobs done =="
@@ -41,37 +39,21 @@ ruff:
 		echo "-- ruff not installed: skipped (runs in GitHub Actions) --"; \
 	fi
 
-repro-lint:
-	@echo "== ci job: repro-lint =="
-	$(PYTHON) -m repro.analysis.lint.cli src
-
-repro-verify:
-	@echo "== ci job: repro-verify =="
-	$(PYTHON) -m repro.analysis.verify src
-
-repro-det:
-	@echo "== ci job: repro-det =="
-	$(PYTHON) -m repro.analysis.det src
-
-repro-hot:
-	@echo "== ci job: repro-hot =="
-	$(PYTHON) -m repro.analysis.hot src
-
-# Not a CI job of its own — the four analyzer jobs gate individually —
-# but the one-process front door the pre-commit hook uses; handy for a
-# local whole-tree sweep with one shared Program assembly.
+# The whole static suite — lint + verify + det + hot packs — in one
+# process over one cache: the gate, then the SARIF re-emit CI uploads.
 repro-analyze:
-	@echo "== repro-analyze (lint + verify + det + hot) =="
-	$(PYTHON) -m repro.analysis.front src
+	@echo "== ci job: analyze =="
+	$(PYTHON) -m repro.analysis src
+	$(PYTHON) -m repro.analysis src --format sarif > /tmp/repro-analysis.sarif
 
 hot-profile-smoke:
 	@echo "== ci job: hot-profile-smoke =="
-	$(PYTHON) -m repro.analysis.hot src --profile fig07 \
+	$(PYTHON) -m repro.analysis src --profile fig07 \
 		--budget 5 --bench-dir /tmp/repro-hotprof
 
 perturb-smoke:
 	@echo "== ci job: perturb-smoke =="
-	$(PYTHON) -m repro.analysis.det --perturb --scenario fig07 \
+	$(PYTHON) -m repro.analysis --perturb --scenario fig07 \
 		--horizon 0.15 --rounds 1 --bench-dir /tmp/repro-perturb
 
 parallel-smoke:

@@ -1,32 +1,14 @@
-"""Determinism & parallel-safety analysis (``repro-det``).
+"""Determinism & parallel-safety analysis (see :doc:`docs/determinism`).
 
-The third analyzer, gating the ROADMAP's space-parallel kernel (see
-:doc:`docs/determinism`):
-
-* **Static** — :mod:`.rules` runs three whole-program rules
-  (shared-mutable-state, rng-stream-discipline, unordered-merge) over
-  the same cached per-file summaries and call graph as
-  ``repro-verify``; :mod:`.core` is the driver, :mod:`.cli` the
-  ``repro-det`` entry point.
+* **Static** — :mod:`.rules` is the ``det`` pack: ``unordered-merge``
+  over the same cached per-file summaries and call graph as the
+  ``verify`` pack, run by ``repro-analyze``.
 * **Dynamic** — :mod:`.perturb` reruns a scenario under shuffled
-  tie-break order, shuffled session registration, and ``workers=1``
-  vs ``workers=N``, diffing observables and traces and minimizing any
-  divergence to the first differing event (``repro-det --perturb``).
+  tie-break order, shuffled session registration, ``workers=1`` vs
+  ``workers=N`` and shuffled partition assignments, diffing
+  observables and traces and minimizing any divergence to the first
+  differing event (``repro-analyze --perturb``).
 
-This ``__init__`` imports only the static side; the differ (which
-pulls the experiment stack) is imported lazily by the CLI.
+Nothing is imported here: the differ pulls the experiment stack, which
+the static path must not pay for.
 """
-
-from repro.analysis.det.core import (
-    analyze_determinism,
-    build_program,
-    default_rules,
-)
-from repro.analysis.det.rules import registered_rules
-
-__all__ = [
-    "analyze_determinism",
-    "build_program",
-    "default_rules",
-    "registered_rules",
-]

@@ -1,4 +1,4 @@
-"""The schedule-perturbation differ behind ``repro-det --perturb``.
+"""The schedule-perturbation differ behind ``repro-analyze --perturb``.
 
 The static rules prove structural properties; this module tests the
 dynamic one they imply: a disciplined simulation's *observables* are

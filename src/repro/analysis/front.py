@@ -1,25 +1,41 @@
-"""``repro-analyze`` — the unified front door to the analyzer suite.
+"""``repro-analyze`` — the one front door to the analyzer suite.
 
-One process, one cache warm-up, four analyzers:
+One process, one registry, one cache, four rule packs:
 
 * **lint** — per-file DES-invariant rules (cached findings);
 * **verify** — whole-program semantic rules;
-* **det** — determinism & parallel-safety rules;
+* **det** — the determinism / parallel-safety rule;
 * **hot** — hot-path performance rules.
 
-The three whole-program analyzers share a single assembled
+The three whole-program packs check a single assembled
 :class:`~repro.analysis.verify.model.Program` — summaries are
-extracted once through the ``verify`` cache namespace and reused for
-verify's, det's, and hot's rule passes, so a warm full-tree run costs
-one cache read instead of three extractions.  Exit status is the
-merge (max) of the per-analyzer statuses: 0 all clean, 1 findings
-anywhere, 2 any analyzer failed to run.
+extracted once per file and reused for verify's, det's, and hot's
+rule passes, so a warm full-tree run costs one cache read and no
+extraction.  Exit status: 0 clean, 1 findings anywhere, 2 usage
+errors or unanalyzable files.
 
-``--select`` filters at two grains: ``--select det`` runs one
-analyzer, ``--select hot:unslotted-hot-class`` one rule.  Output is
-``text`` (per-analyzer sections), ``json`` (one object per
-analyzer), or ``sarif`` (one SARIF 2.1.0 log with one run per
-analyzer — what GitHub code scanning ingests).
+``--select`` filters at two grains: ``--select det`` runs one pack,
+``--select hot:unslotted-hot-class`` one rule.  Output is ``text``
+(per-pack sections), ``json`` (one list per pack), or ``sarif`` (one
+SARIF 2.1.0 log with one run per pack — what GitHub code scanning
+ingests).
+
+Two dynamic modes share the entry point:
+
+* ``--perturb`` — the schedule-perturbation differ
+  (:mod:`repro.analysis.det.perturb`): rerun ``--scenario`` under
+  shuffled tie-break, shuffled session registration, ``workers=1`` vs
+  ``--workers N`` and shuffled partition assignments (``--modes``
+  picks a subset), and diff observables + traces; exit 1 on a
+  divergence.
+* ``--profile SCENARIO`` — run a shortened workload under cProfile
+  and print the ``hot`` findings hottest-first
+  (:mod:`repro.analysis.hot.profile`).  ``--budget PCT`` turns the
+  ranking into a gate: exit 1 only when a finding sits in a function
+  that consumed at least PCT percent of the profiled run.
+
+Both take ``--horizon`` (simulated seconds) and stamp a
+``BENCH_<mode>-<scenario>.json`` record into ``--bench-dir``.
 """
 
 from __future__ import annotations
@@ -27,140 +43,109 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.hot.core import build_hot_program
+from repro.analysis.hot.model import HotProgram
 from repro.analysis.lint.cache import DEFAULT_CACHE_DIR, AnalysisCache
 from repro.analysis.lint.changed import GitError, changed_python_files
-from repro.analysis.lint.core import LintError, Violation, \
-    iter_python_files
+from repro.analysis.lint.core import (
+    PACKS,
+    LintError,
+    Violation,
+    iter_python_files,
+    lint_paths,
+    registered_rules,
+    run_rules,
+)
 from repro.analysis.lint.reporters import render_text
+from repro.analysis.verify.core import build_program
 
-__all__ = ["main", "build_parser", "ANALYZERS", "run_suite"]
-
-#: Analyzer execution order (lint's per-file pass first, then the
-#: whole-program passes over the shared Program).
-ANALYZERS: Tuple[str, ...] = ("lint", "verify", "det", "hot")
+__all__ = ["main", "build_parser", "run_suite", "select_rules"]
 
 
-def _registries() -> Dict[str, Dict[str, type]]:
-    from repro.analysis.det.rules import registered_rules as det_rules
-    from repro.analysis.hot.rules import registered_rules as hot_rules
-    from repro.analysis.lint.core import registered_rules as lint_rules
-    from repro.analysis.verify.rules import (
-        registered_rules as verify_rules,
-    )
-    return {
-        "lint": lint_rules(),
-        "verify": verify_rules(),
-        "det": det_rules(),
-        "hot": hot_rules(),
-    }
+def _pack(key: str) -> str:
+    return key.partition(":")[0]
 
 
-def _parse_selection(raw: Optional[List[str]],
-                     registries: Dict[str, Dict[str, type]],
-                     parser: argparse.ArgumentParser
-                     ) -> Dict[str, List[str]]:
-    """``{analyzer: [rule ids]}`` for the analyzers that should run."""
-    if not raw:
-        return {name: sorted(registries[name]) for name in ANALYZERS}
-    selection: Dict[str, List[str]] = {}
-    for item in raw:
-        analyzer, _, rule_id = item.partition(":")
-        if analyzer not in registries:
-            parser.error(
-                f"unknown analyzer {analyzer!r} "
-                f"(available: {', '.join(ANALYZERS)})")
-        if rule_id:
-            if rule_id not in registries[analyzer]:
-                parser.error(
-                    f"unknown rule {rule_id!r} for analyzer "
-                    f"{analyzer!r} (see --list-rules)")
-            selection.setdefault(analyzer, []).append(rule_id)
+def select_rules(items: Optional[Sequence[str]]) -> List[str]:
+    """Registry keys named by ``--select`` items (``PACK`` or
+    ``PACK:RULE``); every rule when nothing is selected."""
+    registry = registered_rules()
+    if not items:
+        return list(registry)
+    keys: List[str] = []
+    for item in items:
+        if item in PACKS:
+            keys.extend(key for key in registry if _pack(key) == item)
+        elif item in registry:
+            keys.append(item)
         else:
-            selection[analyzer] = sorted(registries[analyzer])
-    return selection
+            raise ValueError(
+                f"unknown pack or rule {item!r} (packs: "
+                f"{', '.join(PACKS)}; rules: see --list-rules)")
+    return list(dict.fromkeys(keys))
+
+
+def _analyze(paths: Sequence[Path], keys: Sequence[str],
+           cache: AnalysisCache
+           ) -> Tuple[Dict[str, List[Violation]], Optional[HotProgram]]:
+    """Findings per selected pack, plus the HotProgram the hot pack
+    checked (``--profile`` ranks against it)."""
+    registry = registered_rules()
+    rules: Dict[str, List[Any]] = {}
+    for key in keys:
+        rules.setdefault(_pack(key), []).append(registry[key]())
+
+    results: Dict[str, List[Violation]] = {}
+    hot: Optional[HotProgram] = None
+    if "lint" in rules:
+        # Cached findings are the full pack's: a subset run must
+        # neither read them (stale superset) nor overwrite them.
+        full = all(key in keys for key in registry
+                   if _pack(key) == "lint")
+        results["lint"] = lint_paths(
+            paths, rules["lint"], cache if full else AnalysisCache(None))
+    if rules.keys() - {"lint"}:
+        program = build_program(paths, cache)
+        if "hot" in rules:
+            hot = build_hot_program(paths, program, cache)
+        for pack in PACKS[1:]:
+            if pack in rules:
+                results[pack] = run_rules(
+                    rules[pack], hot if pack == "hot" else program,
+                    lambda violation: program.is_suppressed(
+                        violation.path, violation.line, violation.rule))
+    return results, hot
 
 
 def run_suite(paths: Sequence[Path],
-              selection: Dict[str, List[str]],
-              registries: Dict[str, Dict[str, type]],
-              cache_dir: Optional[Path]
+              keys: Optional[Sequence[str]] = None,
+              cache_dir: Optional[Path] = None
               ) -> Dict[str, List[Violation]]:
-    """Run the selected analyzers over ``paths`` with shared state.
+    """``{pack: findings}`` over ``paths`` of the rules named by
+    ``keys`` (``--select`` items; default: every rule);
+    ``cache_dir=None`` caches nothing.
 
     Raises :class:`LintError` when any file cannot be analyzed.
     """
-    results: Dict[str, List[Violation]] = {}
-
-    if "lint" in selection:
-        from repro.analysis.lint.cli import lint_paths
-        full = selection["lint"] == sorted(registries["lint"])
-        # Cached entries hold full-rule-set results; subset runs must
-        # not read or write them (same contract as repro-lint).
-        cache = AnalysisCache(cache_dir, kind="lint") \
-            if cache_dir is not None and full else None
-        rules = [registries["lint"][rule_id]()
-                 for rule_id in selection["lint"]]
-        try:
-            results["lint"] = lint_paths(list(paths), rules,
-                                         cache=cache)
-        finally:
-            if cache is not None:
-                cache.save()
-
-    program_needed = [name for name in ("verify", "det", "hot")
-                      if name in selection]
-    if not program_needed:
-        return results
-
-    from repro.analysis.verify.core import build_program
-    cache = AnalysisCache(cache_dir, kind="verify") \
-        if cache_dir is not None else None
+    cache = AnalysisCache(cache_dir)
     try:
-        program = build_program(paths, cache=cache)
+        return _analyze(paths, select_rules(keys), cache)[0]
     finally:
-        if cache is not None:
-            cache.save()
-
-    if "verify" in selection:
-        from repro.analysis.verify.core import analyze_program
-        rules = [registries["verify"][rule_id]()
-                 for rule_id in selection["verify"]]
-        results["verify"] = analyze_program(paths, rules,
-                                            program=program)
-
-    if "det" in selection:
-        from repro.analysis.det.core import analyze_determinism
-        rules = [registries["det"][rule_id]()
-                 for rule_id in selection["det"]]
-        results["det"] = analyze_determinism(paths, rules,
-                                             program=program)
-
-    if "hot" in selection:
-        from repro.analysis.hot.core import analyze_hot
-        rules = [registries["hot"][rule_id]()
-                 for rule_id in selection["hot"]]
-        cache = AnalysisCache(cache_dir, kind="hot") \
-            if cache_dir is not None else None
-        try:
-            results["hot"] = analyze_hot(paths, rules, cache=cache,
-                                         program=program)
-        finally:
-            if cache is not None:
-                cache.save()
-
-    return results
+        cache.save()
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analyze",
-        description=("Unified front door to the Leave-in-Time "
-                     "analyzer suite: repro-lint, repro-verify, "
-                     "repro-det, and repro-hot in one process over "
-                     "one shared cache warm-up."))
+        description=("The Leave-in-Time analyzer suite: the lint, "
+                     "verify, det and hot rule packs in one process "
+                     "over one cache, plus the schedule-perturbation "
+                     "differ (--perturb) and the profile-guided "
+                     "hot-path ranking (--profile)."))
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to analyze (default: src)")
@@ -168,45 +153,193 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "sarif"), default="text",
         help="report format (default: text)")
     parser.add_argument(
-        "--select", action="append", metavar="ANALYZER[:RULE]",
+        "--select", action="append", metavar="PACK[:RULE]",
         default=None,
-        help="run only this analyzer, or only this rule of it "
+        help="run only this pack, or only this rule of it "
              "(repeatable; e.g. --select det --select "
              "hot:unslotted-hot-class)")
     parser.add_argument(
         "--list-rules", action="store_true",
-        help="print every analyzer's rules and exit")
+        help="print every pack's rules and exit")
     parser.add_argument(
         "--changed", action="store_true",
         help="report only findings in files differing from origin/main "
-             "(or --since) plus untracked files; whole-program "
-             "analyzers still assemble the full program")
+             "(or --since) plus untracked files; the whole program is "
+             "still assembled so cross-module facts stay exact")
     parser.add_argument(
         "--since", metavar="REV", default=None,
         help="base revision for --changed (default: origin/main, "
              "falling back to main, then HEAD)")
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="re-extract every file instead of using the caches")
+        help="re-extract every file instead of using the cache")
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=str(DEFAULT_CACHE_DIR),
         help=f"cache directory (default: {DEFAULT_CACHE_DIR})")
+    dynamic = parser.add_argument_group("dynamic modes")
+    dynamic.add_argument(
+        "--perturb", action="store_true",
+        help="run the schedule-perturbation differ instead of the "
+             "static rules")
+    dynamic.add_argument(
+        "--scenario", default="fig07",
+        help="scenario to perturb (default: fig07)")
+    dynamic.add_argument(
+        "--modes", default=None, metavar="M1,M2",
+        help="comma-separated subset of tiebreak,registration,workers,"
+             "partitions (default: all)")
+    dynamic.add_argument(
+        "--rounds", type=int, default=2, metavar="N",
+        help="perturbation seeds per single-run mode (default: 2)")
+    dynamic.add_argument(
+        "--workers", type=int, default=4, metavar="N",
+        help="pool width of the workers mode (default: 4)")
+    dynamic.add_argument(
+        "--profile", metavar="SCENARIO", default=None,
+        help="run this scenario under cProfile and rank the hot "
+             "findings by measured hotness (see --list-scenarios)")
+    dynamic.add_argument(
+        "--budget", type=float, default=None, metavar="PCT",
+        help="exit 1 only when a finding's enclosing function consumed "
+             "at least PCT%% of the profiled run (requires --profile)")
+    dynamic.add_argument(
+        "--list-scenarios", action="store_true",
+        help="print the profileable scenarios and exit")
+    dynamic.add_argument(
+        "--horizon", type=float, default=None, metavar="SECONDS",
+        help="simulated seconds per --perturb run (default: 0.25) or "
+             "for the --profile run (default: per-scenario)")
+    dynamic.add_argument(
+        "--bench-dir", metavar="DIR", default=None,
+        help="write the dynamic mode's BENCH_*.json record into this "
+             "directory")
     return parser
+
+
+def _run_perturb(options: argparse.Namespace,
+                 parser: argparse.ArgumentParser) -> int:
+    # Imported here: the differ pulls the experiment stack, which the
+    # static path (CI's hot path) must not pay for.
+    from repro.analysis import bench
+    from repro.analysis.det.perturb import (
+        DEFAULT_MODES,
+        perturb_scenario,
+        scenarios,
+    )
+
+    registry = scenarios()
+    if options.scenario not in registry:
+        parser.error(f"unknown scenario {options.scenario!r} "
+                     f"(available: {', '.join(sorted(registry))})")
+    modes: Sequence[str] = DEFAULT_MODES
+    if options.modes:
+        modes = tuple(part.strip() for part in options.modes.split(",")
+                      if part.strip())
+        unknown = [mode for mode in modes if mode not in DEFAULT_MODES]
+        if unknown:
+            parser.error(f"unknown perturbation mode(s): "
+                         f"{', '.join(unknown)} "
+                         f"(available: {', '.join(DEFAULT_MODES)})")
+    horizon = 0.25 if options.horizon is None else options.horizon
+    watch = bench.Stopwatch()
+    scenario = registry[options.scenario]()
+    report = perturb_scenario(scenario, modes, horizon=horizon,
+                              workers=options.workers,
+                              rounds=options.rounds)
+    print(report.render())
+    if options.bench_dir is not None:
+        record = bench.make_record(
+            f"perturb-{report.scenario}",
+            wall_time_s=watch.elapsed(),
+            events_dispatched=report.events,
+            workers=options.workers if "workers" in report.modes else 1,
+            simulated_s=horizon * report.runs,
+            cells=report.runs,
+            deterministic=report.deterministic,
+        )
+        bench.write_record(record, options.bench_dir)
+    return 0 if report.deterministic else 1
+
+
+def _run_profile(options: argparse.Namespace,
+                 parser: argparse.ArgumentParser,
+                 paths: List[Path], keys: List[str],
+                 cache: AnalysisCache) -> int:
+    # Imported here: the profiler pulls the experiment stack, which
+    # the static path (CI's hot path) must not pay for.
+    from repro.analysis import bench
+    from repro.analysis.hot.profile import (
+        profile_scenario,
+        rank_findings,
+        scenarios,
+    )
+
+    if options.profile not in scenarios():
+        parser.error(f"unknown scenario {options.profile!r} "
+                     f"(available: {', '.join(sorted(scenarios()))})")
+    hot_keys = [key for key in keys if _pack(key) == "hot"]
+    if not hot_keys:
+        parser.error("--profile ranks the hot pack's findings; "
+                     "--select excludes every hot rule")
+    results, hot = _analyze(paths, hot_keys, cache)
+
+    watch = bench.Stopwatch()
+    report = profile_scenario(options.profile, horizon=options.horizon)
+    ranked = rank_findings(results["hot"], hot, report.index)
+    print(f"hot-path findings ranked by {report.scenario!r} profile "
+          f"({report.wall_time_s:.3f}s profiled, "
+          f"{report.simulated_s:g} simulated seconds)")
+    for violation, fraction in ranked:
+        share = "  cold" if fraction is None \
+            else f"{100.0 * fraction:5.1f}%"
+        print(f"{share}  {violation.render()}")
+    if not ranked:
+        print("clean (no static findings to rank)")
+
+    if options.bench_dir is not None:
+        record = bench.make_record(
+            f"hot-profile-{report.scenario}",
+            wall_time_s=watch.elapsed(),
+            events_dispatched=report.events,
+            workers=1,
+            simulated_s=report.simulated_s,
+            cells=1,
+        )
+        bench.write_record(record, options.bench_dir)
+
+    if options.budget is None:
+        return 0
+    return 1 if any(fraction is not None
+                    and 100.0 * fraction >= options.budget
+                    for _violation, fraction in ranked) else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     options = parser.parse_args(argv)
-    registries = _registries()
+    registry = registered_rules()
 
     if options.list_rules:
-        for name in ANALYZERS:
-            for rule_id in sorted(registries[name]):
-                rule = registries[name][rule_id]
-                print(f"{name}:{rule_id}: {rule.description}")
+        for key, rule in registry.items():
+            print(f"{key}: {rule.description}")
         return 0
+    if options.list_scenarios:
+        from repro.analysis.hot.profile import scenarios
+        for name, scenario in sorted(scenarios().items()):
+            print(f"{name}: {scenario.description} "
+                  f"(default horizon {scenario.default_horizon:g}s)")
+        return 0
+    if options.budget is not None and options.profile is None:
+        parser.error("--budget requires --profile")
+    if options.perturb:
+        return _run_perturb(options, parser)
 
-    selection = _parse_selection(options.select, registries, parser)
+    try:
+        keys = select_rules(options.select)
+    except ValueError as exc:
+        parser.error(str(exc))
+    packs = [pack for pack in PACKS
+             if any(_pack(key) == pack for key in keys)]
 
     paths: List[Path] = []
     for raw in options.paths:
@@ -215,64 +348,59 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"no such file or directory: {raw}")
         paths.append(path)
 
-    changed: Optional[List[Path]] = None
-    if options.changed:
-        try:
-            changed = changed_python_files(paths, since=options.since)
-        except GitError as exc:
-            print(f"repro-analyze: error: {exc}", file=sys.stderr)
-            return 2
-        if not changed:
-            print("clean (no changed files)")
-            return 0
-
-    cache_dir = None if options.no_cache else Path(options.cache_dir)
-    files_checked = sum(1 for _ in iter_python_files(paths))
+    cache = AnalysisCache(
+        None if options.no_cache else Path(options.cache_dir))
     try:
-        results = run_suite(paths, selection, registries, cache_dir)
-    except LintError as exc:
+        if options.profile is not None:
+            return _run_profile(options, parser, paths, keys, cache)
+
+        changed: Optional[List[Path]] = None
+        if options.changed:
+            changed = changed_python_files(paths, since=options.since)
+        if changed == []:
+            if options.format == "text":
+                print("clean (no changed files)")
+                return 0
+            # Machine-readable formats still get a (valid, empty)
+            # document.
+            results: Dict[str, List[Violation]] = {
+                pack: [] for pack in packs}
+        else:
+            results = _analyze(paths, keys, cache)[0]
+    except (LintError, GitError) as exc:
         print(f"repro-analyze: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        cache.save()
 
-    if changed is not None:
+    if changed:
         changed_set = {str(path.resolve()) for path in changed}
         results = {
-            name: [violation for violation in violations
+            pack: [violation for violation in violations
                    if str(Path(violation.path).resolve())
                    in changed_set]
-            for name, violations in results.items()
+            for pack, violations in results.items()
         }
 
-    ran = [name for name in ANALYZERS if name in results]
-    total = sum(len(results[name]) for name in ran)
-
+    files_checked = sum(1 for _ in iter_python_files(paths))
     if options.format == "sarif":
         from repro.analysis.sarif import render_sarif
-        sections = [
-            (f"repro-{name}",
-             {rule_id: rule.description
-              for rule_id, rule in registries[name].items()},
-             results[name])
-            for name in ran
-        ]
-        print(render_sarif(sections))
+        print(render_sarif([
+            (f"repro-analyze/{pack}",
+             {key.partition(":")[2]: rule.description
+              for key, rule in registry.items() if _pack(key) == pack},
+             results[pack])
+            for pack in packs]))
     elif options.format == "json":
-        payload = {
-            name: [{"path": v.path, "line": v.line, "col": v.col,
-                    "rule": v.rule, "message": v.message}
-                   for v in results[name]]
-            for name in ran
-        }
-        print(json.dumps({"files_checked": files_checked,
-                          "findings": payload}, indent=2,
-                         sort_keys=True))
+        print(json.dumps(
+            {"files_checked": files_checked,
+             "findings": {pack: [asdict(violation)
+                                 for violation in results[pack]]
+                          for pack in packs}},
+            indent=2, sort_keys=True))
     else:
-        for name in ran:
-            print(f"== {name} ==")
-            print(render_text(results[name],
+        for pack in packs:
+            print(f"== {pack} ==")
+            print(render_text(results[pack],
                               files_checked=files_checked))
-    return 1 if total else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    return 1 if any(results.values()) else 0

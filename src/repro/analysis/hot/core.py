@@ -1,96 +1,29 @@
-"""Driver assembling the HotProgram and running the hot-path rules.
+"""Join per-file hot-cost facts onto the shared Program.
 
-Mirrors :mod:`repro.analysis.det.core`: per-file extraction is cached
-under the analyzer's own namespace (``.repro-lint-cache/hot.json``),
-rule evaluation re-runs every invocation.  One ``hot`` cache entry
-carries *both* halves of the join — the verify summary (so the
-kernel-reachability closure assembles without touching the ``verify``
-namespace) and the hot-cost facts — keyed by the same stat signature
-and implementation fingerprint machinery as the other analyzers.
-
-The ``program`` parameter lets the ``repro-analyze`` front door share
-one assembled :class:`~repro.analysis.verify.model.Program` across
-verify, det, and hot instead of re-extracting summaries per analyzer.
+Extraction (:func:`repro.analysis.hot.model.hot_summary_file`) rides
+in the suite's cache (``hot`` part) beside the verify summary of the
+same file; the kernel-reachability closure comes from the one
+:class:`~repro.analysis.verify.model.Program` the ``verify`` and
+``det`` packs also check.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Iterable
 
+from repro.analysis.hot.model import HotProgram, hot_summary_file
 from repro.analysis.lint.cache import AnalysisCache
-from repro.analysis.lint.core import LintError, Violation, \
-    iter_python_files
-from repro.analysis.hot.model import (
-    HotProgram,
-    hot_summary_source,
-)
-from repro.analysis.hot.rules import HotRule, registered_rules
-from repro.analysis.verify.model import Program, summarize_source
+from repro.analysis.lint.core import iter_python_files
+from repro.analysis.verify.model import Program
 
-__all__ = [
-    "build_hot_program",
-    "default_rules",
-    "analyze_hot",
-    "LintError",
-]
+__all__ = ["build_hot_program"]
 
 
-def default_rules() -> List[HotRule]:
-    """Instances of every registered hot-path rule."""
-    return [rule_class() for rule_class in
-            sorted(registered_rules().values(), key=lambda r: r.id)]
-
-
-def _read(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LintError(f"{path}: unreadable: {exc}") from exc
-
-
-def build_hot_program(paths: Iterable[Path],
-                      cache: Optional[AnalysisCache] = None,
-                      program: Optional[Program] = None) -> HotProgram:
-    """Extract hot facts (and, unless ``program`` is supplied, verify
-    summaries) for every ``*.py`` under ``paths`` and join them."""
-    hot_summaries: List[Dict[str, Any]] = []
-    verify_summaries: List[Dict[str, Any]] = []
-    for path in iter_python_files(paths):
-        payload = cache.get(path) if cache is not None else None
-        complete = payload is not None and "hot" in payload \
-            and "summary" in payload
-        if payload is not None and complete:
-            hot_summaries.append(payload["hot"])
-            if program is None:
-                verify_summaries.append(payload["summary"])
-            continue
-        source = _read(path)
-        hot = hot_summary_source(source, path)
-        hot_summaries.append(hot)
-        if program is None or cache is not None:
-            summary = summarize_source(source, path)
-            if program is None:
-                verify_summaries.append(summary)
-            if cache is not None:
-                cache.put(path, {"summary": summary, "hot": hot})
-    if program is None:
-        program = Program(verify_summaries)
-    return HotProgram(program, hot_summaries)
-
-
-def analyze_hot(paths: Iterable[Path],
-                rules: Optional[Iterable[HotRule]] = None,
-                cache: Optional[AnalysisCache] = None,
-                program: Optional[Program] = None) -> List[Violation]:
-    """Run the hot-path rules over ``paths``, honouring suppressions."""
-    hot = build_hot_program(paths, cache=cache, program=program)
-    rule_list = list(rules) if rules is not None else default_rules()
-    findings: List[Violation] = []
-    for rule in rule_list:
-        for violation in rule.check(hot):
-            if hot.program.is_suppressed(violation.path, violation.line,
-                                         violation.rule):
-                continue
-            findings.append(violation)
-    return sorted(findings)
+def build_hot_program(paths: Iterable[Path], program: Program,
+                      cache: AnalysisCache) -> HotProgram:
+    """Extract hot facts for every ``*.py`` under ``paths`` and join
+    them onto ``program`` (assembled over the same ``paths``)."""
+    return HotProgram(program, [
+        cache.lookup(path, "hot", hot_summary_file)
+        for path in iter_python_files(paths)])

@@ -1,6 +1,6 @@
 """Per-file hot-path fact extraction and the joined ``HotProgram``.
 
-``repro-hot`` answers one question the other analyzers cannot: *which
+The ``hot`` pack answers one question the other packs cannot: *which
 Python costs are paid once per dispatched event?*  The verify model
 (PR 5/6) already proves where the hot paths are — the forward closure
 of every schedule/push site (:meth:`Program.kernel_reachable`).  This

@@ -1,6 +1,6 @@
-"""Dynamic half of ``repro-hot``: profile-guided hotness ranking.
+"""Dynamic half of the ``hot`` pack: profile-guided hotness ranking.
 
-``repro-hot --profile <scenario>`` runs a shortened in-process workload
+``repro-analyze --profile <scenario>`` runs a shortened in-process workload
 under :mod:`cProfile` and joins the measured per-function cumulative
 time onto the static hot-path model.  The join key is the code
 object's ``(filename, funcname)`` pair (disambiguated by definition

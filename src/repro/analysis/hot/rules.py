@@ -1,4 +1,4 @@
-"""The five hot-path performance rules of ``repro-hot``.
+"""The ``hot`` pack: five hot-path performance rules.
 
 Each rule consumes the :class:`~repro.analysis.hot.model.HotProgram` —
 hot-cost facts joined with the verify model's kernel-reachability
@@ -14,9 +14,9 @@ one reporting/suppression vocabulary covers all four analyzers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Set, Tuple, Type
+from typing import Any, Dict, Iterator, List, Set, Tuple
 
-from repro.analysis.lint.core import Violation
+from repro.analysis.lint.core import Violation, register
 from repro.analysis.hot.model import (
     EXPECTED_EXCEPTIONS,
     HotProgram,
@@ -24,8 +24,6 @@ from repro.analysis.hot.model import (
 
 __all__ = [
     "HotRule",
-    "register",
-    "registered_rules",
     "AllocationInHotPath",
     "UnslottedHotClass",
     "AttributeChainInHotLoop",
@@ -51,28 +49,12 @@ class HotRule:
                          rule=self.id, message=message)
 
 
-_REGISTRY: Dict[str, Type[HotRule]] = {}
-
-
-def register(rule_class: Type[HotRule]) -> Type[HotRule]:
-    if not rule_class.id:
-        raise ValueError(f"rule {rule_class.__name__} has no id")
-    if rule_class.id in _REGISTRY:
-        raise ValueError(f"duplicate rule id {rule_class.id!r}")
-    _REGISTRY[rule_class.id] = rule_class
-    return rule_class
-
-
-def registered_rules() -> Dict[str, Type[HotRule]]:
-    return dict(_REGISTRY)
-
-
 def _hot(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Records that contribute to the per-event common case."""
     return [record for record in records if not record["cold"]]
 
 
-@register
+@register("hot")
 class AllocationInHotPath(HotRule):
     """Fresh objects built once per dispatched event.
 
@@ -120,7 +102,7 @@ class AllocationInHotPath(HotRule):
                     f"to a local")
 
 
-@register
+@register("hot")
 class UnslottedHotClass(HotRule):
     """Per-event instances that carry a ``__dict__``.
 
@@ -158,7 +140,7 @@ class UnslottedHotClass(HotRule):
                     f"instances dict-free")
 
 
-@register
+@register("hot")
 class AttributeChainInHotLoop(HotRule):
     """Repeated ``a.b.c`` loads with no local binding.
 
@@ -197,7 +179,7 @@ class AttributeChainInHotLoop(HotRule):
                     f"{prefix!r} to a local first")
 
 
-@register
+@register("hot")
 class ItemCallInHotLoop(HotRule):
     """``.item()`` / ``.get()`` probes that should be hoisted.
 
@@ -239,7 +221,7 @@ class ItemCallInHotLoop(HotRule):
                     f"read it once into a local")
 
 
-@register
+@register("hot")
 class ExceptionControlFlowInHotPath(HotRule):
     """``try/except`` used for expected-case branching.
 

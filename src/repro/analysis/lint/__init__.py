@@ -1,39 +1,44 @@
-"""DES-invariant static analysis (``repro-lint``).
+"""The analyzer engine and the per-file ``lint`` pack.
 
-An AST-based lint pass encoding the repo-specific invariants the
-reproduction's correctness rests on: determinism (no wall-clock, no
-ambient RNG), explicit event tie-breaking in the net layer, single-SI
-unit discipline, and tolerance-based timestamp comparison.  Run it
-with ``python -m repro.analysis [paths]`` or the ``repro-lint``
-console script; tier-1 tests gate ``src/`` on a clean run.
+:mod:`.core` holds what every pack shares — the ``Violation`` type,
+the one rule registry (``pack:rule-id``), ``# repro: disable=<rule>``
+suppressions and the one rule driver — plus the per-file pass;
+:mod:`.rules` is the ``lint`` pack itself (wall-clock reads, raw unit
+literals, unguarded trace emits).  :mod:`.cache` is the suite's one
+on-disk cache, :mod:`.changed` the ``--changed`` file discovery.
 
-See ``docs/static_analysis.md`` for the rule catalogue, the
-``# repro: disable=<rule>`` suppression syntax, and how to add a rule.
+Run the suite with ``repro-analyze`` (``python -m repro.analysis``,
+:mod:`repro.analysis.front`); tier-1 tests gate ``src/`` on a clean
+run.  See ``docs/static_analysis.md`` for the rule catalogue, the
+suppression syntax, and how to add a rule.
 """
 
 from repro.analysis.lint.core import (
+    PACKS,
     FileContext,
     LintError,
     Rule,
     Violation,
     analyze_file,
-    analyze_paths,
     analyze_source,
+    lint_paths,
     register,
     registered_rules,
+    run_rules,
 )
-from repro.analysis.lint.reporters import render_json, render_text
+from repro.analysis.lint.reporters import render_text
 
 __all__ = [
+    "PACKS",
     "FileContext",
     "LintError",
     "Rule",
     "Violation",
     "analyze_file",
-    "analyze_paths",
     "analyze_source",
+    "lint_paths",
     "register",
     "registered_rules",
-    "render_json",
     "render_text",
+    "run_rules",
 ]

@@ -1,38 +1,39 @@
-"""On-disk result cache shared by the ``repro-*`` analyzers.
+"""The one on-disk cache of the analyzer suite.
 
 Warm whole-program runs must stay inside the PR 1 budget (~0.2 s
 in-process over the full tree), which rules out re-parsing ~100 files
-per invocation.  The cache stores, per analyzed file, the lint
-findings (``kind="lint"``) or the semantic module summary used by the
-whole-program analyzers (``kind="verify"``, ``kind="det"``,
-``kind="hot"``), keyed by
-the file's ``(path, mtime_ns, size)`` stat signature.
+per invocation.  One JSON file holds, per analyzed source file, every
+per-file product the suite extracts — keyed by the file's
+``(path, mtime_ns, size)`` stat signature:
+
+* ``violations`` — the findings of the full per-file ``lint`` pack;
+* ``summary`` — the semantic module summary
+  (:func:`repro.analysis.verify.model.summarize_file`) the ``verify``,
+  ``det`` and ``hot`` packs assemble into one ``Program``;
+* ``hot`` — the hot-cost facts
+  (:func:`repro.analysis.hot.model.hot_summary_file`).
+
+Whole-program rules are never cached: they re-run every invocation
+against the assembled cross-module facts, so findings always reflect
+the current tree even when every entry came from the cache.
 
 Soundness
 ---------
 A cached entry is only a function of the file's bytes and of the
-analyzer implementation, so two guards make reuse safe:
+extraction code, so two guards make reuse safe:
 
-* the stat signature — any content change (or ``touch``) invalidates
-  the entry;
-* a **per-analyzer** implementation fingerprint — a SHA-256 over the
-  cache ``kind`` plus exactly the source files whose output that kind
-  caches (lint: core + lint rules, since findings are cached; verify
-  and det: core + the extraction model, since only per-file summaries
-  are cached and rules re-run every invocation), plus the running
-  Python version and a schema constant.  Editing an analyzer
-  invalidates its own caches in one stroke, and because the ``kind``
-  itself is hashed, an entry written by one analyzer can never
-  validate for another — even if a cache file is copied or a future
-  analyzer reuses a directory.  Before this namespacing, all kinds
-  shared one fingerprint over the union of every analyzer's sources,
-  so a payload cached under one analyzer's semantics was
-  indistinguishable from another's.
+* the stat signature — any content change (or ``touch``) drops the
+  file's whole entry;
+* one implementation fingerprint — a SHA-256 over exactly the sources
+  whose output is cached (:data:`_IMPL_FILES`), the running Python
+  version and a schema constant.  Editing any of them invalidates the
+  file in one stroke; editing a whole-program rule does not, because
+  no rule output is stored.
 
 The cache is strictly best-effort: unreadable, corrupt, or
-wrong-fingerprint cache files are silently discarded and rebuilt, and
-write failures (read-only checkouts, races) are swallowed.  ``--no-cache``
-bypasses it entirely.
+wrong-fingerprint files are silently discarded and rebuilt, and write
+failures (read-only checkouts, races) are swallowed.  ``--no-cache``
+runs on a memory-only instance (``AnalysisCache(None)``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -55,61 +56,27 @@ __all__ = [
 DEFAULT_CACHE_DIR = Path(".repro-lint-cache")
 
 #: Bump when the cached payload *schema* changes shape.
-_SCHEMA_VERSION = 2
+_SCHEMA_VERSION = 3
 
 _LINT_DIR = Path(__file__).resolve().parent
 _ANALYSIS_DIR = _LINT_DIR.parent
 
-#: Analyzer sources folded into each kind's fingerprint: exactly the
-#: files whose output that kind caches.  ``lint`` caches *findings*, so
-#: its rules are included; ``verify`` and ``det`` cache only per-file
-#: extraction summaries (rules re-run every invocation against the
-#: assembled program), so only the shared extraction model is hashed —
-#: editing a whole-program rule must not cold-start summary extraction.
-_IMPL_FILES_BY_KIND = {
-    "lint": (
-        _LINT_DIR / "core.py",
-        _LINT_DIR / "rules.py",
-    ),
-    "verify": (
-        _LINT_DIR / "core.py",
-        _LINT_DIR / "rules.py",  # keyword tables feed dimension seeds
-        _ANALYSIS_DIR / "verify" / "model.py",
-    ),
-    "det": (
-        _LINT_DIR / "core.py",
-        _LINT_DIR / "rules.py",
-        _ANALYSIS_DIR / "verify" / "model.py",
-    ),
-    "hot": (
-        _LINT_DIR / "core.py",
-        _LINT_DIR / "rules.py",
-        _ANALYSIS_DIR / "verify" / "model.py",
-        _ANALYSIS_DIR / "hot" / "model.py",
-    ),
-}
+#: The sources whose output is cached.
+_IMPL_FILES = (
+    _LINT_DIR / "core.py",
+    _LINT_DIR / "rules.py",  # findings, and the keyword tables that
+                             # seed the summary's dimensions
+    _ANALYSIS_DIR / "verify" / "model.py",
+    _ANALYSIS_DIR / "hot" / "model.py",
+)
 
 
-def implementation_fingerprint(kind: str = "lint") -> str:
-    """SHA-256 over one analyzer's implementation + interpreter version.
-
-    The ``kind`` string itself is hashed, so two analyzers whose
-    implementation files happen to coincide (verify and det share the
-    extraction model) still produce distinct fingerprints — a cache
-    file can only ever validate for the analyzer that wrote it.
-    """
+def implementation_fingerprint() -> str:
+    """SHA-256 over the extraction sources + interpreter version."""
     digest = hashlib.sha256()
     digest.update(f"schema={_SCHEMA_VERSION}".encode())
-    digest.update(f"kind={kind}".encode())
     digest.update(f"python={sys.version_info[:2]}".encode())
-    impl_files = _IMPL_FILES_BY_KIND.get(kind)
-    if impl_files is None:
-        # Unknown kinds hash every analyzer source: maximally eager
-        # invalidation is the safe default for a cache.
-        impl_files = tuple(sorted(
-            {impl for files in _IMPL_FILES_BY_KIND.values()
-             for impl in files}))
-    for impl in impl_files:
+    for impl in _IMPL_FILES:
         try:
             digest.update(impl.read_bytes())
         except OSError:  # pragma: no cover - impl file missing/unreadable
@@ -126,18 +93,24 @@ def _stat_signature(path: Path) -> Optional[Dict[str, int]]:
 
 
 class AnalysisCache:
-    """One JSON cache file (``<dir>/<kind>.json``) of per-file payloads."""
+    """``<directory>/analysis.json``: per-file extraction products.
 
-    def __init__(self, directory: Path = DEFAULT_CACHE_DIR,
-                 kind: str = "lint") -> None:
-        self.path = Path(directory) / f"{kind}.json"
-        self._fingerprint = implementation_fingerprint(kind)
+    ``directory=None`` keeps everything in memory — nothing is read
+    and :meth:`save` writes nothing.
+    """
+
+    def __init__(self, directory: Optional[Path]) -> None:
+        self.path = None if directory is None \
+            else Path(directory) / "analysis.json"
+        self._fingerprint = implementation_fingerprint()
         self._entries: Dict[str, Dict[str, Any]] = self._load()
         self._dirty = False
         self.hits = 0
         self.misses = 0
 
     def _load(self) -> Dict[str, Dict[str, Any]]:
+        if self.path is None:
+            return {}
         try:
             raw = json.loads(self.path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
@@ -148,35 +121,29 @@ class AnalysisCache:
         entries = raw.get("entries")
         return entries if isinstance(entries, dict) else {}
 
-    # ------------------------------------------------------------------
-    # Per-file entries
-    # ------------------------------------------------------------------
-    def get(self, path: Path) -> Optional[Dict[str, Any]]:
-        """The cached payload for ``path``, or None when stale/absent."""
-        entry = self._entries.get(str(path))
-        if entry is None:
-            self.misses += 1
-            return None
-        if entry.get("stat") != _stat_signature(path):
-            self.misses += 1
-            return None
-        self.hits += 1
-        payload = entry.get("payload")
-        return payload if isinstance(payload, dict) else None
-
-    def put(self, path: Path, payload: Dict[str, Any]) -> None:
+    def lookup(self, path: Path, part: str,
+               extract: Callable[[Path], Any]) -> Any:
+        """The cached ``part`` of ``path``'s entry, else ``extract(path)``
+        (stored beside whatever else the file's entry already holds)."""
         signature = _stat_signature(path)
-        if signature is None:
-            return
-        self._entries[str(path)] = {"stat": signature, "payload": payload}
-        self._dirty = True
+        entry = self._entries.get(str(path))
+        if entry is None or entry.get("stat") != signature \
+                or not isinstance(entry.get("payload"), dict):
+            entry = {"stat": signature, "payload": {}}
+        payload = entry["payload"]
+        if part in payload:
+            self.hits += 1
+            return payload[part]
+        self.misses += 1
+        value = payload[part] = extract(path)
+        if signature is not None:
+            self._entries[str(path)] = entry
+            self._dirty = True
+        return value
 
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
     def save(self) -> None:
         """Write the cache atomically (tmp + rename); never raises."""
-        if not self._dirty:
+        if not self._dirty or self.path is None:
             return
         document = {"fingerprint": self._fingerprint,
                     "entries": self._entries}

@@ -1,14 +1,13 @@
-"""The lint engine: rules, violations, suppressions, and the file driver.
+"""The analyzer engine: violations, the one rule registry, suppressions,
+the one rule driver, and the per-file lint pass.
 
 Why a bespoke linter?  The reproduction's guarantees (paper eqs. 10-17)
 only hold if the *simulator itself* is deterministic and
-unit-consistent.  Generic linters cannot know that every stochastic
-draw must flow through :class:`repro.sim.rng.RandomStreams`, that all
-arithmetic stays in the SI unit system of :mod:`repro.units`, or that
-simulated timestamps must never be compared with raw float equality.
-The rules in :mod:`repro.analysis.lint.rules` encode exactly those
-repo-specific invariants; this module supplies the machinery they run
-on.
+unit-consistent.  Generic linters cannot know that simulation code must
+take time from the kernel clock, or that all arithmetic stays in the SI
+unit system of :mod:`repro.units`.  The four ``rules`` modules
+(``lint``, ``verify``, ``det``, ``hot``) encode those repo-specific
+invariants; this module supplies the machinery they all run on.
 
 Suppression syntax
 ------------------
@@ -18,7 +17,7 @@ A finding on line *N* is silenced by a comment **on that same line**::
 
 Several rules may be listed, comma-separated::
 
-    # repro: disable=no-wallclock,no-ambient-random
+    # repro: disable=no-wallclock,raw-unit-literal
 
 A suppression silences only the named rule(s) on its own line; there is
 deliberately no file- or block-level form, so every exemption carries
@@ -30,23 +29,40 @@ from __future__ import annotations
 import ast
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple, Type
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Tuple,
+)
+
+from repro.analysis.lint.cache import AnalysisCache
 
 __all__ = [
+    "PACKS",
     "Violation",
     "Rule",
     "FileContext",
     "LintError",
     "register",
     "registered_rules",
+    "run_rules",
     "analyze_source",
     "analyze_file",
-    "analyze_paths",
+    "lint_paths",
     "iter_python_files",
     "dotted_name",
 ]
+
+#: The rule packs, in execution order: the per-file pass first, then
+#: the whole-program packs over one shared Program.
+PACKS: Tuple[str, ...] = ("lint", "verify", "det", "hot")
 
 
 class LintError(Exception):
@@ -110,25 +126,38 @@ class Rule(ABC):
                          rule=self.id, message=message)
 
 
-_REGISTRY: Dict[str, Type[Rule]] = {}
+_REGISTRY: Dict[str, type] = {}
 
 
-def register(rule_class: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule to the default registry."""
-    if not rule_class.id:
-        raise ValueError(f"rule {rule_class.__name__} has no id")
-    if rule_class.id in _REGISTRY:
-        raise ValueError(f"duplicate rule id {rule_class.id!r}")
-    _REGISTRY[rule_class.id] = rule_class
-    return rule_class
+def register(pack: str) -> Callable[[type], type]:
+    """Class decorator adding a rule to the registry as ``pack:rule-id``."""
+    if pack not in PACKS:
+        raise ValueError(f"unknown rule pack {pack!r}")
+
+    def decorate(rule_class: type) -> type:
+        if not rule_class.id:
+            raise ValueError(f"rule {rule_class.__name__} has no id")
+        key = f"{pack}:{rule_class.id}"
+        if key in _REGISTRY:
+            raise ValueError(f"duplicate rule {key!r}")
+        _REGISTRY[key] = rule_class
+        return rule_class
+
+    return decorate
 
 
-def registered_rules() -> Dict[str, Type[Rule]]:
-    """The default registry, importing the built-in rules on first use."""
-    # Imported lazily so core.py never depends on rules.py at import
-    # time (rules.py imports this module for the base classes).
-    from repro.analysis.lint import rules as _rules  # noqa: F401
-    return dict(_REGISTRY)
+def registered_rules() -> Dict[str, type]:
+    """``{"pack:rule-id": rule class}`` in pack, then rule-id, order —
+    what ``--select`` takes and ``--list-rules`` prints."""
+    # Imported lazily: every rules module imports this one for
+    # ``register`` and its base types.
+    from repro.analysis.det import rules as _det  # noqa: F401
+    from repro.analysis.hot import rules as _hot  # noqa: F401
+    from repro.analysis.lint import rules as _lint  # noqa: F401
+    from repro.analysis.verify import rules as _verify  # noqa: F401
+    return {key: _REGISTRY[key] for key in sorted(
+        _REGISTRY,
+        key=lambda key: (PACKS.index(key.partition(":")[0]), key))}
 
 
 # ----------------------------------------------------------------------
@@ -169,22 +198,32 @@ def dotted_name(node: ast.AST) -> str:
 # ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
+def run_rules(rules: Iterable[Any], subject: Any,
+              suppressed: Callable[[Violation], bool]
+              ) -> List[Violation]:
+    """Every rule's findings on ``subject`` that no comment suppresses.
+
+    The one driver behind all four packs: ``subject`` is whatever the
+    pack's rules check (a :class:`FileContext`, a ``Program``, a
+    ``HotProgram``).
+    """
+    return sorted(violation for rule in rules
+                  for violation in rule.check(subject)
+                  if not suppressed(violation))
+
+
 def analyze_source(source: str, path: Path,
                    rules: Iterable[Rule]) -> List[Violation]:
-    """Run ``rules`` over one source string, honouring suppressions."""
+    """Run per-file ``rules`` over one source string."""
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
         raise LintError(f"{path}: not valid Python: {exc}") from exc
-    context = FileContext(path, source, tree)
     disabled = suppressions(source)
-    findings: List[Violation] = []
-    for rule in rules:
-        for violation in rule.check(context):
-            if rule.id in disabled.get(violation.line, frozenset()):
-                continue
-            findings.append(violation)
-    return sorted(findings)
+    return run_rules(
+        rules, FileContext(path, source, tree),
+        lambda violation: violation.rule in disabled.get(
+            violation.line, ()))
 
 
 def analyze_file(path: Path, rules: Iterable[Rule]) -> List[Violation]:
@@ -193,6 +232,23 @@ def analyze_file(path: Path, rules: Iterable[Rule]) -> List[Violation]:
     except OSError as exc:
         raise LintError(f"{path}: unreadable: {exc}") from exc
     return analyze_source(source, path, rules)
+
+
+def lint_paths(paths: Iterable[Path], rules: Iterable[Rule],
+               cache: AnalysisCache) -> List[Violation]:
+    """Analyze every ``*.py`` under ``paths``, replaying cached findings.
+
+    A cached entry is the finding list of whatever rules first wrote
+    it: pass a persistent cache only with the full lint rule set.
+    """
+    rule_list = list(rules)
+    findings: List[Violation] = []
+    for path in iter_python_files(paths):
+        findings.extend(Violation(**item) for item in cache.lookup(
+            path, "violations",
+            lambda path: [asdict(violation) for violation
+                          in analyze_file(path, rule_list)]))
+    return sorted(findings)
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -208,13 +264,3 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
         if path not in seen:
             seen.add(path)
             yield path
-
-
-def analyze_paths(paths: Iterable[Path],
-                  rules: Iterable[Rule]) -> List[Violation]:
-    """Analyze every ``*.py`` under ``paths`` with the given rules."""
-    rule_list = list(rules)
-    findings: List[Violation] = []
-    for path in iter_python_files(paths):
-        findings.extend(analyze_file(path, rule_list))
-    return sorted(findings)

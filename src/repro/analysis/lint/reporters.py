@@ -1,14 +1,13 @@
-"""Render lint findings for humans (text) and machines (JSON)."""
+"""Render findings for humans: GCC-style text."""
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.analysis.lint.core import Violation
 
-__all__ = ["render_text", "render_json"]
+__all__ = ["render_text"]
 
 
 def render_text(violations: Sequence[Violation], *,
@@ -27,27 +26,3 @@ def render_text(violations: Sequence[Violation], *,
         suffix = f" in {files_checked} files" if files_checked else ""
         lines.append(f"clean{suffix}")
     return "\n".join(lines)
-
-
-def render_json(violations: Sequence[Violation], *,
-                files_checked: int = 0) -> str:
-    """A stable JSON document: ``{violations: [...], summary: {...}}``."""
-    payload: Dict[str, object] = {
-        "violations": [
-            {
-                "path": v.path,
-                "line": v.line,
-                "col": v.col,
-                "rule": v.rule,
-                "message": v.message,
-            }
-            for v in violations
-        ],
-        "summary": {
-            "total": len(violations),
-            "files_checked": files_checked,
-            "by_rule": dict(sorted(
-                Counter(v.rule for v in violations).items())),
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

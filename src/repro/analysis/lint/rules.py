@@ -1,19 +1,13 @@
-"""The built-in DES-invariant rules.
+"""The per-file ``lint`` pack.
 
 Each rule guards one way a contribution can silently corrupt the
 reproduction (see ``docs/static_analysis.md`` for the full rationale
 and fix guidance per rule):
 
-* determinism — wall-clock reads and ambient RNG state make runs
-  unrepeatable (``no-wallclock``, ``no-ambient-random``);
-* tie-breaking — EDF-style disciplines are sensitive to event order at
-  identical instants, so net-layer schedule sites must state their
-  tie-break (``untiebroken-event``);
-* unit and time arithmetic — raw literals bypass the single SI unit
-  system, and ``==`` on derived timestamps is float roulette
-  (``raw-unit-literal``, ``float-time-equality``);
-* plain Python footguns with simulation-state consequences
-  (``mutable-default-arg``);
+* determinism — wall-clock reads make runs unrepeatable
+  (``no-wallclock``);
+* unit arithmetic — raw literals bypass the single SI unit system
+  (``raw-unit-literal``);
 * hot-path cost — ``Tracer.emit`` builds its kwargs dict even when
   tracing is off, so per-packet emit sites must test
   ``tracer.enabled`` first (``unguarded-trace-emit``).
@@ -35,16 +29,12 @@ from repro.analysis.lint.core import (
 
 __all__ = [
     "NoWallclock",
-    "NoAmbientRandom",
-    "FloatTimeEquality",
     "RawUnitLiteral",
-    "UntiebrokenEvent",
-    "MutableDefaultArg",
     "UnguardedTraceEmit",
 ]
 
 
-@register
+@register("lint")
 class NoWallclock(Rule):
     """Forbid wall-clock reads and sleeps inside the simulation tree.
 
@@ -93,115 +83,9 @@ class NoWallclock(Rule):
                         f"take time from Simulator.now")
 
 
-@register
-class NoAmbientRandom(Rule):
-    """All stochastic draws must flow through named ``RandomStreams``.
-
-    Module-level ``random.*`` functions share one ambient Mersenne
-    Twister: any draw shifts every later draw, so adding a session
-    perturbs every other session's traffic and the paper's
-    common-random-number comparisons fall apart.  Only
-    ``repro/sim/rng.py`` may construct generators; annotating a
-    parameter as ``random.Random`` stays legal everywhere.
-    """
-
-    id = "no-ambient-random"
-    description = ("random-module calls outside sim/rng.py must go "
-                   "through RandomStreams named substreams")
-
-    def _exempt(self, context: FileContext) -> bool:
-        return context.is_file("sim", "rng.py")
-
-    def check(self, context: FileContext) -> Iterator[Violation]:
-        if self._exempt(context):
-            return
-        for node in context.walk():
-            if isinstance(node, ast.ImportFrom) and node.module == "random":
-                yield self.violation(
-                    context, node,
-                    "'from random import ...' detaches draws from "
-                    "RandomStreams; take a stream from "
-                    "repro.sim.rng.RandomStreams instead")
-            elif isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name.startswith("random.") or name == "random.Random":
-                    yield self.violation(
-                        context, node,
-                        f"ambient RNG call {name}(); draw from a named "
-                        f"RandomStreams substream instead")
-                elif name.endswith(".random.Random") or ".random." in name:
-                    # numpy.random.default_rng(...), np.random.seed(...)
-                    yield self.violation(
-                        context, node,
-                        f"ambient RNG call {name}(); seed it from a "
-                        f"RandomStreams substream or use "
-                        f"repro.sim.rng helpers")
-
-
-#: Identifier stems that mark an expression as a simulated timestamp.
+#: Identifier stems that mark an expression as a simulated timestamp
+#: (the verify model seeds time dimensions from them).
 _TIME_STEMS = ("deadline", "eligib", "finish", "arriv", "depart")
-
-
-def _is_time_identifier(name: str) -> bool:
-    segments = name.lower().split("_")
-    for segment in segments:
-        if not segment:
-            continue
-        if segment == "now":
-            return True
-        if segment.startswith(_TIME_STEMS):
-            return True
-    return False
-
-
-def _time_name(node: ast.AST) -> Optional[str]:
-    """The identifier of a time-like Name/Attribute, else ``None``."""
-    if isinstance(node, ast.Attribute) and _is_time_identifier(node.attr):
-        return node.attr
-    if isinstance(node, ast.Name) and _is_time_identifier(node.id):
-        return node.id
-    return None
-
-
-@register
-class FloatTimeEquality(Rule):
-    """Forbid ``==`` / ``!=`` on simulated-time expressions.
-
-    Timestamps here are derived floats (sums of transmission and
-    propagation times, deadline recursions): two mathematically equal
-    instants routinely differ in the last ulp, so raw equality is a
-    latent heisenbug.  Compare with ``repro.units.time_eq`` (tolerance
-    ``TIME_EPSILON``) or use ordering comparisons, which are safe.
-    """
-
-    id = "float-time-equality"
-    description = ("== / != on simulated-time expressions (now, "
-                   "*deadline*, *eligible*, *finish*, *arrival*, "
-                   "*depart*); use repro.units.time_eq")
-
-    def check(self, context: FileContext) -> Iterator[Violation]:
-        for node in context.walk():
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left, *node.comparators]
-            for op, left, right in zip(node.ops, operands, operands[1:]):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                # `x == None` / `x == "arrival"` are identity/tag
-                # checks, not float comparisons.
-                if any(isinstance(side, ast.Constant)
-                       and not isinstance(side.value, (int, float))
-                       for side in (left, right)):
-                    continue
-                name = _time_name(left) or _time_name(right)
-                if name is not None:
-                    yield self.violation(
-                        context, node,
-                        f"float equality on simulated time {name!r}; "
-                        f"use repro.units.time_eq(a, b) or an ordering "
-                        f"comparison")
-                    break
-
 
 #: Keyword-argument names whose values carry units in this codebase.
 _TIME_KEYWORDS = re.compile(
@@ -228,7 +112,7 @@ def _bare_number(node: ast.AST) -> Optional[float]:
     return None
 
 
-@register
+@register("lint")
 class RawUnitLiteral(Rule):
     """Flag bare numeric literals passed to unit-bearing parameters.
 
@@ -289,96 +173,7 @@ class RawUnitLiteral(Rule):
                 f"state the unit with seconds()/ms()")
 
 
-@register
-class UntiebrokenEvent(Rule):
-    """Net-, sched-, and fault-layer schedule sites must state their
-    tie-break.
-
-    The kernel orders simultaneous events by ``(priority, insertion
-    seq)`` and the data path's correctness depends on which of two
-    same-instant events runs first (e.g. a packet's arrival at a node
-    versus that node's transmitter looking for work, or a regulator
-    release versus a transmission completion).  Fault timers are the
-    sharpest case: a link-down that ties with a packet event must win
-    (``PRIORITY_FAULT``) or runs stop being bit-identical across
-    shards.  An implicit default priority at a ``net/``, ``sched/``,
-    or ``faults/`` call site means nobody decided — the tie order is
-    load-bearing, so write it down.
-    """
-
-    id = "untiebroken-event"
-    description = ("schedule()/schedule_at() in repro/net/, "
-                   "repro/sched/, or repro/faults/ without an "
-                   "explicit priority= tie-break")
-
-    #: Path components whose schedule sites must pin the tie order:
-    #: the network data path, every service discipline (regulator
-    #: releases and frame boundaries race packet events), and the
-    #: fault injector (fault timers race everything).
-    _SCOPES: Tuple[str, ...] = ("net", "sched", "faults")
-
-    def check(self, context: FileContext) -> Iterator[Violation]:
-        if not any(context.is_under(scope) for scope in self._SCOPES):
-            return
-        for node in context.walk():
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute)
-                    and func.attr in ("schedule", "schedule_at")):
-                continue
-            if any(kw.arg == "priority" for kw in node.keywords):
-                continue
-            yield self.violation(
-                context, node,
-                f"{func.attr}() without an explicit priority=; event "
-                f"tie order is load-bearing in the net and sched "
-                f"layers — state the tie-break (PRIORITY_NORMAL if "
-                f"ties are benign)")
-
-
-@register
-class MutableDefaultArg(Rule):
-    """The classic: mutable default arguments shared across calls.
-
-    In simulation code this is worse than elsewhere — a shared default
-    list quietly couples state across sessions or runs, breaking the
-    independence that reproducibility rests on.  ``frozenset()`` and
-    ``()`` are immutable and fine.
-    """
-
-    id = "mutable-default-arg"
-    description = "mutable default argument (list/dict/set literal or call)"
-
-    _MUTABLE_CALLS = ("list", "dict", "set", "bytearray", "defaultdict")
-
-    def _is_mutable(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set,
-                             ast.ListComp, ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else "")
-            return name in self._MUTABLE_CALLS
-        return False
-
-    def check(self, context: FileContext) -> Iterator[Violation]:
-        for node in context.walk():
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None]
-            for default in defaults:
-                if self._is_mutable(default):
-                    yield self.violation(
-                        context, default,
-                        f"mutable default argument in {node.name}(); "
-                        f"default to None (or frozenset()/()) and "
-                        f"create the fresh object inside the function")
-
-
-@register
+@register("lint")
 class UnguardedTraceEmit(Rule):
     """Per-packet trace emits must hide behind ``tracer.enabled``.
 

@@ -1,10 +1,9 @@
-"""SARIF 2.1.0 output shared by every analyzer in the suite.
+"""SARIF 2.1.0 output of the analyzer suite.
 
-One SARIF *log* holds one *run* per analyzer, so ``repro-analyze
+One SARIF *log* holds one *run* per rule pack, so ``repro-analyze
 --format sarif`` uploads lint, verify, det, and hot findings as a
 single artifact that code-scanning UIs (GitHub's ``upload-sarif``
-action among them) ingest directly.  The single-analyzer CLIs emit a
-one-run log through the same renderer.
+action among them) ingest directly.
 
 Only the schema subset those consumers actually read is emitted:
 tool name + rule metadata, and per-result rule id, message, and
@@ -26,7 +25,7 @@ SARIF_VERSION = "2.1.0"
 _SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
            "master/Schemata/sarif-schema-2.1.0.json")
 
-#: ``(tool name, {rule id: description}, findings)`` per analyzer.
+#: ``(tool name, {rule id: description}, findings)`` per pack.
 Section = Tuple[str, Dict[str, str], Sequence[Violation]]
 
 

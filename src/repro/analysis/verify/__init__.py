@@ -5,9 +5,9 @@ Two coupled layers (see :doc:`docs/static_analysis` and
 
 * **Static** — :mod:`.model` extracts cached per-file summaries and
   joins them into a :class:`~repro.analysis.verify.model.Program`
-  (symbol table, call graph, dimension inference); :mod:`.rules` runs
-  four interprocedural rules over it; :mod:`.cli` is the
-  ``repro-verify`` entry point.
+  (symbol table, call graph, dimension inference); :mod:`.rules` is
+  the ``verify`` pack, four interprocedural rules over it, run by
+  ``repro-analyze`` (:mod:`repro.analysis.front`).
 * **Runtime** — :mod:`.sanitizer` installs conservation-law checkers
   into a live simulation (``--sanitize`` / ``REPRO_SANITIZE=1``),
   verifying per-node packet conservation, reservation sums, LiT label
@@ -19,20 +19,13 @@ the sanitizer (which touches simulator types) is imported lazily by
 :class:`repro.net.network.Network` when enabled.
 """
 
-from repro.analysis.verify.core import (
-    analyze_program,
-    build_program,
-    default_rules,
-)
+from repro.analysis.verify.core import build_program
 from repro.analysis.verify.model import Program, summarize_file
-from repro.analysis.verify.rules import ProgramRule, registered_rules
+from repro.analysis.verify.rules import ProgramRule
 
 __all__ = [
     "Program",
     "ProgramRule",
-    "analyze_program",
     "build_program",
-    "default_rules",
-    "registered_rules",
     "summarize_file",
 ]

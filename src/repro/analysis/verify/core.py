@@ -1,82 +1,26 @@
-"""Drivers assembling summaries into a Program and running the rules.
+"""Assemble per-file summaries into the suite's one shared Program.
 
-Caching happens here, at the *summary* level: per-file extraction
-(:func:`repro.analysis.verify.model.summarize_file`) is a pure function
-of the file's bytes, so its JSON output is stored under
-``.repro-lint-cache/verify.json`` keyed by stat signature and analyzer
-fingerprint.  Program assembly and rule evaluation re-run every
-invocation — they depend on *all* files, and are cheap next to parsing.
-Findings therefore always reflect the current cross-module facts even
-when every summary came from cache.
+Per-file extraction (:func:`repro.analysis.verify.model.summarize_file`)
+is a pure function of the file's bytes, so its JSON output rides in
+the suite's cache (``summary`` part).  Program assembly and rule
+evaluation re-run every invocation — they depend on *all* files, and
+are cheap next to parsing — so findings always reflect the current
+cross-module facts even when every summary came from cache.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Iterable
 
 from repro.analysis.lint.cache import AnalysisCache
-from repro.analysis.lint.core import (
-    LintError,
-    Violation,
-    iter_python_files,
-)
+from repro.analysis.lint.core import iter_python_files
 from repro.analysis.verify.model import Program, summarize_file
-from repro.analysis.verify.rules import ProgramRule, registered_rules
 
-__all__ = [
-    "build_program",
-    "default_rules",
-    "analyze_program",
-]
+__all__ = ["build_program"]
 
 
-def default_rules() -> List[ProgramRule]:
-    """Instances of every registered whole-program rule."""
-    return [rule_class() for rule_class in
-            sorted(registered_rules().values(), key=lambda r: r.id)]
-
-
-def build_program(paths: Iterable[Path],
-                  cache: Optional[AnalysisCache] = None) -> Program:
+def build_program(paths: Iterable[Path], cache: AnalysisCache) -> Program:
     """Summarize every ``*.py`` under ``paths`` and assemble a Program."""
-    summaries: List[Dict[str, Any]] = []
-    for path in iter_python_files(paths):
-        payload = cache.get(path) if cache is not None else None
-        if payload is not None and "summary" in payload:
-            summary = payload["summary"]
-        else:
-            summary = summarize_file(path)
-            if cache is not None:
-                cache.put(path, {"summary": summary})
-        summaries.append(summary)
-    return Program(summaries)
-
-
-def analyze_program(paths: Iterable[Path],
-                    rules: Optional[Iterable[ProgramRule]] = None,
-                    cache: Optional[AnalysisCache] = None,
-                    program: Optional[Program] = None
-                    ) -> List[Violation]:
-    """Run whole-program rules over ``paths``, honouring suppressions.
-
-    ``program`` lets the ``repro-analyze`` front door share one
-    assembled :class:`Program` across analyzers instead of
-    re-extracting summaries here.
-    """
-    if program is None:
-        program = build_program(paths, cache=cache)
-    rule_list = list(rules) if rules is not None else default_rules()
-    findings: List[Violation] = []
-    for rule in rule_list:
-        for violation in rule.check(program):
-            if program.is_suppressed(violation.path, violation.line,
-                                     violation.rule):
-                continue
-            findings.append(violation)
-    return sorted(findings)
-
-
-# Re-exported so callers needn't reach into the lint package for the
-# shared error type.
-__all__.append("LintError")
+    return Program([cache.lookup(path, "summary", summarize_file)
+                    for path in iter_python_files(paths)])

@@ -1,4 +1,5 @@
-"""The whole-program semantic model behind ``repro-verify``.
+"""The whole-program semantic model behind the ``verify``, ``det`` and
+``hot`` packs.
 
 PR 1's linter reasons one file at a time; the rules in
 :mod:`repro.analysis.verify.rules` need facts that cross function and
@@ -99,9 +100,8 @@ SINK_NAMES = ("schedule", "schedule_at", "push")
 RESERVE_NAMES = ("admit", "reserve")
 RELEASE_NAME = "release"
 
-#: Method names that mutate their receiver in place.  Used by the
-#: determinism analyzer (``repro-det``) to spot writes to shared
-#: module-level state: ``REGISTRY.append(...)`` on a module global is a
+#: Method names that mutate their receiver in place — how the summary
+#: spots writes to shared module-level state: ``REGISTRY.append(...)`` on a module global is a
 #: cross-shard hazard even though no assignment statement appears.
 MUTATOR_NAMES = frozenset((
     "append", "appendleft", "add", "update", "setdefault", "extend",

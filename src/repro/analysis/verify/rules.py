@@ -1,4 +1,4 @@
-"""The four interprocedural rules of ``repro-verify``.
+"""The ``verify`` pack: four interprocedural rules.
 
 Each rule consumes the assembled :class:`~repro.analysis.verify.model.
 Program` rather than a single file, so it can answer questions PR 1's
@@ -13,9 +13,9 @@ reporting/suppression vocabulary covers both analyzers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Tuple, Type
+from typing import Any, Dict, Iterator, List, Tuple
 
-from repro.analysis.lint.core import Violation
+from repro.analysis.lint.core import Violation, register
 from repro.analysis.verify.model import (
     RESERVE_NAMES,
     Program,
@@ -24,8 +24,6 @@ from repro.analysis.verify.model import (
 
 __all__ = [
     "ProgramRule",
-    "register",
-    "registered_rules",
     "NondeterministicIteration",
     "DimensionMismatch",
     "UntiebrokenEventTransitive",
@@ -50,29 +48,13 @@ class ProgramRule:
                          rule=self.id, message=message)
 
 
-_REGISTRY: Dict[str, Type[ProgramRule]] = {}
-
-
-def register(rule_class: Type[ProgramRule]) -> Type[ProgramRule]:
-    if not rule_class.id:
-        raise ValueError(f"rule {rule_class.__name__} has no id")
-    if rule_class.id in _REGISTRY:
-        raise ValueError(f"duplicate rule id {rule_class.id!r}")
-    _REGISTRY[rule_class.id] = rule_class
-    return rule_class
-
-
-def registered_rules() -> Dict[str, Type[ProgramRule]]:
-    return dict(_REGISTRY)
-
-
 def _iter_functions(program: Program) -> Iterator[
         Tuple[str, Dict[str, Any], Dict[str, Any]]]:
     for key, (summary, function) in sorted(program.functions.items()):
         yield key, summary, function
 
 
-@register
+@register("verify")
 class NondeterministicIteration(ProgramRule):
     """Set/dict iteration whose body (transitively) schedules events.
 
@@ -109,7 +91,7 @@ class NondeterministicIteration(ProgramRule):
                     f"ordered list")
 
 
-@register
+@register("verify")
 class DimensionMismatch(ProgramRule):
     """Arithmetic or comparison mixing incompatible physical dimensions.
 
@@ -140,13 +122,13 @@ class DimensionMismatch(ProgramRule):
                     f"via repro.units before combining")
 
 
-@register
+@register("verify")
 class UntiebrokenEventTransitive(ProgramRule):
     """Tree-wide: any ``schedule``/``schedule_at`` without ``priority=``.
 
-    Replaces (supersets) the per-directory ``untiebroken-event`` lint
-    rule: with the whole call graph available there is no reason to
-    scope the check to ``net``/``sched``/``faults`` — *every* event
+    Replaced (supersets) the per-directory ``untiebroken-event`` lint
+    rule of PR 1: with the whole call graph available there is no reason
+    to scope the check to ``net``/``sched``/``faults`` — *every* event
     scheduled without an explicit priority falls back to
     ``PRIORITY_NORMAL`` implicitly, and a later re-ordering of default
     priorities would silently shift its tie-break class.  The message
@@ -174,7 +156,7 @@ class UntiebrokenEventTransitive(ProgramRule):
                     f"ordering is pinned")
 
 
-@register
+@register("verify")
 class UnreleasedReservation(ProgramRule):
     """Reservation-acquiring paths with no matching release in scope.
 

@@ -254,7 +254,7 @@ class Sanitizer:
             return  # discipline exposes no occupancy; skip the identity
         in_node = backlog + (1 if node.transmitting is not None else 0)
         expected = ledger.forwarded + ledger.dropped + in_node
-        if ledger.arrivals != expected:  # repro: disable=float-time-equality -- integer packet counters, not timestamps
+        if ledger.arrivals != expected:
             self.record(
                 "packet-conservation", node.sim.now,
                 f"arrivals={ledger.arrivals} != forwarded="

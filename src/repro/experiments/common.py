@@ -138,7 +138,7 @@ def build_mix_network(a_off: float, *,
     ``sim`` injects a pre-built simulator; ``order_seed``, when set,
     registers the sessions in a seeded-shuffled order instead of the
     canonical sorted one.  Both exist for the schedule-perturbation
-    differ (``repro-det --perturb``): because every random stream is
+    differ (``repro-analyze --perturb``): because every random stream is
     named by the session's stable id, a shuffled registration order
     must leave all observables bit-identical — any difference is a
     hidden order dependence.

@@ -254,6 +254,10 @@ class Simulator:
         if exclusive and until is None:
             raise SimulationError(
                 "run(exclusive=True) needs an explicit until horizon")
+        # NaN fails every comparison, so ``time > until`` would never
+        # stop either loop: reject it once, before the C hand-off.
+        if until is not None and until != until:
+            raise SimulationError(f"NaN horizon until={until!r}")
         if (_ckernel is not None and max_events is None
                 and self.sanitizer is None):
             self._running = True

@@ -1,12 +1,10 @@
-"""Determinism analyzer (``repro-det``): static rules and the differ.
+"""The ``det`` pack and the differ (``repro-analyze --perturb``).
 
-Each rule gets a *bad* fixture (exact rule ids and line numbers) and a
-*clean* twin (silence), including a genuinely cross-module shared-state
-case that only the call graph can see.  The dynamic half is exercised
-both ways: the canonical fig07 workload must come back deterministic
-under every perturbation mode, and the deliberately planted
-``seeded_bug`` fixture — already flagged by the static rules — must be
-caught by the registration-order perturbation too.
+The static rule gets a *bad* fixture (exact rule ids and line numbers)
+and a *clean* twin (silence).  The dynamic half is exercised both
+ways: the canonical fig07 workload must come back deterministic under
+every perturbation mode, and the deliberately planted ``seeded_bug``
+fixture must be caught by the registration-order perturbation.
 """
 
 from __future__ import annotations
@@ -19,13 +17,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.det import (
-    analyze_determinism,
-    build_program,
-    default_rules,
-    registered_rules,
-)
-from repro.analysis.det.cli import main
 from repro.analysis.det.perturb import (
     Fig07Scenario,
     RunResult,
@@ -35,24 +26,23 @@ from repro.analysis.det.perturb import (
     normalized_trace,
     perturb_scenario,
 )
+from repro.analysis.front import main, run_suite
+from repro.analysis.lint.cache import AnalysisCache
+from repro.analysis.lint.core import registered_rules
+from repro.analysis.verify.core import build_program
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "analysis" / "det"
 
-ALL_RULE_IDS = {
-    "shared-mutable-state",
-    "rng-stream-discipline",
-    "unordered-merge",
-}
+ALL_RULE_IDS = {"unordered-merge"}
 
 
 def findings(target: str, rule_id: str):
     """(rule, line) pairs from one rule over one fixture file/package."""
-    rule = registered_rules()[rule_id]()
-    return [(v.rule, v.line)
-            for v in analyze_determinism([FIXTURES / target], [rule])]
+    return [(v.rule, v.line) for v in run_suite(
+        [FIXTURES / target], [f"det:{rule_id}"])["det"]]
 
 
 def load_fixture_module(name: str):
@@ -64,62 +54,10 @@ def load_fixture_module(name: str):
     return module
 
 
-def test_registry_has_the_three_det_rules():
+def test_registry_has_the_det_rule():
     registry = registered_rules()
-    assert set(registry) == ALL_RULE_IDS
-    for rule_id, rule_class in registry.items():
-        assert rule_class.id == rule_id
-        assert rule_class.description
-    assert {rule.id for rule in default_rules()} == ALL_RULE_IDS
-
-
-# ----------------------------------------------------------------------
-# shared-mutable-state: cross-module globals and class-body containers.
-# ----------------------------------------------------------------------
-def test_shared_mutable_state_cross_module_positive():
-    assert findings("shared_state_bad", "shared-mutable-state") == [
-        ("shared-mutable-state", 14),  # state.REGISTRY.append(...)
-        ("shared-mutable-state", 15),  # state.COUNTERS[...] = ...
-        ("shared-mutable-state", 16),  # SEEN.add(...)
-    ]
-
-
-def test_shared_mutable_state_import_time_population_allowed():
-    assert findings("shared_state_ok.py", "shared-mutable-state") == []
-
-
-def test_shared_mutable_state_class_attr_positive():
-    assert findings("class_attr_bad.py", "shared-mutable-state") == [
-        ("shared-mutable-state", 10),  # samples = []
-        ("shared-mutable-state", 11),  # limits = {}
-    ]
-
-
-def test_shared_mutable_state_per_instance_negative():
-    assert findings("class_attr_ok.py", "shared-mutable-state") == []
-
-
-def test_cross_module_mutation_needs_the_call_graph():
-    program = build_program([FIXTURES / "shared_state_bad"])
-    assert "shared_state_bad.worker:on_arrival" in program.kernel_reachable()
-    assert "shared_state_bad.state.REGISTRY" in program.mutable_globals
-
-
-# ----------------------------------------------------------------------
-# rng-stream-discipline: worker-local, order-local, and counter-derived
-# stream names.
-# ----------------------------------------------------------------------
-def test_rng_stream_discipline_positive():
-    assert findings("rng_bad.py", "rng-stream-discipline") == [
-        ("rng-stream-discipline", 9),   # f"src-{id(source)}"
-        ("rng-stream-discipline", 13),  # f"worker-{os.getpid()}"
-        ("rng-stream-discipline", 19),  # set-loop variable
-        ("rng-stream-discipline", 25),  # mutated module counter
-    ]
-
-
-def test_rng_stream_discipline_negative():
-    assert findings("rng_ok.py", "rng-stream-discipline") == []
+    assert {key for key in registry if key.startswith("det:")} == {
+        f"det:{rule_id}" for rule_id in ALL_RULE_IDS}
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +76,8 @@ def test_unordered_merge_negative():
 
 
 def test_unordered_merge_scope_follows_cell_fn_references():
-    program = build_program([FIXTURES / "merge_bad.py"])
+    program = build_program([FIXTURES / "merge_bad.py"],
+                            AnalysisCache(None))
     roots = {"merge_bad:cells", "merge_bad:run"}
     closure = program.forward_closure(roots)
     # _cell is only reachable through the Cell(fn=_cell) reference edge.
@@ -147,30 +86,16 @@ def test_unordered_merge_scope_follows_cell_fn_references():
 
 
 # ----------------------------------------------------------------------
-# The seeded bug is caught BOTH statically and by the differ below.
-# ----------------------------------------------------------------------
-def test_seeded_bug_is_flagged_statically_by_both_rules():
-    violations = analyze_determinism([FIXTURES / "seeded_bug.py"])
-    assert [(v.rule, v.line) for v in violations] == [
-        ("shared-mutable-state", 21),   # REGISTERED.append(session_id)
-        ("rng-stream-discipline", 22),  # f"src-{len(REGISTERED)}"
-    ]
-
-
-# ----------------------------------------------------------------------
-# Suppressions flow through exactly like the other analyzers.
+# Suppressions flow through exactly like the other packs.
 # ----------------------------------------------------------------------
 def test_suppression_silences_exactly_the_named_rule(tmp_path):
-    source = (
-        "def attach(streams, source):\n"
-        "    a = streams.stream(f'x-{id(source)}')"
-        "  # repro: disable=rng-stream-discipline -- test\n"
-        "    return streams.stream(f'y-{id(source)}')\n"
-    )
-    path = tmp_path / "suppressed.py"
+    source = (FIXTURES / "merge_bad.py").read_text().replace(
+        "for extra in extras:",
+        "for extra in extras:  # repro: disable=unordered-merge -- test")
+    path = tmp_path / "merge_bad.py"
     path.write_text(source)
-    assert [(v.rule, v.line) for v in analyze_determinism([path])] == [
-        ("rng-stream-discipline", 3),
+    assert [(v.rule, v.line) for v in run_suite([path], ["det"])["det"]] == [
+        ("unordered-merge", 13),
     ]
 
 
@@ -308,44 +233,47 @@ def test_fig07_is_deterministic_under_all_perturbations():
 
 
 # ----------------------------------------------------------------------
-# CLI entry point.
+# CLI (``repro-analyze --select det[:RULE]`` and ``--perturb``).
 # ----------------------------------------------------------------------
 def test_cli_exit_codes_and_json(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
-    bad = str(FIXTURES / "shared_state_bad")
-    ok = str(FIXTURES / "shared_state_ok.py")
+    bad = str(FIXTURES / "merge_bad.py")
+    ok = str(FIXTURES / "merge_ok.py")
 
-    assert main([bad, "--cache-dir", cache_dir]) == 1
-    assert "shared-mutable-state" in capsys.readouterr().out
+    assert main([bad, "--select", "det", "--cache-dir", cache_dir]) == 1
+    assert "unordered-merge" in capsys.readouterr().out
 
-    assert main([ok, "--cache-dir", cache_dir]) == 0
+    assert main([ok, "--select", "det", "--cache-dir", cache_dir]) == 0
     capsys.readouterr()  # drop the "clean" line before the JSON run
 
-    assert main([bad, "--format", "json", "--no-cache"]) == 1
+    assert main([bad, "--select", "det", "--format", "json",
+                 "--no-cache"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["total"] == 3
-    assert payload["summary"]["by_rule"] == {"shared-mutable-state": 3}
+    assert [row["rule"] for row in payload["findings"]["det"]] == [
+        "unordered-merge"] * 2
 
 
 def test_cli_select_runs_only_the_named_rule(capsys):
-    target = str(FIXTURES / "seeded_bug.py")
-    assert main([target, "--select", "rng-stream-discipline",
+    # Selecting one det rule runs (and prints) the det pack alone.
+    target = str(FIXTURES / "merge_bad.py")
+    assert main([target, "--select", "det:unordered-merge",
                  "--no-cache"]) == 1
     out = capsys.readouterr().out
-    assert "rng-stream-discipline" in out
-    assert "shared-mutable-state" not in out
+    assert "== det ==" in out and "unordered-merge" in out
+    assert "== verify ==" not in out and "== hot ==" not in out
 
 
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ALL_RULE_IDS:
-        assert rule_id in out
+        assert f"det:{rule_id}: " in out
 
 
 def test_cli_select_unknown_rule_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
-        main([str(FIXTURES / "rng_ok.py"), "--select", "no-such-rule"])
+        main([str(FIXTURES / "merge_ok.py"), "--select",
+              "det:no-such-rule"])
     assert excinfo.value.code == 2
 
 
@@ -357,3 +285,11 @@ def test_cli_perturb_writes_a_deterministic_bench_record(tmp_path, capsys):
     payload = json.loads(
         (tmp_path / "BENCH_perturb-fig07.json").read_text())
     assert payload["deterministic"] is True
+
+
+def test_cli_perturb_rejects_unknown_scenario_and_mode():
+    for argv in (["--perturb", "--scenario", "nosuch"],
+                 ["--perturb", "--modes", "nosuch"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2

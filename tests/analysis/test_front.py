@@ -1,20 +1,25 @@
-"""``repro-analyze``: the unified front door over the four analyzers.
+"""``repro-analyze``: the one front door over the four rule packs.
 
-The contracts under test: all four analyzers run by default and their
-exit codes merge; ``--select`` filters at analyzer and analyzer:rule
-grain; the whole-program analyzers share one assembled Program (so a
-front-door run populates the verify/hot cache namespaces but never a
-det one); and one SARIF log carries one run per analyzer.
+The contracts under test: all four packs run by default and their
+exit codes merge; ``--select`` filters at pack and pack:rule grain;
+the whole-program packs share one assembled Program extracted once
+into one cache file; one SARIF log carries one run per pack; and the
+front door is the *only* door — the retired per-analyzer commands
+and modules are gone, not forwarded.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.front import ANALYZERS, main
+from repro.analysis.front import main
+from repro.analysis.lint.core import PACKS
 
 HOT_FIXTURES = (Path(__file__).resolve().parent.parent / "fixtures"
                 / "analysis" / "hot")
@@ -28,7 +33,7 @@ def test_all_four_analyzers_run_by_default(tmp_path, capsys):
     target.write_text(CLEAN)
     assert main([str(target), "--no-cache"]) == 0
     out = capsys.readouterr().out
-    for name in ANALYZERS:
+    for name in PACKS:
         assert f"== {name} ==" in out
 
 
@@ -81,20 +86,17 @@ def test_list_rules_spans_all_analyzers(capsys):
     assert "hot:unslotted-hot-class" in out
 
 
-def test_shared_program_populates_only_its_cache_kinds(tmp_path,
-                                                       capsys):
+def test_front_door_writes_one_cache_file(tmp_path, capsys):
     target = tmp_path / "ok.py"
     target.write_text(CLEAN)
     cache_dir = tmp_path / "cache"
     assert main([str(target), "--cache-dir", str(cache_dir)]) == 0
     capsys.readouterr()
-    # lint caches findings; verify holds the one shared summary
-    # extraction; hot holds the joined summary+hot payload.  det rides
-    # the shared Program and never opens its own namespace.
-    assert (cache_dir / "lint.json").exists()
-    assert (cache_dir / "verify.json").exists()
-    assert (cache_dir / "hot.json").exists()
-    assert not (cache_dir / "det.json").exists()
+    # One file, one entry per source, every per-file product in it.
+    assert [path.name for path in cache_dir.iterdir()] == ["analysis.json"]
+    document = json.loads((cache_dir / "analysis.json").read_text())
+    (entry,) = document["entries"].values()
+    assert set(entry["payload"]) == {"violations", "summary", "hot"}
 
 
 def test_front_door_reuses_the_verify_cache(tmp_path, monkeypatch,
@@ -117,13 +119,13 @@ def test_front_door_reuses_the_verify_cache(tmp_path, monkeypatch,
     assert main([str(target), "--cache-dir", str(cache_dir),
                  "--select", "verify", "--select", "det"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1  # one extraction feeds both analyzers
+    assert len(calls) == 1  # one extraction feeds both packs
 
     calls.clear()
     assert main([str(target), "--cache-dir", str(cache_dir),
-                 "--select", "verify", "--select", "det"]) == 0
+                 "--select", "hot"]) == 0
     capsys.readouterr()
-    assert calls == []  # warm: the verify namespace serves it
+    assert calls == []  # warm: hot joins onto the cached summary
 
 
 def test_sarif_log_has_one_run_per_analyzer(tmp_path, capsys):
@@ -133,15 +135,68 @@ def test_sarif_log_has_one_run_per_analyzer(tmp_path, capsys):
                  "sarif"]) == 0
     log = json.loads(capsys.readouterr().out)
     names = [run["tool"]["driver"]["name"] for run in log["runs"]]
-    assert names == ["repro-lint", "repro-verify", "repro-det",
-                     "repro-hot"]
+    assert names == [f"repro-analyze/{pack}" for pack in PACKS]
 
 
 def test_json_format_groups_by_analyzer(capsys):
     assert main([str(HOT_FIXTURES / "unslotted_bad.py"), "--no-cache",
                  "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert set(payload["findings"]) == set(ANALYZERS)
+    assert set(payload["findings"]) == set(PACKS)
     (finding,) = payload["findings"]["hot"]
     assert finding["rule"] == "unslotted-hot-class"
     assert payload["findings"]["lint"] == []
+
+
+# ----------------------------------------------------------------------
+# --changed with nothing changed, in the machine-readable formats
+# ----------------------------------------------------------------------
+def _git(cwd, *args):
+    subprocess.run(["git", *args], cwd=cwd, check=True,
+                   capture_output=True, text=True)
+
+
+def test_changed_with_no_changes_still_emits_a_document(
+        tmp_path, monkeypatch, capsys):
+    _git(tmp_path, "init", "-q", "-b", "main")
+    _git(tmp_path, "config", "user.email", "t@example.invalid")
+    _git(tmp_path, "config", "user.name", "t")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "ok.py").write_text(CLEAN)
+    _git(tmp_path, "add", ".")
+    _git(tmp_path, "commit", "-q", "-m", "seed")
+    monkeypatch.chdir(tmp_path)
+    argv = ["src", "--changed", "--since", "HEAD", "--no-cache"]
+
+    assert main(argv + ["--format", "sarif"]) == 0
+    log = json.loads(capsys.readouterr().out)  # was: a text line
+    assert log["version"] == "2.1.0"
+    assert [run["results"] for run in log["runs"]] == [[]] * len(PACKS)
+
+    assert main(argv + ["--format", "json", "--select", "hot"]) == 0
+    assert json.loads(capsys.readouterr().out)["findings"] == {"hot": []}
+
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "clean (no changed files)\n"
+
+
+# ----------------------------------------------------------------------
+# The surface: one console script, no per-analyzer CLI modules
+# ----------------------------------------------------------------------
+def test_console_scripts_are_exactly_the_two_front_doors():
+    pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
+    table = pyproject.read_text().split("[project.scripts]\n")[1]
+    scripts = table.split("\n[")[0].strip().splitlines()
+    assert scripts == ['leave-in-time = "repro.cli:main"',
+                       'repro-analyze = "repro.analysis.front:main"']
+
+
+@pytest.mark.parametrize("pack", PACKS)
+def test_retired_cli_modules_are_gone_not_forwarded(pack):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(f"repro.analysis.{pack}.cli")
+    result = subprocess.run(
+        [sys.executable, "-m", f"repro.analysis.{pack}", "--list-rules"],
+        capture_output=True, text=True)
+    assert result.returncode != 0
+    assert "__main__" in result.stderr  # a package, not a command

@@ -1,4 +1,4 @@
-"""Hot-path analyzer (``repro-hot``): static rules and the profiler.
+"""The ``hot`` pack and the profiler (``repro-analyze --profile``).
 
 Each rule gets a *bad* fixture (exact rule ids and line numbers) and a
 *clean* twin (silence).  Reachability is the scoping contract under
@@ -21,13 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.hot import (
-    analyze_hot,
-    build_hot_program,
-    default_rules,
-    registered_rules,
-)
-from repro.analysis.hot.cli import main
+from repro.analysis.front import main, run_suite
+from repro.analysis.hot import build_hot_program
 from repro.analysis.hot.profile import (
     HotnessIndex,
     ProfileScenario,
@@ -35,6 +30,10 @@ from repro.analysis.hot.profile import (
     rank_findings,
     scenarios,
 )
+
+from repro.analysis.lint.cache import AnalysisCache
+from repro.analysis.lint.core import registered_rules
+from repro.analysis.verify import build_program
 
 FIXTURES = (Path(__file__).resolve().parent.parent / "fixtures"
             / "analysis" / "hot")
@@ -50,10 +49,15 @@ ALL_RULE_IDS = {
 
 def findings(target: str, rule_id: str = None):
     """(rule, line) pairs from the analyzer over one fixture file."""
-    rules = None if rule_id is None \
-        else [registered_rules()[rule_id]()]
+    select = "hot" if rule_id is None else f"hot:{rule_id}"
     return [(v.rule, v.line)
-            for v in analyze_hot([FIXTURES / target], rules)]
+            for v in run_suite([FIXTURES / target], [select])["hot"]]
+
+
+def hot_program(target: Path):
+    cache = AnalysisCache(None)
+    return build_hot_program([target], build_program([target], cache),
+                             cache)
 
 
 def load_fixture_module(name: str):
@@ -67,11 +71,8 @@ def load_fixture_module(name: str):
 
 def test_registry_has_the_five_hot_rules():
     registry = registered_rules()
-    assert set(registry) == ALL_RULE_IDS
-    for rule_id, rule_class in registry.items():
-        assert rule_class.id == rule_id
-        assert rule_class.description
-    assert {rule.id for rule in default_rules()} == ALL_RULE_IDS
+    assert {key for key in registry if key.startswith("hot:")} == {
+        f"hot:{rule_id}" for rule_id in ALL_RULE_IDS}
 
 
 # ----------------------------------------------------------------------
@@ -145,87 +146,83 @@ def test_suppression_comment_is_honoured():
 
 
 def test_findings_are_sorted_and_stable():
-    first = analyze_hot([FIXTURES])
-    second = analyze_hot([FIXTURES])
+    first = run_suite([FIXTURES], ["hot"])["hot"]
+    second = run_suite([FIXTURES], ["hot"])["hot"]
     assert first == second == sorted(first)
 
 
 # ----------------------------------------------------------------------
-# The shared hot cache
+# The hot part of the one cache
 # ----------------------------------------------------------------------
 def test_warm_cache_skips_extraction(tmp_path, monkeypatch):
     import repro.analysis.hot.core as hot_core
-    from repro.analysis.lint.cache import AnalysisCache
 
     target = tmp_path / "mod.py"
     target.write_text(
         (FIXTURES / "unslotted_bad.py").read_text())
 
     calls = []
-    real = hot_core.hot_summary_source
+    real = hot_core.hot_summary_file
 
-    def counting(source, path, module=None):
+    def counting(path):
         calls.append(path)
-        return real(source, path, module)
+        return real(path)
 
-    monkeypatch.setattr(hot_core, "hot_summary_source", counting)
+    monkeypatch.setattr(hot_core, "hot_summary_file", counting)
 
-    cache = AnalysisCache(tmp_path / "cache", kind="hot")
-    cold = analyze_hot([target], cache=cache)
-    cache.save()
+    cache_dir = tmp_path / "cache"
+    cold = run_suite([target], ["hot"], cache_dir)["hot"]
     assert len(cold) == 1 and len(calls) == 1
 
     calls.clear()
-    cache = AnalysisCache(tmp_path / "cache", kind="hot")
-    warm = analyze_hot([target], cache=cache)
-    assert warm == cold
+    assert run_suite([target], ["hot"], cache_dir)["hot"] == cold
     assert calls == []  # extraction fully skipped
 
     target.write_text(target.read_text() + "\n# touched\n")
-    cache = AnalysisCache(tmp_path / "cache", kind="hot")
-    assert analyze_hot([target], cache=cache) == cold
+    assert run_suite([target], ["hot"], cache_dir)["hot"] == cold
     assert len(calls) == 1  # stat change re-extracts
 
 
-def test_shared_program_parameter_skips_verify_extraction():
-    from repro.analysis.verify.core import build_program
+def test_shared_program_parameter_skips_verify_extraction(monkeypatch):
+    import repro.analysis.verify.core as verify_core
 
-    program = build_program([FIXTURES / "chain_bad.py"])
-    hot = build_hot_program([FIXTURES / "chain_bad.py"],
-                            program=program)
+    target = FIXTURES / "chain_bad.py"
+    program = build_program([target], AnalysisCache(None))
+    monkeypatch.setattr(verify_core, "summarize_file", None)  # uncallable
+    hot = build_hot_program([target], program, AnalysisCache(None))
     assert hot.program is program
-    rows = analyze_hot([FIXTURES / "chain_bad.py"], program=program)
-    assert [(v.rule, v.line) for v in rows] == [
-        ("attribute-chain-in-hot-loop", 5),
-        ("attribute-chain-in-hot-loop", 11),
-    ]
+    assert hot.enclosing_function(str(target), 5) is not None
 
 
 # ----------------------------------------------------------------------
-# CLI
+# CLI (``repro-analyze --select hot[:RULE]`` and ``--profile``)
 # ----------------------------------------------------------------------
 def test_cli_exit_codes_and_text_output(capsys):
-    assert main([str(FIXTURES / "alloc_ok.py")]) == 0
+    assert main([str(FIXTURES / "alloc_ok.py"), "--select", "hot",
+                 "--no-cache"]) == 0
     assert "clean" in capsys.readouterr().out
-    assert main([str(FIXTURES / "alloc_bad.py")]) == 1
+    assert main([str(FIXTURES / "alloc_bad.py"), "--select", "hot",
+                 "--no-cache"]) == 1
     out = capsys.readouterr().out
     assert "allocation-in-hot-path" in out
 
 
 def test_cli_json_format(capsys):
-    assert main([str(FIXTURES / "unslotted_bad.py"),
-                 "--format", "json"]) == 1
+    assert main([str(FIXTURES / "unslotted_bad.py"), "--select", "hot",
+                 "--no-cache", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["violations"][0]["rule"] == "unslotted-hot-class"
+    assert payload["findings"]["hot"][0]["rule"] == "unslotted-hot-class"
 
 
 def test_cli_sarif_format(capsys):
-    assert main([str(FIXTURES / "unslotted_bad.py"),
-                 "--format", "sarif"]) == 1
+    assert main([str(FIXTURES / "unslotted_bad.py"), "--select", "hot",
+                 "--no-cache", "--format", "sarif"]) == 1
     log = json.loads(capsys.readouterr().out)
     assert log["version"] == "2.1.0"
     (run,) = log["runs"]
-    assert run["tool"]["driver"]["name"] == "repro-hot"
+    assert run["tool"]["driver"]["name"] == "repro-analyze/hot"
+    assert {rule["id"] for rule in run["tool"]["driver"]["rules"]} \
+        == ALL_RULE_IDS
     (result,) = run["results"]
     assert result["ruleId"] == "unslotted-hot-class"
     region = result["locations"][0]["physicalLocation"]["region"]
@@ -234,17 +231,17 @@ def test_cli_sarif_format(capsys):
 
 
 def test_cli_select_runs_one_rule(capsys):
-    assert main([str(FIXTURES / "alloc_bad.py"), "--select",
-                 "unslotted-hot-class"]) == 0
+    assert main([str(FIXTURES / "alloc_bad.py"), "--no-cache",
+                 "--select", "hot:unslotted-hot-class"]) == 0
     capsys.readouterr()
     with pytest.raises(SystemExit):
-        main(["--select", "no-such-rule", str(FIXTURES)])
+        main(["--select", "hot:no-such-rule", str(FIXTURES)])
 
 
 def test_cli_list_rules_and_scenarios(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert all(rule_id in out for rule_id in ALL_RULE_IDS)
+    assert all(f"hot:{rule_id}: " in out for rule_id in ALL_RULE_IDS)
     assert main(["--list-scenarios"]) == 0
     out = capsys.readouterr().out
     for name in ("fig07", "fault_sweep", "heavy_traffic"):
@@ -285,8 +282,8 @@ def test_profile_ranks_hot_finding_above_cold_same_finding():
     module = load_fixture_module("ranked")
     index = _profiled_index(module)
     target = FIXTURES / "ranked.py"
-    hot = build_hot_program([target])
-    rows = analyze_hot([target])
+    hot = hot_program(target)
+    rows = run_suite([target], ["hot"])["hot"]
     assert len(rows) == 2  # same finding in hot_path and cold_path
 
     ranked = rank_findings(rows, hot, index)

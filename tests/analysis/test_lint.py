@@ -1,9 +1,10 @@
-"""The analyzer itself: rules against known-violation fixtures.
+"""The ``lint`` pack: rules against known-violation fixtures.
 
 Every rule gets at least one positive fixture (asserting exact rule id
 and line numbers) and one negative fixture (asserting silence); the
 suppression fixture checks that ``# repro: disable=`` silences exactly
-the named rule on exactly its own line.
+the named rule on exactly its own line.  Everything runs through the
+one front door (``run_suite`` / ``front.main --select lint[:RULE]``).
 """
 
 from __future__ import annotations
@@ -15,41 +16,35 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.front import main, run_suite
 from repro.analysis.lint import (
     Violation,
-    analyze_file,
-    analyze_paths,
     analyze_source,
     registered_rules,
-    render_json,
     render_text,
 )
-from repro.analysis.lint.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "analysis"
 
 ALL_RULE_IDS = {
     "no-wallclock",
-    "no-ambient-random",
-    "float-time-equality",
     "raw-unit-literal",
-    "untiebroken-event",
-    "mutable-default-arg",
     "unguarded-trace-emit",
 }
 
 
-def findings(fixture: str, rule_id: str):
+def findings(fixture: str, rule_id: str, pack: str = "lint"):
     """(rule, line) pairs from running one rule over one fixture."""
-    rule = registered_rules()[rule_id]()
-    return [(v.rule, v.line) for v in analyze_file(FIXTURES / fixture, [rule])]
+    return [(v.rule, v.line) for v in run_suite(
+        [FIXTURES / fixture], [f"{pack}:{rule_id}"])[pack]]
 
 
-def test_registry_has_the_seven_shipped_rules():
+def test_registry_has_the_shipped_rules():
     registry = registered_rules()
-    assert ALL_RULE_IDS <= set(registry)
-    for rule_id, rule_class in registry.items():
-        assert rule_class.id == rule_id
+    assert {key for key in registry if key.startswith("lint:")} == {
+        f"lint:{rule_id}" for rule_id in ALL_RULE_IDS}
+    for key, rule_class in registry.items():
+        assert key.partition(":")[2] == rule_class.id
         assert rule_class.description
 
 
@@ -69,37 +64,6 @@ def test_no_wallclock_negative():
     assert findings("no_wallclock_ok.py", "no-wallclock") == []
 
 
-def test_no_ambient_random_positive():
-    assert findings("ambient_random_bad.py", "no-ambient-random") == [
-        ("no-ambient-random", 3),  # from random import randint
-        ("no-ambient-random", 7),  # random.seed
-        ("no-ambient-random", 8),  # random.random
-        ("no-ambient-random", 9),  # random.Random
-    ]
-
-
-def test_no_ambient_random_negative_typed_stream_use():
-    assert findings("ambient_random_ok.py", "no-ambient-random") == []
-
-
-def test_no_ambient_random_exempts_sim_rng():
-    # The generator factory itself lives in sim/rng.py; the exemption
-    # is by path, which the fixture mirrors.
-    assert findings("sim/rng.py", "no-ambient-random") == []
-
-
-def test_float_time_equality_positive():
-    assert findings("float_time_eq_bad.py", "float-time-equality") == [
-        ("float-time-equality", 5),  # packet.deadline == now
-        ("float-time-equality", 7),  # finish_time != eligible_time
-        ("float-time-equality", 9),  # arrival_time == 0.0
-    ]
-
-
-def test_float_time_equality_negative():
-    assert findings("float_time_eq_ok.py", "float-time-equality") == []
-
-
 def test_raw_unit_literal_positive():
     assert findings("raw_unit_literal_bad.py", "raw-unit-literal") == [
         ("raw-unit-literal", 5),  # rate=32000.0
@@ -113,45 +77,36 @@ def test_raw_unit_literal_negative():
     assert findings("raw_unit_literal_ok.py", "raw-unit-literal") == []
 
 
+# ----------------------------------------------------------------------
+# The culled per-file ``untiebroken-event`` rule: its fixtures stay, as
+# the check that verify's tree-wide transitive rule really supersets it
+# (same files, same lines).
+# ----------------------------------------------------------------------
+TRANSITIVE = "untiebroken-event-transitive"
+
+
 def test_untiebroken_event_positive():
-    assert findings("net/untiebroken_bad.py", "untiebroken-event") == [
-        ("untiebroken-event", 5),  # schedule(...)
-        ("untiebroken-event", 6),  # schedule_at(...)
+    assert findings("net/untiebroken_bad.py", TRANSITIVE, "verify") == [
+        (TRANSITIVE, 5),  # schedule(...)
+        (TRANSITIVE, 6),  # schedule_at(...)
     ]
 
 
 def test_untiebroken_event_negative_with_priority():
-    assert findings("net/untiebroken_ok.py", "untiebroken-event") == []
+    assert findings("net/untiebroken_ok.py", TRANSITIVE, "verify") == []
 
 
 def test_untiebroken_event_covers_sched_layer():
-    assert findings("sched/untiebroken_bad.py", "untiebroken-event") == [
-        ("untiebroken-event", 5),  # schedule_at(...)
+    assert findings("sched/untiebroken_bad.py", TRANSITIVE, "verify") == [
+        (TRANSITIVE, 5),  # schedule_at(...)
     ]
 
 
 def test_untiebroken_event_covers_faults_layer():
-    assert findings("faults/untiebroken_bad.py", "untiebroken-event") == [
-        ("untiebroken-event", 5),  # schedule_at(down_at, ...)
-        ("untiebroken-event", 6),  # schedule_at(up_at, ...)
+    assert findings("faults/untiebroken_bad.py", TRANSITIVE, "verify") == [
+        (TRANSITIVE, 5),  # schedule_at(down_at, ...)
+        (TRANSITIVE, 6),  # schedule_at(up_at, ...)
     ]
-
-
-def test_untiebroken_event_is_scoped_to_net_sched_and_faults():
-    assert findings("untiebroken_outside_net_ok.py",
-                    "untiebroken-event") == []
-
-
-def test_mutable_default_positive():
-    assert findings("mutable_default_bad.py", "mutable-default-arg") == [
-        ("mutable-default-arg", 4),   # items=[]
-        ("mutable-default-arg", 8),   # mapping={}
-        ("mutable-default-arg", 12),  # values=list()
-    ]
-
-
-def test_mutable_default_negative():
-    assert findings("mutable_default_ok.py", "mutable-default-arg") == []
 
 
 def test_unguarded_trace_emit_positive():
@@ -176,19 +131,18 @@ def test_unguarded_trace_emit_exempts_tracer_module():
 # Suppressions
 # ----------------------------------------------------------------------
 def test_suppression_silences_exactly_its_line_and_rule():
-    rules = [cls() for cls in registered_rules().values()]
-    violations = analyze_file(FIXTURES / "suppressed.py", rules)
+    violations = run_suite([FIXTURES / "suppressed.py"], ["lint"])["lint"]
     got = [(v.rule, v.line) for v in violations]
-    # Line 7 suppressed; line 8 not; line 9 both rules suppressed via a
-    # comma list; line 10 names the wrong rule so the finding stands.
+    # Line 7 suppressed; line 8 not; line 9 suppressed via a comma
+    # list; line 10 names the wrong rule so the finding stands.
     assert got == [("no-wallclock", 8), ("no-wallclock", 10)]
 
 
 def test_suppression_requires_matching_rule_id():
     source = "import time\nt = time.time()  # repro: disable=no-wallclock\n"
-    rules = [registered_rules()["no-wallclock"]()]
+    rules = [registered_rules()["lint:no-wallclock"]()]
     assert analyze_source(source, Path("inline.py"), rules) == []
-    wrong = source.replace("no-wallclock", "mutable-default-arg")
+    wrong = source.replace("no-wallclock", "raw-unit-literal")
     remaining = analyze_source(wrong, Path("inline.py"), rules)
     assert [(v.rule, v.line) for v in remaining] == [("no-wallclock", 2)]
 
@@ -205,57 +159,63 @@ def test_text_reporter_formats_gcc_style():
     assert "clean" in render_text([], files_checked=5)
 
 
-def test_json_reporter_round_trips():
-    rules = [registered_rules()["no-wallclock"]()]
-    violations = analyze_file(FIXTURES / "no_wallclock_bad.py", rules)
-    payload = json.loads(render_json(violations, files_checked=1))
-    assert payload["summary"]["total"] == len(violations) == 4
-    assert payload["summary"]["by_rule"] == {"no-wallclock": 4}
-    assert payload["violations"][0]["line"] == 4
-    assert payload["violations"][0]["rule"] == "no-wallclock"
+def test_json_reporter_round_trips(capsys):
+    assert main(["--select", "lint:no-wallclock", "--format", "json",
+                 "--no-cache", str(FIXTURES / "no_wallclock_bad.py")]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["files_checked"] == 1
+    rows = payload["findings"]["lint"]
+    assert [row["rule"] for row in rows] == ["no-wallclock"] * 4
+    assert rows[0]["line"] == 4
+    assert Violation(**rows[0]).render().startswith(
+        str(FIXTURES / "no_wallclock_bad.py") + ":4:")
 
 
 # ----------------------------------------------------------------------
-# CLI behaviour
+# CLI behaviour (``repro-analyze --select lint[:RULE]``)
 # ----------------------------------------------------------------------
 def test_cli_exits_nonzero_on_fixtures(capsys):
-    status = main([str(FIXTURES / "no_wallclock_bad.py")])
+    status = main(["--select", "lint", "--no-cache",
+                   str(FIXTURES / "no_wallclock_bad.py")])
     out = capsys.readouterr().out
     assert status == 1
     assert "no_wallclock_bad.py:8:" in out
 
 
 def test_cli_exits_zero_on_clean_file(capsys):
-    status = main([str(FIXTURES / "no_wallclock_ok.py")])
+    status = main(["--select", "lint", "--no-cache",
+                   str(FIXTURES / "no_wallclock_ok.py")])
     assert status == 0
     assert "clean" in capsys.readouterr().out
 
 
 def test_cli_select_limits_rules(capsys):
-    status = main(["--select", "mutable-default-arg",
+    status = main(["--select", "lint:raw-unit-literal", "--no-cache",
                    str(FIXTURES / "no_wallclock_bad.py")])
-    assert status == 0  # the wallclock fixture has no mutable defaults
+    assert status == 0  # the wallclock fixture has no raw literals
 
 
 def test_cli_rejects_unknown_rule():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--select", "no-such-rule", str(FIXTURES)])
-    assert excinfo.value.code == 2
+    for item in ("lint:no-such-rule", "no-wallclock"):  # bare id: no pack
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--select", item, str(FIXTURES)])
+        assert excinfo.value.code == 2
 
 
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ALL_RULE_IDS:
-        assert rule_id in out
+        assert f"lint:{rule_id}: " in out
 
 
 def test_cli_json_format(capsys):
-    status = main(["--format", "json",
-                   str(FIXTURES / "mutable_default_bad.py")])
+    status = main(["--select", "lint", "--format", "json", "--no-cache",
+                   str(FIXTURES / "raw_unit_literal_bad.py")])
     assert status == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["by_rule"] == {"mutable-default-arg": 3}
+    assert [row["rule"] for row in payload["findings"]["lint"]] == [
+        "raw-unit-literal"] * 4
 
 
 def test_module_entry_point_runs():
@@ -263,10 +223,10 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "repro.analysis", "--list-rules"],
         capture_output=True, text=True)
     assert result.returncode == 0
-    assert "no-wallclock" in result.stdout
+    assert "lint:no-wallclock" in result.stdout
+    assert "hot:unslotted-hot-class" in result.stdout  # the front door
 
 
 def test_directory_scan_finds_every_rule_at_least_once():
-    rules = [cls() for cls in registered_rules().values()]
-    violations = analyze_paths([FIXTURES], rules)
+    violations = run_suite([FIXTURES], ["lint"])["lint"]
     assert {v.rule for v in violations} == ALL_RULE_IDS

@@ -1,10 +1,10 @@
-"""Result cache and ``--changed`` fast paths of the analyzers.
+"""The suite's one cache file and the ``--changed`` fast path.
 
-The cache contract under test: a warm run re-analyzes *nothing*; any
-stat change (content edit, ``touch``) or analyzer-implementation edit
-invalidates; ``--no-cache`` and ``--select`` bypass; corrupt cache
-files are rebuilt, not trusted.  The ``--changed`` tests run against a
-throwaway git repository built in ``tmp_path``.
+The cache contract under test: a warm run re-extracts *nothing*; any
+stat change (content edit, ``touch``) or extraction-source edit
+invalidates; ``--no-cache`` and a lint ``--select`` subset bypass;
+corrupt cache files are rebuilt, not trusted.  The ``--changed`` tests
+run against a throwaway git repository built in ``tmp_path``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,11 @@ import subprocess
 
 import pytest
 
-import repro.analysis.lint.cli as lint_cli
+import repro.analysis.hot.core as hot_core
+import repro.analysis.lint.cache as cache_mod
+import repro.analysis.lint.core as lint_core
+import repro.analysis.verify.core as verify_core
+from repro.analysis.front import main
 from repro.analysis.lint.cache import AnalysisCache, implementation_fingerprint
 from repro.analysis.lint.changed import (
     GitError,
@@ -32,34 +36,58 @@ OK_SOURCE = "X = 1\n"
 def test_cache_round_trip_and_stat_invalidation(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text(OK_SOURCE)
+    extract = {"violations": lambda path: [],
+               "summary": lambda path: {"module": "mod"}}
 
-    cache = AnalysisCache(tmp_path / "cache", kind="lint")
-    assert cache.get(target) is None  # cold
-    cache.put(target, {"violations": []})
-    assert cache.get(target) == {"violations": []}
+    cache = AnalysisCache(tmp_path / "cache")
+    assert cache.lookup(target, "violations", extract["violations"]) == []
+    assert (cache.hits, cache.misses) == (0, 1)  # cold
+    assert cache.lookup(target, "violations", None) == []  # no re-extract
     cache.save()
 
-    reloaded = AnalysisCache(tmp_path / "cache", kind="lint")
-    assert reloaded.get(target) == {"violations": []}
+    reloaded = AnalysisCache(tmp_path / "cache")
+    assert reloaded.lookup(target, "violations", None) == []
     assert reloaded.hits == 1
+    # Parts of one file's entry accumulate side by side.
+    assert reloaded.lookup(target, "summary", extract["summary"]) == {
+        "module": "mod"}
+    assert reloaded.lookup(target, "violations", None) == []
 
     target.write_text(OK_SOURCE + "Y = 2\n")  # stat signature changes
-    assert reloaded.get(target) is None
+    assert reloaded.lookup(target, "violations", lambda path: ["new"]) \
+        == ["new"]
+    # ...and drops the file's whole entry, not just the part asked for.
+    assert reloaded.lookup(target, "summary", lambda path: "fresh") \
+        == "fresh"
 
 
 def test_cache_rejects_corrupt_and_wrong_fingerprint_files(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text(OK_SOURCE)
-    cache_file = tmp_path / "cache" / "lint.json"
+    cache_file = tmp_path / "cache" / "analysis.json"
     cache_file.parent.mkdir()
+    fresh = [lambda path: "fresh"]
 
     cache_file.write_text("not json{")
-    assert AnalysisCache(tmp_path / "cache").get(target) is None
+    assert AnalysisCache(tmp_path / "cache").lookup(
+        target, "summary", *fresh) == "fresh"
 
     cache_file.write_text(json.dumps({
         "fingerprint": "0" * 64,
-        "entries": {str(target): {"stat": None, "payload": {}}}}))
-    assert AnalysisCache(tmp_path / "cache").get(target) is None
+        "entries": {str(target): {
+            "stat": None, "payload": {"summary": "stale"}}}}))
+    assert AnalysisCache(tmp_path / "cache").lookup(
+        target, "summary", *fresh) == "fresh"
+
+
+def test_memory_only_cache_touches_no_disk(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "mod.py"
+    target.write_text(OK_SOURCE)
+    cache = AnalysisCache(None)
+    assert cache.lookup(target, "summary", lambda path: 1) == 1
+    cache.save()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["mod.py"]
 
 
 def test_fingerprint_is_stable_within_a_process():
@@ -67,114 +95,57 @@ def test_fingerprint_is_stable_within_a_process():
     assert len(implementation_fingerprint()) == 64
 
 
-def test_fingerprint_is_namespaced_per_analyzer():
-    # Each analyzer hashes its own implementation set *and* the kind
-    # string, so no two kinds can ever share a fingerprint — verify and
-    # det deliberately cache the same summary schema from the same
-    # extraction model, and before per-kind namespacing a cache file
-    # written by one could validate for the other.
-    prints = {kind: implementation_fingerprint(kind)
-              for kind in ("lint", "verify", "det", "hot")}
-    assert len(set(prints.values())) == 4
-
-
-def test_hot_only_implementation_edit_invalidates_only_hot(
-        tmp_path, monkeypatch):
-    # The hot analyzer's fingerprint set is the det set plus
-    # hot/model.py.  Editing the hot-only file must roll the "hot"
-    # fingerprint while leaving "det" untouched — and an edit to a
-    # shared file must roll both.
-    import repro.analysis.lint.cache as cache_mod
-
-    shared = tmp_path / "shared_model.py"
-    hot_only = tmp_path / "hot_model.py"
-    shared.write_text("SHARED = 1\n")
-    hot_only.write_text("HOT = 1\n")
-    monkeypatch.setattr(cache_mod, "_IMPL_FILES_BY_KIND", {
-        "det": (shared,),
-        "hot": (shared, hot_only),
-    })
-
-    det_before = implementation_fingerprint("det")
-    hot_before = implementation_fingerprint("hot")
-    hot_only.write_text("HOT = 2\n")
-    assert implementation_fingerprint("det") == det_before
-    assert implementation_fingerprint("hot") != hot_before
-
-    shared.write_text("SHARED = 2\n")
-    assert implementation_fingerprint("det") != det_before
-
-
-def test_hot_cache_entry_invalidated_by_fingerprint_roll(
-        tmp_path, monkeypatch):
-    # A cache written under one hot fingerprint must come back cold
-    # after the implementation (fingerprint) changes — the exact
-    # situation a rule/model edit in a new commit produces.
-    import repro.analysis.lint.cache as cache_mod
+@pytest.mark.parametrize("edited", range(len(cache_mod._IMPL_FILES)))
+def test_editing_any_extraction_source_invalidates_the_cache_file(
+        tmp_path, monkeypatch, edited):
+    # Stand-ins for lint/core.py, lint/rules.py, verify/model.py and
+    # hot/model.py: an edit to any one rolls the single fingerprint, and
+    # a cache file written before the edit comes back cold.
+    impl = [tmp_path / f"impl{index}.py"
+            for index in range(len(cache_mod._IMPL_FILES))]
+    for path in impl:
+        path.write_text("VERSION = 1\n")
+    monkeypatch.setattr(cache_mod, "_IMPL_FILES", tuple(impl))
 
     target = tmp_path / "mod.py"
     target.write_text(OK_SOURCE)
-    cache = AnalysisCache(tmp_path / "cache", kind="hot")
-    cache.put(target, {"summary": {}, "hot": {}})
+    cache = AnalysisCache(tmp_path / "cache")
+    cache.lookup(target, "hot", lambda path: {})
     cache.save()
+    assert AnalysisCache(tmp_path / "cache").lookup(
+        target, "hot", None) == {}
 
-    assert AnalysisCache(tmp_path / "cache", kind="hot").get(
-        target) is not None
-
-    monkeypatch.setattr(cache_mod, "implementation_fingerprint",
-                        lambda kind="lint": "f" * 64)
-    stale = AnalysisCache(tmp_path / "cache", kind="hot")
-    assert stale.get(target) is None
+    before = implementation_fingerprint()
+    impl[edited].write_text("VERSION = 2\n")
+    assert implementation_fingerprint() != before
+    stale = AnalysisCache(tmp_path / "cache")
+    assert stale.lookup(target, "hot", lambda path: "fresh") == "fresh"
     assert stale.misses == 1
 
 
-def test_cross_analyzer_cache_file_is_never_served(tmp_path):
-    # Regression for the shared-directory hazard: populate a cache as
-    # one analyzer, then impersonate it as another analyzer's file (the
-    # exact on-disk state a rename/copy or a kind collision would
-    # produce). The second analyzer must treat it as cold, not serve
-    # the foreign payload.
-    target = tmp_path / "mod.py"
-    target.write_text(OK_SOURCE)
-    verify = AnalysisCache(tmp_path / "cache", kind="verify")
-    verify.put(target, {"summary": {"module": "mod"}})
-    verify.save()
-
-    cache_dir = tmp_path / "cache"
-    (cache_dir / "verify.json").rename(cache_dir / "det.json")
-    det = AnalysisCache(cache_dir, kind="det")
-    assert det.get(target) is None
-    assert det.misses == 1
-
-
-def test_lint_and_verify_kinds_are_separate_files(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text(OK_SOURCE)
-    lint = AnalysisCache(tmp_path / "cache", kind="lint")
-    verify = AnalysisCache(tmp_path / "cache", kind="verify")
-    lint.put(target, {"violations": []})
-    lint.save()
-    verify.put(target, {"summary": {"module": "mod"}})
-    verify.save()
-    assert (tmp_path / "cache" / "lint.json").exists()
-    assert (tmp_path / "cache" / "verify.json").exists()
-    assert AnalysisCache(tmp_path / "cache",
-                         kind="verify").get(target) == {
-        "summary": {"module": "mod"}}
+def test_fingerprint_covers_exactly_the_sources_whose_output_is_cached():
+    names = [path.relative_to(cache_mod._ANALYSIS_DIR).as_posix()
+             for path in cache_mod._IMPL_FILES]
+    assert names == ["lint/core.py", "lint/rules.py", "verify/model.py",
+                     "hot/model.py"]
+    assert all(path.is_file() for path in cache_mod._IMPL_FILES)
 
 
 # ----------------------------------------------------------------------
-# CLI: warm runs re-analyze nothing
+# CLI: warm runs re-extract nothing
 # ----------------------------------------------------------------------
-def _count_analyze_calls(monkeypatch):
+def _count_extractions(monkeypatch):
+    """Every per-file extractor the suite has, wrapped to log calls."""
     calls = []
-    real = lint_cli.analyze_file
+    for module, name in ((lint_core, "analyze_file"),
+                         (verify_core, "summarize_file"),
+                         (hot_core, "hot_summary_file")):
+        def counting(path, *rest, _real=getattr(module, name),
+                     _name=name):
+            calls.append((_name, path))
+            return _real(path, *rest)
 
-    def counting(path, rules):
-        calls.append(path)
-        return real(path, rules)
-
-    monkeypatch.setattr(lint_cli, "analyze_file", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -182,47 +153,53 @@ def test_warm_cli_run_skips_analysis_entirely(tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.py").write_text(BAD_SOURCE)
     (tmp_path / "ok.py").write_text(OK_SOURCE)
     cache_dir = str(tmp_path / "cache")
-    calls = _count_analyze_calls(monkeypatch)
+    calls = _count_extractions(monkeypatch)
 
-    assert lint_cli.main([str(tmp_path), "--cache-dir", cache_dir]) == 1
-    assert len(calls) == 2  # cold: both files parsed
+    assert main([str(tmp_path), "--cache-dir", cache_dir]) == 1
+    # cold: both files, each extracted once per part — never twice
+    assert sorted(calls) == sorted(
+        (name, tmp_path / leaf)
+        for name in ("analyze_file", "summarize_file", "hot_summary_file")
+        for leaf in ("bad.py", "ok.py"))
     cold_out = capsys.readouterr().out
     assert "no-wallclock" in cold_out
 
     calls.clear()
-    assert lint_cli.main([str(tmp_path), "--cache-dir", cache_dir]) == 1
-    assert calls == []  # warm: zero re-analysis
+    assert main([str(tmp_path), "--cache-dir", cache_dir]) == 1
+    assert calls == []  # warm full run: zero re-extraction, all packs
     assert "no-wallclock" in capsys.readouterr().out  # findings replayed
 
-    # Editing one file re-analyzes exactly that file.
+    # Editing one file re-extracts exactly that file.
     (tmp_path / "ok.py").write_text(OK_SOURCE + "Y = 2\n")
     calls.clear()
-    assert lint_cli.main([str(tmp_path), "--cache-dir", cache_dir]) == 1
-    assert calls == [tmp_path / "ok.py"]
+    assert main([str(tmp_path), "--cache-dir", cache_dir]) == 1
+    assert {path for _name, path in calls} == {tmp_path / "ok.py"}
+    assert len(calls) == 3
 
 
 def test_no_cache_flag_always_reanalyzes(tmp_path, monkeypatch):
     (tmp_path / "ok.py").write_text(OK_SOURCE)
     cache_dir = str(tmp_path / "cache")
-    calls = _count_analyze_calls(monkeypatch)
+    calls = _count_extractions(monkeypatch)
     for _ in range(2):
-        assert lint_cli.main([str(tmp_path), "--cache-dir", cache_dir,
-                              "--no-cache"]) == 0
-    assert len(calls) == 2
+        assert main([str(tmp_path), "--cache-dir", cache_dir,
+                     "--no-cache"]) == 0
+    assert len(calls) == 2 * 3  # every part, both times
     assert not (tmp_path / "cache").exists()
 
 
 def test_select_subset_bypasses_the_cache(tmp_path, monkeypatch):
     (tmp_path / "bad.py").write_text(BAD_SOURCE)
     cache_dir = str(tmp_path / "cache")
-    calls = _count_analyze_calls(monkeypatch)
+    calls = _count_extractions(monkeypatch)
     # A subset run must not seed the cache with subset results...
-    assert lint_cli.main([str(tmp_path), "--cache-dir", cache_dir,
-                          "--select", "no-ambient-random"]) == 0
+    assert main([str(tmp_path), "--cache-dir", cache_dir,
+                 "--select", "lint:raw-unit-literal"]) == 0
     assert not (tmp_path / "cache").exists()
-    # ...and a later full run must analyze from scratch.
+    # ...and a later full-pack run must analyze from scratch.
     calls.clear()
-    assert lint_cli.main([str(tmp_path), "--cache-dir", cache_dir]) == 1
+    assert main([str(tmp_path), "--cache-dir", cache_dir,
+                 "--select", "lint"]) == 1
     assert len(calls) == 1
 
 
@@ -278,7 +255,8 @@ def test_hot_changed_cli_restricts_findings_to_changed_files(
     # The whole program is still assembled (reachability needs it),
     # but only findings in changed files are reported — and a clean
     # working tree short-circuits.
-    from repro.analysis.hot.cli import main as hot_main
+    def hot_main(argv):
+        return main(argv + ["--select", "hot"])
 
     assert hot_main(["src", "--changed", "--since", "HEAD",
                      "--no-cache"]) == 0
@@ -307,14 +285,14 @@ def test_hot_changed_cli_restricts_findings_to_changed_files(
 
 
 def test_changed_cli_paths(git_repo, capsys):
-    assert lint_cli.main(["src", "--changed", "--since", "HEAD",
-                          "--no-cache"]) == 0
+    assert main(["src", "--changed", "--since", "HEAD",
+                 "--no-cache"]) == 0
     assert "no changed files" in capsys.readouterr().out
 
     (git_repo / "src" / "dirty.py").write_text(BAD_SOURCE)
-    assert lint_cli.main(["src", "--changed", "--since", "HEAD",
-                          "--no-cache"]) == 1
+    assert main(["src", "--changed", "--since", "HEAD",
+                 "--no-cache"]) == 1
     assert "no-wallclock" in capsys.readouterr().out
 
-    assert lint_cli.main(["src", "--changed", "--since", "no-such-rev",
-                          "--no-cache"]) == 2
+    assert main(["src", "--changed", "--since", "no-such-rev",
+                 "--no-cache"]) == 2

@@ -3,7 +3,7 @@
 Checks the subset GitHub code scanning actually reads: log/run shape,
 rule metadata + index wiring, 1-based regions, and repo-relative
 URIs.  Multi-section logs (the front door's case) must come out as
-one run per analyzer, in order.
+one run per pack, in order.
 """
 
 from __future__ import annotations
@@ -21,17 +21,17 @@ V2 = Violation(path="src/repro/sched/edd.py", line=3, col=0,
 
 
 def test_log_shape_and_version():
-    log = sarif_log([("repro-lint", {"no-wallclock": "desc"}, [V1])])
+    log = sarif_log([("repro-analyze/lint", {"no-wallclock": "desc"}, [V1])])
     assert log["version"] == "2.1.0"
     assert "sarif-schema-2.1.0" in log["$schema"]
     (run,) = log["runs"]
-    assert run["tool"]["driver"]["name"] == "repro-lint"
+    assert run["tool"]["driver"]["name"] == "repro-analyze/lint"
 
 
 def test_rule_metadata_and_index_agree():
     meta = {"no-wallclock": "forbids wall-clock reads",
             "unused-rule": "never fires"}
-    log = sarif_log([("repro-lint", meta, [V1])])
+    log = sarif_log([("repro-analyze/lint", meta, [V1])])
     (run,) = log["runs"]
     rules = run["tool"]["driver"]["rules"]
     ids = [rule["id"] for rule in rules]
@@ -46,7 +46,7 @@ def test_rule_metadata_and_index_agree():
 def test_unregistered_rule_still_gets_an_entry():
     # A violation whose rule is missing from the metadata (e.g. a
     # dynamically added rule) must not produce a dangling ruleIndex.
-    log = sarif_log([("repro-hot", {}, [V2])])
+    log = sarif_log([("repro-analyze/hot", {}, [V2])])
     (run,) = log["runs"]
     (result,) = run["results"]
     rules = run["tool"]["driver"]["rules"]
@@ -54,7 +54,7 @@ def test_unregistered_rule_still_gets_an_entry():
 
 
 def test_region_is_one_based_and_uri_relative():
-    log = sarif_log([("repro-lint", {}, [V2])])
+    log = sarif_log([("repro-analyze/lint", {}, [V2])])
     (result,) = log["runs"][0]["results"]
     location = result["locations"][0]["physicalLocation"]
     assert location["region"] == {"startLine": 3, "startColumn": 1}
@@ -75,15 +75,15 @@ def test_absolute_paths_are_relativized_to_cwd():
 
 def test_one_run_per_section_in_order():
     log = sarif_log([
-        ("repro-lint", {}, [V1]),
-        ("repro-verify", {}, []),
-        ("repro-hot", {}, [V2]),
+        ("repro-analyze/lint", {}, [V1]),
+        ("repro-analyze/verify", {}, []),
+        ("repro-analyze/hot", {}, [V2]),
     ])
     names = [run["tool"]["driver"]["name"] for run in log["runs"]]
-    assert names == ["repro-lint", "repro-verify", "repro-hot"]
+    assert names == ["repro-analyze/lint", "repro-analyze/verify", "repro-analyze/hot"]
     assert [len(run["results"]) for run in log["runs"]] == [1, 0, 1]
 
 
 def test_render_is_valid_sorted_json():
-    rendered = render_sarif([("repro-lint", {}, [V1])])
+    rendered = render_sarif([("repro-analyze/lint", {}, [V1])])
     assert json.loads(rendered)["version"] == "2.1.0"

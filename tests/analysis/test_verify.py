@@ -1,4 +1,4 @@
-"""Whole-program analyzer: rules against cross-module fixtures.
+"""The ``verify`` pack: rules against cross-module fixtures.
 
 Every rule gets one *bad* fixture (asserting exact rule id and line
 numbers) and one *clean* twin (asserting silence).  The interesting
@@ -15,13 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.verify import (
-    analyze_program,
-    build_program,
-    default_rules,
-    registered_rules,
-)
-from repro.analysis.verify.cli import main
+from repro.analysis.front import main, run_suite
+from repro.analysis.lint.cache import AnalysisCache
+from repro.analysis.lint.core import registered_rules
+from repro.analysis.verify import build_program
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "analysis" / "verify"
 
@@ -35,18 +32,14 @@ ALL_RULE_IDS = {
 
 def findings(target: str, rule_id: str):
     """(rule, line) pairs from one rule over one fixture file/package."""
-    rule = registered_rules()[rule_id]()
-    return [(v.rule, v.line)
-            for v in analyze_program([FIXTURES / target], [rule])]
+    return [(v.rule, v.line) for v in run_suite(
+        [FIXTURES / target], [f"verify:{rule_id}"])["verify"]]
 
 
 def test_registry_has_the_four_program_rules():
     registry = registered_rules()
-    assert set(registry) == ALL_RULE_IDS
-    for rule_id, rule_class in registry.items():
-        assert rule_class.id == rule_id
-        assert rule_class.description
-    assert {rule.id for rule in default_rules()} == ALL_RULE_IDS
+    assert {key for key in registry if key.startswith("verify:")} == {
+        f"verify:{rule_id}" for rule_id in ALL_RULE_IDS}
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +74,8 @@ def test_dimension_mismatch_negative():
 
 
 # ----------------------------------------------------------------------
-# untiebroken-event-transitive: tree-wide, unlike lint's net-only rule.
+# untiebroken-event-transitive: tree-wide (tests/analysis/test_lint.py
+# holds the net/sched/faults fixtures of the per-file rule it replaced).
 # ----------------------------------------------------------------------
 def test_untiebroken_event_transitive_positive():
     assert findings("untiebroken_bad.py", "untiebroken-event-transitive") == [
@@ -110,7 +104,7 @@ def test_unreleased_reservation_negative():
 
 
 # ----------------------------------------------------------------------
-# Suppressions flow through the Program just like in repro-lint.
+# Suppressions flow through the Program just like in the lint pack.
 # ----------------------------------------------------------------------
 def test_suppression_silences_exactly_the_named_rule(tmp_path):
     source = (
@@ -121,7 +115,8 @@ def test_suppression_silences_exactly_the_named_rule(tmp_path):
     )
     path = tmp_path / "suppressed.py"
     path.write_text(source)
-    assert [(v.rule, v.line) for v in analyze_program([path])] == [
+    assert [(v.rule, v.line)
+            for v in run_suite([path], ["verify"])["verify"]] == [
         ("untiebroken-event-transitive", 3),
     ]
 
@@ -130,14 +125,16 @@ def test_suppression_silences_exactly_the_named_rule(tmp_path):
 # Program model basics.
 # ----------------------------------------------------------------------
 def test_program_resolves_cross_module_calls():
-    program = build_program([FIXTURES / "nondet_bad"])
+    program = build_program([FIXTURES / "nondet_bad"],
+                            AnalysisCache(None))
     summary, drain = program.functions["nondet_bad.sched:drain"]
     assert any(program.call_reaches_sink(summary["module"], call)
                for call in drain["calls"])
 
 
 def test_program_sees_transactional_release_across_modules():
-    program = build_program([FIXTURES / "reservation_ok"])
+    program = build_program([FIXTURES / "reservation_ok"],
+                            AnalysisCache(None))
     summary, admit = (
         program.functions["reservation_ok.controller:Controller.admit"])
     assert admit["has_try"]
@@ -146,35 +143,36 @@ def test_program_sees_transactional_release_across_modules():
 
 
 # ----------------------------------------------------------------------
-# CLI entry point.
+# CLI (``repro-analyze --select verify[:RULE]``).
 # ----------------------------------------------------------------------
 def test_cli_exit_codes_and_json(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     bad = str(FIXTURES / "untiebroken_bad.py")
     ok = str(FIXTURES / "untiebroken_ok.py")
 
-    assert main([bad, "--cache-dir", cache_dir]) == 1
+    assert main([bad, "--select", "verify", "--cache-dir", cache_dir]) == 1
     out = capsys.readouterr().out
     assert "untiebroken-event-transitive" in out
 
-    assert main([ok, "--cache-dir", cache_dir]) == 0
+    assert main([ok, "--select", "verify", "--cache-dir", cache_dir]) == 0
     capsys.readouterr()  # drop the "clean" line before the JSON run
 
-    assert main([bad, "--format", "json", "--no-cache"]) == 1
+    assert main([bad, "--select", "verify", "--format", "json",
+                 "--no-cache"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["total"] == 2
-    assert payload["summary"]["by_rule"] == {
-        "untiebroken-event-transitive": 2}
+    assert [row["rule"] for row in payload["findings"]["verify"]] == [
+        "untiebroken-event-transitive"] * 2
 
 
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ALL_RULE_IDS:
-        assert rule_id in out
+        assert f"verify:{rule_id}: " in out
 
 
 def test_cli_select_unknown_rule_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main([str(FIXTURES / "dims_ok.py"), "--select", "no-such-rule"])
+        main([str(FIXTURES / "dims_ok.py"), "--select",
+              "verify:no-such-rule"])
     assert excinfo.value.code == 2

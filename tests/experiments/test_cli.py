@@ -45,6 +45,24 @@ def test_retired_state_backend_flags_are_rejected():
         assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize("argv, complaint", [
+    # -1 used to print a table of zero-packet rows and exit 0; nan
+    # used to spin forever (every ``time > until`` test is false).
+    (["figure07", "--duration", "-1"], "--duration: must be a finite"),
+    (["figure07", "--duration", "0"], "--duration: must be a finite"),
+    (["figure07", "--duration", "nan"], "--duration: must be a finite"),
+    (["figure07", "--duration", "inf"], "--duration: must be a finite"),
+    (["figure07", "--workers", "0"], "--workers: must be >= 1"),
+    (["figure07", "--workers", "-2"], "--workers: must be >= 1"),
+])
+def test_nonsense_duration_and_workers_are_usage_errors(capsys, argv,
+                                                        complaint):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert complaint in capsys.readouterr().err
+
+
 def test_analytic_experiment_runs(capsys):
     assert main(["section4"]) == 0
     out = capsys.readouterr().out

@@ -255,6 +255,20 @@ class TestNaNIsRejected:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_run_rejects_nan_horizon(self, kernel_loop):
+        # ``time > nan`` is never true: before the check this spun at
+        # 100 % CPU on a self-rescheduling source and never returned.
+        sim = Simulator()
+
+        def tick():
+            sim.schedule(1.0, tick)
+
+        sim.schedule(0.0, tick)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run(until=float("nan"))
+        assert sim.now == 0.0 and sim.pending == 1
+        assert sim.run(until=2.5) == 2.5  # not left marked running
+
     def test_infinite_delay_is_still_a_time(self, kernel_loop):
         sim = Simulator()
         sim.schedule(float("inf"), lambda: None)
