@@ -105,7 +105,8 @@ ckernel:
 	@if command -v cc >/dev/null 2>&1; then \
 		REPRO_BUILD_CKERNEL=1 $(PYTHON) setup.py build_ext --inplace \
 		&& $(PYTHON) -c "from repro.sim import _ckernel" \
-		&& $(PYTHON) -m pytest -q tests/sim tests/properties tests/integration; \
+		&& $(PYTHON) -m pytest -q tests/sim tests/properties tests/integration \
+			tests/net/test_decision_epochs.py tests/net/test_hop_path_budget.py; \
 	else \
 		echo "-- no C compiler: skipped (runs in GitHub Actions) --"; \
 	fi

@@ -68,9 +68,6 @@ PRIORITY_FAULT = -16
 #: The drop reasons fault accounting distinguishes.
 DROP_REASONS = ("loss", "corrupt", "expired", "flush")
 
-#: In-header corruption mark (see Packet.scratch()).
-_CORRUPT_KEY = "corrupted"
-
 
 class NodeFaultState:
     """Mutable fault state of one node, mutated only by fault timers.
@@ -115,10 +112,6 @@ class NodeFaultState:
         if rate > 0.0 and rng.random() < rate:
             return "corrupt"
         return None
-
-    def mark_corrupted(self, packet: Packet) -> None:
-        """Stamp the in-header corruption mark on a departing packet."""
-        packet.scratch()[_CORRUPT_KEY] = True
 
     def count_drop(self, reason: str, session_id: str) -> None:
         per_session = self.drops.get(reason)
@@ -293,12 +286,8 @@ class FaultInjector:
     def _set_corrupt_rate(self, node_name: str, rate: float) -> None:
         self.states[node_name].corrupt_rate = rate
 
-    def is_corrupted(self, packet: Packet) -> bool:
-        extra = packet.extra
-        return extra is not None and bool(extra.get(_CORRUPT_KEY))
-
     def corrupt_dropped(self, packet: Packet) -> None:
-        """A corrupted packet reached the next hop; discard it there.
+        """A corrupted packet reached the next hop or sink; discard it.
 
         Accounting lands at the node that *transmitted* the packet (the
         corruption happened on its link); the buffer bits were already

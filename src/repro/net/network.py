@@ -11,6 +11,7 @@ sources and :meth:`run` for experiments.
 from __future__ import annotations
 
 import os
+from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
@@ -20,7 +21,7 @@ from repro.net.packet import Packet
 from repro.net.session import Session
 from repro.net.session_table import SessionTable
 from repro.net.sink import Sink
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import PRIORITY_NORMAL, Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 
@@ -30,6 +31,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.parallel import ShardContext
 
 __all__ = ["Network"]
+
+#: Sink deliveries the calendar holds before the next injection makes
+#: the due ones (memory only: every reader settles anyway).
+_CALENDAR_BATCH = 64
 
 #: The values ``Network(state_backend=...)`` still accepts.
 _BACKENDS = (None, "objects", "soa")
@@ -81,7 +86,10 @@ class Network:
         self.tracer = tracer or Tracer(False)
         self.nodes: Dict[str, ServerNode] = {}
         self.sessions: Dict[str, Session] = {}
-        self.sinks: Dict[str, Sink] = {}
+        self._sinks: Dict[str, Sink] = {}
+        #: Sink deliveries not yet made: ``(arrival time, packet)`` in
+        #: time order, appended by last-hop completions.
+        self._calendar: deque = deque()
         self.sources: List[object] = []
         #: ``L_MAX``: the maximum packet length allowed in the network
         #: (paper eq. 9 and eq. 13). Grows automatically as sessions
@@ -158,7 +166,7 @@ class Network:
             sink = Sink(session.id, keep_samples=keep_samples,
                         max_samples=max_samples, warmup=warmup,
                         keep_packets=keep_packets)
-        self.sinks[session.id] = sink
+        self._sinks[session.id] = sink
         return sink
 
     def remove_session(self, session_id: str, *,
@@ -187,6 +195,15 @@ class Network:
             raise ConfigurationError(f"unknown session {session_id!r}")
         if self._in_flight(session) > 0:
             self._draining[session_id] = (session, keep_sink)
+            # Its packets now travel as events, so the drain ends at
+            # its own instant; the parked ones get an event at theirs.
+            nodes = [self.nodes[name] for name in session.route]
+            for settle, parked in [(self.settle_sinks, self._calendar)] \
+                    + [(node.settle, node._inbox or ()) for node in nodes]:
+                for time, packet in parked:
+                    if packet.session is session:
+                        self.sim.schedule_at(time, settle,
+                                             priority=PRIORITY_NORMAL)
             return
         self._finalize_removal(session, keep_sink)
 
@@ -202,13 +219,14 @@ class Network:
         """Clear per-node state once the session has fully drained."""
         for node_name in session.route:
             node = self.nodes[node_name]
+            node.settle()
             node.scheduler.forget_session(session.id)
             node.forget_session(session.id)
         self.session_table.release(session.id)
         session.slot = -1
         self._draining.pop(session.id, None)
         if not keep_sink:
-            self.sinks.pop(session.id, None)
+            self._sinks.pop(session.id, None)
         for callback in self._drained_callbacks.pop(session.id, ()):
             callback()
 
@@ -275,6 +293,8 @@ class Network:
                 f"session {session.id!r} generated a packet of {length} bits; "
                 f"lengths must be positive and must not exceed its "
                 f"declared l_max {session.l_max}")
+        if len(self._calendar) > _CALENDAR_BATCH:
+            self.settle_sinks()
         session.packets_sent += 1
         packet = Packet(session, session.packets_sent, length, self.sim.now)
         packet.hop_index = 0
@@ -285,24 +305,14 @@ class Network:
         return packet
 
     def deliver(self, packet: Packet) -> None:
-        """Move a transmitted packet to its next hop or its sink."""
-        faults = self.faults
-        if faults is not None and faults.is_corrupted(packet):
-            faults.corrupt_dropped(packet)
-            return
-        session = packet.session
-        route = session.route
-        hop = packet.hop_index + 1
-        if hop == len(route):
-            san = self.sanitizer
-            if san is not None:
-                san.on_sink(packet)
-            self.sinks[session.id].receive(packet, self.sim.now)
-            if self._draining:
-                self._drain_progress(session.id)
-            return
-        packet.hop_index = hop
-        self.nodes[route[hop]].receive(packet)
+        """A packet's last bit reached its sink, as an event of its own."""
+        san = self.sanitizer
+        if san is not None:
+            san.on_sink(packet)
+        session_id = packet.session.id
+        self.sinks[session_id].receive(packet, self.sim.now)
+        if self._draining:
+            self._drain_progress(session_id)
 
     # ------------------------------------------------------------------
     # Execution
@@ -323,12 +333,39 @@ class Network:
             if start is not None and not getattr(source, "started", False):
                 start()
         self.sim.run(until=duration)
+        self.settle()
         san = self.sanitizer
         if san is not None:
             san.finalize(self)
             if san.violations or san.dropped_violations:
                 from repro.analysis.verify.sanitizer import SanitizerError
                 raise SanitizerError(san.report().to_json())
+
+    def settle_sinks(self) -> None:
+        """Make every sink delivery that is due by now."""
+        now = self.sim.now
+        calendar = self._calendar
+        sinks = self._sinks
+        while calendar and calendar[0][0] <= now:
+            time, packet = calendar.popleft()
+            session_id = packet.session.id
+            sinks[session_id].receive(packet, time)
+            if self._draining:
+                self._drain_progress(session_id)
+
+    def settle(self) -> None:
+        """Apply every parked arrival, release and delivery due by now
+        (:meth:`run` ends with this; the views do their part on access)."""
+        for name in sorted(self.nodes):
+            self.nodes[name].settle()
+        self.settle_sinks()
+
+    @property
+    def sinks(self) -> Dict[str, Sink]:
+        """Session id -> sink, every delivery due by now already made."""
+        if self._calendar:
+            self.settle_sinks()
+        return self._sinks
 
     # ------------------------------------------------------------------
     # Convenience accessors

@@ -11,6 +11,13 @@ exactly:
 * delivery to the next node (or sink) happens a propagation delay ``Γ``
   after transmission finishes.
 
+Decision epochs (``docs/simulator.md``): a transmitting node cannot act
+on an arrival before its own next completion, so a completion whose
+next hop is busy *parks* the packet in that node's inbox, stamped
+``now + Γ``, instead of buying a kernel event.  The owner takes parked
+arrivals in — each at its own instant, in order — whenever it looks at
+its queue; when it goes idle they become events again.
+
 The node also measures per-session buffer occupancy the way the paper's
 Figures 12-13 do: sampled at the instant a packet's last bit arrives,
 counting queued, held, *and in-transmission* bits of that session.
@@ -34,6 +41,7 @@ and checks it still reads its fill values after in-flight removals.
 
 from __future__ import annotations
 
+from collections import deque
 from math import inf, isfinite
 from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
@@ -91,6 +99,20 @@ class ServerNode:
         self._on_arrival = scheduler.on_arrival
         self._next_packet = scheduler.next_packet
         self._on_transmit_complete = scheduler.on_transmit_complete
+        #: Parked arrivals, ``(arrival time, packet)`` in time order,
+        #: appended by upstream completions while this node transmits
+        #: (None: the discipline is not deferrable), and the scheduler's
+        #: holds.  Mind the attribute count: CPython 3.11 keeps an
+        #: instance's values inline only below 30, and the hop path is
+        #: 5 % slower past that (tests/net/test_decision_epochs.py).
+        self._inbox: Optional[deque] = \
+            deque() if scheduler.deferrable else None
+        self._holds = scheduler._holds
+        #: When the link last went busy after idling for longer than a
+        #: transmission: upstream parks only once that spell has
+        #: outlasted its propagation delay (it will likely outlast
+        #: another, and the arrival finds this node busy).
+        self._busy_since = 0.0
         self.network: Optional["Network"] = None
         #: Armed fault state, set by FaultInjector.install for nodes a
         #: plan references; None otherwise, so the fault-free data path
@@ -155,9 +177,17 @@ class ServerNode:
                 f"{session_id!r}; add the session to the network first")
         self._limit[slot] = float(bits)
 
-    def receive(self, packet: Packet) -> None:
-        """A packet's last bit arrived at this node."""
-        now = self.sim.now
+    def receive(self, packet: Packet, now: Optional[float] = None) -> None:
+        """A packet's last bit arrived at this node.
+
+        ``now`` is passed for a parked arrival; one that is its own
+        event reads the clock and lets earlier parked ones in first.
+        """
+        if now is None:
+            now = self.sim.now
+            inbox = self._inbox
+            if inbox and inbox[0][0] <= now:
+                self._take_in(now, packet.finish_time)
         packet.arrival_time = now
         session = packet.session
         slot = session.slot
@@ -184,6 +214,8 @@ class ServerNode:
         if tracer.enabled:
             tracer.emit(now, "arrival", node=self.name,
                         session=session.id, packet=packet.seq)
+        if self._holds:
+            self.scheduler._mature(now, packet.finish_time)
         self._on_arrival(packet, now)
         san = self.sanitizer
         if san is not None:
@@ -202,10 +234,47 @@ class ServerNode:
             san.on_buffer_drop(self, packet)
         if self.network is not None:
             self.network.packet_dropped(packet)
+        if self.transmitting is None:
+            self._try_start()  # idle: the next parked arrival's turn
+
+    def _take_in(self, now: float, created: float = inf) -> None:
+        """Receive the parked arrivals due by ``now``, oldest first.
+
+        One due exactly ``now`` goes first only if it was sent before
+        the event being handled was ``created``: their ``seq`` order.
+        """
+        inbox = self._inbox
+        while inbox:
+            time, packet = inbox[0]
+            if time > now or (time == now
+                              and packet.finish_time >= created):
+                return
+            inbox.popleft()
+            self.receive(packet, time)
+
+    def settle(self) -> None:
+        """Take in every parked arrival and regulator release due by now."""
+        now = self.sim.now
+        inbox = self._inbox
+        if inbox and inbox[0][0] <= now:
+            self._take_in(now)
+        if self._holds:
+            self.scheduler._mature(now)
 
     def wakeup(self) -> None:
-        """A held packet became eligible; look for work."""
+        """New work may be available (a timer fired, a fault cleared)."""
+        self.settle()
         self._try_start()
+
+    def _idle(self) -> None:
+        """Going idle: the next parked arrival becomes the event it would
+        have been; the earliest timer-less hold gets one wake timer."""
+        if self._inbox:
+            time, packet = self._inbox.popleft()
+            self.sim.schedule_at(time, self.receive, packet,
+                                 priority=PRIORITY_NORMAL)
+        if self._holds:
+            self.scheduler._arm_wake()
 
     def _try_start(self) -> None:
         if self.transmitting is not None:
@@ -219,8 +288,12 @@ class ServerNode:
         now = sim.now
         packet = self._next_packet(now)
         if packet is None:
+            if self._inbox or self._holds:
+                self._idle()
             return
         self.transmitting = packet
+        if now - self._tx_started_at > 2.0 * self._tx_time:
+            self._busy_since = now
         # Lengths are validated once, at Network.inject.
         transmission = packet.length / self.link.capacity
         # busy_time accrues at completion; remember the start so
@@ -251,6 +324,9 @@ class ServerNode:
             raise SimulationError(
                 f"node {self.name}: transmission completion for a packet "
                 f"that is not on the link")
+        inbox = self._inbox
+        if inbox and inbox[0][0] <= now:
+            self._take_in(now, self._tx_started_at)
         packet.finish_time = now
         self._on_transmit_complete(packet, now)
 
@@ -270,35 +346,58 @@ class ServerNode:
             raise SimulationError(
                 f"node {self.name} is not attached to a network")
         faults = self.faults
+        san = self.sanitizer
         if faults is not None:
             verdict = faults.transmit_verdict(packet)
             if verdict is not None:
                 if verdict == "corrupt":
-                    # Corrupted packets still occupy the link and the
-                    # downstream propagation delay; the next hop
-                    # discards them on arrival (Network.deliver).
-                    faults.mark_corrupted(packet)
+                    # It still rides the link and its delay; where it
+                    # lands it is discarded, charged to this node.
+                    sim.schedule(self.link.propagation,
+                                 self.network.faults.corrupt_dropped,
+                                 packet, priority=PRIORITY_NORMAL)
+                    if san is not None:
+                        san.on_forward(self, packet)
                 else:
                     self.fault_drop(packet, "loss",
                                     release_buffer=False)
-                    self._try_start()
-                    return
-        # Tie-break: NORMAL. With zero propagation the delivery lands at
-        # this same instant; insertion order then runs it after this
-        # completion handler's dequeue below, i.e. the downstream
-        # arrival never preempts this node's own dequeue decision.
-        #
-        # Sharded runs intercept here — *before* the propagation delay
-        # is scheduled — because Γ is the shard lookahead: the envelope
-        # must leave this shard stamped with arrival ``now + Γ``, not
-        # after the delay has already been consumed on this clock.
+                self._try_start()
+                return
+        # Tie-break: NORMAL. With zero propagation the arrival lands at
+        # this same instant, after this handler's dequeue below: it
+        # never preempts this node's own dequeue decision.  Sharded
+        # runs intercept *before* the propagation delay: Γ is the shard
+        # lookahead, so the envelope leaves stamped ``now + Γ``.
         network = self.network
         link = self.link
         shard = network.shard
         if shard is None or not shard.intercept(self, packet):
-            sim.schedule(link.propagation, network.deliver,
-                         packet, priority=PRIORITY_NORMAL)
-        san = self.sanitizer
+            route = session.route
+            hop = packet.hop_index + 1
+            if hop == len(route):
+                target = None
+                parked = network._calendar
+            else:
+                packet.hop_index = hop
+                target = network.nodes[route[hop]]
+                parked = target._inbox \
+                    if target.transmitting is not None and \
+                    now - target._busy_since > link.propagation else None
+            # Park it, unless someone must see the arrival at its own
+            # instant or it would land out of order (unequal Γ).
+            if parked is not None and not (
+                    tracer.enabled or san is not None
+                    or network.faults is not None
+                    or (network._draining
+                        and session.id in network._draining)
+                    or (parked and parked[-1][0] > now + link.propagation)):
+                parked.append((now + link.propagation, packet))
+            elif target is None:
+                sim.schedule(link.propagation, network.deliver, packet,
+                             priority=PRIORITY_NORMAL)
+            else:
+                sim.schedule(link.propagation, target.receive, packet,
+                             priority=PRIORITY_NORMAL)
         if san is not None:
             san.on_forward(self, packet)
         # Start the next transmission: ``_try_start`` inlined, minus
@@ -306,8 +405,12 @@ class ServerNode:
         # above and here can have put a packet on the link.
         if faults is not None and faults.blocked:
             return
+        if self._holds:
+            self.scheduler._mature(now, self._tx_started_at)
         head = self._next_packet(now)
         if head is None:
+            if self._inbox or self._holds:
+                self._idle()
             return
         self.transmitting = head
         transmission = head.length / link.capacity
@@ -387,6 +490,7 @@ class ServerNode:
     # ------------------------------------------------------------------
     def _rows(self, column: Sequence[float]) -> Dict[str, float]:
         """``column`` as a dict over the sessions routed through here."""
+        self.settle()
         member = self._member
         return {sid: column[slot] for sid, slot in self.table.items()
                 if member[slot]}
@@ -404,6 +508,7 @@ class ServerNode:
     @property
     def buffer_samples(self) -> Dict[str, TimeSeries]:
         """Arrival-sampled occupancy series for monitored sessions."""
+        self.settle()
         ids = self.table.ids
         return {ids[slot]: series
                 for slot, series in self._samples.items()
@@ -423,6 +528,7 @@ class ServerNode:
 
     def drop_count(self, session_id: str) -> int:
         """Packets of ``session_id`` dropped at this node."""
+        self.settle()
         slot = self.table.slot(session_id)
         return self._drops[slot] if slot >= 0 else 0
 

@@ -12,20 +12,26 @@ through three calls:
   disciplines that stamp downstream header fields (Leave-in-Time,
   Jitter-EDD) do it here.
 
-Disciplines that hold packets (regulators, frames) use the simulator's
-timers and call :meth:`~repro.net.node.ServerNode.wakeup` when new work
-becomes available; the node never needs to know why it was woken.
+Disciplines that hold packets (regulators, frames) share one helper:
+:meth:`Scheduler._hold` queues a packet by eligibility, and the node
+calls :meth:`Scheduler._mature` before every push and pop to hand what
+became eligible to the discipline's ``_release``.  A hold costs a kernel
+event only when something must see the release at its own instant.
+Every data-path hook works from the ``now`` it is handed, never from
+``self.sim.now``: a parked arrival is taken in at its own instant.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from heapq import heapify, heappop, heappush
+from math import inf
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.net.packet import Packet
 from repro.net.session import Session
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import PRIORITY_NORMAL, Simulator
 from repro.sim.monitor import Tally
 from repro.sim.trace import Tracer
 
@@ -40,6 +46,10 @@ __all__ = ["Scheduler"]
 class Scheduler(ABC):
     """Abstract service discipline attached to one server node."""
 
+    #: May arrivals and holds wait for the node's next decision epoch?
+    #: False for disciplines with timers of their own on the clock.
+    deferrable = True
+
     def __init__(self) -> None:
         self.node: Optional["ServerNode"] = None
         self.sim: Optional[Simulator] = None
@@ -51,6 +61,12 @@ class Scheduler(ABC):
         #: Leave-in-Time's scheduler-saturation check is
         #: ``max lateness < L_MAX / C`` (paper: F̂ < F + L_MAX/C).
         self.lateness = Tally("lateness")
+        #: Held packets: a heap of ``(eligible_at, order, packet,
+        #: timer or None)``, bound by the node — mutate in place.
+        self._holds: list = []
+        self._hold_order = 0
+        #: Instant of the node's armed wake timer; inf when none is.
+        self._wake_at = inf
 
     # ------------------------------------------------------------------
     # Wiring
@@ -109,21 +125,86 @@ class Scheduler(ABC):
         """The packet's last bit left the server (default: record lateness)."""
         self.lateness.observe(now - packet.deadline)
 
+    def _hold(self, packet: Packet, eligible_at: float) -> None:
+        """Keep ``packet`` out of service until ``eligible_at``."""
+        self._hold_order = order = self._hold_order + 1
+        network = self.node.network
+        timer = None
+        if (not self.deferrable or self.tracer.enabled
+                or self.sanitizer is not None
+                or network is None or network.faults is not None):
+            # Tie-break: NORMAL — insertion order against same-instant
+            # completions, as in the net layer.
+            timer = self.sim.schedule_at(eligible_at, self._hold_expired,
+                                         packet, priority=PRIORITY_NORMAL)
+        heappush(self._holds, (eligible_at, order, packet, timer))
+
+    def _mature(self, now: float, created: float = inf) -> None:
+        """Release, in order, the timer-less holds that ended by ``now``.
+
+        One ending exactly ``now`` goes first only if its packet arrived
+        before the event being handled was ``created``: ``seq`` order.
+        """
+        holds = self._holds
+        while holds:
+            time, _, packet, timer = holds[0]
+            if timer is not None or time > now or (
+                    time == now and packet.arrival_time >= created):
+                return
+            heappop(holds)
+            self._release(packet)
+
+    def _arm_wake(self) -> None:
+        """The node went idle: one wake timer at the earliest timer-less
+        hold, unless one is armed at or before it."""
+        at, _, _, timer = self._holds[0]
+        if timer is None and at < self._wake_at:
+            self._wake_at = at
+            self.sim.schedule_at(at, self._wake, priority=PRIORITY_NORMAL)
+
+    def _wake(self) -> None:
+        """The wake timer fired: the earliest hold is due."""
+        self._wake_at = inf
+        self.node.wakeup()
+
+    def _hold_expired(self, packet: Packet) -> None:
+        """A hold's own timer fired: release (and trace) up to it."""
+        holds = self._holds
+        tracer = self.tracer
+        while holds:
+            held = heappop(holds)[2]
+            self._release(held)
+            if tracer.enabled and self.deferrable:
+                tracer.emit(self.sim.now, "eligible", node=self.node.name,
+                            session=held.session.id, packet=held.seq)
+            if held is packet:
+                break
+        self._wake_node()
+
+    def _unhold(self, session_id: Optional[str] = None) -> List[Packet]:
+        """Remove and return held packets (all, or one session's)."""
+        holds = self._holds
+        if not holds:
+            return []
+        taken = sorted(entry for entry in holds
+                       if session_id in (None, entry[2].session.id))
+        for entry in taken:
+            holds.remove(entry)
+            if entry[3] is not None:
+                entry[3].cancel()
+        heapify(holds)
+        return [entry[2] for entry in taken]
+
     # ------------------------------------------------------------------
     # Fault hooks (repro.faults)
     # ------------------------------------------------------------------
     def flush(self, now: float) -> List[Packet]:
-        """Remove and return every queued packet (node restart).
+        """Remove and return every held, then every queued packet.
 
-        The default drains through :meth:`next_packet`, which covers
-        any work-conserving discipline.  Packets inside *untracked*
-        regulator holds survive a flush and rejoin on release;
-        disciplines that track their hold events (Leave-in-Time)
-        override this to flush those too.  The caller owns the returned
-        packets and must account for them (the injector routes them to
-        :meth:`repro.net.node.ServerNode.fault_drop`).
+        Node restart.  The caller owns the returned packets (the
+        injector routes them to ``ServerNode.fault_drop``).
         """
-        flushed: List[Packet] = []
+        flushed = self._unhold()
         while True:
             packet = self.next_packet(now)
             if packet is None:
@@ -150,6 +231,18 @@ class Scheduler(ABC):
     @property
     def backlog(self) -> int:
         """Number of packets currently queued or held at this scheduler."""
+        held = self.held  # first: it takes in the node's due arrivals
+        return self._queued() + held
+
+    @property
+    def held(self) -> int:
+        """Packets currently inside regulators (due arrivals taken in)."""
+        if self.node is not None:
+            self.node.settle()
+        return len(self._holds)
+
+    def _queued(self) -> int:
+        """Packets in the discipline's own queue(s), holds excluded."""
         raise NotImplementedError
 
     def _wake_node(self) -> None:

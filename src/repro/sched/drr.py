@@ -115,6 +115,5 @@ class DeficitRoundRobin(Scheduler):
         if session_id in self._active:
             self._active.remove(session_id)
 
-    @property
-    def backlog(self) -> int:
+    def _queued(self) -> int:
         return self._backlog

@@ -31,7 +31,6 @@ from repro.net.session import Session
 from repro.sched.base import Scheduler
 from repro.sched.calendar_queue import (DeadlineQueue, HeapDeadlineQueue,
                                         drain_expired)
-from repro.sim.kernel import PRIORITY_NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.session_table import SessionTable
@@ -111,18 +110,10 @@ class DelayEDD(Scheduler):
         if eligible_at <= now:
             self._eligible.push(packet)
         else:
-            # Tie-break: NORMAL — release-vs-wake order at the same
-            # instant is pinned to insertion order, as in the net layer.
-            self.sim.schedule_at(eligible_at, self._release, packet,
-                                 priority=PRIORITY_NORMAL)
+            self._hold(packet, eligible_at)
 
     def _release(self, packet: Packet) -> None:
         self._eligible.push(packet)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(self.sim.now, "eligible", node=self.node.name,
-                        session=packet.session.id, packet=packet.seq)
-        self._wake_node()
 
     def next_packet(self, now: float) -> Optional[Packet]:
         return self._eligible.pop()
@@ -138,8 +129,7 @@ class DelayEDD(Scheduler):
         """Link recovery: discard eligible packets past their due date."""
         return drain_expired(self._eligible, now)
 
-    @property
-    def backlog(self) -> int:
+    def _queued(self) -> int:
         return len(self._eligible)
 
 

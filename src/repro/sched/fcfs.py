@@ -40,6 +40,5 @@ class FCFS(Scheduler):
             return None
         return self._queue.popleft()
 
-    @property
-    def backlog(self) -> int:
+    def _queued(self) -> int:
         return len(self._queue)

@@ -31,6 +31,9 @@ __all__ = ["HierarchicalRoundRobin"]
 class HierarchicalRoundRobin(Scheduler):
     """Single-level framed round robin with per-frame bit budgets."""
 
+    #: The frame timer and its budgets run off the simulator clock.
+    deferrable = False
+
     def __init__(self, frame: float) -> None:
         super().__init__()
         if frame <= 0:
@@ -142,6 +145,5 @@ class HierarchicalRoundRobin(Scheduler):
             self._quota.pop(session_id, None)
             self._budgets.pop(session_id, None)
 
-    @property
-    def backlog(self) -> int:
+    def _queued(self) -> int:
         return sum(len(q) for q in self._queues.values())

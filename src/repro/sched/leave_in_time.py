@@ -44,7 +44,7 @@ the policy object entirely.  The recursions run in Python floats.
 from __future__ import annotations
 
 from math import inf, nan
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.net.packet import Packet
@@ -53,8 +53,6 @@ from repro.sched.base import Scheduler
 from repro.sched.calendar_queue import (DeadlineQueue, HeapDeadlineQueue,
                                         drain_expired)
 from repro.sched.policy import virtual_clock_policy
-from repro.sim.events import Event
-from repro.sim.kernel import PRIORITY_NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.session_table import SessionTable
@@ -83,11 +81,6 @@ class LeaveInTime(Scheduler):
         #: The queue's two per-packet operations, bound once.
         self._push = self._eligible.push
         self._pop = self._eligible.pop
-        self._held = 0
-        #: Regulator holds: slot -> {seq: (release event, packet)}, for
-        #: sessions that ever had a packet held here.  Teardown and
-        #: node restart flush these.
-        self._pending: Dict[int, Dict[int, Tuple[Event, Packet]]] = {}
 
     # ------------------------------------------------------------------
     # Scheduler contract
@@ -160,32 +153,11 @@ class LeaveInTime(Scheduler):
         if eligible_at <= now:
             self._push(packet)
         else:
-            self._held += 1
-            # Tie-break: NORMAL, so a release coinciding with the node
-            # transmitter's wake (or a completion) resolves by insertion
-            # order — the hold was scheduled at arrival, before any
-            # same-instant completion, so the release runs first and the
-            # transmitter sees the packet. Pinned explicitly because the
-            # order is load-bearing for deadline ties.
-            event = self.sim.schedule_at(eligible_at, self._release,
-                                         packet, priority=PRIORITY_NORMAL)
-            holds = self._pending.get(slot)
-            if holds is None:
-                holds = self._pending[slot] = {}
-            holds[packet.seq] = (event, packet)
+            self._hold(packet, eligible_at)
 
     def _release(self, packet: Packet) -> None:
         """A delay regulator hold expired; queue the packet for service."""
-        holds = self._pending.get(packet.session.slot)
-        if holds is not None:
-            holds.pop(packet.seq, None)
-        self._held -= 1
         self._push(packet)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(self.sim.now, "eligible", node=self.node.name,
-                        session=packet.session.id, packet=packet.seq)
-        self._wake_node()
 
     def next_packet(self, now: float) -> Optional[Packet]:
         packet = self._pop()
@@ -217,30 +189,17 @@ class LeaveInTime(Scheduler):
                 "this indicates scheduler saturation")
         packet.holding_time = max(0.0, holding)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def backlog(self) -> int:
-        return len(self._eligible) + self._held
-
-    @property
-    def held(self) -> int:
-        """Packets currently inside delay regulators."""
-        return self._held
+    def _queued(self) -> int:
+        return len(self._eligible)
 
     def forget_session(self, session_id: str) -> None:
         """Flush the regulator holds of a session being torn down.
 
-        Packets still sitting in the session's delay regulator are
-        released immediately (their hold events are cancelled and they
-        join the eligible queue now) so teardown can never strand a
-        packet or leak the ``_held`` counter.  The session's row
-        (``k_prev``, policy) is reset by the table when its slot is
-        released, so packets still draining keep their labels.  Prefer
-        tearing sessions down through
-        :meth:`repro.net.network.Network.remove_session`, which defers
-        this call until the session has fully drained.
+        Packets still in the session's delay regulator join the
+        eligible queue now, so teardown can never strand one.  The
+        table resets the session's row when its slot is released;
+        :meth:`repro.net.network.Network.remove_session` defers this
+        call until the session has fully drained.
         """
         node = self.node
         san = self.sanitizer
@@ -248,15 +207,12 @@ class LeaveInTime(Scheduler):
             # A re-admitted session restarts its K/F recursion from the
             # current clock; drop the stale monotonicity baseline.
             san.on_lit_forget(node.name, session_id)
-        holds = self._pending.pop(node.table.slot(session_id), None)
-        if not holds:
+        held = self._unhold(session_id)
+        if not held:
             return
         tracer = self.tracer
-        eligible = self._eligible
-        for event, packet in holds.values():  # repro: disable=nondeterministic-iteration -- holds is keyed by monotonically increasing seq and dicts preserve insertion order, so this iteration is deterministic
-            event.cancel()
-            self._held -= 1
-            eligible.push(packet)
+        for packet in held:
+            self._push(packet)
             if tracer.enabled:
                 tracer.emit(self.sim.now, "flush", node=node.name,
                             session=session_id, packet=packet.seq)
@@ -265,36 +221,6 @@ class LeaveInTime(Scheduler):
     # ------------------------------------------------------------------
     # Fault hooks
     # ------------------------------------------------------------------
-    def flush(self, now: float) -> List[Packet]:
-        """Node restart: empty the eligible queue *and* the regulators.
-
-        Unlike :meth:`forget_session`, per-session deadline state
-        (``k_prev``, resolved policy) survives — the session is still
-        admitted; only its buffered packets are lost.  Hold events are
-        cancelled through the same ``_pending`` map the drain-then-forget
-        machinery uses, so ``_held`` can never leak.
-        """
-        flushed: List[Packet] = []
-        pending = self._pending
-        if pending:
-            # Sessions in admission order, whichever held first: flush
-            # order is load-bearing for deadline ties downstream.
-            for slot in self.node.table.slot_of.values():  # repro: disable=nondeterministic-iteration -- slot_of is insertion-ordered by admission, which is deterministic
-                holds = pending.get(slot)
-                if not holds:
-                    continue
-                for event, packet in holds.values():
-                    event.cancel()
-                    self._held -= 1
-                    flushed.append(packet)
-                holds.clear()
-        while True:
-            packet = self._eligible.pop()
-            if packet is None:
-                break
-            flushed.append(packet)
-        return flushed
-
     def drop_expired(self, now: float) -> List[Packet]:
         """Link recovery: discard eligible packets whose deadline passed.
 

@@ -28,7 +28,6 @@ from repro.errors import ConfigurationError
 from repro.net.packet import Packet
 from repro.net.session import Session
 from repro.sched.base import Scheduler
-from repro.sim.kernel import PRIORITY_NORMAL
 
 __all__ = ["RCSP", "rcsp_admissible"]
 
@@ -100,7 +99,6 @@ class RCSP(Scheduler):
         self.x_min: Dict[str, float] = dict(x_min or {})
         self._queues: List[Deque[Packet]] = [deque() for _ in self.levels]
         self._last_eligible: Dict[str, float] = {}
-        self._held = 0
 
     def _level_of(self, session: Session) -> int:
         return self.assignment.get(session.id, len(self.levels) - 1)
@@ -125,20 +123,10 @@ class RCSP(Scheduler):
         if eligible_at <= now:
             self._queues[self._level_of(session)].append(packet)
         else:
-            self._held += 1
-            # Tie-break: NORMAL — release-vs-wake order at the same
-            # instant is pinned to insertion order, as in the net layer.
-            self.sim.schedule_at(eligible_at, self._release, packet,
-                                 priority=PRIORITY_NORMAL)
+            self._hold(packet, eligible_at)
 
     def _release(self, packet: Packet) -> None:
-        self._held -= 1
         self._queues[self._level_of(packet.session)].append(packet)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(self.sim.now, "eligible", node=self.node.name,
-                        session=packet.session.id, packet=packet.seq)
-        self._wake_node()
 
     def next_packet(self, now: float) -> Optional[Packet]:
         for queue in self._queues:
@@ -175,6 +163,5 @@ class RCSP(Scheduler):
                 self._queues[level] = kept
         return expired
 
-    @property
-    def backlog(self) -> int:
-        return sum(len(q) for q in self._queues) + self._held
+    def _queued(self) -> int:
+        return sum(len(q) for q in self._queues)

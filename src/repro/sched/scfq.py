@@ -67,8 +67,7 @@ class SCFQ(Scheduler):
     def forget_session(self, session_id: str) -> None:
         self._last_finish.pop(session_id, None)
 
-    @property
-    def backlog(self) -> int:
+    def _queued(self) -> int:
         return len(self._eligible)
 
     @property

@@ -27,7 +27,6 @@ from repro.errors import AdmissionError, ConfigurationError
 from repro.net.packet import Packet
 from repro.net.session import Session
 from repro.sched.base import Scheduler
-from repro.sim.kernel import PRIORITY_NORMAL
 
 __all__ = ["StopAndGo"]
 
@@ -40,6 +39,9 @@ class StopAndGo(Scheduler):
     bound absorbs arbitrary frame phase, so bounds are unaffected.
     """
 
+    #: Frame boundaries are instants of the simulator clock.
+    deferrable = False
+
     def __init__(self, frame: float) -> None:
         super().__init__()
         if frame <= 0:
@@ -49,7 +51,6 @@ class StopAndGo(Scheduler):
         #: Eligible packets, FIFO (eligibility instants are frame
         #: boundaries, so FIFO-by-release preserves frame order).
         self._eligible: Deque[Packet] = deque()
-        self._held = 0
         self._reserved = 0.0
 
     # ------------------------------------------------------------------
@@ -87,16 +88,10 @@ class StopAndGo(Scheduler):
         # Local delay bound under S&G is 2T per hop; use it as the
         # deadline so lateness monitoring stays meaningful.
         packet.deadline = now + 2.0 * self.frame
-        self._held += 1
-        # Tie-break: NORMAL — frame-boundary releases keep insertion
-        # order against same-instant completions.
-        self.sim.schedule_at(eligible_at, self._release, packet,
-                             priority=PRIORITY_NORMAL)
+        self._hold(packet, eligible_at)
 
     def _release(self, packet: Packet) -> None:
-        self._held -= 1
         self._eligible.append(packet)
-        self._wake_node()
 
     def next_packet(self, now: float) -> Optional[Packet]:
         if not self._eligible:
@@ -107,6 +102,5 @@ class StopAndGo(Scheduler):
         super().on_transmit_complete(packet, now)
         packet.holding_time = 0.0
 
-    @property
-    def backlog(self) -> int:
-        return len(self._eligible) + self._held
+    def _queued(self) -> int:
+        return len(self._eligible)

@@ -50,6 +50,5 @@ class VirtualClock(Scheduler):
     def forget_session(self, session_id: str) -> None:
         self._previous_deadline.pop(session_id, None)
 
-    @property
-    def backlog(self) -> int:
+    def _queued(self) -> int:
         return len(self._eligible)

@@ -105,8 +105,7 @@ class WF2Q(Scheduler):
             tracker._last_finish.pop(session_id, None)
             tracker._rates.pop(session_id, None)
 
-    @property
-    def backlog(self) -> int:
+    def _queued(self) -> int:
         return self._count
 
     @property

@@ -156,8 +156,7 @@ class WFQ(Scheduler):
             tracker._last_finish.pop(session_id, None)
             tracker._rates.pop(session_id, None)
 
-    @property
-    def backlog(self) -> int:
+    def _queued(self) -> int:
         return len(self._eligible)
 
     @property

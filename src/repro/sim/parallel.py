@@ -189,14 +189,6 @@ class ShardContext:
             return False
         sim = node.sim
         gamma = node.link.propagation
-        faults = self.network.faults
-        if faults is not None and faults.is_corrupted(packet):
-            # Serially the next hop discards a corrupted packet on
-            # arrival with accounting at this transmitter; keep the
-            # whole exchange local at the identical instant.
-            sim.schedule(gamma, faults.corrupt_dropped, packet,
-                         priority=PRIORITY_NORMAL)
-            return True
         self.outbox.append(PacketEnvelope(
             session_id=session.id, seq=packet.seq, length=packet.length,
             entry_time=packet.entry_time, hop_index=hop,
@@ -214,7 +206,7 @@ class ShardContext:
                          envelopes: Sequence[PacketEnvelope]) -> None:
         """Materialize boundary arrivals; ``envelopes`` must be sorted.
 
-        Each envelope becomes a ``Network.deliver`` event at its
+        Each envelope becomes a ``receive`` event of its next hop at its
         absolute arrival instant, at :data:`PRIORITY_BOUNDARY` — one
         notch below the NORMAL priority the transmitter would have used
         — to reproduce the serial tie order at same-instant local
@@ -228,11 +220,13 @@ class ShardContext:
         for env in envelopes:
             session = network.sessions[env.session_id]
             packet = Packet(session, env.seq, env.length, env.entry_time)
-            packet.hop_index = env.hop_index
+            packet.hop_index = env.hop_index + 1
             packet.holding_time = env.holding_time
+            packet.finish_time = env.sent_at
             if env.extra:
                 packet.extra = dict(env.extra)
-            sim.schedule_at(env.arrival, network.deliver, packet,
+            node = network.nodes[session.route[packet.hop_index]]
+            sim.schedule_at(env.arrival, node.receive, packet,
                             priority=PRIORITY_BOUNDARY)
 
 

@@ -1,13 +1,17 @@
 """A machine-independent budget for the per-packet-hop path.
 
-Wall-clock gates cannot see a call creeping back into the forwarding
-chain; counters can.  This profiles one second of the Fig. 7 MIX cell
-(the ledger's ``mix_onoff`` / ``mix_jitter`` workloads, shortened) under
-``cProfile`` and holds two numbers per configuration:
+Wall-clock gates cannot see a call or an event creeping back into the
+forwarding chain; counters can.  This profiles ``Network.run`` of four
+short cells under ``cProfile`` — the Fig. 7 MIX cell with and without
+jitter control (the ledger's ``mix_onoff`` / ``mix_jitter``, shortened),
+a 10³-session heavy-traffic cell and a call-churn cell — and holds two
+numbers per cell:
 
 * events dispatched and packet-hops served — **exactly** the committed
-  integers: the hop path may fuse calls, never events, so a change here
-  also moves every dispatch-order golden in ``tests/sim``;
+  integers.  Hops are what the network did and never change; events
+  are what it cost, and a change there also moves the event-count
+  goldens in ``tests/sim`` (the observables digests next to them must
+  not move);
 * Python-level function calls per packet-hop — at most the committed
   ceiling (what the tree reached, rounded up to one decimal).  Raise a
   ceiling only with a reason; lower it when a PR shortens the path.
@@ -21,38 +25,72 @@ import pstats
 
 import pytest
 
+from repro.experiments import call_churn, heavy_traffic
 from repro.experiments.common import build_mix_network, mix_specs
+from repro.net.network import Network
 from repro.units import ms
 
-HORIZON_S = 1.0
 
-#: jitter control -> (events dispatched, packet-hops served), seed 0.
-EVENTS_AND_HOPS = {False: (44142, 17723), True: (52628, 17503)}
-
-#: jitter control -> Python calls per packet-hop.  Before the
-#: timer-callback sources and the flattened forwarding chain these
-#: read 24.7 / 29.9.
-CALLS_PER_HOP_CEILING = {False: 16.2, True: 19.3}
-
-
-@pytest.mark.parametrize("jitter", [False, True], ids=["plain", "jitter"])
-def test_hop_path_budget(jitter):
+def _mix(jitter):
     jitter_ids = (frozenset(spec.session_id for spec in mix_specs())
                   if jitter else frozenset())
-    network = build_mix_network(ms(6.5), seed=0, jitter_ids=jitter_ids)
+    build_mix_network(ms(6.5), seed=0, jitter_ids=jitter_ids).run(1.0)
 
+
+def _heavy():
+    (cell,) = [cell for cell in heavy_traffic.cells(
+        duration=2.0, seed=0, sessions=1000, rhos=(0.95,),
+        backends=("soa",), topologies=("single",))
+        if cell.kwargs["discipline"] == "leave-in-time"]
+    cell.fn(**cell.kwargs)
+
+
+def _churn():
+    call_churn._cell(duration=3.0, seed=0, offered_erlangs=60.0,
+                     mean_holding=0.5)
+
+
+CELLS = {"plain": lambda: _mix(False), "jitter": lambda: _mix(True),
+         "heavy_1e3": _heavy, "call_churn": _churn}
+
+#: cell -> (events dispatched, packet-hops served), seed 0.  While every
+#: arrival, regulator release and sink delivery was a kernel event the
+#: events read 44142 / 52628 / 20261 / 23363; the hops are the same.
+EVENTS_AND_HOPS = {"plain": (27323, 17723), "jitter": (27787, 17503),
+                   "heavy_1e3": (13511, 6754), "call_churn": (21356, 10226)}
+
+#: cell -> Python calls per packet-hop inside ``Network.run``.  Before
+#: the timer-callback sources and the flattened forwarding chain the
+#: mix cells read 24.7 / 29.9; before decision-epoch forwarding the four
+#: read 16.2 / 19.3 / 22.0 / 33.7.
+CALLS_PER_HOP_CEILING = {"plain": 14.7, "jitter": 18.2,
+                         "heavy_1e3": 20.0, "call_churn": 32.8}
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_hop_path_budget(cell, monkeypatch):
     profiler = cProfile.Profile()
-    profiler.enable()
-    network.run(HORIZON_S)
-    profiler.disable()
+    networks = []
+    run = Network.run
 
+    def profiled_run(network, duration):
+        networks.append(network)
+        profiler.enable()
+        try:
+            return run(network, duration)
+        finally:
+            profiler.disable()
+
+    monkeypatch.setattr(Network, "run", profiled_run)
+    CELLS[cell]()
+
+    (network,) = networks
     hops = sum(node.packets_served for node in network.nodes.values())
-    assert (network.sim.events_dispatched, hops) == EVENTS_AND_HOPS[jitter]
+    assert (network.sim.events_dispatched, hops) == EVENTS_AND_HOPS[cell]
     calls = sum(row[1] for (filename, _, _), row
                 in pstats.Stats(profiler).stats.items()
                 if filename != "~")
-    ceiling = CALLS_PER_HOP_CEILING[jitter]
+    ceiling = CALLS_PER_HOP_CEILING[cell]
     assert calls / hops <= ceiling, (
-        f"{calls / hops:.3f} Python calls per packet-hop"
-        f"{' with jitter control' if jitter else ''}; the committed "
-        f"ceiling is {ceiling}")
+        f"{calls / hops:.3f} Python calls per packet-hop in the {cell} "
+        f"cell; the committed ceiling is {ceiling}")

@@ -15,7 +15,7 @@ def assert_row_reset(network, node_name, slot):
     scheduler = network.node(node_name).scheduler
     assert scheduler._k_prev[slot] == -inf
     assert scheduler._d_slope[slot] != scheduler._d_slope[slot]  # NaN
-    assert slot not in scheduler._pending
+    assert not scheduler._holds
 
 
 def drained_network():
@@ -131,11 +131,11 @@ def test_forget_session_flushes_held_packets():
                       jitter_control=True)
     network.run(0.3)
     scheduler = network.node("n2").scheduler
-    held_before = scheduler._held
+    held_before = scheduler.held
     scheduler.forget_session("s")
     # Holds flushed: the counter drops to zero and packets are queued
     # as immediately eligible rather than stranded.
-    assert scheduler._held == 0
+    assert scheduler.held == 0
     if held_before:
         network.run(60.0)
         assert network.sink("s").received == 2

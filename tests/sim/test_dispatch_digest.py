@@ -36,8 +36,17 @@ from repro.units import ms, seconds
 # Golden digests computed on the pre-overhaul kernel (commit 2342b1d).
 KERNEL_ORDER_DIGEST = (
     "c2e634790a88f8a4d8a4564c22497859019d499af7e3f5c4fd58cfb3e015b6ed")
-FIG07_CELL_DIGEST_TRACE_OFF = (
-    "fc53b35c8506c0850734c90aaaf7b254c4bb66681c12988884c3467ff680d286")
+#: Tracing off, what comes out and how many events it took are pinned
+#: apart: the observables digest was recorded at 019d85f with the event
+#: count left out of the hash and must never move; the count moves when
+#: the event list is re-organised (33041 until decision-epoch
+#: forwarding parked arrivals at busy nodes; together the two hashed to
+#: fc53b35c… until then).
+FIG07_CELL_OBSERVABLES_TRACE_OFF = (
+    "7f2f104a6a1b049f2516b062a2876571b0b0427f25b6a5fd34b9872340ee7a28")
+FIG07_CELL_EVENTS_TRACE_OFF = 24460
+#: Tracing on keeps one event per arrival: observables, event count and
+#: the trace stream in one hash, untouched since 2342b1d.
 FIG07_CELL_DIGEST_TRACE_ON = (
     "ebc96f87b7a8a761e844175f3877a68efe22393a728fde5f92388020db271fec")
 
@@ -100,12 +109,16 @@ def kernel_order_digest() -> str:
     return _digest([f"{t!r}|{tag}" for t, tag in log])
 
 
-def fig07_cell_digest(trace_on: bool) -> str:
-    """Digest of one shortened fig07 MIX cell's order-sensitive output."""
+def fig07_cell(trace_on: bool) -> Tuple[str, int]:
+    """One shortened fig07 MIX cell: digest of its output, event count.
+
+    The traced digest hashes the count and the trace stream too.
+    """
     network = build_mix_network(_A_OFF, seed=0)
     network.tracer.enabled = trace_on
     network.run(_CELL_DURATION)
     sink = network.sink(TARGET_SESSION)
+    events = network.sim.events_dispatched
     parts = [
         repr(sink.received),
         repr(sink.bits_received),
@@ -113,7 +126,7 @@ def fig07_cell_digest(trace_on: bool) -> str:
         repr(sink.min_delay),
         repr(sink.jitter),
         repr(sink.delay.mean),
-        repr(network.sim.events_dispatched),
+        *([repr(events)] if trace_on else []),
         repr(network.sim.now),
     ]
     if trace_on:
@@ -121,7 +134,7 @@ def fig07_cell_digest(trace_on: bool) -> str:
             detail = sorted(record.detail.items())
             parts.append(f"{record.time!r}|{record.category}|{record.node}"
                          f"|{record.session}|{record.packet}|{detail!r}")
-    return _digest(parts)
+    return _digest(parts), events
 
 
 # Both drain loops must reproduce the goldens bit-for-bit (the
@@ -132,11 +145,12 @@ def test_kernel_dispatch_order_is_bit_identical(kernel_loop):
 
 
 def test_fig07_cell_is_bit_identical_tracing_off(kernel_loop):
-    assert fig07_cell_digest(trace_on=False) == FIG07_CELL_DIGEST_TRACE_OFF
+    assert fig07_cell(trace_on=False) == (FIG07_CELL_OBSERVABLES_TRACE_OFF,
+                                          FIG07_CELL_EVENTS_TRACE_OFF)
 
 
 def test_fig07_cell_is_bit_identical_tracing_on(kernel_loop):
-    assert fig07_cell_digest(trace_on=True) == FIG07_CELL_DIGEST_TRACE_ON
+    assert fig07_cell(trace_on=True)[0] == FIG07_CELL_DIGEST_TRACE_ON
 
 
 def test_retired_backend_variable_is_ignored(monkeypatch):
@@ -144,4 +158,5 @@ def test_retired_backend_variable_is_ignored(monkeypatch):
     axis was deleted; the frozen ledger benchmark still sets it on
     traced children, so it must be ignored, never rejected."""
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batch")
-    assert fig07_cell_digest(trace_on=False) == FIG07_CELL_DIGEST_TRACE_OFF
+    assert fig07_cell(trace_on=False) == (FIG07_CELL_OBSERVABLES_TRACE_OFF,
+                                          FIG07_CELL_EVENTS_TRACE_OFF)

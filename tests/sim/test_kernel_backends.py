@@ -25,14 +25,13 @@ backends so that the ids of the surviving tests did not change.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Callable, List, Optional, Tuple
 
 import pytest
 
-from repro.experiments import call_churn, fault_sweep
 from repro.sim import kernel
 from repro.sim.kernel import Simulator
+from tests.sim.test_state_backends import churn_cell, fault_cell
 
 Log = List[Tuple[float, str]]
 
@@ -201,31 +200,15 @@ def test_recycled_handles_stay_safe_across_a_tied_run(kernel_loop):
 # Figure-level equivalence: each loop reproduces the reference loop's
 # digests bit-for-bit
 # ----------------------------------------------------------------------
-def _churn_digest() -> str:
-    output = call_churn._cell(duration=8.0, seed=0,
-                              offered_erlangs=12.0, mean_holding=2.0)
-    result = output.value
-    parts = [repr(call) for call in result.calls]
-    parts.append(repr(output.events))
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
-
-
-def _fault_digest(outage: float) -> str:
-    output = fault_sweep._cell(discipline="leave-in-time",
-                               outage=outage, duration=6.0, seed=0)
-    parts = [repr(output.value), repr(output.events)]
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
-
-
+# ``churn_cell`` / ``fault_cell`` return (observables digest, events).
 def test_call_churn_digest_matches_reference(kernel_loop):
-    assert _churn_digest() == on_reference_loop(_churn_digest)
+    assert churn_cell() == on_reference_loop(churn_cell)
 
 
 @pytest.mark.parametrize("outage", [0.0, 1.0],
                          ids=["clean", "faulted"])
 def test_fault_sweep_digest_matches_reference(kernel_loop, outage):
-    assert _fault_digest(outage) == on_reference_loop(_fault_digest,
-                                                      outage)
+    assert fault_cell(outage) == on_reference_loop(fault_cell, outage)
 
 
 def test_space_parallel_shard_digest_matches_reference(kernel_loop):

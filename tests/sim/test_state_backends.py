@@ -20,35 +20,47 @@ from repro.experiments import call_churn, fault_sweep
 from repro.sched.leave_in_time import LeaveInTime
 from tests.conftest import add_trace_session, make_network
 from tests.sim.test_dispatch_digest import (
-    FIG07_CELL_DIGEST_TRACE_OFF,
     FIG07_CELL_DIGEST_TRACE_ON,
-    fig07_cell_digest,
+    FIG07_CELL_EVENTS_TRACE_OFF,
+    FIG07_CELL_OBSERVABLES_TRACE_OFF,
+    fig07_cell,
 )
 
-#: Recorded at PR 13 (95b6e5d), where the per-session-object store and
-#: the table both produced them.
-CHURN_CELL_DIGEST = \
-    "b75f1a6daeff047fc22096b1bfed851ea1f4ddc4ad23d2a2f4740fe930159b76"
-FAULT_CELL_DIGEST = {
-    0.0: "62545ef5b1e77a93b45dcf974ff4ff84924c495c437cae526c81cf10ab6b9fbd",
-    1.0: "709c99c554fbcb3756073d64a7782079a51c6ac54a7b298a8e36c7085707e2b0",
+#: Observables digests, recorded at 019d85f with the event count left
+#: out of the hash: they never move.  (With the count hashed in, the
+#: cells read b75f1a6d… / 62545ef5… / 709c99c5… from PR 13, where the
+#: per-session-object store and the table both produced them, until
+#: decision-epoch forwarding changed the counts.)
+CHURN_CELL_OBSERVABLES = \
+    "11436150bd98bbe9ac9d0afae1c02d6b1506dd30961fc322e51b588405b78c5c"
+FAULT_CELL_OBSERVABLES = {
+    0.0: "09aeebdb53b8b82066bda8589a17909ffce5bf9e76ce93e9e00c0a665df6b624",
+    1.0: "7ad5b3825b39afc27e56b550a82446186621faf3caba565bc0771678a5055693",
 }
+#: Events dispatched.  The churn cell took 23146 and the clean fault
+#: cell 519703 while every arrival was a kernel event; an armed fault
+#: plan keeps that path, so the faulted count is the parent's.
+CHURN_CELL_EVENTS = 21064
+FAULT_CELL_EVENTS = {0.0: 322913, 1.0: 488420}
 
 
-def _churn_digest() -> str:
+def _digest(parts) -> str:
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def churn_cell():
+    """``(observables digest, events)`` of a short call-churn cell."""
     output = call_churn._cell(duration=8.0, seed=0,
                               offered_erlangs=12.0, mean_holding=2.0)
-    result = output.value
-    parts = [repr(call) for call in result.calls]
-    parts.append(repr(output.events))
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    return (_digest([repr(call) for call in output.value.calls]),
+            output.events)
 
 
-def _fault_digest(outage: float) -> str:
+def fault_cell(outage: float):
+    """``(observables digest, events)`` of a short fault-sweep cell."""
     output = fault_sweep._cell(discipline="leave-in-time",
                                outage=outage, duration=6.0, seed=0)
-    parts = [repr(output.value), repr(output.events)]
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    return _digest([repr(output.value)]), output.events
 
 
 @pytest.mark.parametrize("trace_on", [False, True])
@@ -56,19 +68,23 @@ def test_fig07_cell_digest_matches_golden_under_soa(
         monkeypatch, trace_on):
     # The retired selector must be ignored, not obeyed or rejected.
     monkeypatch.setenv("REPRO_STATE_BACKEND", "objects")
-    golden = (FIG07_CELL_DIGEST_TRACE_ON if trace_on
-              else FIG07_CELL_DIGEST_TRACE_OFF)
-    assert fig07_cell_digest(trace_on=trace_on) == golden
+    digest, events = fig07_cell(trace_on=trace_on)
+    if trace_on:
+        assert digest == FIG07_CELL_DIGEST_TRACE_ON
+    else:
+        assert (digest, events) == (FIG07_CELL_OBSERVABLES_TRACE_OFF,
+                                    FIG07_CELL_EVENTS_TRACE_OFF)
 
 
 def test_call_churn_cell_digest_matches_golden():
-    assert _churn_digest() == CHURN_CELL_DIGEST
+    assert churn_cell() == (CHURN_CELL_OBSERVABLES, CHURN_CELL_EVENTS)
 
 
 @pytest.mark.parametrize("outage", [0.0, 1.0],
                          ids=["clean", "faulted"])
 def test_fault_sweep_cell_digest_matches_golden(outage):
-    assert _fault_digest(outage) == FAULT_CELL_DIGEST[outage]
+    assert fault_cell(outage) == (FAULT_CELL_OBSERVABLES[outage],
+                                  FAULT_CELL_EVENTS[outage])
 
 
 # ----------------------------------------------------------------------
