@@ -9,14 +9,12 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: ci test ruff repro-analyze hot-profile-smoke perturb-smoke \
-	parallel-smoke sanitize mypy perf-guard heavy-traffic-smoke \
-	ckernel ab
+	parallel-smoke sanitize mypy heavy-traffic-smoke ckernel ab
 
 # ckernel goes last: it leaves the built extension under src/, and
 # every python process after that runs the C drain loop.
 ci: test ruff repro-analyze hot-profile-smoke perturb-smoke \
-	parallel-smoke sanitize mypy perf-guard heavy-traffic-smoke \
-	ckernel
+	parallel-smoke sanitize mypy heavy-traffic-smoke ckernel
 	@echo "== ci: all jobs done =="
 
 test:
@@ -48,23 +46,21 @@ repro-analyze:
 
 hot-profile-smoke:
 	@echo "== ci job: hot-profile-smoke =="
-	$(PYTHON) -m repro.analysis src --profile fig07 \
-		--budget 5 --bench-dir /tmp/repro-hotprof
+	$(PYTHON) -m repro.analysis src --profile fig07 --budget 5
 
 perturb-smoke:
 	@echo "== ci job: perturb-smoke =="
 	$(PYTHON) -m repro.analysis --perturb --scenario fig07 \
-		--horizon 0.15 --rounds 1 --bench-dir /tmp/repro-perturb
+		--horizon 0.15 --rounds 1
 
 parallel-smoke:
 	@echo "== ci job: parallel-smoke =="
-	$(PYTHON) -m repro space_parallel --duration 0.5 \
-		--bench-dir /tmp/repro-parallel
+	$(PYTHON) -m repro space_parallel --duration 0.5
 
 sanitize:
 	@echo "== ci job: sanitize =="
-	$(PYTHON) -m repro figure07 --duration 1 --workers 1 --sanitize --bench-dir /tmp/repro-sanitize
-	$(PYTHON) -m repro fault_sweep --duration 5 --workers 2 --sanitize --bench-dir /tmp/repro-sanitize
+	$(PYTHON) -m repro figure07 --duration 1 --workers 1 --sanitize
+	$(PYTHON) -m repro fault_sweep --duration 5 --workers 2 --sanitize
 
 mypy:
 	@echo "== ci job: mypy =="
@@ -74,27 +70,9 @@ mypy:
 		echo "-- mypy not installed: skipped (runs in GitHub Actions) --"; \
 	fi
 
-perf-guard:
-	@echo "== ci job: perf-guard (soft-fail) =="
-	@$(PYTHON) -m repro.analysis.throughput --best-of 5 --out /tmp/repro-perf \
-		&& $(PYTHON) -m repro.analysis.bench compare \
-			benchmarks/baselines/BENCH_throughput.json \
-			/tmp/repro-perf/BENCH_throughput.json \
-			--max-regression 25 \
-		|| echo "-- perf-guard: regression or error (soft-fail, not blocking) --"
-
 heavy-traffic-smoke:
 	@echo "== ci job: heavy-traffic-smoke =="
-	$(PYTHON) -m repro heavy_traffic --duration 0.5 \
-		--bench-dir /tmp/repro-heavy
-	@echo "-- peak-RSS guard (soft-fail) --"
-	@$(PYTHON) -m repro.analysis.throughput --sessions 10000 \
-			--out /tmp/repro-heavy \
-		&& $(PYTHON) -m repro.analysis.bench compare \
-			benchmarks/baselines/BENCH_throughput_scaling.json \
-			/tmp/repro-heavy/BENCH_throughput_scaling.json \
-			--max-regression 60 --max-rss-regression 50 \
-		|| echo "-- rss-guard: regression or error (soft-fail, not blocking) --"
+	$(PYTHON) -m repro heavy_traffic --duration 0.5
 
 # Also the build recipe for the optional C drain loop (a failed
 # compile fails the target; no C compiler at all is a tool-absence

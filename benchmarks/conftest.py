@@ -9,50 +9,42 @@ Durations are laptop-friendly defaults; set ``REPRO_BENCH_DURATION``
 (seconds of simulated time) to lengthen runs toward the paper's 5-10
 minute horizons.
 
-Set ``REPRO_BENCH_JSON=1`` to additionally write one
-``BENCH_<name>.json`` telemetry record per benchmark via
-:mod:`repro.analysis.bench` (into ``REPRO_BENCH_DIR``, default cwd) —
-the same schema the ``python -m repro`` CLI emits.
+Nothing here records a number: performance is recorded and compared by
+the ledger only (``benchmarks/ledger/``, ``make ab``).
 """
 
+import math
 import os
 
 import pytest
-
-from repro.analysis import bench
 
 
 def bench_duration(default: float) -> float:
     """Simulated seconds for a benchmark run (env-overridable)."""
     override = os.environ.get("REPRO_BENCH_DURATION")
-    return float(override) if override else default
+    if not override:
+        return default
+    try:
+        value = float(override)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise pytest.UsageError(
+            f"REPRO_BENCH_DURATION must be a finite number of simulated "
+            f"seconds > 0, got {override!r}")
+    return value
+
+
+def pytest_configure(config):
+    # Reject a bad REPRO_BENCH_DURATION before the first benchmark runs.
+    bench_duration(1.0)
 
 
 @pytest.fixture
-def run_once(benchmark, request):
+def run_once(benchmark):
     """Run a zero-argument experiment exactly once under timing."""
 
     def runner(fn):
-        if not bench.emission_enabled():
-            return benchmark.pedantic(fn, rounds=1, iterations=1)
-        watch = bench.Stopwatch()
-        result = benchmark.pedantic(fn, rounds=1, iterations=1)
-        wall = watch.elapsed()
-        name = request.node.name
-        if name.startswith("test_"):
-            name = name[len("test_"):]
-        network = getattr(result, "network", None)
-        events = (network.sim.events_dispatched
-                  if network is not None else 0)
-        record = bench.make_record(
-            name,
-            wall_time_s=wall,
-            events_dispatched=events,
-            workers=1,
-            simulated_s=float(getattr(result, "duration", 0.0)),
-            cells=1,
-        )
-        bench.emit(record)
-        return result
+        return benchmark.pedantic(fn, rounds=1, iterations=1)
 
     return runner

@@ -265,8 +265,7 @@ def _fig07_probe_cell(a_off: float, horizon: float) -> Any:
     network = build_mix_network(a_off, seed=0)
     network.run(seconds(horizon))
     return cell_output(network,
-                       _mix_observables(network, _FIG07_TARGET_SESSION),
-                       horizon)
+                       _mix_observables(network, _FIG07_TARGET_SESSION))
 
 
 def _fig07_partition_network() -> Any:
@@ -422,10 +421,8 @@ def perturb_scenario(scenario: Scenario,
     if "workers" in modes:
         cells = scenario.cells(horizon=horizon)
         if len(cells) > 1:
-            serial = run_cells(f"{scenario.name}-perturb-serial",
-                               cells, workers=1)
-            pooled = run_cells(f"{scenario.name}-perturb-pool",
-                               cells, workers=workers)
+            serial = run_cells(cells, workers=1)
+            pooled = run_cells(cells, workers=workers)
             runs += 2 * len(cells)
             for cell, base, pert in zip(cells, serial, pooled):
                 if repr(base) == repr(pert):

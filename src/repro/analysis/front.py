@@ -34,8 +34,9 @@ Two dynamic modes share the entry point:
   ranking into a gate: exit 1 only when a finding sits in a function
   that consumed at least PCT percent of the profiled run.
 
-Both take ``--horizon`` (simulated seconds) and stamp a
-``BENCH_<mode>-<scenario>.json`` record into ``--bench-dir``.
+Both take ``--horizon`` (simulated seconds).  ``--perturb``'s verdict
+is its exit code, ``--profile``'s its printed ranking; neither writes a
+file.
 """
 
 from __future__ import annotations
@@ -209,10 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=float, default=None, metavar="SECONDS",
         help="simulated seconds per --perturb run (default: 0.25) or "
              "for the --profile run (default: per-scenario)")
-    dynamic.add_argument(
-        "--bench-dir", metavar="DIR", default=None,
-        help="write the dynamic mode's BENCH_*.json record into this "
-             "directory")
     return parser
 
 
@@ -220,7 +217,6 @@ def _run_perturb(options: argparse.Namespace,
                  parser: argparse.ArgumentParser) -> int:
     # Imported here: the differ pulls the experiment stack, which the
     # static path (CI's hot path) must not pay for.
-    from repro.analysis import bench
     from repro.analysis.det.perturb import (
         DEFAULT_MODES,
         perturb_scenario,
@@ -241,23 +237,11 @@ def _run_perturb(options: argparse.Namespace,
                          f"{', '.join(unknown)} "
                          f"(available: {', '.join(DEFAULT_MODES)})")
     horizon = 0.25 if options.horizon is None else options.horizon
-    watch = bench.Stopwatch()
     scenario = registry[options.scenario]()
     report = perturb_scenario(scenario, modes, horizon=horizon,
                               workers=options.workers,
                               rounds=options.rounds)
     print(report.render())
-    if options.bench_dir is not None:
-        record = bench.make_record(
-            f"perturb-{report.scenario}",
-            wall_time_s=watch.elapsed(),
-            events_dispatched=report.events,
-            workers=options.workers if "workers" in report.modes else 1,
-            simulated_s=horizon * report.runs,
-            cells=report.runs,
-            deterministic=report.deterministic,
-        )
-        bench.write_record(record, options.bench_dir)
     return 0 if report.deterministic else 1
 
 
@@ -267,7 +251,6 @@ def _run_profile(options: argparse.Namespace,
                  cache: AnalysisCache) -> int:
     # Imported here: the profiler pulls the experiment stack, which
     # the static path (CI's hot path) must not pay for.
-    from repro.analysis import bench
     from repro.analysis.hot.profile import (
         profile_scenario,
         rank_findings,
@@ -283,7 +266,6 @@ def _run_profile(options: argparse.Namespace,
                      "--select excludes every hot rule")
     results, hot = _analyze(paths, hot_keys, cache)
 
-    watch = bench.Stopwatch()
     report = profile_scenario(options.profile, horizon=options.horizon)
     ranked = rank_findings(results["hot"], hot, report.index)
     print(f"hot-path findings ranked by {report.scenario!r} profile "
@@ -295,17 +277,6 @@ def _run_profile(options: argparse.Namespace,
         print(f"{share}  {violation.render()}")
     if not ranked:
         print("clean (no static findings to rank)")
-
-    if options.bench_dir is not None:
-        record = bench.make_record(
-            f"hot-profile-{report.scenario}",
-            wall_time_s=watch.elapsed(),
-            events_dispatched=report.events,
-            workers=1,
-            simulated_s=report.simulated_s,
-            cells=1,
-        )
-        bench.write_record(record, options.bench_dir)
 
     if options.budget is None:
         return 0

@@ -39,29 +39,27 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Scenario registry
 # ----------------------------------------------------------------------
-def _run_fig07(horizon: float) -> Tuple[int, float]:
+def _run_fig07(horizon: float) -> float:
     """Shortened Figure-7 MIX cell (the dispatch-digest workload)."""
     from repro.experiments.common import build_mix_network
     from repro.units import ms, seconds
 
     network = build_mix_network(ms(88.0), seed=0)
     network.run(seconds(horizon))
-    return network.sim.events_dispatched, horizon
+    return horizon
 
 
-def _run_fault_sweep(horizon: float) -> Tuple[int, float]:
+def _run_fault_sweep(horizon: float) -> float:
     """One shortened fault-sweep cell, serial so samples stay local."""
     from repro.experiments import fault_sweep
 
     result = fault_sweep.run(duration=horizon, seed=0,
                              outages=fault_sweep.DEFAULT_OUTAGES_S[:2],
                              workers=1)
-    # Per-cell event counts are not part of FaultSweepResult; the
-    # sweep's own run_cells() BENCH record carries them.
-    return 0, horizon * len(result.rows)
+    return horizon * len(result.rows)
 
 
-def _run_heavy_traffic(horizon: float) -> Tuple[int, float]:
+def _run_heavy_traffic(horizon: float) -> float:
     """One heavy-traffic cell executed in-process (not forked)."""
     from repro.experiments import heavy_traffic
 
@@ -69,17 +67,17 @@ def _run_heavy_traffic(horizon: float) -> Tuple[int, float]:
                                 sessions=1_000, rhos=(0.90,),
                                 backends=("soa",),
                                 topologies=("single",))
-    output = cells[0].fn(**cells[0].kwargs)
-    return output.events, output.simulated
+    cells[0].fn(**cells[0].kwargs)
+    return horizon
 
 
 @dataclass(frozen=True)
 class ProfileScenario:
-    """A profileable workload: ``runner(horizon)`` → (events, sim-s)."""
+    """A profileable workload: ``runner(horizon)`` → simulated seconds."""
 
     name: str
     default_horizon: float
-    runner: Callable[[float], Tuple[int, float]]
+    runner: Callable[[float], float]
     description: str
 
 
@@ -157,7 +155,6 @@ class ProfileReport:
 
     scenario: str
     horizon: float
-    events: int
     simulated_s: float
     wall_time_s: float
     index: HotnessIndex
@@ -171,12 +168,12 @@ def profile_scenario(name: str,
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        events, simulated = scenario.runner(chosen)
+        simulated = scenario.runner(chosen)
     finally:
         profiler.disable()
     stats = pstats.Stats(profiler)
     index = HotnessIndex(stats, stats.total_tt)
-    return ProfileReport(scenario=name, horizon=chosen, events=events,
+    return ProfileReport(scenario=name, horizon=chosen,
                          simulated_s=simulated,
                          wall_time_s=stats.total_tt, index=index)
 

@@ -56,7 +56,7 @@ __all__ = [
 DEFAULT_CACHE_DIR = Path(".repro-lint-cache")
 
 #: Bump when the cached payload *schema* changes shape.
-_SCHEMA_VERSION = 3
+_SCHEMA_VERSION = 4
 
 _LINT_DIR = Path(__file__).resolve().parent
 _ANALYSIS_DIR = _LINT_DIR.parent

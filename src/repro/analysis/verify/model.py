@@ -100,31 +100,6 @@ SINK_NAMES = ("schedule", "schedule_at", "push")
 RESERVE_NAMES = ("admit", "reserve")
 RELEASE_NAME = "release"
 
-#: Method names that mutate their receiver in place — how the summary
-#: spots writes to shared module-level state: ``REGISTRY.append(...)`` on a module global is a
-#: cross-shard hazard even though no assignment statement appears.
-MUTATOR_NAMES = frozenset((
-    "append", "appendleft", "add", "update", "setdefault", "extend",
-    "insert", "remove", "discard", "pop", "popitem", "clear",
-))
-
-#: RNG-stream factory methods whose *name argument* must be derived
-#: from stable entity identity (``repro.sim.rng.RandomStreams``).
-STREAM_NAMES = ("stream", "spawn")
-
-#: Call targets whose result is worker-local or run-local — a stream
-#: name derived from one of these differs between shards/processes and
-#: silently decorrelates the random draws.
-_TAINTED_CALLS = frozenset((
-    "id", "hash", "getpid", "gettid", "current_process", "urandom",
-    "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
-    "monotonic_ns", "random", "randint", "randrange", "getrandbits",
-    "choice", "sample", "uuid1", "uuid4", "token_hex", "token_bytes",
-))
-
-#: Taint lattice for stream-name provenance: const < stable < tainted.
-_TAINT_ORDER = {"const": 0, "stable": 1, "tainted": 2}
-
 
 def dim_name(dim: Dim) -> str:
     """Human name of a concrete dimension for messages."""
@@ -263,23 +238,6 @@ def _value_kind(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _mutable_kind(node: ast.AST) -> Optional[str]:
-    """Container kind when an expression builds a *mutable* value.
-
-    A superset of :func:`_value_kind` (lists and deques count) used
-    only for the determinism facts — it deliberately does not feed the
-    set/dict iteration inference, whose consumers key on unordered-ness
-    rather than mutability.
-    """
-    if isinstance(node, (ast.List, ast.ListComp)):
-        return "list"
-    if isinstance(node, ast.Call):
-        last = _last_segment(call_name(node.func))
-        if last in ("list", "deque", "bytearray"):
-            return "list"
-    return _value_kind(node)
-
-
 def module_name_for(path: Path) -> str:
     """Dotted module name, climbing parents while they are packages."""
     resolved = Path(path)
@@ -304,15 +262,6 @@ class _ModuleContext:
         self.name_kinds: Dict[str, str] = {}
         self.attr_kinds: Dict[str, str] = {}
         self.class_names: Set[str] = set()
-        #: Module-level mutable containers: name -> {kind, lineno, col}.
-        self.mutable_globals: Dict[str, Dict[str, Any]] = {}
-        #: Class-level mutable attributes (shared across instances):
-        #: [{class, attr, kind, lineno, col}].
-        self.class_attrs: List[Dict[str, Any]] = []
-
-    def module_level(self, name: str) -> bool:
-        """Is ``name`` assigned at this module's top level?"""
-        return name in self.constants or name in self.mutable_globals
 
     def resolve(self, dotted: str) -> Optional[str]:
         """Fully qualified target of a dotted use, via the import map."""
@@ -369,136 +318,18 @@ class _FunctionScanner:
         self._loop_stack: List[Dict[str, Any]] = []
         self._active_loop_records: List[Dict[str, Any]] = []
         self._in_handler = 0
-        #: Names bound in this scope (params + assignments); a bare
-        #: Name not in here that matches a module-level binding refers
-        #: to shared module state.
-        self.local_names: Set[str] = set()
-        #: Names the function declared ``global``.
-        self.global_decls: Set[str] = set()
-        #: Writes to module-level (possibly cross-module) state:
-        #: [{target, lineno, col, via}].
-        self.global_mutations: List[Dict[str, Any]] = []
-        #: ``RandomStreams.stream/spawn`` call sites with the name
-        #: argument's taint classification.
-        self.stream_calls: List[Dict[str, Any]] = []
-        #: Taint of locally-bound string values ("const"/"stable"/
-        #: "tainted"); absent = stable-unknown, never reported.
-        self.env_taint: Dict[str, str] = {}
         if params is not None:
             self._seed_params(params)
 
     def _seed_params(self, args: ast.arguments) -> None:
         every = [*args.posonlyargs, *args.args, *args.kwonlyargs]
         for arg in every:
-            self.local_names.add(arg.arg)
             dim = _ident_dim(arg.arg)
             if dim is not None:
                 self.env[arg.arg] = _as_spec(dim)
             kind = _annotation_kind(arg.annotation)
             if kind is not None:
                 self.env_kinds[arg.arg] = kind
-        if args.vararg is not None:
-            self.local_names.add(args.vararg.arg)
-        if args.kwarg is not None:
-            self.local_names.add(args.kwarg.arg)
-
-    # -- shared module state -------------------------------------------
-    def _global_target(self, node: ast.AST) -> Optional[str]:
-        """Module-qualified name when ``node`` refers to module state.
-
-        ``REGISTRY`` in the defining module resolves to
-        ``<module>.REGISTRY``; ``state.REGISTRY`` through an import of
-        ``state`` resolves cross-module.  Locals (including ``self``)
-        resolve to None.
-        """
-        if isinstance(node, ast.Name):
-            if node.id in self.local_names \
-                    and node.id not in self.global_decls:
-                return None
-            if self.ctx.module_level(node.id) \
-                    or node.id in self.global_decls:
-                return f"{self.ctx.module}.{node.id}"
-            return None
-        if isinstance(node, ast.Attribute) \
-                and isinstance(node.value, ast.Name):
-            head = node.value.id
-            if head in self.local_names:
-                return None
-            target = self.ctx.imports.get(head)
-            if target is not None:
-                return f"{target}.{node.attr}"
-        return None
-
-    def _record_mutation(self, target: Optional[str], node: ast.AST,
-                         via: str) -> None:
-        if target is None:
-            return
-        self.global_mutations.append({
-            "target": target,
-            "lineno": getattr(node, "lineno", self.lineno),
-            "col": getattr(node, "col_offset", self.col),
-            "via": via,
-        })
-
-    # -- stream-name taint ---------------------------------------------
-    def _taint(self, node: ast.AST) -> Tuple[str, List[str]]:
-        """(taint level, module globals read) of a name expression.
-
-        Only *provable* worker-local/iteration-order provenance is
-        "tainted"; unknown provenance stays "stable" so the RNG rule
-        never reports on uncertainty.
-        """
-        reads: List[str] = []
-
-        def walk(expr: ast.AST) -> str:
-            if isinstance(expr, ast.Constant):
-                return "const"
-            if isinstance(expr, ast.Name):
-                dotted = self._global_target(expr)
-                if dotted is not None:
-                    reads.append(dotted)
-                return self.env_taint.get(expr.id, "stable")
-            if isinstance(expr, ast.Attribute):
-                dotted = self._global_target(expr)
-                if dotted is not None:
-                    reads.append(dotted)
-                return "stable"
-            if isinstance(expr, ast.JoinedStr):
-                return combine(value.value for value in expr.values
-                               if isinstance(value, ast.FormattedValue))
-            if isinstance(expr, ast.FormattedValue):
-                return walk(expr.value)
-            if isinstance(expr, ast.BinOp) and isinstance(
-                    expr.op, (ast.Add, ast.Mod)):
-                return combine((expr.left, expr.right))
-            if isinstance(expr, ast.BoolOp):
-                return combine(expr.values)
-            if isinstance(expr, ast.IfExp):
-                return combine((expr.body, expr.orelse))
-            if isinstance(expr, ast.Subscript):
-                return combine((expr.value, expr.slice))
-            if isinstance(expr, ast.Call):
-                last = _last_segment(call_name(expr.func))
-                if last in _TAINTED_CALLS:
-                    return "tainted"
-                if last in ("str", "repr", "format", "join", "int",
-                            "len"):
-                    parts = list(expr.args)
-                    if isinstance(expr.func, ast.Attribute):
-                        parts.append(expr.func.value)
-                    return combine(parts)
-                return "stable"
-            return "stable"
-
-        def combine(parts: Iterable[ast.AST]) -> str:
-            level = "const"
-            for part in parts:
-                part_level = walk(part)
-                if _TAINT_ORDER[part_level] > _TAINT_ORDER[level]:
-                    level = part_level
-            return level
-
-        return walk(node), reads
 
     # -- statements ----------------------------------------------------
     def scan_body(self, body: Iterable[ast.stmt]) -> None:
@@ -548,13 +379,6 @@ class _FunctionScanner:
             target = self._target_dim(node.target)
             if isinstance(node.op, (ast.Add, ast.Sub)):
                 self._check("augmented assignment", node, target, value)
-            mutated = node.target
-            if isinstance(mutated, ast.Subscript):
-                mutated = mutated.value
-            self._record_mutation(self._global_target(mutated), node,
-                                  "augmented assignment")
-        elif isinstance(node, ast.Global):
-            self.global_decls.update(node.names)
         elif isinstance(node, ast.Return):
             if node.value is not None:
                 self._expr(node.value)
@@ -586,18 +410,9 @@ class _FunctionScanner:
             }
             self.loops.append(record)
             self._active_loop_records.append(record)
-        # Loop variables shadow whatever was inferred before.  When the
-        # iterable is an unordered container, the loop variables carry
-        # iteration-order taint: any stream name derived from them
-        # varies run to run.
-        loop_taint = "tainted" if kind in ("set", "dict") else None
+        # Loop variables shadow whatever was inferred before.
         for target in ast.walk(node.target):
             if isinstance(target, ast.Name):
-                self.local_names.add(target.id)
-                if loop_taint is not None:
-                    self.env_taint[target.id] = loop_taint
-                else:
-                    self.env_taint.pop(target.id, None)
                 self.env.pop(target.id, None)
                 self.env_kinds.pop(target.id, None)
         self._loop_stack.append({})
@@ -645,19 +460,11 @@ class _FunctionScanner:
     def _assign(self, targets: List[ast.expr], value: ast.expr) -> None:
         dim = self._expr(value)
         kind = _value_kind(value)
-        taint, _reads = self._taint(value)
         constructed = ""
         if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
             constructed = value.func.id
         for target in targets:
             if isinstance(target, ast.Name):
-                if target.id in self.global_decls:
-                    self._record_mutation(
-                        f"{self.ctx.module}.{target.id}", target,
-                        "global rebind")
-                else:
-                    self.local_names.add(target.id)
-                self.env_taint[target.id] = taint
                 self.env[target.id] = dim
                 if kind is not None:
                     self.env_kinds[target.id] = kind
@@ -673,8 +480,6 @@ class _FunctionScanner:
                     self._check(f"assignment to {target.id!r}", target,
                                 _as_spec(expected), dim)
             elif isinstance(target, ast.Attribute):
-                self._record_mutation(self._global_target(target),
-                                      target, "attribute rebind")
                 expected = _ident_dim(target.attr)
                 if expected is not None:
                     self._check(f"assignment to .{target.attr}", target,
@@ -687,15 +492,8 @@ class _FunctionScanner:
                     else:
                         self.ctx.attr_kinds[target.attr] = kind
             else:
-                if isinstance(target, ast.Subscript):
-                    self._record_mutation(
-                        self._global_target(target.value), target,
-                        "subscript assignment")
-                unpacking = isinstance(target, (ast.Tuple, ast.List))
                 for sub in ast.walk(target):
                     if isinstance(sub, ast.Name):
-                        if unpacking:
-                            self.local_names.add(sub.id)
                         self.env.pop(sub.id, None)
                         self.env_kinds.pop(sub.id, None)
 
@@ -788,18 +586,11 @@ class _FunctionScanner:
     def _comprehension(self, node: Union[ast.ListComp,
                                          ast.GeneratorExp]) -> DimSpec:
         records: List[Dict[str, Any]] = []
-        comp_targets: List[str] = []
         for comp in node.generators:
             kind, attr, desc = self._iter_info(comp.iter)
             self._expr(comp.iter)
             for cond in comp.ifs:
                 self._expr(cond)
-            for target in ast.walk(comp.target):
-                if isinstance(target, ast.Name):
-                    self.local_names.add(target.id)
-                    if kind in ("set", "dict"):
-                        comp_targets.append(target.id)
-                        self.env_taint[target.id] = "tainted"
             if kind is not None or attr is not None:
                 record = {
                     "lineno": comp.iter.lineno,
@@ -817,10 +608,6 @@ class _FunctionScanner:
         self._expr(node.elt)
         for _ in records:
             self._active_loop_records.pop()
-        # Comprehension variables are scoped to the comprehension; the
-        # taint must not leak onto same-named locals used afterwards.
-        for name in comp_targets:
-            self.env_taint.pop(name, None)
         return None
 
     def _binop(self, node: ast.BinOp) -> DimSpec:
@@ -887,28 +674,6 @@ class _FunctionScanner:
             loop["body_calls"].append(record)
             if last in SINK_NAMES:
                 loop["body_schedules"] = True
-
-        # In-place mutation of module-level (or cross-module) state.
-        if last in MUTATOR_NAMES and isinstance(node.func, ast.Attribute):
-            receiver = node.func.value
-            if isinstance(receiver, ast.Subscript):
-                receiver = receiver.value
-            self._record_mutation(self._global_target(receiver), node,
-                                  f".{last}()")
-
-        # RandomStreams.stream/spawn: classify the name argument.
-        if last in STREAM_NAMES and isinstance(node.func, ast.Attribute) \
-                and node.args:
-            taint, reads = self._taint(node.args[0])
-            self.stream_calls.append({
-                "lineno": node.lineno,
-                "col": node.col_offset,
-                "func": last,
-                "taint": taint,
-                "reads": reads,
-                "desc": ast.unparse(node.args[0])
-                if hasattr(ast, "unparse") else "",
-            })
 
         has_priority = any(kw.arg == "priority" for kw in node.keywords)
         if last in ("schedule", "schedule_at") \
@@ -989,42 +754,7 @@ class _FunctionScanner:
             "handler_calls": self.handler_calls,
             "has_try": self.has_try,
             "dim_checks": self.dim_checks,
-            "global_mutations": self.global_mutations,
-            "stream_calls": self.stream_calls,
         }
-
-
-def _scan_class_attrs(ctx: _ModuleContext, node: ast.ClassDef,
-                      prefix: str) -> None:
-    """Record class-body assignments of mutable containers.
-
-    A ``registry: Dict[...] = {}`` in a class body is one object shared
-    by every instance — the canonical accidental-shared-state bug, and
-    invisible to per-instance reasoning.  Dunder assignments
-    (``__slots__`` & co.) are declarative, not state, and skipped.
-    """
-    for stmt in node.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        if value is None:
-            continue
-        kind = _mutable_kind(value)
-        if kind is None:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) \
-                    and not target.id.startswith("__"):
-                ctx.class_attrs.append({
-                    "class": f"{prefix}{node.name}",
-                    "attr": target.id,
-                    "kind": kind,
-                    "lineno": target.lineno,
-                    "col": target.col_offset,
-                })
 
 
 def summarize_source(source: str, path: Path,
@@ -1055,18 +785,11 @@ def summarize_source(source: str, path: Path,
             continue
         spec = constant_scanner._expr(value)
         kind = _value_kind(value)
-        mutable = _mutable_kind(value)
         for target in targets:
             if isinstance(target, ast.Name):
                 ctx.constants[target.id] = spec
                 if kind is not None:
                     ctx.name_kinds[target.id] = kind
-                if mutable is not None:
-                    ctx.mutable_globals[target.id] = {
-                        "kind": mutable,
-                        "lineno": target.lineno,
-                        "col": target.col_offset,
-                    }
 
     # Pass 2: every function (methods and nested defs included), plus
     # module-level statements as the pseudo-function "<module>".
@@ -1085,7 +808,6 @@ def summarize_source(source: str, path: Path,
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scan_def(node, prefix)
             elif isinstance(node, ast.ClassDef):
-                _scan_class_attrs(ctx, node, prefix)
                 walk_scope(node.body, f"{prefix}{node.name}.")
             elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For,
                                    ast.While)):
@@ -1109,8 +831,6 @@ def summarize_source(source: str, path: Path,
         "constants": ctx.constants,
         "name_kinds": ctx.name_kinds,
         "attr_kinds": ctx.attr_kinds,
-        "mutable_globals": ctx.mutable_globals,
-        "class_attrs": ctx.class_attrs,
         "functions": functions,
         "suppressions": {str(line): sorted(rules)
                          for line, rules in disabled.items()},
@@ -1141,23 +861,11 @@ class Program:
         self.attr_kinds: Dict[str, Optional[str]] = {}
         self.constants: Dict[str, Optional[Dim]] = {}
         self._suppressions: Dict[str, Dict[int, Set[str]]] = {}
-        #: Module-level mutable containers across the program:
-        #: ``"module.NAME"`` -> {kind, lineno, col, path, module}.
-        self.mutable_globals: Dict[str, Dict[str, Any]] = {}
-        #: Class-level mutable attributes: [{class, attr, kind, lineno,
-        #: col, path, module}].
-        self.class_attrs: List[Dict[str, Any]] = []
         for summary in self.summaries:
             module = summary["module"]
             self._suppressions[summary["path"]] = {
                 int(line): set(rules)
                 for line, rules in summary.get("suppressions", {}).items()}
-            for name, info in summary.get("mutable_globals", {}).items():
-                self.mutable_globals[f"{module}.{name}"] = {
-                    **info, "path": summary["path"], "module": module}
-            for entry in summary.get("class_attrs", ()):
-                self.class_attrs.append({
-                    **entry, "path": summary["path"], "module": module})
             for attr, kind in summary.get("attr_kinds", {}).items():
                 existing = self.attr_kinds.get(attr)
                 if existing is not None and existing != kind:

@@ -12,9 +12,8 @@ Examples::
 Durations default to laptop-friendly values; pass ``--full`` for the
 paper's 5- or 10-minute horizons (slow in pure Python). Sweeps shard
 their cells across ``--workers`` processes (default: all cores but
-one); the merged tables are bit-identical to a serial run. Every run
-writes a ``BENCH_<experiment>.json`` telemetry record (see
-``repro.analysis.bench``) into ``--bench-dir``.
+one); the merged tables are bit-identical to a serial run. A run
+writes nothing but the ``--csv`` files it was asked for.
 """
 
 from __future__ import annotations
@@ -22,11 +21,13 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
+import os
 import sys
+from pathlib import Path
 from typing import Callable, Dict, Optional
 
-from repro.analysis import bench
 from repro.analysis.verify.sanitizer import SanitizerError
+from repro.errors import ConfigurationError
 from repro.experiments.parallel import default_workers
 
 from repro.experiments import (
@@ -123,9 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "experiments that split one topology "
                              "across processes (repro.sim.parallel); "
                              "digests are identical at any count")
-    parser.add_argument("--bench-dir", metavar="DIR", default=None,
-                        help="directory for BENCH_<experiment>.json "
-                             "telemetry records (default: cwd)")
     parser.add_argument("--profile", nargs="?", const=25, type=int,
                         default=None, metavar="N",
                         help="run under cProfile and print the top N "
@@ -168,24 +166,36 @@ def _maybe_export(name: str, result, csv_dir: Optional[str]) -> None:
     to_csv = getattr(result, "to_csv", None)
     if to_csv is None:
         return
-    from pathlib import Path
-    directory = Path(csv_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    target = directory / f"{name}.csv"
+    target = Path(csv_dir) / f"{name}.csv"
     to_csv(target)
     print(f"[csv written to {target}]")
+
+
+def _input_error(message: str) -> int:
+    """One line on stderr, exit status 2 (argparse's convention)."""
+    print(f"leave-in-time: error: {message}", file=sys.stderr)
+    return 2
 
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     workers = args.workers if args.workers is not None \
         else default_workers()
-    bench.configure(enabled=True, directory=args.bench_dir)
+    if args.csv is not None:
+        # Before the first experiment, not after it: an unwritable
+        # directory must not cost a finished run its table.
+        try:
+            Path(args.csv).mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            return _input_error(
+                f"--csv: cannot create directory {args.csv!r}: {error}")
+        if not os.access(args.csv, os.W_OK):
+            return _input_error(
+                f"--csv: directory {args.csv!r} is not writable")
     if args.sanitize:
         # The env var (not a threaded parameter) is the switch so the
         # parallel runner's pool workers — which inherit the
         # environment — sanitize their shards too.
-        import os
         os.environ["REPRO_SANITIZE"] = "1"
     names = (sorted(_SIMULATED) + sorted(_ANALYTIC)
              if args.experiment == "all" else [args.experiment])
@@ -208,6 +218,8 @@ def main(argv: Optional[list] = None) -> int:
                           file=sys.stderr)
                     print(error.report_json, file=sys.stderr)
                     return 1
+                except ConfigurationError as error:
+                    return _input_error(str(error))
                 if args.sanitize:
                     print(f"[sanitize] {name}: clean")
             print()

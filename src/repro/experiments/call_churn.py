@@ -199,7 +199,7 @@ def _cell(*, duration: float, seed: int, offered_erlangs: float,
     driver.start()
     network.run(duration)
     driver.finish()
-    return cell_output(network, result, duration)
+    return cell_output(network, result)
 
 
 def cells(*, duration: float, seed: int, offered_erlangs: float,
@@ -220,7 +220,6 @@ def run(*, duration: float = 60.0, seed: int = 0,
     trunks per link, 60 erlangs gives substantial blocking.
     """
     (result,) = run_cells(
-        "call_churn",
         cells(duration=duration, seed=seed,
               offered_erlangs=offered_erlangs,
               mean_holding=mean_holding),

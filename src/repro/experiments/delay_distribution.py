@@ -178,7 +178,7 @@ def _cell(*, figure: str,
         simulated_bound=simulated,
         packets=sink.received,
     )
-    return cell_output(network, result, duration)
+    return cell_output(network, result)
 
 
 def run_distribution_experiment(
@@ -194,8 +194,7 @@ def run_distribution_experiment(
         duration: float = 60.0,
         seed: int = 0,
         delay_grid_ms: Optional[Sequence[float]] = None,
-        workers: Optional[int] = 1,
-        bench_name: str = "distribution") -> DistributionResult:
+        workers: Optional[int] = 1) -> DistributionResult:
     """Run one of the Figure-9/10/11 experiments.
 
     ``cross_kind`` is ``"poisson"`` (Figs. 9-10: one Poisson session
@@ -205,10 +204,9 @@ def run_distribution_experiment(
     measured distribution toward the analytical bound, which is the
     point of Figure 11; ``stagger_cross=True`` spreads their phases
     evenly instead (a best case that shows how benign the same load
-    can be). ``bench_name`` labels the BENCH record each figure module
-    emits under its own name.
+    can be).
     """
-    cell = Cell(label=bench_name, fn=_cell, kwargs={
+    cell = Cell(label=figure, fn=_cell, kwargs={
         "figure": figure,
         "target_mean_interarrival": target_mean_interarrival,
         "target_rate": target_rate,
@@ -222,5 +220,5 @@ def run_distribution_experiment(
         "seed": seed,
         "delay_grid_ms": delay_grid_ms,
     })
-    (result,) = run_cells(bench_name, [cell], workers=workers)
+    (result,) = run_cells([cell], workers=workers)
     return result

@@ -186,7 +186,7 @@ def _cell(*, discipline: str, outage: float, duration: float,
         observed=stats.observed,
         cross_dropped=cross_dropped,
     )
-    return cell_output(network, row, duration)
+    return cell_output(network, row)
 
 
 def cells(*, duration: float, seed: int,
@@ -209,8 +209,7 @@ def run(*, duration: float = 12.0, seed: int = 0,
     is bit-identical to the serial ``workers=1`` run (the fault RNG
     substreams are named per node and seeded per cell).
     """
-    rows = run_cells("fault_sweep",
-                     cells(duration=duration, seed=seed,
+    rows = run_cells(cells(duration=duration, seed=seed,
                            outages=outages),
                      workers=workers)
     return FaultSweepResult(duration=duration, seed=seed, rows=rows)

@@ -85,7 +85,7 @@ def _cell(*, a_off: float, duration: float, seed: int) -> CellOutput:
         delay_bound_ms=to_ms(bounds.max_delay),
         jitter_bound_ms=to_ms(bounds.jitter),
     )
-    return cell_output(network, row, duration)
+    return cell_output(network, row)
 
 
 def cells(*, duration: float, seed: int,
@@ -105,8 +105,8 @@ def run(*, duration: float = 20.0, seed: int = 0,
     ``workers`` shards the sweep cells across processes; the merged
     result is bit-identical to the serial ``workers=1`` run.
     """
-    rows = run_cells("fig07", cells(duration=duration, seed=seed,
-                                    a_off_values=a_off_values),
+    rows = run_cells(cells(duration=duration, seed=seed,
+                           a_off_values=a_off_values),
                      workers=workers)
     return Figure7Result(duration=duration, seed=seed, rows=rows)
 

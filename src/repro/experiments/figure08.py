@@ -130,7 +130,7 @@ def _cell(*, duration: float, seed: int,
         bounds_no_control=compute_session_bounds(network, no_control),
         bounds_control=compute_session_bounds(network, control),
     )
-    return cell_output(network, result, duration)
+    return cell_output(network, result)
 
 
 def cells(*, duration: float, seed: int,
@@ -142,17 +142,14 @@ def cells(*, duration: float, seed: int,
 
 
 def run(*, duration: float = 60.0, seed: int = 0,
-        monitor_buffers: bool = False, workers: Optional[int] = 1,
-        bench_name: str = "fig08") -> Figure8Result:
+        monitor_buffers: bool = False,
+        workers: Optional[int] = 1) -> Figure8Result:
     """Run the Figure-8 experiment (also the base of Figures 12-13).
 
     ``monitor_buffers=True`` additionally samples the two target
-    sessions' buffer occupancy at every node. ``bench_name`` labels
-    the BENCH record (Figures 12-13 reuse this run under their own
-    name).
+    sessions' buffer occupancy at every node.
     """
     (result,) = run_cells(
-        bench_name,
         cells(duration=duration, seed=seed,
               monitor_buffers=monitor_buffers),
         workers=workers)

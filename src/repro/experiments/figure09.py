@@ -37,7 +37,6 @@ def run(*, duration: float = 60.0, seed: int = 0,
         duration=duration,
         seed=seed,
         workers=workers,
-        bench_name="fig09",
     )
 
 

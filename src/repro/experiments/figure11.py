@@ -40,7 +40,6 @@ def run(*, duration: float = 60.0, seed: int = 0,
         seed=seed,
         delay_grid_ms=np.linspace(0.0, 160.0, 81),
         workers=workers,
-        bench_name="fig11",
     )
 
 

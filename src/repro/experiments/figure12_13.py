@@ -71,8 +71,7 @@ class BufferFigureResult:
 def run(*, duration: float = 60.0, seed: int = 0,
         workers: Optional[int] = 1) -> BufferFigureResult:
     base = figure08.run(duration=duration, seed=seed,
-                        monitor_buffers=True, workers=workers,
-                        bench_name="fig12_13")
+                        monitor_buffers=True, workers=workers)
     network = base.network
     distributions: Dict[Tuple[str, str], BufferDistribution] = {}
     bounds_bits: Dict[Tuple[str, str], float] = {}

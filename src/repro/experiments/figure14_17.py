@@ -161,7 +161,7 @@ def _cell(*, a_off: float, duration: float,
             delay_bound_ms=to_ms(bounds.max_delay),
             jitter_bound_ms=to_ms(bounds.jitter),
         ))
-    return cell_output(network, rows, duration)
+    return cell_output(network, rows)
 
 
 def cells(*, duration: float, seed: int,
@@ -177,8 +177,7 @@ def run(*, duration: float = 20.0, seed: int = 0,
         a_off_values: Sequence[float] = PAPER_A_OFF_SWEEP_S,
         workers: Optional[int] = 1) -> TwoClassResult:
     result = TwoClassResult(duration=duration, seed=seed)
-    for rows in run_cells("fig14_17",
-                          cells(duration=duration, seed=seed,
+    for rows in run_cells(cells(duration=duration, seed=seed,
                                 a_off_values=a_off_values),
                           workers=workers):
         result.rows.extend(rows)

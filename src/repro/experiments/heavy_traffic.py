@@ -23,9 +23,9 @@ for ``benchmarks/ledger/`` until a benchmark PR renames them):
   by Poisson superposition, two RNG streams total, one pending event)
   and one shared sink.
 
-So the BENCH numbers answer "what does the aggregate source and sink
-buy" end to end.  The two constructions draw different random numbers
-and are not digest-comparable.
+So the table's cost columns answer "what does the aggregate source and
+sink buy" end to end.  The two constructions draw different random
+numbers and are not digest-comparable.
 
 Two measurements per cell, directly comparable across disciplines
 because cells of one construction replay the *same* arrival sample path
@@ -44,9 +44,9 @@ because cells of one construction replay the *same* arrival sample path
 
 Each cell runs in a **fresh process** so its ``peak_rss_bytes`` (a
 process-wide high-water mark) is attributable to that cell alone —
-this is what makes the memory comparison between the constructions in
-``BENCH_heavy_traffic.json`` honest.  This experiment compares *cost*:
-events/sec and peak RSS per session count.
+this is what makes the memory comparison between the constructions
+honest.  This experiment compares *cost*: events/sec and peak RSS per
+session count.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ _DISCIPLINES = (
 _TOPOLOGIES: Dict[str, int] = {"single": 1, "tandem": 3}
 
 #: Default concurrent-session count (the 10^4 end of the target range;
-#: the CI smoke and the committed BENCH record use this, the 10^5 end
-#: is one ``--sessions``-style parameter away).
+#: the CI smoke uses this, the 10^5 end is the ledger's ``heavy_1e5``
+#: workload).
 DEFAULT_SESSIONS = 10_000
 
 #: Default load sweep approaching the heavy-traffic limit.
@@ -191,7 +191,7 @@ def _cell(*, topology: str, discipline: str, backend: str,
         max_lateness_ms=to_ms(lateness.maximum or 0.0),
         lateness_std_ms=to_ms(lateness.stddev),
     )
-    return CellOutput(value=row, events=events, simulated=duration)
+    return CellOutput(value=row, events=events)
 
 
 @dataclass
@@ -295,7 +295,7 @@ def run(*, duration: float = 2.0, seed: int = 0,
         backends: Sequence[str] = DEFAULT_BACKENDS,
         topologies: Sequence[str] = ("single", "tandem"),
         workers: Optional[int] = None) -> HeavyTrafficResult:
-    """Run the heavy-traffic sweep and emit its BENCH record.
+    """Run the heavy-traffic sweep.
 
     ``workers`` is accepted for CLI uniformity but each cell always
     runs in its own fresh process (see :func:`_run_isolated`) — RSS
@@ -305,21 +305,7 @@ def run(*, duration: float = 2.0, seed: int = 0,
     cell_list = cells(duration=duration, seed=seed, sessions=sessions,
                       rhos=rhos, backends=backends,
                       topologies=topologies)
-    watch = bench.Stopwatch()
-    outputs = _run_isolated(cell_list)
-    rows = [output.value for output in outputs]
-    rss_values = [row.peak_rss_bytes for row in rows
-                  if row.peak_rss_bytes]
-    bench.emit(bench.make_record(
-        "heavy_traffic",
-        wall_time_s=watch.elapsed(),
-        events_dispatched=sum(output.events for output in outputs),
-        workers=1,
-        simulated_s=sum(output.simulated for output in outputs),
-        cells=len(cell_list),
-        sessions=sessions,
-        peak_rss=max(rss_values) if rss_values else None,
-    ))
+    rows = [output.value for output in _run_isolated(cell_list)]
     return HeavyTrafficResult(duration=duration, seed=seed, rows=rows)
 
 

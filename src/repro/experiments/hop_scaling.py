@@ -117,7 +117,7 @@ def _cell(*, hops: int, shifted_d: Optional[float], duration: float,
     row = HopScalingRow(hops=hops, mode=mode,
                         max_delay_ms=to_ms(sink.max_delay),
                         bound_ms=to_ms(bounds.max_delay))
-    return cell_output(network, row, duration)
+    return cell_output(network, row)
 
 
 def cells(*, duration: float, seed: int, hop_counts: Sequence[int],
@@ -148,7 +148,6 @@ def run(*, duration: float = 15.0, seed: int = 0,
     result = HopScalingResult(duration=duration, seed=seed,
                               shifted_d=shifted_d)
     result.rows.extend(run_cells(
-        "hop_scaling",
         cells(duration=duration, seed=seed, hop_counts=hop_counts,
               shifted_d=shifted_d),
         workers=workers))

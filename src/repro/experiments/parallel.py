@@ -24,13 +24,6 @@ module-level function (picklable) returning a :class:`CellOutput`, and
 its ``run(..., workers=N)`` hands the list to :func:`run_cells` and
 merges the per-cell values into its result dataclass.
 
-Every :func:`run_cells` call additionally assembles a
-:class:`~repro.analysis.bench.BenchRecord` (wall time, events
-dispatched, events/sec, workers, simulated horizon, git revision) and
-hands it to :func:`repro.analysis.bench.emit`, seeding the repo's perf
-trajectory; emission is off unless the CLI or ``REPRO_BENCH_JSON=1``
-enabled it.
-
 A worker that dies (OOM-killed, segfaulted, ``os._exit``) surfaces as
 :class:`~repro.errors.SimulationError` naming the first unfinished
 cell — never as a hang.  Ordinary exceptions raised inside a cell
@@ -43,7 +36,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.analysis import bench
 from repro.errors import SimulationError
 
 try:  # pragma: no cover - import gate for exotic builds
@@ -83,21 +75,17 @@ class Cell:
 
 @dataclass
 class CellOutput:
-    """A cell's return: its value plus per-cell telemetry."""
+    """A cell's return: its value plus its event count."""
 
     value: Any
     #: Events the cell's simulator dispatched (0 if not reported).
     events: int = 0
-    #: Simulated seconds the cell covered (0.0 if not reported).
-    simulated: float = 0.0
 
 
-def cell_output(network: Any, value: Any,
-                simulated: float) -> CellOutput:
-    """Wrap a cell's value with telemetry read off its network."""
+def cell_output(network: Any, value: Any) -> CellOutput:
+    """Wrap a cell's value with the event count of its network."""
     return CellOutput(value=value,
-                      events=network.sim.events_dispatched,
-                      simulated=simulated)
+                      events=network.sim.events_dispatched)
 
 
 def pool_available() -> bool:
@@ -141,32 +129,20 @@ def _run_pool(cells: List[Cell], workers: int) -> List[CellOutput]:
     return outputs
 
 
-def run_cells(experiment: str, cells: Iterable[Cell], *,
+def run_cells(cells: Iterable[Cell], *,
               workers: Optional[int] = 1) -> List[Any]:
     """Run every cell and return their values in cell order.
 
     ``workers=None`` means :func:`default_workers`.  The effective
     worker count never exceeds the number of cells, and a single-cell
-    (or single-worker, or pool-less) run executes in-process.  Emits a
-    BENCH record for ``experiment`` through :mod:`repro.analysis.bench`.
+    (or single-worker, or pool-less) run executes in-process.
     """
     cell_list = list(cells)
     requested = default_workers() if workers is None \
         else max(1, int(workers))
-    effective = min(requested, len(cell_list)) if cell_list else 1
-    watch = bench.Stopwatch()
+    effective = min(requested, len(cell_list))
     if effective <= 1 or not _POOL_AVAILABLE:
-        effective = 1
         outputs = [_execute(cell) for cell in cell_list]
     else:
         outputs = _run_pool(cell_list, effective)
-    record = bench.make_record(
-        experiment,
-        wall_time_s=watch.elapsed(),
-        events_dispatched=sum(output.events for output in outputs),
-        workers=effective,
-        simulated_s=sum(output.simulated for output in outputs),
-        cells=len(cell_list),
-    )
-    bench.emit(record)
     return [output.value for output in outputs]

@@ -146,7 +146,7 @@ def _cell(*, discipline: str, cross_kind: str, duration: float,
         packets=sink.received, mean_ms=to_ms(sink.delay.mean),
         max_ms=to_ms(sink.max_delay), jitter_ms=to_ms(sink.jitter),
         jitter_bound_ms=to_ms(bound))
-    return cell_output(network, outcome, duration)
+    return cell_output(network, outcome)
 
 
 def cells(*, duration: float, seed: int) -> List[Cell]:
@@ -167,8 +167,7 @@ def run(*, duration: float = 30.0, seed: int = 0,
         [(TARGET_LOCAL, PAPER_PACKET_BITS),
          (CROSS_LOCAL, PAPER_PACKET_BITS)], capacity=T1_RATE_BPS)
     outcomes: Dict[str, RegulatorOutcome] = {}
-    for outcome in run_cells("regulator_comparison",
-                             cells(duration=duration, seed=seed),
+    for outcome in run_cells(cells(duration=duration, seed=seed),
                              workers=workers):
         outcomes[f"{outcome.discipline}/{outcome.cross_kind}"] = outcome
     return RegulatorComparisonResult(duration=duration, seed=seed,

@@ -106,7 +106,7 @@ def _cell(*, d: float, duration: float, seed: int) -> CellOutput:
         feasible=feasible,
         max_lateness_ms=to_ms(lateness.maximum or 0.0),
     )
-    return cell_output(network, row, duration)
+    return cell_output(network, row)
 
 
 def cells(*, duration: float, seed: int,
@@ -123,7 +123,6 @@ def run(*, duration: float = 20.0, seed: int = 0,
         workers: Optional[int] = 1) -> SaturationResult:
     result = SaturationResult(duration=duration, seed=seed)
     result.rows.extend(run_cells(
-        "saturation",
         cells(duration=duration, seed=seed, d_values_ms=d_values_ms),
         workers=workers))
     return result

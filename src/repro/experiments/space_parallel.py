@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.analysis import bench
 from repro.analysis.report import format_table
 from repro.errors import SimulationError
 from repro.faults.plan import (
@@ -164,29 +163,20 @@ def run(*, duration: float = 2.0, seed: int = 0,
     plan = default_fault_plan(node_count=node_count, duration=duration)
     result = SpaceParallelResult(duration=duration, seed=seed,
                                  node_count=node_count)
-    watch = bench.Stopwatch()
-    total_events = 0
     for faulted, fault_plan in ((False, None), (True, plan)):
         serial = run_serial(builder, duration, fault_plan=fault_plan)
-        total_events += serial.events_dispatched
         result.serial_digests[faulted] = serial.digest
         for count in counts:
             for mode in modes:
                 sharded: ParallelRunResult = run_sharded(
                     builder, duration, partitions=count,
                     fault_plan=fault_plan, mode=mode)
-                total_events += sharded.events_dispatched
                 result.rows.append(SpaceParallelRow(
                     faulted=faulted, partitions=count, mode=mode,
                     window_s=sharded.window,
                     events=sharded.events_dispatched,
                     digest=sharded.digest,
                     matches=sharded.digest == serial.digest))
-    bench.emit(bench.make_record(
-        "space_parallel", wall_time_s=watch.elapsed(),
-        events_dispatched=total_events, workers=1,
-        simulated_s=duration * (len(result.rows) + 2),
-        cells=len(result.rows), partitions=max(counts)))
     if not result.all_match():
         bad = [r for r in result.rows if not r.matches]
         raise SimulationError(

@@ -9,8 +9,6 @@ The public surface:
 
 * :class:`~repro.sim.kernel.Simulator` — the event loop and clock.
 * :class:`~repro.sim.events.Event` — a scheduled callback, cancellable.
-* :class:`~repro.sim.process.Process` — generator-based processes that
-  ``yield`` delays (used by traffic sources).
 * :class:`~repro.sim.rng.RandomStreams` — reproducible, named random
   substreams so each traffic source gets an independent stream.
 * Monitors in :mod:`repro.sim.monitor` — tallies, time-weighted
@@ -20,7 +18,6 @@ The public surface:
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Counter, Tally, TimeSeries, TimeWeighted
-from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -28,7 +25,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "Simulator",
-    "Process",
     "RandomStreams",
     "Counter",
     "Tally",

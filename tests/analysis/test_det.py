@@ -277,14 +277,14 @@ def test_cli_select_unknown_rule_is_usage_error():
     assert excinfo.value.code == 2
 
 
-def test_cli_perturb_writes_a_deterministic_bench_record(tmp_path, capsys):
+def test_cli_perturb_verdict_is_the_exit_code(tmp_path, monkeypatch,
+                                             capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(["--perturb", "--scenario", "fig07",
                  "--modes", "registration", "--horizon", "0.05",
-                 "--rounds", "1", "--bench-dir", str(tmp_path)]) == 0
+                 "--rounds", "1"]) == 0
     assert "deterministic under registration" in capsys.readouterr().out
-    payload = json.loads(
-        (tmp_path / "BENCH_perturb-fig07.json").read_text())
-    assert payload["deterministic"] is True
+    assert list(tmp_path.iterdir()) == []  # the verdict is not a file
 
 
 def test_cli_perturb_rejects_unknown_scenario_and_mode():

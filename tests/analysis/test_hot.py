@@ -302,11 +302,11 @@ def test_budget_gate_fires_only_on_measured_hot_findings(
     def run_fixture(horizon):
         for _ in range(200):
             module.hot_path(_Queue(), list(range(50)), 1.0)
-        return 200, horizon
+        return horizon
 
     def run_elsewhere(horizon):
         sum(range(10_000))
-        return 0, horizon
+        return horizon
 
     fake = dict(profile_mod._SCENARIOS)
     fake["_fixture"] = ProfileScenario("_fixture", 0.01, run_fixture,
@@ -330,31 +330,6 @@ def test_budget_gate_fires_only_on_measured_hot_findings(
     assert main([target, "--no-cache", "--profile", "_elsewhere",
                  "--budget", "1"]) == 0
     capsys.readouterr()
-
-
-def test_profile_bench_record(tmp_path, monkeypatch):
-    import repro.analysis.hot.profile as profile_mod
-    from repro.analysis import bench
-
-    module = load_fixture_module("ranked")
-
-    def run_fixture(horizon):
-        module.hot_path(_Queue(), list(range(10)), 1.0)
-        return 10, horizon
-
-    fake = dict(profile_mod._SCENARIOS)
-    fake["_fixture"] = ProfileScenario("_fixture", 0.01, run_fixture,
-                                       "test scenario")
-    monkeypatch.setattr(profile_mod, "_SCENARIOS", fake)
-
-    bench_dir = tmp_path / "bench"
-    assert main([str(FIXTURES / "ranked.py"), "--no-cache",
-                 "--profile", "_fixture", "--budget", "99",
-                 "--bench-dir", str(bench_dir)]) in (0, 1)
-    (record_path,) = bench_dir.glob("BENCH_hot-profile-_fixture.json")
-    record = bench.read_record(record_path)
-    assert record.experiment == "hot-profile-_fixture"
-    assert record.cells == 1 and record.workers == 1
 
 
 def test_unknown_scenario_is_a_usage_error():

@@ -11,26 +11,11 @@ from typing import Callable, List, Optional, Sequence
 
 import pytest
 
-from repro.analysis import bench
 from repro.net.network import Network
 from repro.net.session import Session
 from repro.sim import kernel
 from repro.sim.trace import Tracer
 from repro.traffic.trace_source import TraceSource
-
-
-@pytest.fixture(autouse=True)
-def _bench_isolation(tmp_path, monkeypatch):
-    """Keep BENCH telemetry out of the working directory during tests.
-
-    CLI tests enable emission via ``bench.configure``; this redirects
-    any writes into the test's tmp dir and resets the module state so
-    one test's configuration never leaks into the next.
-    """
-    monkeypatch.setenv(bench.ENV_DIR, str(tmp_path))
-    monkeypatch.delenv(bench.ENV_ENABLE, raising=False)
-    yield
-    bench.configure(enabled=False, directory=None)
 
 
 @pytest.fixture(params=["python", "compiled"])

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -36,13 +38,16 @@ def test_retired_kernel_backend_flag_is_rejected(capsys, argv, complaint):
 
 
 def test_retired_state_backend_flags_are_rejected():
-    from repro.analysis import throughput
-    for entry, argv in [
-            (main, ["--state-backend", "soa", "heavy_traffic"]),
-            (throughput.main, ["--sessions", "10", "--state-backend=soa"])]:
-        with pytest.raises(SystemExit) as exit_info:
-            entry(argv)
-        assert exit_info.value.code == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--state-backend", "soa", "heavy_traffic"])
+    assert exit_info.value.code == 2
+
+
+def test_retired_bench_dir_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["figure07", "--bench-dir=/tmp/bench"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --bench-dir" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, complaint", [
@@ -112,11 +117,9 @@ def test_default_duration_uses_runner_default(monkeypatch):
     assert main(["firewall"]) == 0
 
 
-def test_parser_accepts_workers_and_bench_dir():
-    args = build_parser().parse_args(
-        ["figure07", "--workers", "4", "--bench-dir", "/tmp/bench"])
+def test_parser_accepts_workers():
+    args = build_parser().parse_args(["figure07", "--workers", "4"])
     assert args.workers == 4
-    assert args.bench_dir == "/tmp/bench"
 
 
 def test_workers_forwarded_to_sharding_runners(monkeypatch):
@@ -209,12 +212,43 @@ def test_profile_prints_hotspots(monkeypatch, capsys):
     assert "cumulative" in out  # the pstats table header
 
 
-def test_cli_writes_bench_record(tmp_path, capsys):
-    from repro.analysis import bench
-    assert main(["figure08", "--duration", "2",
-                 "--bench-dir", str(tmp_path)]) == 0
-    record = bench.read_record(tmp_path / "BENCH_fig08.json")
-    assert record.experiment == "fig08"
-    assert record.events_dispatched > 0
-    assert record.simulated_s == pytest.approx(2.0)
-    assert record.wall_time_s > 0
+def test_a_run_writes_nothing_it_was_not_asked_to(tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["figure08", "--duration", "0.2", "--workers", "1"]) == 0
+    assert "Figure 8" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    # The knobs that used to switch a record on are gone from src/;
+    # REPRO_BENCH_DURATION lives in benchmarks/conftest.py only.
+    src = Path(__file__).resolve().parents[2] / "src"
+    assert [str(path) for path in sorted(src.rglob("*.py"))
+            if "REPRO_BENCH" in path.read_text(encoding="utf-8")] == []
+
+
+@pytest.mark.parametrize("partitions, complaint", [
+    ("0", "partition count must be >= 1, got 0"),
+    ("-1", "partition count must be >= 1, got -1"),
+    ("99", "cannot split 8 nodes into 99 partitions"),
+])
+def test_bad_partition_count_is_one_line_not_a_traceback(
+        capsys, partitions, complaint):
+    assert main(["space_parallel", "--duration", "0.2",
+                 "--partitions", partitions]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("leave-in-time: error: ") and complaint in line
+    assert captured.out == ""
+
+
+def test_unusable_csv_directory_fails_before_the_run(tmp_path, monkeypatch,
+                                                     capsys):
+    def never_run(**kwargs):
+        raise AssertionError("the experiment ran before --csv was checked")
+
+    import repro.cli as cli
+    monkeypatch.setitem(cli._SIMULATED, "figure07", (never_run, 300.0))
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert main(["figure07", "--csv", str(blocker / "plots")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("leave-in-time: error: --csv: cannot create")

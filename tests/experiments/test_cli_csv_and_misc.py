@@ -56,7 +56,8 @@ class TestDistributionResultEdges:
 
 
 class TestBenchDurationEnv:
-    def test_env_override(self, monkeypatch):
+    @pytest.fixture
+    def bench_conftest(self):
         import importlib.util
         import pathlib
         spec = importlib.util.spec_from_file_location(
@@ -64,7 +65,18 @@ class TestBenchDurationEnv:
             pathlib.Path("benchmarks/conftest.py").resolve())
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        return module
+
+    def test_env_override(self, bench_conftest, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_DURATION", raising=False)
-        assert module.bench_duration(12.0) == 12.0
+        assert bench_conftest.bench_duration(12.0) == 12.0
         monkeypatch.setenv("REPRO_BENCH_DURATION", "77")
-        assert module.bench_duration(12.0) == 77.0
+        assert bench_conftest.bench_duration(12.0) == 77.0
+
+    @pytest.mark.parametrize("garbage", ["soon", "nan", "inf", "0", "-3"])
+    def test_garbage_is_a_usage_error_naming_the_variable(
+            self, bench_conftest, monkeypatch, garbage):
+        monkeypatch.setenv("REPRO_BENCH_DURATION", garbage)
+        with pytest.raises(pytest.UsageError,
+                           match="REPRO_BENCH_DURATION must be"):
+            bench_conftest.bench_duration(12.0)

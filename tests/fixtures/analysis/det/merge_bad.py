@@ -19,7 +19,7 @@ def cells(points):
 
 
 def run(points, extras: Set[str], totals: Dict[str, float]):
-    rows = list(run_cells("merge-bad", cells(points)))
+    rows = list(run_cells(cells(points)))
     for extra in extras:
         rows.append(extra)
     rows.extend(_labels(totals))

@@ -19,7 +19,7 @@ def cells(points):
 
 
 def run(points, extras: Set[str], totals: Dict[str, float]):
-    rows = list(run_cells("merge-ok", cells(points)))
+    rows = list(run_cells(cells(points)))
     for extra in sorted(extras):
         rows.append(extra)
     rows.extend(_labels(totals))

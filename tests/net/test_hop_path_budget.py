@@ -18,6 +18,10 @@ numbers per cell:
 
 Counts are those of ``benchmarks/ledger`` (``total.py_calls_per_pkt_hop``):
 every profiled function that is not a C builtin.
+
+The kernel under those cells gets the same treatment at the bottom of
+the file: the ledger's spin probe (``kernel_spin``), held to its exact
+event count, its calls per event and its ``Event`` allocations.
 """
 
 import cProfile
@@ -25,9 +29,12 @@ import pstats
 
 import pytest
 
+from repro.analysis.throughput import kernel_spin
 from repro.experiments import call_churn, heavy_traffic
 from repro.experiments.common import build_mix_network, mix_specs
 from repro.net.network import Network
+from repro.sim import kernel
+from repro.sim.events import Event
 from repro.units import ms
 
 
@@ -48,6 +55,13 @@ def _heavy():
 def _churn():
     call_churn._cell(duration=3.0, seed=0, offered_erlangs=60.0,
                      mean_holding=0.5)
+
+
+def _python_calls(profiler):
+    """Calls of every profiled function that is not a C builtin."""
+    return sum(row[1] for (filename, _, _), row
+               in pstats.Stats(profiler).stats.items()
+               if filename != "~")
 
 
 CELLS = {"plain": lambda: _mix(False), "jitter": lambda: _mix(True),
@@ -87,10 +101,35 @@ def test_hop_path_budget(cell, monkeypatch):
     (network,) = networks
     hops = sum(node.packets_served for node in network.nodes.values())
     assert (network.sim.events_dispatched, hops) == EVENTS_AND_HOPS[cell]
-    calls = sum(row[1] for (filename, _, _), row
-                in pstats.Stats(profiler).stats.items()
-                if filename != "~")
+    calls = _python_calls(profiler)
     ceiling = CALLS_PER_HOP_CEILING[cell]
     assert calls / hops <= ceiling, (
         f"{calls / hops:.3f} Python calls per packet-hop in the {cell} "
         f"cell; the committed ceiling is {ceiling}")
+
+
+def test_kernel_spin_budget(monkeypatch):
+    """What a wall-clock gate on the spin was for, made exact: an O(n)
+    scan in the dispatch loop shows up as calls per event, a per-event
+    allocation creeping back as ``Event`` constructions."""
+    monkeypatch.setattr(kernel, "_ckernel", None)  # the reference loop
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        events, _wall = kernel_spin(0.05)
+    finally:
+        profiler.disable()
+
+    # 0.05 s of 0.1 ms ticks.
+    assert events == 501
+    # HEAD: 1011 calls, i.e. ``tick`` + ``schedule`` per event plus set-up.
+    calls = _python_calls(profiler)
+    assert calls / events <= 2.1, (
+        f"{calls} Python calls for {events} spin events")
+    # One event is in flight at a time, so after the first two schedules
+    # every ``Event`` comes off the free list instead of being built.
+    stats = pstats.Stats(profiler).stats
+    init = Event.__init__.__code__
+    built = stats[(init.co_filename, init.co_firstlineno, "__init__")][1]
+    recycled = stats[("~", 0, "<method 'pop' of 'list' objects>")][1]
+    assert (built, recycled) == (2, events - 2)

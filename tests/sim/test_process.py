@@ -1,10 +1,16 @@
-"""Unit tests for generator-based processes."""
+"""Unit tests for the generator-process adapter.
+
+Not part of ``repro.sim``: the adapter drives the reference that
+``tests/traffic/test_source_equivalence.py`` holds the timer-callback
+sources to, so what it does with delays, stops and bad yields is
+pinned here.
+"""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
-from repro.sim.process import Process
+from tests.traffic.generator_process import Process
 
 
 def test_process_resumes_after_yielded_delays():

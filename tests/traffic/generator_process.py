@@ -1,4 +1,8 @@
-"""Generator-based simulation processes.
+"""Generator-based simulation processes — a test reference.
+
+Not part of ``repro.sim``: this is the adapter
+``test_source_equivalence.py`` drives the generator-form reference
+sources with (``tests/sim/test_process.py`` pins its own behaviour).
 
 Traffic sources are most naturally written as loops —
 

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
-from repro.sim.process import Process
 from repro.traffic.base import TrafficSource
 from repro.traffic.deterministic import DeterministicSource
 from repro.traffic.onoff import OnOffSource
@@ -25,6 +24,7 @@ from repro.traffic.poisson import PoissonSource
 from repro.traffic.superposed import SuperposedPoissonSource
 from repro.traffic.trace_source import TraceSource
 from tests.conftest import make_network
+from tests.traffic.generator_process import Process
 
 LENGTH = 424.0
 CAPACITY = 1e6
