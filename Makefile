@@ -8,13 +8,13 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: ci test ruff repro-analyze hot-profile-smoke perturb-smoke \
-	parallel-smoke sanitize mypy heavy-traffic-smoke ckernel ab
+.PHONY: ci test ruff repro-analyze parallel-smoke sanitize mypy \
+	heavy-traffic-smoke ckernel ab
 
 # ckernel goes last: it leaves the built extension under src/, and
 # every python process after that runs the C drain loop.
-ci: test ruff repro-analyze hot-profile-smoke perturb-smoke \
-	parallel-smoke sanitize mypy heavy-traffic-smoke ckernel
+ci: test ruff repro-analyze parallel-smoke sanitize mypy \
+	heavy-traffic-smoke ckernel
 	@echo "== ci: all jobs done =="
 
 test:
@@ -38,20 +38,11 @@ ruff:
 	fi
 
 # The whole static suite — lint + verify + det + hot packs — in one
-# process over one cache: the gate, then the SARIF re-emit CI uploads.
+# stateless pass: the gate, then the SARIF re-emit CI uploads.
 repro-analyze:
 	@echo "== ci job: analyze =="
 	$(PYTHON) -m repro.analysis src
 	$(PYTHON) -m repro.analysis src --format sarif > /tmp/repro-analysis.sarif
-
-hot-profile-smoke:
-	@echo "== ci job: hot-profile-smoke =="
-	$(PYTHON) -m repro.analysis src --profile fig07 --budget 5
-
-perturb-smoke:
-	@echo "== ci job: perturb-smoke =="
-	$(PYTHON) -m repro.analysis --perturb --scenario fig07 \
-		--horizon 0.15 --rounds 1
 
 parallel-smoke:
 	@echo "== ci job: parallel-smoke =="

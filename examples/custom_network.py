@@ -12,7 +12,8 @@ Run:  python examples/custom_network.py
 """
 
 from repro import LeaveInTime, Network, OnOffSource, Session, kbps, ms
-from repro.analysis import network_summary, per_hop_delays
+from repro.analysis.per_hop import per_hop_delays
+from repro.analysis.report import network_summary
 from repro.bounds import compute_session_bounds, provision_buffers
 from repro.sim.trace import Tracer
 

@@ -30,7 +30,7 @@ from repro import (
     kbps,
     route_from_letters,
 )
-from repro.analysis import ccdf_at
+from repro.analysis.histogram import ccdf_at
 from repro.bounds import compute_session_bounds, shifted_ccdf_function
 from repro.bounds.md1 import md1_delay_ccdf_function
 

@@ -1,7 +1,7 @@
 """Determinism & parallel-safety analysis (see :doc:`docs/determinism`).
 
 * **Static** — :mod:`.rules` is the ``det`` pack: ``unordered-merge``
-  over the same cached per-file summaries and call graph as the
+  over the same per-file summaries and call graph as the
   ``verify`` pack, run by ``repro-analyze``.
 * **Dynamic** — :mod:`.perturb` reruns a scenario under shuffled
   tie-break order, shuffled session registration, ``workers=1`` vs

@@ -8,9 +8,8 @@ Answers the questions a fault experiment asks after the run:
 * how long was each session exposed to an outage (links down or nodes
   paused along its route, plus its own teardown windows)?
 * how often did delivered packets miss the session's end-to-end
-  deadline, and by how much — the deadline-miss-under-fault histogram
-  that shows whether an outage's backlog violates the paper's eq.-12
-  bound after recovery.
+  deadline — whether an outage's backlog violates the paper's eq.-12
+  bound after recovery?
 
 Everything reads state the ``net`` and ``faults`` layers already keep;
 nothing here touches the simulation itself.
@@ -19,10 +18,8 @@ nothing here touches the simulation itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.analysis.histogram import histogram
-from repro.analysis.report import format_table
 from repro.faults.injector import DROP_REASONS, FaultInjector
 from repro.net.network import Network
 from repro.net.sink import Sink
@@ -30,11 +27,8 @@ from repro.optdeps import np, require_numpy
 
 __all__ = [
     "SessionFaultStats",
-    "FaultReport",
     "deadline_misses",
-    "miss_histogram",
     "session_fault_stats",
-    "fault_report",
 ]
 
 #: Reason label for ordinary finite-buffer overflow drops, which are
@@ -87,27 +81,6 @@ def deadline_misses(sink: Sink, bound: float) -> Tuple[int, int]:
     if delays.size == 0:
         return 0, 0
     return int(np.count_nonzero(delays > bound)), int(delays.size)
-
-
-def miss_histogram(sink: Sink, bound: float, *,
-                   bin_width: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Histogram of ``delay − bound`` over packets that missed.
-
-    Bin edges start at 0 (a packet exactly at the bound), widths in
-    seconds; masses are normalized over *missing* packets only, so the
-    shape shows how badly the recovery backlog overshoots, independent
-    of how rare misses are (pair with :func:`deadline_misses` for the
-    rate).  Raises if no packet missed — histogramming nothing is a
-    caller bug.
-    """
-    series = sink.samples
-    if series is None:
-        raise ValueError(
-            f"sink {sink.session_id!r} kept no delay samples; "
-            f"construct its session with keep_samples=True")
-    overshoot = [value - bound for value in series.values
-                 if value > bound]
-    return histogram(overshoot, bin_width, origin=0.0)
 
 
 def _route_drops(network: Network, session_id: str,
@@ -166,41 +139,3 @@ def session_fault_stats(network: Network, session_id: str, *,
         deadline_misses=misses,
         observed=observed,
     )
-
-
-@dataclass
-class FaultReport:
-    """Per-session fault accounting for every requested session."""
-
-    stats: List[SessionFaultStats]
-
-    def table(self, title: str = "Fault accounting") -> str:
-        rows = []
-        for s in self.stats:
-            drops = ", ".join(f"{reason}:{count}"
-                              for reason, count in sorted(s.drops.items())) \
-                or "-"
-            misses = "n/a" if s.deadline_misses < 0 \
-                else f"{s.deadline_misses}/{s.observed}"
-            rows.append((s.session_id, s.sent, s.delivered, drops,
-                         f"{s.outage_s:.3f}", misses))
-        return format_table(
-            ["session", "sent", "delivered", "drops", "outage(s)",
-             "misses"],
-            rows, title=title)
-
-
-def fault_report(network: Network, session_ids: Sequence[str], *,
-                 bounds: Optional[Dict[str, float]] = None
-                 ) -> FaultReport:
-    """Build a :class:`FaultReport` over ``session_ids``.
-
-    ``bounds`` maps session id -> end-to-end deadline in seconds for
-    the sessions whose miss counts matter.
-    """
-    bounds = bounds or {}
-    return FaultReport([
-        session_fault_stats(network, session_id,
-                            bound=bounds.get(session_id))
-        for session_id in session_ids
-    ])

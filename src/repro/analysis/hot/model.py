@@ -19,25 +19,35 @@ Cold contexts are excluded at extraction time so the rules stay
 provable-only: anything inside a ``raise`` statement, an ``except``
 handler, an ``assert``, or an ``if <x>.enabled:`` tracer guard is
 never the per-event common case and must not be flagged.
-
-Everything extracted is JSON-serializable — the hot facts ride in the
-same :class:`~repro.analysis.lint.cache.AnalysisCache` payloads as the
-verify summaries, under the ``hot`` namespace.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
-from repro.analysis.lint.core import LintError, dotted_name
+from repro.analysis.lint.core import (
+    LintError,
+    dotted_name,
+    iter_python_files,
+)
 from repro.analysis.verify.model import Program, module_name_for
 
 __all__ = [
     "hot_summary_source",
     "hot_summary_file",
     "HotProgram",
+    "build_hot_program",
 ]
 
 #: Method names treated as scalar/dict probes by item-call-in-hot-loop.
@@ -349,7 +359,6 @@ class _HotScanner:
         return {
             "qualname": self.qualname,
             "name": name,
-            "lineno": self.lineno,
             "allocs": self.allocs,
             "chains": self.chains,
             "probes": self.probes,
@@ -401,7 +410,7 @@ def _scan_class(node: ast.ClassDef, qualname: str) -> Dict[str, Any]:
 
 def hot_summary_source(source: str, path: Path,
                        module: Optional[str] = None) -> Dict[str, Any]:
-    """Extract one file's JSON-serializable hot-path facts."""
+    """Extract one file's hot-path facts."""
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
@@ -463,22 +472,16 @@ class HotProgram:
                                         Dict[str, Any]]] = {}
         #: Bare class name -> every definition with that name.
         self.classes_by_name: Dict[str, List[Dict[str, Any]]] = {}
-        self._functions_by_path: Dict[str, List[Dict[str, Any]]] = {}
         for summary in hot_summaries:
             module = summary["module"]
-            per_path = self._functions_by_path.setdefault(
-                summary["path"], [])
             for function in summary["functions"]:
                 key = f"{module}:{function['qualname']}"
                 self.functions[key] = (summary, function)
-                per_path.append(function)
             for entry in summary["classes"]:
                 record = {**entry, "path": summary["path"],
                           "module": module}
                 self.classes_by_name.setdefault(
                     entry["name"], []).append(record)
-        for functions in self._functions_by_path.values():
-            functions.sort(key=lambda fn: int(fn["lineno"]))
         self.reachable = program.kernel_reachable()
 
     def hot_functions(self) -> Iterator[Tuple[str, Dict[str, Any],
@@ -516,13 +519,10 @@ class HotProgram:
                 return False
         return True
 
-    def enclosing_function(self, path: str,
-                           line: int) -> Optional[Dict[str, Any]]:
-        """The function whose def precedes ``line`` most closely."""
-        best: Optional[Dict[str, Any]] = None
-        for function in self._functions_by_path.get(path, []):
-            if int(function["lineno"]) <= line:
-                best = function
-            else:
-                break
-        return best
+
+def build_hot_program(paths: Iterable[Path],
+                      program: Program) -> HotProgram:
+    """Extract hot facts for every ``*.py`` under ``paths`` and join
+    them onto ``program`` (assembled over the same ``paths``)."""
+    return HotProgram(program, [hot_summary_file(path)
+                                for path in iter_python_files(paths)])

@@ -4,8 +4,7 @@
 the one rule registry (``pack:rule-id``), ``# repro: disable=<rule>``
 suppressions and the one rule driver — plus the per-file pass;
 :mod:`.rules` is the ``lint`` pack itself (wall-clock reads, raw unit
-literals, unguarded trace emits).  :mod:`.cache` is the suite's one
-on-disk cache, :mod:`.changed` the ``--changed`` file discovery.
+literals, unguarded trace emits).
 
 Run the suite with ``repro-analyze`` (``python -m repro.analysis``,
 :mod:`repro.analysis.front`); tier-1 tests gate ``src/`` on a clean

@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 import re
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
@@ -41,8 +41,6 @@ from typing import (
     List,
     Tuple,
 )
-
-from repro.analysis.lint.cache import AnalysisCache
 
 __all__ = [
     "PACKS",
@@ -234,21 +232,12 @@ def analyze_file(path: Path, rules: Iterable[Rule]) -> List[Violation]:
     return analyze_source(source, path, rules)
 
 
-def lint_paths(paths: Iterable[Path], rules: Iterable[Rule],
-               cache: AnalysisCache) -> List[Violation]:
-    """Analyze every ``*.py`` under ``paths``, replaying cached findings.
-
-    A cached entry is the finding list of whatever rules first wrote
-    it: pass a persistent cache only with the full lint rule set.
-    """
+def lint_paths(paths: Iterable[Path],
+               rules: Iterable[Rule]) -> List[Violation]:
+    """Analyze every ``*.py`` under ``paths`` with per-file ``rules``."""
     rule_list = list(rules)
-    findings: List[Violation] = []
-    for path in iter_python_files(paths):
-        findings.extend(Violation(**item) for item in cache.lookup(
-            path, "violations",
-            lambda path: [asdict(violation) for violation
-                          in analyze_file(path, rule_list)]))
-    return sorted(findings)
+    return sorted(violation for path in iter_python_files(paths)
+                  for violation in analyze_file(path, rule_list))
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:

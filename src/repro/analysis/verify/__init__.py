@@ -3,7 +3,7 @@
 Two coupled layers (see :doc:`docs/static_analysis` and
 :doc:`docs/sanitizer`):
 
-* **Static** — :mod:`.model` extracts cached per-file summaries and
+* **Static** — :mod:`.model` extracts per-file summaries and
   joins them into a :class:`~repro.analysis.verify.model.Program`
   (symbol table, call graph, dimension inference); :mod:`.rules` is
   the ``verify`` pack, four interprocedural rules over it, run by
@@ -19,8 +19,11 @@ the sanitizer (which touches simulator types) is imported lazily by
 :class:`repro.net.network.Network` when enabled.
 """
 
-from repro.analysis.verify.core import build_program
-from repro.analysis.verify.model import Program, summarize_file
+from repro.analysis.verify.model import (
+    Program,
+    build_program,
+    summarize_file,
+)
 from repro.analysis.verify.rules import ProgramRule
 
 __all__ = [

@@ -6,9 +6,8 @@ PR 1's linter reasons one file at a time; the rules in
 module boundaries: *does this loop body eventually reach the event
 queue?*, *is this constant a time or a rate?*, *does the exception
 handler release what the try block reserved?*  This module extracts a
-per-file **module summary** (pure local facts, JSON-serializable so the
-``.repro-lint-cache`` layer can persist it) and assembles the summaries
-into a :class:`Program`:
+per-file **module summary** (pure local facts, plain dicts and lists)
+and assembles the summaries into a :class:`Program`:
 
 * a **module symbol table** — imports, module-level constants with
   inferred dimensions, functions by qualified name;
@@ -34,9 +33,23 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
-from repro.analysis.lint.core import LintError, suppressions
+from repro.analysis.lint.core import (
+    LintError,
+    iter_python_files,
+    suppressions,
+)
 from repro.analysis.lint.rules import (
     _LENGTH_KEYWORDS,
     _RATE_KEYWORDS,
@@ -50,6 +63,7 @@ __all__ = [
     "SIZE",
     "TIME",
     "Program",
+    "build_program",
     "call_name",
     "dim_name",
     "module_name_for",
@@ -250,7 +264,7 @@ def module_name_for(path: Path) -> str:
 
 
 # ----------------------------------------------------------------------
-# Extraction: one file -> one JSON-safe summary
+# Extraction: one file -> one summary
 # ----------------------------------------------------------------------
 class _ModuleContext:
     """Shared per-module state while scanning one file."""
@@ -759,7 +773,7 @@ class _FunctionScanner:
 
 def summarize_source(source: str, path: Path,
                      module: Optional[str] = None) -> Dict[str, Any]:
-    """Extract one file's JSON-serializable semantic summary."""
+    """Extract one file's semantic summary."""
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
@@ -823,7 +837,6 @@ def summarize_source(source: str, path: Path,
                                   ast.ClassDef))])
     functions.append(module_scanner.summary("<module>"))
 
-    disabled = suppressions(source)
     return {
         "module": module_name,
         "path": str(path),
@@ -832,8 +845,7 @@ def summarize_source(source: str, path: Path,
         "name_kinds": ctx.name_kinds,
         "attr_kinds": ctx.attr_kinds,
         "functions": functions,
-        "suppressions": {str(line): sorted(rules)
-                         for line, rules in disabled.items()},
+        "suppressions": suppressions(source),
     }
 
 
@@ -860,12 +872,10 @@ class Program:
         self._by_method: Dict[Tuple[str, str], List[str]] = {}
         self.attr_kinds: Dict[str, Optional[str]] = {}
         self.constants: Dict[str, Optional[Dim]] = {}
-        self._suppressions: Dict[str, Dict[int, Set[str]]] = {}
+        self._suppressions: Dict[str, Dict[int, FrozenSet[str]]] = {}
         for summary in self.summaries:
             module = summary["module"]
-            self._suppressions[summary["path"]] = {
-                int(line): set(rules)
-                for line, rules in summary.get("suppressions", {}).items()}
+            self._suppressions[summary["path"]] = summary["suppressions"]
             for attr, kind in summary.get("attr_kinds", {}).items():
                 existing = self.attr_kinds.get(attr)
                 if existing is not None and existing != kind:
@@ -1085,3 +1095,9 @@ class Program:
 
     def is_suppressed(self, path: str, line: int, rule: str) -> bool:
         return rule in self._suppressions.get(path, {}).get(line, ())
+
+
+def build_program(paths: Iterable[Path]) -> Program:
+    """Summarize every ``*.py`` under ``paths`` and assemble a Program."""
+    return Program(summarize_file(path)
+                   for path in iter_python_files(paths))

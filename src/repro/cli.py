@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import math
 import os
 import sys
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
 from repro.analysis.verify.sanitizer import SanitizerError
+from repro.argtypes import positive_int, positive_seconds
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import default_workers
 
@@ -80,23 +80,6 @@ _ANALYTIC: Dict[str, Callable] = {
 }
 
 
-def _positive_seconds(text: str) -> float:
-    """argparse type: a finite duration > 0 (``nan`` would never end)."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number of seconds > 0, got {text!r}")
-    return value
-
-
-def _worker_count(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leave-in-time",
@@ -105,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     choices = sorted(_SIMULATED) + sorted(_ANALYTIC) + ["all"]
     parser.add_argument("experiment", choices=choices,
                         help="which figure/table to regenerate")
-    parser.add_argument("--duration", type=_positive_seconds,
+    parser.add_argument("--duration", type=positive_seconds,
                         default=None,
                         help="simulated seconds (default: quick preset)")
     parser.add_argument("--seed", type=int, default=0,
@@ -115,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv", metavar="DIR", default=None,
                         help="also write plot-ready CSV files into DIR "
                              "(for experiments that support export)")
-    parser.add_argument("--workers", type=_worker_count, default=None,
+    parser.add_argument("--workers", type=positive_int, default=None,
                         help="processes to shard sweep cells across "
                              "(default: all cores but one); results "
                              "are identical at any worker count")

@@ -118,11 +118,3 @@ def run(*, duration: float = 20.0, seed: int = 0,
     }
     return AblationResult(duration=duration, seed=seed,
                           bin_width=bin_width, outcomes=outcomes)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -225,11 +225,3 @@ def run(*, duration: float = 60.0, seed: int = 0,
               mean_holding=mean_holding),
         workers=workers)
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

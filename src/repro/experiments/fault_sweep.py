@@ -213,11 +213,3 @@ def run(*, duration: float = 12.0, seed: int = 0,
                            outages=outages),
                      workers=workers)
     return FaultSweepResult(duration=duration, seed=seed, rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

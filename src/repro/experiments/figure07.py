@@ -109,11 +109,3 @@ def run(*, duration: float = 20.0, seed: int = 0,
                            a_off_values=a_off_values),
                      workers=workers)
     return Figure7Result(duration=duration, seed=seed, rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -154,11 +154,3 @@ def run(*, duration: float = 60.0, seed: int = 0,
               monitor_buffers=monitor_buffers),
         workers=workers)
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

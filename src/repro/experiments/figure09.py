@@ -38,11 +38,3 @@ def run(*, duration: float = 60.0, seed: int = 0,
         seed=seed,
         workers=workers,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -41,11 +41,3 @@ def run(*, duration: float = 60.0, seed: int = 0,
         delay_grid_ms=np.linspace(0.0, 160.0, 81),
         workers=workers,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

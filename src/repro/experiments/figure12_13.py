@@ -88,11 +88,3 @@ def run(*, duration: float = 60.0, seed: int = 0,
     return BufferFigureResult(
         duration=duration, seed=seed, figure8=base,
         distributions=distributions, bounds_bits=bounds_bits)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -182,11 +182,3 @@ def run(*, duration: float = 20.0, seed: int = 0,
                           workers=workers):
         result.rows.extend(rows)
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

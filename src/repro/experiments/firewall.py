@@ -109,11 +109,3 @@ def run(*, duration: float = 30.0, seed: int = 0,
     }
     return FirewallResult(duration=duration, seed=seed,
                           overload=overload, outcomes=outcomes)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

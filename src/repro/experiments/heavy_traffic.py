@@ -76,7 +76,6 @@ __all__ = [
     "DEFAULT_RHOS",
     "cells",
     "run",
-    "main",
 ]
 
 _DISCIPLINES = (
@@ -307,11 +306,3 @@ def run(*, duration: float = 2.0, seed: int = 0,
                       topologies=topologies)
     rows = [output.value for output in _run_isolated(cell_list)]
     return HeavyTrafficResult(duration=duration, seed=seed, rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

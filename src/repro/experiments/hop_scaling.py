@@ -152,11 +152,3 @@ def run(*, duration: float = 15.0, seed: int = 0,
               shifted_d=shifted_d),
         workers=workers))
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -126,11 +126,3 @@ def run(*, duration: float = 120.0, seed: int = 0,
         result.points.append(_run_point(rho, duration=duration,
                                         seed=seed))
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

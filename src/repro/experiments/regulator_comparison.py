@@ -172,11 +172,3 @@ def run(*, duration: float = 30.0, seed: int = 0,
         outcomes[f"{outcome.discipline}/{outcome.cross_kind}"] = outcome
     return RegulatorComparisonResult(duration=duration, seed=seed,
                                      outcomes=outcomes)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

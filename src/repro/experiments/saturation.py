@@ -126,11 +126,3 @@ def run(*, duration: float = 20.0, seed: int = 0,
         cells(duration=duration, seed=seed, d_values_ms=d_values_ms),
         workers=workers))
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

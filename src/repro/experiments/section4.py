@@ -91,11 +91,3 @@ def run(*, capacity: float = 1.536e6, frame: float = 0.01,
         result.pgps.append(PgpsRow(hops=hops, lit_bound_ms=to_ms(lit),
                                    pgps_bound_ms=to_ms(pgps)))
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -184,11 +184,3 @@ def run(*, duration: float = 2.0, seed: int = 0,
             "; ".join(f"parts={r.partitions} mode={r.mode} "
                       f"faulted={r.faulted}" for r in bad))
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -27,9 +27,8 @@ from repro.analysis.det.perturb import (
     perturb_scenario,
 )
 from repro.analysis.front import main, run_suite
-from repro.analysis.lint.cache import AnalysisCache
 from repro.analysis.lint.core import registered_rules
-from repro.analysis.verify.core import build_program
+from repro.analysis.verify import build_program
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
@@ -76,8 +75,7 @@ def test_unordered_merge_negative():
 
 
 def test_unordered_merge_scope_follows_cell_fn_references():
-    program = build_program([FIXTURES / "merge_bad.py"],
-                            AnalysisCache(None))
+    program = build_program([FIXTURES / "merge_bad.py"])
     roots = {"merge_bad:cells", "merge_bad:run"}
     closure = program.forward_closure(roots)
     # _cell is only reachable through the Cell(fn=_cell) reference edge.
@@ -235,19 +233,17 @@ def test_fig07_is_deterministic_under_all_perturbations():
 # ----------------------------------------------------------------------
 # CLI (``repro-analyze --select det[:RULE]`` and ``--perturb``).
 # ----------------------------------------------------------------------
-def test_cli_exit_codes_and_json(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
+def test_cli_exit_codes_and_json(capsys):
     bad = str(FIXTURES / "merge_bad.py")
     ok = str(FIXTURES / "merge_ok.py")
 
-    assert main([bad, "--select", "det", "--cache-dir", cache_dir]) == 1
+    assert main([bad, "--select", "det"]) == 1
     assert "unordered-merge" in capsys.readouterr().out
 
-    assert main([ok, "--select", "det", "--cache-dir", cache_dir]) == 0
+    assert main([ok, "--select", "det"]) == 0
     capsys.readouterr()  # drop the "clean" line before the JSON run
 
-    assert main([bad, "--select", "det", "--format", "json",
-                 "--no-cache"]) == 1
+    assert main([bad, "--select", "det", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert [row["rule"] for row in payload["findings"]["det"]] == [
         "unordered-merge"] * 2
@@ -256,8 +252,7 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
 def test_cli_select_runs_only_the_named_rule(capsys):
     # Selecting one det rule runs (and prints) the det pack alone.
     target = str(FIXTURES / "merge_bad.py")
-    assert main([target, "--select", "det:unordered-merge",
-                 "--no-cache"]) == 1
+    assert main([target, "--select", "det:unordered-merge"]) == 1
     out = capsys.readouterr().out
     assert "== det ==" in out and "unordered-merge" in out
     assert "== verify ==" not in out and "== hot ==" not in out
@@ -287,9 +282,21 @@ def test_cli_perturb_verdict_is_the_exit_code(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []  # the verdict is not a file
 
 
-def test_cli_perturb_rejects_unknown_scenario_and_mode():
-    for argv in (["--perturb", "--scenario", "nosuch"],
-                 ["--perturb", "--modes", "nosuch"]):
+def test_cli_perturb_rejects_unknown_scenario_and_mode(capsys):
+    for argv, complaint in (
+            (["--scenario", "nosuch"], "unknown scenario 'nosuch'"),
+            (["--modes", "nosuch"], "unknown perturbation mode(s): nosuch"),
+            # A horizon that simulates nothing, or no perturbed run at
+            # all, used to come back "deterministic"; nan was a traceback.
+            (["--horizon", "-1"], "--horizon: must be a finite number of "
+                                  "seconds > 0, got '-1'"),
+            (["--horizon", "0"], "--horizon: must be a finite number"),
+            (["--horizon", "nan"], "--horizon: must be a finite number"),
+            (["--horizon", "inf"], "--horizon: must be a finite number"),
+            (["--rounds", "0"], "--rounds: must be >= 1, got '0'"),
+            (["--workers", "0"], "--workers: must be >= 1, got '0'"),
+            (["--workers", "-2"], "--workers: must be >= 1, got '-2'")):
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
+            main(["--perturb"] + argv)
         assert excinfo.value.code == 2
+        assert complaint in capsys.readouterr().err

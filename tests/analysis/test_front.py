@@ -2,10 +2,11 @@
 
 The contracts under test: all four packs run by default and their
 exit codes merge; ``--select`` filters at pack and pack:rule grain;
-the whole-program packs share one assembled Program extracted once
-into one cache file; one SARIF log carries one run per pack; and the
-front door is the *only* door — the retired per-analyzer commands
-and modules are gone, not forwarded.
+the whole-program packs share one assembled Program extracted once;
+one SARIF log carries one run per pack; a run is stateless — it reads
+source and writes stdout, nothing else; and the front door is the
+*only* door — the retired per-analyzer commands, the cache, the
+changed-files filter and the profile join are gone, not forwarded.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ WALLCLOCK_BAD = "import time\n\nNOW = time.time()\n"
 def test_all_four_analyzers_run_by_default(tmp_path, capsys):
     target = tmp_path / "ok.py"
     target.write_text(CLEAN)
-    assert main([str(target), "--no-cache"]) == 0
+    assert main([str(target)]) == 0
     out = capsys.readouterr().out
     for name in PACKS:
         assert f"== {name} ==" in out
@@ -42,11 +43,10 @@ def test_exit_codes_merge_across_analyzers(tmp_path, capsys):
     # whichever analyzer produced them.
     lint_bad = tmp_path / "lint_bad.py"
     lint_bad.write_text(WALLCLOCK_BAD)
-    assert main([str(lint_bad), "--no-cache"]) == 1
+    assert main([str(lint_bad)]) == 1
     assert "no-wallclock" in capsys.readouterr().out
 
-    assert main([str(HOT_FIXTURES / "unslotted_bad.py"),
-                 "--no-cache"]) == 1
+    assert main([str(HOT_FIXTURES / "unslotted_bad.py")]) == 1
     assert "unslotted-hot-class" in capsys.readouterr().out
 
 
@@ -54,7 +54,7 @@ def test_select_analyzer_grain(tmp_path, capsys):
     target = tmp_path / "lint_bad.py"
     target.write_text(WALLCLOCK_BAD)
     # Only hot selected: the lint finding is invisible, exit 0.
-    assert main([str(target), "--no-cache", "--select", "hot"]) == 0
+    assert main([str(target), "--select", "hot"]) == 0
     out = capsys.readouterr().out
     assert "== hot ==" in out
     assert "== lint ==" not in out
@@ -62,11 +62,9 @@ def test_select_analyzer_grain(tmp_path, capsys):
 
 def test_select_rule_grain(capsys):
     target = str(HOT_FIXTURES / "alloc_bad.py")
-    assert main([target, "--no-cache", "--select",
-                 "hot:unslotted-hot-class"]) == 0
+    assert main([target, "--select", "hot:unslotted-hot-class"]) == 0
     capsys.readouterr()
-    assert main([target, "--no-cache", "--select",
-                 "hot:allocation-in-hot-path"]) == 1
+    assert main([target, "--select", "hot:allocation-in-hot-path"]) == 1
     assert "allocation-in-hot-path" in capsys.readouterr().out
 
 
@@ -86,60 +84,63 @@ def test_list_rules_spans_all_analyzers(capsys):
     assert "hot:unslotted-hot-class" in out
 
 
-def test_front_door_writes_one_cache_file(tmp_path, capsys):
-    target = tmp_path / "ok.py"
-    target.write_text(CLEAN)
-    cache_dir = tmp_path / "cache"
-    assert main([str(target), "--cache-dir", str(cache_dir)]) == 0
-    capsys.readouterr()
-    # One file, one entry per source, every per-file product in it.
-    assert [path.name for path in cache_dir.iterdir()] == ["analysis.json"]
-    document = json.loads((cache_dir / "analysis.json").read_text())
-    (entry,) = document["entries"].values()
-    assert set(entry["payload"]) == {"violations", "summary", "hot"}
-
-
-def test_front_door_reuses_the_verify_cache(tmp_path, monkeypatch,
-                                            capsys):
-    import repro.analysis.verify.core as verify_core
+def test_one_extraction_feeds_every_whole_program_pack(
+        tmp_path, monkeypatch, capsys):
+    import repro.analysis.verify.model as verify_model
 
     target = tmp_path / "ok.py"
     target.write_text(CLEAN)
-    cache_dir = tmp_path / "cache"
 
     calls = []
-    real = verify_core.summarize_file
+    real = verify_model.summarize_file
 
     def counting(path):
         calls.append(path)
         return real(path)
 
-    monkeypatch.setattr(verify_core, "summarize_file", counting)
+    monkeypatch.setattr(verify_model, "summarize_file", counting)
 
-    assert main([str(target), "--cache-dir", str(cache_dir),
-                 "--select", "verify", "--select", "det"]) == 0
-    capsys.readouterr()
-    assert len(calls) == 1  # one extraction feeds both packs
-
-    calls.clear()
-    assert main([str(target), "--cache-dir", str(cache_dir),
+    assert main([str(target), "--select", "verify", "--select", "det",
                  "--select", "hot"]) == 0
     capsys.readouterr()
-    assert calls == []  # warm: hot joins onto the cached summary
+    assert calls == [target]
+
+
+def test_a_run_leaves_the_cwd_untouched(tmp_path, monkeypatch, capsys):
+    # The default run used to drop a cache directory here.
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main([str(HOT_FIXTURES)]) == 1
+    capsys.readouterr()
+    assert list(cwd.iterdir()) == []
+
+
+def test_every_run_reads_the_source_afresh(tmp_path, capsys):
+    target = tmp_path / "mod.py"
+    target.write_text(CLEAN)
+    assert main([str(tmp_path)]) == 0
+    capsys.readouterr()
+
+    target.write_text(WALLCLOCK_BAD)
+    assert main([str(tmp_path)]) == 1
+    assert "no-wallclock" in capsys.readouterr().out
+
+    target.write_text(CLEAN)
+    assert main([str(tmp_path)]) == 0
 
 
 def test_sarif_log_has_one_run_per_analyzer(tmp_path, capsys):
     target = tmp_path / "ok.py"
     target.write_text(CLEAN)
-    assert main([str(target), "--no-cache", "--format",
-                 "sarif"]) == 0
+    assert main([str(target), "--format", "sarif"]) == 0
     log = json.loads(capsys.readouterr().out)
     names = [run["tool"]["driver"]["name"] for run in log["runs"]]
     assert names == [f"repro-analyze/{pack}" for pack in PACKS]
 
 
 def test_json_format_groups_by_analyzer(capsys):
-    assert main([str(HOT_FIXTURES / "unslotted_bad.py"), "--no-cache",
+    assert main([str(HOT_FIXTURES / "unslotted_bad.py"),
                  "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert set(payload["findings"]) == set(PACKS)
@@ -149,39 +150,8 @@ def test_json_format_groups_by_analyzer(capsys):
 
 
 # ----------------------------------------------------------------------
-# --changed with nothing changed, in the machine-readable formats
-# ----------------------------------------------------------------------
-def _git(cwd, *args):
-    subprocess.run(["git", *args], cwd=cwd, check=True,
-                   capture_output=True, text=True)
-
-
-def test_changed_with_no_changes_still_emits_a_document(
-        tmp_path, monkeypatch, capsys):
-    _git(tmp_path, "init", "-q", "-b", "main")
-    _git(tmp_path, "config", "user.email", "t@example.invalid")
-    _git(tmp_path, "config", "user.name", "t")
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "ok.py").write_text(CLEAN)
-    _git(tmp_path, "add", ".")
-    _git(tmp_path, "commit", "-q", "-m", "seed")
-    monkeypatch.chdir(tmp_path)
-    argv = ["src", "--changed", "--since", "HEAD", "--no-cache"]
-
-    assert main(argv + ["--format", "sarif"]) == 0
-    log = json.loads(capsys.readouterr().out)  # was: a text line
-    assert log["version"] == "2.1.0"
-    assert [run["results"] for run in log["runs"]] == [[]] * len(PACKS)
-
-    assert main(argv + ["--format", "json", "--select", "hot"]) == 0
-    assert json.loads(capsys.readouterr().out)["findings"] == {"hot": []}
-
-    assert main(argv) == 0
-    assert capsys.readouterr().out == "clean (no changed files)\n"
-
-
-# ----------------------------------------------------------------------
-# The surface: one console script, no per-analyzer CLI modules
+# The surface: one console script, no per-analyzer CLI modules, no
+# cache / changed-files / profile-join flags or modules
 # ----------------------------------------------------------------------
 def test_console_scripts_are_exactly_the_two_front_doors():
     pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
@@ -200,3 +170,27 @@ def test_retired_cli_modules_are_gone_not_forwarded(pack):
         capture_output=True, text=True)
     assert result.returncode != 0
     assert "__main__" in result.stderr  # a package, not a command
+
+
+@pytest.mark.parametrize("argv", [
+    ["--no-cache"],
+    ["--cache-dir", "cache"],
+    ["--changed"],
+    ["--since", "HEAD"],
+    ["--profile", "fig07"],
+    ["--budget", "5"],
+    ["--list-scenarios"],
+], ids=lambda argv: argv[0])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(HOT_FIXTURES)] + argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", [
+    "lint.cache", "lint.changed", "hot.profile", "verify.core",
+    "hot.core"])
+def test_removed_modules_are_gone_not_aliased(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(f"repro.analysis.{module}")

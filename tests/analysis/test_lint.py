@@ -161,7 +161,7 @@ def test_text_reporter_formats_gcc_style():
 
 def test_json_reporter_round_trips(capsys):
     assert main(["--select", "lint:no-wallclock", "--format", "json",
-                 "--no-cache", str(FIXTURES / "no_wallclock_bad.py")]) == 1
+                 str(FIXTURES / "no_wallclock_bad.py")]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["files_checked"] == 1
     rows = payload["findings"]["lint"]
@@ -175,7 +175,7 @@ def test_json_reporter_round_trips(capsys):
 # CLI behaviour (``repro-analyze --select lint[:RULE]``)
 # ----------------------------------------------------------------------
 def test_cli_exits_nonzero_on_fixtures(capsys):
-    status = main(["--select", "lint", "--no-cache",
+    status = main(["--select", "lint",
                    str(FIXTURES / "no_wallclock_bad.py")])
     out = capsys.readouterr().out
     assert status == 1
@@ -183,14 +183,14 @@ def test_cli_exits_nonzero_on_fixtures(capsys):
 
 
 def test_cli_exits_zero_on_clean_file(capsys):
-    status = main(["--select", "lint", "--no-cache",
+    status = main(["--select", "lint",
                    str(FIXTURES / "no_wallclock_ok.py")])
     assert status == 0
     assert "clean" in capsys.readouterr().out
 
 
 def test_cli_select_limits_rules(capsys):
-    status = main(["--select", "lint:raw-unit-literal", "--no-cache",
+    status = main(["--select", "lint:raw-unit-literal",
                    str(FIXTURES / "no_wallclock_bad.py")])
     assert status == 0  # the wallclock fixture has no raw literals
 
@@ -210,7 +210,7 @@ def test_cli_list_rules(capsys):
 
 
 def test_cli_json_format(capsys):
-    status = main(["--select", "lint", "--format", "json", "--no-cache",
+    status = main(["--select", "lint", "--format", "json",
                    str(FIXTURES / "raw_unit_literal_bad.py")])
     assert status == 1
     payload = json.loads(capsys.readouterr().out)

@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.front import main, run_suite
-from repro.analysis.lint.cache import AnalysisCache
 from repro.analysis.lint.core import registered_rules
 from repro.analysis.verify import build_program
 
@@ -125,16 +124,14 @@ def test_suppression_silences_exactly_the_named_rule(tmp_path):
 # Program model basics.
 # ----------------------------------------------------------------------
 def test_program_resolves_cross_module_calls():
-    program = build_program([FIXTURES / "nondet_bad"],
-                            AnalysisCache(None))
+    program = build_program([FIXTURES / "nondet_bad"])
     summary, drain = program.functions["nondet_bad.sched:drain"]
     assert any(program.call_reaches_sink(summary["module"], call)
                for call in drain["calls"])
 
 
 def test_program_sees_transactional_release_across_modules():
-    program = build_program([FIXTURES / "reservation_ok"],
-                            AnalysisCache(None))
+    program = build_program([FIXTURES / "reservation_ok"])
     summary, admit = (
         program.functions["reservation_ok.controller:Controller.admit"])
     assert admit["has_try"]
@@ -145,20 +142,18 @@ def test_program_sees_transactional_release_across_modules():
 # ----------------------------------------------------------------------
 # CLI (``repro-analyze --select verify[:RULE]``).
 # ----------------------------------------------------------------------
-def test_cli_exit_codes_and_json(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
+def test_cli_exit_codes_and_json(capsys):
     bad = str(FIXTURES / "untiebroken_bad.py")
     ok = str(FIXTURES / "untiebroken_ok.py")
 
-    assert main([bad, "--select", "verify", "--cache-dir", cache_dir]) == 1
+    assert main([bad, "--select", "verify"]) == 1
     out = capsys.readouterr().out
     assert "untiebroken-event-transitive" in out
 
-    assert main([ok, "--select", "verify", "--cache-dir", cache_dir]) == 0
+    assert main([ok, "--select", "verify"]) == 0
     capsys.readouterr()  # drop the "clean" line before the JSON run
 
-    assert main([bad, "--select", "verify", "--format", "json",
-                 "--no-cache"]) == 1
+    assert main([bad, "--select", "verify", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert [row["rule"] for row in payload["findings"]["verify"]] == [
         "untiebroken-event-transitive"] * 2

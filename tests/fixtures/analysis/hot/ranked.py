@@ -1,4 +1,4 @@
-"""Two identical findings; only hot_path is exercised by the profile."""
+"""Two identical findings in two functions: one report line each."""
 
 
 def hot_path(queue, items, base):
