@@ -65,17 +65,23 @@ heavy-traffic-smoke:
 	@echo "== ci job: heavy-traffic-smoke =="
 	$(PYTHON) -m repro heavy_traffic --duration 0.5
 
-# Also the build recipe for the optional C drain loop (a failed
+# Also the build recipe for the optional C drain loop, and the whole of
+# ci.yml's `ckernel` job (`make ckernel PYTHON=python`): a failed
 # compile fails the target; no C compiler at all is a tool-absence
-# skip like ruff's). `rm src/repro/sim/_ckernel*.so` goes back to the
-# reference loop.
+# skip like ruff's, except on a CI runner ($CI set), where it fails.
+# `rm src/repro/sim/_ckernel*.so` goes back to the reference loop.
+# tests/analysis/test_det.py rides along because det/perturb.py is the
+# one builder of heap entries outside sim/.
 ckernel:
 	@echo "== ci job: ckernel =="
 	@if command -v cc >/dev/null 2>&1; then \
 		REPRO_BUILD_CKERNEL=1 $(PYTHON) setup.py build_ext --inplace \
 		&& $(PYTHON) -c "from repro.sim import _ckernel" \
 		&& $(PYTHON) -m pytest -q tests/sim tests/properties tests/integration \
-			tests/net/test_decision_epochs.py tests/net/test_hop_path_budget.py; \
+			tests/net/test_decision_epochs.py tests/net/test_hop_path_budget.py \
+			tests/analysis/test_det.py; \
+	elif [ -n "$$CI" ]; then \
+		echo "-- no C compiler on a CI runner: the job cannot run --"; exit 1; \
 	else \
 		echo "-- no C compiler: skipped (runs in GitHub Actions) --"; \
 	fi

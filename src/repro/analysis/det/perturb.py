@@ -67,14 +67,14 @@ class TiebreakShuffledSimulator(Simulator):
     """A kernel whose equal-priority tie-break order is shuffled.
 
     The production kernel resolves equal ``(time, priority)`` events by
-    insertion order (the monotone ``seq``).  This subclass pushes each
-    event with a seeded-random key in the ``seq`` slot instead, so ties
-    dispatch in a reproducible but *different* order — while the heap
-    entry stays the 4-tuple the fused ``run`` loop unpacks.  The key is
+    insertion order (the monotone ``seq``).  This subclass builds the
+    same :class:`Event` entry with a seeded-random key in the ``seq``
+    slot instead, so ties dispatch in a reproducible but *different*
+    order through the unmodified ``run`` loops.  The key is
     ``(random, seq)`` so entries remain totally ordered and never fall
-    through to comparing :class:`Event` objects.  The run-horizon
-    sentinel keeps its integer seq; it can never tie with a user event
-    because its priority is out of the user range.
+    through to comparing callbacks.  The run-horizon sentinel keeps its
+    integer seq; it can never tie with a user event because its
+    priority is an infinity.
     """
 
     __slots__ = ("_tiebreak_rng",)
@@ -87,15 +87,11 @@ class TiebreakShuffledSimulator(Simulator):
     def _push_shuffled(self, time: float, priority: int,
                        callback: Callable[..., Any],
                        args: Tuple[Any, ...]) -> Event:
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        queue._live += 1
-        event = Event(time, priority, seq, callback, args)
-        event._queue = queue
-        heapq.heappush(queue._heap,
-                       (time, priority,
-                        (self._tiebreak_rng.random(), seq), event))
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event((time, priority, (self._tiebreak_rng.random(), seq),
+                       callback, args))
+        heapq.heappush(self._heap, event)
         return event
 
     def schedule(self, delay: float, callback: Callable[..., Any],

@@ -160,7 +160,11 @@ class Scheduler(ABC):
         at, _, _, timer = self._holds[0]
         if timer is None and at < self._wake_at:
             self._wake_at = at
-            self.sim.schedule_at(at, self._wake, priority=PRIORITY_NORMAL)
+            # Tie-break: after NORMAL.  Arrivals and completions mature
+            # the holds themselves, in ``seq`` order (``created``); the
+            # wake releases blindly, so it looks last of its instant.
+            self.sim.schedule_at(at, self._wake,
+                                 priority=PRIORITY_NORMAL + 1)
 
     def _wake(self) -> None:
         """The wake timer fired: the earliest hold is due."""

@@ -1,43 +1,38 @@
 /* The C drain loop: Simulator.run's hot path when this module is built.
  *
- * One entry point: drain(sim, queue, until, exclusive) — the reference
- * fused loop from repro/sim/kernel.py rewritten as C against the same
- * data structures.  The heap stays a Python list of
- * (time, priority, seq, Event) tuples, so scheduling from callbacks
- * (which runs the ordinary Python schedule()) interleaves freely with
- * the C pops, and the Python loops (sanitized and max_events-bounded
- * runs) see an identical queue layout.
+ * One entry point: drain(sim, until, exclusive) — the fast loop from
+ * repro/sim/kernel.py rewritten as C against the same data structure.
+ * The heap stays sim._heap, a Python list of Event entries
+ * ([time, priority, seq, callback, args], repro/sim/events.py), so
+ * scheduling from callbacks (which runs the ordinary Python
+ * schedule()) interleaves freely with the C pops, and the Python
+ * loops see an identical heap.
  *
- * Semantics are held bit-identical to the reference loop: the
+ * Semantics are held bit-identical to the reference loops: the
  * dispatch-digest goldens and the fused-vs-naive hypothesis suite run
  * on both.  Specifically:
  *
- *  - (time, priority, seq) total order via tuple comparison.  The
- *    comparison never reaches the Event in slot 3 because seq values
- *    are distinct, so no user __lt__ can run inside the sift.
+ *  - (time, priority, seq) total order via list comparison.  The
+ *    comparison never reaches the callback in slot 3 because seq
+ *    values are distinct, so no user __lt__ can run inside the sift.
  *  - The inclusive horizon dispatches events at exactly `until`; the
  *    exclusive horizon (the space-parallel barrier window) leaves
  *    them queued.  This loop uses the bounds-check formulation (the
- *    reference max_events branch) rather than a sentinel event —
- *    provably order-identical, and it keeps _Stop out of C.
- *  - queue._live and sim.now are updated per dispatched event, before
- *    the callback runs, exactly like the reference loop.
- *    sim._dispatched accumulates in a C local and is written back on
- *    every exit path (the reference loop's `finally`), including when
- *    a callback raises.
- *  - Spent events are recycled through queue._free, gated on the true
- *    refcount: the entry tuple is released before the check, so
- *    Py_REFCNT(event) == 1 here is the same condition as
- *    sys.getrefcount(event) == _DISPATCH_REFS in the Python loop —
- *    any extra reference means a user still holds the handle and the
- *    event is left to the garbage collector.
+ *    reference checked loop) rather than a sentinel entry — provably
+ *    order-identical, and it keeps _Stop out of C.
+ *  - An entry whose callback slot is None is stale and skipped; a
+ *    dispatched entry has its callback slot set to None and sim.now
+ *    set to its time before the callback runs, exactly like the
+ *    reference loops.  sim._dispatched accumulates in a C local and is
+ *    written back on every exit path (the reference loop's `finally`),
+ *    including when a callback raises.
  *
- * Slot access goes through member-descriptor offsets resolved once at
- * first use (Simulator, EventQueue and Event are all __slots__
- * classes), so the per-event cost is a pointer load, not an attribute
- * lookup.  Offsets come from the descriptors themselves, so subclasses
- * with extra slots keep working — their inherited slots sit at the
- * base offsets.
+ * The three Simulator slots are reached through member-descriptor
+ * offsets resolved once at first use (Simulator is a __slots__ class),
+ * so the per-event cost is a pointer load, not an attribute lookup.
+ * Offsets come from the descriptors themselves, so subclasses with
+ * extra slots keep working — their inherited slots sit at the base
+ * offsets.
  *
  * Built on demand: `make ckernel` (REPRO_BUILD_CKERNEL=1 python
  * setup.py build_ext --inplace).  repro/sim/kernel.py imports this
@@ -52,13 +47,10 @@
 #define SLOT(op, off) (*(PyObject **)((char *)(op) + (off)))
 
 static int bindings_ready = 0;
-static PyTypeObject *event_type = NULL; /* repro.sim.events.Event */
-static PyObject *recycled_fn = NULL;    /* repro.sim.events._recycled */
-static PyObject *empty_tuple = NULL;
-static Py_ssize_t free_list_max = 0;    /* repro.sim.events.FREE_LIST_MAX */
-static Py_ssize_t off_now, off_dispatched;          /* Simulator */
-static Py_ssize_t off_heap, off_live, off_free;     /* EventQueue */
-static Py_ssize_t off_cb, off_args, off_cancelled;  /* Event */
+static Py_ssize_t off_now, off_dispatched, off_heap; /* Simulator */
+
+/* Event entry layout (repro/sim/events.py). */
+enum { EV_TIME, EV_PRIORITY, EV_SEQ, EV_CALLBACK, EV_ARGS, EV_SIZE };
 
 /* Byte offset of a T_OBJECT_EX slot, found via its member descriptor
  * on the type (inherited descriptors report the defining class's
@@ -89,88 +81,57 @@ slot_offset(PyTypeObject *tp, const char *name)
 }
 
 static int
-ensure_bindings(PyObject *sim, PyObject *queue)
+ensure_bindings(PyObject *sim)
 {
     if (bindings_ready)
         return 0;
-    PyObject *events_mod = PyImport_ImportModule("repro.sim.events");
-    if (events_mod == NULL)
-        return -1;
-    PyObject *ev = PyObject_GetAttrString(events_mod, "Event");
-    PyObject *rec = PyObject_GetAttrString(events_mod, "_recycled");
-    PyObject *flm = PyObject_GetAttrString(events_mod, "FREE_LIST_MAX");
-    Py_DECREF(events_mod);
-    if (ev == NULL || rec == NULL || flm == NULL || !PyType_Check(ev)) {
-        Py_XDECREF(ev);
-        Py_XDECREF(rec);
-        Py_XDECREF(flm);
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError,
-                            "repro.sim.events.Event is not a type");
-        return -1;
-    }
-    free_list_max = PyLong_AsSsize_t(flm);
-    Py_DECREF(flm);
-    if (free_list_max == -1 && PyErr_Occurred()) {
-        Py_DECREF(ev);
-        Py_DECREF(rec);
-        return -1;
-    }
-    empty_tuple = PyTuple_New(0);
-    if (empty_tuple == NULL) {
-        Py_DECREF(ev);
-        Py_DECREF(rec);
-        return -1;
-    }
-    event_type = (PyTypeObject *)ev;  /* steal: held for process life */
-    recycled_fn = rec;                /* steal: held for process life */
     if ((off_now = slot_offset(Py_TYPE(sim), "now")) < 0
         || (off_dispatched = slot_offset(Py_TYPE(sim),
                                          "_dispatched")) < 0
-        || (off_heap = slot_offset(Py_TYPE(queue), "_heap")) < 0
-        || (off_live = slot_offset(Py_TYPE(queue), "_live")) < 0
-        || (off_free = slot_offset(Py_TYPE(queue), "_free")) < 0
-        || (off_cb = slot_offset(event_type, "callback")) < 0
-        || (off_args = slot_offset(event_type, "args")) < 0
-        || (off_cancelled = slot_offset(event_type, "cancelled")) < 0)
+        || (off_heap = slot_offset(Py_TYPE(sim), "_heap")) < 0)
         return -1;
     bindings_ready = 1;
     return 0;
 }
 
 /* ------------------------------------------------------------------
- * Binary-heap primitives over a list of comparison-safe tuples.
+ * Binary-heap primitives over a list of comparison-safe entries.
  * Mirrors heapq's algorithms (including the sift-to-leaf pop trick,
  * which halves the comparisons per level); comparisons only ever
  * touch floats and ints, so no user code can run (and thus nothing
  * mutates the list) inside a sift.
  * ------------------------------------------------------------------ */
 
-/* entry_a < entry_b, with tuple-comparison semantics: time, then
+/* entry_a < entry_b, with list-comparison semantics: time, then
  * priority, then seq (always distinct, so slot 3 is never compared).
  * The fast path compares unboxed doubles/longs; anything unusual —
- * int-typed times, priorities outside C long — falls back to the
- * generic tuple comparison, which implements the identical order.
- * Returns 1/0, or -1 with an exception set. */
+ * int-typed times, priorities outside C long, the Python fast loop's
+ * infinite-priority sentinel, the perturbation differ's tuple in the
+ * seq slot — falls back to the generic comparison, which implements
+ * the identical order.  Returns 1/0, or -1 with an exception set. */
 static int
 entry_lt(PyObject *a, PyObject *b)
 {
-    PyObject *xa = PyTuple_GET_ITEM(a, 0);
-    PyObject *xb = PyTuple_GET_ITEM(b, 0);
+    PyObject *xa, *xb;
     int overflow_a, overflow_b;
     long va, vb;
+    if (!PyList_Check(a) || !PyList_Check(b)
+        || PyList_GET_SIZE(a) <= EV_SEQ || PyList_GET_SIZE(b) <= EV_SEQ)
+        goto generic;
+    xa = PyList_GET_ITEM(a, EV_TIME);
+    xb = PyList_GET_ITEM(b, EV_TIME);
     if (!PyFloat_CheckExact(xa) || !PyFloat_CheckExact(xb))
         goto generic;
     {
         double ta = PyFloat_AS_DOUBLE(xa);
         double tb = PyFloat_AS_DOUBLE(xb);
         /* NaN compares unequal to itself in both formulations, and
-         * the < below is then false — same verdict as tuple order. */
+         * the < below is then false — same verdict as list order. */
         if (ta != tb)
             return ta < tb;
     }
-    xa = PyTuple_GET_ITEM(a, 1);
-    xb = PyTuple_GET_ITEM(b, 1);
+    xa = PyList_GET_ITEM(a, EV_PRIORITY);
+    xb = PyList_GET_ITEM(b, EV_PRIORITY);
     if (!PyLong_CheckExact(xa) || !PyLong_CheckExact(xb))
         goto generic;
     va = PyLong_AsLongAndOverflow(xa, &overflow_a);
@@ -179,8 +140,8 @@ entry_lt(PyObject *a, PyObject *b)
         goto generic;
     if (va != vb)
         return va < vb;
-    xa = PyTuple_GET_ITEM(a, 2);
-    xb = PyTuple_GET_ITEM(b, 2);
+    xa = PyList_GET_ITEM(a, EV_SEQ);
+    xb = PyList_GET_ITEM(b, EV_SEQ);
     if (!PyLong_CheckExact(xa) || !PyLong_CheckExact(xb))
         goto generic;
     va = PyLong_AsLongAndOverflow(xa, &overflow_a);
@@ -302,48 +263,6 @@ heap_pop(PyObject *heap)
     return smallest;
 }
 
-/* ------------------------------------------------------------------
- * Per-event bookkeeping
- * ------------------------------------------------------------------ */
-
-static int
-adjust_live(PyObject *queue, long delta)
-{
-    PyObject *old = SLOT(queue, off_live);
-    long value = PyLong_AsLong(old);
-    PyObject *fresh;
-    if (value == -1 && PyErr_Occurred())
-        return -1;
-    fresh = PyLong_FromLong(value + delta);
-    if (fresh == NULL)
-        return -1;
-    SLOT(queue, off_live) = fresh;
-    Py_DECREF(old);
-    return 0;
-}
-
-/* Park a spent event on the free list iff nothing outside this frame
- * still references it (caller holds exactly one reference). */
-static void
-maybe_recycle(PyObject *event, PyObject *free_list)
-{
-    PyObject *old;
-    if (Py_REFCNT(event) != 1)
-        return;
-    if (PyList_GET_SIZE(free_list) >= free_list_max)
-        return;
-    Py_INCREF(recycled_fn);
-    old = SLOT(event, off_cb);
-    SLOT(event, off_cb) = recycled_fn;
-    Py_XDECREF(old);
-    Py_INCREF(empty_tuple);
-    old = SLOT(event, off_args);
-    SLOT(event, off_args) = empty_tuple;
-    Py_XDECREF(old);
-    if (PyList_Append(free_list, event) < 0)
-        PyErr_Clear(); /* out of memory parking a spare: just drop it */
-}
-
 /* sim._dispatched += n, preserving any in-flight exception (this is
  * the C analogue of the reference loop's `finally` writeback). */
 static int
@@ -376,23 +295,22 @@ writeback_dispatched(PyObject *sim, Py_ssize_t n)
 }
 
 /* ------------------------------------------------------------------
- * drain(sim, queue, until, exclusive) -> now
+ * drain(sim, until, exclusive) -> now
  * ------------------------------------------------------------------ */
 
 static PyObject *
 drain(PyObject *module, PyObject *call_args)
 {
-    PyObject *sim, *queue, *until_obj;
-    PyObject *heap, *free_list, *result;
+    PyObject *sim, *until_obj, *heap, *result;
     int exclusive, has_until, status = 0;
     double until = 0.0;
     Py_ssize_t dispatched = 0;
 
     (void)module;
-    if (!PyArg_ParseTuple(call_args, "OOOp:drain",
-                          &sim, &queue, &until_obj, &exclusive))
+    if (!PyArg_ParseTuple(call_args, "OOp:drain",
+                          &sim, &until_obj, &exclusive))
         return NULL;
-    if (ensure_bindings(sim, queue) < 0)
+    if (ensure_bindings(sim) < 0)
         return NULL;
     has_until = (until_obj != Py_None);
     if (has_until) {
@@ -409,50 +327,41 @@ drain(PyObject *module, PyObject *call_args)
             return result;
         }
     }
-    heap = SLOT(queue, off_heap);
-    free_list = SLOT(queue, off_free);
-    if (heap == NULL || free_list == NULL
-        || !PyList_CheckExact(heap) || !PyList_CheckExact(free_list)) {
+    /* The heap keeps its identity for the simulator's whole lifetime
+     * (clear() empties it in place), so borrowing it across callbacks
+     * is safe — same argument as the Python loops' hot local. */
+    heap = SLOT(sim, off_heap);
+    if (heap == NULL || !PyList_CheckExact(heap)) {
         PyErr_SetString(PyExc_TypeError,
-                        "EventQueue internals are not plain lists");
+                        "Simulator._heap is not a plain list");
         return NULL;
     }
-    /* The heap and free list keep their identity for the queue's
-     * whole lifetime (clear() empties them in place), so borrowing
-     * them across callbacks is safe — same argument as the Python
-     * loop's hot locals. */
 
     while (PyList_GET_SIZE(heap) > 0) {
         PyObject *entry = heap_pop(heap);
-        PyObject *time_obj, *event, *callback, *cb_args, *old, *res;
+        PyObject *time_obj, *callback, *cb_args, *old, *res;
         if (entry == NULL) {
             status = -1;
             break;
         }
-        if (!PyTuple_CheckExact(entry) || PyTuple_GET_SIZE(entry) != 4) {
+        /* A handle is a list its holder could have resized; nothing
+         * below may index past what is there. */
+        if (!PyList_Check(entry) || PyList_GET_SIZE(entry) != EV_SIZE
+            || !PyTuple_Check(PyList_GET_ITEM(entry, EV_ARGS))) {
             Py_DECREF(entry);
             PyErr_SetString(PyExc_TypeError,
-                            "heap entry is not a 4-tuple");
+                            "heap entry is not [time, priority, seq, "
+                            "callback, args tuple]");
             status = -1;
             break;
         }
-        time_obj = PyTuple_GET_ITEM(entry, 0);
-        event = PyTuple_GET_ITEM(entry, 3);
-        if (Py_TYPE(event) != event_type) {
+        callback = PyList_GET_ITEM(entry, EV_CALLBACK);
+        if (callback == Py_None) {
+            /* Stale entry from cancel(): consume. */
             Py_DECREF(entry);
-            PyErr_SetString(PyExc_TypeError,
-                            "heap entry does not carry an Event");
-            status = -1;
-            break;
-        }
-        if (SLOT(event, off_cancelled) == Py_True) {
-            /* Stale entry from cancel(): consume, maybe recycle. */
-            Py_INCREF(event);
-            Py_DECREF(entry);
-            maybe_recycle(event, free_list);
-            Py_DECREF(event);
             continue;
         }
+        time_obj = PyList_GET_ITEM(entry, EV_TIME);
         if (has_until) {
             double t = PyFloat_AsDouble(time_obj);
             if (t == -1.0 && PyErr_Occurred()) {
@@ -470,47 +379,26 @@ drain(PyObject *module, PyObject *call_args)
             }
         }
         /* Dispatch.  Bookkeeping before the callback, exactly like
-         * the reference loop: live count, clock, stale-marking. */
-        Py_INCREF(event);
-        callback = SLOT(event, off_cb);
-        Py_XINCREF(callback);
-        cb_args = SLOT(event, off_args);
-        Py_XINCREF(cb_args);
-        if (callback == NULL || cb_args == NULL
-            || adjust_live(queue, -1) < 0) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_AttributeError,
-                                "Event callback/args slot unset");
-            Py_XDECREF(callback);
-            Py_XDECREF(cb_args);
-            Py_DECREF(event);
-            Py_DECREF(entry);
-            status = -1;
-            break;
-        }
+         * the reference loops: clock, count, stale-marking (which
+         * hands us the entry's reference to the callback). */
         Py_INCREF(time_obj);
         old = SLOT(sim, off_now);
         SLOT(sim, off_now) = time_obj;
         Py_XDECREF(old);
         dispatched += 1;
-        Py_INCREF(Py_True);
-        old = SLOT(event, off_cancelled);
-        SLOT(event, off_cancelled) = Py_True;
-        Py_XDECREF(old);
-        /* Release the entry tuple before the refcount-gated recycle
-         * so "no external holder" is exactly Py_REFCNT(event) == 1. */
+        Py_INCREF(Py_None);
+        PyList_SET_ITEM(entry, EV_CALLBACK, Py_None);
+        cb_args = PyList_GET_ITEM(entry, EV_ARGS);
+        Py_INCREF(cb_args);
         Py_DECREF(entry);
         res = PyObject_Call(callback, cb_args, NULL);
         Py_DECREF(callback);
         Py_DECREF(cb_args);
         if (res == NULL) {
-            Py_DECREF(event);
             status = -1;
             break;
         }
         Py_DECREF(res);
-        maybe_recycle(event, free_list);
-        Py_DECREF(event);
     }
 
     if (status == 0 && has_until) {
@@ -539,10 +427,10 @@ drain(PyObject *module, PyObject *call_args)
 }
 
 PyDoc_STRVAR(drain_doc,
-"drain(sim, queue, until, exclusive) -> float\n\
+"drain(sim, until, exclusive) -> float\n\
 \n\
 Dispatch pending events in (time, priority, seq) order up to the\n\
-horizon; the C form of Simulator.run's reference loop.  Returns the\n\
+horizon; the C form of Simulator.run's fast loop.  Returns the\n\
 clock when the loop stopped.  Internal: call Simulator.run() instead.");
 
 static PyMethodDef ckernel_methods[] = {

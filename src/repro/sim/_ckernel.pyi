@@ -6,8 +6,7 @@ extension has been built in this checkout.
 
 from typing import Optional
 
-from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulator
 
-def drain(sim: Simulator, queue: EventQueue, until: Optional[float],
+def drain(sim: Simulator, until: Optional[float],
           exclusive: bool) -> float: ...

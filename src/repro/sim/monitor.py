@@ -1,12 +1,9 @@
 """Measurement primitives used by the analysis layer.
 
-Four small, composable recorders:
+Two small, composable recorders:
 
-* :class:`Counter` — monotone event counts.
 * :class:`Tally` — streaming min/max/mean/variance of observations
   (Welford's algorithm, numerically stable for long runs).
-* :class:`TimeWeighted` — time-average of a piecewise-constant signal,
-  e.g. queue length or buffer occupancy in bits.
 * :class:`TimeSeries` — raw ``(time, value)`` samples for distribution
   plots; optionally bounded to the most recent N samples.
 """
@@ -17,23 +14,7 @@ import math
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
-__all__ = ["Counter", "Tally", "TimeWeighted", "TimeSeries"]
-
-
-class Counter:
-    """A named monotone counter."""
-
-    def __init__(self, name: str = "counter") -> None:
-        self.name = name
-        self.value = 0
-
-    def increment(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("Counter.increment expects a non-negative amount")
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Counter {self.name}={self.value}>"
+__all__ = ["Tally", "TimeSeries"]
 
 
 class Tally:
@@ -83,47 +64,6 @@ class Tally:
             return 0.0
         assert self.minimum is not None and self.maximum is not None
         return self.maximum - self.minimum
-
-
-class TimeWeighted:
-    """Time-average of a piecewise-constant signal.
-
-    Call :meth:`update` whenever the signal changes. The integral is
-    accumulated between updates, so reading :attr:`time_average` is
-    valid at any time after at least one update.
-    """
-
-    def __init__(self, initial: float = 0.0, start_time: float = 0.0,
-                 name: str = "time-weighted") -> None:
-        self.name = name
-        self._value = initial
-        self._last_time = start_time
-        self._area = 0.0
-        self._origin = start_time
-        self.maximum = initial
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def update(self, now: float, new_value: float) -> None:
-        if now < self._last_time:
-            raise ValueError(
-                f"time went backwards: {now} < {self._last_time}")
-        self._area += self._value * (now - self._last_time)
-        self._last_time = now
-        self._value = new_value
-        if new_value > self.maximum:
-            self.maximum = new_value
-
-    def time_average(self, now: Optional[float] = None) -> float:
-        """Average value from the start time to ``now`` (default: last update)."""
-        end = self._last_time if now is None else now
-        if end < self._last_time:
-            raise ValueError("cannot average into the past")
-        total = self._area + self._value * (end - self._last_time)
-        span = end - self._origin
-        return total / span if span > 0 else self._value
 
 
 class TimeSeries:

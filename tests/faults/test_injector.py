@@ -263,9 +263,9 @@ def test_restart_flushes_lit_regulator_holds():
 # ----------------------------------------------------------------------
 def test_empty_plan_schedules_no_events():
     network, sink = one_node_network([0.0])
-    before = len(network.sim._queue)
+    before = network.sim.pending
     install(network, FaultPlan())
-    assert len(network.sim._queue) == before
+    assert network.sim.pending == before
     network.run(1.0)
     assert sink.received == 1
 

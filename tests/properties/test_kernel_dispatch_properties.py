@@ -1,13 +1,14 @@
-"""Property tests for the fused dispatch loop and event recycling.
+"""Property tests for the fused dispatch loop and handle lifetime.
 
-Two claims the kernel overhaul must uphold:
+Two claims the kernel must uphold:
 
 * any randomized schedule/cancel/reset workload dispatches in exactly
   the same order through the fused ``Simulator.run`` loop as through a
   straightforward reference loop (kept here, deliberately naive);
-* recycling can never let a held :class:`Event` handle reach into
-  somebody else's event — a stale handle's ``cancel()`` is a no-op and
-  the live-event count stays exact no matter how handles are abused.
+* a held :class:`Event` handle can never reach into somebody else's
+  event — no object is ever handed out twice, a stale handle's
+  ``cancel()`` is a no-op and the live-event count stays exact no
+  matter how handles are abused.
 
 Every test takes the ``kernel_loop`` fixture (tests/conftest.py), so
 both claims are held on the Python loop and, where it is built, on the
@@ -52,8 +53,8 @@ class RefHandle:
 
 class RefEngine:
     """The obvious heap-based event loop: peek, skip cancelled, pop,
-    dispatch.  No recycling, no fusion, no sentinel — the semantics the
-    fused loop must reproduce bit for bit."""
+    dispatch.  No fusion, no sentinel — the semantics the fused loop
+    must reproduce bit for bit."""
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -120,8 +121,7 @@ def run_workload(engine, script, until: float, max_events: int):
             child = engine.schedule(DELAYS[(k + n) % len(DELAYS)], cb,
                                     f"{tag}/{n}", (k * 5 + n) % 9,
                                     priority=(k + n) % 3 - 1)
-            # Keep only some handles: dropped ones become recycling
-            # fodder in the fused engine.
+            # Keep only some handles: the rest are dropped on the floor.
             if k % 2 == 0:
                 handles.append(child)
         if k % 4 == 1 and handles:
@@ -194,31 +194,61 @@ def test_live_count_survives_stale_handle_abuse(kernel_loop, script):
     assert sim.pending == 0
 
 
-def test_held_handle_is_never_recycled(kernel_loop):
-    sim = Simulator()
-    held = sim.schedule(0.1, lambda: None)
-    sim.run()
-    assert held.cancelled  # stale after dispatch
-    # The kernel must not have parked the held event for reuse: a new
-    # schedule gets a different object, so cancelling the old handle
-    # can never touch the new event.
+def _abuse(sim, handle):
+    """A stale handle reports ``cancelled``, cancels as a no-op, and a
+    later ``schedule`` never hands the same object out again."""
+    assert handle.cancelled
+    before = sim.pending
     fresh = sim.schedule(0.2, lambda: None)
-    assert fresh is not held
-    held.cancel()
-    assert sim.pending == 1
-    sim.run()
+    assert fresh is not handle and not fresh.cancelled
+    handle.cancel()
+    handle.cancel()
+    assert handle.cancelled and not fresh.cancelled
+    assert sim.pending == before + 1
+    return fresh
 
 
-def test_discarded_handles_are_recycled_and_reused(kernel_loop):
+def test_held_handle_goes_stale_at_dispatch(kernel_loop):
     sim = Simulator()
-    for _ in range(5):
-        sim.schedule(0.1, lambda: None)  # handles discarded
+    fired = []
+    held = sim.schedule(0.1, fired.append, "held")
+    assert not held.cancelled and held.time == 0.1
     sim.run()
-    free = sim._queue._free
-    assert free, "discarded events should be parked for reuse"
-    parked = free[-1]
-    reused = sim.schedule(0.3, lambda: None)
-    assert reused is parked
-    # The recycled handle is a fresh, live event: cancel works once.
-    reused.cancel()
+    assert fired == ["held"]
+    fresh = _abuse(sim, held)
+    # The untouched newcomer still fires; the stale handle stays inert.
+    sim.run()
+    assert fresh.cancelled and sim.pending == 0
+
+
+def test_no_handle_is_ever_handed_out_twice(kernel_loop):
+    # Across several schedule / dispatch rounds, with plenty of
+    # discarded handles in between, ``schedule`` must never return an
+    # object a caller already holds (``kept`` would list it twice).
+    sim = Simulator()
+    kept = []
+    for _ in range(4):
+        for _ in range(5):
+            sim.schedule(0.1, lambda: None)  # handle discarded
+        kept.append(sim.schedule(0.1, lambda: None))
+        sim.run()
+        assert all(handle.cancelled for handle in kept)
+    assert len({id(handle) for handle in kept}) == len(kept)
+    # A fresh handle is a live event: cancel works, exactly once.
+    fresh = _abuse(sim, kept[0])
+    fresh.cancel()
     assert sim.pending == 0
+
+
+def test_held_handle_goes_stale_at_clear_and_reset(kernel_loop):
+    for wipe in (Simulator.clear, Simulator.reset):
+        sim = Simulator()
+        fired = []
+        held = [sim.schedule(0.1 * k, fired.append, k) for k in (1, 2, 3)]
+        sim.run(until=0.1)
+        wipe(sim)
+        assert sim.pending == 0
+        for handle in held:
+            _abuse(sim, handle).cancel()
+        sim.run()
+        assert fired == [1]  # nothing wiped ever fires

@@ -106,7 +106,9 @@ class TestRunControl:
         sim.schedule(0.2, seen.append, "b")
         sim.schedule(0.1, seen.append, "a")
         event = sim.pop()
-        assert event is not None and event.args == ("a",)
+        # Popped, not dispatched: it keeps its callback and args.
+        assert event is not None and not event.cancelled
+        assert event[3:] == [seen.append, ("a",)]
         assert sim.pending == 1
         assert sim.step() is True
         assert seen == ["b"]
@@ -275,3 +277,63 @@ class TestNaNIsRejected:
         sim.schedule(1.0, lambda: None)
         assert sim.run(until=5.0) == 5.0
         assert sim.pending == 1
+
+
+class TestHorizonHoldsForAnyPriority:
+    """The horizon sentinels used to sit one step outside a documented
+    but unchecked priority band: a priority beyond it tied with — or
+    jumped — the sentinel on the fast loop only, so the loops disagreed
+    about an event at exactly ``until``."""
+
+    @pytest.mark.parametrize("exclusive", [False, True],
+                             ids=["inclusive", "exclusive"])
+    @pytest.mark.parametrize("priority", [2 ** 31 + 5, -2 ** 31 - 5,
+                                          2 ** 80])
+    @pytest.mark.parametrize("mode", ["plain", "checked", "sanitized"])
+    def test_event_at_the_horizon(self, kernel_loop, mode, priority,
+                                  exclusive):
+        # plain: the fast loop, or the C loop under kernel_loop's
+        # ``compiled``; the other two always take the checked loop.
+        from repro.analysis.verify.sanitizer import Sanitizer
+        sim = Simulator()
+        if mode == "sanitized":
+            sim.sanitizer = Sanitizer()
+        budget = {"max_events": 10 ** 9} if mode == "checked" else {}
+        seen = []
+        sim.schedule_at(1.0, seen.append, "at-horizon", priority=priority)
+        assert sim.run(until=1.0, exclusive=exclusive, **budget) == 1.0
+        # Inclusive runs it whatever its priority; exclusive never does.
+        assert seen == ([] if exclusive else ["at-horizon"])
+        assert sim.pending == (1 if exclusive else 0)
+        sim.run()
+        assert seen == ["at-horizon"]
+
+
+class TestBudgetNeverJumpsTheClock:
+    """``run(until=T, max_events=n)`` used to advance the clock to ``T``
+    even when the budget ran out first, leaving events queued in the
+    past: the next ``run()`` then moved the clock backwards."""
+
+    def test_budget_spent_before_the_horizon(self):
+        sim = Simulator()
+        seen = []
+        for time in (1.0, 2.0, 3.0):
+            sim.schedule_at(time, seen.append, time)
+        assert sim.run(until=10.0, max_events=1) == 1.0
+        assert (sim.now, sim.pending, seen) == (1.0, 2, [1.0])
+        sim.schedule_at(1.5, seen.append, 1.5)  # still in the future
+        clock = [sim.now]
+        sim.schedule_at(2.5, lambda: clock.append(sim.now))
+        assert sim.run(until=10.0) == 10.0
+        assert seen == [1.0, 1.5, 2.0, 3.0]
+        assert clock == sorted(clock)
+
+    def test_horizon_or_empty_heap_still_advance(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(20.0, lambda: None)
+        # Stopped at the horizon with budget to spare.
+        assert sim.run(until=10.0, max_events=5) == 10.0
+        # Drained on exactly the last unit of budget.
+        assert sim.run(until=30.0, max_events=1) == 30.0
+        assert sim.pending == 0

@@ -1,8 +1,8 @@
 """Loop equivalence: the C drain loop against the reference loop.
 
-``Simulator.run`` has one Python reference loop and, when
-``repro.sim._ckernel`` is built, a C loop that takes over the
-un-sanitized unbounded drain.  Nothing selects between them, so the
+``Simulator.run`` has two Python reference loops (fast and checked)
+and, when ``repro.sim._ckernel`` is built, a C loop that takes over
+the un-sanitized unbounded drain.  Nothing selects between them, so the
 only thing that may differ is speed.  Each test here takes the
 ``kernel_loop`` fixture (tests/conftest.py) and so runs once on the
 reference loop and once on the C loop (skipped where it is not built),
@@ -10,7 +10,7 @@ and checks *exact dispatch-log equality against the reference loop* on
 the corners where a drain loop can go wrong: a tied run spanning the
 ``until`` horizon (inclusive and exclusive), cancellation among
 same-instant events, a mid-run ``reset()``, a callback exception with
-a horizon armed, and recycled-handle safety.
+a horizon armed, and stale-handle safety.
 
 The figure-level gates close the file: call churn, fault sweep clean
 and faulted, and the 2-shard space-parallel digest must come out
@@ -172,28 +172,27 @@ def test_exception_mid_run_matches_reference(kernel_loop):
     assert log[-2] == (0.9, "past-horizon")
 
 
-def test_recycled_handles_stay_safe_across_a_tied_run(kernel_loop):
-    """Discarded members of a tied run are parked for reuse, held
-    handles never are, and a stale handle can never cancel the event
-    that reused its object."""
+def test_stale_handles_stay_safe_across_a_tied_run(kernel_loop):
+    """Held members of a tied run go stale at dispatch, cancel as a
+    no-op afterwards, and no later ``schedule`` returns one of them —
+    so a stale handle can never cancel somebody else's event."""
     sim = Simulator()
     for _ in range(6):
         sim.schedule_at(0.1, lambda: None)  # a tied run, discarded
-    held = sim.schedule_at(0.1, lambda: None)
+    held = [sim.schedule_at(0.1, lambda: None) for _ in range(3)]
+    killed = sim.schedule_at(0.1, lambda: None)
+    killed.cancel()
     sim.run()
-    free = sim._queue._free
-    assert free, "discarded run members should be parked for reuse"
-    assert held not in free, "a held handle must never be recycled"
-    assert held.cancelled  # stale after dispatch
-    # Reuse a parked event, then abuse the old stale handles: the new
-    # event must be untouchable through them.
-    parked = free[-1]
-    fresh = sim.schedule(0.2, lambda: None)
-    assert fresh is parked
-    held.cancel()
-    assert sim.pending == 1
+    stale = held + [killed]
+    assert all(handle.cancelled for handle in stale)
+    fresh = [sim.schedule(0.2, lambda: None) for _ in range(12)]
+    assert not any(new is old for new in fresh for old in stale)
+    for handle in stale:
+        handle.cancel()
+    assert not any(handle.cancelled for handle in fresh)
+    assert sim.pending == 12
     sim.run()
-    assert sim.pending == 0
+    assert sim.pending == 0 and sim.events_dispatched == 9 + 12
 
 
 # ----------------------------------------------------------------------

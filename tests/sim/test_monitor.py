@@ -4,19 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.monitor import Counter, Tally, TimeSeries, TimeWeighted
-
-
-class TestCounter:
-    def test_counts(self):
-        counter = Counter("c")
-        counter.increment()
-        counter.increment(4)
-        assert counter.value == 5
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter().increment(-1)
+from repro.sim.monitor import Tally, TimeSeries
 
 
 class TestTally:
@@ -53,32 +41,6 @@ class TestTally:
         assert tally.mean == 7.0
         assert tally.variance == 0.0
         assert tally.stddev == 0.0
-
-
-class TestTimeWeighted:
-    def test_time_average_of_step_signal(self):
-        signal = TimeWeighted(initial=0.0)
-        signal.update(1.0, 10.0)   # 0 for [0,1)
-        signal.update(3.0, 0.0)    # 10 for [1,3)
-        # average over [0,3] = (0*1 + 10*2)/3
-        assert signal.time_average(3.0) == pytest.approx(20.0 / 3.0)
-
-    def test_average_extends_to_now(self):
-        signal = TimeWeighted(initial=4.0)
-        signal.update(2.0, 4.0)
-        assert signal.time_average(4.0) == pytest.approx(4.0)
-
-    def test_tracks_maximum(self):
-        signal = TimeWeighted(initial=1.0)
-        signal.update(1.0, 5.0)
-        signal.update(2.0, 2.0)
-        assert signal.maximum == 5.0
-
-    def test_time_going_backwards_rejected(self):
-        signal = TimeWeighted()
-        signal.update(2.0, 1.0)
-        with pytest.raises(ValueError):
-            signal.update(1.0, 0.0)
 
 
 class TestTimeSeries:

@@ -20,7 +20,8 @@ import hashlib
 from typing import Callable, List, Tuple
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from repro.experiments import call_churn, heavy_traffic, \
     regulator_comparison
@@ -249,6 +250,14 @@ def _tandem(trace: bool, discipline: str, hops: int, sessions: int,
        hops=st.integers(1, 4), sessions=st.integers(1, 12),
        jitter=st.booleans(), poisson=st.booleans(),
        seed=st.integers(0, 2 ** 16))
+# A hold ending at the very instant of a parked arrival that an idle
+# node had turned back into an event: while the wake timer tied at
+# NORMAL it released the hold first and RCSP's FCFS queue swapped two
+# packets (about one rcsp draw in forty).
+@example(discipline="rcsp", hops=4, sessions=7, jitter=False,
+         poisson=False, seed=2637)
+@example(discipline="rcsp", hops=4, sessions=9, jitter=True,
+         poisson=True, seed=64014)
 def test_tracing_does_not_change_what_comes_out(
         discipline, hops, sessions, jitter, poisson, seed):
     """Tracer on takes the event path, tracer off the parked one."""
