@@ -8,12 +8,12 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: ci test ruff repro-analyze parallel-smoke sanitize mypy \
+.PHONY: ci test paper ruff repro-analyze parallel-smoke sanitize mypy \
 	heavy-traffic-smoke ckernel ab
 
 # ckernel goes last: it leaves the built extension under src/, and
 # every python process after that runs the C drain loop.
-ci: test ruff repro-analyze parallel-smoke sanitize mypy \
+ci: test paper ruff repro-analyze parallel-smoke sanitize mypy \
 	heavy-traffic-smoke ckernel
 	@echo "== ci: all jobs done =="
 
@@ -28,6 +28,12 @@ test:
 	@echo "-- ledger benchmark: smoke run + self-tests --"
 	$(PYTHON) benchmarks/ledger/run.py --smoke
 	$(PYTHON) -m pytest -q benchmarks/ledger/tests
+
+# The paper-shape assertions EXPERIMENTS.md rests on: Figs. 7-17, the
+# §2 worked examples, §4 and PGPS equality (about two minutes).
+paper:
+	@echo "== ci job: paper =="
+	$(PYTHON) -m pytest -q benchmarks --ignore=benchmarks/ledger
 
 ruff:
 	@echo "== ci job: ruff =="

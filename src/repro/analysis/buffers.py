@@ -16,7 +16,7 @@ from typing import Tuple
 from repro.analysis.histogram import empirical_ccdf
 from repro.errors import ConfigurationError
 from repro.net.node import ServerNode
-from repro.optdeps import np, require_numpy
+from repro.optdeps import np
 
 __all__ = ["BufferDistribution", "buffer_distribution"]
 
@@ -41,7 +41,6 @@ class BufferDistribution:
 def buffer_distribution(node: ServerNode,
                         session_id: str) -> BufferDistribution:
     """Reduce a monitored session's occupancy samples at ``node``."""
-    require_numpy("buffer_distribution()")
     series = node.buffer_samples.get(session_id)
     if series is None:
         raise ConfigurationError(

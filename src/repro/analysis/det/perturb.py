@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.experiments.common import build_mix_network
-from repro.experiments.parallel import Cell, cell_output, run_cells
+from repro.experiments.parallel import Cell, run_cells
 from repro.sim.events import Event
 from repro.sim.kernel import PRIORITY_NORMAL, Simulator
 from repro.sim.parallel import run_serial, run_sharded
@@ -72,9 +72,7 @@ class TiebreakShuffledSimulator(Simulator):
     slot instead, so ties dispatch in a reproducible but *different*
     order through the unmodified ``run`` loops.  The key is
     ``(random, seq)`` so entries remain totally ordered and never fall
-    through to comparing callbacks.  The run-horizon sentinel keeps its
-    integer seq; it can never tie with a user event because its
-    priority is an infinity.
+    through to comparing callbacks.
     """
 
     __slots__ = ("_tiebreak_rng",)
@@ -256,12 +254,12 @@ def _mix_observables(network: Any, session_id: str
     )
 
 
-def _fig07_probe_cell(a_off: float, horizon: float) -> Any:
+def _fig07_probe_cell(a_off: float, horizon: float
+                      ) -> Tuple[Tuple[str, str], ...]:
     """One MIX cell for the workers mode (module-level: picklable)."""
     network = build_mix_network(a_off, seed=0)
     network.run(seconds(horizon))
-    return cell_output(network,
-                       _mix_observables(network, _FIG07_TARGET_SESSION))
+    return _mix_observables(network, _FIG07_TARGET_SESSION)
 
 
 def _fig07_partition_network() -> Any:

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.faults.injector import DROP_REASONS, FaultInjector
 from repro.net.network import Network
 from repro.net.sink import Sink
-from repro.optdeps import np, require_numpy
+from repro.optdeps import np
 
 __all__ = [
     "SessionFaultStats",
@@ -60,12 +60,6 @@ class SessionFaultStats:
     def total_dropped(self) -> int:
         return sum(self.drops.values())
 
-    @property
-    def miss_fraction(self) -> float:
-        if self.deadline_misses < 0 or self.observed == 0:
-            return 0.0
-        return self.deadline_misses / self.observed
-
 
 def deadline_misses(sink: Sink, bound: float) -> Tuple[int, int]:
     """``(misses, observed)`` for delivered packets against ``bound``.
@@ -73,7 +67,6 @@ def deadline_misses(sink: Sink, bound: float) -> Tuple[int, int]:
     Needs the sink's raw delay samples (``keep_samples=True``); without
     them the answer is ``(-1, 0)`` — unknown, not zero.
     """
-    require_numpy("deadline_misses()")
     series = sink.samples
     if series is None:
         return -1, 0

@@ -8,10 +8,11 @@ registry and four rule packs:
 * **det** — the determinism / parallel-safety rule;
 * **hot** — hot-path performance rules.
 
-The three whole-program packs check a single assembled
-:class:`~repro.analysis.verify.model.Program` — summaries are
-extracted once per file and reused for verify's, det's, and hot's
-rule passes.  A run reads source and writes stdout, nothing else.
+Each file is read and parsed once (:func:`~repro.analysis.lint.core.
+read_files`): the lint rules check it as it is, and the three
+whole-program packs check a single
+:class:`~repro.analysis.verify.model.Program` assembled from one
+summary per file.  A run reads source and writes stdout, nothing else.
 Exit status: 0 clean, 1 findings anywhere, 2 usage errors or
 unanalyzable files.
 
@@ -39,18 +40,17 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.hot.model import build_hot_program
 from repro.analysis.lint.core import (
     PACKS,
     LintError,
     Violation,
     iter_python_files,
-    lint_paths,
+    read_files,
     registered_rules,
     run_rules,
 )
 from repro.analysis.lint.reporters import render_text
-from repro.analysis.verify.model import build_program
+from repro.analysis.verify.model import Program
 from repro.argtypes import positive_int, positive_seconds
 
 __all__ = ["main", "build_parser", "run_suite", "select_rules"]
@@ -92,19 +92,17 @@ def run_suite(paths: Sequence[Path],
     for key in select_rules(keys):
         rules.setdefault(_pack(key), []).append(registry[key]())
 
+    files = read_files(paths)
     results: Dict[str, List[Violation]] = {}
     if "lint" in rules:
-        results["lint"] = lint_paths(paths, rules["lint"])
+        results["lint"] = sorted(
+            violation for context in files
+            for violation in run_rules(rules["lint"], context))
     if rules.keys() - {"lint"}:
-        program = build_program(paths)
+        program = Program(files)
         for pack in PACKS[1:]:
             if pack in rules:
-                results[pack] = run_rules(
-                    rules[pack],
-                    build_hot_program(paths, program) if pack == "hot"
-                    else program,
-                    lambda violation: program.is_suppressed(
-                        violation.path, violation.line, violation.rule))
+                results[pack] = run_rules(rules[pack], program)
     return results
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.optdeps import np, require_numpy
+from repro.optdeps import np
 
 __all__ = [
     "empirical_cdf",
@@ -20,7 +20,6 @@ __all__ = [
 def empirical_cdf(samples: Sequence[float]
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted sample values and P(X ≤ x) at each of them."""
-    require_numpy("empirical_cdf()")
     if len(samples) == 0:
         raise ConfigurationError("cannot build a CDF from no samples")
     xs = np.sort(np.asarray(samples, dtype=float))
@@ -38,7 +37,6 @@ def empirical_ccdf(samples: Sequence[float]
 def ccdf_at(samples: Sequence[float],
             points: Sequence[float]) -> np.ndarray:
     """P(X > point) for each requested point (vectorized)."""
-    require_numpy("ccdf_at()")
     if len(samples) == 0:
         raise ConfigurationError("cannot evaluate a CCDF with no samples")
     xs = np.sort(np.asarray(samples, dtype=float))
@@ -54,7 +52,6 @@ def histogram(samples: Sequence[float], bin_width: float,
     Returns (bin left edges, mass per bin). Used for the Figure-8-style
     delay histograms.
     """
-    require_numpy("histogram()")
     if bin_width <= 0:
         raise ConfigurationError(
             f"bin width must be positive, got {bin_width}")
@@ -75,7 +72,6 @@ def tail_percentile(samples: Sequence[float],
     ``tail_percentile(d, 1e-4)`` answers the paper's "about 0.01 % of
     all packets are delayed by more than ..." reading of Figure 9.
     """
-    require_numpy("tail_percentile()")
     if not 0 < tail_probability < 1:
         raise ConfigurationError(
             f"tail probability must be in (0,1), got {tail_probability}")

@@ -6,13 +6,7 @@ control flow — inside the kernel-reachability closure, over the facts
 :mod:`.model` extracts.  To see which of them cost real time, profile a
 run (``leave-in-time <name> --profile``) or read the ledger's layer
 table (``benchmarks/ledger``).
+
+Nothing is imported here: the verify model imports :mod:`.model` for
+its scanner, and :mod:`.rules` imports the verify model.
 """
-
-from repro.analysis.hot.model import HotProgram, build_hot_program
-from repro.analysis.hot.rules import HotRule
-
-__all__ = [
-    "build_hot_program",
-    "HotProgram",
-    "HotRule",
-]

@@ -1,10 +1,13 @@
-"""Per-file hot-path fact extraction and the joined ``HotProgram``.
+"""Per-function hot-path fact extraction.
 
 The ``hot`` pack answers one question the other packs cannot: *which
 Python costs are paid once per dispatched event?*  The verify model
 (PR 5/6) already proves where the hot paths are — the forward closure
 of every schedule/push site (:meth:`Program.kernel_reachable`).  This
-module extracts the complementary *cost facts* from each file:
+module extracts the complementary *cost facts*; the model's one scope
+walk (:func:`repro.analysis.verify.model.summarize`) runs
+:class:`HotScanner` beside its own scanner on every function and
+:func:`scan_class` on every class:
 
 * allocation sites (display literals, comprehensions, f-strings,
   closures) with loop/cold context,
@@ -24,31 +27,11 @@ never the per-event common case and must not be flagged.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, List, Optional, Set
 
-from repro.analysis.lint.core import (
-    LintError,
-    dotted_name,
-    iter_python_files,
-)
-from repro.analysis.verify.model import Program, module_name_for
+from repro.analysis.lint.core import dotted_name
 
-__all__ = [
-    "hot_summary_source",
-    "hot_summary_file",
-    "HotProgram",
-    "build_hot_program",
-]
+__all__ = ["HotScanner", "scan_class"]
 
 #: Method names treated as scalar/dict probes by item-call-in-hot-loop.
 PROBE_METHODS = ("item", "get")
@@ -57,9 +40,6 @@ PROBE_METHODS = ("item", "get")
 #: branching (EAFP where a membership test or ``.get`` is cheaper).
 EXPECTED_EXCEPTIONS = frozenset(
     {"KeyError", "IndexError", "AttributeError", "StopIteration"})
-
-#: Base-class names that end the "is every base slotted?" search.
-_SLOTTED_ROOTS = frozenset({"object"})
 
 _DISPLAY_KINDS = {
     ast.Tuple: "tuple",
@@ -129,11 +109,10 @@ def _bound_names(node: ast.AST) -> Set[str]:
             and isinstance(child.ctx, (ast.Store, ast.Del))}
 
 
-class _HotScanner:
+class HotScanner:
     """One pass over a function body collecting per-event cost facts."""
 
-    def __init__(self, qualname: str, node: ast.AST) -> None:
-        self.qualname = qualname
+    def __init__(self, node: ast.AST) -> None:
         self.lineno = getattr(node, "lineno", 0)
         self.allocs: List[Dict[str, Any]] = []
         self.chains: List[Dict[str, Any]] = []
@@ -355,10 +334,8 @@ class _HotScanner:
         for _ in range(pushed):
             self._loops.pop()
 
-    def summary(self, name: str) -> Dict[str, Any]:
+    def summary(self) -> Dict[str, Any]:
         return {
-            "qualname": self.qualname,
-            "name": name,
             "allocs": self.allocs,
             "chains": self.chains,
             "probes": self.probes,
@@ -384,7 +361,7 @@ def _dataclass_slots(node: ast.ClassDef) -> bool:
     return False
 
 
-def _scan_class(node: ast.ClassDef, qualname: str) -> Dict[str, Any]:
+def scan_class(node: ast.ClassDef, qualname: str) -> Dict[str, Any]:
     has_slots = _dataclass_slots(node) or any(
         isinstance(stmt, (ast.Assign, ast.AnnAssign)) and any(
             isinstance(target, ast.Name) and target.id == "__slots__"
@@ -406,123 +383,3 @@ def _scan_class(node: ast.ClassDef, qualname: str) -> Dict[str, Any]:
         "bases": bases,
         "exception_like": exception_like,
     }
-
-
-def hot_summary_source(source: str, path: Path,
-                       module: Optional[str] = None) -> Dict[str, Any]:
-    """Extract one file's hot-path facts."""
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        raise LintError(f"{path}: not valid Python: {exc}") from exc
-    module_name = module or module_name_for(path)
-    functions: List[Dict[str, Any]] = []
-    classes: List[Dict[str, Any]] = []
-
-    def scan_def(node: ast.AST, name: str, prefix: str) -> None:
-        qualname = f"{prefix}{name}" if prefix else name
-        scanner = _HotScanner(qualname, node)
-        scanner.scan_body(getattr(node, "body", []))
-        functions.append(scanner.summary(name))
-        walk_scope(getattr(node, "body", []), f"{qualname}.")
-
-    def walk_scope(body: List[ast.stmt], prefix: str) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scan_def(node, node.name, prefix)
-            elif isinstance(node, ast.ClassDef):
-                qualname = f"{prefix}{node.name}" if prefix \
-                    else node.name
-                classes.append(_scan_class(node, qualname))
-                walk_scope(node.body, f"{qualname}.")
-            elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For,
-                                   ast.While)):
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, ast.stmt):
-                        walk_scope([child], prefix)
-
-    walk_scope(tree.body, "")
-    return {
-        "module": module_name,
-        "path": str(path),
-        "functions": functions,
-        "classes": classes,
-    }
-
-
-def hot_summary_file(path: Path) -> Dict[str, Any]:
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LintError(f"{path}: unreadable: {exc}") from exc
-    return hot_summary_source(source, path)
-
-
-# ----------------------------------------------------------------------
-# Joined view
-# ----------------------------------------------------------------------
-class HotProgram:
-    """Hot facts joined with the verify Program's reachability."""
-
-    def __init__(self, program: Program,
-                 hot_summaries: List[Dict[str, Any]]) -> None:
-        self.program = program
-        #: ``"module:qualname"`` -> (file hot summary, function facts).
-        self.functions: Dict[str, Tuple[Dict[str, Any],
-                                        Dict[str, Any]]] = {}
-        #: Bare class name -> every definition with that name.
-        self.classes_by_name: Dict[str, List[Dict[str, Any]]] = {}
-        for summary in hot_summaries:
-            module = summary["module"]
-            for function in summary["functions"]:
-                key = f"{module}:{function['qualname']}"
-                self.functions[key] = (summary, function)
-            for entry in summary["classes"]:
-                record = {**entry, "path": summary["path"],
-                          "module": module}
-                self.classes_by_name.setdefault(
-                    entry["name"], []).append(record)
-        self.reachable = program.kernel_reachable()
-
-    def hot_functions(self) -> Iterator[Tuple[str, Dict[str, Any],
-                                              Dict[str, Any]]]:
-        """Kernel-reachable functions, sorted for stable reports."""
-        for key in sorted(self.functions):
-            if key in self.reachable:
-                summary, function = self.functions[key]
-                yield key, summary, function
-
-    def resolve_class(self, name: str) -> Optional[Dict[str, Any]]:
-        """The unique in-tree class with this (last-segment) name."""
-        candidates = self.classes_by_name.get(
-            name.rsplit(".", 1)[-1], [])
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
-
-    def provably_unslotted(self, entry: Dict[str, Any]) -> bool:
-        """True when adding ``__slots__`` to this class would provably
-        make its instances dict-free.
-
-        Requires every base to resolve in-tree *and* define
-        ``__slots__`` itself (or be ``object``): an unresolvable or
-        unslotted base contributes a dict no matter what the subclass
-        declares, so such classes are skipped rather than guessed at.
-        """
-        if entry["has_slots"]:
-            return False
-        for base in entry["bases"]:
-            if base.rsplit(".", 1)[-1] in _SLOTTED_ROOTS:
-                continue
-            resolved = self.resolve_class(base)
-            if resolved is None or not resolved["has_slots"]:
-                return False
-        return True
-
-
-def build_hot_program(paths: Iterable[Path],
-                      program: Program) -> HotProgram:
-    """Extract hot facts for every ``*.py`` under ``paths`` and join
-    them onto ``program`` (assembled over the same ``paths``)."""
-    return HotProgram(program, [hot_summary_file(path)
-                                for path in iter_python_files(paths)])

@@ -1,8 +1,9 @@
 """The ``hot`` pack: five hot-path performance rules.
 
-Each rule consumes the :class:`~repro.analysis.hot.model.HotProgram` —
-hot-cost facts joined with the verify model's kernel-reachability
-closure — so findings are *provable*: every flagged site sits in a
+Each rule consumes the :class:`~repro.analysis.verify.model.Program` —
+hot-cost facts beside the kernel-reachability closure
+(:meth:`Program.hot_functions`) — so findings are *provable*: every
+flagged site sits in a
 function that (may) run once per dispatched event, and every flagged
 pattern has a mechanical, digest-neutral fix (hoist, pre-bind,
 ``__slots__``, ``.get``).
@@ -16,11 +17,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Set, Tuple
 
+from repro.analysis.hot.model import EXPECTED_EXCEPTIONS
 from repro.analysis.lint.core import Violation, register
-from repro.analysis.hot.model import (
-    EXPECTED_EXCEPTIONS,
-    HotProgram,
-)
+from repro.analysis.verify.model import Program
 
 __all__ = [
     "HotRule",
@@ -40,7 +39,7 @@ class HotRule:
     #: One-line summary shown by ``--list-rules`` and the docs.
     description: str = ""
 
-    def check(self, hot: HotProgram) -> Iterator[Violation]:
+    def check(self, hot: Program) -> Iterator[Violation]:
         raise NotImplementedError
 
     def violation(self, path: str, lineno: int, col: int,
@@ -73,7 +72,7 @@ class AllocationInHotPath(HotRule):
 
     _DISPLAYS = ("tuple", "list", "set", "dict")
 
-    def check(self, hot: HotProgram) -> Iterator[Violation]:
+    def check(self, hot: Program) -> Iterator[Violation]:
         for _key, summary, function in hot.hot_functions():
             path = summary["path"]
             qualname = function["qualname"]
@@ -118,7 +117,7 @@ class UnslottedHotClass(HotRule):
     description = ("class instantiated on a kernel-reachable path "
                    "without __slots__")
 
-    def check(self, hot: HotProgram) -> Iterator[Violation]:
+    def check(self, hot: Program) -> Iterator[Violation]:
         reported: Set[Tuple[str, str]] = set()
         for _key, summary, function in hot.hot_functions():
             for site in _hot(function["instantiations"]):
@@ -155,7 +154,7 @@ class AttributeChainInHotLoop(HotRule):
     description = ("repeated deep attribute loads in kernel-reachable "
                    "code with no local binding")
 
-    def check(self, hot: HotProgram) -> Iterator[Violation]:
+    def check(self, hot: Program) -> Iterator[Violation]:
         for _key, summary, function in hot.hot_functions():
             bound = set(function["bindings"])
             groups: Dict[str, List[Dict[str, Any]]] = {}
@@ -194,7 +193,7 @@ class ItemCallInHotLoop(HotRule):
     description = ("loop-invariant or repeated .item()/.get() probe "
                    "in kernel-reachable code")
 
-    def check(self, hot: HotProgram) -> Iterator[Violation]:
+    def check(self, hot: Program) -> Iterator[Violation]:
         for _key, summary, function in hot.hot_functions():
             qualname = function["qualname"]
             flagged: Set[str] = set()
@@ -237,7 +236,7 @@ class ExceptionControlFlowInHotPath(HotRule):
     description = ("try/except over expected-case exceptions in "
                    "kernel-reachable code")
 
-    def check(self, hot: HotProgram) -> Iterator[Violation]:
+    def check(self, hot: Program) -> Iterator[Violation]:
         for _key, summary, function in hot.hot_functions():
             for record in _hot(function["tries"]):
                 types = [name.rsplit(".", 1)[-1]

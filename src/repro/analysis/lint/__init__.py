@@ -2,7 +2,7 @@
 
 :mod:`.core` holds what every pack shares — the ``Violation`` type,
 the one rule registry (``pack:rule-id``), ``# repro: disable=<rule>``
-suppressions and the one rule driver — plus the per-file pass;
+suppressions, the one rule driver and the once-read source file;
 :mod:`.rules` is the ``lint`` pack itself (wall-clock reads, raw unit
 literals, unguarded trace emits).
 
@@ -18,9 +18,7 @@ from repro.analysis.lint.core import (
     LintError,
     Rule,
     Violation,
-    analyze_file,
-    analyze_source,
-    lint_paths,
+    read_files,
     register,
     registered_rules,
     run_rules,
@@ -33,9 +31,7 @@ __all__ = [
     "LintError",
     "Rule",
     "Violation",
-    "analyze_file",
-    "analyze_source",
-    "lint_paths",
+    "read_files",
     "register",
     "registered_rules",
     "render_text",

@@ -1,5 +1,5 @@
 """The analyzer engine: violations, the one rule registry, suppressions,
-the one rule driver, and the per-file lint pass.
+the one rule driver, and the once-read source file every pack shares.
 
 Why a bespoke linter?  The reproduction's guarantees (paper eqs. 10-17)
 only hold if the *simulator itself* is deterministic and
@@ -51,9 +51,7 @@ __all__ = [
     "register",
     "registered_rules",
     "run_rules",
-    "analyze_source",
-    "analyze_file",
-    "lint_paths",
+    "read_files",
     "iter_python_files",
     "dotted_name",
 ]
@@ -82,22 +80,27 @@ class Violation:
 
 
 class FileContext:
-    """Everything a rule may inspect about one source file."""
+    """One source file, parsed once: what a per-file rule inspects and
+    what the whole-program model extracts its summary from."""
 
-    def __init__(self, path: Path, source: str, tree: ast.Module) -> None:
+    def __init__(self, path: Path, source: str) -> None:
+        try:
+            self.tree = ast.parse(source, filename=str(path))
+        except SyntaxError as exc:
+            raise LintError(f"{path}: not valid Python: {exc}") from exc
         self.path = path
         self.source = source
-        self.tree = tree
-        #: Path components, used for path-scoped rules (e.g. the
-        #: ``net``-layer tie-break rule) and exemptions (``sim/rng.py``).
+        #: Path components, used for path-scoped exemptions
+        #: (``sim/trace.py``).
         self.parts: Tuple[str, ...] = path.parts
+        #: Line number -> rule ids a comment disables on that line.
+        self.suppressions = suppressions(source)
 
     def walk(self) -> Iterator[ast.AST]:
         return ast.walk(self.tree)
 
-    def is_under(self, directory: str) -> bool:
-        """True when ``directory`` is a component of the file's path."""
-        return directory in self.parts
+    def suppressed(self, violation: Violation) -> bool:
+        return violation.rule in self.suppressions.get(violation.line, ())
 
     def is_file(self, *tail: str) -> bool:
         """True when the path ends with the given components."""
@@ -196,48 +199,31 @@ def dotted_name(node: ast.AST) -> str:
 # ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
-def run_rules(rules: Iterable[Any], subject: Any,
-              suppressed: Callable[[Violation], bool]
-              ) -> List[Violation]:
+def run_rules(rules: Iterable[Any], subject: Any) -> List[Violation]:
     """Every rule's findings on ``subject`` that no comment suppresses.
 
     The one driver behind all four packs: ``subject`` is whatever the
-    pack's rules check (a :class:`FileContext`, a ``Program``, a
-    ``HotProgram``).
+    pack's rules check — a :class:`FileContext` or a ``Program`` — and
+    answers ``suppressed(violation)``.
     """
     return sorted(violation for rule in rules
                   for violation in rule.check(subject)
-                  if not suppressed(violation))
+                  if not subject.suppressed(violation))
 
 
-def analyze_source(source: str, path: Path,
-                   rules: Iterable[Rule]) -> List[Violation]:
-    """Run per-file ``rules`` over one source string."""
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        raise LintError(f"{path}: not valid Python: {exc}") from exc
-    disabled = suppressions(source)
-    return run_rules(
-        rules, FileContext(path, source, tree),
-        lambda violation: violation.rule in disabled.get(
-            violation.line, ()))
+def read_files(paths: Iterable[Path]) -> List[FileContext]:
+    """Read and parse every ``*.py`` under ``paths``, each exactly once.
 
-
-def analyze_file(path: Path, rules: Iterable[Rule]) -> List[Violation]:
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LintError(f"{path}: unreadable: {exc}") from exc
-    return analyze_source(source, path, rules)
-
-
-def lint_paths(paths: Iterable[Path],
-               rules: Iterable[Rule]) -> List[Violation]:
-    """Analyze every ``*.py`` under ``paths`` with per-file ``rules``."""
-    rule_list = list(rules)
-    return sorted(violation for path in iter_python_files(paths)
-                  for violation in analyze_file(path, rule_list))
+    Raises :class:`LintError` on an unreadable or unparsable file.
+    """
+    files: List[FileContext] = []
+    for path in iter_python_files(paths):
+        try:
+            source = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise LintError(f"{path}: unreadable: {exc}") from exc
+        files.append(FileContext(path, source))
+    return files
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:

@@ -19,16 +19,10 @@ the sanitizer (which touches simulator types) is imported lazily by
 :class:`repro.net.network.Network` when enabled.
 """
 
-from repro.analysis.verify.model import (
-    Program,
-    build_program,
-    summarize_file,
-)
+from repro.analysis.verify.model import Program
 from repro.analysis.verify.rules import ProgramRule
 
 __all__ = [
     "Program",
     "ProgramRule",
-    "build_program",
-    "summarize_file",
 ]

@@ -7,7 +7,10 @@ module boundaries: *does this loop body eventually reach the event
 queue?*, *is this constant a time or a rate?*, *does the exception
 handler release what the try block reserved?*  This module extracts a
 per-file **module summary** (pure local facts, plain dicts and lists)
-and assembles the summaries into a :class:`Program`:
+from each once-parsed :class:`~repro.analysis.lint.core.FileContext`
+— one scope walk runs this module's scanner and the ``hot`` pack's
+(:mod:`repro.analysis.hot.model`) on every function — and assembles
+the summaries into a :class:`Program`:
 
 * a **module symbol table** — imports, module-level constants with
   inferred dimensions, functions by qualified name;
@@ -38,6 +41,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Set,
@@ -45,11 +49,8 @@ from typing import (
     Union,
 )
 
-from repro.analysis.lint.core import (
-    LintError,
-    iter_python_files,
-    suppressions,
-)
+from repro.analysis.hot.model import HotScanner, scan_class
+from repro.analysis.lint.core import FileContext, Violation
 from repro.analysis.lint.rules import (
     _LENGTH_KEYWORDS,
     _RATE_KEYWORDS,
@@ -63,12 +64,10 @@ __all__ = [
     "SIZE",
     "TIME",
     "Program",
-    "build_program",
     "call_name",
     "dim_name",
     "module_name_for",
-    "summarize_file",
-    "summarize_source",
+    "summarize",
 ]
 
 # ----------------------------------------------------------------------
@@ -79,7 +78,7 @@ Dim = Tuple[int, int]
 #: What extraction knows about an expression: a concrete dimension, a
 #: symbolic reference to a module-level constant (``{"ref": dotted}``,
 #: resolved once the whole program is assembled), or None = unknown.
-DimSpec = Union[None, List[int], Dict[str, str]]
+DimSpec = Union[None, Dim, Dict[str, str]]
 
 TIME: Dim = (1, 0)
 SIZE: Dim = (0, 1)
@@ -113,6 +112,9 @@ SINK_NAMES = ("schedule", "schedule_at", "push")
 #: Method names that create a reservation / release one.
 RESERVE_NAMES = ("admit", "reserve")
 RELEASE_NAME = "release"
+
+#: Base-class names that end the "is every base slotted?" search.
+_SLOTTED_ROOTS = frozenset({"object"})
 
 
 def dim_name(dim: Dim) -> str:
@@ -159,18 +161,9 @@ def _kwarg_dim(name: str) -> Optional[Dim]:
     return None
 
 
-def _as_spec(dim: Optional[Dim]) -> DimSpec:
-    return None if dim is None else [dim[0], dim[1]]
-
-
 def _concrete(spec: DimSpec) -> Optional[Dim]:
-    if isinstance(spec, list):
-        return (spec[0], spec[1])
-    return None
-
-
-def _is_ref(spec: DimSpec) -> bool:
-    return isinstance(spec, dict)
+    """``spec`` when it is a dimension; None for a reference or unknown."""
+    return spec if isinstance(spec, tuple) else None
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +333,7 @@ class _FunctionScanner:
         for arg in every:
             dim = _ident_dim(arg.arg)
             if dim is not None:
-                self.env[arg.arg] = _as_spec(dim)
+                self.env[arg.arg] = dim
             kind = _annotation_kind(arg.annotation)
             if kind is not None:
                 self.env_kinds[arg.arg] = kind
@@ -492,12 +485,12 @@ class _FunctionScanner:
                 expected = _ident_dim(target.id)
                 if expected is not None:
                     self._check(f"assignment to {target.id!r}", target,
-                                _as_spec(expected), dim)
+                                expected, dim)
             elif isinstance(target, ast.Attribute):
                 expected = _ident_dim(target.attr)
                 if expected is not None:
                     self._check(f"assignment to .{target.attr}", target,
-                                _as_spec(expected), dim)
+                                expected, dim)
                 if kind is not None and isinstance(target.value, ast.Name) \
                         and target.value.id == "self":
                     existing = self.ctx.attr_kinds.get(target.attr)
@@ -513,10 +506,9 @@ class _FunctionScanner:
 
     def _target_dim(self, target: ast.expr) -> DimSpec:
         if isinstance(target, ast.Name):
-            return self.env.get(target.id) or _as_spec(
-                _ident_dim(target.id))
+            return self.env.get(target.id) or _ident_dim(target.id)
         if isinstance(target, ast.Attribute):
-            return _as_spec(_ident_dim(target.attr))
+            return _ident_dim(target.attr)
         return None
 
     # -- expressions ---------------------------------------------------
@@ -559,7 +551,7 @@ class _FunctionScanner:
                 if resolved is not None:
                     return {"ref": resolved}
             self._expr(node.value)
-            return _as_spec(_ident_dim(node.attr))
+            return _ident_dim(node.attr)
         if isinstance(node, ast.Call):
             return self._call(node)
         if isinstance(node, ast.BinOp):
@@ -647,10 +639,10 @@ class _FunctionScanner:
             if left_dim is None or right_dim is None:
                 return None
             if isinstance(node.op, ast.Mult):
-                return _as_spec((left_dim[0] + right_dim[0],
-                                 left_dim[1] + right_dim[1]))
-            return _as_spec((left_dim[0] - right_dim[0],
-                             left_dim[1] - right_dim[1]))
+                return (left_dim[0] + right_dim[0],
+                        left_dim[1] + right_dim[1])
+            return (left_dim[0] - right_dim[0],
+                    left_dim[1] - right_dim[1])
         return None
 
     def _compare(self, node: ast.Compare) -> None:
@@ -719,21 +711,21 @@ class _FunctionScanner:
             expected = _kwarg_dim(keyword.arg)
             if expected is not None:
                 self._check(f"keyword {keyword.arg}=", keyword.value,
-                            _as_spec(expected), value)
+                            expected, value)
         if last in ("schedule", "schedule_at") and arg_specs:
             self._check(f"first argument of {last}()", node.args[0],
-                        _as_spec(TIME), arg_specs[0])
+                        TIME, arg_specs[0])
 
         # Result dimension: units constructors and pass-through builtins.
         resolved = self.ctx.resolve(name) or name
         unit_dim = _UNIT_CONSTRUCTORS.get(resolved)
         if unit_dim is not None:
-            return _as_spec(unit_dim)
+            return unit_dim
         if last in _PASSTHROUGH_CALLS:
             known = [_concrete(spec) for spec in arg_specs
                      if _concrete(spec) is not None]
             if known and all(dim == known[0] for dim in known):
-                return _as_spec(known[0])
+                return known[0]
         # Array-typed constants (the session table's ColumnGroup): an
         # array built by numpy.full(shape, fill) — or declared via
         # ColumnGroup.add("name", fill), whose first argument is the
@@ -771,14 +763,11 @@ class _FunctionScanner:
         }
 
 
-def summarize_source(source: str, path: Path,
-                     module: Optional[str] = None) -> Dict[str, Any]:
-    """Extract one file's semantic summary."""
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        raise LintError(f"{path}: not valid Python: {exc}") from exc
-    module_name = module or module_name_for(path)
+def summarize(context: FileContext) -> Dict[str, Any]:
+    """Extract one parsed file's summary: the verify facts and the hot
+    facts of every function, from one walk over its scopes."""
+    tree = context.tree
+    module_name = module_name_for(context.path)
     ctx = _ModuleContext(module_name)
 
     # Pass 1: imports, class names, module constants, name kinds.
@@ -805,16 +794,20 @@ def summarize_source(source: str, path: Path,
                 if kind is not None:
                     ctx.name_kinds[target.id] = kind
 
-    # Pass 2: every function (methods and nested defs included), plus
-    # module-level statements as the pseudo-function "<module>".
+    # Pass 2: every function (methods and nested defs included) through
+    # both scanners, every class, plus module-level statements as the
+    # pseudo-function "<module>" (run once, so no hot facts).
     functions: List[Dict[str, Any]] = []
+    classes: List[Dict[str, Any]] = []
 
     def scan_def(node: Union[ast.FunctionDef, ast.AsyncFunctionDef],
                  prefix: str) -> None:
-        qualname = f"{prefix}{node.name}" if prefix else node.name
+        qualname = f"{prefix}{node.name}"
         scanner = _FunctionScanner(ctx, qualname, node, node.args)
         scanner.scan_body(node.body)
-        functions.append(scanner.summary(node.name))
+        hot = HotScanner(node)
+        hot.scan_body(node.body)
+        functions.append({**scanner.summary(node.name), **hot.summary()})
         walk_scope(node.body, f"{qualname}.")
 
     def walk_scope(body: Iterable[ast.stmt], prefix: str) -> None:
@@ -822,7 +815,9 @@ def summarize_source(source: str, path: Path,
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scan_def(node, prefix)
             elif isinstance(node, ast.ClassDef):
-                walk_scope(node.body, f"{prefix}{node.name}.")
+                qualname = f"{prefix}{node.name}"
+                classes.append(scan_class(node, qualname))
+                walk_scope(node.body, f"{qualname}.")
             elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For,
                                    ast.While)):
                 for child in ast.iter_child_nodes(node):
@@ -839,22 +834,15 @@ def summarize_source(source: str, path: Path,
 
     return {
         "module": module_name,
-        "path": str(path),
+        "path": str(context.path),
         "imports": ctx.imports,
         "constants": ctx.constants,
         "name_kinds": ctx.name_kinds,
         "attr_kinds": ctx.attr_kinds,
         "functions": functions,
-        "suppressions": suppressions(source),
+        "classes": classes,
+        "suppressions": context.suppressions,
     }
-
-
-def summarize_file(path: Path) -> Dict[str, Any]:
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LintError(f"{path}: unreadable: {exc}") from exc
-    return summarize_source(source, path)
 
 
 # ----------------------------------------------------------------------
@@ -863,8 +851,9 @@ def summarize_file(path: Path) -> Dict[str, Any]:
 class Program:
     """Module summaries joined into symbol table + call graph."""
 
-    def __init__(self, summaries: Iterable[Dict[str, Any]]) -> None:
-        self.summaries: List[Dict[str, Any]] = list(summaries)
+    def __init__(self, files: Iterable[FileContext]) -> None:
+        self.summaries: List[Dict[str, Any]] = [
+            summarize(context) for context in files]
         #: ``"module:qualname"`` -> (module summary, function summary).
         self.functions: Dict[str, Tuple[Dict[str, Any],
                                         Dict[str, Any]]] = {}
@@ -872,10 +861,15 @@ class Program:
         self._by_method: Dict[Tuple[str, str], List[str]] = {}
         self.attr_kinds: Dict[str, Optional[str]] = {}
         self.constants: Dict[str, Optional[Dim]] = {}
+        #: Bare class name -> every definition with that name.
+        self.classes_by_name: Dict[str, List[Dict[str, Any]]] = {}
         self._suppressions: Dict[str, Dict[int, FrozenSet[str]]] = {}
         for summary in self.summaries:
             module = summary["module"]
             self._suppressions[summary["path"]] = summary["suppressions"]
+            for entry in summary["classes"]:
+                self.classes_by_name.setdefault(entry["name"], []).append(
+                    {**entry, "path": summary["path"], "module": module})
             for attr, kind in summary.get("attr_kinds", {}).items():
                 existing = self.attr_kinds.get(attr)
                 if existing is not None and existing != kind:
@@ -1028,9 +1022,6 @@ class Program:
         return any(callee in self._reaches_release
                    for callee in self.resolve_call(module, call))
 
-    def function_reaches_sink(self, key: str) -> bool:
-        return key in self._reaches_sink
-
     def callers_of(self, key: str) -> Set[str]:
         """Direct callers (by resolved call graph) of a function key."""
         return self._callers.get(key, set())
@@ -1093,11 +1084,43 @@ class Program:
             return None
         return self.attr_kinds.get(attr)
 
-    def is_suppressed(self, path: str, line: int, rule: str) -> bool:
-        return rule in self._suppressions.get(path, {}).get(line, ())
+    # -- hot-path view (hot pack) -------------------------------------
+    def hot_functions(self) -> Iterator[Tuple[str, Dict[str, Any],
+                                              Dict[str, Any]]]:
+        """Kernel-reachable functions, sorted for stable reports.
+        Module-level statements run once, never per event."""
+        for key in sorted(self.kernel_reachable()):
+            summary, function = self.functions[key]
+            if function["name"] != "<module>":
+                yield key, summary, function
 
+    def resolve_class(self, name: str) -> Optional[Dict[str, Any]]:
+        """The unique in-tree class with this (last-segment) name."""
+        candidates = self.classes_by_name.get(
+            name.rsplit(".", 1)[-1], [])
+        if len(candidates) == 1:
+            return candidates[0]
+        return None
 
-def build_program(paths: Iterable[Path]) -> Program:
-    """Summarize every ``*.py`` under ``paths`` and assemble a Program."""
-    return Program(summarize_file(path)
-                   for path in iter_python_files(paths))
+    def provably_unslotted(self, entry: Dict[str, Any]) -> bool:
+        """True when adding ``__slots__`` to this class would provably
+        make its instances dict-free.
+
+        Requires every base to resolve in-tree *and* define
+        ``__slots__`` itself (or be ``object``): an unresolvable or
+        unslotted base contributes a dict no matter what the subclass
+        declares, so such classes are skipped rather than guessed at.
+        """
+        if entry["has_slots"]:
+            return False
+        for base in entry["bases"]:
+            if base.rsplit(".", 1)[-1] in _SLOTTED_ROOTS:
+                continue
+            resolved = self.resolve_class(base)
+            if resolved is None or not resolved["has_slots"]:
+                return False
+        return True
+
+    def suppressed(self, violation: Violation) -> bool:
+        return violation.rule in self._suppressions.get(
+            violation.path, {}).get(violation.line, ())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.optdeps import np, require_numpy
+from repro.optdeps import np
 
 __all__ = ["shifted_ccdf", "shifted_ccdf_function"]
 
@@ -26,7 +26,6 @@ def shifted_ccdf(reference_ccdf: Callable[[float], float], shift: float,
     For ``d < shift`` the bound is the trivial 1.0 (a probability can
     not exceed one, and the reference CCDF at negative arguments is 1).
     """
-    require_numpy("shifted_ccdf()")
     out = np.empty(len(delays), dtype=float)
     for index, d in enumerate(delays):
         argument = d - shift

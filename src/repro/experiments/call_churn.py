@@ -30,7 +30,7 @@ from repro.admission.procedure1 import Procedure1
 from repro.analysis.report import format_table
 from repro.bounds.delay import compute_session_bounds
 from repro.errors import AdmissionError
-from repro.experiments.parallel import Cell, CellOutput, cell_output, run_cells
+from repro.experiments.parallel import Cell, run_cells
 from repro.net.session import Session
 from repro.net.topology import build_paper_network
 from repro.sched.leave_in_time import LeaveInTime
@@ -182,7 +182,7 @@ class _ChurnDriver:
 
 
 def _cell(*, duration: float, seed: int, offered_erlangs: float,
-          mean_holding: float) -> CellOutput:
+          mean_holding: float) -> CallChurnResult:
     """The single call-churn cell: one network, one churn driver."""
     network = build_paper_network(LeaveInTime, seed=seed)
     controller = AdmissionController(
@@ -199,7 +199,7 @@ def _cell(*, duration: float, seed: int, offered_erlangs: float,
     driver.start()
     network.run(duration)
     driver.finish()
-    return cell_output(network, result)
+    return result
 
 
 def cells(*, duration: float, seed: int, offered_erlangs: float,

@@ -31,12 +31,12 @@ from repro.experiments.common import (
     add_poisson_cross_traffic,
     build_cross_network,
 )
-from repro.experiments.parallel import Cell, CellOutput, cell_output, run_cells
+from repro.experiments.parallel import Cell, run_cells
 from repro.net.network import Network
 from repro.net.route import route_from_letters
 from repro.net.session import Session
 from repro.net.topology import CROSS_ONE_HOP_ROUTES
-from repro.optdeps import np, require_numpy
+from repro.optdeps import np
 from repro.sched.reference import reference_delays
 from repro.traffic.deterministic import DeterministicSource
 from repro.traffic.poisson import PoissonSource
@@ -108,9 +108,8 @@ def _cell(*, figure: str,
           stagger_cross: bool,
           duration: float,
           seed: int,
-          delay_grid_ms: Optional[Sequence[float]]) -> CellOutput:
+          delay_grid_ms: Optional[Sequence[float]]) -> DistributionResult:
     """The single distribution cell (the result holds the network)."""
-    require_numpy("delay-distribution experiments")
     network = build_cross_network(seed=seed)
     target = Session(TARGET_SESSION, rate=target_rate, route=FIVE_HOP,
                      l_max=PAPER_PACKET_BITS)
@@ -165,7 +164,7 @@ def _cell(*, figure: str,
         lambda d: float(ccdf_at(ref_samples, [d])[0]),
         bounds.shift, grid_s)
 
-    result = DistributionResult(
+    return DistributionResult(
         figure=figure,
         duration=duration,
         seed=seed,
@@ -178,7 +177,6 @@ def _cell(*, figure: str,
         simulated_bound=simulated,
         packets=sink.received,
     )
-    return cell_output(network, result)
 
 
 def run_distribution_experiment(

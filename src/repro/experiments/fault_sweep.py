@@ -41,8 +41,7 @@ from repro.net.network import Network
 from repro.net.route import route_from_letters
 from repro.net.session import Session
 from repro.net.topology import CROSS_ONE_HOP_ROUTES, build_paper_network
-from repro.experiments.parallel import Cell, CellOutput, cell_output, \
-    run_cells
+from repro.experiments.parallel import Cell, run_cells
 from repro.sched.fcfs import FCFS
 from repro.sched.leave_in_time import LeaveInTime
 from repro.traffic.poisson import PoissonSource
@@ -157,7 +156,7 @@ def _plan(outage: float, duration: float) -> FaultPlan:
 
 
 def _cell(*, discipline: str, outage: float, duration: float,
-          seed: int) -> CellOutput:
+          seed: int) -> FaultSweepRow:
     """One isolated simulation: one discipline, one outage length."""
     factory = dict(_DISCIPLINES)[discipline]
     network = _build(factory, seed)
@@ -175,7 +174,7 @@ def _cell(*, discipline: str, outage: float, duration: float,
         session_fault_stats(network, f"cross-{label}").total_dropped
         for label in CROSS_ONE_HOP_ROUTES)
     sink = network.sink(TARGET)
-    row = FaultSweepRow(
+    return FaultSweepRow(
         discipline=discipline,
         outage_s=outage,
         packets=sink.received,
@@ -186,7 +185,6 @@ def _cell(*, discipline: str, outage: float, duration: float,
         observed=stats.observed,
         cross_dropped=cross_dropped,
     )
-    return cell_output(network, row)
 
 
 def cells(*, duration: float, seed: int,

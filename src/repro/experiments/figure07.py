@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.report import format_table
 from repro.bounds.delay import compute_session_bounds
 from repro.experiments.common import PAPER_A_OFF_SWEEP_S, build_mix_network
-from repro.experiments.parallel import Cell, CellOutput, cell_output, run_cells
+from repro.experiments.parallel import Cell, run_cells
 from repro.units import to_ms
 
 __all__ = ["Figure7Row", "Figure7Result", "cells", "run",
@@ -67,7 +67,7 @@ class Figure7Result:
         write_rows_csv(path, self.rows)
 
 
-def _cell(*, a_off: float, duration: float, seed: int) -> CellOutput:
+def _cell(*, a_off: float, duration: float, seed: int) -> Figure7Row:
     """One sweep cell: a fully isolated MIX simulation at one a_OFF."""
     network = build_mix_network(a_off, seed=seed)
     network.run(duration)
@@ -76,7 +76,7 @@ def _cell(*, a_off: float, duration: float, seed: int) -> CellOutput:
         network, network.sessions[TARGET_SESSION])
     # Utilization at the first node, as a load indicator.
     utilization = network.node("n1").utilization()
-    row = Figure7Row(
+    return Figure7Row(
         a_off_ms=to_ms(a_off),
         utilization=round(utilization, 3),
         packets=sink.received,
@@ -85,7 +85,6 @@ def _cell(*, a_off: float, duration: float, seed: int) -> CellOutput:
         delay_bound_ms=to_ms(bounds.max_delay),
         jitter_bound_ms=to_ms(bounds.jitter),
     )
-    return cell_output(network, row)
 
 
 def cells(*, duration: float, seed: int,

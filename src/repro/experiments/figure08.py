@@ -21,9 +21,9 @@ from repro.experiments.common import (
     add_poisson_cross_traffic,
     build_cross_network,
 )
-from repro.experiments.parallel import Cell, CellOutput, cell_output, run_cells
+from repro.experiments.parallel import Cell, run_cells
 from repro.net.network import Network
-from repro.optdeps import np, require_numpy
+from repro.optdeps import np
 from repro.units import ms, to_ms
 
 __all__ = ["Figure8Result", "cells", "run",
@@ -68,8 +68,6 @@ class Figure8Result:
 
     def to_csv(self, path) -> None:
         """Write both sessions' delay histograms (1 ms bins) to CSV."""
-        require_numpy("Figure8Result.to_csv()")
-
         from repro.analysis.export import write_series_csv
         edges_nc, mass_nc = self.delay_histogram(SESSION_NO_CONTROL)
         edges_c, mass_c = self.delay_histogram(SESSION_CONTROL)
@@ -110,7 +108,7 @@ class Figure8Result:
 
 
 def _cell(*, duration: float, seed: int,
-          monitor_buffers: bool) -> CellOutput:
+          monitor_buffers: bool) -> Figure8Result:
     """The single Figure-8 cell (the result holds the live network)."""
     network = build_cross_network(seed=seed)
     no_control = add_onoff_session(
@@ -123,14 +121,13 @@ def _cell(*, duration: float, seed: int,
         monitor_buffer=monitor_buffers)
     add_poisson_cross_traffic(network)
     network.run(duration)
-    result = Figure8Result(
+    return Figure8Result(
         duration=duration,
         seed=seed,
         network=network,
         bounds_no_control=compute_session_bounds(network, no_control),
         bounds_control=compute_session_bounds(network, control),
     )
-    return cell_output(network, result)
 
 
 def cells(*, duration: float, seed: int,

@@ -18,7 +18,7 @@ from repro.experiments.delay_distribution import (
     DistributionResult,
     run_distribution_experiment,
 )
-from repro.optdeps import np, require_numpy
+from repro.optdeps import np
 from repro.units import kbps
 
 __all__ = ["run"]
@@ -29,7 +29,6 @@ TARGET_RATE_BPS = kbps(32)
 
 def run(*, duration: float = 60.0, seed: int = 0,
         workers: Optional[int] = 1) -> DistributionResult:
-    require_numpy("figure10")
     return run_distribution_experiment(
         figure="Figure 10",
         target_mean_interarrival=TARGET_MEAN_S,

@@ -15,7 +15,7 @@ from repro.experiments.delay_distribution import (
     DistributionResult,
     run_distribution_experiment,
 )
-from repro.optdeps import np, require_numpy
+from repro.optdeps import np
 from repro.units import kbps
 
 __all__ = ["run"]
@@ -28,7 +28,6 @@ CROSS_RATE_BPS = kbps(32)
 
 def run(*, duration: float = 60.0, seed: int = 0,
         workers: Optional[int] = 1) -> DistributionResult:
-    require_numpy("figure11")
     return run_distribution_experiment(
         figure="Figure 11",
         target_mean_interarrival=TARGET_MEAN_S,

@@ -35,7 +35,7 @@ from repro.admission.procedure2 import Procedure2
 from repro.analysis.report import format_table
 from repro.bounds.delay import compute_session_bounds
 from repro.experiments.common import PAPER_A_OFF_SWEEP_S, build_mix_network
-from repro.experiments.parallel import Cell, CellOutput, cell_output, run_cells
+from repro.experiments.parallel import Cell, run_cells
 from repro.units import kbps, ms, to_ms
 
 __all__ = ["TwoClassRow", "TwoClassResult", "cells", "run",
@@ -122,7 +122,7 @@ def class_of(session_id: str) -> int:
 
 
 def _cell(*, a_off: float, duration: float,
-          seed: int) -> CellOutput:
+          seed: int) -> List[TwoClassRow]:
     """One sweep cell: the ACP2 MIX run at one a_OFF, all four targets."""
     jitter_ids = {sid for sid, jc in TARGETS.values() if jc}
     sample_ids = {sid for sid, _ in TARGETS.values()}
@@ -161,7 +161,7 @@ def _cell(*, a_off: float, duration: float,
             delay_bound_ms=to_ms(bounds.max_delay),
             jitter_bound_ms=to_ms(bounds.jitter),
         ))
-    return cell_output(network, rows)
+    return rows
 
 
 def cells(*, duration: float, seed: int,

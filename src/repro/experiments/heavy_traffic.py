@@ -58,10 +58,10 @@ from repro.analysis import bench
 from repro.analysis.report import format_table
 from repro.errors import ConfigurationError
 from repro.experiments.common import PAPER_PACKET_BITS
-from repro.experiments.parallel import Cell, CellOutput, pool_available
+from repro.experiments.parallel import Cell
 from repro.net.session import Session
 from repro.net.sink import Sink
-from repro.net.topology import PaperTopology
+from repro.net.topology import build_paper_network
 from repro.sched.edd import DelayEDD
 from repro.sched.fcfs import FCFS
 from repro.sched.leave_in_time import LeaveInTime
@@ -125,13 +125,13 @@ class HeavyTrafficRow:
 
 def _cell(*, topology: str, discipline: str, backend: str,
           sessions: int, rho: float, duration: float,
-          seed: int) -> CellOutput:
+          seed: int) -> HeavyTrafficRow:
     """One isolated heavy-traffic simulation, RSS measured in-cell."""
     watch = bench.Stopwatch()
     factory = dict(_DISCIPLINES)[discipline]
     node_count = _TOPOLOGIES[topology]
-    network = PaperTopology(factory, node_count=node_count,
-                            seed=seed).build()
+    network = build_paper_network(factory, node_count=node_count,
+                                  seed=seed)
     route = [f"n{i}" for i in range(1, node_count + 1)]
     per_session_rate = T1_RATE_BPS / sessions
     # Per-session mean interarrival L·N / (ρ·C) seconds, i.e. an
@@ -173,7 +173,7 @@ def _cell(*, topology: str, discipline: str, backend: str,
     lateness = bottleneck.scheduler.lateness
     wall = watch.elapsed()
     events = network.sim.events_dispatched
-    row = HeavyTrafficRow(
+    return HeavyTrafficRow(
         topology=topology,
         discipline=discipline,
         backend=backend,
@@ -190,7 +190,6 @@ def _cell(*, topology: str, discipline: str, backend: str,
         max_lateness_ms=to_ms(lateness.maximum or 0.0),
         lateness_std_ms=to_ms(lateness.stddev),
     )
-    return CellOutput(value=row, events=events)
 
 
 @dataclass
@@ -268,41 +267,31 @@ def cells(*, duration: float, seed: int, sessions: int,
             for rho in rhos]
 
 
-def _run_isolated(cell_list: List[Cell]) -> List[CellOutput]:
+def _run_isolated(cell_list: List[Cell]) -> List[HeavyTrafficRow]:
     """Each cell in a fresh single-use process (accurate per-cell RSS).
 
     ``ru_maxrss`` is a process-lifetime high-water mark, so reusing a
     process would let a big per-session-source cell inflate every later
-    aggregate cell's reading.  Falls back to in-process execution (RSS then
-    reflects the largest cell so far) where pools are unavailable.
+    aggregate cell's reading.
     """
-    outputs: List[CellOutput] = []
-    if not pool_available():
-        for cell in cell_list:
-            outputs.append(cell.fn(**cell.kwargs))
-        return outputs
     from concurrent.futures import ProcessPoolExecutor
+    rows: List[HeavyTrafficRow] = []
     for cell in cell_list:
         with ProcessPoolExecutor(max_workers=1) as pool:
-            outputs.append(pool.submit(cell.fn, **cell.kwargs).result())
-    return outputs
+            rows.append(pool.submit(cell.fn, **cell.kwargs).result())
+    return rows
 
 
 def run(*, duration: float = 2.0, seed: int = 0,
         sessions: int = DEFAULT_SESSIONS,
         rhos: Sequence[float] = DEFAULT_RHOS,
         backends: Sequence[str] = DEFAULT_BACKENDS,
-        topologies: Sequence[str] = ("single", "tandem"),
-        workers: Optional[int] = None) -> HeavyTrafficResult:
-    """Run the heavy-traffic sweep.
-
-    ``workers`` is accepted for CLI uniformity but each cell always
-    runs in its own fresh process (see :func:`_run_isolated`) — RSS
-    attribution requires it.
-    """
-    del workers  # isolation policy is fixed; see _run_isolated
+        topologies: Sequence[str] = ("single", "tandem")
+        ) -> HeavyTrafficResult:
+    """Run the heavy-traffic sweep, each cell in its own fresh process
+    (see :func:`_run_isolated`) — RSS attribution requires it."""
     cell_list = cells(duration=duration, seed=seed, sessions=sessions,
                       rhos=rhos, backends=backends,
                       topologies=topologies)
-    rows = [output.value for output in _run_isolated(cell_list)]
-    return HeavyTrafficResult(duration=duration, seed=seed, rows=rows)
+    return HeavyTrafficResult(duration=duration, seed=seed,
+                              rows=_run_isolated(cell_list))

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.report import format_table
 from repro.bounds.delay import compute_session_bounds
-from repro.experiments.parallel import Cell, CellOutput, cell_output, run_cells
+from repro.experiments.parallel import Cell, run_cells
 from repro.net.network import Network
 from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
@@ -80,7 +80,7 @@ class HopScalingResult:
 
 
 def _cell(*, hops: int, shifted_d: Optional[float], duration: float,
-          seed: int) -> CellOutput:
+          seed: int) -> HopScalingRow:
     """One sweep cell: a tandem of ``hops`` nodes in one mode."""
     network = Network(seed=seed)
     route = []
@@ -114,10 +114,9 @@ def _cell(*, hops: int, shifted_d: Optional[float], duration: float,
     network.run(duration)
     bounds = compute_session_bounds(network, target)
     sink = network.sink("target")
-    row = HopScalingRow(hops=hops, mode=mode,
-                        max_delay_ms=to_ms(sink.max_delay),
-                        bound_ms=to_ms(bounds.max_delay))
-    return cell_output(network, row)
+    return HopScalingRow(hops=hops, mode=mode,
+                         max_delay_ms=to_ms(sink.max_delay),
+                         bound_ms=to_ms(bounds.max_delay))
 
 
 def cells(*, duration: float, seed: int, hop_counts: Sequence[int],

@@ -25,7 +25,7 @@ from repro.analysis.report import format_table
 from repro.bounds.md1 import md1_delay_ccdf, md1_mean_wait
 from repro.net.network import Network
 from repro.net.session import Session
-from repro.optdeps import np, require_numpy
+from repro.optdeps import np
 from repro.sched.leave_in_time import LeaveInTime
 from repro.traffic.poisson import PoissonSource
 from repro.units import to_ms
@@ -78,7 +78,6 @@ class Md1ValidationResult:
 
 
 def _run_point(rho: float, *, duration: float, seed: int) -> Md1Point:
-    require_numpy("md1_validation")
     mean_interarrival = PACKET / (rho * RATE)
     network = Network(seed=seed)
     network.add_node("n1", LeaveInTime(), capacity=RATE)

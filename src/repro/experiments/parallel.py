@@ -13,16 +13,15 @@ running the same cells serially:
 * ``workers=N`` runs up to N cells concurrently via ``multiprocessing``
   (through :class:`concurrent.futures.ProcessPoolExecutor`); results
   are collected positionally, never in completion order;
-* environments without ``multiprocessing`` degrade to the serial path;
 * a sweep with a single cell always runs in-process, which lets
   single-run experiments keep returning live objects (networks, sinks)
   that would not survive pickling.
 
 A figure module stays declarative: it exposes a ``cells(...)`` builder
 returning ``[Cell(label, fn, kwargs), ...]`` where ``fn`` is a
-module-level function (picklable) returning a :class:`CellOutput`, and
-its ``run(..., workers=N)`` hands the list to :func:`run_cells` and
-merges the per-cell values into its result dataclass.
+module-level function (picklable) returning the cell's value, and its
+``run(..., workers=N)`` hands the list to :func:`run_cells` and merges
+the per-cell values into its result dataclass.
 
 A worker that dies (OOM-killed, segfaulted, ``os._exit``) surfaces as
 :class:`~repro.errors.SimulationError` naming the first unfinished
@@ -38,23 +37,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import SimulationError
 
-try:  # pragma: no cover - import gate for exotic builds
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    _POOL_AVAILABLE = True
-except ImportError:  # pragma: no cover - no multiprocessing support
-    multiprocessing = None  # type: ignore[assignment]
-    ProcessPoolExecutor = None  # type: ignore[assignment,misc]
-    BrokenProcessPool = None  # type: ignore[assignment,misc]
-    _POOL_AVAILABLE = False
-
 __all__ = [
     "Cell",
-    "CellOutput",
-    "cell_output",
     "default_workers",
-    "pool_available",
     "run_cells",
 ]
 
@@ -69,64 +54,41 @@ class Cell:
     """
 
     label: str
-    fn: Callable[..., "CellOutput"]
+    fn: Callable[..., Any]
     kwargs: Dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
-class CellOutput:
-    """A cell's return: its value plus its event count."""
-
-    value: Any
-    #: Events the cell's simulator dispatched (0 if not reported).
-    events: int = 0
-
-
-def cell_output(network: Any, value: Any) -> CellOutput:
-    """Wrap a cell's value with the event count of its network."""
-    return CellOutput(value=value,
-                      events=network.sim.events_dispatched)
-
-
-def pool_available() -> bool:
-    """True when process-pool execution is supported here."""
-    return _POOL_AVAILABLE
-
-
 def default_workers() -> int:
-    """All-but-one of the CPUs available to this process (min 1)."""
-    if not _POOL_AVAILABLE:
-        return 1
-    counter = getattr(os, "process_cpu_count", None)
-    count = counter() if counter is not None else os.cpu_count()
-    return max(1, (count or 1) - 1)
+    """All-but-one of the CPUs this process may run on (min 1)."""
+    if hasattr(os, "sched_getaffinity"):
+        count = len(os.sched_getaffinity(0))
+    else:  # platforms without an affinity mask (macOS, Windows)
+        count = os.cpu_count() or 1
+    return max(1, count - 1)
 
 
-def _execute(cell: Cell) -> CellOutput:
-    """Run one cell; tolerate plain return values from ad-hoc cells."""
-    output = cell.fn(**cell.kwargs)
-    if not isinstance(output, CellOutput):
-        output = CellOutput(value=output)
-    return output
-
-
-def _run_pool(cells: List[Cell], workers: int) -> List[CellOutput]:
+def _run_pool(cells: List[Cell], workers: int) -> List[Any]:
     """Fan cells out over a process pool; collect in cell order."""
+    # Imported where a pool is built: a serial run (every ledger child,
+    # every ``workers=1`` sweep) never loads multiprocessing.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     context = multiprocessing.get_context()
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=context) as pool:
-        futures = [pool.submit(_execute, cell) for cell in cells]
-        outputs: List[CellOutput] = []
+        futures = [pool.submit(cell.fn, **cell.kwargs) for cell in cells]
+        values: List[Any] = []
         for cell, future in zip(cells, futures):
             try:
-                outputs.append(future.result())
+                values.append(future.result())
             except BrokenProcessPool as exc:
                 raise SimulationError(
                     f"a parallel sweep worker process died while "
                     f"{len(cells)} cells were in flight (first "
                     f"unfinished cell: {cell.label!r}); rerun with "
                     f"workers=1 to reproduce serially") from exc
-    return outputs
+    return values
 
 
 def run_cells(cells: Iterable[Cell], *,
@@ -135,14 +97,12 @@ def run_cells(cells: Iterable[Cell], *,
 
     ``workers=None`` means :func:`default_workers`.  The effective
     worker count never exceeds the number of cells, and a single-cell
-    (or single-worker, or pool-less) run executes in-process.
+    (or single-worker) run executes in-process.
     """
     cell_list = list(cells)
     requested = default_workers() if workers is None \
         else max(1, int(workers))
     effective = min(requested, len(cell_list))
-    if effective <= 1 or not _POOL_AVAILABLE:
-        outputs = [_execute(cell) for cell in cell_list]
-    else:
-        outputs = _run_pool(cell_list, effective)
-    return [output.value for output in outputs]
+    if effective <= 1:
+        return [cell.fn(**cell.kwargs) for cell in cell_list]
+    return _run_pool(cell_list, effective)

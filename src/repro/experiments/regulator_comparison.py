@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
 from repro.bounds.delay import compute_session_bounds
-from repro.experiments.parallel import Cell, CellOutput, cell_output, run_cells
+from repro.experiments.parallel import Cell, run_cells
 from repro.experiments.common import (
     PAPER_CROSS_POISSON_MEAN_S,
     PAPER_CROSS_POISSON_RATE_BPS,
@@ -125,7 +125,7 @@ def _add_cross(network, kind: str) -> None:
 
 
 def _cell(*, discipline: str, cross_kind: str, duration: float,
-          seed: int) -> CellOutput:
+          seed: int) -> RegulatorOutcome:
     """One cell: the five-hop target under one (discipline, cross)."""
     factory = LeaveInTime if discipline == "leave-in-time" \
         else _edd_factory
@@ -141,12 +141,11 @@ def _cell(*, discipline: str, cross_kind: str, duration: float,
         # Jitter-EDD: end-to-end jitter collapses to last-node
         # variation, bounded by the local delay bound there.
         bound = TARGET_LOCAL
-    outcome = RegulatorOutcome(
+    return RegulatorOutcome(
         discipline=discipline, cross_kind=cross_kind,
         packets=sink.received, mean_ms=to_ms(sink.delay.mean),
         max_ms=to_ms(sink.max_delay), jitter_ms=to_ms(sink.jitter),
         jitter_bound_ms=to_ms(bound))
-    return cell_output(network, outcome)
 
 
 def cells(*, duration: float, seed: int) -> List[Cell]:

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 from repro.admission.procedure3 import subsets_feasible
 from repro.analysis.report import format_table
-from repro.experiments.parallel import Cell, CellOutput, cell_output, run_cells
+from repro.experiments.parallel import Cell, run_cells
 from repro.net.network import Network
 from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
@@ -79,7 +79,7 @@ class SaturationResult:
                   f"({self.duration:.0f}s, seed {self.seed})")
 
 
-def _cell(*, d: float, duration: float, seed: int) -> CellOutput:
+def _cell(*, d: float, duration: float, seed: int) -> SaturationRow:
     """One sweep cell: a fully loaded node at one service parameter."""
     network = Network(seed=seed)
     network.add_node("n1", LeaveInTime(), capacity=CAPACITY)
@@ -101,12 +101,11 @@ def _cell(*, d: float, duration: float, seed: int) -> CellOutput:
     # here). The exhaustive subset test agrees on any prefix.
     feasible = d >= SESSIONS * PACKET / CAPACITY - 1e-12
     assert subsets_feasible(entries[:10], CAPACITY) or not feasible
-    row = SaturationRow(
+    return SaturationRow(
         d_ms=to_ms(d),
         feasible=feasible,
         max_lateness_ms=to_ms(lateness.maximum or 0.0),
     )
-    return cell_output(network, row)
 
 
 def cells(*, duration: float, seed: int,

@@ -17,7 +17,6 @@ from repro.net.sink import Sink
 from repro.net.topology import (
     CROSS_ROUTES,
     MIX_ROUTE_COUNTS,
-    PaperTopology,
     build_paper_network,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "route_name",
     "ENTRANCES",
     "EXITS",
-    "PaperTopology",
     "build_paper_network",
     "MIX_ROUTE_COUNTS",
     "CROSS_ROUTES",

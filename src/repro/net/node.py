@@ -42,7 +42,7 @@ and checks it still reads its fill values after in-flight removals.
 from __future__ import annotations
 
 from collections import deque
-from math import inf, isfinite
+from math import inf
 from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -513,12 +513,6 @@ class ServerNode:
         return {ids[slot]: series
                 for slot, series in self._samples.items()
                 if ids[slot] is not None}
-
-    @property
-    def buffer_limits(self) -> Dict[str, float]:
-        """Configured finite buffer limits in bits (read-only view)."""
-        return {sid: limit for sid, limit in self._rows(self._limit).items()
-                if isfinite(limit)}
 
     @property
     def drops(self) -> Dict[str, int]:

@@ -29,7 +29,6 @@ from repro.sim.kernel import Simulator
 from repro.units import PAPER_PROPAGATION_S, T1_RATE_BPS
 
 __all__ = [
-    "PaperTopology",
     "build_paper_network",
     "MIX_ROUTE_COUNTS",
     "CROSS_ROUTES",
@@ -66,8 +65,14 @@ CROSS_ROUTES: List[str] = ["a-j", "a-f", "b-g", "c-h", "d-i", "e-j"]
 CROSS_ONE_HOP_ROUTES: List[str] = ["a-f", "b-g", "c-h", "d-i", "e-j"]
 
 
-class PaperTopology:
-    """Builder for the Figure-6 network.
+def build_paper_network(scheduler_factory: Callable[[], object], *,
+                        capacity: float = T1_RATE_BPS,
+                        propagation: float = PAPER_PROPAGATION_S,
+                        node_count: int = PAPER_NODE_COUNT,
+                        seed: int = 0,
+                        l_max_network: Optional[float] = None,
+                        sim: Optional[Simulator] = None) -> Network:
+    """Build the Figure-6 network: a tandem of server nodes ``n1..nN``.
 
     Parameters
     ----------
@@ -84,43 +89,11 @@ class PaperTopology:
         schedule-perturbation differ (``repro-analyze --perturb``) injects
         an instrumented kernel through this.
     """
-
-    def __init__(self, scheduler_factory: Callable[[], object], *,
-                 capacity: float = T1_RATE_BPS,
-                 propagation: float = PAPER_PROPAGATION_S,
-                 node_count: int = PAPER_NODE_COUNT,
-                 seed: int = 0,
-                 l_max_network: Optional[float] = None,
-                 sim: Optional[Simulator] = None) -> None:
-        self.scheduler_factory = scheduler_factory
-        self.capacity = capacity
-        self.propagation = propagation
-        self.node_count = node_count
-        self.seed = seed
-        self.l_max_network = l_max_network
-        self.sim = sim
-
-    def build(self) -> Network:
-        """Create the network with its tandem of server nodes."""
-        network = Network(sim=self.sim, seed=self.seed,
-                          l_max_network=self.l_max_network)
-        for index in range(1, self.node_count + 1):
-            network.add_node(f"n{index}", self.scheduler_factory(),
-                             capacity=self.capacity,
-                             propagation=self.propagation)
-        return network
-
-
-def build_paper_network(scheduler_factory: Callable[[], object], *,
-                        capacity: float = T1_RATE_BPS,
-                        propagation: float = PAPER_PROPAGATION_S,
-                        seed: int = 0,
-                        l_max_network: Optional[float] = None,
-                        sim: Optional[Simulator] = None) -> Network:
-    """One-call construction of the Figure-6 network."""
-    return PaperTopology(scheduler_factory, capacity=capacity,
-                         propagation=propagation, seed=seed,
-                         l_max_network=l_max_network, sim=sim).build()
+    network = Network(sim=sim, seed=seed, l_max_network=l_max_network)
+    for index in range(1, node_count + 1):
+        network.add_node(f"n{index}", scheduler_factory(),
+                         capacity=capacity, propagation=propagation)
+    return network
 
 
 def mix_session_specs() -> List[Dict[str, object]]:

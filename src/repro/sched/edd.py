@@ -29,8 +29,7 @@ from repro.errors import ConfigurationError
 from repro.net.packet import Packet
 from repro.net.session import Session
 from repro.sched.base import Scheduler
-from repro.sched.calendar_queue import (DeadlineQueue, HeapDeadlineQueue,
-                                        drain_expired)
+from repro.sched.calendar_queue import HeapDeadlineQueue, drain_expired
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.session_table import SessionTable
@@ -75,10 +74,10 @@ class DelayEDD(Scheduler):
         (its packet service time at the reserved rate).
     """
 
-    def __init__(self, local_delays: Optional[Dict[str, float]] = None,
-                 queue: Optional[DeadlineQueue] = None) -> None:
+    def __init__(self,
+                 local_delays: Optional[Dict[str, float]] = None) -> None:
         super().__init__()
-        self._eligible: DeadlineQueue = queue or HeapDeadlineQueue()
+        self._eligible = HeapDeadlineQueue()
         #: Explicitly configured bounds (constructor argument); the
         #: per-session defaults are cached in the table column, so call
         #: churn never grows this dict.

@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 from repro.net.packet import Packet
 from repro.sched.base import Scheduler
-from repro.sched.calendar_queue import DeadlineQueue, HeapDeadlineQueue
+from repro.sched.calendar_queue import HeapDeadlineQueue
 
 __all__ = ["SCFQ"]
 
@@ -31,9 +31,9 @@ __all__ = ["SCFQ"]
 class SCFQ(Scheduler):
     """Self-clocked fair queueing: tag by the in-service packet's tag."""
 
-    def __init__(self, queue: Optional[DeadlineQueue] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._eligible: DeadlineQueue = queue or HeapDeadlineQueue()
+        self._eligible = HeapDeadlineQueue()
         self._virtual_time = 0.0
         self._last_finish: Dict[str, float] = {}
         self._in_service = False

@@ -21,7 +21,7 @@ from typing import Dict, Optional
 from repro.net.packet import Packet
 from repro.net.session import Session
 from repro.sched.base import Scheduler
-from repro.sched.calendar_queue import DeadlineQueue, HeapDeadlineQueue
+from repro.sched.calendar_queue import HeapDeadlineQueue
 
 __all__ = ["VirtualClock"]
 
@@ -29,9 +29,9 @@ __all__ = ["VirtualClock"]
 class VirtualClock(Scheduler):
     """Work-conserving deadline scheduler with eq.-2 stamps."""
 
-    def __init__(self, queue: Optional[DeadlineQueue] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._eligible: DeadlineQueue = queue or HeapDeadlineQueue()
+        self._eligible = HeapDeadlineQueue()
         #: F_{i-1} per session id; absent until the first packet.
         self._previous_deadline: Dict[str, float] = {}
 

@@ -30,7 +30,7 @@ from typing import Dict, Optional
 from repro.net.packet import Packet
 from repro.net.session import Session
 from repro.sched.base import Scheduler
-from repro.sched.calendar_queue import DeadlineQueue, HeapDeadlineQueue
+from repro.sched.calendar_queue import HeapDeadlineQueue
 
 __all__ = ["WFQ", "GpsVirtualTime"]
 
@@ -107,9 +107,9 @@ class GpsVirtualTime:
 class WFQ(Scheduler):
     """Packet-by-packet GPS: serve in increasing virtual finish time."""
 
-    def __init__(self, queue: Optional[DeadlineQueue] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._eligible: DeadlineQueue = queue or HeapDeadlineQueue()
+        self._eligible = HeapDeadlineQueue()
         self._gps: Optional[GpsVirtualTime] = None
 
     def _tracker(self) -> GpsVirtualTime:

@@ -17,9 +17,8 @@
  *    values are distinct, so no user __lt__ can run inside the sift.
  *  - The inclusive horizon dispatches events at exactly `until`; the
  *    exclusive horizon (the space-parallel barrier window) leaves
- *    them queued.  This loop uses the bounds-check formulation (the
- *    reference checked loop) rather than a sentinel entry — provably
- *    order-identical, and it keeps _Stop out of C.
+ *    them queued.  Same form as both Python loops: the first live
+ *    event past the horizon is pushed back.
  *  - An entry whose callback slot is None is stale and skipped; a
  *    dispatched entry has its callback slot set to None and sim.now
  *    set to its time before the callback runs, exactly like the
@@ -105,10 +104,10 @@ ensure_bindings(PyObject *sim)
 /* entry_a < entry_b, with list-comparison semantics: time, then
  * priority, then seq (always distinct, so slot 3 is never compared).
  * The fast path compares unboxed doubles/longs; anything unusual —
- * int-typed times, priorities outside C long, the Python fast loop's
- * infinite-priority sentinel, the perturbation differ's tuple in the
- * seq slot — falls back to the generic comparison, which implements
- * the identical order.  Returns 1/0, or -1 with an exception set. */
+ * int-typed times, priorities outside C long, the perturbation
+ * differ's tuple in the seq slot — falls back to the generic
+ * comparison, which implements the identical order.  Returns 1/0, or
+ * -1 with an exception set. */
 static int
 entry_lt(PyObject *a, PyObject *b)
 {
@@ -369,7 +368,7 @@ drain(PyObject *module, PyObject *call_args)
                 status = -1;
                 break;
             }
-            if (t > until || (exclusive && t == until)) {
+            if (t >= until && (exclusive || t > until)) {
                 /* First live event past the horizon: push back and
                  * stop — the reference loop's pop-then-undo. */
                 if (heap_push(heap, entry) < 0)

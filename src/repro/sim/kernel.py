@@ -23,11 +23,11 @@ Design notes
   directly (one pop per event, cancelled entries walked once) with the
   heap and ``heappop`` bound to locals.  The heap entry *is* the
   :class:`~repro.sim.events.Event` handle — one list per scheduled
-  callback, nothing recycled.  Two Python loops: the *fast* loop (no
-  per-event bounds check; the ``until`` horizon is a sentinel entry)
-  and the *checked* loop serving ``max_events`` and ``--sanitize``.
-  Both are behaviourally identical to ``while step(): ...`` — proven
-  by the digest tests in ``tests/sim/test_dispatch_digest.py``.
+  callback, nothing recycled.  Two Python loops: the *fast* loop (one
+  horizon comparison per event) and the *checked* loop, which adds
+  the ``max_events`` budget and the ``--sanitize`` probe.  Both are
+  behaviourally identical to ``while step(): ...`` — proven by the
+  digest tests in ``tests/sim/test_dispatch_digest.py``.
 * When the optional C extension ``repro.sim._ckernel`` is built
   (``make ckernel``), :meth:`Simulator.run` hands the fast loop's job
   to its ``drain()`` — same heap, same entries, written in C.  Nothing
@@ -58,14 +58,6 @@ __all__ = ["Simulator"]
 
 #: Default tie-break priority for ordinary events.
 PRIORITY_NORMAL = 0
-
-
-class _Stop(Exception):
-    """Raised by the run-horizon sentinel to end the fast loop."""
-
-
-def _raise_stop() -> None:
-    raise _Stop
 
 
 class Simulator:
@@ -102,10 +94,8 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of live events still scheduled, counted on demand
-        (O(heap): a diagnostic).  An armed horizon sentinel is no event.
-        """
-        return sum(event[3] is not None and event[3] is not _raise_stop
-                   for event in self._heap)
+        (O(heap): a diagnostic)."""
+        return sum(event[3] is not None for event in self._heap)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -223,12 +213,15 @@ class Simulator:
         # (nothing in the tree reads it from inside a callback) and the
         # attribute round-trip costs ~5% of a bare dispatch.
         dispatched = 0
-        stop: Optional[Event] = None  # the fast loop's sentinel, if any
+        # Every loop (these two and ``_ckernel.drain``) ends a horizon
+        # the same way: the first live event past it is pushed back.
+        # Pop-then-undo beats peek-then-pop: the undo runs at most once
+        # per run() call, the peek would run once per event.
+        limit = inf if until is None else until
         try:
             if checked:
-                # Checked loop: a per-event horizon and budget test,
-                # plus the sanitizer's clock-monotonicity probe.
-                limit = inf if until is None else until
+                # Checked loop: the horizon test plus a per-event
+                # budget and the sanitizer's clock-monotonicity probe.
                 remaining = inf if max_events is None else max_events
                 while heap and remaining > 0:
                     event = heappop(heap)
@@ -236,10 +229,7 @@ class Simulator:
                     if callback is None:
                         continue
                     time = event[0]
-                    if time > limit or (exclusive and time == limit):
-                        # Pop-then-undo beats peek-then-pop: the undo
-                        # runs at most once per run() call, the peek
-                        # would run once per event.
+                    if time >= limit and (exclusive or time > limit):
                         _heappush(heap, event)
                         break
                     if san is not None and time < self.now:
@@ -257,23 +247,10 @@ class Simulator:
                     # ``until`` would jump the clock over queued work.
                     return self.now
             else:
-                # Fast loop: no per-event bounds checks at all.  The
-                # ``until`` horizon is a sentinel entry whose callback
-                # raises the private ``_Stop`` and whose priority is an
-                # infinity, outside every int at the same instant:
-                # ``inf`` after them all (events at exactly ``until``
-                # still run), ``-inf`` before them all (exclusive: they
-                # stay queued).  An empty heap surfaces as
-                # ``IndexError`` from ``heappop``.  No cost per event.
-                if until is not None:
-                    if (until <= self.now) if exclusive else \
-                            (until < self.now):
-                        return self.now
-                    seq = self._seq
-                    self._seq = seq + 1
-                    stop = Event((until, -inf if exclusive else inf, seq,
-                                  _raise_stop, ()))
-                    _heappush(heap, stop)
+                # Fast loop: the horizon test is the only per-event
+                # check (one float comparison until the horizon is
+                # reached).  An empty heap surfaces as ``IndexError``
+                # from ``heappop``.
                 while True:
                     try:  # repro: disable=exception-control-flow-in-hot-path -- the IndexError fires once per run() when the heap drains, not per event; a "while heap" truth test would cost more on every iteration
                         event = heappop(heap)
@@ -282,22 +259,16 @@ class Simulator:
                     callback = event[3]
                     if callback is None:
                         continue
-                    self.now = event[0]
+                    time = event[0]
+                    if time >= limit and (exclusive or time > limit):
+                        _heappush(heap, event)
+                        break
+                    self.now = time
                     dispatched += 1
                     event[3] = None
                     callback(*event[4])
             if until is not None and self.now < until:
                 self.now = until
-        except _Stop:
-            # The sentinel fired; it was never an event.  ``self.now``
-            # already equals ``until``.
-            dispatched -= 1
-        except BaseException:
-            # A callback blew up with the sentinel still queued: defuse
-            # it so a future run() cannot trip over a stale horizon.
-            if stop is not None:
-                stop.cancel()
-            raise
         finally:
             self._dispatched += dispatched
             self._running = False

@@ -64,7 +64,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import multiprocessing
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, \
     Sequence, Tuple, TYPE_CHECKING
@@ -617,6 +616,9 @@ def _run_processes(builder: NetworkBuilder,
                    steps: Sequence[Tuple[float, bool]],
                    owner: Dict[str, int],
                    ) -> Tuple[List[Dict[str, Any]], List[int]]:
+    # Imported where processes are made: serial and inline runs (and
+    # every importer of the payload helpers) never load it.
+    import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
         raise SimulationError(
             "space-parallel process mode needs the 'fork' start method "

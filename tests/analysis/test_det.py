@@ -27,8 +27,8 @@ from repro.analysis.det.perturb import (
     perturb_scenario,
 )
 from repro.analysis.front import main, run_suite
-from repro.analysis.lint.core import registered_rules
-from repro.analysis.verify import build_program
+from repro.analysis.lint.core import read_files, registered_rules
+from repro.analysis.verify import Program
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
@@ -75,7 +75,7 @@ def test_unordered_merge_negative():
 
 
 def test_unordered_merge_scope_follows_cell_fn_references():
-    program = build_program([FIXTURES / "merge_bad.py"])
+    program = Program(read_files([FIXTURES / "merge_bad.py"]))
     roots = {"merge_bad:cells", "merge_bad:run"}
     closure = program.forward_closure(roots)
     # _cell is only reachable through the Cell(fn=_cell) reference edge.

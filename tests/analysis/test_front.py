@@ -11,6 +11,7 @@ changed-files filter and the profile join are gone, not forwarded.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import subprocess
@@ -86,24 +87,37 @@ def test_list_rules_spans_all_analyzers(capsys):
 
 def test_one_extraction_feeds_every_whole_program_pack(
         tmp_path, monkeypatch, capsys):
+    """All four packs share one read, one parse and one summary."""
     import repro.analysis.verify.model as verify_model
 
     target = tmp_path / "ok.py"
     target.write_text(CLEAN)
 
-    calls = []
-    real = verify_model.summarize_file
+    reads, parses, summaries = [], [], []
+    read_text, parse = Path.read_text, ast.parse
+    summarize = verify_model.summarize
 
-    def counting(path):
-        calls.append(path)
-        return real(path)
+    def counting_read(path, *args, **kwargs):
+        reads.append(path)
+        return read_text(path, *args, **kwargs)
 
-    monkeypatch.setattr(verify_model, "summarize_file", counting)
+    def counting_parse(source, *args, **kwargs):
+        parses.append(kwargs.get("filename"))
+        return parse(source, *args, **kwargs)
 
-    assert main([str(target), "--select", "verify", "--select", "det",
-                 "--select", "hot"]) == 0
+    def counting_summarize(context):
+        summaries.append(context.path)
+        return summarize(context)
+
+    monkeypatch.setattr(Path, "read_text", counting_read)
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.setattr(verify_model, "summarize", counting_summarize)
+
+    assert main([str(target)]) == 0
     capsys.readouterr()
-    assert calls == [target]
+    assert reads == [target]
+    assert parses == [str(target)]
+    assert summaries == [target]
 
 
 def test_a_run_leaves_the_cwd_untouched(tmp_path, monkeypatch, capsys):

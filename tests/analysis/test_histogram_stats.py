@@ -11,11 +11,7 @@ from repro.analysis.histogram import (
     tail_percentile,
 )
 from repro.analysis.report import format_row, format_table
-from repro.analysis.stats import DelaySummary
 from repro.errors import ConfigurationError
-from repro.net.sink import Sink
-from repro.net.packet import Packet
-from repro.net.session import Session
 
 
 class TestCdf:
@@ -72,35 +68,6 @@ class TestTailPercentile:
             tail_percentile([1.0], 0.0)
         with pytest.raises(ConfigurationError):
             tail_percentile([1.0], 1.0)
-
-
-class TestDelaySummary:
-    def make_sink(self):
-        sink = Sink("s")
-        session = Session("s", rate=1.0, route=["n1"], l_max=10.0)
-        for index, (entry, arrival) in enumerate(
-                [(0.0, 1.0), (1.0, 3.0), (2.0, 2.5)]):
-            sink.receive(Packet(session, index + 1, 10.0, entry),
-                         arrival)
-        return sink
-
-    def test_summary_fields(self):
-        summary = DelaySummary.from_sink(self.make_sink())
-        assert summary.packets == 3
-        assert summary.max_delay == pytest.approx(2.0)
-        assert summary.min_delay == pytest.approx(0.5)
-        assert summary.jitter == pytest.approx(1.5)
-
-    def test_as_row_scales_to_ms(self):
-        row = DelaySummary.from_sink(self.make_sink()).as_row()
-        assert row["max"] == pytest.approx(2000.0)
-        assert row["session"] == "s"
-
-    def test_percentile_uses_samples(self):
-        sink = self.make_sink()
-        summary = DelaySummary.from_sink(sink)
-        assert summary.percentile(sink, 0.34) == pytest.approx(2.0,
-                                                               abs=0.7)
 
 
 class TestReport:

@@ -14,9 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.front import main, run_suite
-from repro.analysis.hot import build_hot_program
-from repro.analysis.lint.core import registered_rules
-from repro.analysis.verify import build_program
+from repro.analysis.lint.core import read_files, registered_rules, run_rules
+from repro.analysis.verify import Program
 
 FIXTURES = (Path(__file__).resolve().parent.parent / "fixtures"
             / "analysis" / "hot")
@@ -120,13 +119,14 @@ def test_findings_are_sorted_and_stable():
 
 
 def test_shared_program_parameter_skips_verify_extraction(monkeypatch):
-    import repro.analysis.verify.model as verify_model
-
-    target = FIXTURES / "chain_bad.py"
-    program = build_program([target])
-    monkeypatch.setattr(verify_model, "summarize_file", None)  # uncallable
-    hot = build_hot_program([target], program)
-    assert hot.program is program
+    """The hot rules check the Program the other packs check: its one
+    summary per file carries their facts, so nothing is read again."""
+    program = Program(read_files([FIXTURES / "chain_bad.py"]))
+    monkeypatch.setattr(Path, "read_text", None)  # uncallable
+    rules = [rule() for key, rule in registered_rules().items()
+             if key.startswith("hot:")]
+    assert {v.rule for v in run_rules(rules, program)} == {
+        "attribute-chain-in-hot-loop"}
 
 
 # ----------------------------------------------------------------------

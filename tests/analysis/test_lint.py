@@ -18,10 +18,11 @@ import pytest
 
 from repro.analysis.front import main, run_suite
 from repro.analysis.lint import (
+    FileContext,
     Violation,
-    analyze_source,
     registered_rules,
     render_text,
+    run_rules,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "analysis"
@@ -141,9 +142,9 @@ def test_suppression_silences_exactly_its_line_and_rule():
 def test_suppression_requires_matching_rule_id():
     source = "import time\nt = time.time()  # repro: disable=no-wallclock\n"
     rules = [registered_rules()["lint:no-wallclock"]()]
-    assert analyze_source(source, Path("inline.py"), rules) == []
+    assert run_rules(rules, FileContext(Path("inline.py"), source)) == []
     wrong = source.replace("no-wallclock", "raw-unit-literal")
-    remaining = analyze_source(wrong, Path("inline.py"), rules)
+    remaining = run_rules(rules, FileContext(Path("inline.py"), wrong))
     assert [(v.rule, v.line) for v in remaining] == [("no-wallclock", 2)]
 
 

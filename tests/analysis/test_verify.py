@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.front import main, run_suite
-from repro.analysis.lint.core import registered_rules
-from repro.analysis.verify import build_program
+from repro.analysis.lint.core import read_files, registered_rules
+from repro.analysis.verify import Program
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "analysis" / "verify"
 
@@ -124,14 +124,14 @@ def test_suppression_silences_exactly_the_named_rule(tmp_path):
 # Program model basics.
 # ----------------------------------------------------------------------
 def test_program_resolves_cross_module_calls():
-    program = build_program([FIXTURES / "nondet_bad"])
+    program = Program(read_files([FIXTURES / "nondet_bad"]))
     summary, drain = program.functions["nondet_bad.sched:drain"]
     assert any(program.call_reaches_sink(summary["module"], call)
                for call in drain["calls"])
 
 
 def test_program_sees_transactional_release_across_modules():
-    program = build_program([FIXTURES / "reservation_ok"])
+    program = Program(read_files([FIXTURES / "reservation_ok"]))
     summary, admit = (
         program.functions["reservation_ok.controller:Controller.admit"])
     assert admit["has_try"]

@@ -6,33 +6,27 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.experiments import figure07
-from repro.experiments.parallel import (
-    Cell,
-    CellOutput,
-    default_workers,
-    pool_available,
-    run_cells,
-)
+from repro.experiments.parallel import Cell, default_workers, run_cells
 from repro.units import ms
 
 
 # ----------------------------------------------------------------------
 # Module-level cell functions (worker processes import these by name).
 # ----------------------------------------------------------------------
-def _square(*, x: int) -> CellOutput:
-    return CellOutput(value=x * x, events=x)
+def _square(*, x: int) -> int:
+    return x * x
 
 
 def _plain(*, x: int) -> int:
     return x + 1
 
 
-def _crash() -> CellOutput:  # pragma: no cover - runs in a worker
+def _crash() -> int:  # pragma: no cover - runs in a worker
     os._exit(1)
 
 
-def _unpicklable() -> CellOutput:
-    return CellOutput(value=lambda: 42)
+def _unpicklable():
+    return lambda: 42
 
 
 class TestRunCells:
@@ -47,6 +41,7 @@ class TestRunCells:
         assert run_cells(cells, workers=3) == [9, 1, 4]
 
     def test_plain_return_values_are_wrapped(self):
+        # A cell's return value *is* the sweep's value: no wrapper type.
         cells = [Cell(label="p", fn=_plain, kwargs={"x": 1})]
         assert run_cells(cells) == [2]
 
@@ -61,8 +56,6 @@ class TestRunCells:
         assert run_cells([]) == []
 
     def test_worker_crash_raises_not_hangs(self):
-        if not pool_available():
-            pytest.skip("no multiprocessing support")
         cells = [Cell(label="boom", fn=_crash)]
         # Two cells so the pool path actually engages.
         cells.append(Cell(label="ok", fn=_square, kwargs={"x": 2}))
@@ -74,6 +67,17 @@ class TestRunCells:
 
     def test_default_workers_is_at_least_one(self):
         assert default_workers() >= 1
+
+    def test_default_workers_honours_cpu_affinity(self, monkeypatch):
+        # A 2-CPU taskset / cpuset on a 64-core host: os.cpu_count()
+        # says 64 and used to fork 63 workers for `figure07`.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 7},
+                            raising=False)
+        assert default_workers() == 1
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        assert default_workers() == 7
 
     def test_workers_none_uses_default(self):
         cells = [Cell(label="c", fn=_square, kwargs={"x": 2})]
@@ -91,8 +95,6 @@ class TestFigure7Determinism:
                             a_off_values=self.A_OFF, workers=1)
 
     def test_parallel_matches_serial(self, serial):
-        if not pool_available():
-            pytest.skip("no multiprocessing support")
         parallel = figure07.run(duration=2.0, seed=5,
                                 a_off_values=self.A_OFF, workers=4)
         assert parallel.rows == serial.rows

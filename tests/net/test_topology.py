@@ -64,15 +64,13 @@ def test_cross_routes():
 
 
 def test_custom_node_count():
-    from repro.net.topology import PaperTopology
-    network = PaperTopology(FCFS, node_count=3).build()
+    network = build_paper_network(FCFS, node_count=3)
     assert sorted(network.nodes) == ["n1", "n2", "n3"]
 
 
 def test_retired_state_backend_parameter_is_a_type_error():
-    from repro.net.topology import PaperTopology
     with pytest.raises(TypeError, match="state_backend"):
-        PaperTopology(FCFS, state_backend="soa")
+        build_paper_network(FCFS, state_backend="soa")
 
 
 def tandem(propagations, route=None):

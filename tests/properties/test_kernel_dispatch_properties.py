@@ -53,8 +53,8 @@ class RefHandle:
 
 class RefEngine:
     """The obvious heap-based event loop: peek, skip cancelled, pop,
-    dispatch.  No fusion, no sentinel — the semantics the fused loop
-    must reproduce bit for bit."""
+    dispatch.  No fusion — the semantics the fused loop must reproduce
+    bit for bit."""
 
     def __init__(self) -> None:
         self.now = 0.0

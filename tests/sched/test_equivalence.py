@@ -3,38 +3,76 @@
 The paper: with admission control procedure 1, one class, ε = 0 and no
 jitter control, d = L/r and Leave-in-Time reduces to VirtualClock. We
 run both disciplines on identical stochastic traffic (same seeds) and
-require identical per-packet delays, and deadlines.
+require identical per-packet delays, and deadlines — on the paper-like
+fixed scenario below and on hypothesis-drawn ones (node count, seed,
+per-session rates, overlapping sub-routes, variable packet lengths:
+with one fixed ``L`` an affine ``d = slope·L + offset`` that merely
+passes through ``L/r`` at that length would go unnoticed).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.virtual_clock import VirtualClock
+from repro.traffic.lengths import UniformLength
 from repro.traffic.onoff import OnOffSource
 from repro.traffic.poisson import PoissonSource
 from repro.units import ms
 from tests.conftest import make_network
 
+L_MAX = 424.0
 
-def build(scheduler_factory, *, nodes=3, seed=123):
+#: ``(nodes, seed, sessions)``; a session is ``(kind, rate, first hop,
+#: last hop, l_min / l_max)``.  Three ON-OFF sessions and a Poisson one
+#: over the whole tandem, fixed 424-bit packets.
+FIXED = (3, 123, [("onoff", 32_000.0, 1, 3, 1.0)] * 3
+         + [("poisson", 64_000.0, 1, 3, 1.0)])
+
+
+@st.composite
+def scenarios(draw):
+    nodes = draw(st.integers(1, 5))
+    hop = st.integers(1, nodes)
+    sessions = draw(st.lists(
+        st.tuples(st.sampled_from(["onoff", "poisson"]),
+                  st.floats(8_000.0, 128_000.0),
+                  hop, hop,  # route ends, in either order
+                  st.floats(0.05, 1.0)),
+        min_size=2, max_size=5))
+    return nodes, draw(st.integers(0, 2 ** 16)), sessions
+
+
+def build(scheduler_factory, scenario=FIXED, duration=30.0):
+    """Run ``scenario`` under one discipline; sinks by session id."""
+    nodes, seed, sessions = scenario
     network = make_network(scheduler_factory, nodes=nodes,
                            capacity=200_000.0, propagation=1e-3,
                            seed=seed)
-    route = [f"n{i}" for i in range(1, nodes + 1)]
     sinks = {}
-    for index in range(3):
-        session = Session(f"onoff{index}", rate=32_000.0, route=route,
-                          l_max=424.0)
-        sinks[session.id] = network.add_session(session)
-        OnOffSource(network, session, length=424.0, spacing=ms(13.25),
-                    mean_on=ms(352), mean_off=ms(88),
-                    stream_name=f"onoff{index}")
-    poisson = Session("poisson", rate=64_000.0, route=route, l_max=424.0)
-    sinks[poisson.id] = network.add_session(poisson)
-    PoissonSource(network, poisson, length=424.0, mean=ms(8),
-                  stream_name="poisson")
-    network.run(30.0)
+    for index, (kind, rate, end_a, end_b, l_min_share) in enumerate(
+            sessions):
+        first, last = sorted((end_a, end_b))
+        name = f"{kind}{index}"
+        l_min = L_MAX * l_min_share
+        session = Session(name, rate=rate, l_max=L_MAX, l_min=l_min,
+                          route=[f"n{i}" for i in range(first, last + 1)])
+        sinks[name] = network.add_session(session, keep_packets=True)
+        sampler = None
+        if l_min < L_MAX:
+            sampler = UniformLength(network.streams.stream(f"len:{name}"),
+                                    l_min, L_MAX)
+        if kind == "onoff":
+            OnOffSource(network, session, length=L_MAX,
+                        spacing=ms(13.25), mean_on=ms(352),
+                        mean_off=ms(88), length_sampler=sampler,
+                        stream_name=name)
+        else:
+            PoissonSource(network, session, length=L_MAX, mean=ms(8),
+                          length_sampler=sampler, stream_name=name)
+    network.run(duration)
     return sinks
 
 
@@ -78,3 +116,20 @@ def test_single_node_deadline_by_deadline():
         network.run(30.0)
         results[name] = [p.deadline for p in sink.packets]
     assert results["lit"] == pytest.approx(results["vc"], abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenario=scenarios())
+def test_packet_for_packet_on_drawn_scenarios(scenario):
+    """ROADMAP item 3(b).  Equal service order means *equal* delays,
+    not close ones: a deadline only ever decides who goes next."""
+    lit = build(LeaveInTime, scenario, duration=3.0)
+    vc = build(VirtualClock, scenario, duration=3.0)
+    for session_id, sink in lit.items():
+        assert sink.samples.values == vc[session_id].samples.values
+        assert [packet.length for packet in sink.packets] == \
+            [packet.length for packet in vc[session_id].packets]
+        assert [packet.deadline for packet in sink.packets] == \
+            pytest.approx([packet.deadline
+                           for packet in vc[session_id].packets],
+                          abs=1e-9)

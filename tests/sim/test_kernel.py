@@ -280,10 +280,11 @@ class TestNaNIsRejected:
 
 
 class TestHorizonHoldsForAnyPriority:
-    """The horizon sentinels used to sit one step outside a documented
-    but unchecked priority band: a priority beyond it tied with — or
-    jumped — the sentinel on the fast loop only, so the loops disagreed
-    about an event at exactly ``until``."""
+    """An event at exactly ``until`` runs (inclusive) or stays queued
+    (exclusive) whatever its priority: every loop compares the event's
+    time against the horizon, so no priority can sort it across.  (The
+    fast loop once ended the horizon with a queued entry instead, and a
+    priority outside that entry's band made the loops disagree.)"""
 
     @pytest.mark.parametrize("exclusive", [False, True],
                              ids=["inclusive", "exclusive"])
@@ -307,6 +308,24 @@ class TestHorizonHoldsForAnyPriority:
         assert sim.pending == (1 if exclusive else 0)
         sim.run()
         assert seen == ["at-horizon"]
+
+
+def test_clear_from_a_callback_keeps_the_horizon(kernel_loop):
+    """``clear()`` used to take the fast loop's queued horizon entry
+    with it: whatever the callback scheduled next ran, however far
+    past ``until``, and the clock followed it."""
+    sim = Simulator()
+    seen = []
+
+    def wipe():
+        sim.clear()
+        sim.schedule_at(5.0, seen.append, "late")
+
+    sim.schedule_at(1.0, wipe)
+    assert sim.run(until=2.0) == 2.0
+    assert (seen, sim.pending) == ([], 1)
+    assert sim.run() == 5.0
+    assert seen == ["late"]
 
 
 class TestBudgetNeverJumpsTheClock:

@@ -141,10 +141,9 @@ class _Boom(Exception):
 
 
 def _exception_workload() -> Log:
-    """A callback raising mid-run, with an ``until`` horizon armed,
-    must leave the undispatched tail pending and the live count exact
-    — and no stale horizon: the next run() drains past 0.5 (the
-    reference loop defuses its stop sentinel on the way out)."""
+    """A callback raising mid-run, under an ``until`` horizon, must
+    leave the undispatched tail pending and the live count exact —
+    and nothing of the horizon: the next run() drains past 0.5."""
     sim = Simulator()
     log: Log = []
 

@@ -108,16 +108,16 @@ def _heavy() -> str:
 
 
 def _churn() -> str:
-    observed, output = observe(lambda: call_churn._cell(
+    observed, result = observe(lambda: call_churn._cell(
         duration=4.0, seed=0, offered_erlangs=60.0, mean_holding=0.5))
-    return digest(observed, *(repr(call) for call in output.value.calls))
+    return digest(observed, *(repr(call) for call in result.calls))
 
 
 def _jitter_edd() -> str:
-    observed, output = observe(lambda: regulator_comparison._cell(
+    observed, outcome = observe(lambda: regulator_comparison._cell(
         discipline="jitter-edd", cross_kind="conformant", duration=3.0,
         seed=0))
-    return digest(observed, repr(output.value))
+    return digest(observed, repr(outcome))
 
 
 def _rcsp_network() -> Network:

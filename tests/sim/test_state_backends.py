@@ -25,6 +25,7 @@ from tests.sim.test_dispatch_digest import (
     FIG07_CELL_OBSERVABLES_TRACE_OFF,
     fig07_cell,
 )
+from tests.sim.test_observable_digest import observe
 
 #: Observables digests, recorded at 019d85f with the event count left
 #: out of the hash: they never move.  (With the count hashed in, the
@@ -50,17 +51,17 @@ def _digest(parts) -> str:
 
 def churn_cell():
     """``(observables digest, events)`` of a short call-churn cell."""
-    output = call_churn._cell(duration=8.0, seed=0,
-                              offered_erlangs=12.0, mean_holding=2.0)
-    return (_digest([repr(call) for call in output.value.calls]),
-            output.events)
+    ((network,), _), result = observe(lambda: call_churn._cell(
+        duration=8.0, seed=0, offered_erlangs=12.0, mean_holding=2.0))
+    return (_digest([repr(call) for call in result.calls]),
+            network.sim.events_dispatched)
 
 
 def fault_cell(outage: float):
     """``(observables digest, events)`` of a short fault-sweep cell."""
-    output = fault_sweep._cell(discipline="leave-in-time",
-                               outage=outage, duration=6.0, seed=0)
-    return _digest([repr(output.value)]), output.events
+    ((network,), _), row = observe(lambda: fault_sweep._cell(
+        discipline="leave-in-time", outage=outage, duration=6.0, seed=0))
+    return _digest([repr(row)]), network.sim.events_dispatched
 
 
 @pytest.mark.parametrize("trace_on", [False, True])
