@@ -57,6 +57,8 @@ parallel-smoke:
 sanitize:
 	@echo "== ci job: sanitize =="
 	$(PYTHON) -m repro figure07 --duration 1 --workers 1 --sanitize
+	$(PYTHON) -m repro figure08 --duration 3 --workers 1 --sanitize
+	$(PYTHON) -m repro call_churn --duration 20 --workers 1 --sanitize
 	$(PYTHON) -m repro fault_sweep --duration 5 --workers 2 --sanitize
 
 mypy:

@@ -150,8 +150,8 @@ class Sanitizer:
     One instance is shared by the :class:`~repro.sim.kernel.Simulator`,
     every :class:`~repro.net.node.ServerNode`, every scheduler, and the
     :class:`~repro.admission.controller.AdmissionController` of a
-    network.  All hooks are O(1) except the conservation identity,
-    which reads one scheduler ``backlog`` property.
+    network.  Every hook is O(1) and a pure observer: it works from
+    the ``now`` it is handed and never settles, wakes or schedules.
     """
 
     def __init__(self, max_violations: int = MAX_VIOLATIONS) -> None:
@@ -212,22 +212,22 @@ class Sanitizer:
     def on_sink(self, packet: Any) -> None:
         self.sunk += 1
 
-    def on_receive(self, node: Any, packet: Any) -> None:
-        """A packet was accepted into ``node``'s buffer."""
+    def on_receive(self, node: Any, packet: Any, now: float) -> None:
+        """A packet was accepted into ``node``'s buffer at ``now``."""
         self._ledger(node.name).arrivals += 1
-        self._check_conservation(node)
+        self._check_conservation(node, now, packet.session.id)
 
-    def on_buffer_drop(self, node: Any, packet: Any) -> None:
+    def on_buffer_drop(self, node: Any, packet: Any, now: float) -> None:
         """A packet hit a finite buffer limit and was discarded."""
         ledger = self._ledger(node.name)
         ledger.arrivals += 1
         ledger.dropped += 1
-        self._check_conservation(node)
+        self._check_conservation(node, now, packet.session.id)
 
-    def on_forward(self, node: Any, packet: Any) -> None:
+    def on_forward(self, node: Any, packet: Any, now: float) -> None:
         """A packet finished transmission and left toward the next hop."""
         self._ledger(node.name).forwarded += 1
-        self._check_conservation(node)
+        self._check_conservation(node, now, packet.session.id)
 
     def on_fault_drop(self, node: Any, packet: Any, reason: str) -> None:
         """A fault discarded a packet at ``node``.
@@ -245,21 +245,26 @@ class Sanitizer:
         if reason == "corrupt":
             ledger.forwarded -= 1
 
-    def _check_conservation(self, node: Any) -> None:
+    def _check_conservation(self, node: Any, now: float,
+                            session: Optional[str] = None) -> None:
+        """The identity at ``now``, a parked arrival's own instant, from
+        the queue and the holds as they are: the ``backlog`` view would
+        settle the node, and an observer takes nothing in."""
         self.checks_run += 1
         ledger = self._ledger(node.name)
+        scheduler = node.scheduler
         try:
-            backlog = node.scheduler.backlog
+            backlog = scheduler._queued() + len(scheduler._holds)
         except NotImplementedError:
             return  # discipline exposes no occupancy; skip the identity
         in_node = backlog + (1 if node.transmitting is not None else 0)
         expected = ledger.forwarded + ledger.dropped + in_node
         if ledger.arrivals != expected:
             self.record(
-                "packet-conservation", node.sim.now,
+                "packet-conservation", now,
                 f"arrivals={ledger.arrivals} != forwarded="
                 f"{ledger.forwarded} + dropped={ledger.dropped} + "
-                f"in_node={in_node}", node=node.name)
+                f"in_node={in_node}", node=node.name, session=session)
 
     # ------------------------------------------------------------------
     # Admission hooks (reservation sums)
@@ -321,8 +326,9 @@ class Sanitizer:
     # ------------------------------------------------------------------
     def finalize(self, network: Any) -> None:
         """Whole-network balance checks once the run stops."""
+        now = network.sim.now
         for name in sorted(network.nodes):
-            self._check_conservation(network.nodes[name])
+            self._check_conservation(network.nodes[name], now)
         # Wire balance: every forwarded packet either sank, arrived at
         # the next hop, or is still mid-propagation — so forwards minus
         # sinks can never fall short of the inter-node handoffs
@@ -335,6 +341,6 @@ class Sanitizer:
         handoffs = total_arrivals - self.injected
         if total_forwarded - self.sunk < handoffs:
             self.record(
-                "wire-balance", network.sim.now,
+                "wire-balance", now,
                 f"forwarded={total_forwarded} - sunk={self.sunk} "
                 f"under-explains inter-node handoffs={handoffs}")

@@ -346,8 +346,11 @@ class Network:
         now = self.sim.now
         calendar = self._calendar
         sinks = self._sinks
+        san = self.sanitizer
         while calendar and calendar[0][0] <= now:
             time, packet = calendar.popleft()
+            if san is not None:
+                san.on_sink(packet)
             session_id = packet.session.id
             sinks[session_id].receive(packet, time)
             if self._draining:

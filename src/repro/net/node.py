@@ -16,7 +16,9 @@ on an arrival before its own next completion, so a completion whose
 next hop is busy *parks* the packet in that node's inbox, stamped
 ``now + Γ``, instead of buying a kernel event.  The owner takes parked
 arrivals in — each at its own instant, in order — whenever it looks at
-its queue; when it goes idle they become events again.
+its queue; when it goes idle they become events again.  The tracer and
+the sanitizer are handed that instant and change nothing; only an armed
+fault plan, which acts on the network, keeps one event per arrival.
 
 The node also measures per-session buffer occupancy the way the paper's
 Figures 12-13 do: sampled at the instant a packet's last bit arrives,
@@ -219,7 +221,7 @@ class ServerNode:
         self._on_arrival(packet, now)
         san = self.sanitizer
         if san is not None:
-            san.on_receive(self, packet)
+            san.on_receive(self, packet, now)
         if self.transmitting is None:
             self._try_start()
 
@@ -231,7 +233,7 @@ class ServerNode:
                         session=packet.session.id, packet=packet.seq)
         san = self.sanitizer
         if san is not None:
-            san.on_buffer_drop(self, packet)
+            san.on_buffer_drop(self, packet, now)
         if self.network is not None:
             self.network.packet_dropped(packet)
         if self.transmitting is None:
@@ -357,7 +359,7 @@ class ServerNode:
                                  self.network.faults.corrupt_dropped,
                                  packet, priority=PRIORITY_NORMAL)
                     if san is not None:
-                        san.on_forward(self, packet)
+                        san.on_forward(self, packet, now)
                 else:
                     self.fault_drop(packet, "loss",
                                     release_buffer=False)
@@ -383,11 +385,10 @@ class ServerNode:
                 parked = target._inbox \
                     if target.transmitting is not None and \
                     now - target._busy_since > link.propagation else None
-            # Park it, unless someone must see the arrival at its own
-            # instant or it would land out of order (unequal Γ).
+            # Park it, unless a fault plan may act between now and its
+            # arrival or it would land out of order (unequal Γ).
             if parked is not None and not (
-                    tracer.enabled or san is not None
-                    or network.faults is not None
+                    network.faults is not None
                     or (network._draining
                         and session.id in network._draining)
                     or (parked and parked[-1][0] > now + link.propagation)):
@@ -399,7 +400,7 @@ class ServerNode:
                 sim.schedule(link.propagation, target.receive, packet,
                              priority=PRIORITY_NORMAL)
         if san is not None:
-            san.on_forward(self, packet)
+            san.on_forward(self, packet, now)
         # Start the next transmission: ``_try_start`` inlined, minus
         # its idle test — nothing between clearing ``transmitting``
         # above and here can have put a packet on the link.

@@ -24,7 +24,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, \
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.network import Network
-from repro.net.route import route_from_letters
 from repro.sim.kernel import Simulator
 from repro.units import PAPER_PROPAGATION_S, T1_RATE_BPS
 
@@ -94,22 +93,6 @@ def build_paper_network(scheduler_factory: Callable[[], object], *,
         network.add_node(f"n{index}", scheduler_factory(),
                          capacity=capacity, propagation=propagation)
     return network
-
-
-def mix_session_specs() -> List[Dict[str, object]]:
-    """Expand MIX into per-session specs: route label, node list, index.
-
-    Returns a list of dicts with keys ``label``, ``route`` (node-name
-    list) and ``index`` (1-based within the route), in a deterministic
-    order so seeded experiments are reproducible.
-    """
-    specs: List[Dict[str, object]] = []
-    for label in sorted(MIX_ROUTE_COUNTS):
-        entrance, exit_ = label.split("-")
-        nodes = route_from_letters(entrance, exit_)
-        for index in range(1, MIX_ROUTE_COUNTS[label] + 1):
-            specs.append({"label": label, "route": nodes, "index": index})
-    return specs
 
 
 # ----------------------------------------------------------------------
@@ -260,17 +243,3 @@ def cut_lookahead(network: Network,
         if owner[u] != owner[v] and gamma < width:
             width = gamma
     return width
-
-
-def sessions_per_node(route_counts: Dict[str, int]) -> Dict[str, int]:
-    """How many sessions traverse each node under ``route_counts``.
-
-    Used by admission tests and by the unit tests that check the MIX
-    configuration loads every node with exactly 48 sessions.
-    """
-    loads: Dict[str, int] = {}
-    for label, count in route_counts.items():
-        entrance, exit_ = label.split("-")
-        for node in route_from_letters(entrance, exit_):
-            loads[node] = loads.get(node, 0) + count
-    return loads

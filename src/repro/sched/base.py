@@ -16,7 +16,8 @@ Disciplines that hold packets (regulators, frames) share one helper:
 :meth:`Scheduler._hold` queues a packet by eligibility, and the node
 calls :meth:`Scheduler._mature` before every push and pop to hand what
 became eligible to the discipline's ``_release``.  A hold costs a kernel
-event only when something must see the release at its own instant.
+event only under an armed fault plan or a non-deferrable discipline; a
+tracer sees it mature (``"eligible"``, stamped with the hold's instant).
 Every data-path hook works from the ``now`` it is handed, never from
 ``self.sim.now``: a parked arrival is taken in at its own instant.
 """
@@ -130,9 +131,8 @@ class Scheduler(ABC):
         self._hold_order = order = self._hold_order + 1
         network = self.node.network
         timer = None
-        if (not self.deferrable or self.tracer.enabled
-                or self.sanitizer is not None
-                or network is None or network.faults is not None):
+        if (not self.deferrable or network is None
+                or network.faults is not None):
             # Tie-break: NORMAL — insertion order against same-instant
             # completions, as in the net layer.
             timer = self.sim.schedule_at(eligible_at, self._hold_expired,
@@ -153,6 +153,10 @@ class Scheduler(ABC):
                 return
             heappop(holds)
             self._release(packet)
+            if self.tracer.enabled:
+                self.tracer.emit(time, "eligible", node=self.node.name,
+                                 session=packet.session.id,
+                                 packet=packet.seq)
 
     def _arm_wake(self) -> None:
         """The node went idle: one wake timer at the earliest timer-less

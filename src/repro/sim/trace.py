@@ -13,14 +13,24 @@ The fault layer (``repro.faults``) adds ``"link_down"``, ``"link_up"``,
 ``"node_pause"``, ``"node_resume"``, ``"node_restart"``,
 ``"fault_drop"``, ``"session_down"``, and ``"session_up"`` — all
 likewise guarded by ``tracer.enabled``.
+
+A tracer observes; it never changes which events run.  A busy node
+emits the records of parked arrivals and matured holds when it takes
+them in (``docs/simulator.md``, "Decision epochs"), each stamped with
+its own instant; :attr:`Tracer.records` stays in non-decreasing
+``time``, same-instant records in emission order, and is complete up to
+the clock after ``Network.run`` or, mid-run, ``network.settle()``.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = ["TraceRecord", "Tracer"]
+_TIME = attrgetter("time")
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,9 +75,13 @@ class Tracer:
         """Record an occurrence if tracing is enabled."""
         if not self.enabled:
             return
-        self.records.append(TraceRecord(
-            time=time, category=category, node=node,
-            session=session, packet=packet, detail=detail))
+        record = TraceRecord(time=time, category=category, node=node,
+                             session=session, packet=packet, detail=detail)
+        records = self.records
+        if records and time < records[-1].time:
+            insort(records, record, key=_TIME)
+        else:
+            records.append(record)
 
     def filter(self, category: Optional[str] = None, *,
                node: Optional[str] = None,

@@ -10,7 +10,6 @@ the golden dispatch digest from ``tests/sim/test_dispatch_digest.py``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pickle
 from types import SimpleNamespace
@@ -28,8 +27,18 @@ from repro.analysis.verify.sanitizer import (
 from repro.net.network import Network
 from repro.net.session import Session
 from repro.sched.fcfs import FCFS
+from repro.sched.leave_in_time import LeaveInTime
 from repro.sim.kernel import Simulator
 from repro.traffic.trace_source import TraceSource
+from repro.units import TIME_EPSILON
+from tests.conftest import add_trace_session
+from tests.sim.test_dispatch_digest import (
+    FIG07_CELL_EVENTS,
+    FIG07_CELL_OBSERVABLES_TRACE_OFF,
+    FIG07_CELL_TRACE,
+    fig07_cell,
+)
+from tests.sim.test_observable_digest import observe
 
 
 # ----------------------------------------------------------------------
@@ -169,6 +178,72 @@ def test_swallowed_packet_breaks_conservation():
                if v["check"] == "packet-conservation")
 
 
+# ----------------------------------------------------------------------
+# The same two bugs where the work is parked: the sanitizer watches
+# decision-epoch forwarding, so it has to go red there, and name the
+# parked entry's own instant rather than the clock of whoever took it in
+# ----------------------------------------------------------------------
+class _SwallowingLiT(LeaveInTime):
+    """Discards every packet of session ``s`` on arrival."""
+
+    def on_arrival(self, packet, now):
+        if packet.session.id != "s":
+            super().on_arrival(packet, now)
+
+
+def test_a_swallowed_parked_arrival_is_named_at_its_own_instant():
+    # L/C = 1 s, Γ = 0.1 s.  ``x`` keeps n2 busy from 0 to 3; ``s``
+    # leaves n1 at 1.0 and is parked at n2, stamped 1.1, until n2's
+    # completion at 2.0 takes it in.
+    network = Network(sanitizer=Sanitizer())
+    network.add_node("n1", LeaveInTime(), capacity=100.0, propagation=0.1)
+    network.add_node("n2", _SwallowingLiT(), capacity=100.0,
+                     propagation=0.1)
+    add_trace_session(network, "x", rate=50.0, times=[0.0, 0.0, 0.0],
+                      lengths=100.0, route=["n2"])
+    add_trace_session(network, "s", rate=50.0, times=[0.0],
+                      lengths=100.0, route=["n1", "n2"])
+    waiting = []
+    network.sim.schedule_at(
+        1.5, lambda: waiting.append(list(network.node("n2")._inbox)))
+    with pytest.raises(SanitizerError) as excinfo:
+        network.run(5.0)
+    [[(stamp, packet)]] = waiting
+    assert (stamp, packet.session.id) == (1.1, "s")
+    first = json.loads(excinfo.value.report_json)["violations"][0]
+    assert (first["check"], first["node"], first["session"],
+            first["time"]) == ("packet-conservation", "n2", "s", 1.1)
+
+
+class _EarlyLiT(LeaveInTime):
+    """Ends every regulator hold a little over TIME_EPSILON early."""
+
+    def _hold(self, packet, eligible_at):
+        super()._hold(packet, eligible_at - 2.5 * TIME_EPSILON)
+
+
+def test_a_hold_released_early_is_named_at_its_own_instant():
+    network = Network(sanitizer=Sanitizer())
+    network.add_node("n1", LeaveInTime(), capacity=100.0, propagation=0.1)
+    network.add_node("n2", _EarlyLiT(), capacity=100.0, propagation=0.1)
+    _, sink, _ = add_trace_session(
+        network, "s", rate=50.0, times=[0.0], lengths=100.0,
+        route=["n1", "n2"], jitter_control=True)
+    held = []
+    network.sim.schedule_at(
+        1.5, lambda: held.extend(network.node("n2")._holds))
+    with pytest.raises(SanitizerError) as excinfo:
+        network.run(10.0)
+    [(release, _, packet, timer)] = held
+    assert timer is None  # no event of its own: it matured at a wake
+    assert release == packet.eligible_time - 2.5 * TIME_EPSILON
+    [violation] = json.loads(excinfo.value.report_json)["violations"]
+    assert (violation["check"], violation["node"], violation["session"],
+            violation["time"]) == ("lit-eligible-before-serve", "n2", "s",
+                                   release)
+    assert sink.received == 1
+
+
 def test_env_var_installs_sanitizer(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     assert Network().sanitizer is not None
@@ -192,44 +267,19 @@ def test_explicit_sanitizer_is_shared_with_all_layers():
 # cell still matches the golden dispatch digest, with zero violations.
 # ----------------------------------------------------------------------
 
-#: Golden from tests/sim/test_dispatch_digest.py (pre-overhaul kernel,
-#: commit 2342b1d).  Kept as a literal so this file needs no cross-test
-#: import; if the digest is ever legitimately re-baselined, update both.
-FIG07_CELL_DIGEST_TRACE_OFF = (
-    "fc53b35c8506c0850734c90aaaf7b254c4bb66681c12988884c3467ff680d286")
-
-
-def _fig07_cell_digest_sanitized():
-    from repro.experiments.common import build_mix_network
-    from repro.experiments.figure07 import TARGET_SESSION
-    from repro.units import ms, seconds
-
-    network = build_mix_network(ms(88.0), seed=0)
-    assert network.sanitizer is not None  # env var reached the ctor
-    network.tracer.enabled = False
-    network.run(seconds(1.0))
-    sink = network.sink(TARGET_SESSION)
-    parts = [
-        repr(sink.received),
-        repr(sink.bits_received),
-        repr(sink.max_delay),
-        repr(sink.min_delay),
-        repr(sink.jitter),
-        repr(sink.delay.mean),
-        repr(network.sim.events_dispatched),
-        repr(network.sim.now),
-    ]
-    digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-    return digest, network.sanitizer.report()
-
-
 def test_sanitized_fig07_cell_is_clean_and_bit_identical(monkeypatch):
+    """Same output, same events, same trace as the unwatched run — and
+    the number of checks the sanitizer ran while it still forced one
+    event per arrival (recorded at 3dd4576)."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    digest, report = _fig07_cell_digest_sanitized()
-    assert report.clean, report.to_json()
-    assert report.events_checked > 0
-    assert report.checks_run > 0
-    assert digest == FIG07_CELL_DIGEST_TRACE_OFF
+    for trace_on in (False, True):
+        ((network,), _), cell = observe(lambda: fig07_cell(trace_on))
+        report = network.sanitizer.report()  # the env var reached the ctor
+        assert report.clean, report.to_json()
+        assert report.events_checked == FIG07_CELL_EVENTS
+        assert report.checks_run == 52956
+        assert cell == (FIG07_CELL_OBSERVABLES_TRACE_OFF, FIG07_CELL_EVENTS,
+                        FIG07_CELL_TRACE if trace_on else None)
 
 
 def test_sanitized_fault_sweep_short_is_clean(monkeypatch):

@@ -1,22 +1,21 @@
 """Unit tests for the Figure-6 topology and the MIX/CROSS configurations."""
 
 import math
+from collections import Counter
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.common import mix_specs
 from repro.net.network import Network
 from repro.net.session import Session
 from repro.net.topology import (
     CROSS_ONE_HOP_ROUTES,
     CROSS_ROUTES,
-    MIX_ROUTE_COUNTS,
     build_paper_network,
     cut_lookahead,
-    mix_session_specs,
     partition_network,
     route_edges,
-    sessions_per_node,
     validate_partition,
 )
 from repro.sched.fcfs import FCFS
@@ -34,7 +33,7 @@ def test_five_nodes_with_t1_links():
 def test_mix_loads_every_node_with_48_sessions():
     # 48 sessions x 32 kbit/s = exactly the T1 capacity at every node —
     # the property that makes the paper's sigma values work out.
-    loads = sessions_per_node(MIX_ROUTE_COUNTS)
+    loads = Counter(node for spec in mix_specs() for node in spec.route)
     assert loads == {f"n{i}": 48 for i in range(1, 6)}
 
 
@@ -42,8 +41,8 @@ def test_mix_totals_by_hop_count():
     # Per-route list from the paper; its "8 four-hop" summary is a
     # known arithmetic slip (see repro.net.topology docstring).
     by_hops = {}
-    for spec in mix_session_specs():
-        by_hops[len(spec["route"])] = by_hops.get(len(spec["route"]), 0) + 1
+    for spec in mix_specs():
+        by_hops[len(spec.route)] = by_hops.get(len(spec.route), 0) + 1
     assert by_hops[5] == 10
     assert by_hops[3] == 16
     assert by_hops[2] == 16
@@ -53,7 +52,7 @@ def test_mix_totals_by_hop_count():
 
 
 def test_mix_rate_commits_full_capacity():
-    loads = sessions_per_node(MIX_ROUTE_COUNTS)
+    loads = Counter(node for spec in mix_specs() for node in spec.route)
     for count in loads.values():
         assert count * 32_000.0 == pytest.approx(T1_RATE_BPS)
 

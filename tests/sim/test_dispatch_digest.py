@@ -10,8 +10,8 @@ that claim to golden SHA-256 digests computed on the pre-overhaul tree
 * a scripted kernel workload full of same-instant ties, negative/zero/
   positive priorities, cancellations, and a mid-script reset — the
   dispatch *order* digest;
-* one shortened Figure-7 MIX cell, tracing off and tracing on — the
-  figure-observable and trace-stream digests.
+* one shortened Figure-7 MIX cell — what comes out, how many events it
+  took and what a tracer saw, the same whoever is watching.
 
 If a kernel change breaks one of these digests it changed simulation
 semantics, not just speed, and must be rejected (or the change must be
@@ -26,7 +26,7 @@ changes utilization readings while leaving event order untouched.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.experiments.common import build_mix_network
 from repro.experiments.figure07 import TARGET_SESSION
@@ -36,19 +36,24 @@ from repro.units import ms, seconds
 # Golden digests computed on the pre-overhaul kernel (commit 2342b1d).
 KERNEL_ORDER_DIGEST = (
     "c2e634790a88f8a4d8a4564c22497859019d499af7e3f5c4fd58cfb3e015b6ed")
-#: Tracing off, what comes out and how many events it took are pinned
-#: apart: the observables digest was recorded at 019d85f with the event
-#: count left out of the hash and must never move; the count moves when
-#: the event list is re-organised (33041 until decision-epoch
-#: forwarding parked arrivals at busy nodes; together the two hashed to
-#: fc53b35c… until then).
+#: What comes out and how many events it took are pinned apart: the
+#: observables digest was recorded at 019d85f with the event count left
+#: out of the hash and must never move; the count moves when the event
+#: list is re-organised (33041 until decision-epoch forwarding parked
+#: arrivals at busy nodes).  Both hold with tracing off, on and under
+#: the sanitizer: neither observer changes which events run (until
+#: PR 21 either one kept the 33041).
 FIG07_CELL_OBSERVABLES_TRACE_OFF = (
     "7f2f104a6a1b049f2516b062a2876571b0b0427f25b6a5fd34b9872340ee7a28")
-FIG07_CELL_EVENTS_TRACE_OFF = 24460
-#: Tracing on keeps one event per arrival: observables, event count and
-#: the trace stream in one hash, untouched since 2342b1d.
-FIG07_CELL_DIGEST_TRACE_ON = (
-    "ebc96f87b7a8a761e844175f3877a68efe22393a728fde5f92388020db271fec")
+FIG07_CELL_EVENTS = 24460
+#: The 52950 trace records as a multiset: the digest of their sorted
+#: lines, recorded at 3dd4576 — where a tracer still forced one event
+#: per arrival — before any edit under ``src/``, so it proves a tracer
+#: on the parked path sees what the event path showed it.  (The stream
+#: in emission order, events hashed in, read ebc96f87… from 2342b1d
+#: until then.)
+FIG07_CELL_TRACE = (
+    "661b060b7aefafbd78daeadbbb141588e6d6cbac03e5676c9732f4e0a705538a")
 
 #: Shortened fig07 cell: one mid-sweep a_OFF point, one simulated second.
 _A_OFF = ms(88.0)
@@ -109,32 +114,31 @@ def kernel_order_digest() -> str:
     return _digest([f"{t!r}|{tag}" for t, tag in log])
 
 
-def fig07_cell(trace_on: bool) -> Tuple[str, int]:
-    """One shortened fig07 MIX cell: digest of its output, event count.
+def trace_line(record) -> str:
+    detail = sorted(record.detail.items())
+    return (f"{record.time!r}|{record.category}|{record.node}"
+            f"|{record.session}|{record.packet}|{detail!r}")
 
-    The traced digest hashes the count and the trace stream too.
-    """
+
+def fig07_cell(trace_on: bool) -> Tuple[str, int, Optional[str]]:
+    """One shortened fig07 MIX cell: ``(observables digest, events
+    dispatched, digest of the sorted trace lines or None)``."""
     network = build_mix_network(_A_OFF, seed=0)
     network.tracer.enabled = trace_on
     network.run(_CELL_DURATION)
     sink = network.sink(TARGET_SESSION)
-    events = network.sim.events_dispatched
-    parts = [
+    observables = _digest([
         repr(sink.received),
         repr(sink.bits_received),
         repr(sink.max_delay),
         repr(sink.min_delay),
         repr(sink.jitter),
         repr(sink.delay.mean),
-        *([repr(events)] if trace_on else []),
         repr(network.sim.now),
-    ]
-    if trace_on:
-        for record in network.tracer.records:
-            detail = sorted(record.detail.items())
-            parts.append(f"{record.time!r}|{record.category}|{record.node}"
-                         f"|{record.session}|{record.packet}|{detail!r}")
-    return _digest(parts), events
+    ])
+    trace = _digest(sorted(map(trace_line, network.tracer.records))) \
+        if trace_on else None
+    return observables, network.sim.events_dispatched, trace
 
 
 # Both drain loops must reproduce the goldens bit-for-bit (the
@@ -145,12 +149,14 @@ def test_kernel_dispatch_order_is_bit_identical(kernel_loop):
 
 
 def test_fig07_cell_is_bit_identical_tracing_off(kernel_loop):
-    assert fig07_cell(trace_on=False) == (FIG07_CELL_OBSERVABLES_TRACE_OFF,
-                                          FIG07_CELL_EVENTS_TRACE_OFF)
+    assert fig07_cell(trace_on=False) == (
+        FIG07_CELL_OBSERVABLES_TRACE_OFF, FIG07_CELL_EVENTS, None)
 
 
 def test_fig07_cell_is_bit_identical_tracing_on(kernel_loop):
-    assert fig07_cell(trace_on=True)[0] == FIG07_CELL_DIGEST_TRACE_ON
+    assert fig07_cell(trace_on=True) == (
+        FIG07_CELL_OBSERVABLES_TRACE_OFF, FIG07_CELL_EVENTS,
+        FIG07_CELL_TRACE)
 
 
 def test_retired_backend_variable_is_ignored(monkeypatch):
@@ -158,5 +164,5 @@ def test_retired_backend_variable_is_ignored(monkeypatch):
     axis was deleted; the frozen ledger benchmark still sets it on
     traced children, so it must be ignored, never rejected."""
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batch")
-    assert fig07_cell(trace_on=False) == (FIG07_CELL_OBSERVABLES_TRACE_OFF,
-                                          FIG07_CELL_EVENTS_TRACE_OFF)
+    assert fig07_cell(trace_on=False) == (
+        FIG07_CELL_OBSERVABLES_TRACE_OFF, FIG07_CELL_EVENTS, None)

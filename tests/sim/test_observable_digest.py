@@ -23,10 +23,13 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
+from repro.analysis.verify.sanitizer import Sanitizer
 from repro.experiments import call_churn, heavy_traffic, \
     regulator_comparison
 from repro.experiments.common import (add_onoff_session,
                                       build_mix_network, mix_specs)
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.net.network import Network
 from repro.net.session import Session
 from repro.net.sink import Sink
@@ -211,7 +214,8 @@ def test_serial_run_of_the_sharded_tandem_sees_the_same_packets():
 
 
 # ----------------------------------------------------------------------
-# Same tree, two paths: an enabled Tracer keeps one event per arrival
+# Same tree, two paths: an armed fault plan — even an empty one — keeps
+# one event per arrival; a tracer and the sanitizer only watch
 # ----------------------------------------------------------------------
 _DISCIPLINES = {
     "lit": LeaveInTime,
@@ -220,9 +224,13 @@ _DISCIPLINES = {
 }
 
 
-def _tandem(trace: bool, discipline: str, hops: int, sessions: int,
-            jitter: bool, poisson: bool, seed: int) -> Network:
-    network = Network(seed=seed, tracer=Tracer(trace))
+def _tandem(armed: bool, watched: bool, discipline: str, hops: int,
+            sessions: int, jitter: bool, poisson: bool,
+            seed: int) -> Network:
+    network = Network(seed=seed, tracer=Tracer(watched),
+                      sanitizer=Sanitizer() if watched else None)
+    if armed:
+        FaultInjector(FaultPlan()).install(network)
     names = [f"n{i}" for i in range(1, hops + 1)]
     for name in names:
         network.add_node(name, _DISCIPLINES[discipline](),
@@ -260,16 +268,20 @@ def _tandem(trace: bool, discipline: str, hops: int, sessions: int,
          poisson=True, seed=64014)
 def test_tracing_does_not_change_what_comes_out(
         discipline, hops, sessions, jitter, poisson, seed):
-    """Tracer on takes the event path, tracer off the parked one."""
-    def run(trace: bool) -> Tuple[str, int]:
+    """The parked path against its event-per-arrival twin, and the
+    parked path watched (traced and sanitized) against itself."""
+    def run(armed: bool, watched: bool) -> Tuple[str, int]:
         observed, network = observe(lambda: _run_tandem(
-            trace, discipline, hops, sessions, jitter, poisson, seed))
+            armed, watched, discipline, hops, sessions, jitter, poisson,
+            seed))
         return digest(observed), network.sim.events_dispatched
 
-    traced, traced_events = run(True)
-    plain, plain_events = run(False)
-    assert plain == traced
-    assert plain_events <= traced_events
+    reference, reference_events = run(True, False)
+    plain, plain_events = run(False, False)
+    assert plain == reference
+    assert plain_events <= reference_events
+    # A clean sanitizer report too: a violation raises out of ``run``.
+    assert run(False, True) == (plain, plain_events)
 
 
 def _run_tandem(*args) -> Network:

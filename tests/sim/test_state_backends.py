@@ -20,9 +20,9 @@ from repro.experiments import call_churn, fault_sweep
 from repro.sched.leave_in_time import LeaveInTime
 from tests.conftest import add_trace_session, make_network
 from tests.sim.test_dispatch_digest import (
-    FIG07_CELL_DIGEST_TRACE_ON,
-    FIG07_CELL_EVENTS_TRACE_OFF,
+    FIG07_CELL_EVENTS,
     FIG07_CELL_OBSERVABLES_TRACE_OFF,
+    FIG07_CELL_TRACE,
     fig07_cell,
 )
 from tests.sim.test_observable_digest import observe
@@ -69,12 +69,9 @@ def test_fig07_cell_digest_matches_golden_under_soa(
         monkeypatch, trace_on):
     # The retired selector must be ignored, not obeyed or rejected.
     monkeypatch.setenv("REPRO_STATE_BACKEND", "objects")
-    digest, events = fig07_cell(trace_on=trace_on)
-    if trace_on:
-        assert digest == FIG07_CELL_DIGEST_TRACE_ON
-    else:
-        assert (digest, events) == (FIG07_CELL_OBSERVABLES_TRACE_OFF,
-                                    FIG07_CELL_EVENTS_TRACE_OFF)
+    assert fig07_cell(trace_on=trace_on) == (
+        FIG07_CELL_OBSERVABLES_TRACE_OFF, FIG07_CELL_EVENTS,
+        FIG07_CELL_TRACE if trace_on else None)
 
 
 def test_call_churn_cell_digest_matches_golden():

@@ -38,3 +38,19 @@ def test_clear_drops_records():
     tracer.emit(1.0, "x")
     tracer.clear()
     assert tracer.records == []
+
+
+def test_records_come_back_in_time_order_whatever_order_they_went_in():
+    """A parked arrival is traced when it is taken in, with its own
+    instant: same-instant records keep their emission order."""
+    tracer = Tracer(enabled=True)
+    for time, tag in [(1.0, "a"), (3.0, "b"), (2.0, "c"), (3.0, "d"),
+                      (2.0, "e"), (0.5, "f")]:
+        tracer.emit(time, tag)
+    assert [(r.time, r.category) for r in tracer.records] == [
+        (0.5, "f"), (1.0, "a"), (2.0, "c"), (2.0, "e"), (3.0, "b"),
+        (3.0, "d")]
+    assert [r.category for r in tracer.filter()] == list("facebd")
+    tracer.emit(2.5, "g")
+    assert [r.category for r in tracer.records] == list("facegbd")
+    assert tracer.count("g") == 1
