@@ -9,7 +9,7 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: ci test paper ruff repro-analyze parallel-smoke sanitize mypy \
-	heavy-traffic-smoke ckernel ab
+	heavy-traffic-smoke ckernel ab hop-budget
 
 # ckernel goes last: it leaves the built extension under src/, and
 # every python process after that runs the C drain loop.
@@ -93,6 +93,12 @@ ckernel:
 	else \
 		echo "-- no C compiler: skipped (runs in GitHub Actions) --"; \
 	fi
+
+# Not a CI job (tier-1 runs the same file without -s): the table a
+# per-hop change is sized with.  Per cell, Python calls per packet-hop
+# and opcodes per packet-hop by function, twelve heaviest first.
+hop-budget:
+	$(PYTHON) -m pytest -q -s tests/net/test_hop_path_budget.py
 
 # Not a CI job: the A/B protocol a perf PR is held to, as one command.
 #   make ab BASE=<rev> [WORKLOADS=mix_onoff,heavy_1e4] [PAIRS=10]

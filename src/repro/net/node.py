@@ -133,10 +133,10 @@ class ServerNode:
         self.busy_time = 0.0
         self._tx_started_at = 0.0
         self._tx_time = 0.0
-        #: Handle of the pending completion event, kept so a
-        #: crash-restart can abort the in-flight transmission
-        #: (:meth:`abort_transmission`) instead of letting the packet
-        #: ride out the crash.
+        #: Handle of the completion event of ``transmitting`` (stale
+        #: while idle), kept so a crash-restart can abort the in-flight
+        #: transmission (:meth:`abort_transmission`) instead of letting
+        #: the packet ride out the crash.
         self._tx_event: Optional[Event] = None
 
     # ------------------------------------------------------------------
@@ -216,7 +216,7 @@ class ServerNode:
         if tracer.enabled:
             tracer.emit(now, "arrival", node=self.name,
                         session=session.id, packet=packet.seq)
-        if self._holds:
+        if self._holds and self._holds[0][0] <= now:
             self.scheduler._mature(now, packet.finish_time)
         self._on_arrival(packet, now)
         san = self.sanitizer
@@ -338,13 +338,13 @@ class ServerNode:
         self.bits_served += packet.length
         self.busy_time += self._tx_time
         self.transmitting = None
-        self._tx_event = None
 
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(now, "tx_end", node=self.name,
                         session=session.id, packet=packet.seq)
-        if self.network is None:
+        network = self.network
+        if network is None:
             raise SimulationError(
                 f"node {self.name} is not attached to a network")
         faults = self.faults
@@ -356,7 +356,7 @@ class ServerNode:
                     # It still rides the link and its delay; where it
                     # lands it is discarded, charged to this node.
                     sim.schedule(self.link.propagation,
-                                 self.network.faults.corrupt_dropped,
+                                 network.faults.corrupt_dropped,
                                  packet, priority=PRIORITY_NORMAL)
                     if san is not None:
                         san.on_forward(self, packet, now)
@@ -370,7 +370,6 @@ class ServerNode:
         # never preempts this node's own dequeue decision.  Sharded
         # runs intercept *before* the propagation delay: Γ is the shard
         # lookahead, so the envelope leaves stamped ``now + Γ``.
-        network = self.network
         link = self.link
         shard = network.shard
         if shard is None or not shard.intercept(self, packet):
@@ -406,7 +405,7 @@ class ServerNode:
         # above and here can have put a packet on the link.
         if faults is not None and faults.blocked:
             return
-        if self._holds:
+        if self._holds and self._holds[0][0] <= now:
             self.scheduler._mature(now, self._tx_started_at)
         head = self._next_packet(now)
         if head is None:

@@ -14,8 +14,8 @@ through three calls:
 
 Disciplines that hold packets (regulators, frames) share one helper:
 :meth:`Scheduler._hold` queues a packet by eligibility, and the node
-calls :meth:`Scheduler._mature` before every push and pop to hand what
-became eligible to the discipline's ``_release``.  A hold costs a kernel
+calls :meth:`Scheduler._mature` before a push or pop that finds one due,
+to hand it to the discipline's ``_release``.  A hold costs a kernel
 event only under an armed fault plan or a non-deferrable discipline; a
 tracer sees it mature (``"eligible"``, stamped with the hold's instant).
 Every data-path hook works from the ``now`` it is handed, never from
@@ -26,14 +26,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from heapq import heapify, heappop, heappush
-from math import inf
-from typing import List, Optional, TYPE_CHECKING
+from math import inf, sqrt
+from typing import List, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.net.packet import Packet
 from repro.net.session import Session
 from repro.sim.kernel import PRIORITY_NORMAL, Simulator
-from repro.sim.monitor import Tally
 from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,6 +41,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.session_table import SessionTable
 
 __all__ = ["Scheduler"]
+
+
+class Lateness(NamedTuple):
+    """Finish − deadline over a scheduler's packets, as read on demand."""
+    count: int
+    maximum: Optional[float]  # None while nothing was observed
+    mean: float
+    stddev: float
 
 
 class Scheduler(ABC):
@@ -58,10 +65,11 @@ class Scheduler(ABC):
         #: Conservation-law checker (``--sanitize``), set by
         #: ``Network.add_node``; None on the default path.
         self.sanitizer: Optional["Sanitizer"] = None
-        #: finish_time − deadline for disciplines that assign deadlines;
-        #: Leave-in-Time's scheduler-saturation check is
-        #: ``max lateness < L_MAX / C`` (paper: F̂ < F + L_MAX/C).
-        self.lateness = Tally("lateness")
+        #: finish_time − deadline where deadlines are assigned: count,
+        #: maximum, Σ, Σ², updated inline; :attr:`lateness` reads them.
+        self._late_count = 0
+        self._late_max = -inf
+        self._late_sum = self._late_sq = 0.0
         #: Held packets: a heap of ``(eligible_at, order, packet,
         #: timer or None)``, bound by the node — mutate in place.
         self._holds: list = []
@@ -124,7 +132,12 @@ class Scheduler(ABC):
 
     def on_transmit_complete(self, packet: Packet, now: float) -> None:
         """The packet's last bit left the server (default: record lateness)."""
-        self.lateness.observe(now - packet.deadline)
+        late = now - packet.deadline
+        self._late_count += 1
+        if late > self._late_max:
+            self._late_max = late
+        self._late_sum += late
+        self._late_sq += late * late
 
     def _hold(self, packet: Packet, eligible_at: float) -> None:
         """Keep ``packet`` out of service until ``eligible_at``."""
@@ -236,6 +249,17 @@ class Scheduler(ABC):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def lateness(self) -> Lateness:
+        """Lateness so far (paper: saturated unless ``maximum < L_MAX/C``).
+        ``stddev`` (n − 1) comes from Σ and Σ²: lateness spreads about as
+        wide as its mean is long, so the cancellation costs ~n·ε, no digits."""
+        count = self._late_count
+        mean = self._late_sum / count if count else 0.0
+        spread = max(0.0, self._late_sq - count * mean * mean)  # Σ(x − mean)²
+        return Lateness(count, self._late_max if count else None, mean,
+                        sqrt(spread / max(count - 1, 1)))
+
     @property
     def backlog(self) -> int:
         """Number of packets currently queued or held at this scheduler."""

@@ -146,7 +146,7 @@ class JitterEDD(DelayEDD):
         return now + max(0.0, packet.holding_time)
 
     def on_transmit_complete(self, packet: Packet, now: float) -> None:
-        self.lateness.observe(now - packet.deadline)
+        super().on_transmit_complete(packet, now)
         if packet.session.is_last_hop(packet.hop_index):
             packet.holding_time = 0.0
             return

@@ -52,7 +52,6 @@ from repro.net.session import Session
 from repro.sched.base import Scheduler
 from repro.sched.calendar_queue import (DeadlineQueue, HeapDeadlineQueue,
                                         drain_expired)
-from repro.sched.policy import virtual_clock_policy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.session_table import SessionTable
@@ -100,13 +99,15 @@ class LeaveInTime(Scheduler):
     def _resolve(self, session: Session, slot: int) -> float:
         """Write the session's policy here into its row; returns the slope.
 
-        The admission-assigned policy, defaulting to VirtualClock.
-        Resolution waits for the first packet so admission control may
-        run at any point before traffic starts.
+        The admission-assigned policy, else VirtualClock's row written
+        directly (at 10⁵ sessions most arrivals are first packets).  Still
+        at the first packet: admission may assign one any time before it.
         """
-        policy = session.policy_for(self.node.name) \
-            or virtual_clock_policy(session.rate, session.l_max,
-                                    session.l_min)
+        policy = session.policy_for(self.node.name)
+        if policy is None:  # the offset column's fill is already its 0
+            slope = self._d_slope[slot] = 1.0 / session.rate
+            self._d_max[slot] = slope * session.l_max
+            return slope
         slope = self._d_slope[slot] = policy.slope
         offset = self._d_offset[slot] = policy.offset
         self._d_max[slot] = slope * policy.l_max + offset
@@ -137,18 +138,18 @@ class LeaveInTime(Scheduler):
         base = eligible_at if eligible_at > k_prev else k_prev
         length = packet.length
         packet.deadline = base + (slope * length + self._d_offset[slot])
-        k_next = self._k_prev[slot] = base + length / session.rate
+        self._k_prev[slot] = base + length / session.rate
 
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(now, "deadline", node=self.node.name,
                         session=session.id, packet=packet.seq,
                         eligible=eligible_at, deadline=packet.deadline,
-                        k=k_next)
+                        k=self._k_prev[slot])
         san = self.sanitizer
         if san is not None:
             san.on_lit_labels(self.node.name, session.id,
-                              packet.deadline, k_next, now)
+                              packet.deadline, self._k_prev[slot], now)
 
         if eligible_at <= now:
             self._push(packet)
@@ -167,7 +168,12 @@ class LeaveInTime(Scheduler):
         return packet
 
     def on_transmit_complete(self, packet: Packet, now: float) -> None:
-        self.lateness.observe(now - packet.deadline)
+        late = now - packet.deadline  # Scheduler.on_transmit_complete, inline
+        self._late_count += 1
+        if late > self._late_max:
+            self._late_max = late
+        self._late_sum += late
+        self._late_sq += late * late
         session = packet.session
         if (not session.jitter_control
                 or packet.hop_index == len(session.route) - 1):

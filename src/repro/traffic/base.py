@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.net.network import Network
 from repro.net.session import Session
 from repro.sim.events import Event
@@ -79,6 +79,8 @@ class TrafficSource:
             self._shaper_bucket = TokenBucket(shaper_rate, shaper_depth)
         self.start_delay = float(start_delay)
         self.keep_trace = keep_trace
+        if max_packets is not None and max_packets < 0:
+            raise ConfigurationError(f"negative max_packets {max_packets}")
         self.max_packets = max_packets
         self.emitted = 0
         self.trace_times: List[float] = []
@@ -118,8 +120,9 @@ class TrafficSource:
             return self
         self.started = True
         self._gaps = iter(self.intervals())
-        self._pending = self.network.sim.schedule(
-            self.start_delay, self._arm, priority=PRIORITY_NORMAL)
+        if self.max_packets != 0:  # told to send nothing: never arms
+            self._pending = self.network.sim.schedule(
+                self.start_delay, self._arm, priority=PRIORITY_NORMAL)
         return self
 
     def stop(self) -> None:

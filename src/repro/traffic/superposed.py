@@ -72,7 +72,12 @@ class SuperposedPoissonSource:
             network.streams.stream(f"superposed:{label}:gaps"),
             mean / len(self.sessions))
         self._pick = network.streams.stream(f"superposed:{label}:picks")
+        #: ``_pick.randrange(n)`` inlined: the same draws, redrawn to ``< n``.
+        self._getrandbits = self._pick.getrandbits
+        self._pick_bits = len(self.sessions).bit_length()
         self.start_delay = float(start_delay)
+        if max_packets is not None and max_packets < 0:
+            raise ConfigurationError(f"negative max_packets {max_packets}")
         self.max_packets = max_packets
         self.emitted = 0
         self.started = False
@@ -90,8 +95,9 @@ class SuperposedPoissonSource:
         if self.started:
             return self
         self.started = True
-        self._pending = self.network.sim.schedule(
-            self.start_delay, self._arm, priority=PRIORITY_NORMAL)
+        if self.max_packets != 0:  # told to send nothing: never arms
+            self._pending = self.network.sim.schedule(
+                self.start_delay, self._arm, priority=PRIORITY_NORMAL)
         return self
 
     def stop(self) -> None:
@@ -111,8 +117,10 @@ class SuperposedPoissonSource:
     def _tick(self) -> None:
         """The clock fired: mark the arrival with a session and inject."""
         sessions = self.sessions
-        session = sessions[self._pick.randrange(len(sessions))]
-        self.network.inject(session, self.length)
+        index = self._getrandbits(self._pick_bits)
+        while index >= len(sessions):
+            index = self._getrandbits(self._pick_bits)
+        self.network.inject(sessions[index], self.length)
         self.emitted += 1
         if (self.max_packets is not None
                 and self.emitted >= self.max_packets):

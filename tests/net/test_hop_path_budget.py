@@ -1,11 +1,11 @@
 """A machine-independent budget for the per-packet-hop path.
 
 Wall-clock gates cannot see a call or an event creeping back into the
-forwarding chain; counters can.  This profiles ``Network.run`` of four
-short cells under ``cProfile`` — the Fig. 7 MIX cell with and without
-jitter control (the ledger's ``mix_onoff`` / ``mix_jitter``, shortened),
-a 10³-session heavy-traffic cell and a call-churn cell — and holds two
-numbers per cell:
+forwarding chain; counters can.  This runs ``Network.run`` of four
+short cells — the Fig. 7 MIX cell with and without jitter control (the
+ledger's ``mix_onoff`` / ``mix_jitter``, shortened), a 10³-session
+heavy-traffic cell and a call-churn cell — under ``cProfile`` and under
+an opcode tracer, and holds three numbers per cell:
 
 * events dispatched and packet-hops served — **exactly** the committed
   integers.  Hops are what the network did and never change; events
@@ -14,10 +14,19 @@ numbers per cell:
   not move);
 * Python-level function calls per packet-hop — at most the committed
   ceiling (what the tree reached, rounded up to one decimal).  Raise a
-  ceiling only with a reason; lower it when a PR shortens the path.
+  ceiling only with a reason; lower it when a PR shortens the path;
+* bytecode instructions executed per packet-hop (``sys.settrace`` with
+  ``frame.f_trace_opcodes``, the reference Python drain loop) — at most
+  the committed ceiling, what the tree reached rounded up.  It is the
+  one noise-free proxy for wall time this box has, and only a proxy:
+  a shorter count from a slower C call is not a gain.  Same rule.
 
-Counts are those of ``benchmarks/ledger`` (``total.py_calls_per_pkt_hop``):
+Calls are those of ``benchmarks/ledger`` (``total.py_calls_per_pkt_hop``):
 every profiled function that is not a C builtin.
+
+``make hop-budget`` (``pytest -s`` on this file) prints, per cell, the
+calls per hop and the opcodes per hop of the twelve heaviest functions:
+the table a per-hop change is sized with.
 
 The kernel under those cells gets the same treatment at the bottom of
 the file: the ledger's spin probe (``kernel_spin``), held to its exact
@@ -26,6 +35,8 @@ event count, its calls per event and the set of Python frames it runs.
 
 import cProfile
 import pstats
+import sys
+from collections import Counter
 
 import pytest
 
@@ -75,36 +86,83 @@ EVENTS_AND_HOPS = {"plain": (27323, 17723), "jitter": (27787, 17503),
 #: cell -> Python calls per packet-hop inside ``Network.run``.  Before
 #: the timer-callback sources and the flattened forwarding chain the
 #: mix cells read 24.7 / 29.9; before decision-epoch forwarding the four
-#: read 16.2 / 19.3 / 22.0 / 33.7.
-CALLS_PER_HOP_CEILING = {"plain": 14.7, "jitter": 18.2,
-                         "heavy_1e3": 20.0, "call_churn": 32.8}
+#: read 16.2 / 19.3 / 22.0 / 33.7; while lateness was a ``Tally.observe``
+#: per hop and the marked pick a ``randrange``, 14.7 / 18.2 / 20.0 / 32.8.
+CALLS_PER_HOP_CEILING = {"plain": 13.7, "jitter": 15.9,
+                         "heavy_1e3": 16.6, "call_churn": 31.8}
+
+#: cell -> opcodes per packet-hop inside ``Network.run`` on CPython 3.11.
+#: With a Welford tally per hop, a policy object per first packet and
+#: ``randrange`` per marked pick: 809.0 / 960.7 / 1014.8 / 1086.9.
+OPCODES_PER_HOP_CEILING = {"plain": 774, "jitter": 904,
+                           "heavy_1e3": 928, "call_churn": 1054}
 
 
-@pytest.mark.parametrize("cell", sorted(CELLS))
-def test_hop_path_budget(cell, monkeypatch):
-    profiler = cProfile.Profile()
+def _run_cell(cell, monkeypatch, watch, unwatch):
+    """Run ``cell`` with ``watch()`` / ``unwatch()`` around its one
+    ``Network.run``, on the reference drain loop (so the ``ckernel``
+    job counts what every other job counts); check the cell did the
+    committed work and return its packet-hops."""
+    monkeypatch.setattr(kernel, "_ckernel", None)
     networks = []
     run = Network.run
 
-    def profiled_run(network, duration):
+    def watched_run(network, duration):
         networks.append(network)
-        profiler.enable()
+        watch()
         try:
             return run(network, duration)
         finally:
-            profiler.disable()
+            unwatch()
 
-    monkeypatch.setattr(Network, "run", profiled_run)
+    monkeypatch.setattr(Network, "run", watched_run)
     CELLS[cell]()
 
     (network,) = networks
     hops = sum(node.packets_served for node in network.nodes.values())
     assert (network.sim.events_dispatched, hops) == EVENTS_AND_HOPS[cell]
+    return hops
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_hop_path_budget(cell, monkeypatch):
+    profiler = cProfile.Profile()
+    hops = _run_cell(cell, monkeypatch, profiler.enable, profiler.disable)
     calls = _python_calls(profiler)
+    print(f"\n{cell}: {calls / hops:.3f} Python calls per packet-hop")
     ceiling = CALLS_PER_HOP_CEILING[cell]
     assert calls / hops <= ceiling, (
         f"{calls / hops:.3f} Python calls per packet-hop in the {cell} "
         f"cell; the committed ceiling is {ceiling}")
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the ceilings count CPython 3.11's bytecode")
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_hop_path_opcodes(cell, monkeypatch):
+    opcodes, calls = Counter(), Counter()
+
+    def tracer(frame, event, arg):
+        if event == "call":
+            frame.f_trace_opcodes = True
+            calls[frame.f_code.co_qualname] += 1
+        elif event == "opcode":
+            opcodes[frame.f_code.co_qualname] += 1
+        return tracer
+
+    outer = sys.gettrace()  # coverage's, under ``--cov``: hand it back
+    hops = _run_cell(cell, monkeypatch, lambda: sys.settrace(tracer),
+                     lambda: sys.settrace(outer))
+    total = sum(opcodes.values())
+    print(f"\n{cell}: {total / hops:.1f} opcodes per packet-hop, "
+          f"{sum(calls.values()) / hops:.3f} frames entered")
+    for name, count in opcodes.most_common(12):
+        print(f"  {name:<44}{count / hops:8.1f}"
+              f"{calls[name] / hops:8.3f} calls")
+    ceiling = OPCODES_PER_HOP_CEILING[cell]
+    assert total / hops <= ceiling, (
+        f"{total / hops:.1f} opcodes per packet-hop in the {cell} cell; "
+        f"the committed ceiling is {ceiling}")
 
 
 def test_kernel_spin_budget(monkeypatch):

@@ -7,10 +7,13 @@ tandem worked out by hand in the comments.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
-from repro.sched.policy import constant_policy
+from repro.sched.policy import (DelayPolicy, constant_policy,
+                                virtual_clock_policy)
 from repro.traffic.trace_source import TraceSource
 from tests.conftest import add_trace_session, make_network
 
@@ -165,3 +168,40 @@ class TestSaturationInvariant:
         network.run(60.0)
         lateness = network.node("n1").scheduler.lateness
         assert lateness.maximum < 100.0 / 1000.0
+
+
+class TestPolicyResolution:
+    """What a session's first packet writes into its row at a node."""
+
+    @staticmethod
+    def row_after_first_packet(rate, l_max, l_min, policy=None):
+        network = make_network(LeaveInTime, capacity=1e9)
+        session = Session("s", rate=rate, route=["n1"], l_max=l_max,
+                          l_min=l_min)
+        network.add_session(session)
+        scheduler = network.node("n1").scheduler
+        if policy is not None:  # admission ran after add_session
+            session.set_policy("n1", policy)
+        assert scheduler._d_slope[session.slot] != \
+            scheduler._d_slope[session.slot]  # NaN: not resolved at set-up
+        TraceSource(network, session, times=[0.0], lengths=l_max)
+        network.run(1.0)
+        return tuple(column[session.slot] for column in (
+            scheduler._d_slope, scheduler._d_offset, scheduler._d_max))
+
+    @given(rate=st.floats(1.0, 1e9), l_max=st.floats(1.0, 1e6),
+           share=st.floats(0.01, 1.0))
+    def test_default_row_is_the_virtual_clock_policy_bit_for_bit(
+            self, rate, l_max, share):
+        # No policy assigned: the row is written without the object.
+        policy = virtual_clock_policy(rate, l_max, l_max * share)
+        assert self.row_after_first_packet(rate, l_max, l_max * share) \
+            == (policy.slope, policy.offset, policy.d_max)
+
+    @given(rate=st.floats(1.0, 1e9), l_max=st.floats(1.0, 1e6),
+           slope=st.floats(0.0, 1e-3), offset=st.floats(0.0, 1.0))
+    def test_assigned_policy_lands_through_the_object(
+            self, rate, l_max, slope, offset):
+        policy = DelayPolicy(slope, offset, l_max, l_max)
+        assert self.row_after_first_packet(rate, l_max, l_max, policy) \
+            == (policy.slope, policy.offset, policy.d_max)

@@ -97,6 +97,25 @@ class TestSourceLifecycle:
         network.run(1.0)
         assert source.emitted == 3
 
+    def test_max_packets_zero_sends_nothing(self):
+        # The limit used to be tested only after injecting: one got out.
+        network = make_network(FCFS, capacity=1e6)
+        session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
+        network.add_session(session)
+        source = PoissonSource(network, session, length=424.0, mean=0.01,
+                               max_packets=0)
+        network.run(1.0)
+        assert source.emitted == 0
+        assert network.sim.events_dispatched == 0  # it never armed
+
+    def test_negative_max_packets_is_rejected(self):
+        network = make_network(FCFS, capacity=1e6)
+        session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
+        network.add_session(session)
+        with pytest.raises(ConfigurationError, match="max_packets"):
+            PoissonSource(network, session, length=424.0, mean=0.01,
+                          max_packets=-1)
+
     def test_start_is_idempotent(self):
         network = make_network(FCFS, capacity=1e6)
         session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
