@@ -79,15 +79,17 @@ heavy-traffic-smoke:
 # skip like ruff's, except on a CI runner ($CI set), where it fails.
 # `rm src/repro/sim/_ckernel*.so` goes back to the reference loop.
 # tests/analysis/test_det.py rides along because det/perturb.py is the
-# one builder of heap entries outside sim/.
+# one builder of heap entries outside sim/; tests/faults because fault
+# timers are the only PRIORITY_FAULT traffic through the C loop, and
+# they interleave with parked work.
 ckernel:
 	@echo "== ci job: ckernel =="
 	@if command -v cc >/dev/null 2>&1; then \
 		REPRO_BUILD_CKERNEL=1 $(PYTHON) setup.py build_ext --inplace \
 		&& $(PYTHON) -c "from repro.sim import _ckernel" \
 		&& $(PYTHON) -m pytest -q tests/sim tests/properties tests/integration \
-			tests/net/test_decision_epochs.py tests/net/test_hop_path_budget.py \
-			tests/analysis/test_det.py; \
+			tests/faults tests/net/test_decision_epochs.py \
+			tests/net/test_hop_path_budget.py tests/analysis/test_det.py; \
 	elif [ -n "$$CI" ]; then \
 		echo "-- no C compiler on a CI runner: the job cannot run --"; exit 1; \
 	else \

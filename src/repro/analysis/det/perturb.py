@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from types import MethodType
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -64,31 +65,37 @@ DEFAULT_MODES: Tuple[str, ...] = ("tiebreak", "registration", "workers",
 
 
 class TiebreakShuffledSimulator(Simulator):
-    """A kernel whose equal-priority tie-break order is shuffled.
+    """A kernel whose equal-priority tie-break order is shuffled by actor.
 
     The production kernel resolves equal ``(time, priority)`` events by
-    insertion order (the monotone ``seq``).  This subclass builds the
-    same :class:`Event` entry with a seeded-random key in the ``seq``
-    slot instead, so ties dispatch in a reproducible but *different*
-    order through the unmodified ``run`` loops.  The key is
-    ``(random, seq)`` so entries remain totally ordered and never fall
-    through to comparing callbacks.
+    insertion order (the monotone ``seq``).  This subclass puts ``(actor
+    key, seq)`` in the :class:`Event` entry's ``seq`` slot — one seeded
+    key per object whose method is the callback, a bare function being
+    an actor of its own — so ties *between* actors dispatch in another
+    order through the unmodified ``run`` loops while one actor's events
+    keep theirs: an arrival landing on the receiver's own completion
+    goes first because it was sent first, which is store-and-forward.
     """
 
-    __slots__ = ("_tiebreak_rng",)
+    __slots__ = ("_tiebreak_rng", "_actor_keys")
 
     def __init__(self, perturbation_seed: int = 1) -> None:
         super().__init__()
         self._tiebreak_rng = RandomStreams(perturbation_seed).stream(
             "tiebreak-perturbation")
+        #: id(owner) -> (key, owner): kept, so that no id is reused.
+        self._actor_keys: dict[int, Tuple[float, Any]] = {}
 
     def _push_shuffled(self, time: float, priority: int,
                        callback: Callable[..., Any],
                        args: Tuple[Any, ...]) -> Event:
         seq = self._seq
         self._seq = seq + 1
-        event = Event((time, priority, (self._tiebreak_rng.random(), seq),
-                       callback, args))
+        owner = (callback.__self__ if isinstance(callback, MethodType)
+                 else callback)
+        key, _ = self._actor_keys.setdefault(
+            id(owner), (self._tiebreak_rng.random(), owner))
+        event = Event((time, priority, (key, seq), callback, args))
         heapq.heappush(self._heap, event)
         return event
 

@@ -10,9 +10,9 @@ faults (mid-call teardown and re-admission), and a
 :class:`~repro.faults.injector.FaultInjector` turns it into ordinary
 kernel events at an explicit tie-break priority
 (:data:`~repro.faults.injector.PRIORITY_FAULT`).  With no plan armed,
-every data-path hook is a single ``is not None`` check and the event
-schedule is byte-identical to a fault-free build — the dispatch-digest
-tests pin this.
+every data-path hook is a single ``is not None`` check; an armed plan
+adds its own timers to the event schedule and nothing else — its
+handlers act on parked work, an empty plan changes no event.
 
 See ``docs/faults.md`` for the fault model, determinism guarantees, and
 the JSON schema.

@@ -15,10 +15,11 @@ Cost model
 ----------
 Arming a plan attaches one :class:`NodeFaultState` to each node the
 plan references and sets ``Network.faults``; the data path then pays
-one attribute check per transmission start/finish/delivery *on those
-nodes only*.  With no injector installed every hook short-circuits on
-``faults is None`` and the kernel's event schedule is untouched — the
-dispatch-digest tests pin that claim.
+one attribute check per transmission start/finish *on those nodes
+only*; the event schedule gains the plan's own timers and nothing else.
+Going first of its instant, a handler that touches a node's queue takes
+in what was parked for *strictly before* it (``settle(-inf)``), acts,
+and wakes the node under the same bound (``docs/simulator.md``).
 
 Trace events (all behind ``tracer.enabled``): ``link_down``,
 ``link_up``, ``node_pause``, ``node_resume``, ``node_restart``,
@@ -27,6 +28,7 @@ Trace events (all behind ``tracer.enabled``): ``link_down``,
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
@@ -173,6 +175,8 @@ class FaultInjector:
         #: (time, session id, "down"/"up") in occurrence order.
         self.session_events: List[Tuple[float, str, str]] = []
         self.re_admissions = 0
+        #: (node, session id) -> packets too late for eq. 9: A clamped to 0.
+        self.hold_misses: Dict[Tuple[str, str], int] = {}
         self._outage_started: Dict[Tuple[str, str], float] = {}
 
     # ------------------------------------------------------------------
@@ -263,6 +267,8 @@ class FaultInjector:
         network = self.network
         assert network is not None
         now = network.sim.now
+        node = self._node(spec.node)
+        node.settle(-inf)  # still blocked: the outage's arrivals queue
         state = self.states[spec.node]
         state.link_up = True
         state.update_blocked()
@@ -271,11 +277,10 @@ class FaultInjector:
         if tracer.enabled:
             tracer.emit(now, "link_up", node=spec.node,
                         policy=spec.on_recovery)
-        node = self._node(spec.node)
         if spec.on_recovery == RECOVERY_DROP_EXPIRED:
             for packet in node.scheduler.drop_expired(now):
                 node.fault_drop(packet, "expired", release_buffer=True)
-        node.wakeup()
+        node.wakeup(-inf)
 
     # ------------------------------------------------------------------
     # Loss / corruption windows
@@ -314,6 +319,8 @@ class FaultInjector:
         network = self.network
         assert network is not None
         now = network.sim.now
+        node = self._node(spec.node)
+        node.settle(-inf)  # still blocked: the pause's arrivals queue
         state = self.states[spec.node]
         state.paused = False
         state.update_blocked()
@@ -321,7 +328,7 @@ class FaultInjector:
         tracer = network.tracer
         if tracer.enabled:
             tracer.emit(now, "node_resume", node=spec.node)
-        self._node(spec.node).wakeup()
+        node.wakeup(-inf)
 
     def _node_restart(self, spec: NodeRestart) -> None:
         network = self.network
@@ -330,6 +337,7 @@ class FaultInjector:
         node = self._node(spec.node)
         state = self.states[spec.node]
         state.restarts += 1
+        node.settle(-inf)
         flushed = node.scheduler.flush(now)
         tracer = network.tracer
         if tracer.enabled:
@@ -338,11 +346,11 @@ class FaultInjector:
         # A crash loses the packet on the link too: abort the in-flight
         # transmission (cancelling its completion event) *before* the
         # queued flush drops, so trace order is tx-abort then flush and
-        # the tx bookkeeping can never go stale (the old behavior let
-        # the transmission ride out the crash and complete normally).
+        # the tx bookkeeping can never go stale.
         node.abort_transmission("flush")
         for packet in flushed:
             node.fault_drop(packet, "flush", release_buffer=True)
+        node.wakeup(-inf)  # idle: the next parked arrival is an event
 
     # ------------------------------------------------------------------
     # Session faults

@@ -17,8 +17,9 @@ next hop is busy *parks* the packet in that node's inbox, stamped
 ``now + Γ``, instead of buying a kernel event.  The owner takes parked
 arrivals in — each at its own instant, in order — whenever it looks at
 its queue; when it goes idle they become events again.  The tracer and
-the sanitizer are handed that instant and change nothing; only an armed
-fault plan, which acts on the network, keeps one event per arrival.
+the sanitizer are handed that instant and change nothing; a fault
+handler, first of its instant, settles what is due *before* it, acts
+and wakes the node (``repro.faults.injector``).
 
 The node also measures per-session buffer occupancy the way the paper's
 Figures 12-13 do: sampled at the instant a packet's last bit arrives,
@@ -254,18 +255,19 @@ class ServerNode:
             inbox.popleft()
             self.receive(packet, time)
 
-    def settle(self) -> None:
-        """Take in every parked arrival and regulator release due by now."""
+    def settle(self, created: float = inf) -> None:
+        """Take in every parked arrival and regulator release due by now
+        (``created=-inf``: strictly before now — all a fault timer may)."""
         now = self.sim.now
         inbox = self._inbox
         if inbox and inbox[0][0] <= now:
-            self._take_in(now)
+            self._take_in(now, created)
         if self._holds:
-            self.scheduler._mature(now)
+            self.scheduler._mature(now, created)
 
-    def wakeup(self) -> None:
+    def wakeup(self, created: float = inf) -> None:
         """New work may be available (a timer fired, a fault cleared)."""
-        self.settle()
+        self.settle(created)
         self._try_start()
 
     def _idle(self) -> None:
@@ -349,30 +351,24 @@ class ServerNode:
                 f"node {self.name} is not attached to a network")
         faults = self.faults
         san = self.sanitizer
-        if faults is not None:
-            verdict = faults.transmit_verdict(packet)
-            if verdict is not None:
-                if verdict == "corrupt":
-                    # It still rides the link and its delay; where it
-                    # lands it is discarded, charged to this node.
-                    sim.schedule(self.link.propagation,
-                                 network.faults.corrupt_dropped,
-                                 packet, priority=PRIORITY_NORMAL)
-                    if san is not None:
-                        san.on_forward(self, packet, now)
-                else:
-                    self.fault_drop(packet, "loss",
-                                    release_buffer=False)
-                self._try_start()
-                return
-        # Tie-break: NORMAL. With zero propagation the arrival lands at
-        # this same instant, after this handler's dequeue below: it
-        # never preempts this node's own dequeue decision.  Sharded
-        # runs intercept *before* the propagation delay: Γ is the shard
-        # lookahead, so the envelope leaves stamped ``now + Γ``.
         link = self.link
         shard = network.shard
-        if shard is None or not shard.intercept(self, packet):
+        if faults is not None and (
+                verdict := faults.transmit_verdict(packet)) is not None:
+            if verdict == "corrupt":
+                # It still rides the link and its delay; where it
+                # lands it is discarded, charged to this node.
+                sim.schedule(link.propagation, network.faults.corrupt_dropped,
+                             packet, priority=PRIORITY_NORMAL)
+            else:
+                self.fault_drop(packet, "loss", release_buffer=False)
+                san = None  # fault_drop told it: nothing was forwarded
+        elif shard is None or not shard.intercept(self, packet):
+            # Tie-break: NORMAL. With zero propagation the arrival lands
+            # at this same instant, after this handler's dequeue below:
+            # it never preempts this node's own dequeue decision.
+            # Sharded runs intercept *before* the propagation delay: Γ is
+            # the shard lookahead, so the envelope leaves at ``now + Γ``.
             route = session.route
             hop = packet.hop_index + 1
             if hop == len(route):
@@ -384,12 +380,10 @@ class ServerNode:
                 parked = target._inbox \
                     if target.transmitting is not None and \
                     now - target._busy_since > link.propagation else None
-            # Park it, unless a fault plan may act between now and its
-            # arrival or it would land out of order (unequal Γ).
+            # Park it, unless its session is draining (the drain ends
+            # on an event) or it would land out of order (unequal Γ).
             if parked is not None and not (
-                    network.faults is not None
-                    or (network._draining
-                        and session.id in network._draining)
+                    (network._draining and session.id in network._draining)
                     or (parked and parked[-1][0] > now + link.propagation)):
                 parked.append((now + link.propagation, packet))
             elif target is None:
@@ -400,10 +394,11 @@ class ServerNode:
                              priority=PRIORITY_NORMAL)
         if san is not None:
             san.on_forward(self, packet, now)
-        # Start the next transmission: ``_try_start`` inlined, minus
-        # its idle test — nothing between clearing ``transmitting``
-        # above and here can have put a packet on the link.
-        if faults is not None and faults.blocked:
+        # Start the next transmission: ``_try_start`` inlined.  Only a
+        # loss above can have put a packet on the link since it was
+        # cleared (a draining session's last drop settles this node).
+        if faults is not None and (
+                faults.blocked or self.transmitting is not None):
             return
         if self._holds and self._holds[0][0] <= now:
             self.scheduler._mature(now, self._tx_started_at)

@@ -16,8 +16,8 @@ Disciplines that hold packets (regulators, frames) share one helper:
 :meth:`Scheduler._hold` queues a packet by eligibility, and the node
 calls :meth:`Scheduler._mature` before a push or pop that finds one due,
 to hand it to the discipline's ``_release``.  A hold costs a kernel
-event only under an armed fault plan or a non-deferrable discipline; a
-tracer sees it mature (``"eligible"``, stamped with the hold's instant).
+event only under a non-deferrable discipline (the twin the differential
+tests build); a tracer sees it mature (``"eligible"``, at its instant).
 Every data-path hook works from the ``now`` it is handed, never from
 ``self.sim.now``: a parked arrival is taken in at its own instant.
 """
@@ -142,10 +142,8 @@ class Scheduler(ABC):
     def _hold(self, packet: Packet, eligible_at: float) -> None:
         """Keep ``packet`` out of service until ``eligible_at``."""
         self._hold_order = order = self._hold_order + 1
-        network = self.node.network
         timer = None
-        if (not self.deferrable or network is None
-                or network.faults is not None):
+        if not self.deferrable or self.node.network is None:
             # Tie-break: NORMAL — insertion order against same-instant
             # completions, as in the net layer.
             timer = self.sim.schedule_at(eligible_at, self._hold_expired,
@@ -195,7 +193,8 @@ class Scheduler(ABC):
         while holds:
             held = heappop(holds)[2]
             self._release(held)
-            if tracer.enabled and self.deferrable:
+            # The class's own: the tests' per-instance twin traces too.
+            if tracer.enabled and type(self).deferrable:
                 tracer.emit(self.sim.now, "eligible", node=self.node.name,
                             session=held.session.id, packet=held.seq)
             if held is packet:

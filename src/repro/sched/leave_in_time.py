@@ -189,10 +189,15 @@ class LeaveInTime(Scheduler):
         holding = (packet.deadline + node.network.l_max / node.link.capacity
                    - now + self._d_max[slot] - d_i)
         if holding < -_HOLD_EPSILON:
-            raise SimulationError(
-                f"holding-time computation went negative ({holding}) for "
-                f"{session.id}#{packet.seq} at {node.name}; "
-                "this indicates scheduler saturation")
+            injector = node.network.faults
+            if injector is None:
+                raise SimulationError(
+                    f"holding-time computation went negative ({holding}) "
+                    f"for {session.id}#{packet.seq} at {node.name}; "
+                    "this indicates scheduler saturation")
+            # An outage saturates: A = 0, as a switch would, and a miss.
+            key = (node.name, session.id)
+            injector.hold_misses[key] = injector.hold_misses.get(key, 0) + 1
         packet.holding_time = max(0.0, holding)
 
     def _queued(self) -> int:

@@ -26,7 +26,7 @@ from repro.analysis.det.perturb import (
     normalized_trace,
     perturb_scenario,
 )
-from repro.analysis.front import main, run_suite
+from repro.analysis.front import build_parser, main, run_suite
 from repro.analysis.lint.core import read_files, registered_rules
 from repro.analysis.verify import Program
 from repro.errors import SimulationError
@@ -219,14 +219,19 @@ def test_perturb_catches_the_seeded_registration_bug():
 # including workers=1 vs workers=4 bit-identity.
 # ----------------------------------------------------------------------
 def test_fig07_is_deterministic_under_all_perturbations():
-    report = perturb_scenario(Fig07Scenario(), horizon=0.1, workers=4,
-                              rounds=1)
+    """At the horizon, rounds and pool width ``repro-analyze --perturb``
+    runs with no other argument, read off its parser: while this ran
+    ``horizon=0.1, rounds=1`` the CLI's own defaults exited 1 unseen."""
+    cli = build_parser().parse_args(["--perturb"])
+    report = perturb_scenario(Fig07Scenario(), horizon=cli.horizon,
+                              workers=cli.workers, rounds=cli.rounds)
     assert report.deterministic
     assert report.modes == ("tiebreak", "registration", "workers",
                             "partitions")
-    # baseline + tiebreak + registration + 2 cells x {serial, pooled}
-    # + the partitions mode's serial reference + 1 sharded shuffle
-    assert report.runs == 9
+    # baseline + 2 tiebreak + 2 registration + 2 cells x {serial,
+    # pooled} + the partitions mode's serial reference + 2 sharded
+    # shuffles
+    assert (cli.horizon, cli.rounds, report.runs) == (0.25, 2, 12)
     assert report.events > 0
 
 

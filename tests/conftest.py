@@ -33,6 +33,20 @@ def kernel_loop(request, monkeypatch):
     return request.param
 
 
+def event_per_arrival(factory: Callable[[], object]) -> Callable[[], object]:
+    """``factory`` with every scheduler it builds marked ``deferrable =
+    False``: nothing is parked in front of such a node and each of its
+    holds keeps a timer.  A network built from it is the
+    event-per-arrival reference twin of the parked run — no plan,
+    observer or option selects that path at run time any more, so the
+    differential tests build it themselves (``docs/simulator.md``)."""
+    def build():
+        scheduler = factory()
+        scheduler.deferrable = False
+        return scheduler
+    return build
+
+
 def make_network(scheduler_factory: Callable[[], object], *,
                  nodes: int = 1, capacity: float = 1000.0,
                  propagation: float = 0.0,

@@ -2,13 +2,15 @@
 
 A busy node takes in arrivals, regulator releases and sink deliveries
 at its next completion instead of paying a kernel event for each
-(``docs/simulator.md``).  An armed fault plan — even an empty one —
-keeps one event per arrival, so the same network armed with
-``FaultPlan()`` is the reference every test here compares against:
-whatever is read, whenever and however the run was driven, both must
-answer the same.  (Until PR 21 an enabled tracer was that switch; a
-tracer and the sanitizer now watch the parked path and change nothing,
-which the last section here holds them to.)
+(``docs/simulator.md``).  Only a discipline that is not ``deferrable``
+keeps one event per arrival, so the same network built from
+``event_per_arrival(factory)`` (``tests/conftest.py``) is the reference
+twin every test here compares against: whatever is read, whenever and
+however the run was driven, both must answer the same.  (Until PR 21 an
+enabled tracer switched the parked path off, until PR 24 an armed fault
+plan did; a tracer and the sanitizer watch it and a plan acts on it —
+the last section here and ``tests/faults/test_parked_faults.py`` hold
+them to that.)
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro.sched as sched
 from repro.analysis.verify.sanitizer import Sanitizer
 from repro.experiments.common import build_mix_network, mix_specs
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
 from repro.net.network import Network
 from repro.net.node import ServerNode
 from repro.net.session import Session
@@ -38,20 +38,20 @@ from repro.traffic.deterministic import DeterministicSource
 from repro.traffic.onoff import OnOffSource
 from repro.traffic.trace_source import TraceSource
 from repro.units import ms
+from tests.conftest import event_per_arrival
 from tests.sim.test_dispatch_digest import trace_line
 from tests.sim.test_observable_digest import observe
 
 JITTER = frozenset(spec.session_id for spec in mix_specs()[::2])
 
 
-def mix(armed: bool, factory=LeaveInTime) -> Network:
-    """The MIX cell, every other session jitter-controlled; ``armed``
-    with an empty fault plan it takes the event-per-arrival path."""
-    network = build_mix_network(ms(6.5), seed=3, jitter_ids=JITTER,
-                                scheduler_factory=factory)
-    if armed:
-        FaultInjector(FaultPlan()).install(network)
-    return network
+def mix(per_arrival: bool, factory=LeaveInTime) -> Network:
+    """The MIX cell, every other session jitter-controlled;
+    ``per_arrival`` builds its event-per-arrival twin."""
+    return build_mix_network(
+        ms(6.5), seed=3, jitter_ids=JITTER,
+        scheduler_factory=event_per_arrival(factory) if per_arrival
+        else factory)
 
 
 def reading(network: Network) -> Dict[str, object]:
@@ -81,10 +81,10 @@ def parked(network: Network) -> int:
 
 
 def both(drive: Callable[[Network], object]) -> List[object]:
-    """``drive`` on the parked-path network and on its armed twin."""
-    plain, armed = mix(False), mix(True)
-    answers = [drive(plain), drive(armed)]
-    assert plain.sim.events_dispatched < armed.sim.events_dispatched
+    """``drive`` on the parked-path network and on its twin."""
+    plain, twin = mix(False), mix(True)
+    answers = [drive(plain), drive(twin)]
+    assert plain.sim.events_dispatched < twin.sim.events_dispatched
     return answers
 
 
@@ -104,8 +104,8 @@ def test_a_mid_run_probe_reads_what_the_event_path_reads():
         network.run(0.3)
         return seen, waiting
 
-    (plain, waiting), (armed, _) = both(drive)
-    assert plain == armed
+    (plain, waiting), (twin, _) = both(drive)
+    assert plain == twin
     # The probes did find work parked: the views settled it.
     assert max(waiting) > 0
 
@@ -117,8 +117,8 @@ def test_a_bare_simulator_run_reads_the_same():
         network.sim.run(until=0.2)
         return reading(network)
 
-    plain, armed = both(drive)
-    assert plain == armed
+    plain, twin = both(drive)
+    assert plain == twin
 
 
 def test_entries_later_than_the_clock_stay_pending():
@@ -142,9 +142,9 @@ def test_two_consecutive_runs_equal_one():
         network.run(0.3)
         return reading(network)
 
-    (plain_first, plain), (armed_first, armed) = both(twice)
-    assert plain_first == armed_first
-    assert plain == armed == once(mix(False))
+    (plain_first, plain), (twin_first, twin) = both(twice)
+    assert plain_first == twin_first
+    assert plain == twin == once(mix(False))
 
 
 def test_a_sink_is_not_written_before_the_packet_lands():
@@ -197,23 +197,23 @@ def test_removal_with_packets_parked_ends_the_drain_on_time():
         assert not network._draining
         return found, removed, drained, reading(network)
 
-    network, armed = mix(False), mix(True)
+    network, twin = mix(False), mix(True)
     found, removed, drained, after = drive(network)
     assert found["inbox"] and found["calendar"]
-    # The armed twin parks nothing: remove the same sessions there.
-    armed.run(0.2)
+    # The twin parks nothing: remove the same sessions there.
+    twin.run(0.2)
     reference = {}
     for session_id in removed:
-        for source in armed.sources:
+        for source in twin.sources:
             if source.session.id == session_id:
                 source.stop()
-        armed.remove_session(session_id)
-        armed.notify_when_drained(
+        twin.remove_session(session_id)
+        twin.notify_when_drained(
             session_id, lambda sid=session_id: reference.setdefault(
-                sid, armed.sim.now))
-    armed.run(0.3)
+                sid, twin.sim.now))
+    twin.run(0.3)
     assert drained == reference
-    assert after == reading(armed)
+    assert after == reading(twin)
 
 
 # ----------------------------------------------------------------------
@@ -339,12 +339,12 @@ def test_trace_records_come_back_in_time_order_and_complete(monkeypatch):
     times = [record.time for record in records]
     assert times == sorted(times) and times[-1] <= 0.3
     # The event-per-arrival twin emitted every record at the clock.
-    armed = mix(True)
-    armed.tracer.enabled = True
-    armed.run(0.3)
-    assert lines(records, 0.3) == lines(armed.tracer.records, 0.3)
+    twin = mix(True)
+    twin.tracer.enabled = True
+    twin.run(0.3)
+    assert lines(records, 0.3) == lines(twin.tracer.records, 0.3)
     for when, (_, settled) in seen.items():
-        assert lines(settled, when) == lines(armed.tracer.records, when)
+        assert lines(settled, when) == lines(twin.tracer.records, when)
     # Some probe did find due work still parked: settling surfaced it.
     assert sum(stale < len(settled) for stale, settled in seen.values()) > 5
 
@@ -356,19 +356,19 @@ QUANTUM = 2.0 ** -12    # one 512-bit transmission at 2**21 bit/s
 LOCKSTEP_GAMMA = 2.0 ** -10
 
 
-def lockstep(armed: bool, factory, sessions, jitter=False,
-             slow=()) -> Network:
+def lockstep(per_arrival: bool, factory, sessions, jitter=False,
+             slow=(), gamma=LOCKSTEP_GAMMA) -> Network:
     """Deterministic sources on a grid of ``QUANTUM``: ``sessions`` is
     ``(route, period, offset, length)`` in quanta, nodes named in
     ``slow`` run at half speed.  Every arrival, completion, tick and
     hold release is a small multiple of ``2**-12``, exact in binary
     floating point, so ties are ties."""
     network = Network(tracer=Tracer(True))
+    if per_arrival:
+        factory = event_per_arrival(factory)
     for name in sorted({name for route, *_ in sessions for name in route}):
-        network.add_node(name, factory(), propagation=LOCKSTEP_GAMMA,
+        network.add_node(name, factory(), propagation=gamma,
                          capacity=2.0 ** (20 if name in slow else 21))
-    if armed:
-        FaultInjector(FaultPlan()).install(network)
     for index, (route, period, offset, length) in enumerate(sessions):
         session = Session(f"s{index}", rate=length * 2.0 ** 21 / period,
                           route=list(route), l_max=512.0 * length,
@@ -381,13 +381,13 @@ def lockstep(armed: bool, factory, sessions, jitter=False,
 
 
 def lockstep_pair(*cell):
-    """The parked run against its armed twin: both runs' per-packet
+    """The parked run against its twin: both runs' per-packet
     delays, and the first service decision they disagree on as
-    ``(instant in quanta, node, parked choice, armed choice)``."""
+    ``(instant in quanta, node, parked choice, twin choice)``."""
     delays, served = [], []
-    for armed in (False, True):
+    for per_arrival in (False, True):
         (_, packets), network = observe(
-            lambda: _ran(lockstep(armed, *cell), 512 * QUANTUM))
+            lambda: _ran(lockstep(per_arrival, *cell), 512 * QUANTUM))
         delays.append({row[:2]: row[2] for row in packets})
         served.append(sorted((r.node, r.time / QUANTUM, r.session)
                              for r in network.tracer.filter("tx_start")))
@@ -422,11 +422,11 @@ def test_ties_the_created_rule_orders_match_the_event_path(
     the family parks something (600 of 600 in a scratch sweep, none
     disagreeing)."""
     names = ["n1", "n2", "n3"]
-    (plain, armed), differ = lockstep_pair(
+    (plain, twin), differ = lockstep_pair(
         factory, [(names[:hops], period, offset, length)
                   for hops, period, offset, length in sessions],
         False, slow)
-    assert plain == armed and differ is None
+    assert plain == twin and differ is None
 
 
 #: What the rule cannot order, one cell each (``docs/simulator.md``,
@@ -468,8 +468,8 @@ RESIDUE = {
 @pytest.mark.parametrize("name", sorted(RESIDUE))
 def test_ties_the_rule_cannot_order_follow_the_parked_order(name):
     cell, decision = RESIDUE[name]
-    (plain, armed), differ = lockstep_pair(*cell)
-    assert plain != armed
+    (plain, twin), differ = lockstep_pair(*cell)
+    assert plain != twin
     assert decision is None or differ == decision
 
 

@@ -28,8 +28,6 @@ from repro.experiments import call_churn, heavy_traffic, \
     regulator_comparison
 from repro.experiments.common import (add_onoff_session,
                                       build_mix_network, mix_specs)
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
 from repro.net.network import Network
 from repro.net.session import Session
 from repro.net.sink import Sink
@@ -44,6 +42,7 @@ from repro.sim.trace import Tracer
 from repro.traffic.onoff import OnOffSource
 from repro.traffic.poisson import PoissonSource
 from repro.units import ms
+from tests.conftest import event_per_arrival
 
 Observed = Tuple[List[Network], List[Tuple[str, int, float]]]
 
@@ -214,8 +213,8 @@ def test_serial_run_of_the_sharded_tandem_sees_the_same_packets():
 
 
 # ----------------------------------------------------------------------
-# Same tree, two paths: an armed fault plan — even an empty one — keeps
-# one event per arrival; a tracer and the sanitizer only watch
+# Same tree, two paths: only a discipline that is not ``deferrable``
+# keeps one event per arrival; a tracer and the sanitizer only watch
 # ----------------------------------------------------------------------
 _DISCIPLINES = {
     "lit": LeaveInTime,
@@ -224,16 +223,17 @@ _DISCIPLINES = {
 }
 
 
-def _tandem(armed: bool, watched: bool, discipline: str, hops: int,
+def _tandem(per_arrival: bool, watched: bool, discipline: str, hops: int,
             sessions: int, jitter: bool, poisson: bool,
             seed: int) -> Network:
     network = Network(seed=seed, tracer=Tracer(watched),
                       sanitizer=Sanitizer() if watched else None)
-    if armed:
-        FaultInjector(FaultPlan()).install(network)
+    factory = _DISCIPLINES[discipline]
+    if per_arrival:
+        factory = event_per_arrival(factory)
     names = [f"n{i}" for i in range(1, hops + 1)]
     for name in names:
-        network.add_node(name, _DISCIPLINES[discipline](),
+        network.add_node(name, factory(),
                          capacity=1_536_000.0, propagation=0.001)
     for index in range(sessions):
         start = index % hops
@@ -270,10 +270,10 @@ def test_tracing_does_not_change_what_comes_out(
         discipline, hops, sessions, jitter, poisson, seed):
     """The parked path against its event-per-arrival twin, and the
     parked path watched (traced and sanitized) against itself."""
-    def run(armed: bool, watched: bool) -> Tuple[str, int]:
+    def run(per_arrival: bool, watched: bool) -> Tuple[str, int]:
         observed, network = observe(lambda: _run_tandem(
-            armed, watched, discipline, hops, sessions, jitter, poisson,
-            seed))
+            per_arrival, watched, discipline, hops, sessions, jitter,
+            poisson, seed))
         return digest(observed), network.sim.events_dispatched
 
     reference, reference_events = run(True, False)

@@ -38,11 +38,11 @@ FAULT_CELL_OBSERVABLES = {
     0.0: "09aeebdb53b8b82066bda8589a17909ffce5bf9e76ce93e9e00c0a665df6b624",
     1.0: "7ad5b3825b39afc27e56b550a82446186621faf3caba565bc0771678a5055693",
 }
-#: Events dispatched.  The churn cell took 23146 and the clean fault
-#: cell 519703 while every arrival was a kernel event; an armed fault
-#: plan keeps that path, so the faulted count is the parent's.
+#: Events dispatched.  The churn cell took 23146, the clean fault cell
+#: 519703 and the faulted one 488420 while every arrival was a kernel
+#: event (the faulted cell until PR 24: an armed plan kept that path).
 CHURN_CELL_EVENTS = 21064
-FAULT_CELL_EVENTS = {0.0: 322913, 1.0: 488420}
+FAULT_CELL_EVENTS = {0.0: 322913, 1.0: 299939}
 
 
 def _digest(parts) -> str:
