@@ -132,7 +132,7 @@ def _cell(*, topology: str, discipline: str, backend: str,
     node_count = _TOPOLOGIES[topology]
     network = build_paper_network(factory, node_count=node_count,
                                   seed=seed)
-    route = [f"n{i}" for i in range(1, node_count + 1)]
+    route = tuple(f"n{i}" for i in range(1, node_count + 1))  # shared
     per_session_rate = T1_RATE_BPS / sessions
     # Per-session mean interarrival L·N / (ρ·C) seconds, i.e. an
     # aggregate arrival rate of ρ·C/L packets/s.

@@ -139,34 +139,48 @@ class Network:
         instead of creating a dedicated one — the heavy-traffic
         experiments aggregate 10^5 sessions into one
         :class:`~repro.net.sink.SharedSink` this way.
+
+        Transactional: checks run before any write, and a scheduler's
+        refusal (HRR's frame budget) is rolled back on every node.
         """
-        if session.id in self.sessions:
-            raise ConfigurationError(f"duplicate session id {session.id!r}")
-        if session.id in self._draining:
+        session_id = session.id
+        sessions = self.sessions
+        nodes = self.nodes
+        if session_id in sessions:
+            raise ConfigurationError(f"duplicate session id {session_id!r}")
+        if session_id in self._draining:
             raise ConfigurationError(
-                f"session id {session.id!r} is still draining after "
+                f"session id {session_id!r} is still draining after "
                 f"removal; let its in-flight packets arrive first")
-        missing = [n for n in session.route if n not in self.nodes]
-        if missing:
-            raise ConfigurationError(
-                f"session {session.id!r} routes through unknown nodes "
-                f"{missing}")
+        route = session.route
+        for name in route:
+            if name not in nodes:
+                raise ConfigurationError(
+                    f"session {session_id!r} routes through unknown nodes "
+                    f"{[n for n in route if n not in nodes]}")
         if session.slot >= 0:
             raise ConfigurationError(
-                f"session object {session.id!r} already holds slot "
+                f"session object {session_id!r} already holds slot "
                 f"{session.slot} of a live network's session table; "
                 f"remove it there first or build a fresh Session")
-        self.sessions[session.id] = session
-        if session.l_max > self._l_max_seen:
-            self._l_max_seen = session.l_max
-        session.slot = self.session_table.acquire(session)
-        for node_name in session.route:
-            self.nodes[node_name].register_session(session)
         if sink is None:
-            sink = Sink(session.id, keep_samples=keep_samples,
+            sink = Sink(session_id, keep_samples=keep_samples,
                         max_samples=max_samples, warmup=warmup,
                         keep_packets=keep_packets)
-        self._sinks[session.id] = sink
+        session.slot = self.session_table.acquire(session)
+        try:
+            for name in route:
+                nodes[name].register_session(session)
+        except Exception:
+            for accepted in route[:route.index(name)]:
+                nodes[accepted].forget_session(session_id)
+            self.session_table.release(session_id)
+            session.slot = -1
+            raise
+        sessions[session_id] = session
+        if session.l_max > self._l_max_seen:
+            self._l_max_seen = session.l_max
+        self._sinks[session_id] = sink
         return sink
 
     def remove_session(self, session_id: str, *,
@@ -220,7 +234,6 @@ class Network:
         for node_name in session.route:
             node = self.nodes[node_name]
             node.settle()
-            node.scheduler.forget_session(session.id)
             node.forget_session(session.id)
         self.session_table.release(session.id)
         session.slot = -1

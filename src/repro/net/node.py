@@ -53,6 +53,7 @@ from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.session import Session
 from repro.net.session_table import SessionTable
+from repro.sched.base import Scheduler
 from repro.sim.events import Event
 from repro.sim.kernel import PRIORITY_NORMAL, Simulator
 from repro.sim.monitor import TimeSeries
@@ -62,9 +63,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.verify.sanitizer import Sanitizer
     from repro.faults.injector import NodeFaultState
     from repro.net.network import Network
-    from repro.sched.base import Scheduler
 
 __all__ = ["ServerNode"]
+
+_NO_HOOK = Scheduler.register_session  # the base class's no-op
 
 
 class ServerNode:
@@ -150,18 +152,21 @@ class ServerNode:
             raise SimulationError(
                 f"session {session.id!r} has no session-table slot; "
                 f"register sessions through Network.add_session")
+        scheduler = self.scheduler  # first: it may refuse; skip a no-op
+        if scheduler.__class__.register_session is not _NO_HOOK:
+            scheduler.register_session(session)
         self._member[slot] = True
         if session.monitor_buffer and slot not in self._samples:
             self._samples[slot] = TimeSeries(
                 f"{self.name}.{session.id}.buffer")
-        self.scheduler.register_session(session)
 
     def forget_session(self, session_id: str) -> None:
-        """Drop a fully drained session's monitor series.
+        """Drop a drained session's scheduler state and monitor series.
 
         Its table row is reset by :meth:`SessionTable.release
         <repro.net.session_table.SessionTable.release>`.
         """
+        self.scheduler.forget_session(session_id)
         if self._samples:
             self._samples.pop(self.table.slot(session_id), None)
 

@@ -16,7 +16,7 @@ class and ``ε = 0``).
 
 from __future__ import annotations
 
-import math
+from math import inf
 from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
@@ -35,7 +35,7 @@ class Session:
     session_id:
         Unique name, e.g. ``"onoff-aj-3"``.
     rate:
-        Reserved rate ``r_s`` in bit/s; must be positive.
+        Reserved rate ``r_s`` in bit/s; positive and finite.
     route:
         Node names in traversal order (the paper's servers 1..N).
     l_max:
@@ -59,6 +59,8 @@ class Session:
 
     Notes
     -----
+    Arguments that are not numbers (or node names) are refused with a
+    :class:`~repro.errors.ConfigurationError` naming the field.
     Sessions are ``__slots__``-ed and their (usually empty) policy map
     is allocated lazily: the heavy-traffic experiments keep 10^5-10^6
     live ``Session`` objects, and the instance dict plus an empty
@@ -76,36 +78,45 @@ class Session:
                  jitter_control: bool = False,
                  token_bucket: Optional[tuple] = None,
                  monitor_buffer: bool = False) -> None:
-        # NaN fails every ordering comparison, so `rate <= 0` alone
-        # would wave non-finite values straight into the deadline
-        # recursions; check finiteness explicitly (fail-loud, like the
-        # kernel does for negative delays).
-        if not math.isfinite(rate) or rate <= 0:
+        # ``float(+x)``: ``+`` refuses strings ``float`` would parse, and
+        # ``float`` returns a float as is, so sessions share one rate.
+        # Each comparison fails NaN, ±inf, 0 and negatives alike.
+        try:
+            self.rate = rate_f = float(+rate)
+            if not 0.0 < rate_f < inf:
+                raise ConfigurationError(
+                    f"session {session_id!r}: rate must be positive and "
+                    f"finite, got {rate}")
+            nodes = tuple(route or ())  # a tuple is shared, not copied
+            if not nodes:
+                raise ConfigurationError(
+                    f"session {session_id!r}: route must name at least "
+                    f"one node")
+            if len(nodes) > 1 and len(set(nodes)) != len(nodes):
+                raise ConfigurationError(
+                    f"session {session_id!r}: route visits a node "
+                    f"twice: {route}")
+            self.route = nodes
+            self.l_max = l_max_f = float(+l_max)
+            if not 0.0 < l_max_f < inf:
+                raise ConfigurationError(
+                    f"session {session_id!r}: l_max must be positive and "
+                    f"finite, got {l_max}")
+            self.l_min = l_max_f if l_min is None else float(+l_min)
+            # As given: two ints that round to one float still order.
+            if l_min is not None and not 0 < l_min <= l_max:
+                raise ConfigurationError(
+                    f"session {session_id!r}: need 0 < l_min <= l_max, "
+                    f"got l_min={l_min}, l_max={l_max}")
+        except (TypeError, OverflowError):
+            # The first field not stored yet is the one that failed.
+            field = next((name for name in ("rate", "route", "l_max")
+                          if not hasattr(self, name)), "l_min")
+            want = "node names" if field == "route" else "a finite number"
             raise ConfigurationError(
-                f"session {session_id!r}: rate must be positive and "
-                f"finite, got {rate}")
-        if not route:
-            raise ConfigurationError(
-                f"session {session_id!r}: route must name at least one node")
-        if len(set(route)) != len(route):
-            raise ConfigurationError(
-                f"session {session_id!r}: route visits a node twice: {route}")
-        if not math.isfinite(l_max) or l_max <= 0:
-            raise ConfigurationError(
-                f"session {session_id!r}: l_max must be positive and "
-                f"finite, got {l_max}")
-        resolved_l_min = l_max if l_min is None else l_min
-        if not math.isfinite(resolved_l_min) \
-                or not 0 < resolved_l_min <= l_max:
-            raise ConfigurationError(
-                f"session {session_id!r}: need 0 < l_min <= l_max, got "
-                f"l_min={resolved_l_min}, l_max={l_max}")
-
+                f"session {session_id!r}: {field} must be {want}, "
+                f"got {locals()[field]!r}") from None
         self.id = session_id
-        self.rate = float(rate)
-        self.route = tuple(route)
-        self.l_max = float(l_max)
-        self.l_min = float(resolved_l_min)
         self.jitter_control = bool(jitter_control)
         self.token_bucket = token_bucket
         self.monitor_buffer = bool(monitor_buffer)
@@ -118,8 +129,8 @@ class Session:
         self.packets_sent = 0
         #: Dense slot in the owning network's
         #: :class:`~repro.net.session_table.SessionTable`, assigned by
-        #: ``Network.add_session``; -1 before that and again once the
-        #: session has been removed and has drained.
+        #: ``Network.add_session``; -1 before that, after a refused
+        #: ``add_session``, and once the session has left and drained.
         self.slot = -1
 
     @property

@@ -114,14 +114,15 @@ class SessionTable:
     # ------------------------------------------------------------------
     def acquire(self, session: "Session") -> int:
         """Assign (or return) the slot for ``session``; idempotent per id."""
-        existing = self.slot_of.get(session.id)
-        if existing is not None:
-            return existing
+        session_id = session.id
+        slot_of = self.slot_of
+        if session_id in slot_of:
+            return slot_of[session_id]
         if not self._free:
             self._grow()
         slot = self._free.pop()
-        self.slot_of[session.id] = slot
-        self.ids[slot] = session.id
+        slot_of[session_id] = slot
+        self.ids[slot] = session_id
         return slot
 
     def slot(self, session_id: str) -> int:
@@ -133,7 +134,7 @@ class SessionTable:
 
         Call only once the session has fully drained (no packets in
         flight anywhere) — :meth:`repro.net.network.Network
-        ._finalize_removal` is the one production call site.  The reset
+        ._finalize_removal` and ``add_session``'s rollback call it.  The reset
         is what guarantees a reused slot starts with zeroed buffer
         occupancy, drop counters, and deadline-recursion state.
         """

@@ -28,6 +28,13 @@ every profiled function that is not a C builtin.
 calls per hop and the opcodes per hop of the twelve heaviest functions:
 the table a per-hop change is sized with.
 
+The heavy_1e3 cell's set-up has a row of its own, ``construct``: Python
+frames entered and opcodes per session from ``_cell`` entry to
+``Network.run`` — what registering one session costs (``Session()``,
+``add_session``, ``acquire``, ``register_session``), held to a ceiling
+by the same rule and printed by ``make hop-budget`` after the per-hop
+tables.
+
 The kernel under those cells gets the same treatment at the bottom of
 the file: the ledger's spin probe (``kernel_spin``), held to its exact
 event count, its calls per event and the set of Python frames it runs.
@@ -54,11 +61,19 @@ def _mix(jitter):
     build_mix_network(ms(6.5), seed=0, jitter_ids=jitter_ids).run(1.0)
 
 
-def _heavy():
+HEAVY_SESSIONS = 1000
+
+
+def _heavy_cell():
     (cell,) = [cell for cell in heavy_traffic.cells(
-        duration=2.0, seed=0, sessions=1000, rhos=(0.95,),
+        duration=2.0, seed=0, sessions=HEAVY_SESSIONS, rhos=(0.95,),
         backends=("soa",), topologies=("single",))
         if cell.kwargs["discipline"] == "leave-in-time"]
+    return cell
+
+
+def _heavy():
+    cell = _heavy_cell()
     cell.fn(**cell.kwargs)
 
 
@@ -99,6 +114,13 @@ CALLS_PER_HOP_CEILING = {"plain": 13.7, "jitter": 15.9,
 OPCODES_PER_HOP_CEILING = {"plain": 771, "jitter": 899,
                            "heavy_1e3": 925, "call_churn": 1053}
 
+#: heavy_1e3 set-up, from ``_cell`` entry to ``Network.run``: (Python
+#: frames entered, opcodes) per session on CPython 3.11.  While
+#: ``Session.__init__`` called ``math.isfinite`` per field and
+#: ``add_session`` built its missing-node list in a comprehension every
+#: time, and every node called its scheduler's no-op hook: 6.05 / 287.4.
+CONSTRUCT_PER_SESSION_CEILING = (4.1, 263)
+
 
 def _run_cell(cell, monkeypatch, watch, unwatch):
     """Run ``cell`` with ``watch()`` / ``unwatch()`` around its one
@@ -138,10 +160,9 @@ def test_hop_path_budget(cell, monkeypatch):
         f"cell; the committed ceiling is {ceiling}")
 
 
-@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
-                    reason="the ceilings count CPython 3.11's bytecode")
-@pytest.mark.parametrize("cell", sorted(CELLS))
-def test_hop_path_opcodes(cell, monkeypatch):
+def _opcode_tracer():
+    """A ``sys.settrace`` function and its per-function (opcodes,
+    frames entered) counters."""
     opcodes, calls = Counter(), Counter()
 
     def tracer(frame, event, arg):
@@ -152,19 +173,77 @@ def test_hop_path_opcodes(cell, monkeypatch):
             opcodes[frame.f_code.co_qualname] += 1
         return tracer
 
+    return tracer, opcodes, calls
+
+
+def _print_opcodes(label, unit, per, opcodes, calls):
+    """The table ``make hop-budget`` shows: twelve heaviest functions."""
+    print(f"\n{label}: {sum(opcodes.values()) / per:.1f} opcodes per "
+          f"{unit}, {sum(calls.values()) / per:.3f} frames entered")
+    for name, count in opcodes.most_common(12):
+        print(f"  {name:<44}{count / per:8.1f}"
+              f"{calls[name] / per:8.3f} calls")
+
+
+needs_311 = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the ceilings count CPython 3.11's bytecode")
+
+
+@needs_311
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_hop_path_opcodes(cell, monkeypatch):
+    tracer, opcodes, calls = _opcode_tracer()
     outer = sys.gettrace()  # coverage's, under ``--cov``: hand it back
     hops = _run_cell(cell, monkeypatch, lambda: sys.settrace(tracer),
                      lambda: sys.settrace(outer))
     total = sum(opcodes.values())
-    print(f"\n{cell}: {total / hops:.1f} opcodes per packet-hop, "
-          f"{sum(calls.values()) / hops:.3f} frames entered")
-    for name, count in opcodes.most_common(12):
-        print(f"  {name:<44}{count / hops:8.1f}"
-              f"{calls[name] / hops:8.3f} calls")
+    _print_opcodes(cell, "packet-hop", hops, opcodes, calls)
     ceiling = OPCODES_PER_HOP_CEILING[cell]
     assert total / hops <= ceiling, (
         f"{total / hops:.1f} opcodes per packet-hop in the {cell} cell; "
         f"the committed ceiling is {ceiling}")
+
+
+class _Built(Exception):
+    """Raised where ``Network.run`` would start: set-up is over."""
+
+
+@needs_311
+def test_construct_budget(monkeypatch):
+    """What registering one session costs, from ``_cell`` entry to
+    ``Network.run`` on the heavy_1e3 cell: 10^3 passes through
+    ``Session()`` / ``add_session`` / ``acquire`` /
+    ``register_session`` plus the cell's own set-up, per session."""
+    tracer, opcodes, calls = _opcode_tracer()
+    outer = sys.gettrace()
+    built = []
+
+    def stop(network, duration):
+        sys.settrace(outer)
+        built.append(network)
+        raise _Built
+
+    monkeypatch.setattr(Network, "run", stop)
+    cell = _heavy_cell()
+    sys.settrace(tracer)
+    try:
+        cell.fn(**cell.kwargs)
+    except _Built:
+        pass
+    finally:
+        sys.settrace(outer)
+    (network,) = built
+    assert len(network.sessions) == HEAVY_SESSIONS
+    _print_opcodes("heavy_1e3 construct", "session", HEAVY_SESSIONS,
+                   opcodes, calls)
+    frames = sum(calls.values()) / HEAVY_SESSIONS
+    total = sum(opcodes.values()) / HEAVY_SESSIONS
+    frame_ceiling, opcode_ceiling = CONSTRUCT_PER_SESSION_CEILING
+    assert frames <= frame_ceiling and total <= opcode_ceiling, (
+        f"{frames:.3f} frames / {total:.1f} opcodes per session to build "
+        f"the heavy_1e3 cell; the committed ceiling is {frame_ceiling} / "
+        f"{opcode_ceiling}")
 
 
 def test_kernel_spin_budget(monkeypatch):
