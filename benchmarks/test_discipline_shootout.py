@@ -1,9 +1,9 @@
-"""Shoot-out bench: all thirteen disciplines on one CROSS workload.
+"""Shoot-out bench: the example's nine rows on one CROSS workload.
 
 The cross-discipline summary behind EXPERIMENTS.md's comparison table.
-Assertions capture the orderings the paper's Section 4 predicts:
+Assertions capture the orderings the paper's Section 4 predicts
+(Leave-in-Time ≡ VirtualClock is ``tests/sched/test_equivalence.py``):
 
-* Leave-in-Time ≡ VirtualClock on identical traffic,
 * jitter control cuts the target's jitter severalfold at the cost of
   mean delay,
 * every rate-based discipline beats FCFS's worst case under bursty
@@ -13,7 +13,6 @@ Assertions capture the orderings the paper's Section 4 predicts:
 import sys
 from pathlib import Path
 
-import pytest
 from conftest import bench_duration
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent
@@ -39,11 +38,6 @@ def test_discipline_shootout(run_once):
               f"{sink.jitter * 1e3:10.2f}")
 
     lit = sinks["leave-in-time"]
-    assert lit.max_delay == pytest.approx(
-        sinks["virtual-clock"].max_delay, abs=1e-12)
-    assert lit.jitter == pytest.approx(
-        sinks["virtual-clock"].jitter, abs=1e-12)
-
     controlled = sinks["leave-in-time+jc"]
     assert controlled.jitter < lit.jitter / 2
     assert controlled.delay.mean > lit.delay.mean

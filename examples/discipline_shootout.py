@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Discipline shoot-out: one workload, thirteen service disciplines.
+"""Discipline shoot-out: one workload, eight disciplines, nine rows.
 
 Runs the identical CROSS-style workload — a five-hop 32 kbit/s ON-OFF
 target session against bursty Poisson cross traffic — under every
-discipline in the library, and prints the target's delay statistics
-side by side. The table makes Section 4's comparisons concrete:
+discipline in the library (Leave-in-Time twice: without and with
+jitter control), and prints the target's delay statistics side by
+side. The table makes Section 4's comparisons concrete:
 
-* rate-based deadline disciplines (Leave-in-Time, VirtualClock, WFQ,
-  SCFQ) isolate the target;
+* rate-based deadline disciplines (Leave-in-Time, WFQ) isolate the
+  target. The ``leave-in-time`` row is VirtualClock too: its default
+  policy is ``d = L/r``, which ``tests/sched/test_equivalence.py``
+  holds to eq. 2 packet for packet;
 * framing disciplines (Stop-and-Go, HRR) isolate it too but pay frame
   quantization in delay;
 * regulator disciplines (Jitter-EDD, RCSP) bound jitter;
@@ -19,8 +22,6 @@ Run:  python examples/discipline_shootout.py
 from repro import (
     FCFS,
     RCSP,
-    SCFQ,
-    WF2Q,
     WFQ,
     DelayEDD,
     HierarchicalRoundRobin,
@@ -30,13 +31,11 @@ from repro import (
     PoissonSource,
     Session,
     StopAndGo,
-    VirtualClock,
     build_paper_network,
     kbps,
     ms,
     route_from_letters,
 )
-from repro.sched import DeficitRoundRobin
 
 FIVE_HOP = ("n1", "n2", "n3", "n4", "n5")
 
@@ -47,11 +46,7 @@ EDD_DELAYS = {"target": ms(14), **{f"cross-{e}": ms(1)
 DISCIPLINES = {
     "leave-in-time": LeaveInTime,
     "leave-in-time+jc": LeaveInTime,  # jitter-controlled variant
-    "virtual-clock": VirtualClock,
     "wfq (pgps)": WFQ,
-    "wf2q": WF2Q,
-    "scfq": SCFQ,
-    "drr": DeficitRoundRobin,
     "delay-edd": lambda: DelayEDD(local_delays=dict(EDD_DELAYS)),
     "jitter-edd": lambda: JitterEDD(local_delays=dict(EDD_DELAYS)),
     "stop-and-go": lambda: StopAndGo(frame=ms(13.25)),

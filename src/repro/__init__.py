@@ -42,8 +42,6 @@ from repro.net import (
 from repro.sched import (
     FCFS,
     RCSP,
-    SCFQ,
-    WF2Q,
     WFQ,
     DelayEDD,
     DelayPolicy,
@@ -52,7 +50,6 @@ from repro.sched import (
     LeaveInTime,
     ReferenceServer,
     StopAndGo,
-    VirtualClock,
     virtual_clock_policy,
 )
 from repro.sim import Simulator
@@ -88,7 +85,6 @@ __all__ = [
     "Simulator",
     # schedulers
     "LeaveInTime",
-    "VirtualClock",
     "FCFS",
     "WFQ",
     "DelayEDD",
@@ -96,8 +92,6 @@ __all__ = [
     "StopAndGo",
     "HierarchicalRoundRobin",
     "RCSP",
-    "SCFQ",
-    "WF2Q",
     "ReferenceServer",
     "DelayPolicy",
     "virtual_clock_policy",

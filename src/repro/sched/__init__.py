@@ -1,15 +1,14 @@
 """Service disciplines.
 
 The core contribution — :class:`~repro.sched.leave_in_time.LeaveInTime`
-— plus the reference server it emulates and every baseline discipline
-the paper compares against in Section 4:
+— plus the reference server it emulates and the disciplines the paper
+compares against in Section 4 (FCFS is its motivating case):
 
 ========================  ==========================================
 Discipline                Module
 ========================  ==========================================
 Leave-in-Time (core)      :mod:`repro.sched.leave_in_time`
 Reference (fixed-rate)    :mod:`repro.sched.reference`
-VirtualClock              :mod:`repro.sched.virtual_clock`
 FCFS                      :mod:`repro.sched.fcfs`
 WFQ / PGPS                :mod:`repro.sched.wfq`
 Delay-EDD / Jitter-EDD    :mod:`repro.sched.edd`
@@ -18,16 +17,19 @@ Hierarchical Round Robin  :mod:`repro.sched.hrr`
 RCSP                      :mod:`repro.sched.rcsp`
 ========================  ==========================================
 
+VirtualClock is Leave-in-Time with its default ``d = L/r`` policy
+(:func:`~repro.sched.policy.virtual_clock_policy`); the tests hold the
+two to eq. 2 packet for packet.
+
 All disciplines plug into :class:`~repro.net.node.ServerNode` through
-the :class:`~repro.sched.base.Scheduler` contract. The deadline-ordered
-disciplines can swap their internal priority queue between an exact
-binary heap and the approximate O(1) calendar queue the paper mentions
+the :class:`~repro.sched.base.Scheduler` contract. Leave-in-Time can
+swap its deadline queue between an exact binary heap and the
+approximate O(1) calendar queue the paper mentions
 (:mod:`repro.sched.calendar_queue`).
 """
 
 from repro.sched.base import Scheduler
 from repro.sched.calendar_queue import ApproximateDeadlineQueue, HeapDeadlineQueue
-from repro.sched.drr import DeficitRoundRobin
 from repro.sched.edd import DelayEDD, JitterEDD
 from repro.sched.fcfs import FCFS
 from repro.sched.hrr import HierarchicalRoundRobin
@@ -35,26 +37,19 @@ from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.policy import DelayPolicy, virtual_clock_policy
 from repro.sched.rcsp import RCSP
 from repro.sched.reference import ReferenceServer, reference_finish_times
-from repro.sched.scfq import SCFQ
 from repro.sched.stop_and_go import StopAndGo
-from repro.sched.virtual_clock import VirtualClock
-from repro.sched.wf2q import WF2Q
 from repro.sched.wfq import WFQ
 
 __all__ = [
     "Scheduler",
     "LeaveInTime",
-    "VirtualClock",
     "FCFS",
     "WFQ",
     "DelayEDD",
     "JitterEDD",
-    "DeficitRoundRobin",
     "StopAndGo",
     "HierarchicalRoundRobin",
     "RCSP",
-    "SCFQ",
-    "WF2Q",
     "ReferenceServer",
     "reference_finish_times",
     "DelayPolicy",

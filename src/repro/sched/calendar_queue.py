@@ -1,6 +1,6 @@
 """Deadline-ordered queues: exact heap and approximate O(1) calendar.
 
-Deadline-based disciplines (Leave-in-Time, VirtualClock, EDD) need a
+Deadline-based disciplines (Leave-in-Time, WFQ, EDD) need a
 priority queue ordered by transmission deadline. The paper notes that
 "Leave-in-Time uses an approximate sorted priority queue algorithm
 which runs in O(1) time with a small cost in emulation error" [6].

@@ -80,7 +80,8 @@ class DelayEDD(Scheduler):
         self._eligible = HeapDeadlineQueue()
         #: Explicitly configured bounds (constructor argument); the
         #: per-session defaults are cached in the table column, so call
-        #: churn never grows this dict.
+        #: churn never grows this dict, and teardown never shrinks it:
+        #: a re-admitted session gets its configured bound back.
         self.local_delays: Dict[str, float] = dict(local_delays or {})
 
     def use_session_table(self, table: "SessionTable") -> None:
@@ -116,9 +117,6 @@ class DelayEDD(Scheduler):
 
     def next_packet(self, now: float) -> Optional[Packet]:
         return self._eligible.pop()
-
-    def forget_session(self, session_id: str) -> None:
-        self.local_delays.pop(session_id, None)
 
     def on_transmit_complete(self, packet: Packet, now: float) -> None:
         super().on_transmit_complete(packet, now)

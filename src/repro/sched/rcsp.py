@@ -104,11 +104,9 @@ class RCSP(Scheduler):
         return self.assignment.get(session.id, len(self.levels) - 1)
 
     def _x_min_of(self, session: Session) -> float:
-        spacing = self.x_min.get(session.id)
-        if spacing is None:
-            spacing = session.l_max / session.rate
-            self.x_min[session.id] = spacing
-        return spacing
+        # The default is derived, never stored: ``x_min`` is the
+        # constructor's configuration and outlives every teardown.
+        return self.x_min.get(session.id, session.l_max / session.rate)
 
     def on_arrival(self, packet: Packet, now: float) -> None:
         session = packet.session

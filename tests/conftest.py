@@ -7,12 +7,14 @@ here keep those tests declarative.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import pytest
 
 from repro.net.network import Network
 from repro.net.session import Session
+from repro.sched.base import Scheduler
+from repro.sched.calendar_queue import HeapDeadlineQueue
 from repro.sim import kernel
 from repro.sim.trace import Tracer
 from repro.traffic.trace_source import TraceSource
@@ -45,6 +47,31 @@ def event_per_arrival(factory: Callable[[], object]) -> Callable[[], object]:
         scheduler.deferrable = False
         return scheduler
     return build
+
+
+class VirtualClockOracle(Scheduler):
+    """Eq. 2 as written, ``F_i = max(t_i, F_{i-1}) + L_i/r_s``, served
+    in ``F`` order: what ``LeaveInTime`` with its default policy must
+    reproduce packet for packet (``tests/sched/test_equivalence.py``)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._eligible = HeapDeadlineQueue()
+        self._previous_deadline: Dict[str, float] = {}  # F_{i-1}
+
+    def on_arrival(self, packet, now):
+        session = packet.session
+        base = max(now, self._previous_deadline.get(session.id, now))
+        packet.eligible_time = now
+        packet.deadline = base + packet.length / session.rate
+        self._previous_deadline[session.id] = packet.deadline
+        self._eligible.push(packet)
+
+    def next_packet(self, now):
+        return self._eligible.pop()
+
+    def _queued(self):
+        return len(self._eligible)
 
 
 def make_network(scheduler_factory: Callable[[], object], *,

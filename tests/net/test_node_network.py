@@ -10,7 +10,6 @@ import pytest
 from repro.errors import AdmissionError, ConfigurationError, SimulationError
 from repro.net.network import Network
 from repro.net.session import Session
-from repro.sched.drr import DeficitRoundRobin
 from repro.sched.fcfs import FCFS
 from repro.sched.hrr import HierarchicalRoundRobin
 from tests.conftest import add_trace_session, make_network
@@ -234,51 +233,31 @@ class TestRefusedSession:
     the session, the first node has already accepted it.
     """
 
-    @staticmethod
-    def _refusing_tandem(first):
+    def test_hrr_rollback_and_retry(self):
         # n1 at 10^6 b/s accepts 5·10^5 b/s; n2 at 10^5 b/s refuses it.
-        network = make_network(first, capacity=1e6)
+        network = make_network(lambda: HierarchicalRoundRobin(frame=0.01),
+                               capacity=1e6)
         network.add_node("n2", HierarchicalRoundRobin(frame=0.01),
                          capacity=1e5)
-        return network
-
-    def _assert_untouched(self, network, session):
+        big = Session("big", rate=5e5, route=["n1", "n2"], l_max=424.0,
+                      monitor_buffer=True)
+        with pytest.raises(AdmissionError, match="HRR cannot fit"):
+            network.add_session(big)
         assert "big" not in network.sessions
         assert "big" not in network.sinks
-        assert session.slot == -1
+        assert big.slot == -1
         assert len(network.session_table) == 0
         with pytest.raises(ConfigurationError, match="L_MAX unknown"):
             network.l_max
         for node in network.nodes.values():
             assert not any(node._member)
             assert node._samples == {}
-
-    def _assert_retry_delivers(self, network):
+        first = network.node("n1").scheduler
+        assert first._reserved == 0.0
+        assert first._queues == {} and first._order == []
+        # Retry at a rate both nodes fit.
         _, sink, _ = add_trace_session(
             network, "big", rate=5e4, times=[0.0, 0.01], lengths=424.0,
             route=["n1", "n2"])
         network.run(1.0)
         assert sink.received == 2
-
-    def test_hrr_rollback_and_retry(self):
-        network = self._refusing_tandem(
-            lambda: HierarchicalRoundRobin(frame=0.01))
-        big = Session("big", rate=5e5, route=["n1", "n2"], l_max=424.0,
-                      monitor_buffer=True)
-        with pytest.raises(AdmissionError, match="HRR cannot fit"):
-            network.add_session(big)
-        self._assert_untouched(network, big)
-        first = network.node("n1").scheduler
-        assert first._reserved == 0.0
-        assert first._queues == {} and first._order == []
-        self._assert_retry_delivers(network)
-
-    def test_drr_rollback_and_retry(self):
-        network = self._refusing_tandem(DeficitRoundRobin)
-        big = Session("big", rate=5e5, route=["n1", "n2"], l_max=424.0)
-        with pytest.raises(AdmissionError):
-            network.add_session(big)
-        self._assert_untouched(network, big)
-        first = network.node("n1").scheduler
-        assert first._queues == {} and first._rates == {}
-        self._assert_retry_delivers(network)

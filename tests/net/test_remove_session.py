@@ -5,6 +5,7 @@ from math import inf
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.sched.edd import DelayEDD, JitterEDD
 from repro.sched.leave_in_time import LeaveInTime
 from tests.conftest import add_trace_session, make_network
 
@@ -244,16 +245,30 @@ class TestForgetAcrossDisciplines:
     def test_wfq_forgets_drained_session(self):
         from repro.sched.wfq import WFQ
         network = self._drain_and_remove(WFQ)
-        tracker = network.node("n1").scheduler._gps
-        assert "s" not in tracker._last_finish
-        assert "other" in tracker._last_finish
-
-    def test_drr_forgets_drained_session(self):
-        from repro.sched.drr import DeficitRoundRobin
-        network = self._drain_and_remove(DeficitRoundRobin)
         scheduler = network.node("n1").scheduler
-        assert "s" not in scheduler._queues
-        assert "other" in scheduler._queues
+        assert "s" not in scheduler._last_finish
+        assert "other" in scheduler._last_finish
+
+    def test_wfq_forgets_session_pgps_drained_ahead_of_gps(self):
+        # PGPS sends s's one packet before GPS would finish it (t = 1.0):
+        # teardown finds GPS still holding s, and the next arrival past
+        # that instant must still let it go.
+        from repro.sched.wfq import WFQ
+        network = make_network(WFQ, capacity=1000.0)
+        add_trace_session(network, "other", rate=900.0,
+                          times=[0.0] * 10 + [5.0], lengths=100.0)
+        add_trace_session(network, "s", rate=100.0, times=[0.0],
+                          lengths=100.0)
+        network.run(0.95)
+        scheduler = network.node("n1").scheduler
+        assert network.sink("s").received == 1
+        assert "s" in scheduler._gps_counts
+        network.remove_session("s")
+        network.run(10.0)
+        assert network.sink("other").received == 11
+        assert "s" not in scheduler._gps_counts
+        assert "s" not in scheduler._last_finish
+        assert list(scheduler._gps_counts) == ["other"]
 
     def test_hrr_forget_frees_bandwidth(self):
         from repro.sched.hrr import HierarchicalRoundRobin
@@ -265,11 +280,31 @@ class TestForgetAcrossDisciplines:
         # bits per 1 s frame each; one remains).
         assert scheduler._reserved == 100.0
 
-    def test_scfq_and_rcsp_forget(self):
-        from repro.sched.scfq import SCFQ
-        network = self._drain_and_remove(SCFQ)
-        assert "s" not in network.node("n1").scheduler._last_finish
-
+    def test_rcsp_forget(self):
         from repro.sched.rcsp import RCSP
         network = self._drain_and_remove(lambda: RCSP([1.0]))
         assert "s" not in network.node("n1").scheduler._last_eligible
+
+    def test_rcsp_readmission_gets_its_own_spacing(self):
+        # The default x_min = l_max/rate is the new session's, not the
+        # old one's, and the configuration dict does not grow.
+        from repro.sched.rcsp import RCSP
+        network = make_network(lambda: RCSP([1.0]), capacity=1000.0)
+        for rate in (100.0, 1000.0):  # x_min 1.0 s, then 0.1 s
+            _, sink, _ = add_trace_session(network, "s", rate=rate,
+                                           times=[0.0, 0.0], lengths=100.0)
+            network.run(network.sim.now + 10.0)
+            network.remove_session("s", keep_sink=False)
+        first, second = (p.eligible_time for p in sink.packets)
+        assert second - first == pytest.approx(0.1)
+        assert network.node("n1").scheduler.x_min == {}
+
+    @pytest.mark.parametrize("discipline", [DelayEDD, JitterEDD])
+    def test_edd_readmission_keeps_configured_bound(self, discipline):
+        network = self._drain_and_remove(
+            lambda: discipline(local_delays={"s": 0.5}))
+        _, sink, _ = add_trace_session(network, "s", rate=100.0,
+                                       times=[0.0], lengths=100.0)
+        network.run(20.0)
+        packet = sink.packets[-1]
+        assert packet.deadline - packet.arrival_time == pytest.approx(0.5)

@@ -1,5 +1,4 @@
-"""Property tests: per-node buffer-bound validity and worst-case
-fairness.
+"""Property tests: per-node buffer-bound validity.
 
 The buffer property closes the last bound family not yet covered by a
 randomized validity test: for token-bucket-shaped sessions on a
@@ -8,14 +7,11 @@ contended Leave-in-Time tandem, the *measured* peak per-node occupancy
 closed-form per-node bound — with and without jitter control.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bounds.delay import compute_session_bounds
 from repro.sched.leave_in_time import LeaveInTime
-from repro.sched.wf2q import WF2Q
-from repro.sched.wfq import WFQ
 from repro.traffic.token_bucket import shape_arrivals
 from tests.conftest import add_trace_session, make_network
 
@@ -56,43 +52,3 @@ class TestBufferBoundProperty:
             peak = network.node(node_name).buffer_peak["target"]
             assert peak <= bound + 1e-9
 
-
-class TestWorstCaseFairnessProperty:
-    @settings(max_examples=15, deadline=None)
-    @given(burst=st.integers(min_value=5, max_value=30))
-    def test_wf2q_never_runs_further_ahead_than_wfq(self, burst):
-        # The defining property: for the bursty session, WF2Q's k-th
-        # transmission never *precedes* WFQ's (WFQ may run ahead of
-        # GPS; WF2Q may not).
-        def finish_times(factory):
-            network = make_network(factory, capacity=1000.0,
-                                   trace=True)
-            add_trace_session(network, "burst", rate=500.0,
-                              times=[0.0] * burst, lengths=100.0)
-            add_trace_session(network, "steady", rate=500.0,
-                              times=[0.05 * i for i in range(burst)],
-                              lengths=100.0)
-            network.run(10_000.0)
-            return [r.time for r in network.tracer.filter(
-                "tx_end", node="n1", session="burst")]
-
-        wfq_times = finish_times(WFQ)
-        wf2q_times = finish_times(WF2Q)
-        assert len(wfq_times) == len(wf2q_times) == burst
-        for wfq_t, wf2q_t in zip(wfq_times, wf2q_times):
-            assert wf2q_t >= wfq_t - 1e-9
-
-    @settings(max_examples=15, deadline=None)
-    @given(burst=st.integers(min_value=5, max_value=30))
-    def test_both_deliver_identical_totals(self, burst):
-        for factory in (WFQ, WF2Q):
-            network = make_network(factory, capacity=1000.0)
-            _, sink_a, _ = add_trace_session(
-                network, "burst", rate=500.0, times=[0.0] * burst,
-                lengths=100.0)
-            _, sink_b, _ = add_trace_session(
-                network, "steady", rate=500.0,
-                times=[0.05 * i for i in range(burst)], lengths=100.0)
-            network.run(10_000.0)
-            assert sink_a.received == burst
-            assert sink_b.received == burst

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.bounds.delay import compute_session_bounds
 from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.rcsp import RCSP
-from repro.sched.scfq import SCFQ
 from repro.sched.stop_and_go import StopAndGo
 from repro.sched.wfq import WFQ
 from repro.traffic.token_bucket import shape_arrivals
@@ -40,7 +39,7 @@ class TestDeliveryCompleteness:
     @settings(max_examples=15, deadline=None)
     @given(gap_lists=st.lists(gaps, min_size=1, max_size=3))
     def test_every_discipline_delivers_everything(self, gap_lists):
-        factories = [WFQ, SCFQ, LeaveInTime,
+        factories = [WFQ, LeaveInTime,
                      lambda: StopAndGo(frame=0.25),
                      lambda: RCSP([0.5, 2.0])]
         for factory in factories:
@@ -119,15 +118,14 @@ class TestJitterBoundProperty:
 class TestFairQueueingProperty:
     @settings(max_examples=15, deadline=None)
     @given(burst=st.integers(min_value=2, max_value=25))
-    def test_wfq_and_scfq_isolate_steady_session(self, burst):
-        for factory in (WFQ, SCFQ):
-            network = make_network(factory, capacity=10_000.0)
-            add_trace_session(network, "burst", rate=5000.0,
-                              times=[0.0] * burst, lengths=424.0)
-            _, sink, _ = add_trace_session(
-                network, "steady", rate=5000.0, times=[0.001],
-                lengths=424.0)
-            network.run(10_000.0)
-            # GPS finish for the steady packet: <= 0.001 + 2*L/r
-            # regardless of the burst size; WFQ/SCFQ add O(L/C).
-            assert sink.max_delay < 2 * 424.0 / 5000.0 + 0.1
+    def test_wfq_isolates_steady_session(self, burst):
+        network = make_network(WFQ, capacity=10_000.0)
+        add_trace_session(network, "burst", rate=5000.0,
+                          times=[0.0] * burst, lengths=424.0)
+        _, sink, _ = add_trace_session(
+            network, "steady", rate=5000.0, times=[0.001],
+            lengths=424.0)
+        network.run(10_000.0)
+        # GPS finish for the steady packet: <= 0.001 + 2*L/r
+        # regardless of the burst size; WFQ adds O(L/C).
+        assert sink.max_delay < 2 * 424.0 / 5000.0 + 0.1

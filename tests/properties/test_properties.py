@@ -6,7 +6,7 @@ over randomized traffic and configurations:
 * eq. 1 structure of the reference server,
 * A ≥ 0 and the F̂ < F + L_MAX/C saturation invariant for admissible
   Leave-in-Time configurations,
-* the VirtualClock special case,
+* the VirtualClock special case (against the eq.-2 oracle),
 * token-bucket shaper soundness,
 * the eq. 12 delay bound on conformant sessions,
 * M/D/1 CDF well-formedness.
@@ -23,9 +23,9 @@ from repro.bounds.md1 import md1_wait_cdf
 from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.policy import DelayPolicy
 from repro.sched.reference import reference_finish_times
-from repro.sched.virtual_clock import VirtualClock
 from repro.traffic.token_bucket import is_conformant, shape_arrivals
-from tests.conftest import add_trace_session, make_network
+from tests.conftest import (VirtualClockOracle, add_trace_session,
+                            make_network)
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -174,7 +174,8 @@ class TestVirtualClockEquivalenceProperty:
     def test_deadlines_match_packet_for_packet(self, gap_lists,
                                                lengths):
         results = {}
-        for name, factory in (("lit", LeaveInTime), ("vc", VirtualClock)):
+        for name, factory in (("lit", LeaveInTime),
+                              ("vc", VirtualClockOracle)):
             network = make_network(factory, capacity=10_000.0)
             sinks = []
             for index, gap_list in enumerate(gap_lists):

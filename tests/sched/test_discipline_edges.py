@@ -4,12 +4,11 @@ import pytest
 
 from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
-from repro.sched.scfq import SCFQ
 from repro.sched.stop_and_go import StopAndGo
-from repro.sched.virtual_clock import VirtualClock
-from repro.sched.wf2q import WF2Q
+from repro.sched.wfq import WFQ
 from repro.traffic.trace_source import TraceSource
-from tests.conftest import add_trace_session, make_network
+from tests.conftest import (VirtualClockOracle, add_trace_session,
+                            make_network)
 
 
 class TestZeroPropagationVsNonzero:
@@ -85,12 +84,12 @@ class TestLiTRegression:
 
 
 class TestVirtualTimeDisciplineEdges:
-    @pytest.mark.parametrize("factory", [SCFQ, WF2Q, VirtualClock])
+    @pytest.mark.parametrize("factory", [WFQ, VirtualClockOracle])
     def test_empty_queue_returns_none(self, factory):
         network = make_network(factory, capacity=1000.0)
         assert network.node("n1").scheduler.next_packet(0.0) is None
 
-    @pytest.mark.parametrize("factory", [SCFQ, WF2Q])
+    @pytest.mark.parametrize("factory", [WFQ, VirtualClockOracle])
     def test_single_packet_roundtrip(self, factory):
         network = make_network(factory, capacity=1000.0)
         _, sink, _ = add_trace_session(network, "s", rate=100.0,

@@ -2,8 +2,9 @@
 
 The paper: with admission control procedure 1, one class, ε = 0 and no
 jitter control, d = L/r and Leave-in-Time reduces to VirtualClock. We
-run both disciplines on identical stochastic traffic (same seeds) and
-require identical per-packet delays, and deadlines — on the paper-like
+run ``LeaveInTime`` and the eq.-2 oracle (``tests.conftest``) on
+identical stochastic traffic (same seeds) and require identical
+per-packet delays, and deadlines — on the paper-like
 fixed scenario below and on hypothesis-drawn ones (node count, seed,
 per-session rates, overlapping sub-routes, variable packet lengths:
 with one fixed ``L`` an affine ``d = slope·L + offset`` that merely
@@ -16,12 +17,11 @@ from hypothesis import strategies as st
 
 from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
-from repro.sched.virtual_clock import VirtualClock
 from repro.traffic.lengths import UniformLength
 from repro.traffic.onoff import OnOffSource
 from repro.traffic.poisson import PoissonSource
 from repro.units import ms
-from tests.conftest import make_network
+from tests.conftest import VirtualClockOracle, make_network
 
 L_MAX = 424.0
 
@@ -78,7 +78,7 @@ def build(scheduler_factory, scenario=FIXED, duration=30.0):
 
 @pytest.fixture(scope="module")
 def both():
-    return build(LeaveInTime), build(VirtualClock)
+    return build(LeaveInTime), build(VirtualClockOracle)
 
 
 def test_identical_packet_counts(both):
@@ -109,7 +109,7 @@ def test_single_node_deadline_by_deadline():
     from tests.conftest import add_trace_session
     times = [0.0, 0.0, 0.3, 0.31, 2.0, 2.0, 2.0]
     results = {}
-    for name, factory in (("lit", LeaveInTime), ("vc", VirtualClock)):
+    for name, factory in (("lit", LeaveInTime), ("vc", VirtualClockOracle)):
         network = make_network(factory, capacity=1000.0)
         _, sink, _ = add_trace_session(network, "s", rate=100.0,
                                        times=times, lengths=100.0)
@@ -124,7 +124,7 @@ def test_packet_for_packet_on_drawn_scenarios(scenario):
     """ROADMAP item 3(b).  Equal service order means *equal* delays,
     not close ones: a deadline only ever decides who goes next."""
     lit = build(LeaveInTime, scenario, duration=3.0)
-    vc = build(VirtualClock, scenario, duration=3.0)
+    vc = build(VirtualClockOracle, scenario, duration=3.0)
     for session_id, sink in lit.items():
         assert sink.samples.values == vc[session_id].samples.values
         assert [packet.length for packet in sink.packets] == \

@@ -12,8 +12,7 @@ from repro.net.session import Session
 from repro.sched.edd import JitterEDD
 from repro.sched.fcfs import FCFS
 from repro.sched.leave_in_time import LeaveInTime
-from repro.sched.scfq import SCFQ
-from repro.sched.wf2q import WF2Q
+from repro.sched.wfq import WFQ
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Tally
 from tests.conftest import add_trace_session, make_network
@@ -84,10 +83,9 @@ def test_lateness_summary_matches_a_tally(discipline, values):
         tally.stddev, rel=1e-9, abs=(1e-9 if spread_out else 1e-6) * scale)
 
 
-@pytest.mark.parametrize("discipline", [SCFQ, WF2Q])
-def test_virtual_time_disciplines_record_no_lateness(discipline):
-    # Their tags are not real-time deadlines: they serve, and skip it.
-    network = make_network(discipline, capacity=1000.0)
+def test_virtual_time_disciplines_record_no_lateness():
+    # WFQ's tags are not real-time deadlines: it serves, and skips it.
+    network = make_network(WFQ, capacity=1000.0)
     _, sink, _ = add_trace_session(network, "s", rate=100.0,
                                    times=[0.0, 0.1, 0.2], lengths=100.0)
     network.run(5.0)

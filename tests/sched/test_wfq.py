@@ -1,52 +1,64 @@
-"""Unit tests for WFQ and its GPS virtual-time tracker."""
+"""Unit tests for WFQ and its GPS virtual-time clock."""
 
 import pytest
 
-from repro.sched.wfq import WFQ, GpsVirtualTime
+from repro.net.packet import Packet
+from repro.net.session import Session
+from repro.sched.wfq import WFQ
 from tests.conftest import add_trace_session, make_network
+
+
+def gps(capacity=1000.0):
+    """A WFQ bound to a one-node network, driven by hand below."""
+    return make_network(WFQ, capacity=capacity).node("n1").scheduler
+
+
+def stamp(wfq, session_id, rate, length, now=0.0):
+    """Hand ``wfq`` one packet arriving at ``now``; its finish tag."""
+    session = Session(session_id, rate, ["n1"], l_max=length)
+    packet = Packet(session, 1, length, now)
+    wfq.on_arrival(packet, now)
+    return packet.deadline
 
 
 class TestGpsVirtualTime:
     def test_single_session_virtual_time_runs_at_link_speed(self):
         # One backlogged session: dV/dt = C / r = 10.
-        gps = GpsVirtualTime(capacity=1000.0)
-        gps.advance(0.0)
-        gps.stamp("a", 100.0, 1000.0)  # finish tag 10 virtual units
-        gps.advance(0.5)
-        assert gps.v == pytest.approx(5.0)
+        wfq = gps()
+        stamp(wfq, "a", 100.0, 1000.0)  # finish tag 10 virtual units
+        wfq._advance(0.5)
+        assert wfq.virtual_time == pytest.approx(5.0)
 
     def test_two_equal_sessions_share(self):
-        gps = GpsVirtualTime(capacity=1000.0)
-        gps.advance(0.0)
-        gps.stamp("a", 500.0, 500.0)   # tag 1.0
-        gps.stamp("b", 500.0, 500.0)   # tag 1.0
-        gps.advance(0.5)
+        wfq = gps()
+        stamp(wfq, "a", 500.0, 500.0)   # tag 1.0
+        stamp(wfq, "b", 500.0, 500.0)   # tag 1.0
+        wfq._advance(0.5)
         # Both backlogged: dV/dt = 1000/1000 = 1.
-        assert gps.v == pytest.approx(0.5)
+        assert wfq.virtual_time == pytest.approx(0.5)
 
     def test_departure_shrinks_active_set(self):
-        gps = GpsVirtualTime(capacity=1000.0)
-        gps.advance(0.0)
-        gps.stamp("a", 500.0, 250.0)   # tag 0.5, departs GPS at t=0.5
-        gps.stamp("b", 500.0, 1000.0)  # tag 2.0
-        gps.advance(1.2)
+        wfq = gps()
+        stamp(wfq, "a", 500.0, 250.0)   # tag 0.5, departs GPS at t=0.5
+        stamp(wfq, "b", 500.0, 1000.0)  # tag 2.0
+        wfq._advance(1.2)
         # Until t=0.5 both active (dV/dt=1): V=0.5. After, only b
         # (dV/dt = 1000/500 = 2): V = 0.5 + 0.7*2 = 1.9.
-        assert gps.v == pytest.approx(1.9)
+        assert wfq.virtual_time == pytest.approx(1.9)
+        assert "a" not in wfq._gps_counts  # a count leaves at zero
 
     def test_virtual_time_freezes_when_gps_empties(self):
-        gps = GpsVirtualTime(capacity=1000.0)
-        gps.advance(0.0)
-        gps.stamp("a", 500.0, 250.0)   # tag 0.5, departs GPS at t=0.25
-        gps.advance(10.0)
+        wfq = gps()
+        stamp(wfq, "a", 500.0, 250.0)   # tag 0.5, departs GPS at t=0.25
+        wfq._advance(10.0)
         # After the system empties, V holds at the last finish tag.
-        assert gps.v == pytest.approx(0.5)
+        assert wfq.virtual_time == pytest.approx(0.5)
+        assert wfq._gps_counts == {} and wfq._active_rate == 0.0
 
     def test_stamp_uses_max_of_v_and_previous_tag(self):
-        gps = GpsVirtualTime(capacity=1000.0)
-        gps.advance(0.0)
-        first = gps.stamp("a", 500.0, 500.0)
-        second = gps.stamp("a", 500.0, 500.0)
+        wfq = gps()
+        first = stamp(wfq, "a", 500.0, 500.0)
+        second = stamp(wfq, "a", 500.0, 500.0)
         assert second == pytest.approx(first + 1.0)
 
 

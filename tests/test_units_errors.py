@@ -1,8 +1,11 @@
 """Unit tests for the units helpers, errors, and package surface."""
 
+import importlib
+
 import pytest
 
 import repro
+import repro.sched
 from repro import errors, units
 
 
@@ -67,7 +70,17 @@ class TestPackageSurface:
             assert hasattr(repro, name), name
 
     def test_scheduler_classes_exported(self):
-        for name in ("LeaveInTime", "VirtualClock", "WFQ", "SCFQ",
-                     "FCFS", "StopAndGo", "HierarchicalRoundRobin",
-                     "RCSP", "DelayEDD", "JitterEDD"):
+        for name in ("LeaveInTime", "WFQ", "FCFS", "StopAndGo",
+                     "HierarchicalRoundRobin", "RCSP", "DelayEDD",
+                     "JitterEDD", "ReferenceServer"):
             assert hasattr(repro, name)
+
+    def test_disciplines_outside_the_paper_are_gone(self):
+        # SCFQ, WF²Q and DRR left with no paper row; VirtualClock is
+        # LeaveInTime's default policy, its eq.-2 oracle test-side.
+        for module in ("scfq", "wf2q", "drr", "virtual_clock"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(f"repro.sched.{module}")
+        for name in ("SCFQ", "WF2Q", "VirtualClock", "DeficitRoundRobin"):
+            assert not hasattr(repro, name)
+            assert not hasattr(repro.sched, name)
