@@ -9,7 +9,7 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: ci test paper ruff repro-analyze parallel-smoke sanitize mypy \
-	heavy-traffic-smoke ckernel ab hop-budget
+	heavy-traffic-smoke ckernel ab hop-budget import-budget
 
 # ckernel goes last: it leaves the built extension under src/, and
 # every python process after that runs the C drain loop.
@@ -101,6 +101,13 @@ ckernel:
 # and opcodes per packet-hop by function, twelve heaviest first.
 hop-budget:
 	$(PYTHON) -m pytest -q -s tests/net/test_hop_path_budget.py
+
+# Not a CI job (tier-1 runs the same file without -s): per entry point
+# (import repro, import repro.cli, the ledger child), the repro modules
+# a fresh interpreter loads and its -X importtime table, cumulative,
+# fifteen largest first.
+import-budget:
+	$(PYTHON) -m pytest -q -s tests/test_import_budget.py
 
 # Not a CI job: the A/B protocol a perf PR is held to, as one command.
 #   make ab BASE=<rev> [WORKLOADS=mix_onoff,heavy_1e4] [PAIRS=10]

@@ -18,12 +18,19 @@ exceeds that bound is *unresolved* unless every run of the change beats
 every run of the base.  Each side runs its own checkout's
 ``benchmarks/ledger`` (the directory is frozen, so they are the same
 code).  Every run made is written to ``DIR/ab_<workload>.json``.
+
+Both sides run under ``PYTHONDONTWRITEBYTECODE=1`` and compile every
+module from source: the fresh clone has no bytecode cache, so a working
+tree holding one would read a ``setup_s`` / ``peak_rss_mb`` gain it did
+not earn.  ``ab.py`` refuses to start while ``src/`` or ``benchmarks/``
+here holds a ``__pycache__``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -49,7 +56,8 @@ def drive(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(
         [sys.executable, str(DRIVER), "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True)
+        cwd=tree, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     if done.returncode != 0:
         sys.exit(f"ab: {tree / DRIVER} failed on {workload} seed {seed}:\n"
                  f"{done.stderr[-2000:]}")
@@ -140,6 +148,14 @@ def main() -> int:
     if any((ROOT / "src" / "repro" / "sim").glob("_ckernel*.so")):
         parser.error("src/repro/sim/_ckernel*.so is built here and would "
                      "not be in the base clone; remove it first")
+    caches = [path for top in ("src", "benchmarks")
+              for path in (ROOT / top).rglob("__pycache__")]
+    if caches:
+        parser.error(f"{len(caches)} __pycache__ directories here (first: "
+                     f"{caches[0].relative_to(ROOT)}) would not be in the "
+                     "base clone; remove them first:\n"
+                     "  find src benchmarks -name __pycache__ -prune "
+                     "-exec rm -rf {} +")
     args.scratch.mkdir(parents=True, exist_ok=True)
     base_tree = args.scratch / "base"
     clone(args.base, base_tree)

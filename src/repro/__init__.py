@@ -20,91 +20,89 @@ Quickstart::
                 mean_on=ms(352), mean_off=ms(650))
     network.run(60.0)
     print(network.sink("voice").max_delay)
+
+This package and ``repro.net``, ``repro.sched``, ``repro.traffic``,
+``repro.bounds``, ``repro.admission`` and ``repro.experiments`` import
+a module the first time one of its names is read, so a run compiles
+only the modules it uses.
 """
 
-from repro.errors import (
-    AdmissionError,
-    ConfigurationError,
-    ReproError,
-    SchedulerSaturationError,
-    SimulationError,
-)
-from repro.net import (
-    Link,
-    Network,
-    Packet,
-    ServerNode,
-    Session,
-    Sink,
-    build_paper_network,
-    route_from_letters,
-)
-from repro.sched import (
-    FCFS,
-    RCSP,
-    WFQ,
-    DelayEDD,
-    DelayPolicy,
-    HierarchicalRoundRobin,
-    JitterEDD,
-    LeaveInTime,
-    ReferenceServer,
-    StopAndGo,
-    virtual_clock_policy,
-)
-from repro.sim import Simulator
-from repro.traffic import (
-    DeterministicSource,
-    OnOffSource,
-    PoissonSource,
-    TokenBucket,
-    TraceSource,
-)
-from repro.units import ATM_PACKET_BITS, Mbps, T1_RATE_BPS, kbps, ms
+from __future__ import annotations
+
+from importlib import import_module
+from typing import Any, Callable, Dict, List, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+
+def _lazy_exports(namespace: Dict[str, Any], exports: Dict[str, str]
+                  ) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package.
+
+    ``namespace`` is the package's ``globals()``; ``exports`` maps each
+    public name to the module defining it, relative to the package.  A
+    name's module is imported when the name is first read, and the value
+    is bound in the package so later reads are plain lookups.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str) -> Any:
+        if name not in exports:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(exports[name], package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
+
+
+#: Public name -> defining module, imported on first use.
+_EXPORTS = {
     # errors
-    "ReproError",
-    "SimulationError",
-    "ConfigurationError",
-    "AdmissionError",
-    "SchedulerSaturationError",
+    "ReproError": ".errors",
+    "SimulationError": ".errors",
+    "ConfigurationError": ".errors",
+    "AdmissionError": ".errors",
+    "SchedulerSaturationError": ".errors",
     # network
-    "Network",
-    "Session",
-    "Sink",
-    "Packet",
-    "Link",
-    "ServerNode",
-    "build_paper_network",
-    "route_from_letters",
+    "Network": ".net.network",
+    "Session": ".net.session",
+    "Sink": ".net.sink",
+    "Packet": ".net.packet",
+    "Link": ".net.link",
+    "ServerNode": ".net.node",
+    "build_paper_network": ".net.topology",
+    "route_from_letters": ".net.route",
     # simulation
-    "Simulator",
+    "Simulator": ".sim.kernel",
     # schedulers
-    "LeaveInTime",
-    "FCFS",
-    "WFQ",
-    "DelayEDD",
-    "JitterEDD",
-    "StopAndGo",
-    "HierarchicalRoundRobin",
-    "RCSP",
-    "ReferenceServer",
-    "DelayPolicy",
-    "virtual_clock_policy",
+    "LeaveInTime": ".sched.leave_in_time",
+    "FCFS": ".sched.fcfs",
+    "WFQ": ".sched.wfq",
+    "DelayEDD": ".sched.edd",
+    "JitterEDD": ".sched.edd",
+    "StopAndGo": ".sched.stop_and_go",
+    "HierarchicalRoundRobin": ".sched.hrr",
+    "RCSP": ".sched.rcsp",
+    "ReferenceServer": ".sched.reference",
+    "DelayPolicy": ".sched.policy",
+    "virtual_clock_policy": ".sched.policy",
     # traffic
-    "OnOffSource",
-    "PoissonSource",
-    "DeterministicSource",
-    "TraceSource",
-    "TokenBucket",
+    "OnOffSource": ".traffic.onoff",
+    "PoissonSource": ".traffic.poisson",
+    "DeterministicSource": ".traffic.deterministic",
+    "TraceSource": ".traffic.trace_source",
+    "TokenBucket": ".traffic.token_bucket",
     # units
-    "ms",
-    "kbps",
-    "Mbps",
-    "ATM_PACKET_BITS",
-    "T1_RATE_BPS",
-]
+    "ms": ".units",
+    "kbps": ".units",
+    "Mbps": ".units",
+    "ATM_PACKET_BITS": ".units",
+    "T1_RATE_BPS": ".units",
+}
+__all__ = ["__version__", *_EXPORTS]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

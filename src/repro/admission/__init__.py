@@ -23,16 +23,15 @@ procedure at every node of a route transactionally (reject anywhere →
 roll back everywhere), mirroring connection establishment.
 """
 
-from repro.admission.classes import DelayClass
-from repro.admission.controller import AdmissionController
-from repro.admission.procedure1 import Procedure1
-from repro.admission.procedure2 import Procedure2
-from repro.admission.procedure3 import Procedure3
+from repro import _lazy_exports
 
-__all__ = [
-    "DelayClass",
-    "Procedure1",
-    "Procedure2",
-    "Procedure3",
-    "AdmissionController",
-]
+#: Public name -> defining module, imported on first use.
+_EXPORTS = {
+    "DelayClass": ".classes",
+    "Procedure1": ".procedure1",
+    "Procedure2": ".procedure2",
+    "Procedure3": ".procedure3",
+    "AdmissionController": ".controller",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

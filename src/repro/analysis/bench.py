@@ -8,7 +8,6 @@ module.
 
 from __future__ import annotations
 
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -58,6 +57,7 @@ def peak_rss_bytes() -> Optional[int]:
 
 def git_rev() -> str:
     """Short git revision of the source tree, or ``"unknown"``."""
+    import subprocess
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

@@ -14,15 +14,7 @@ Two coupled layers (see :doc:`docs/static_analysis` and
   monotonicity, and kernel-clock monotonicity with zero hot-path cost
   when disabled.
 
-This ``__init__`` deliberately imports only the cheap AST-side API;
-the sanitizer (which touches simulator types) is imported lazily by
-:class:`repro.net.network.Network` when enabled.
+This ``__init__`` imports nothing, so a sanitized run (which imports
+:mod:`.sanitizer`) does not compile the static analyzer.  Import from
+the submodules.
 """
-
-from repro.analysis.verify.model import Program
-from repro.analysis.verify.rules import ProgramRule
-
-__all__ = [
-    "Program",
-    "ProgramRule",
-]

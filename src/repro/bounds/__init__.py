@@ -13,49 +13,30 @@ Figures 9-11 and the Section-4 comparison arithmetic against
 Stop-and-Go and PGPS.
 """
 
-from repro.bounds.buffer import buffer_bound, buffer_bounds_along_route
-from repro.bounds.comparisons import (
-    StopAndGoComparison,
-    compare_with_stop_and_go,
-    pgps_delay_bound,
-)
-from repro.bounds.delay import (
-    SessionBounds,
-    alpha_constant,
-    beta_constant,
-    compute_session_bounds,
-    delay_bound,
-    provision_buffers,
-    token_bucket_reference_delay,
-)
-from repro.bounds.distribution import shifted_ccdf, shifted_ccdf_function
-from repro.bounds.jitter import delta_max, jitter_bound
-from repro.bounds.md1 import (
-    md1_delay_ccdf,
-    md1_mean_wait,
-    md1_wait_ccdf,
-    md1_wait_cdf,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "SessionBounds",
-    "compute_session_bounds",
-    "delay_bound",
-    "beta_constant",
-    "alpha_constant",
-    "token_bucket_reference_delay",
-    "jitter_bound",
-    "delta_max",
-    "buffer_bound",
-    "buffer_bounds_along_route",
-    "provision_buffers",
-    "shifted_ccdf",
-    "shifted_ccdf_function",
-    "md1_wait_cdf",
-    "md1_wait_ccdf",
-    "md1_delay_ccdf",
-    "md1_mean_wait",
-    "pgps_delay_bound",
-    "compare_with_stop_and_go",
-    "StopAndGoComparison",
-]
+#: Public name -> defining module, imported on first use.
+_EXPORTS = {
+    "SessionBounds": ".delay",
+    "compute_session_bounds": ".delay",
+    "delay_bound": ".delay",
+    "beta_constant": ".delay",
+    "alpha_constant": ".delay",
+    "token_bucket_reference_delay": ".delay",
+    "jitter_bound": ".jitter",
+    "delta_max": ".jitter",
+    "buffer_bound": ".buffer",
+    "buffer_bounds_along_route": ".buffer",
+    "provision_buffers": ".delay",
+    "shifted_ccdf": ".distribution",
+    "shifted_ccdf_function": ".distribution",
+    "md1_wait_cdf": ".md1",
+    "md1_wait_ccdf": ".md1",
+    "md1_delay_ccdf": ".md1",
+    "md1_mean_wait": ".md1",
+    "pgps_delay_bound": ".comparisons",
+    "compare_with_stop_and_go": ".comparisons",
+    "StopAndGoComparison": ".comparisons",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
+from repro.bounds.buffer import buffer_bounds_along_route
+from repro.bounds.jitter import jitter_bound
 from repro.errors import ConfigurationError
 from repro.sched.policy import DelayPolicy, virtual_clock_policy
 
@@ -130,9 +132,6 @@ def compute_session_bounds(network: "Network", session: "Session", *,
     omitted it is derived from the session's declared token bucket
     (eq. 14) if present, else left unknown.
     """
-    from repro.bounds.buffer import buffer_bounds_along_route
-    from repro.bounds.jitter import jitter_bound
-
     nodes = [network.nodes[name] for name in session.route]
     capacities = [node.link.capacity for node in nodes]
     propagations = [node.link.propagation for node in nodes]

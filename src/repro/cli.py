@@ -22,62 +22,47 @@ import argparse
 import inspect
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.analysis.verify.sanitizer import SanitizerError
 from repro.argtypes import positive_int, positive_seconds
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import default_workers
 
-from repro.experiments import (
-    ablation,
-    call_churn,
-    fault_sweep,
-    figure07,
-    figure08,
-    figure09,
-    figure10,
-    figure11,
-    figure12_13,
-    figure14_17,
-    firewall,
-    heavy_traffic,
-    hop_scaling,
-    md1_validation,
-    regulator_comparison,
-    saturation,
-    section4,
-    space_parallel,
-)
-
 __all__ = ["main", "build_parser"]
 
-#: Experiment name -> (runner accepting duration/seed, paper duration).
-_SIMULATED: Dict[str, tuple] = {
-    "figure07": (figure07.run, 300.0),
-    "figure08": (figure08.run, 600.0),
-    "figure09": (figure09.run, 600.0),
-    "figure10": (figure10.run, 600.0),
-    "figure11": (figure11.run, 600.0),
-    "figure12_13": (figure12_13.run, 600.0),
-    "figure14_17": (figure14_17.run, 300.0),
-    "fault_sweep": (fault_sweep.run, 60.0),
-    "firewall": (firewall.run, 60.0),
-    "heavy_traffic": (heavy_traffic.run, 20.0),
-    "ablation": (ablation.run, 30.0),
-    "hop_scaling": (hop_scaling.run, 60.0),
-    "call_churn": (call_churn.run, 300.0),
-    "md1_validation": (md1_validation.run, 600.0),
-    "saturation": (saturation.run, 120.0),
-    "regulator_comparison": (regulator_comparison.run, 120.0),
-    "space_parallel": (space_parallel.run, 10.0),
+#: Experiment name -> paper duration.  An experiment is the module
+#: ``repro.experiments.<name>``, imported when it runs; its ``run``
+#: accepts duration/seed.
+_SIMULATED: Dict[str, float] = {
+    "figure07": 300.0,
+    "figure08": 600.0,
+    "figure09": 600.0,
+    "figure10": 600.0,
+    "figure11": 600.0,
+    "figure12_13": 600.0,
+    "figure14_17": 300.0,
+    "fault_sweep": 60.0,
+    "firewall": 60.0,
+    "heavy_traffic": 20.0,
+    "ablation": 30.0,
+    "hop_scaling": 60.0,
+    "call_churn": 300.0,
+    "md1_validation": 600.0,
+    "saturation": 120.0,
+    "regulator_comparison": 120.0,
+    "space_parallel": 10.0,
 }
 
 #: Purely analytic experiments (no duration/seed).
-_ANALYTIC: Dict[str, Callable] = {
-    "section4": section4.run,
-}
+_ANALYTIC = ("section4",)
+
+
+def _runner(name: str):
+    """The ``run`` of experiment ``name``, importing its module."""
+    return import_module(f"repro.experiments.{name}").run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "experiments that split one topology "
                              "across processes (repro.sim.parallel); "
                              "digests are identical at any count")
-    parser.add_argument("--profile", nargs="?", const=25, type=int,
-                        default=None, metavar="N",
+    parser.add_argument("--profile", nargs="?", const=25,
+                        type=positive_int, default=None, metavar="N",
                         help="run under cProfile and print the top N "
                              "functions by cumulative time "
                              "(default N: 25)")
@@ -126,9 +111,9 @@ def _run_simulated(name: str, duration: Optional[float], seed: int,
                    full: bool, csv_dir: Optional[str],
                    workers: Optional[int],
                    partitions: Optional[int] = None) -> str:
-    runner, paper_duration = _SIMULATED[name]
+    runner = _runner(name)
     if duration is None:
-        duration = paper_duration if full else None
+        duration = _SIMULATED[name] if full else None
     kwargs: Dict[str, object] = {"seed": seed}
     if duration is not None:
         kwargs["duration"] = duration
@@ -190,7 +175,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         for name in names:
             if name in _ANALYTIC:
-                print(_ANALYTIC[name]().table())
+                print(_runner(name)().table())
             else:
                 try:
                     print(_run_simulated(name, args.duration, args.seed,

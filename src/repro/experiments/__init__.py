@@ -4,26 +4,19 @@ ablation. Each module exposes ``run(...)`` returning a result object
 with a ``table()`` method printing the figure's rows, and the shared
 paper constants live in :mod:`repro.experiments.common`."""
 
-from repro.experiments.common import (
-    PAPER_A_OFF_SWEEP_S,
-    PAPER_A_ON_S,
-    PAPER_ONOFF_RATE_BPS,
-    PAPER_PACKET_BITS,
-    PAPER_SPACING_S,
-    add_onoff_session,
-    add_poisson_cross_traffic,
-    build_cross_network,
-    build_mix_network,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "PAPER_PACKET_BITS",
-    "PAPER_SPACING_S",
-    "PAPER_A_ON_S",
-    "PAPER_A_OFF_SWEEP_S",
-    "PAPER_ONOFF_RATE_BPS",
-    "build_mix_network",
-    "build_cross_network",
-    "add_onoff_session",
-    "add_poisson_cross_traffic",
-]
+#: Public name -> defining module, imported on first use.
+_EXPORTS = {
+    "PAPER_PACKET_BITS": ".common",
+    "PAPER_SPACING_S": ".common",
+    "PAPER_A_ON_S": ".common",
+    "PAPER_A_OFF_SWEEP_S": ".common",
+    "PAPER_ONOFF_RATE_BPS": ".common",
+    "build_mix_network": ".common",
+    "build_cross_network": ".common",
+    "add_onoff_session": ".common",
+    "add_poisson_cross_traffic": ".common",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -7,31 +7,23 @@ and propagation delay ``Γ``, with a pluggable service discipline (see
 :mod:`repro.sched`).
 """
 
-from repro.net.link import Link
-from repro.net.network import Network
-from repro.net.node import ServerNode
-from repro.net.packet import Packet
-from repro.net.route import ENTRANCES, EXITS, route_from_letters, route_name
-from repro.net.session import Session
-from repro.net.sink import Sink
-from repro.net.topology import (
-    CROSS_ROUTES,
-    MIX_ROUTE_COUNTS,
-    build_paper_network,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Link",
-    "Network",
-    "ServerNode",
-    "Packet",
-    "Session",
-    "Sink",
-    "route_from_letters",
-    "route_name",
-    "ENTRANCES",
-    "EXITS",
-    "build_paper_network",
-    "MIX_ROUTE_COUNTS",
-    "CROSS_ROUTES",
-]
+#: Public name -> defining module, imported on first use.
+_EXPORTS = {
+    "Link": ".link",
+    "Network": ".network",
+    "ServerNode": ".node",
+    "Packet": ".packet",
+    "Session": ".session",
+    "Sink": ".sink",
+    "route_from_letters": ".route",
+    "route_name": ".route",
+    "ENTRANCES": ".route",
+    "EXITS": ".route",
+    "build_paper_network": ".topology",
+    "MIX_ROUTE_COUNTS": ".topology",
+    "CROSS_ROUTES": ".topology",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

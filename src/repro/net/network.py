@@ -67,8 +67,8 @@ class Network:
         self.session_table = SessionTable()
         if sanitizer is None and os.environ.get("REPRO_SANITIZE"):
             # Lazy import: the sanitizer module (and the env check
-            # itself) must cost nothing on the default path, and the
-            # analysis package pulls numpy/scipy-weight modules.
+            # itself) must cost nothing on the default path; with
+            # ``verify/__init__`` empty it compiles no static analyzer.
             from repro.analysis.verify.sanitizer import (
                 Sanitizer as _Sanitizer,
                 sanitize_enabled,

@@ -48,7 +48,7 @@ from collections import deque
 from math import inf
 from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.session import Session
@@ -174,8 +174,16 @@ class ServerNode:
     # Data path
     # ------------------------------------------------------------------
     def set_buffer_limit(self, session_id: str, bits: float) -> None:
-        """Enforce a finite per-session buffer at this node."""
-        if bits <= 0:
+        """Enforce a per-session buffer of ``bits`` at this node
+        (``inf``: no limit)."""
+        try:
+            positive = bits > 0
+        except TypeError:
+            raise ConfigurationError(
+                f"node {self.name}: buffer limit for session "
+                f"{session_id!r} must be a number of bits, got {bits!r}"
+            ) from None
+        if not positive:  # NaN too: no occupancy would exceed it
             raise SimulationError(
                 f"buffer limit must be positive, got {bits}")
         slot = self.table.slot(session_id)

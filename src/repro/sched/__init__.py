@@ -28,32 +28,25 @@ approximate O(1) calendar queue the paper mentions
 (:mod:`repro.sched.calendar_queue`).
 """
 
-from repro.sched.base import Scheduler
-from repro.sched.calendar_queue import ApproximateDeadlineQueue, HeapDeadlineQueue
-from repro.sched.edd import DelayEDD, JitterEDD
-from repro.sched.fcfs import FCFS
-from repro.sched.hrr import HierarchicalRoundRobin
-from repro.sched.leave_in_time import LeaveInTime
-from repro.sched.policy import DelayPolicy, virtual_clock_policy
-from repro.sched.rcsp import RCSP
-from repro.sched.reference import ReferenceServer, reference_finish_times
-from repro.sched.stop_and_go import StopAndGo
-from repro.sched.wfq import WFQ
+from repro import _lazy_exports
 
-__all__ = [
-    "Scheduler",
-    "LeaveInTime",
-    "FCFS",
-    "WFQ",
-    "DelayEDD",
-    "JitterEDD",
-    "StopAndGo",
-    "HierarchicalRoundRobin",
-    "RCSP",
-    "ReferenceServer",
-    "reference_finish_times",
-    "DelayPolicy",
-    "virtual_clock_policy",
-    "HeapDeadlineQueue",
-    "ApproximateDeadlineQueue",
-]
+#: Public name -> defining module, imported on first use.
+_EXPORTS = {
+    "Scheduler": ".base",
+    "LeaveInTime": ".leave_in_time",
+    "FCFS": ".fcfs",
+    "WFQ": ".wfq",
+    "DelayEDD": ".edd",
+    "JitterEDD": ".edd",
+    "StopAndGo": ".stop_and_go",
+    "HierarchicalRoundRobin": ".hrr",
+    "RCSP": ".rcsp",
+    "ReferenceServer": ".reference",
+    "reference_finish_times": ".reference",
+    "DelayPolicy": ".policy",
+    "virtual_clock_policy": ".policy",
+    "HeapDeadlineQueue": ".calendar_queue",
+    "ApproximateDeadlineQueue": ".calendar_queue",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -6,36 +6,23 @@ source for tests, and token-bucket / (r,T)-smoothness utilities used by
 the analytical bounds and the Stop-and-Go admission comparison.
 """
 
-from repro.traffic.base import TrafficSource
-from repro.traffic.deterministic import DeterministicSource
-from repro.traffic.lengths import (
-    BimodalLength,
-    ChoiceLength,
-    FixedLength,
-    UniformLength,
-)
-from repro.traffic.onoff import OnOffSource
-from repro.traffic.poisson import PoissonSource
-from repro.traffic.token_bucket import (
-    TokenBucket,
-    is_conformant,
-    is_rt_smooth,
-    shape_arrivals,
-)
-from repro.traffic.trace_source import TraceSource
+from repro import _lazy_exports
 
-__all__ = [
-    "TrafficSource",
-    "OnOffSource",
-    "PoissonSource",
-    "DeterministicSource",
-    "TraceSource",
-    "TokenBucket",
-    "is_conformant",
-    "is_rt_smooth",
-    "shape_arrivals",
-    "FixedLength",
-    "UniformLength",
-    "ChoiceLength",
-    "BimodalLength",
-]
+#: Public name -> defining module, imported on first use.
+_EXPORTS = {
+    "TrafficSource": ".base",
+    "OnOffSource": ".onoff",
+    "PoissonSource": ".poisson",
+    "DeterministicSource": ".deterministic",
+    "TraceSource": ".trace_source",
+    "TokenBucket": ".token_bucket",
+    "is_conformant": ".token_bucket",
+    "is_rt_smooth": ".token_bucket",
+    "shape_arrivals": ".token_bucket",
+    "FixedLength": ".lengths",
+    "UniformLength": ".lengths",
+    "ChoiceLength": ".lengths",
+    "BimodalLength": ".lengths",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -28,7 +28,7 @@ from repro.analysis.det.perturb import (
 )
 from repro.analysis.front import build_parser, main, run_suite
 from repro.analysis.lint.core import read_files, registered_rules
-from repro.analysis.verify import Program
+from repro.analysis.verify.model import Program
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams

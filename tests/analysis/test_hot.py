@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis.front import main, run_suite
 from repro.analysis.lint.core import read_files, registered_rules, run_rules
-from repro.analysis.verify import Program
+from repro.analysis.verify.model import Program
 
 FIXTURES = (Path(__file__).resolve().parent.parent / "fixtures"
             / "analysis" / "hot")

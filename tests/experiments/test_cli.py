@@ -59,6 +59,10 @@ def test_retired_bench_dir_flag_is_rejected(capsys):
     (["figure07", "--duration", "inf"], "--duration: must be a finite"),
     (["figure07", "--workers", "0"], "--workers: must be >= 1"),
     (["figure07", "--workers", "-2"], "--workers: must be >= 1"),
+    # pstats slices by the count: 0 printed an empty table, -1 every
+    # row but the last.
+    (["figure07", "--profile", "0"], "--profile: must be >= 1"),
+    (["figure07", "--profile", "-1"], "--profile: must be >= 1"),
 ])
 def test_nonsense_duration_and_workers_are_usage_errors(capsys, argv,
                                                         complaint):
@@ -94,8 +98,7 @@ def test_full_flag_selects_paper_duration(monkeypatch, capsys):
 
         return Result()
 
-    import repro.cli as cli
-    monkeypatch.setitem(cli._SIMULATED, "figure07", (fake_run, 300.0))
+    monkeypatch.setattr("repro.experiments.figure07.run", fake_run)
     assert main(["figure07", "--full"]) == 0
     assert captured["duration"] == 300.0
 
@@ -112,8 +115,7 @@ def test_default_duration_uses_runner_default(monkeypatch):
 
         return Result()
 
-    import repro.cli as cli
-    monkeypatch.setitem(cli._SIMULATED, "firewall", (fake_run, 60.0))
+    monkeypatch.setattr("repro.experiments.firewall.run", fake_run)
     assert main(["firewall"]) == 0
 
 
@@ -134,8 +136,7 @@ def test_workers_forwarded_to_sharding_runners(monkeypatch):
 
         return Result()
 
-    import repro.cli as cli
-    monkeypatch.setitem(cli._SIMULATED, "figure07", (fake_run, 300.0))
+    monkeypatch.setattr("repro.experiments.figure07.run", fake_run)
     assert main(["figure07", "--workers", "3"]) == 0
     assert captured["workers"] == 3
 
@@ -152,8 +153,7 @@ def test_partitions_forwarded_to_space_parallel_runners(monkeypatch):
 
         return Result()
 
-    import repro.cli as cli
-    monkeypatch.setitem(cli._SIMULATED, "space_parallel", (fake_run, 10.0))
+    monkeypatch.setattr("repro.experiments.space_parallel.run", fake_run)
     assert main(["space_parallel", "--partitions", "2"]) == 0
     assert captured["partitions"] == 2
     # Without the flag the runner keeps its own default sweep.
@@ -169,8 +169,7 @@ def test_partitions_not_passed_to_plain_runners(monkeypatch):
 
         return Result()
 
-    import repro.cli as cli
-    monkeypatch.setitem(cli._SIMULATED, "firewall", (fake_run, 60.0))
+    monkeypatch.setattr("repro.experiments.firewall.run", fake_run)
     # Would raise TypeError if the CLI forced partitions through.
     assert main(["firewall", "--partitions", "2"]) == 0
 
@@ -183,8 +182,7 @@ def test_workers_not_passed_to_plain_runners(monkeypatch):
 
         return Result()
 
-    import repro.cli as cli
-    monkeypatch.setitem(cli._SIMULATED, "firewall", (fake_run, 60.0))
+    monkeypatch.setattr("repro.experiments.firewall.run", fake_run)
     # Would raise TypeError if the CLI forced workers through.
     assert main(["firewall", "--workers", "2"]) == 0
 
@@ -204,8 +202,7 @@ def test_profile_prints_hotspots(monkeypatch, capsys):
 
         return Result()
 
-    import repro.cli as cli
-    monkeypatch.setitem(cli._SIMULATED, "firewall", (fake_run, 60.0))
+    monkeypatch.setattr("repro.experiments.firewall.run", fake_run)
     assert main(["firewall", "--profile", "5"]) == 0
     out = capsys.readouterr().out
     assert "[profile: top 5 functions by cumulative time]" in out
@@ -245,8 +242,7 @@ def test_unusable_csv_directory_fails_before_the_run(tmp_path, monkeypatch,
     def never_run(**kwargs):
         raise AssertionError("the experiment ran before --csv was checked")
 
-    import repro.cli as cli
-    monkeypatch.setitem(cli._SIMULATED, "figure07", (never_run, 300.0))
+    monkeypatch.setattr("repro.experiments.figure07.run", never_run)
     blocker = tmp_path / "a-file"
     blocker.write_text("")
     assert main(["figure07", "--csv", str(blocker / "plots")]) == 2

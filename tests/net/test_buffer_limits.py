@@ -61,6 +61,25 @@ class TestDropMechanics:
         with pytest.raises(SimulationError):
             network.node("n1").set_buffer_limit("s", 0.0)
 
+    def test_rejects_a_nan_limit_and_a_non_number(self):
+        # ``occupancy > nan`` is never true: a NaN limit used to be
+        # stored and silently enforce nothing.
+        network = make_network(FCFS)
+        node = network.node("n1")
+        with pytest.raises(SimulationError, match="must be positive"):
+            node.set_buffer_limit("s", float("nan"))
+        with pytest.raises(ConfigurationError,
+                           match="node n1: buffer limit for session 's'"):
+            node.set_buffer_limit("s", "500")
+
+    def test_infinite_limit_means_no_limit(self):
+        network = make_network(FCFS, capacity=1000.0)
+        _, sink, _ = add_trace_session(
+            network, "s", rate=100.0, times=[0.0] * 5, lengths=100.0)
+        network.node("n1").set_buffer_limit("s", float("inf"))
+        network.run(10.0)
+        assert sink.received == 5
+
     def test_rejects_a_session_the_network_does_not_know(self):
         # Used to create a record silently on one state backend.
         network = make_network(FCFS)
@@ -121,3 +140,11 @@ class TestProvisioningAtTheBound:
         limits = provision_buffers(network, session, bounds=bounds,
                                    headroom_bits=424.0)
         assert limits[0] == pytest.approx(bounds.buffers[0] + 424.0)
+
+    def test_nan_headroom_is_refused(self):
+        network = make_network(LeaveInTime, capacity=1000.0)
+        session, _, _ = add_trace_session(
+            network, "s", rate=100.0, times=[], lengths=100.0,
+            token_bucket=(100.0, 100.0))
+        with pytest.raises(SimulationError, match="must be positive"):
+            provision_buffers(network, session, headroom_bits=float("nan"))

@@ -1,16 +1,18 @@
-"""Every ``examples/*.py`` imports: a deleted export breaks this first.
+"""Every ``examples/*.py`` imports, and the README quickstart runs: a
+deleted export breaks these first.
 
 Each example runs only under its ``__main__`` guard, so importing it
 builds no network — only its imports and module-level tables execute.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = sorted(
-    (Path(__file__).resolve().parent.parent / "examples").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
@@ -20,3 +22,12 @@ def test_example_imports(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_readme_quickstart_runs():
+    # The README's one ``python`` block, as written: it imports through
+    # the ``repro`` and ``repro.bounds`` namespaces and asserts eq. 12
+    # and eq. 17 on a 60 s run.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})

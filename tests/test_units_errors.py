@@ -75,6 +75,22 @@ class TestPackageSurface:
                      "JitterEDD", "ReferenceServer"):
             assert hasattr(repro, name)
 
+    @pytest.mark.parametrize("package", [
+        "repro", "repro.net", "repro.sched", "repro.traffic",
+        "repro.bounds", "repro.admission", "repro.experiments"])
+    def test_namespace_hands_out_the_defining_modules_objects(self,
+                                                              package):
+        # Each name's module is imported on first read
+        # (tests/test_import_budget.py); what it hands out is that
+        # module's own object, and ``dir`` lists it before it is read.
+        namespace = importlib.import_module(package)
+        assert set(namespace.__all__) <= set(dir(namespace))
+        for name, module in namespace._EXPORTS.items():
+            defining = importlib.import_module(module, package)
+            assert getattr(namespace, name) is getattr(defining, name)
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            namespace.nope
+
     def test_disciplines_outside_the_paper_are_gone(self):
         # SCFQ, WF²Q and DRR left with no paper row; VirtualClock is
         # LeaveInTime's default policy, its eq.-2 oracle test-side.
