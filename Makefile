@@ -43,7 +43,7 @@ ruff:
 		echo "-- ruff not installed: skipped (runs in GitHub Actions) --"; \
 	fi
 
-# The whole static suite — lint + verify + det + hot packs — in one
+# The whole static suite — lint + verify + det packs — in one
 # stateless pass: the gate, then the SARIF re-emit CI uploads.
 repro-analyze:
 	@echo "== ci job: analyze =="
@@ -97,8 +97,9 @@ ckernel:
 	fi
 
 # Not a CI job (tier-1 runs the same file without -s): the table a
-# per-hop change is sized with.  Per cell, Python calls per packet-hop
-# and opcodes per packet-hop by function, twelve heaviest first.
+# per-hop change is sized with.  Per cell, Python calls per packet-hop,
+# opcodes per packet-hop by function, twelve heaviest first, and the
+# classes constructed inside Network.run.
 hop-budget:
 	$(PYTHON) -m pytest -q -s tests/net/test_hop_path_budget.py
 

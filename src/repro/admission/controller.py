@@ -20,7 +20,7 @@ from repro.net.session import Session
 __all__ = ["AdmissionController"]
 
 
-class AdmissionController:  # repro: disable=unslotted-hot-class -- one controller per network, built at configuration time, never per event
+class AdmissionController:
     """Per-node procedures plus transactional route admission.
 
     Parameters

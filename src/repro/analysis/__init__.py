@@ -1,5 +1,5 @@
 """Measurement reduction (distributions, summaries, buffer statistics,
 plain-text report tables) for the experiment harness, and the
 static-analysis suite (:mod:`repro.analysis.front` and the ``lint`` /
-``verify`` / ``det`` / ``hot`` packs).  Import from the submodules.
+``verify`` / ``det`` packs).  Import from the submodules.
 """

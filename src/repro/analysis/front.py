@@ -1,15 +1,14 @@
 """``repro-analyze`` — the one front door to the analyzer suite.
 
 One stateless pass — parse, assemble, check, print — over one
-registry and four rule packs:
+registry and three rule packs:
 
 * **lint** — per-file DES-invariant rules;
 * **verify** — whole-program semantic rules;
-* **det** — the determinism / parallel-safety rule;
-* **hot** — hot-path performance rules.
+* **det** — the determinism / parallel-safety rule.
 
 Each file is read and parsed once (:func:`~repro.analysis.lint.core.
-read_files`): the lint rules check it as it is, and the three
+read_files`): the lint rules check it as it is, and the two
 whole-program packs check a single
 :class:`~repro.analysis.verify.model.Program` assembled from one
 summary per file.  A run reads source and writes stdout, nothing else.
@@ -17,7 +16,7 @@ Exit status: 0 clean, 1 findings anywhere, 2 usage errors or
 unanalyzable files.
 
 ``--select`` filters at two grains: ``--select det`` runs one pack,
-``--select hot:unslotted-hot-class`` one rule.  Output is ``text``
+``--select verify:dimension-mismatch`` one rule.  Output is ``text``
 (per-pack sections), ``json`` (one list per pack), or ``sarif`` (one
 SARIF 2.1.0 log with one run per pack — what GitHub code scanning
 ingests).
@@ -110,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analyze",
         description=("The Leave-in-Time analyzer suite: the lint, "
-                     "verify, det and hot rule packs in one stateless "
+                     "verify and det rule packs in one stateless "
                      "pass, plus the schedule-perturbation differ "
                      "(--perturb)."))
     parser.add_argument(
@@ -124,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run only this pack, or only this rule of it "
              "(repeatable; e.g. --select det --select "
-             "hot:unslotted-hot-class)")
+             "verify:dimension-mismatch)")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print every pack's rules and exit")
@@ -168,9 +167,12 @@ def _run_perturb(options: argparse.Namespace,
         parser.error(f"unknown scenario {options.scenario!r} "
                      f"(available: {', '.join(sorted(registry))})")
     modes: Sequence[str] = DEFAULT_MODES
-    if options.modes:
+    if options.modes is not None:
         modes = tuple(part.strip() for part in options.modes.split(",")
                       if part.strip())
+        if not modes:
+            parser.error(f"--modes: no perturbation mode named "
+                         f"(available: {', '.join(DEFAULT_MODES)})")
         unknown = [mode for mode in modes if mode not in DEFAULT_MODES]
         if unknown:
             parser.error(f"unknown perturbation mode(s): "

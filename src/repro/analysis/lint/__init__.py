@@ -4,7 +4,7 @@
 the one rule registry (``pack:rule-id``), ``# repro: disable=<rule>``
 suppressions, the one rule driver and the once-read source file;
 :mod:`.rules` is the ``lint`` pack itself (wall-clock reads, raw unit
-literals, unguarded trace emits).
+literals).
 
 Run the suite with ``repro-analyze`` (``python -m repro.analysis``,
 :mod:`repro.analysis.front`); tier-1 tests gate ``src/`` on a clean

@@ -5,9 +5,9 @@ Why a bespoke linter?  The reproduction's guarantees (paper eqs. 10-17)
 only hold if the *simulator itself* is deterministic and
 unit-consistent.  Generic linters cannot know that simulation code must
 take time from the kernel clock, or that all arithmetic stays in the SI
-unit system of :mod:`repro.units`.  The four ``rules`` modules
-(``lint``, ``verify``, ``det``, ``hot``) encode those repo-specific
-invariants; this module supplies the machinery they all run on.
+unit system of :mod:`repro.units`.  The three ``rules`` modules
+(``lint``, ``verify``, ``det``) encode those repo-specific invariants;
+this module supplies the machinery they all run on.
 
 Suppression syntax
 ------------------
@@ -58,7 +58,7 @@ __all__ = [
 
 #: The rule packs, in execution order: the per-file pass first, then
 #: the whole-program packs over one shared Program.
-PACKS: Tuple[str, ...] = ("lint", "verify", "det", "hot")
+PACKS: Tuple[str, ...] = ("lint", "verify", "det")
 
 
 class LintError(Exception):
@@ -90,9 +90,6 @@ class FileContext:
             raise LintError(f"{path}: not valid Python: {exc}") from exc
         self.path = path
         self.source = source
-        #: Path components, used for path-scoped exemptions
-        #: (``sim/trace.py``).
-        self.parts: Tuple[str, ...] = path.parts
         #: Line number -> rule ids a comment disables on that line.
         self.suppressions = suppressions(source)
 
@@ -101,10 +98,6 @@ class FileContext:
 
     def suppressed(self, violation: Violation) -> bool:
         return violation.rule in self.suppressions.get(violation.line, ())
-
-    def is_file(self, *tail: str) -> bool:
-        """True when the path ends with the given components."""
-        return self.parts[-len(tail):] == tail
 
 
 class Rule(ABC):
@@ -153,7 +146,6 @@ def registered_rules() -> Dict[str, type]:
     # Imported lazily: every rules module imports this one for
     # ``register`` and its base types.
     from repro.analysis.det import rules as _det  # noqa: F401
-    from repro.analysis.hot import rules as _hot  # noqa: F401
     from repro.analysis.lint import rules as _lint  # noqa: F401
     from repro.analysis.verify import rules as _verify  # noqa: F401
     return {key: _REGISTRY[key] for key in sorted(
@@ -202,7 +194,7 @@ def dotted_name(node: ast.AST) -> str:
 def run_rules(rules: Iterable[Any], subject: Any) -> List[Violation]:
     """Every rule's findings on ``subject`` that no comment suppresses.
 
-    The one driver behind all four packs: ``subject`` is whatever the
+    The one driver behind all three packs: ``subject`` is whatever the
     pack's rules check — a :class:`FileContext` or a ``Program`` — and
     answers ``suppressed(violation)``.
     """
@@ -214,7 +206,8 @@ def run_rules(rules: Iterable[Any], subject: Any) -> List[Violation]:
 def read_files(paths: Iterable[Path]) -> List[FileContext]:
     """Read and parse every ``*.py`` under ``paths``, each exactly once.
 
-    Raises :class:`LintError` on an unreadable or unparsable file.
+    Raises :class:`LintError` on an unreadable, non-UTF-8 or
+    unparsable file.
     """
     files: List[FileContext] = []
     for path in iter_python_files(paths):
@@ -222,6 +215,8 @@ def read_files(paths: Iterable[Path]) -> List[FileContext]:
             source = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise LintError(f"{path}: unreadable: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise LintError(f"{path}: not UTF-8: {exc}") from exc
         files.append(FileContext(path, source))
     return files
 

@@ -7,10 +7,7 @@ and fix guidance per rule):
 * determinism — wall-clock reads make runs unrepeatable
   (``no-wallclock``);
 * unit arithmetic — raw literals bypass the single SI unit system
-  (``raw-unit-literal``);
-* hot-path cost — ``Tracer.emit`` builds its kwargs dict even when
-  tracing is off, so per-packet emit sites must test
-  ``tracer.enabled`` first (``unguarded-trace-emit``).
+  (``raw-unit-literal``).
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from repro.analysis.lint.core import (
 __all__ = [
     "NoWallclock",
     "RawUnitLiteral",
-    "UnguardedTraceEmit",
 ]
 
 
@@ -171,95 +167,3 @@ class RawUnitLiteral(Rule):
                 context, node.args[0],
                 f"bare literal delay {value:g} passed to {callee}(); "
                 f"state the unit with seconds()/ms()")
-
-
-@register("lint")
-class UnguardedTraceEmit(Rule):
-    """Per-packet trace emits must hide behind ``tracer.enabled``.
-
-    ``Tracer.emit`` builds a kwargs dict on every call — even when
-    tracing is off, the disabled path still pays the allocation per
-    packet.  The kernel's zero-cost-when-disabled guarantee therefore
-    requires every hot-path emit site to test the flag first::
-
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(now, "arrival", node=self.name, ...)
-
-    An emit counts as guarded when an enclosing ``if``/ternary test (or
-    a preceding operand of the same ``and``) references an ``enabled``
-    attribute or name.  The tracer's own module is exempt — it
-    implements ``emit``.
-    """
-
-    id = "unguarded-trace-emit"
-    description = ("tracer.emit() without an enclosing "
-                   "`if tracer.enabled:` guard; emit builds its kwargs "
-                   "dict even when tracing is off")
-
-    def _exempt(self, context: FileContext) -> bool:
-        return context.is_file("sim", "trace.py")
-
-    @staticmethod
-    def _tests_enabled(test: ast.AST) -> bool:
-        """Does this expression read an ``enabled`` flag?"""
-        for sub in ast.walk(test):
-            if isinstance(sub, ast.Attribute) and sub.attr == "enabled":
-                return True
-            if isinstance(sub, ast.Name) and sub.id == "enabled":
-                return True
-        return False
-
-    @staticmethod
-    def _is_trace_emit(node: ast.Call) -> bool:
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "emit"):
-            return False
-        receiver = dotted_name(func.value)
-        return receiver == "tracer" or receiver.endswith(".tracer")
-
-    def check(self, context: FileContext) -> Iterator[Violation]:
-        if self._exempt(context):
-            return
-        found = []
-
-        def visit(node: ast.AST, guarded: bool) -> None:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                # A nested function's body runs later, outside any
-                # guard active at definition time.
-                for child in ast.iter_child_nodes(node):
-                    visit(child, False)
-                return
-            if isinstance(node, ast.If):
-                guards = self._tests_enabled(node.test)
-                visit(node.test, guarded)
-                for child in node.body:
-                    visit(child, guarded or guards)
-                for child in node.orelse:
-                    visit(child, guarded)
-                return
-            if isinstance(node, ast.IfExp):
-                guards = self._tests_enabled(node.test)
-                visit(node.test, guarded)
-                visit(node.body, guarded or guards)
-                visit(node.orelse, guarded)
-                return
-            if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
-                seen = False
-                for value in node.values:
-                    visit(value, guarded or seen)
-                    seen = seen or self._tests_enabled(value)
-                return
-            if (not guarded and isinstance(node, ast.Call)
-                    and self._is_trace_emit(node)):
-                found.append(self.violation(
-                    context, node,
-                    "tracer.emit() outside an `if tracer.enabled:` "
-                    "guard; hoist the tracer into a local and test "
-                    ".enabled so disabled tracing costs nothing"))
-            for child in ast.iter_child_nodes(node):
-                visit(child, guarded)
-
-        visit(context.tree, False)
-        yield from found

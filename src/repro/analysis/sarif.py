@@ -1,7 +1,7 @@
 """SARIF 2.1.0 output of the analyzer suite.
 
 One SARIF *log* holds one *run* per rule pack, so ``repro-analyze
---format sarif`` uploads lint, verify, det, and hot findings as a
+--format sarif`` uploads lint, verify and det findings as a
 single artifact that code-scanning UIs (GitHub's ``upload-sarif``
 action among them) ingest directly.
 

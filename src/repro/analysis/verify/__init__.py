@@ -11,7 +11,7 @@ Two coupled layers (see :doc:`docs/static_analysis` and
 * **Runtime** — :mod:`.sanitizer` installs conservation-law checkers
   into a live simulation (``--sanitize`` / ``REPRO_SANITIZE=1``),
   verifying per-node packet conservation, reservation sums, LiT label
-  monotonicity, and kernel-clock monotonicity with zero hot-path cost
+  monotonicity, and kernel-clock monotonicity at zero per-event cost
   when disabled.
 
 This ``__init__`` imports nothing, so a sanitized run (which imports

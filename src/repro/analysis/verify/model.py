@@ -1,5 +1,5 @@
-"""The whole-program semantic model behind the ``verify``, ``det`` and
-``hot`` packs.
+"""The whole-program semantic model behind the ``verify`` and ``det``
+packs.
 
 PR 1's linter reasons one file at a time; the rules in
 :mod:`repro.analysis.verify.rules` need facts that cross function and
@@ -8,9 +8,8 @@ queue?*, *is this constant a time or a rate?*, *does the exception
 handler release what the try block reserved?*  This module extracts a
 per-file **module summary** (pure local facts, plain dicts and lists)
 from each once-parsed :class:`~repro.analysis.lint.core.FileContext`
-— one scope walk runs this module's scanner and the ``hot`` pack's
-(:mod:`repro.analysis.hot.model`) on every function — and assembles
-the summaries into a :class:`Program`:
+— one scope walk scans every function — and assembles the summaries
+into a :class:`Program`:
 
 * a **module symbol table** — imports, module-level constants with
   inferred dimensions, functions by qualified name;
@@ -41,7 +40,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Set,
@@ -49,7 +47,6 @@ from typing import (
     Union,
 )
 
-from repro.analysis.hot.model import HotScanner, scan_class
 from repro.analysis.lint.core import FileContext, Violation
 from repro.analysis.lint.rules import (
     _LENGTH_KEYWORDS,
@@ -112,9 +109,6 @@ SINK_NAMES = ("schedule", "schedule_at", "push")
 #: Method names that create a reservation / release one.
 RESERVE_NAMES = ("admit", "reserve")
 RELEASE_NAME = "release"
-
-#: Base-class names that end the "is every base slotted?" search.
-_SLOTTED_ROOTS = frozenset({"object"})
 
 
 def dim_name(dim: Dim) -> str:
@@ -764,8 +758,8 @@ class _FunctionScanner:
 
 
 def summarize(context: FileContext) -> Dict[str, Any]:
-    """Extract one parsed file's summary: the verify facts and the hot
-    facts of every function, from one walk over its scopes."""
+    """Extract one parsed file's summary: the facts of every function,
+    from one walk over its scopes."""
     tree = context.tree
     module_name = module_name_for(context.path)
     ctx = _ModuleContext(module_name)
@@ -794,20 +788,16 @@ def summarize(context: FileContext) -> Dict[str, Any]:
                 if kind is not None:
                     ctx.name_kinds[target.id] = kind
 
-    # Pass 2: every function (methods and nested defs included) through
-    # both scanners, every class, plus module-level statements as the
-    # pseudo-function "<module>" (run once, so no hot facts).
+    # Pass 2: every function (methods and nested defs included), plus
+    # module-level statements as the pseudo-function "<module>".
     functions: List[Dict[str, Any]] = []
-    classes: List[Dict[str, Any]] = []
 
     def scan_def(node: Union[ast.FunctionDef, ast.AsyncFunctionDef],
                  prefix: str) -> None:
         qualname = f"{prefix}{node.name}"
         scanner = _FunctionScanner(ctx, qualname, node, node.args)
         scanner.scan_body(node.body)
-        hot = HotScanner(node)
-        hot.scan_body(node.body)
-        functions.append({**scanner.summary(node.name), **hot.summary()})
+        functions.append(scanner.summary(node.name))
         walk_scope(node.body, f"{qualname}.")
 
     def walk_scope(body: Iterable[ast.stmt], prefix: str) -> None:
@@ -815,9 +805,7 @@ def summarize(context: FileContext) -> Dict[str, Any]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scan_def(node, prefix)
             elif isinstance(node, ast.ClassDef):
-                qualname = f"{prefix}{node.name}"
-                classes.append(scan_class(node, qualname))
-                walk_scope(node.body, f"{qualname}.")
+                walk_scope(node.body, f"{prefix}{node.name}.")
             elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For,
                                    ast.While)):
                 for child in ast.iter_child_nodes(node):
@@ -840,7 +828,6 @@ def summarize(context: FileContext) -> Dict[str, Any]:
         "name_kinds": ctx.name_kinds,
         "attr_kinds": ctx.attr_kinds,
         "functions": functions,
-        "classes": classes,
         "suppressions": context.suppressions,
     }
 
@@ -861,15 +848,10 @@ class Program:
         self._by_method: Dict[Tuple[str, str], List[str]] = {}
         self.attr_kinds: Dict[str, Optional[str]] = {}
         self.constants: Dict[str, Optional[Dim]] = {}
-        #: Bare class name -> every definition with that name.
-        self.classes_by_name: Dict[str, List[Dict[str, Any]]] = {}
         self._suppressions: Dict[str, Dict[int, FrozenSet[str]]] = {}
         for summary in self.summaries:
             module = summary["module"]
             self._suppressions[summary["path"]] = summary["suppressions"]
-            for entry in summary["classes"]:
-                self.classes_by_name.setdefault(entry["name"], []).append(
-                    {**entry, "path": summary["path"], "module": module})
             for attr, kind in summary.get("attr_kinds", {}).items():
                 existing = self.attr_kinds.get(attr)
                 if existing is not None and existing != kind:
@@ -890,7 +872,6 @@ class Program:
         self._reaches_release = self._reachability(self._direct_release)
         self._callers = self._build_callers()
         self._callees: Optional[Dict[str, Set[str]]] = None
-        self._kernel_reachable: Optional[Set[str]] = None
 
     # -- constants -----------------------------------------------------
     def _resolve_constants(self) -> None:
@@ -1064,62 +1045,10 @@ class Program:
             worklist.extend(self.callees_of(key) - reached)
         return reached
 
-    def kernel_reachable(self) -> Set[str]:
-        """Functions that (may) run under the event loop.
-
-        Roots are every function containing a schedule/enqueue site —
-        their bodies run when events fire, and the callbacks they
-        register are picked up through the reference edges of the
-        forward closure.  This is the scope inside which shared mutable
-        state breaks space-parallel sharding.
-        """
-        if self._kernel_reachable is None:
-            roots = {key for key, (_, function) in self.functions.items()
-                     if self._direct_sink(function)}
-            self._kernel_reachable = self.forward_closure(roots)
-        return self._kernel_reachable
-
     def attr_kind(self, attr: Optional[str]) -> Optional[str]:
         if attr is None:
             return None
         return self.attr_kinds.get(attr)
-
-    # -- hot-path view (hot pack) -------------------------------------
-    def hot_functions(self) -> Iterator[Tuple[str, Dict[str, Any],
-                                              Dict[str, Any]]]:
-        """Kernel-reachable functions, sorted for stable reports.
-        Module-level statements run once, never per event."""
-        for key in sorted(self.kernel_reachable()):
-            summary, function = self.functions[key]
-            if function["name"] != "<module>":
-                yield key, summary, function
-
-    def resolve_class(self, name: str) -> Optional[Dict[str, Any]]:
-        """The unique in-tree class with this (last-segment) name."""
-        candidates = self.classes_by_name.get(
-            name.rsplit(".", 1)[-1], [])
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
-
-    def provably_unslotted(self, entry: Dict[str, Any]) -> bool:
-        """True when adding ``__slots__`` to this class would provably
-        make its instances dict-free.
-
-        Requires every base to resolve in-tree *and* define
-        ``__slots__`` itself (or be ``object``): an unresolvable or
-        unslotted base contributes a dict no matter what the subclass
-        declares, so such classes are skipped rather than guessed at.
-        """
-        if entry["has_slots"]:
-            return False
-        for base in entry["bases"]:
-            if base.rsplit(".", 1)[-1] in _SLOTTED_ROOTS:
-                continue
-            resolved = self.resolve_class(base)
-            if resolved is None or not resolved["has_slots"]:
-                return False
-        return True
 
     def suppressed(self, violation: Violation) -> bool:
         return violation.rule in self._suppressions.get(

@@ -340,13 +340,18 @@ class FaultPlan:
     def from_json(cls, payload: Union[str, Dict[str, Any]]) -> "FaultPlan":
         """Rebuild a plan from :meth:`to_json` output (dict or string)."""
         if isinstance(payload, str):
-            payload = json.loads(payload)
+            try:
+                payload = json.loads(payload)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(
+                    f"FaultPlan.from_json: not JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigurationError(
                 f"FaultPlan.from_json expects a dict or JSON object, "
                 f"got {type(payload).__name__}")
         schema = payload.get("schema")
-        if schema != PLAN_SCHEMA_VERSION:
+        # ``type(...) is int``: ``True`` and ``1.0`` compare equal to 1.
+        if type(schema) is not int or schema != PLAN_SCHEMA_VERSION:
             raise ConfigurationError(
                 f"FaultPlan schema {schema!r}, expected "
                 f"{PLAN_SCHEMA_VERSION}")

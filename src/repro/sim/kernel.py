@@ -250,9 +250,10 @@ class Simulator:
                 # Fast loop: the horizon test is the only per-event
                 # check (one float comparison until the horizon is
                 # reached).  An empty heap surfaces as ``IndexError``
-                # from ``heappop``.
+                # from ``heappop``: once per run(), not per event, where
+                # a ``while heap`` truth test would cost every iteration.
                 while True:
-                    try:  # repro: disable=exception-control-flow-in-hot-path -- the IndexError fires once per run() when the heap drains, not per event; a "while heap" truth test would cost more on every iteration
+                    try:
                         event = heappop(heap)
                     except IndexError:
                         break

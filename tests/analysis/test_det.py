@@ -260,7 +260,7 @@ def test_cli_select_runs_only_the_named_rule(capsys):
     assert main([target, "--select", "det:unordered-merge"]) == 1
     out = capsys.readouterr().out
     assert "== det ==" in out and "unordered-merge" in out
-    assert "== verify ==" not in out and "== hot ==" not in out
+    assert "== verify ==" not in out and "== lint ==" not in out
 
 
 def test_cli_list_rules(capsys):
@@ -285,6 +285,16 @@ def test_cli_perturb_verdict_is_the_exit_code(tmp_path, monkeypatch,
                  "--rounds", "1"]) == 0
     assert "deterministic under registration" in capsys.readouterr().out
     assert list(tmp_path.iterdir()) == []  # the verdict is not a file
+
+
+@pytest.mark.parametrize("modes", [",", " , ", ""])
+def test_cli_perturb_rejects_an_empty_mode_list(modes, capsys):
+    # "--modes ," used to run no perturbed mode and exit 0.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--perturb", "--modes", modes])
+    assert excinfo.value.code == 2
+    assert ("--modes: no perturbation mode named (available: tiebreak, "
+            "registration, workers, partitions)") in capsys.readouterr().err
 
 
 def test_cli_perturb_rejects_unknown_scenario_and_mode(capsys):

@@ -1,6 +1,6 @@
-"""``repro-analyze``: the one front door over the four rule packs.
+"""``repro-analyze``: the one front door over the three rule packs.
 
-The contracts under test: all four packs run by default and their
+The contracts under test: every pack runs by default and their
 exit codes merge; ``--select`` filters at pack and pack:rule grain;
 the whole-program packs share one assembled Program extracted once;
 one SARIF log carries one run per pack; a run is stateless — it reads
@@ -23,14 +23,16 @@ import pytest
 from repro.analysis.front import main
 from repro.analysis.lint.core import PACKS
 
-HOT_FIXTURES = (Path(__file__).resolve().parent.parent / "fixtures"
-                / "analysis" / "hot")
+VERIFY_FIXTURES = (Path(__file__).resolve().parent.parent / "fixtures"
+                   / "analysis" / "verify")
+#: One finding, of ``verify:unreleased-reservation``, and nothing else.
+RESERVATION_BAD = VERIFY_FIXTURES / "reservation_bad.py"
 
 CLEAN = "X = 1\n"
 WALLCLOCK_BAD = "import time\n\nNOW = time.time()\n"
 
 
-def test_all_four_analyzers_run_by_default(tmp_path, capsys):
+def test_every_pack_runs_by_default(tmp_path, capsys):
     target = tmp_path / "ok.py"
     target.write_text(CLEAN)
     assert main([str(target)]) == 0
@@ -40,40 +42,40 @@ def test_all_four_analyzers_run_by_default(tmp_path, capsys):
 
 
 def test_exit_codes_merge_across_analyzers(tmp_path, capsys):
-    # A lint-only finding and a hot-only finding both drive exit 1,
+    # A lint-only finding and a verify-only finding both drive exit 1,
     # whichever analyzer produced them.
     lint_bad = tmp_path / "lint_bad.py"
     lint_bad.write_text(WALLCLOCK_BAD)
     assert main([str(lint_bad)]) == 1
     assert "no-wallclock" in capsys.readouterr().out
 
-    assert main([str(HOT_FIXTURES / "unslotted_bad.py")]) == 1
-    assert "unslotted-hot-class" in capsys.readouterr().out
+    assert main([str(RESERVATION_BAD)]) == 1
+    assert "unreleased-reservation" in capsys.readouterr().out
 
 
 def test_select_analyzer_grain(tmp_path, capsys):
     target = tmp_path / "lint_bad.py"
     target.write_text(WALLCLOCK_BAD)
-    # Only hot selected: the lint finding is invisible, exit 0.
-    assert main([str(target), "--select", "hot"]) == 0
+    # Only det selected: the lint finding is invisible, exit 0.
+    assert main([str(target), "--select", "det"]) == 0
     out = capsys.readouterr().out
-    assert "== hot ==" in out
+    assert "== det ==" in out
     assert "== lint ==" not in out
 
 
 def test_select_rule_grain(capsys):
-    target = str(HOT_FIXTURES / "alloc_bad.py")
-    assert main([target, "--select", "hot:unslotted-hot-class"]) == 0
+    target = str(RESERVATION_BAD)
+    assert main([target, "--select", "verify:dimension-mismatch"]) == 0
     capsys.readouterr()
-    assert main([target, "--select", "hot:allocation-in-hot-path"]) == 1
-    assert "allocation-in-hot-path" in capsys.readouterr().out
+    assert main([target, "--select", "verify:unreleased-reservation"]) == 1
+    assert "unreleased-reservation" in capsys.readouterr().out
 
 
 def test_select_rejects_unknown_names():
-    with pytest.raises(SystemExit):
-        main(["--select", "nosuch", str(HOT_FIXTURES)])
-    with pytest.raises(SystemExit):
-        main(["--select", "hot:nosuch", str(HOT_FIXTURES)])
+    # "hot" was a pack until its rules retired to the hop budget.
+    for item in ("nosuch", "verify:nosuch", "hot", "hot:nosuch"):
+        with pytest.raises(SystemExit):
+            main(["--select", item, str(VERIFY_FIXTURES)])
 
 
 def test_list_rules_spans_all_analyzers(capsys):
@@ -81,13 +83,13 @@ def test_list_rules_spans_all_analyzers(capsys):
     out = capsys.readouterr().out
     assert "lint:no-wallclock" in out
     assert "verify:" in out
-    assert "det:" in out
-    assert "hot:unslotted-hot-class" in out
+    assert "det:unordered-merge" in out
+    assert len(out.splitlines()) == 7
 
 
 def test_one_extraction_feeds_every_whole_program_pack(
         tmp_path, monkeypatch, capsys):
-    """All four packs share one read, one parse and one summary."""
+    """Every pack shares one read, one parse and one summary."""
     import repro.analysis.verify.model as verify_model
 
     target = tmp_path / "ok.py"
@@ -125,7 +127,7 @@ def test_a_run_leaves_the_cwd_untouched(tmp_path, monkeypatch, capsys):
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.chdir(cwd)
-    assert main([str(HOT_FIXTURES)]) == 1
+    assert main([str(VERIFY_FIXTURES)]) == 1
     capsys.readouterr()
     assert list(cwd.iterdir()) == []
 
@@ -144,6 +146,18 @@ def test_every_run_reads_the_source_afresh(tmp_path, capsys):
     assert main([str(tmp_path)]) == 0
 
 
+def test_a_non_utf8_file_is_an_error_not_a_finding(tmp_path, capsys):
+    # It used to escape as a UnicodeDecodeError traceback with exit 1,
+    # the code for "findings".
+    target = tmp_path / "latin1.py"
+    target.write_bytes(b"NAME = '\xff'\n")
+    assert main([str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"repro-analyze: error: {target}: not UTF-8: ")
+
+
 def test_sarif_log_has_one_run_per_analyzer(tmp_path, capsys):
     target = tmp_path / "ok.py"
     target.write_text(CLEAN)
@@ -154,13 +168,12 @@ def test_sarif_log_has_one_run_per_analyzer(tmp_path, capsys):
 
 
 def test_json_format_groups_by_analyzer(capsys):
-    assert main([str(HOT_FIXTURES / "unslotted_bad.py"),
-                 "--format", "json"]) == 1
+    assert main([str(RESERVATION_BAD), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert set(payload["findings"]) == set(PACKS)
-    (finding,) = payload["findings"]["hot"]
-    assert finding["rule"] == "unslotted-hot-class"
-    assert payload["findings"]["lint"] == []
+    (finding,) = payload["findings"]["verify"]
+    assert finding["rule"] == "unreleased-reservation"
+    assert payload["findings"]["lint"] == payload["findings"]["det"] == []
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +188,7 @@ def test_console_scripts_are_exactly_the_two_front_doors():
                        'repro-analyze = "repro.analysis.front:main"']
 
 
-@pytest.mark.parametrize("pack", PACKS)
+@pytest.mark.parametrize("pack", PACKS + ("hot",))
 def test_retired_cli_modules_are_gone_not_forwarded(pack):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(f"repro.analysis.{pack}.cli")
@@ -183,7 +196,8 @@ def test_retired_cli_modules_are_gone_not_forwarded(pack):
         [sys.executable, "-m", f"repro.analysis.{pack}", "--list-rules"],
         capture_output=True, text=True)
     assert result.returncode != 0
-    assert "__main__" in result.stderr  # a package, not a command
+    # A package, not a command (or, for the retired hot pack, neither).
+    assert f"No module named repro.analysis.{pack}" in result.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -197,14 +211,14 @@ def test_retired_cli_modules_are_gone_not_forwarded(pack):
 ], ids=lambda argv: argv[0])
 def test_removed_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main([str(HOT_FIXTURES)] + argv)
+        main([str(VERIFY_FIXTURES)] + argv)
     assert excinfo.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", [
     "lint.cache", "lint.changed", "hot.profile", "verify.core",
-    "hot.core"])
+    "hot.core", "hot.rules", "hot.model"])
 def test_removed_modules_are_gone_not_aliased(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(f"repro.analysis.{module}")

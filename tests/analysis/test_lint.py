@@ -30,7 +30,6 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "analysis"
 ALL_RULE_IDS = {
     "no-wallclock",
     "raw-unit-literal",
-    "unguarded-trace-emit",
 }
 
 
@@ -108,24 +107,6 @@ def test_untiebroken_event_covers_faults_layer():
         (TRANSITIVE, 5),  # schedule_at(down_at, ...)
         (TRANSITIVE, 6),  # schedule_at(up_at, ...)
     ]
-
-
-def test_unguarded_trace_emit_positive():
-    assert findings("trace_emit_bad.py", "unguarded-trace-emit") == [
-        ("unguarded-trace-emit", 5),  # self.tracer.emit(...)
-        ("unguarded-trace-emit", 7),  # tracer.emit(...) via local
-        ("unguarded-trace-emit", 9),  # guarded by the wrong flag
-    ]
-
-
-def test_unguarded_trace_emit_negative_guarded_forms():
-    assert findings("trace_emit_ok.py", "unguarded-trace-emit") == []
-
-
-def test_unguarded_trace_emit_exempts_tracer_module():
-    # The tracer implements emit; the exemption is by path, which the
-    # fixture mirrors (same mechanism as the sim/rng.py exemption).
-    assert findings("sim/trace.py", "unguarded-trace-emit") == []
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +206,7 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "lint:no-wallclock" in result.stdout
-    assert "hot:unslotted-hot-class" in result.stdout  # the front door
+    assert "verify:dimension-mismatch" in result.stdout  # the front door
 
 
 def test_directory_scan_finds_every_rule_at_least_once():

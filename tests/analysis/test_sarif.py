@@ -17,7 +17,7 @@ from repro.analysis.sarif import render_sarif, sarif_log
 V1 = Violation(path="src/repro/sim/kernel.py", line=10, col=4,
                rule="no-wallclock", message="wall clock read")
 V2 = Violation(path="src/repro/sched/edd.py", line=3, col=0,
-               rule="unslotted-hot-class", message="no __slots__")
+               rule="dimension-mismatch", message="time + rate")
 
 
 def test_log_shape_and_version():
@@ -46,11 +46,11 @@ def test_rule_metadata_and_index_agree():
 def test_unregistered_rule_still_gets_an_entry():
     # A violation whose rule is missing from the metadata (e.g. a
     # dynamically added rule) must not produce a dangling ruleIndex.
-    log = sarif_log([("repro-analyze/hot", {}, [V2])])
+    log = sarif_log([("repro-analyze/verify", {}, [V2])])
     (run,) = log["runs"]
     (result,) = run["results"]
     rules = run["tool"]["driver"]["rules"]
-    assert rules[result["ruleIndex"]]["id"] == "unslotted-hot-class"
+    assert rules[result["ruleIndex"]]["id"] == "dimension-mismatch"
 
 
 def test_region_is_one_based_and_uri_relative():
@@ -76,11 +76,12 @@ def test_absolute_paths_are_relativized_to_cwd():
 def test_one_run_per_section_in_order():
     log = sarif_log([
         ("repro-analyze/lint", {}, [V1]),
-        ("repro-analyze/verify", {}, []),
-        ("repro-analyze/hot", {}, [V2]),
+        ("repro-analyze/det", {}, []),
+        ("repro-analyze/verify", {}, [V2]),
     ])
     names = [run["tool"]["driver"]["name"] for run in log["runs"]]
-    assert names == ["repro-analyze/lint", "repro-analyze/verify", "repro-analyze/hot"]
+    assert names == ["repro-analyze/lint", "repro-analyze/det",
+                     "repro-analyze/verify"]
     assert [len(run["results"]) for run in log["runs"]] == [1, 0, 1]
 
 

@@ -110,6 +110,19 @@ def test_from_json_rejects_unknown_keys_and_schema():
                              "losses": {}})
 
 
+@pytest.mark.parametrize("payload, complaint", [
+    ('{"schema": 1,', "not JSON"),         # truncated text
+    ("", "not JSON"),
+    ({"schema": True}, "schema True"),     # True == 1
+    ({"schema": 1.0}, "schema 1.0"),
+    ('{"schema": "1"}', "schema '1'"),
+], ids=["truncated", "empty", "bool", "float", "string"])
+def test_from_json_rejects_malformed_text_and_non_int_schema(payload,
+                                                             complaint):
+    with pytest.raises(ConfigurationError, match=complaint):
+        FaultPlan.from_json(payload)
+
+
 def test_dumps_is_deterministic():
     assert full_plan().dumps() == full_plan().dumps()
 

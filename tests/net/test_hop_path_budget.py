@@ -21,12 +21,22 @@ an opcode tracer, and holds three numbers per cell:
   one noise-free proxy for wall time this box has, and only a proxy:
   a shorter count from a slower C call is not a gain.  Same rule.
 
+The same tracer also sees every Python ``__init__`` inside
+``Network.run``: on the three data-plane cells each object built there
+(today only ``Packet``) must be dict-free, since ``__slots__`` costs no
+opcode and nothing else would notice it going.  ``call_churn`` is
+exempt: its run builds per-call control-plane objects (sources,
+tallies, bounds, samplers), about 0.03 per hop.
+
+These ceilings are the only static per-hop cost gate: no analyzer
+pattern-matches per-event cost.
+
 Calls are those of ``benchmarks/ledger`` (``total.py_calls_per_pkt_hop``):
 every profiled function that is not a C builtin.
 
 ``make hop-budget`` (``pytest -s`` on this file) prints, per cell, the
-calls per hop and the opcodes per hop of the twelve heaviest functions:
-the table a per-hop change is sized with.
+calls per hop, the opcodes per hop of the twelve heaviest functions and
+the classes constructed: the table a per-hop change is sized with.
 
 The heavy_1e3 cell's set-up has a row of its own, ``construct``: Python
 frames entered and opcodes per session from ``_cell`` entry to
@@ -163,19 +173,22 @@ def test_hop_path_budget(cell, monkeypatch):
 
 
 def _opcode_tracer():
-    """A ``sys.settrace`` function and its per-function (opcodes,
-    frames entered) counters."""
-    opcodes, calls = Counter(), Counter()
+    """A ``sys.settrace`` function, its per-function (opcodes, frames
+    entered) counters and the classes whose ``__init__`` it entered."""
+    opcodes, calls, built = Counter(), Counter(), set()
 
     def tracer(frame, event, arg):
         if event == "call":
             frame.f_trace_opcodes = True
-            calls[frame.f_code.co_qualname] += 1
+            code = frame.f_code
+            calls[code.co_qualname] += 1
+            if code.co_name == "__init__":
+                built.add(type(frame.f_locals[code.co_varnames[0]]))
         elif event == "opcode":
             opcodes[frame.f_code.co_qualname] += 1
         return tracer
 
-    return tracer, opcodes, calls
+    return tracer, opcodes, calls, built
 
 
 def _print_opcodes(label, unit, per, opcodes, calls):
@@ -189,22 +202,35 @@ def _print_opcodes(label, unit, per, opcodes, calls):
 
 needs_311 = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11),
-    reason="the ceilings count CPython 3.11's bytecode")
+    reason="the ceilings count CPython 3.11's bytecode; they are the "
+           "only static per-hop cost gate, run on the 3.11 leg of CI's "
+           "tests matrix")
+
+#: Cells whose ``Network.run`` may build only dict-free objects.
+DATA_PLANE = ("plain", "jitter", "heavy_1e3")
 
 
 @needs_311
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_hop_path_opcodes(cell, monkeypatch):
-    tracer, opcodes, calls = _opcode_tracer()
+    tracer, opcodes, calls, built = _opcode_tracer()
     outer = sys.gettrace()  # coverage's, under ``--cov``: hand it back
     hops = _run_cell(cell, monkeypatch, lambda: sys.settrace(tracer),
                      lambda: sys.settrace(outer))
     total = sum(opcodes.values())
     _print_opcodes(cell, "packet-hop", hops, opcodes, calls)
+    print(f"  constructed: "
+          f"{', '.join(sorted(cls.__qualname__ for cls in built))}")
     ceiling = OPCODES_PER_HOP_CEILING[cell]
     assert total / hops <= ceiling, (
         f"{total / hops:.1f} opcodes per packet-hop in the {cell} cell; "
         f"the committed ceiling is {ceiling}")
+    if cell in DATA_PLANE:
+        with_dict = sorted(cls.__qualname__ for cls in built
+                           if cls.__dictoffset__)
+        assert not with_dict, (
+            f"{with_dict} built inside Network.run of the {cell} cell "
+            f"carry a __dict__; give them __slots__")
 
 
 class _Built(Exception):
@@ -217,7 +243,7 @@ def test_construct_budget(monkeypatch):
     ``Network.run`` on the heavy_1e3 cell: 10^3 passes through
     ``Session()`` / ``add_session`` / ``acquire`` /
     ``register_session`` plus the cell's own set-up, per session."""
-    tracer, opcodes, calls = _opcode_tracer()
+    tracer, opcodes, calls, _ = _opcode_tracer()
     outer = sys.gettrace()
     built = []
 

@@ -3,7 +3,7 @@
 Runs every registered rule of every pack over ``src/repro`` — the same
 ``run_suite`` call ``repro-analyze src`` makes — and fails on any
 unsuppressed violation.  This is the enforcement point for the
-determinism / unit / tie-break / hot-path discipline documented in
+determinism / unit / tie-break / reservation discipline documented in
 ``docs/static_analysis.md``.
 """
 

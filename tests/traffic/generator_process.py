@@ -61,7 +61,9 @@ class Process:
         self._pending = None
         if not self.alive:
             return
-        try:  # repro: disable=exception-control-flow-in-hot-path -- StopIteration is how a generator signals exhaustion; next() has no non-raising probe
+        # StopIteration is how a generator signals exhaustion; next()
+        # has no non-raising probe.
+        try:
             delay = next(self._generator)
         except StopIteration:
             self.alive = False
