@@ -8,12 +8,12 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: ci test paper ruff repro-analyze parallel-smoke sanitize mypy \
+.PHONY: ci test paper ruff repro-analyze sanitize mypy \
 	heavy-traffic-smoke ckernel ab hop-budget import-budget
 
 # ckernel goes last: it leaves the built extension under src/, and
 # every python process after that runs the C drain loop.
-ci: test paper ruff repro-analyze parallel-smoke sanitize mypy \
+ci: test paper ruff repro-analyze sanitize mypy \
 	heavy-traffic-smoke ckernel
 	@echo "== ci: all jobs done =="
 
@@ -49,10 +49,6 @@ repro-analyze:
 	@echo "== ci job: analyze =="
 	$(PYTHON) -m repro.analysis src
 	$(PYTHON) -m repro.analysis src --format sarif > /tmp/repro-analysis.sarif
-
-parallel-smoke:
-	@echo "== ci job: parallel-smoke =="
-	$(PYTHON) -m repro space_parallel --duration 0.5
 
 sanitize:
 	@echo "== ci job: sanitize =="

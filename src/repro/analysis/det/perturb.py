@@ -2,9 +2,9 @@
 
 The static rules prove structural properties; this module tests the
 dynamic one they imply: a disciplined simulation's *observables* are
-invariant under every reordering the space-parallel kernel will
-introduce.  A scenario is run once unperturbed and then re-run under
-four perturbations, diffing observables and a per-event trace:
+invariant under every reordering a sharded run may introduce.  A
+scenario is run once unperturbed and then re-run under three
+perturbations, diffing observables and a per-event trace:
 
 * **tiebreak** — equal ``(time, priority)`` events dispatch in a
   seeded-shuffled order instead of insertion order.  Insertion order
@@ -17,12 +17,6 @@ four perturbations, diffing observables and a per-event trace:
   :func:`repro.experiments.parallel.run_cells` with ``workers=1``
   versus ``workers=N``; results must be bit-identical (they are
   collected positionally, so any difference is real shard divergence).
-* **partitions** — the scenario's topology through
-  :func:`repro.sim.parallel.run_sharded` with seeded-*shuffled*
-  (non-contiguous) partition assignments; the merged dispatch digest
-  must be bit-identical to the serial reference.  Shuffled shards
-  maximize cut edges, so every hop of every session is exercised as a
-  cross-shard handoff somewhere in the sweep.
 
 Traces are normalized *within* each timestamp (same-instant records
 sorted) before comparison: the perturbations legitimately permute
@@ -43,7 +37,6 @@ from repro.experiments.common import build_mix_network
 from repro.experiments.parallel import Cell, run_cells
 from repro.sim.events import Event
 from repro.sim.kernel import PRIORITY_NORMAL, Simulator
-from repro.sim.parallel import run_serial, run_sharded
 from repro.sim.rng import RandomStreams
 from repro.units import ms, seconds
 
@@ -60,8 +53,7 @@ __all__ = [
 ]
 
 #: Perturbation modes in the order they run.
-DEFAULT_MODES: Tuple[str, ...] = ("tiebreak", "registration", "workers",
-                                  "partitions")
+DEFAULT_MODES: Tuple[str, ...] = ("tiebreak", "registration", "workers")
 
 
 class TiebreakShuffledSimulator(Simulator):
@@ -219,9 +211,6 @@ class Scenario:
     shuffled registration order — and returns a :class:`RunResult`.
     ``cells`` (optional) exposes it as a >1-cell sweep for the
     ``workers`` mode; an empty list skips that mode.
-    ``partition_probe`` (optional) exposes a fresh-network builder for
-    the ``partitions`` mode; ``None`` skips that mode (single-node
-    topologies have nothing to shard).
     """
 
     name = "scenario"
@@ -233,9 +222,6 @@ class Scenario:
 
     def cells(self, horizon: float = 0.25) -> List[Cell]:
         return []
-
-    def partition_probe(self) -> Optional[Callable[[], Any]]:
-        return None
 
 
 #: The fig07 target session mirrored here (importing the figure module
@@ -270,19 +256,6 @@ def _fig07_probe_cell(a_off: float, horizon: float
         ("events_dispatched", repr(network.sim.events_dispatched)),)
 
 
-def _fig07_partition_network() -> Any:
-    """Tracer-enabled MIX build for the partitions mode.
-
-    No kernel or order injection here: the space-parallel runner builds
-    each shard itself, and the digest contract is against a serial run
-    of this very builder.  The tracer is on because the dispatch digest
-    is only as strong as the trace it folds in.
-    """
-    network = build_mix_network(ms(88.0), seed=0)
-    network.tracer.enabled = True
-    return network
-
-
 class Fig07Scenario(Scenario):
     """A shortened Figure-7 MIX cell — the repo's canonical workload.
 
@@ -312,41 +285,10 @@ class Fig07Scenario(Scenario):
                      kwargs={"a_off": a_off, "horizon": horizon})
                 for a_off in _FIG07_A_OFF_POINTS_S]
 
-    def partition_probe(self) -> Optional[Callable[[], Any]]:
-        return _fig07_partition_network
-
 
 def scenarios() -> dict:
     """Registered perturbable scenarios by name."""
     return {Fig07Scenario.name: Fig07Scenario}
-
-
-# ----------------------------------------------------------------------
-# The partitions mode
-# ----------------------------------------------------------------------
-def _shuffled_partition(names: Sequence[str], parts: int,
-                        seed: int) -> Tuple[frozenset, ...]:
-    """Deal a seeded shuffle of ``names`` round-robin into ``parts``.
-
-    Deliberately *not* contiguous: a shuffled deal turns nearly every
-    link into a cut edge, so the conservative-sync handoff path — not
-    locality — is what keeps the digest identical.
-    """
-    shuffled = list(names)
-    RandomStreams(seed).stream("partition-perturbation").shuffle(shuffled)
-    return tuple(frozenset(shuffled[index::parts])
-                 for index in range(parts))
-
-
-def _sharded_run_result(result: Any) -> RunResult:
-    """Adapt a :class:`~repro.sim.parallel.ParallelRunResult` for
-    :func:`diff_runs`: the digest is the one observable, the merged
-    payload trace (already instant-normalized by the merge sort) is the
-    per-event evidence for minimization."""
-    return RunResult(
-        observables=(("dispatch digest", repr(result.digest)),),
-        trace=tuple(result.payload["trace"]),
-        events=result.events_dispatched)
 
 
 # ----------------------------------------------------------------------
@@ -381,12 +323,9 @@ def perturb_scenario(scenario: Scenario,
                      rounds: int = 2) -> PerturbReport:
     """Run ``scenario`` under each perturbation mode and diff.
 
-    ``rounds`` seeds per single-run mode (tiebreak, registration, and
-    the shuffle seeds of partitions); ``workers`` is the pool width of
-    the workers mode.  One unperturbed baseline is shared by all
-    single-run modes; the partitions mode diffs against its own serial
-    :func:`~repro.sim.parallel.run_serial` reference (a different
-    observable set — the merged dispatch digest).
+    ``rounds`` seeds per single-run mode (tiebreak and registration);
+    ``workers`` is the pool width of the workers mode.  One unperturbed
+    baseline is shared by both single-run modes.
     """
     unknown = [mode for mode in modes if mode not in DEFAULT_MODES]
     if unknown:
@@ -436,26 +375,6 @@ def perturb_scenario(scenario: Scenario,
                     detail=f"workers=1 vs workers={workers}, "
                            f"cell {cell.label!r}",
                     observable=("cell value", repr(base), repr(pert))))
-    if "partitions" in modes:
-        builder = scenario.partition_probe()
-        if builder is not None:
-            serial = _sharded_run_result(run_serial(builder, horizon))
-            runs += 1
-            events += serial.events
-            names = list(builder().nodes)
-            for seed in range(1, rounds + 1):
-                parts = 2 + (seed - 1) % 3
-                partition = _shuffled_partition(names, parts, seed)
-                sharded = _sharded_run_result(run_sharded(
-                    builder, horizon, partition=partition))
-                runs += 1
-                events += sharded.events
-                divergence = diff_runs(
-                    serial, sharded, scenario=scenario.name,
-                    mode="partitions",
-                    detail=f"shuffle seed {seed}, {parts} shards")
-                if divergence is not None:
-                    divergences.append(divergence)
     return PerturbReport(scenario=scenario.name, modes=tuple(modes),
                          runs=runs, events=events,
                          divergences=tuple(divergences))

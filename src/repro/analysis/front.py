@@ -24,9 +24,9 @@ ingests).
 One dynamic mode shares the entry point: ``--perturb``, the
 schedule-perturbation differ (:mod:`repro.analysis.det.perturb`) —
 rerun ``--scenario`` for ``--horizon`` simulated seconds under shuffled
-tie-break, shuffled session registration, ``workers=1`` vs
-``--workers N`` and shuffled partition assignments (``--modes`` picks a
-subset), and diff observables + traces.  Its verdict is its exit code
+tie-break, shuffled session registration and ``workers=1`` vs
+``--workers N`` (``--modes`` picks a subset), and diff observables +
+traces.  Its verdict is its exit code
 (1 on a divergence).
 """
 
@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario to perturb (default: fig07)")
     dynamic.add_argument(
         "--modes", default=None, metavar="M1,M2",
-        help="comma-separated subset of tiebreak,registration,workers,"
-             "partitions (default: all)")
+        help="comma-separated subset of tiebreak,registration,workers "
+             "(default: all)")
     dynamic.add_argument(
         "--rounds", type=positive_int, default=2, metavar="N",
         help="perturbation seeds per single-run mode (default: 2)")

@@ -53,7 +53,6 @@ _SIMULATED: Dict[str, float] = {
     "md1_validation": 600.0,
     "saturation": 120.0,
     "regulator_comparison": 120.0,
-    "space_parallel": 10.0,
 }
 
 #: Purely analytic experiments (no duration/seed).
@@ -87,11 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="processes to shard sweep cells across "
                              "(default: all cores but one); results "
                              "are identical at any worker count")
-    parser.add_argument("--partitions", type=int, default=None,
-                        help="space-parallel shard count for "
-                             "experiments that split one topology "
-                             "across processes (repro.sim.parallel); "
-                             "digests are identical at any count")
     parser.add_argument("--profile", nargs="?", const=25,
                         type=positive_int, default=None, metavar="N",
                         help="run under cProfile and print the top N "
@@ -109,8 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_simulated(name: str, duration: Optional[float], seed: int,
                    full: bool, csv_dir: Optional[str],
-                   workers: Optional[int],
-                   partitions: Optional[int] = None) -> str:
+                   workers: Optional[int]) -> str:
     runner = _runner(name)
     if duration is None:
         duration = _SIMULATED[name] if full else None
@@ -121,8 +114,6 @@ def _run_simulated(name: str, duration: Optional[float], seed: int,
     parameters = inspect.signature(runner).parameters
     if "workers" in parameters:
         kwargs["workers"] = workers
-    if partitions is not None and "partitions" in parameters:
-        kwargs["partitions"] = partitions
     result = runner(**kwargs)
     _maybe_export(name, result, csv_dir)
     return result.table()
@@ -179,8 +170,7 @@ def main(argv: Optional[list] = None) -> int:
             else:
                 try:
                     print(_run_simulated(name, args.duration, args.seed,
-                                         args.full, args.csv, workers,
-                                         args.partitions))
+                                         args.full, args.csv, workers))
                 except SanitizerError as error:
                     print(f"[sanitize] {name}: VIOLATIONS",
                           file=sys.stderr)

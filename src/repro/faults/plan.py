@@ -292,29 +292,6 @@ class FaultPlan:
         return tuple(sorted({spec.session
                              for spec in self.session_outages}))
 
-    def restrict_to(self, nodes: "frozenset[str] | set[str]") -> "FaultPlan":
-        """A copy keeping only faults that act on ``nodes``.
-
-        The space-parallel runner (:mod:`repro.sim.parallel`) hands
-        each shard the sub-plan of the faults whose node it owns, so a
-        fault fires on exactly one shard.  Session outages are
-        rejected: a session spans shards, so there is no single owner
-        (and sharded runs forbid ``remove_session`` anyway).  Purely
-        declarative — entry order and ``rng_namespace`` are preserved,
-        so each node's coin stream is identical to the serial run's.
-        """
-        if self.session_outages:
-            raise ConfigurationError(
-                "FaultPlan.restrict_to: plans with session outages "
-                "cannot be sharded (a session has no owning node)")
-        kwargs: Dict[str, Any] = {"rng_namespace": self.rng_namespace}
-        for key, _ in _FAMILIES:
-            if key == "session_outages":
-                continue
-            kwargs[key] = tuple(spec for spec in getattr(self, key)
-                                if spec.node in nodes)
-        return FaultPlan(**kwargs)
-
     # ------------------------------------------------------------------
     # JSON (de)serialization
     # ------------------------------------------------------------------

@@ -26,9 +26,7 @@ class Link:
     link with ``propagation=0.0`` (the default) therefore carries zero
     lookahead and **cannot be a partition boundary** — the graph
     partitioner serially merges the two endpoints of a zero-Γ edge into
-    one shard, and an explicit partition that cuts one is rejected with
-    a :class:`~repro.errors.SimulationError` (see
-    ``docs/parallel_kernel.md``).
+    one shard (see ``docs/parallel_kernel.md``).
     """
 
     __slots__ = ("capacity", "propagation")

@@ -137,8 +137,8 @@ class Network:
 
         Pass ``sink`` to attach an existing (possibly shared) sink
         instead of creating a dedicated one — the heavy-traffic
-        experiments aggregate 10^5 sessions into one
-        :class:`~repro.net.sink.SharedSink` this way.
+        experiments aggregate 10^5 sessions into one plain
+        :class:`~repro.net.sink.Sink` this way.
 
         Transactional: checks run before any write, and a scheduler's
         refusal (HRR's frame budget) is rolled back on every node.

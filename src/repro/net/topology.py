@@ -22,7 +22,7 @@ import math
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, \
     Sequence, Tuple
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.units import PAPER_PROPAGATION_S, T1_RATE_BPS
@@ -34,7 +34,6 @@ __all__ = [
     "PAPER_NODE_COUNT",
     "route_edges",
     "partition_network",
-    "validate_partition",
     "cut_lookahead",
 ]
 
@@ -185,47 +184,7 @@ def partition_network(network: Network,
                 index += 1
         shards[index].extend(group)
         consumed += len(group)
-    partition = tuple(frozenset(shard) for shard in shards)
-    validate_partition(network, partition)
-    return partition
-
-
-def validate_partition(network: Network,
-                       partition: Sequence[Iterable[str]]) -> None:
-    """Check a partition is exact and cuts no zero-lookahead edge.
-
-    Every node must appear in exactly one non-empty part, and every cut
-    edge (a forwarding edge whose endpoints live on different shards)
-    must have strictly positive ``Γ`` — a zero-``Γ`` cut edge would
-    give the barrier-window protocol a zero-width window, so it is
-    rejected with a :class:`~repro.errors.SimulationError`.
-    """
-    parts = [frozenset(p) for p in partition]
-    owner: Dict[str, int] = {}
-    for i, part in enumerate(parts):
-        if not part:
-            raise ConfigurationError(
-                f"partition {i} is empty; every shard needs >= 1 node")
-        for name in part:
-            if name in owner:
-                raise ConfigurationError(
-                    f"node {name!r} appears in partitions {owner[name]} "
-                    f"and {i}")
-            if name not in network.nodes:
-                raise ConfigurationError(
-                    f"partition {i} references unknown node {name!r}")
-            owner[name] = i
-    missing = sorted(set(network.nodes) - set(owner))
-    if missing:
-        raise ConfigurationError(
-            f"partition does not cover nodes {missing}")
-    for (u, v), gamma in sorted(route_edges(network).items()):
-        if owner[u] != owner[v] and gamma <= 0.0:
-            raise SimulationError(
-                f"partition cuts the zero-propagation edge "
-                f"{u!r} -> {v!r}: a zero-Γ link carries no lookahead "
-                f"and cannot be a shard boundary; merge the two nodes "
-                f"into one partition (see docs/parallel_kernel.md)")
+    return tuple(frozenset(shard) for shard in shards)
 
 
 def cut_lookahead(network: Network,

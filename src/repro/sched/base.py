@@ -32,6 +32,7 @@ from typing import List, NamedTuple, Optional, TYPE_CHECKING
 from repro.errors import SimulationError
 from repro.net.packet import Packet
 from repro.net.session import Session
+from repro.sim.events import Event
 from repro.sim.kernel import PRIORITY_NORMAL, Simulator
 from repro.sim.trace import Tracer
 
@@ -41,6 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.session_table import SessionTable
 
 __all__ = ["Scheduler"]
+
+#: The stale handle a scheduler with no wake timer holds: at +inf, so
+#: any hold is earlier, and cancelling it changes nothing.
+_NO_WAKE = Event((inf, 0, -1, None, ()))
 
 
 class Lateness(NamedTuple):
@@ -74,8 +79,8 @@ class Scheduler(ABC):
         #: timer or None)``, bound by the node — mutate in place.
         self._holds: list = []
         self._hold_order = 0
-        #: Instant of the node's armed wake timer; inf when none is.
-        self._wake_at = inf
+        #: The node's live wake timer; :data:`_NO_WAKE` when none is.
+        self._wake_timer = _NO_WAKE
 
     # ------------------------------------------------------------------
     # Wiring
@@ -171,19 +176,21 @@ class Scheduler(ABC):
 
     def _arm_wake(self) -> None:
         """The node went idle: one wake timer at the earliest timer-less
-        hold, unless one is armed at or before it."""
+        hold, unless one is armed at or before it.  A later one is
+        cancelled: a scheduler holds at most one live wake timer."""
         at, _, _, timer = self._holds[0]
-        if timer is None and at < self._wake_at:
-            self._wake_at = at
+        armed = self._wake_timer
+        if timer is None and at < armed[0]:
+            armed.cancel()
             # Tie-break: after NORMAL.  Arrivals and completions mature
             # the holds themselves, in ``seq`` order (``created``); the
             # wake releases blindly, so it looks last of its instant.
-            self.sim.schedule_at(at, self._wake,
-                                 priority=PRIORITY_NORMAL + 1)
+            self._wake_timer = self.sim.schedule_at(
+                at, self._wake, priority=PRIORITY_NORMAL + 1)
 
     def _wake(self) -> None:
         """The wake timer fired: the earliest hold is due."""
-        self._wake_at = inf
+        self._wake_timer = _NO_WAKE
         self.node.wakeup()
 
     def _hold_expired(self, packet: Packet) -> None:
@@ -252,7 +259,9 @@ class Scheduler(ABC):
     def lateness(self) -> Lateness:
         """Lateness so far (paper: saturated unless ``maximum < L_MAX/C``).
         ``stddev`` (n − 1) comes from Σ and Σ²: lateness spreads about as
-        wide as its mean is long, so the cancellation costs ~n·ε, no digits."""
+        wide as its mean is long, so the cancellation costs ~n·ε, no digits.
+        Where the squares are subnormal their rounding is absolute, up to
+        one ulp of zero each: there σ is good to √(n·ulp(0)) ≈ 2e-162·√n."""
         count = self._late_count
         mean = self._late_sum / count if count else 0.0
         spread = max(0.0, self._late_sq - count * mean * mean)  # Σ(x − mean)²

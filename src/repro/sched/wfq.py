@@ -28,6 +28,7 @@ import heapq
 from typing import Dict, Optional
 
 from repro.net.packet import Packet
+from repro.net.session import Session
 from repro.sched.base import Scheduler
 from repro.sched.calendar_queue import HeapDeadlineQueue
 
@@ -43,11 +44,16 @@ class WFQ(Scheduler):
         #: GPS virtual time V, as of real time ``_t_last``.
         self.virtual_time = 0.0
         self._t_last = 0.0
-        #: Min-heap of (finish_tag, session_id, rate) for packets still
-        #: in the emulated GPS system.
+        #: Min-heap of (finish_tag, session_id, order, session) for
+        #: packets still in the emulated GPS system; ``order`` (arrival
+        #: count) settles ties before they reach the session object.
         self._gps_heap: list = []
-        #: Packets in the GPS system per session; absent at zero.
-        self._gps_counts: Dict[str, int] = {}
+        self._gps_order = 0
+        #: Packets in the GPS system per flow — per Session object, so a
+        #: session re-admitted under its old id (and maybe a new rate)
+        #: is a flow of its own beside the old one's last packets.
+        #: Absent at zero.
+        self._gps_counts: Dict[Session, int] = {}
         #: Σ r_j over sessions with GPS backlog.
         self._active_rate = 0.0
         #: Last finish tag per session (for the max(V, F_{i-1}) rule).
@@ -59,7 +65,7 @@ class WFQ(Scheduler):
         heap = self._gps_heap
         counts = self._gps_counts
         while heap:
-            f_min, session_id, rate = heap[0]
+            f_min, _, _, session = heap[0]
             if self._active_rate <= 0:  # pragma: no cover - defensive
                 break
             # Real time needed for V to reach f_min.
@@ -70,12 +76,12 @@ class WFQ(Scheduler):
             heapq.heappop(heap)
             self.virtual_time = f_min
             self._t_last = depart_at
-            remaining = counts[session_id] - 1
+            remaining = counts[session] - 1
             if remaining:
-                counts[session_id] = remaining
+                counts[session] = remaining
                 continue
-            del counts[session_id]
-            self._active_rate -= rate
+            del counts[session]
+            self._active_rate -= session.rate
             if abs(self._active_rate) < 1e-12:
                 self._active_rate = 0.0
         if heap and self._active_rate > 0:
@@ -90,11 +96,12 @@ class WFQ(Scheduler):
         start = max(self.virtual_time, self._last_finish.get(session_id, 0.0))
         finish = start + packet.length / rate
         self._last_finish[session_id] = finish
-        count = self._gps_counts.get(session_id, 0)
+        count = self._gps_counts.get(session, 0)
         if count == 0:
             self._active_rate += rate
-        self._gps_counts[session_id] = count + 1
-        heapq.heappush(self._gps_heap, (finish, session_id, rate))
+        self._gps_counts[session] = count + 1
+        self._gps_order = order = self._gps_order + 1
+        heapq.heappush(self._gps_heap, (finish, session_id, order, session))
         packet.eligible_time = now
         # The virtual finish tag plays the deadline role for queueing.
         # Note it is in *virtual* time units, unlike Leave-in-Time's

@@ -1,4 +1,9 @@
-"""Space-parallel simulation: one topology sharded across processes.
+"""Space-parallel simulation: one topology sharded, stepped in-process.
+
+Measured slower than serial on every cell tried (``docs/parallel_kernel.md``
+holds the verdict); what is left is the inline runner the ledger
+benchmark's ``sim.parallel.*`` probe calls, plus the payload helpers its
+workload digests are built from.
 
 Conservative synchronization (chandy-misra style, but windowed): the
 network graph is split into shards by
@@ -12,7 +17,7 @@ Why it is safe
 The *lookahead* of a cut edge ``u -> v`` is the propagation ``Γ`` of
 ``u``'s link: a packet that finishes transmission at local time ``s``
 cannot affect ``v`` before ``s + Γ``.  With ``w = min Γ`` over all cut
-edges, the coordinator places barriers at every multiple of ``w`` up to
+edges, the runner places barriers at every multiple of ``w`` up to
 the run horizon and alternates:
 
 1. every shard runs ``sim.run(until=B, exclusive=True)`` — the
@@ -30,29 +35,25 @@ barrier at the horizon, which is why boundary arrivals landing exactly
 on the horizon are still delivered).
 
 Zero-lookahead edges (``Γ = 0``) grant no window at all; the
-partitioner serially merges their endpoints and
-:func:`~repro.net.topology.validate_partition` rejects an explicit
-partition that cuts one.  See ``docs/parallel_kernel.md``.
+partitioner serially merges their endpoints.
 
 Determinism
 -----------
 Envelopes are injected in sorted order — ``(arrival, sent_at, origin,
 session, seq)`` — so the receiving kernel sees one deterministic
-sequence regardless of shard count or message timing, and at
-:data:`PRIORITY_BOUNDARY` so same-instant ties against local events
-resolve exactly as the serial insertion order would have resolved
-them.  Every random stream is name-keyed
-(:class:`~repro.sim.rng.RandomStreams`), so a node draws the same
-coins whichever shard owns it.  The merged :func:`payload_digest` over
-sink observables, node counters, and the instant-normalized trace is
-bit-identical between a serial run and any shard count
-(``tests/sim/test_space_parallel.py`` pins this, with and without a
-fault plan).
+sequence regardless of shard count, and at :data:`PRIORITY_BOUNDARY` so
+same-instant ties against local events resolve exactly as the serial
+insertion order would have resolved them.  Every random stream is
+name-keyed (:class:`~repro.sim.rng.RandomStreams`), so a node draws the
+same coins whichever shard owns it.  The merged :func:`payload_digest`
+over sink observables, node counters, and the instant-normalized trace
+is bit-identical between a serial run and any shard count
+(``tests/sim/test_space_parallel.py`` pins this).
 
 Sharded-mode restrictions (all fail loud):
 
-* ``Network.remove_session`` — and therefore plans with session
-  outages — is unsupported (drain accounting needs a global view);
+* ``Network.remove_session`` is unsupported (drain accounting needs a
+  global view);
 * the conservation-law sanitizer is unsupported (its balance checks
   are whole-network);
 * every traffic source must expose ``.session`` so it can be placed on
@@ -72,9 +73,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.sim.kernel import PRIORITY_NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover
-    from multiprocessing.connection import Connection
-
-    from repro.faults.plan import FaultPlan
     from repro.net.network import Network
     from repro.net.node import ServerNode
     from repro.net.packet import Packet
@@ -110,17 +108,15 @@ NetworkBuilder = Callable[[], "Network"]
 #: back-to-back packets through equal-capacity nodes make an upstream
 #: arrival coincide exactly with the receiver's own ``tx_end``), so the
 #: injected event instead carries a priority one notch below NORMAL.
-#: Fault timers (``PRIORITY_FAULT``) still pre-empt it, exactly as they
-#: pre-empt a serial delivery.  The one remaining discrepancy is an
-#: event scheduled *more* than Γ ahead tying with an arrival — source
-#: injections on exponential burst grids — which is measure-zero; see
-#: docs/parallel_kernel.md.
+#: The one remaining discrepancy is an event scheduled *more* than Γ
+#: ahead tying with an arrival — source injections on exponential burst
+#: grids — which is measure-zero; see docs/parallel_kernel.md.
 PRIORITY_BOUNDARY = PRIORITY_NORMAL - 1
 
 
 @dataclass(frozen=True, slots=True)
 class PacketEnvelope:
-    """A packet crossing a shard boundary, as plain picklable data.
+    """A packet crossing a shard boundary, as plain data.
 
     Carries exactly the state that semantically travels between nodes:
     the identifying header (session, seq, length, entry time), the
@@ -254,7 +250,8 @@ class ParallelRunResult:
 def carve_network(network: "Network",
                   partition: Sequence[FrozenSet[str]],
                   index: int) -> ShardContext:
-    """Turn a fully built network into shard ``index`` of ``partition``.
+    """Turn a fully built network into shard ``index`` of ``partition``
+    (as :func:`~repro.net.topology.partition_network` returns it).
 
     Installs the :class:`ShardContext` (activating boundary
     interception) and detaches every traffic source whose session does
@@ -263,8 +260,6 @@ def carve_network(network: "Network",
     registration, scheduler state, and RNG stream naming are identical
     on every shard and to the serial run.
     """
-    from repro.net.topology import validate_partition
-
     if network.sanitizer is not None:
         raise SimulationError(
             "the conservation-law sanitizer checks whole-network "
@@ -272,11 +267,6 @@ def carve_network(network: "Network",
             "REPRO_SANITIZE/--sanitize for space-parallel runs")
     if network.shard is not None:
         raise SimulationError("network is already carved into a shard")
-    validate_partition(network, partition)
-    if not 0 <= index < len(partition):
-        raise ConfigurationError(
-            f"shard index {index} out of range for "
-            f"{len(partition)} partitions")
     owner = {name: i for i, part in enumerate(partition)
              for name in part}
     local_sources = []
@@ -313,8 +303,8 @@ def shard_payload(network: "Network",
     Sinks belong to the shard owning the route's last node; node
     counters and fault accounting to the node's owner.  Trace records
     are all local by construction (remote nodes never process a packet
-    on this shard, and the fault plan is restricted to local nodes).
-    A serial run is the degenerate case ``owned = all nodes``.
+    on this shard).  A serial run is the degenerate case
+    ``owned = all nodes``.
     """
     sinks: Dict[str, Any] = {}
     for session_id, sink in sorted(network.sinks.items()):
@@ -412,70 +402,10 @@ def _barriers(duration: float, window: float) -> List[float]:
     return barriers
 
 
-def _shard_plan(plan: Optional["FaultPlan"],
-                local: FrozenSet[str]) -> Optional["FaultPlan"]:
-    if plan is None:
-        return None
-    restricted = plan.restrict_to(local)
-    return restricted if not restricted.is_empty else None
-
-
-def _build_shard(builder: NetworkBuilder,
-                 partition: Sequence[FrozenSet[str]], index: int,
-                 fault_plan: Optional["FaultPlan"]) -> ShardContext:
-    network = builder()
-    local_plan = _shard_plan(fault_plan, partition[index])
-    if local_plan is not None:
-        from repro.faults.injector import FaultInjector
-        FaultInjector(local_plan).install(network)
-    context = carve_network(network, partition, index)
-    _start_sources(network)
-    return context
-
-
-def _resolve_partition(builder: NetworkBuilder,
-                       partitions: Optional[int],
-                       partition: Optional[Sequence[FrozenSet[str]]],
-                       fault_plan: Optional["FaultPlan"],
-                       ) -> Tuple[Tuple[FrozenSet[str], ...], float]:
-    """Compute/validate the partition and its window on a scratch build."""
-    from repro.net.topology import cut_lookahead, partition_network, \
-        validate_partition
-
-    if (partitions is None) == (partition is None):
-        raise ConfigurationError(
-            "run_sharded needs exactly one of partitions= or partition=")
-    if fault_plan is not None and fault_plan.session_outages:
-        raise SimulationError(
-            "fault plans with session outages cannot be sharded: "
-            "session teardown needs the whole-network drain machinery "
-            "(remove_session), which space-parallel runs do not support")
-    probe = builder()
-    if partition is None:
-        assert partitions is not None
-        resolved = partition_network(probe, partitions)
-    else:
-        resolved = tuple(frozenset(part) for part in partition)
-        validate_partition(probe, resolved)
-    if fault_plan is not None:
-        owner = {name: i for i, part in enumerate(resolved)
-                 for name in part}
-        missing = [name for name in fault_plan.nodes_referenced()
-                   if name not in owner]
-        if missing:
-            raise ConfigurationError(
-                f"fault plan references unknown nodes {missing}")
-    return resolved, cut_lookahead(probe, resolved)
-
-
-def run_serial(builder: NetworkBuilder, duration: float, *,
-               fault_plan: Optional["FaultPlan"] = None,
-               ) -> ParallelRunResult:
+def run_serial(builder: NetworkBuilder,
+               duration: float) -> ParallelRunResult:
     """Reference run: the same build, unsharded, same payload/digest."""
     network = builder()
-    if fault_plan is not None and not fault_plan.is_empty:
-        from repro.faults.injector import FaultInjector
-        FaultInjector(fault_plan).install(network)
     network.run(duration)
     payload = merge_payloads(
         [shard_payload(network, frozenset(network.nodes))])
@@ -487,48 +417,59 @@ def run_serial(builder: NetworkBuilder, duration: float, *,
 
 
 def run_sharded(builder: NetworkBuilder, duration: float, *,
-                partitions: Optional[int] = None,
-                partition: Optional[Sequence[FrozenSet[str]]] = None,
-                fault_plan: Optional["FaultPlan"] = None,
+                partitions: int,
                 mode: str = "inline") -> ParallelRunResult:
-    """Run one topology space-parallel and merge the observables.
+    """Run one topology in ``partitions`` contiguous shards, stepped in
+    this process, and merge the observables.
 
-    ``mode="inline"`` steps every shard in this process (deterministic,
-    debuggable); ``mode="process"`` runs each shard in a forked worker
-    process with envelope exchange over pipes — same barriers, same
-    injection order, therefore the same digest.
+    ``mode`` is kept for its callers and takes ``"inline"`` only: the
+    forked-process coordinator measured slower than serial on every
+    cell and is gone (``docs/parallel_kernel.md``).
 
     ``partitions=1`` degenerates to :func:`run_serial` (one shard, no
     cut edges, nothing to exchange).
     """
-    if mode not in ("inline", "process"):
+    from repro.net.topology import cut_lookahead, partition_network
+
+    if mode != "inline":
         raise ConfigurationError(
-            f"mode must be 'inline' or 'process', got {mode!r}")
+            f"mode must be 'inline', got {mode!r}: the process "
+            f"coordinator was removed (see docs/parallel_kernel.md)")
     if duration <= 0:
         raise ConfigurationError(
             f"duration must be positive, got {duration}")
-    resolved, window = _resolve_partition(
-        builder, partitions, partition, fault_plan)
-    if len(resolved) == 1:
-        return run_serial(builder, duration, fault_plan=fault_plan)
-    owner = {name: i for i, part in enumerate(resolved)
+    probe = builder()
+    partition = partition_network(probe, partitions)
+    window = cut_lookahead(probe, partition)
+    if len(partition) == 1:
+        return run_serial(builder, duration)
+    owner = {name: i for i, part in enumerate(partition)
              for name in part}
-    barriers = _barriers(duration, window)
-    steps: List[Tuple[float, bool]] = [(b, True) for b in barriers]
+    contexts = []
+    for index in range(partitions):
+        network = builder()
+        contexts.append(carve_network(network, partition, index))
+        _start_sources(network)
+    routes = {sid: tuple(session.route)
+              for sid, session in contexts[0].network.sessions.items()}
+    steps = [(barrier, True) for barrier in _barriers(duration, window)]
     steps.append((duration, False))
-
-    if mode == "inline":
-        payloads, shard_events = _run_inline(
-            builder, resolved, fault_plan, steps, owner)
-    else:
-        payloads, shard_events = _run_processes(
-            builder, resolved, fault_plan, steps, owner)
-    payload = merge_payloads(payloads)
+    inboxes: List[List[PacketEnvelope]] = [[] for _ in range(partitions)]
+    for until, exclusive in steps:
+        outboxes: List[List[PacketEnvelope]] = []
+        for context, inbox in zip(contexts, inboxes):
+            context.inject_envelopes(inbox)
+            context.network.sim.run(until=until, exclusive=exclusive)
+            outboxes.append(context.take_outbox())
+        inboxes = _split_inboxes(outboxes, owner, routes, partitions)
+    payload = merge_payloads([shard_payload(context.network, part)
+                              for context, part in zip(contexts, partition)])
+    shard_events = tuple(context.network.sim.events_dispatched
+                         for context in contexts)
     return ParallelRunResult(
         digest=payload_digest(payload), payload=payload,
-        partition=resolved, window=window, mode=mode,
-        events_dispatched=sum(shard_events),
-        shard_events=tuple(shard_events))
+        partition=partition, window=window, mode=mode,
+        events_dispatched=sum(shard_events), shard_events=shard_events)
 
 
 def _split_inboxes(outboxes: Sequence[List[PacketEnvelope]],
@@ -543,126 +484,3 @@ def _split_inboxes(outboxes: Sequence[List[PacketEnvelope]],
         receiver = owner[routes[env.session_id][env.hop_index + 1]]
         inboxes[receiver].append(env)
     return inboxes
-
-
-def _run_inline(builder: NetworkBuilder,
-                partition: Tuple[FrozenSet[str], ...],
-                fault_plan: Optional["FaultPlan"],
-                steps: Sequence[Tuple[float, bool]],
-                owner: Dict[str, int],
-                ) -> Tuple[List[Dict[str, Any]], List[int]]:
-    parts = len(partition)
-    contexts = [_build_shard(builder, partition, i, fault_plan)
-                for i in range(parts)]
-    routes = {sid: tuple(session.route)
-              for sid, session in contexts[0].network.sessions.items()}
-    inboxes: List[List[PacketEnvelope]] = [[] for _ in range(parts)]
-    for until, exclusive in steps:
-        outboxes: List[List[PacketEnvelope]] = []
-        for context, inbox in zip(contexts, inboxes):
-            context.inject_envelopes(inbox)
-            context.network.sim.run(until=until, exclusive=exclusive)
-            outboxes.append(context.take_outbox())
-        inboxes = _split_inboxes(outboxes, owner, routes, parts)
-    payloads = [shard_payload(context.network, partition[i])
-                for i, context in enumerate(contexts)]
-    events = [context.network.sim.events_dispatched
-              for context in contexts]
-    return payloads, events
-
-
-# ----------------------------------------------------------------------
-# Process-mode workers
-# ----------------------------------------------------------------------
-def _shard_worker(conn: "Connection", builder: NetworkBuilder,
-                  partition: Tuple[FrozenSet[str], ...], index: int,
-                  fault_plan: Optional["FaultPlan"]) -> None:
-    """Worker loop: build, then lockstep (inject, run, reply outbox)."""
-    try:
-        context = _build_shard(builder, partition, index, fault_plan)
-        conn.send(("ok", None))
-        while True:
-            message = conn.recv()
-            if message[0] == "run":
-                _, until, exclusive, inbox = message
-                context.inject_envelopes(inbox)
-                context.network.sim.run(until=until, exclusive=exclusive)
-                conn.send(("ok", context.take_outbox()))
-            elif message[0] == "result":
-                payload = shard_payload(context.network, partition[index])
-                events = context.network.sim.events_dispatched
-                conn.send(("ok", (payload, events)))
-                return
-            else:  # pragma: no cover - protocol guard
-                raise SimulationError(
-                    f"unknown shard command {message[0]!r}")
-    except Exception as exc:  # noqa: BLE001 - forwarded to the parent
-        import traceback
-        conn.send(("error", f"{exc!r}\n{traceback.format_exc()}"))
-    finally:
-        conn.close()
-
-
-def _expect_ok(conn: "Connection", index: int) -> Any:
-    tag, value = conn.recv()
-    if tag != "ok":
-        raise SimulationError(f"shard {index} failed:\n{value}")
-    return value
-
-
-def _run_processes(builder: NetworkBuilder,
-                   partition: Tuple[FrozenSet[str], ...],
-                   fault_plan: Optional["FaultPlan"],
-                   steps: Sequence[Tuple[float, bool]],
-                   owner: Dict[str, int],
-                   ) -> Tuple[List[Dict[str, Any]], List[int]]:
-    # Imported where processes are made: serial and inline runs (and
-    # every importer of the payload helpers) never load it.
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        raise SimulationError(
-            "space-parallel process mode needs the 'fork' start method "
-            "(the builder callable crosses via the forked address "
-            "space); use mode='inline' on this platform")
-    # A scratch build resolves session routes for envelope routing.
-    routes = {sid: tuple(session.route)
-              for sid, session in builder().sessions.items()}
-    context = multiprocessing.get_context("fork")
-    parts = len(partition)
-    pipes = []
-    workers = []
-    try:
-        for index in range(parts):
-            parent_conn, child_conn = context.Pipe()
-            worker = context.Process(
-                target=_shard_worker,
-                args=(child_conn, builder, partition, index, fault_plan),
-                name=f"repro-shard-{index}", daemon=True)
-            worker.start()
-            child_conn.close()
-            pipes.append(parent_conn)
-            workers.append(worker)
-        for index, conn in enumerate(pipes):
-            _expect_ok(conn, index)
-        inboxes: List[List[PacketEnvelope]] = [[] for _ in range(parts)]
-        for until, exclusive in steps:
-            for conn, inbox in zip(pipes, inboxes):
-                conn.send(("run", until, exclusive, inbox))
-            outboxes = [_expect_ok(conn, index)
-                        for index, conn in enumerate(pipes)]
-            inboxes = _split_inboxes(outboxes, owner, routes, parts)
-        for conn in pipes:
-            conn.send(("result",))
-        results = [_expect_ok(conn, index)
-                   for index, conn in enumerate(pipes)]
-    finally:
-        for conn in pipes:
-            conn.close()
-        for worker in workers:
-            worker.join(timeout=30)
-            if worker.is_alive():  # pragma: no cover - hang guard
-                worker.terminate()
-                worker.join(timeout=5)
-    payloads = [payload for payload, _ in results]
-    events = [events for _, events in results]
-    return payloads, events

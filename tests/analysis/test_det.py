@@ -226,12 +226,10 @@ def test_fig07_is_deterministic_under_all_perturbations():
     report = perturb_scenario(Fig07Scenario(), horizon=cli.horizon,
                               workers=cli.workers, rounds=cli.rounds)
     assert report.deterministic
-    assert report.modes == ("tiebreak", "registration", "workers",
-                            "partitions")
+    assert report.modes == ("tiebreak", "registration", "workers")
     # baseline + 2 tiebreak + 2 registration + 2 cells x {serial,
-    # pooled} + the partitions mode's serial reference + 2 sharded
-    # shuffles
-    assert (cli.horizon, cli.rounds, report.runs) == (0.25, 2, 12)
+    # pooled}
+    assert (cli.horizon, cli.rounds, report.runs) == (0.25, 2, 9)
     assert report.events > 0
 
 
@@ -294,13 +292,16 @@ def test_cli_perturb_rejects_an_empty_mode_list(modes, capsys):
         main(["--perturb", "--modes", modes])
     assert excinfo.value.code == 2
     assert ("--modes: no perturbation mode named (available: tiebreak, "
-            "registration, workers, partitions)") in capsys.readouterr().err
+            "registration, workers)") in capsys.readouterr().err
 
 
 def test_cli_perturb_rejects_unknown_scenario_and_mode(capsys):
     for argv, complaint in (
             (["--scenario", "nosuch"], "unknown scenario 'nosuch'"),
             (["--modes", "nosuch"], "unknown perturbation mode(s): nosuch"),
+            # Retired with the explicit partitions it shuffled.
+            (["--modes", "partitions"],
+             "unknown perturbation mode(s): partitions"),
             # A horizon that simulates nothing, or no perturbed run at
             # all, used to come back "deterministic"; nan was a traceback.
             (["--horizon", "-1"], "--horizon: must be a finite number of "

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ConfigurationError
 
 
 def test_parser_accepts_known_experiments():
@@ -141,37 +142,14 @@ def test_workers_forwarded_to_sharding_runners(monkeypatch):
     assert captured["workers"] == 3
 
 
-def test_partitions_forwarded_to_space_parallel_runners(monkeypatch):
-    captured = {}
-
-    def fake_run(duration=None, seed=0, partitions=None):
-        captured["partitions"] = partitions
-
-        class Result:
-            def table(self):
-                return "stub"
-
-        return Result()
-
-    monkeypatch.setattr("repro.experiments.space_parallel.run", fake_run)
-    assert main(["space_parallel", "--partitions", "2"]) == 0
-    assert captured["partitions"] == 2
-    # Without the flag the runner keeps its own default sweep.
-    assert main(["space_parallel"]) == 0
-    assert captured["partitions"] is None
-
-
-def test_partitions_not_passed_to_plain_runners(monkeypatch):
-    def fake_run(duration=None, seed=0):
-        class Result:
-            def table(self):
-                return "stub"
-
-        return Result()
-
-    monkeypatch.setattr("repro.experiments.firewall.run", fake_run)
-    # Would raise TypeError if the CLI forced partitions through.
-    assert main(["firewall", "--partitions", "2"]) == 0
+def test_retired_space_parallel_experiment_is_rejected(capsys):
+    # Sharding one topology measured slower than serial on every cell
+    # (docs/parallel_kernel.md): the experiment left the CLI, and with
+    # it ``all``'s run of it.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["space_parallel"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'space_parallel'" in capsys.readouterr().err
 
 
 def test_workers_not_passed_to_plain_runners(monkeypatch):
@@ -222,15 +200,39 @@ def test_a_run_writes_nothing_it_was_not_asked_to(tmp_path, monkeypatch,
             if "REPRO_BENCH" in path.read_text(encoding="utf-8")] == []
 
 
+def test_a_configuration_error_is_one_line_not_a_traceback(monkeypatch,
+                                                         capsys):
+    def refuse(duration=None, seed=0):
+        raise ConfigurationError("duration too short for one sample")
+
+    monkeypatch.setattr("repro.experiments.firewall.run", refuse)
+    assert main(["firewall", "--duration", "0.2"]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line == ("leave-in-time: error: duration too short for one "
+                    "sample")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("partitions, complaint", [
     ("0", "partition count must be >= 1, got 0"),
     ("-1", "partition count must be >= 1, got -1"),
     ("99", "cannot split 8 nodes into 99 partitions"),
 ])
 def test_bad_partition_count_is_one_line_not_a_traceback(
-        capsys, partitions, complaint):
-    assert main(["space_parallel", "--duration", "0.2",
-                 "--partitions", partitions]) == 2
+        monkeypatch, capsys, partitions, complaint):
+    # The CLI no longer shards, but the sharder's refusal of a partition
+    # count is still a ConfigurationError, and one must still reach the
+    # user as one line.
+    from repro.experiments.space_parallel import tandem_builder
+    from repro.sim.parallel import run_sharded
+
+    def shard(duration=None, seed=0):
+        return run_sharded(tandem_builder(seed=seed), duration,
+                           partitions=int(partitions))
+
+    monkeypatch.setattr("repro.experiments.firewall.run", shard)
+    assert main(["firewall", "--duration", "0.2"]) == 2
     captured = capsys.readouterr()
     (line,) = captured.err.splitlines()
     assert line.startswith("leave-in-time: error: ") and complaint in line

@@ -126,35 +126,3 @@ def test_from_json_rejects_malformed_text_and_non_int_schema(payload,
 def test_dumps_is_deterministic():
     assert full_plan().dumps() == full_plan().dumps()
 
-
-# ----------------------------------------------------------------------
-# restrict_to: the per-shard sub-plans of the space-parallel runner.
-# ----------------------------------------------------------------------
-def test_restrict_to_filters_by_owning_node():
-    plan = FaultPlan(
-        link_downs=[LinkDown("n1", 1.0, 2.0)],
-        losses=[PacketLoss("n2", 0.0, 5.0, 0.25)],
-        node_restarts=[NodeRestart("n3", 2.5)],
-        rng_namespace="chaos",
-    )
-    local = plan.restrict_to({"n1", "n3"})
-    assert [spec.node for spec in local.link_downs] == ["n1"]
-    assert local.losses == ()
-    assert [spec.node for spec in local.node_restarts] == ["n3"]
-    # The namespace travels with the sub-plan so each node's coin
-    # stream is named identically to the serial run.
-    assert local.rng_namespace == "chaos"
-
-
-def test_restrict_to_preserves_entry_order():
-    plan = FaultPlan(link_downs=[LinkDown("n2", 1.0, 2.0),
-                                 LinkDown("n1", 3.0, 4.0),
-                                 LinkDown("n2", 5.0, 6.0)])
-    local = plan.restrict_to({"n2"})
-    assert [spec.down_at for spec in local.link_downs] == [1.0, 5.0]
-
-
-def test_restrict_to_rejects_session_outages():
-    # A session has no owning node, so outage plans cannot be sharded.
-    with pytest.raises(ConfigurationError, match="outage"):
-        full_plan().restrict_to({"n1"})

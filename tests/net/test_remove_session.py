@@ -262,13 +262,39 @@ class TestForgetAcrossDisciplines:
         network.run(0.95)
         scheduler = network.node("n1").scheduler
         assert network.sink("s").received == 1
-        assert "s" in scheduler._gps_counts
+        assert [flow.id for flow in scheduler._gps_counts] == ["other", "s"]
         network.remove_session("s")
         network.run(10.0)
         assert network.sink("other").received == 11
-        assert "s" not in scheduler._gps_counts
         assert "s" not in scheduler._last_finish
-        assert list(scheduler._gps_counts) == ["other"]
+        assert [flow.id for flow in scheduler._gps_counts] == ["other"]
+
+    def test_wfq_readmitted_session_is_a_gps_flow_of_its_own(self):
+        # b leaves with its one packet still in GPS and comes back at
+        # half the rate: while both b flows are GPS-backlogged each
+        # counts its own rate, and once GPS drains nothing is left.
+        from repro.sched.wfq import WFQ
+        network = make_network(WFQ, capacity=1000.0)
+        # b first: its packet finds the link idle and leaves by 0.1 s,
+        # while GPS holds it until V reaches its tag at t = 1.0.
+        add_trace_session(network, "b", rate=100.0, times=[0.0],
+                          lengths=100.0)
+        add_trace_session(network, "a", rate=900.0, times=[0.0] * 9,
+                          lengths=100.0)
+        network.run(0.15)
+        assert network.sink("b").received == 1
+        network.remove_session("b")
+        # Its source starts with the next run, at 0.15 s: it sends at 0.2.
+        add_trace_session(network, "b", rate=50.0, times=[0.05],
+                          lengths=100.0)
+        network.run(0.25)
+        network.node("n1").settle()  # the busy node parked b's arrival
+        scheduler = network.node("n1").scheduler
+        assert scheduler._active_rate == 1050.0
+        network.run(10.0)
+        scheduler._advance(10.0)
+        assert scheduler._gps_counts == {}
+        assert scheduler._active_rate == 0.0
 
     def test_hrr_forget_frees_bandwidth(self):
         from repro.sched.hrr import HierarchicalRoundRobin

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.experiments.common import mix_specs
 from repro.net.network import Network
 from repro.net.session import Session
@@ -16,7 +16,6 @@ from repro.net.topology import (
     cut_lookahead,
     partition_network,
     route_edges,
-    validate_partition,
 )
 from repro.sched.fcfs import FCFS
 from repro.units import PAPER_PROPAGATION_S, T1_RATE_BPS
@@ -122,27 +121,6 @@ class TestPartitioner:
         assert len(partition_network(network, 2)) == 2
         with pytest.raises(ConfigurationError):
             partition_network(network, 3)
-
-    def test_explicit_zero_gamma_cut_rejected(self):
-        network, _ = tandem([0.001, 0.0, 0.001, 0.001])
-        with pytest.raises(SimulationError, match="zero"):
-            validate_partition(network, (frozenset({"n1", "n2"}),
-                                         frozenset({"n3", "n4"})))
-
-    def test_validate_requires_exact_cover(self):
-        network, _ = tandem([0.001] * 3)
-        with pytest.raises(ConfigurationError):
-            validate_partition(network, (frozenset({"n1"}),
-                                         frozenset({"n2"})))
-        with pytest.raises(ConfigurationError):
-            validate_partition(network, (frozenset({"n1", "n2"}),
-                                         frozenset({"n2", "n3"})))
-        with pytest.raises(ConfigurationError):
-            validate_partition(network, (frozenset({"n1", "n2", "n3"}),
-                                         frozenset()))
-        with pytest.raises(ConfigurationError):
-            validate_partition(network, (frozenset({"n1", "n2", "n3",
-                                                    "ghost"}),))
 
     def test_cut_lookahead_is_min_gamma_over_cut(self):
         network, _ = tandem([0.004, 0.002, 0.003, 0.001])

@@ -1,7 +1,9 @@
 """Tests for the scheduler base-class contract."""
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
@@ -53,6 +55,9 @@ def test_lateness_tally_starts_empty():
 # which reaches the base method through ``super()``.
 @pytest.mark.parametrize("discipline", [FCFS, LeaveInTime, JitterEDD])
 @given(values=st.lists(st.floats(-0.1, 0.1), max_size=300))
+# Equal values whose squares are subnormal: Σx² − nμ² came out one
+# subnormal ulp, and σ its square root, 2.2e-162, where Welford reads 0.
+@example(values=[8.312030049395126e-157] * 4)
 def test_lateness_summary_matches_a_tally(discipline, values):
     """count / Σ / Σ² / running max against Welford on the same values.
 
@@ -61,6 +66,9 @@ def test_lateness_summary_matches_a_tally(discipline, values):
     (σ ≥ 1 % of its largest value: every lateness series does, lead
     times spread about as wide as they are long); below that Σ² − nμ²
     cancels, and all that is promised is √(n·ε) of the magnitude.
+    Squares below the normal range round by up to one ulp of zero each
+    rather than relatively, so σ also has an absolute floor of
+    √(n·ulp(0)) ≈ 2.2e-162·√n.
     """
     scheduler = discipline()
     tally = Tally()
@@ -79,8 +87,10 @@ def test_lateness_summary_matches_a_tally(discipline, values):
     assert lateness.mean == pytest.approx(tally.mean, rel=1e-9,
                                           abs=1e-9 * scale)
     spread_out = tally.stddev >= 0.01 * scale
+    floor = math.sqrt(len(values) * math.ulp(0.0))
     assert lateness.stddev == pytest.approx(
-        tally.stddev, rel=1e-9, abs=(1e-9 if spread_out else 1e-6) * scale)
+        tally.stddev, rel=1e-9,
+        abs=max((1e-9 if spread_out else 1e-6) * scale, floor))
 
 
 def test_virtual_time_disciplines_record_no_lateness():

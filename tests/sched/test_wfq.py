@@ -13,9 +13,14 @@ def gps(capacity=1000.0):
     return make_network(WFQ, capacity=capacity).node("n1").scheduler
 
 
-def stamp(wfq, session_id, rate, length, now=0.0):
-    """Hand ``wfq`` one packet arriving at ``now``; its finish tag."""
-    session = Session(session_id, rate, ["n1"], l_max=length)
+def flow(session_id, rate):
+    """A session as one GPS flow: WFQ counts per Session object."""
+    return Session(session_id, rate, ["n1"], l_max=1000.0)
+
+
+def stamp(wfq, session, length, now=0.0):
+    """Hand ``wfq`` one packet of ``session`` arriving at ``now``; its
+    finish tag."""
     packet = Packet(session, 1, length, now)
     wfq.on_arrival(packet, now)
     return packet.deadline
@@ -25,31 +30,32 @@ class TestGpsVirtualTime:
     def test_single_session_virtual_time_runs_at_link_speed(self):
         # One backlogged session: dV/dt = C / r = 10.
         wfq = gps()
-        stamp(wfq, "a", 100.0, 1000.0)  # finish tag 10 virtual units
+        stamp(wfq, flow("a", 100.0), 1000.0)  # finish tag 10 virtual units
         wfq._advance(0.5)
         assert wfq.virtual_time == pytest.approx(5.0)
 
     def test_two_equal_sessions_share(self):
         wfq = gps()
-        stamp(wfq, "a", 500.0, 500.0)   # tag 1.0
-        stamp(wfq, "b", 500.0, 500.0)   # tag 1.0
+        stamp(wfq, flow("a", 500.0), 500.0)   # tag 1.0
+        stamp(wfq, flow("b", 500.0), 500.0)   # tag 1.0
         wfq._advance(0.5)
         # Both backlogged: dV/dt = 1000/1000 = 1.
         assert wfq.virtual_time == pytest.approx(0.5)
 
     def test_departure_shrinks_active_set(self):
         wfq = gps()
-        stamp(wfq, "a", 500.0, 250.0)   # tag 0.5, departs GPS at t=0.5
-        stamp(wfq, "b", 500.0, 1000.0)  # tag 2.0
+        a, b = flow("a", 500.0), flow("b", 500.0)
+        stamp(wfq, a, 250.0)   # tag 0.5, departs GPS at t=0.5
+        stamp(wfq, b, 1000.0)  # tag 2.0
         wfq._advance(1.2)
         # Until t=0.5 both active (dV/dt=1): V=0.5. After, only b
         # (dV/dt = 1000/500 = 2): V = 0.5 + 0.7*2 = 1.9.
         assert wfq.virtual_time == pytest.approx(1.9)
-        assert "a" not in wfq._gps_counts  # a count leaves at zero
+        assert list(wfq._gps_counts) == [b]  # a count leaves at zero
 
     def test_virtual_time_freezes_when_gps_empties(self):
         wfq = gps()
-        stamp(wfq, "a", 500.0, 250.0)   # tag 0.5, departs GPS at t=0.25
+        stamp(wfq, flow("a", 500.0), 250.0)   # tag 0.5, departs GPS at t=0.25
         wfq._advance(10.0)
         # After the system empties, V holds at the last finish tag.
         assert wfq.virtual_time == pytest.approx(0.5)
@@ -57,8 +63,9 @@ class TestGpsVirtualTime:
 
     def test_stamp_uses_max_of_v_and_previous_tag(self):
         wfq = gps()
-        first = stamp(wfq, "a", 500.0, 500.0)
-        second = stamp(wfq, "a", 500.0, 500.0)
+        a = flow("a", 500.0)
+        first = stamp(wfq, a, 500.0)
+        second = stamp(wfq, a, 500.0)
         assert second == pytest.approx(first + 1.0)
 
 

@@ -266,6 +266,14 @@ def _tandem(per_arrival: bool, watched: bool, discipline: str, hops: int,
          poisson=False, seed=2637)
 @example(discipline="rcsp", hops=4, sessions=9, jitter=True,
          poisson=True, seed=64014)
+# An idle node armed a wake timer earlier than its live one and left
+# the later one armed: once the earlier fired, the next idle spell armed
+# the later instant again, and the parked path dispatched more events
+# than its twin (every extra one a wake).
+@example(discipline="rcsp", hops=2, sessions=2, jitter=False,
+         poisson=True, seed=11960)
+@example(discipline="rcsp", hops=2, sessions=2, jitter=True,
+         poisson=True, seed=29703)
 def test_tracing_does_not_change_what_comes_out(
         discipline, hops, sessions, jitter, poisson, seed):
     """The parked path against its event-per-arrival twin, and the

@@ -1,10 +1,10 @@
 """Space-parallel kernel: serial/sharded digest identity + guard rails.
 
 The acceptance contract of :mod:`repro.sim.parallel`: on a topology
-bigger than any shard, the merged dispatch digest of a sharded run is
-bit-identical to the serial run — at any shard count, in both
-coordinator modes, with and without a fault plan.  Plus the fail-loud
-restrictions (zero-Γ cuts, session churn, sanitizer, session outages).
+bigger than any shard, the merged dispatch digest of an inline sharded
+run is bit-identical to the serial run at any shard count.  Plus the
+fail-loud restrictions (session churn, sanitizer, the retired process
+coordinator).
 """
 
 import math
@@ -12,15 +12,6 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.faults.plan import (
-    FaultPlan,
-    LinkDown,
-    NodePause,
-    NodeRestart,
-    PacketCorruption,
-    PacketLoss,
-    SessionOutage,
-)
 from repro.net.network import Network
 from repro.net.session import Session
 from repro.net.topology import partition_network
@@ -65,27 +56,9 @@ def build():
     return network
 
 
-#: Faults on and around the 2-way boundary (n4|n5): a dead link, seeded
-#: loss and corruption on the boundary transmitter, a pause, and a
-#: crash-restart — together they exercise the restricted per-shard
-#: plans, the boundary-local corruption drop, and the tx-abort path.
-PLAN = FaultPlan(
-    link_downs=(LinkDown("n3", 0.04, 0.08),),
-    losses=(PacketLoss("n4", 0.02, 0.20, 0.3),),
-    corruptions=(PacketCorruption("n4", 0.10, 0.22, 0.3),),
-    node_pauses=(NodePause("n6", 0.05, 0.10),),
-    node_restarts=(NodeRestart("n2", 0.07),),
-)
-
-
 @pytest.fixture(scope="module")
 def serial_clean():
     return run_serial(build, DURATION)
-
-
-@pytest.fixture(scope="module")
-def serial_faulted():
-    return run_serial(build, DURATION, fault_plan=PLAN)
 
 
 class TestDigestIdentity:
@@ -93,30 +66,7 @@ class TestDigestIdentity:
     def test_matches_serial(self, serial_clean, parts):
         sharded = run_sharded(build, DURATION, partitions=parts)
         assert sharded.digest == serial_clean.digest
-
-    @pytest.mark.parametrize("parts", [2, 4])
-    def test_matches_serial_under_faults(self, serial_faulted, parts):
-        sharded = run_sharded(build, DURATION, partitions=parts,
-                              fault_plan=PLAN)
-        assert sharded.digest == serial_faulted.digest
-        assert sharded.window == 0.001
         assert len(sharded.partition) == parts
-
-    def test_process_mode_matches_serial(self, serial_faulted):
-        sharded = run_sharded(build, DURATION, partitions=2,
-                              fault_plan=PLAN, mode="process")
-        assert sharded.digest == serial_faulted.digest
-        assert sharded.mode == "process"
-
-    def test_shuffled_noncontiguous_partition_matches(self, serial_clean):
-        # Alternating ownership maximizes cut edges: every hop of
-        # every session is a cross-shard handoff.
-        partition = (frozenset(f"n{i}" for i in range(1, NODES + 1)
-                               if i % 2),
-                     frozenset(f"n{i}" for i in range(1, NODES + 1)
-                               if not i % 2))
-        sharded = run_sharded(build, DURATION, partition=partition)
-        assert sharded.digest == serial_clean.digest
 
     def test_single_partition_degenerates_to_serial(self):
         result = run_sharded(build, DURATION, partitions=1)
@@ -125,29 +75,6 @@ class TestDigestIdentity:
 
 
 class TestRestrictions:
-    def test_zero_gamma_explicit_cut_rejected(self):
-        def zero_gamma():
-            network = Network(seed=0)
-            for name in ("a", "b"):
-                network.add_node(name, LeaveInTime(), capacity=1000.0,
-                                 propagation=0.0)
-            session = Session("s", rate=100.0, route=["a", "b"],
-                              l_max=100.0)
-            network.add_session(session, keep_samples=False)
-            OnOffSource(network, session, length=100.0, spacing=1.0,
-                        mean_on=1.0, mean_off=1.0)
-            return network
-
-        with pytest.raises(SimulationError, match="zero"):
-            run_sharded(zero_gamma, DURATION,
-                        partition=(frozenset({"a"}), frozenset({"b"})))
-
-    def test_session_outage_plan_rejected(self):
-        plan = FaultPlan(session_outages=(SessionOutage("s0", 0.1,
-                                                        0.2),))
-        with pytest.raises(SimulationError, match="outage"):
-            run_sharded(build, DURATION, partitions=2, fault_plan=plan)
-
     def test_remove_session_rejected_when_carved(self):
         network = build()
         partition = partition_network(network, 2)
@@ -169,16 +96,13 @@ class TestRestrictions:
         with pytest.raises(SimulationError):
             carve_network(network, partition, 1)
 
-    def test_partition_spec_is_exactly_one_of(self):
-        with pytest.raises(ConfigurationError):
-            run_sharded(build, DURATION)
-        with pytest.raises(ConfigurationError):
-            run_sharded(build, DURATION, partitions=2,
-                        partition=(frozenset({"n1"}),))
-
     def test_bad_mode_and_duration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_sharded(build, DURATION, partitions=2, mode="threads")
+        # Only the inline runner is left; the forked-process
+        # coordinator was measured slower than serial and removed.
+        for mode in ("process", "threads"):
+            with pytest.raises(ConfigurationError,
+                               match="docs/parallel_kernel.md"):
+                run_sharded(build, DURATION, partitions=2, mode=mode)
         with pytest.raises(ConfigurationError):
             run_sharded(build, 0.0, partitions=2)
 
