@@ -98,23 +98,5 @@ class AdmissionController:
             san.check_reservations(self.procedures,
                                    self.network.sim.now)
 
-    def readmit(self, session: Session, **options) -> None:
-        """Admit a recovering session, clearing any stale reservation.
-
-        A session torn down by a fault (see ``repro.faults``) comes
-        back as a *new* call with the same id: whatever reservation or
-        route record survived the outage is released first, then the
-        session runs the full transactional :meth:`admit` — so a
-        recovery can be rejected exactly like a fresh call when the
-        network filled up during the outage (AdmissionError propagates
-        to the caller).
-        """
-        route = self._routes.pop(session.id, None)
-        if route is not None:
-            for node_name in route:
-                self.procedures[node_name].release(session.id)
-        session.delay_policies.clear()
-        self.admit(session, **options)
-
     def reserved_rate(self, node_name: str) -> float:
         return self.procedure_at(node_name).reserved_rate

@@ -164,7 +164,7 @@ class Sanitizer:
         self.sunk = 0
         self._ledgers: Dict[str, _NodeLedger] = {}
         #: Last seen (K_i, F_i) per (node, session); cleared on
-        #: teardown so a re-admitted session restarts its recursion.
+        #: teardown so a session re-added under its id restarts its recursion.
         self._lit_labels: Dict[Tuple[str, str], Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
@@ -229,21 +229,13 @@ class Sanitizer:
         self._ledger(node.name).forwarded += 1
         self._check_conservation(node, now, packet.session.id)
 
-    def on_fault_drop(self, node: Any, packet: Any, reason: str) -> None:
-        """A fault discarded a packet at ``node``.
+    def on_fault_drop(self, node: Any, packet: Any) -> None:
+        """``packet`` was lost on ``node``'s link as it completed.
 
-        ``corrupt`` drops are *reclassifications*: the transmitter
-        already counted the packet as forwarded when it scheduled the
-        delivery, then the next hop discarded it and charged the drop
-        back to the transmitter (see ``FaultInjector.corrupt_dropped``).
-        No conservation check here: flush/restart fault paths mutate
-        scheduler state in loops, and the identity is only required to
-        hold at the data-path hooks above (and at :meth:`finalize`).
+        Bookkeeping only: the identity is checked at the data-path hooks
+        above and at :meth:`finalize`.
         """
-        ledger = self._ledger(node.name)
-        ledger.dropped += 1
-        if reason == "corrupt":
-            ledger.forwarded -= 1
+        self._ledger(node.name).dropped += 1
 
     def _check_conservation(self, node: Any, now: float,
                             session: Optional[str] = None) -> None:

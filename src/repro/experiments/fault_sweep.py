@@ -147,8 +147,7 @@ def _plan(outage: float, duration: float) -> FaultPlan:
     up_at = down_at + outage
     loss_stop = min(duration, up_at + 1.0)
     return FaultPlan(
-        link_downs=[LinkDown(FEEDER, down_at, up_at,
-                             on_recovery="requeue")],
+        link_downs=[LinkDown(FEEDER, down_at, up_at)],
         losses=[PacketLoss(FEEDER, up_at, loss_stop,
                            RECOVERY_LOSS_RATE)]
         if loss_stop > up_at else [],

@@ -4,9 +4,7 @@ The paper's isolation claims (eqs. 12-17) are usually demonstrated on a
 perfectly reliable network; this package stresses them under adversity
 without giving up reproducibility.  A declarative
 :class:`~repro.faults.plan.FaultPlan` — serializable to JSON — names
-link faults (down/up windows, seeded per-packet loss and corruption),
-node faults (pause/resume, buffer-flushing restarts), and session
-faults (mid-call teardown and re-admission), and a
+link faults (down/up windows and seeded per-packet loss), and a
 :class:`~repro.faults.injector.FaultInjector` turns it into ordinary
 kernel events at an explicit tie-break priority
 (:data:`~repro.faults.injector.PRIORITY_FAULT`).  With no plan armed,
@@ -18,38 +16,17 @@ See ``docs/faults.md`` for the fault model, determinism guarantees, and
 the JSON schema.
 """
 
-from repro.faults.injector import (
-    DROP_REASONS,
-    PRIORITY_FAULT,
-    FaultInjector,
-    NodeFaultState,
-)
-from repro.faults.plan import (
-    PLAN_SCHEMA_VERSION,
-    RECOVERY_DROP_EXPIRED,
-    RECOVERY_REQUEUE,
-    FaultPlan,
-    LinkDown,
-    NodePause,
-    NodeRestart,
-    PacketCorruption,
-    PacketLoss,
-    SessionOutage,
-)
+from repro.faults.injector import (PRIORITY_FAULT, FaultInjector,
+                                   NodeFaultState)
+from repro.faults.plan import (PLAN_SCHEMA_VERSION, FaultPlan, LinkDown,
+                               PacketLoss)
 
 __all__ = [
     "PLAN_SCHEMA_VERSION",
     "PRIORITY_FAULT",
-    "DROP_REASONS",
-    "RECOVERY_REQUEUE",
-    "RECOVERY_DROP_EXPIRED",
     "FaultPlan",
     "LinkDown",
     "PacketLoss",
-    "PacketCorruption",
-    "NodePause",
-    "NodeRestart",
-    "SessionOutage",
     "FaultInjector",
     "NodeFaultState",
 ]

@@ -251,8 +251,6 @@ class Network:
         finalized, or never removed); otherwise it runs right after
         :meth:`_finalize_removal`, i.e. at the deterministic instant
         the last in-flight packet reaches its sink or is dropped.
-        Fault recovery uses this to re-admit a torn-down session
-        without colliding with stale per-node state.
         """
         if session_id in self._draining:
             self._drained_callbacks.setdefault(session_id, []) \

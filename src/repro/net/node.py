@@ -17,9 +17,9 @@ next hop is busy *parks* the packet in that node's inbox, stamped
 ``now + Γ``, instead of buying a kernel event.  The owner takes parked
 arrivals in — each at its own instant, in order — whenever it looks at
 its queue; when it goes idle they become events again.  The tracer and
-the sanitizer are handed that instant and change nothing; a fault
-handler, first of its instant, settles what is due *before* it, acts
-and wakes the node (``repro.faults.injector``).
+the sanitizer are handed that instant and change nothing; a link-up,
+first of its instant, settles what is due *before* it and wakes the
+node (``repro.faults.injector``).
 
 The node also measures per-session buffer occupancy the way the paper's
 Figures 12-13 do: sampled at the instant a packet's last bit arrives,
@@ -54,7 +54,6 @@ from repro.net.packet import Packet
 from repro.net.session import Session
 from repro.net.session_table import SessionTable
 from repro.sched.base import Scheduler
-from repro.sim.events import Event
 from repro.sim.kernel import PRIORITY_NORMAL, Simulator
 from repro.sim.monitor import TimeSeries
 from repro.sim.trace import Tracer
@@ -136,11 +135,6 @@ class ServerNode:
         self.busy_time = 0.0
         self._tx_started_at = 0.0
         self._tx_time = 0.0
-        #: Handle of the completion event of ``transmitting`` (stale
-        #: while idle), kept so a crash-restart can abort the in-flight
-        #: transmission (:meth:`abort_transmission`) instead of letting
-        #: the packet ride out the crash.
-        self._tx_event: Optional[Event] = None
 
     # ------------------------------------------------------------------
     # Session registration
@@ -298,8 +292,8 @@ class ServerNode:
             return
         faults = self.faults
         if faults is not None and faults.blocked:
-            # Link down or node paused: packets stay queued (and held
-            # packets keep maturing); recovery calls wakeup().
+            # Link down: packets stay queued (and held packets keep
+            # maturing); the link-up calls wakeup().
             return
         sim = self.sim
         now = sim.now
@@ -326,18 +320,16 @@ class ServerNode:
         # resolves by insertion order — the arrival was scheduled first
         # and is processed first, which is the store-and-forward order
         # the buffer-occupancy sampling assumes.
-        self._tx_event = sim.schedule(
-            transmission, self._finish_transmission, packet,
-            priority=PRIORITY_NORMAL)
+        sim.schedule(transmission, self._finish_transmission, packet,
+                     priority=PRIORITY_NORMAL)
 
     def _finish_transmission(self, packet: Packet) -> None:
         sim = self.sim
         now = sim.now
         if self.transmitting is not packet:
-            # Unreachable by construction: abort_transmission cancels
-            # the completion event before clearing ``transmitting``, so
-            # a completion can never fire against stale tx bookkeeping.
-            # Kept as a fail-loud guard for future scheduling bugs.
+            # Unreachable by construction: only this handler clears
+            # ``transmitting``, once per completion event.  Kept as a
+            # fail-loud guard for future scheduling bugs.
             raise SimulationError(
                 f"node {self.name}: transmission completion for a packet "
                 f"that is not on the link")
@@ -366,16 +358,9 @@ class ServerNode:
         san = self.sanitizer
         link = self.link
         shard = network.shard
-        if faults is not None and (
-                verdict := faults.transmit_verdict(packet)) is not None:
-            if verdict == "corrupt":
-                # It still rides the link and its delay; where it
-                # lands it is discarded, charged to this node.
-                sim.schedule(link.propagation, network.faults.corrupt_dropped,
-                             packet, priority=PRIORITY_NORMAL)
-            else:
-                self.fault_drop(packet, "loss", release_buffer=False)
-                san = None  # fault_drop told it: nothing was forwarded
+        if faults is not None and faults.transmit_verdict(packet):
+            self.fault_drop(packet)
+            san = None  # fault_drop told it: nothing was forwarded
         elif shard is None or not shard.intercept(self, packet):
             # Tie-break: NORMAL. With zero propagation the arrival lands
             # at this same instant, after this handler's dequeue below:
@@ -428,68 +413,30 @@ class ServerNode:
             tracer.emit(now, "tx_start", node=self.name,
                         session=head.session.id, packet=head.seq,
                         deadline=head.deadline)
-        self._tx_event = sim.schedule(
-            transmission, self._finish_transmission, head,
-            priority=PRIORITY_NORMAL)
+        sim.schedule(transmission, self._finish_transmission, head,
+                     priority=PRIORITY_NORMAL)
 
-    def abort_transmission(self, reason: str) -> None:
-        """Abort the in-flight transmission, if any, for fault ``reason``.
+    def fault_drop(self, packet: Packet) -> None:
+        """``packet`` was lost on this node's link.
 
-        Called by a crash-restart: the packet on the link is lost, its
-        pending completion event is cancelled, and the tx bookkeeping
-        (``transmitting``/``_tx_started_at``/``_tx_time``) is reset so
-        :meth:`utilization` never pro-rates a transmission that will
-        never complete.  Busy time accrues only for the elapsed portion
-        — the link really was busy up to the crash.
-        """
-        packet = self.transmitting
-        if packet is None:
-            return
-        event = self._tx_event
-        if event is not None:
-            event.cancel()
-        now = self.sim.now
-        elapsed = now - self._tx_started_at
-        if elapsed > 0.0:
-            self.busy_time += (elapsed if elapsed < self._tx_time
-                               else self._tx_time)
-        self.transmitting = None
-        self._tx_event = None
-        self._tx_started_at = now
-        self._tx_time = 0.0
-        # The aborted packet's bits are still in the occupancy
-        # accounting (they leave at completion), so release them.
-        self.fault_drop(packet, reason, release_buffer=True)
-
-    def fault_drop(self, packet: Packet, reason: str, *,
-                   release_buffer: bool) -> None:
-        """Discard ``packet`` for a fault ``reason`` at this node.
-
-        ``release_buffer`` is True for packets dropped while still
-        queued (flush, expired-on-recovery) so their bits leave the
-        occupancy accounting; transmission-side drops (loss, corrupt)
-        already released their bits at completion.  Every fault drop
-        lands in the same per-session ``drops`` counter the finite-
-        buffer path uses, which keeps ``Network._in_flight`` — and with
-        it the drain-then-forget machinery — exact under faults.
+        Its bits already left the occupancy accounting at completion.
+        The drop lands in the same per-session ``drops`` counter the
+        finite-buffer path uses, which keeps ``Network._in_flight`` —
+        and with it the drain-then-forget machinery — exact under
+        faults.
         """
         session = packet.session
         session_id = session.id
         san = self.sanitizer
         if san is not None:
-            san.on_fault_drop(self, packet, reason)
-        slot = session.slot
-        if release_buffer:
-            self._bits[slot] -= packet.length
-        self._drops[slot] += 1
-        state = self.faults
-        if state is not None:
-            state.count_drop(reason, session_id)
+            san.on_fault_drop(self, packet)
+        self._drops[session.slot] += 1
+        drops = self.faults.drops
+        drops[session_id] = drops.get(session_id, 0) + 1
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(self.sim.now, "fault_drop", node=self.name,
-                        session=session_id, packet=packet.seq,
-                        reason=reason)
+                        session=session_id, packet=packet.seq)
         if self.network is not None:
             self.network.packet_dropped(packet)
 

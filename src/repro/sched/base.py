@@ -208,49 +208,19 @@ class Scheduler(ABC):
                 break
         self._wake_node()
 
-    def _unhold(self, session_id: Optional[str] = None) -> List[Packet]:
-        """Remove and return held packets (all, or one session's)."""
+    def _unhold(self, session_id: str) -> List[Packet]:
+        """Remove and return one session's held packets."""
         holds = self._holds
         if not holds:
             return []
         taken = sorted(entry for entry in holds
-                       if session_id in (None, entry[2].session.id))
+                       if entry[2].session.id == session_id)
         for entry in taken:
             holds.remove(entry)
             if entry[3] is not None:
                 entry[3].cancel()
         heapify(holds)
         return [entry[2] for entry in taken]
-
-    # ------------------------------------------------------------------
-    # Fault hooks (repro.faults)
-    # ------------------------------------------------------------------
-    def flush(self, now: float) -> List[Packet]:
-        """Remove and return every held, then every queued packet.
-
-        Node restart.  The caller owns the returned packets (the
-        injector routes them to ``ServerNode.fault_drop``).
-        """
-        flushed = self._unhold()
-        while True:
-            packet = self.next_packet(now)
-            if packet is None:
-                return flushed
-            flushed.append(packet)
-
-    def drop_expired(self, now: float) -> List[Packet]:
-        """Remove and return queued packets whose deadline passed.
-
-        Used by the ``drop_expired`` link-recovery policy: after an
-        outage, packets whose transmission deadline lapsed during the
-        downtime are worthless to a real-time session, so the injector
-        discards them instead of releasing a stale burst.  The default
-        returns nothing — correct for disciplines whose deadlines do
-        not encode timeliness (FCFS stamps deadline = arrival, so *all*
-        its queued packets would look expired).  Deadline-ordered
-        disciplines override.
-        """
-        return []
 
     # ------------------------------------------------------------------
     # Introspection

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, Dict, List, Optional, Protocol
+from typing import Deque, Dict, Optional, Protocol
 
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet
 
-__all__ = ["DeadlineQueue", "HeapDeadlineQueue", "ApproximateDeadlineQueue",
-           "drain_expired"]
+__all__ = ["DeadlineQueue", "HeapDeadlineQueue", "ApproximateDeadlineQueue"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -51,28 +50,6 @@ class DeadlineQueue(Protocol):
     def push(self, packet: Packet) -> None: ...
     def pop(self) -> Optional[Packet]: ...
     def __len__(self) -> int: ...
-
-
-def drain_expired(queue: DeadlineQueue, now: float) -> List[Packet]:
-    """Remove every packet with ``deadline < now`` from ``queue``.
-
-    Works on any :class:`DeadlineQueue` through pop/push alone: drain
-    everything, keep the survivors, re-push them.  Survivors come back
-    in pop order with fresh insertion sequence numbers, which preserves
-    both deadline order and FIFO-within-ties, so a queue that merely
-    passes through here serves identically afterwards.  Expired packets
-    are returned in service order (deadline, then FIFO).
-    """
-    kept: List[Packet] = []
-    expired: List[Packet] = []
-    while True:
-        packet = queue.pop()
-        if packet is None:
-            break
-        (expired if packet.deadline < now else kept).append(packet)
-    for packet in kept:
-        queue.push(packet)
-    return expired
 
 
 class HeapDeadlineQueue:

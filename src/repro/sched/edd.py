@@ -22,14 +22,14 @@ local bound, every prefix must satisfy ``Σ L_max/C ≤ d_j`` — see
 from __future__ import annotations
 
 from math import nan
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, \
+from typing import Dict, Iterable, Optional, Sequence, Tuple, \
     TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet
 from repro.net.session import Session
 from repro.sched.base import Scheduler
-from repro.sched.calendar_queue import HeapDeadlineQueue, drain_expired
+from repro.sched.calendar_queue import HeapDeadlineQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.session_table import SessionTable
@@ -121,10 +121,6 @@ class DelayEDD(Scheduler):
     def on_transmit_complete(self, packet: Packet, now: float) -> None:
         super().on_transmit_complete(packet, now)
         packet.holding_time = 0.0
-
-    def drop_expired(self, now: float) -> List[Packet]:
-        """Link recovery: discard eligible packets past their due date."""
-        return drain_expired(self._eligible, now)
 
     def _queued(self) -> int:
         return len(self._eligible)

@@ -44,14 +44,13 @@ the policy object entirely.  The recursions run in Python floats.
 from __future__ import annotations
 
 from math import inf, nan
-from typing import List, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.net.packet import Packet
 from repro.net.session import Session
 from repro.sched.base import Scheduler
-from repro.sched.calendar_queue import (DeadlineQueue, HeapDeadlineQueue,
-                                        drain_expired)
+from repro.sched.calendar_queue import DeadlineQueue, HeapDeadlineQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.session_table import SessionTable
@@ -215,8 +214,9 @@ class LeaveInTime(Scheduler):
         node = self.node
         san = self.sanitizer
         if san is not None:
-            # A re-admitted session restarts its K/F recursion from the
-            # current clock; drop the stale monotonicity baseline.
+            # A session re-added under its id restarts its K/F
+            # recursion from the current clock; drop the stale
+            # monotonicity baseline.
             san.on_lit_forget(node.name, session_id)
         held = self._unhold(session_id)
         if not held:
@@ -228,15 +228,3 @@ class LeaveInTime(Scheduler):
                 tracer.emit(self.sim.now, "flush", node=node.name,
                             session=session_id, packet=packet.seq)
         self._wake_node()
-
-    # ------------------------------------------------------------------
-    # Fault hooks
-    # ------------------------------------------------------------------
-    def drop_expired(self, now: float) -> List[Packet]:
-        """Link recovery: discard eligible packets whose deadline passed.
-
-        Held packets are untouched — their eligibility (and therefore
-        deadline) lies at or beyond their release instant, so they
-        cannot have expired yet.
-        """
-        return drain_expired(self._eligible, now)

@@ -139,27 +139,5 @@ class RCSP(Scheduler):
     def forget_session(self, session_id: str) -> None:
         self._last_eligible.pop(session_id, None)
 
-    def drop_expired(self, now: float) -> List[Packet]:
-        """Link recovery: drop queued packets past their level's bound.
-
-        Each level's FCFS deque is filtered in place (FIFO order kept);
-        expired packets come back in level-then-FIFO order.  Packets
-        still inside rate regulators are untouched — their deadline
-        starts at their (future) eligibility instant.
-        """
-        expired: List[Packet] = []
-        for level, queue in enumerate(self._queues):
-            if not queue:
-                continue
-            kept: Deque[Packet] = deque()
-            for packet in queue:
-                if packet.deadline < now:
-                    expired.append(packet)
-                else:
-                    kept.append(packet)
-            if len(kept) != len(queue):
-                self._queues[level] = kept
-        return expired
-
     def _queued(self) -> int:
         return sum(len(q) for q in self._queues)

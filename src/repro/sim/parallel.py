@@ -334,11 +334,7 @@ def shard_payload(network: "Network",
     injector = network.faults
     if injector is not None:
         for name, state in sorted(injector.states.items()):
-            faults[name] = {
-                "restarts": state.restarts,
-                "drops": {reason: dict(sorted(per.items()))
-                          for reason, per in sorted(state.drops.items())},
-            }
+            faults[name] = {"drops": dict(sorted(state.drops.items()))}
     trace = [
         (record.time,
          f"{record.time!r}|{record.category}|{record.node}|"

@@ -9,10 +9,8 @@ internal data structures.
 
 Categories emitted by the data path: ``"arrival"``, ``"deadline"``,
 ``"eligible"``, ``"tx_start"``, ``"tx_end"``, ``"drop"``, ``"flush"``.
-The fault layer (``repro.faults``) adds ``"link_down"``, ``"link_up"``,
-``"node_pause"``, ``"node_resume"``, ``"node_restart"``,
-``"fault_drop"``, ``"session_down"``, and ``"session_up"`` — all
-likewise guarded by ``tracer.enabled``.
+The fault layer (``repro.faults``) adds ``"link_down"``, ``"link_up"``
+and ``"fault_drop"`` — likewise guarded by ``tracer.enabled``.
 
 A tracer observes; it never changes which events run.  A busy node
 emits the records of parked arrivals and matured holds when it takes

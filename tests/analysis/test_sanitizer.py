@@ -283,8 +283,8 @@ def test_sanitized_fig07_cell_is_clean_and_bit_identical(monkeypatch):
 
 
 def test_sanitized_fault_sweep_short_is_clean(monkeypatch):
-    # Every fault path (drops, corruption, flushes, outages) must keep
-    # the conservation ledgers balanced; SanitizerError would propagate.
+    # Both fault paths (a link outage, a loss window) must keep the
+    # conservation ledgers balanced; SanitizerError would propagate.
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     from repro.experiments import fault_sweep
     result = fault_sweep.run(duration=2.0, seed=0,

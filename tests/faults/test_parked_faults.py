@@ -14,10 +14,9 @@ asks for the same answer, once per fault kind.
 Dropping ``network.faults is not None`` from the park condition and
 from ``Scheduler._hold`` *without* that rule passes every older test
 under ``tests/faults`` and ``tests/experiments/test_fault_sweep.py``;
-the pinned examples below are draws on which it does not (a restart
-then flushes a queue the parked arrivals never reached and leaves the
-idle node with work on the wire and no event; a loss then picks the
-next packet past a hold that was due).
+the pinned examples below are draws on which it does not (a loss then
+picks the next packet past a hold that was due; a link-up starts the
+backlog's first parked arrival before the rest of it has queued).
 """
 
 from __future__ import annotations
@@ -29,12 +28,8 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 from repro.errors import SimulationError
-from repro.experiments.common import (PAPER_A_ON_S, PAPER_ONOFF_RATE_BPS,
-                                      PAPER_PACKET_BITS, PAPER_SPACING_S,
-                                      build_mix_network, mix_specs)
-from repro.faults import (FaultInjector, FaultPlan, LinkDown, NodePause,
-                          NodeRestart, PacketCorruption, PacketLoss,
-                          SessionOutage)
+from repro.experiments.common import build_mix_network, mix_specs
+from repro.faults import FaultInjector, FaultPlan, LinkDown, PacketLoss
 from repro.faults.injector import PRIORITY_FAULT
 from repro.net.network import Network
 from repro.net.session import Session
@@ -42,7 +37,6 @@ from repro.sched.edd import JitterEDD
 from repro.sched.fcfs import FCFS
 from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.policy import constant_policy
-from repro.traffic.onoff import OnOffSource
 from repro.traffic.trace_source import TraceSource
 from repro.units import ms
 from tests.conftest import event_per_arrival, make_network
@@ -58,31 +52,17 @@ DISCIPLINES = {"lit": (LeaveInTime, frozenset()),
                "fcfs": (FCFS, frozenset())}
 
 #: kind -> plan of one fault of that kind on ``node`` from ``start`` to
-#: ``stop`` (a restart has only its instant; an outage takes down the
-#: first MIX session routed through the node).
+#: ``stop``: a link down whose backlog is served when it comes back up,
+#: or a loss window.
 KINDS: Dict[str, Callable[[str, float, float], FaultPlan]] = {
-    "restart": lambda node, start, stop: FaultPlan(
-        node_restarts=[NodeRestart(node, start)]),
     "requeue": lambda node, start, stop: FaultPlan(
-        link_downs=[LinkDown(node, start, stop, on_recovery="requeue")]),
-    "drop_expired": lambda node, start, stop: FaultPlan(
-        link_downs=[LinkDown(node, start, stop,
-                             on_recovery="drop_expired")]),
-    "pause": lambda node, start, stop: FaultPlan(
-        node_pauses=[NodePause(node, start, stop)]),
+        link_downs=[LinkDown(node, start, stop)]),
     "loss": lambda node, start, stop: FaultPlan(
         losses=[PacketLoss(node, start, stop, 0.2)]),
-    "corruption": lambda node, start, stop: FaultPlan(
-        corruptions=[PacketCorruption(node, start, stop, 0.2)]),
-    "outage": lambda node, start, stop: FaultPlan(
-        session_outages=[SessionOutage(
-            next(sid for sid, spec in SPECS.items()
-                 if node in spec.route), start, stop)]),
 }
 #: How long each kind lasts on the MIX cell (s): a blocking fault long
 #: enough to build a backlog, a coin window long enough to hit packets.
-SPAN = {"restart": 0.0, "requeue": 0.02, "drop_expired": 0.02,
-        "pause": 0.02, "loss": 0.1, "corruption": 0.1, "outage": 0.03}
+SPAN = {"requeue": 0.02, "loss": 0.1}
 
 
 def outcome(network: Network, injector: FaultInjector) -> Dict[str, object]:
@@ -93,11 +73,9 @@ def outcome(network: Network, injector: FaultInjector) -> Dict[str, object]:
         "nodes": {name: (node.packets_served, sorted(node.drops.items()),
                          sorted(node.buffer_peak.items()))
                   for name, node in sorted(network.nodes.items())},
-        "faults": {name: (state.restarts, state.drops)
+        "faults": {name: state.drops
                    for name, state in sorted(injector.states.items())},
         "outages": injector.outages,
-        "session_events": injector.session_events,
-        "re_admissions": injector.re_admissions,
         "hold_misses": injector.hold_misses,
     }
 
@@ -113,22 +91,7 @@ def faulted_mix(per_arrival: bool, discipline: str, seed: int,
         ms(6.5), seed=seed, jitter_ids=jitter,
         scheduler_factory=event_per_arrival(factory) if per_arrival
         else factory)
-
-    def session_factory(net: Network, session_id: str) -> Session:
-        return Session(session_id, rate=PAPER_ONOFF_RATE_BPS,
-                       route=SPECS[session_id].route,
-                       l_max=PAPER_PACKET_BITS,
-                       jitter_control=session_id in jitter,
-                       token_bucket=(PAPER_ONOFF_RATE_BPS,
-                                     PAPER_PACKET_BITS))
-
-    def source_factory(net: Network, session: Session) -> None:
-        OnOffSource(net, session, length=PAPER_PACKET_BITS,
-                    spacing=PAPER_SPACING_S, mean_on=PAPER_A_ON_S,
-                    mean_off=ms(6.5)).start()
-
-    injector = FaultInjector(plan, session_factory=session_factory,
-                             source_factory=source_factory).install(network)
+    injector = FaultInjector(plan).install(network)
     parked = []
     if probe is not None:
         node = network.nodes[probe[0]]
@@ -152,13 +115,9 @@ def faulted_mix(per_arrival: bool, discipline: str, seed: int,
        seed=st.integers(0, 2 ** 16),
        node=st.sampled_from(["n1", "n2", "n3", "n4", "n5"]),
        at=st.floats(0.08, 0.22), kind=st.sampled_from(sorted(KINDS)))
-# The draws the naive removal breaks.  The restart: what was parked in
-# front of n4 outlives the flush, and the node it left idle never hears
-# of the arrivals still parked (four sinks short; under jitter control
-# ``cannot schedule at 0.2207…, clock already at 0.2210…`` as well).
-@example(discipline="lit", seed=0, node="n4", at=0.22, kind="restart")
-# The loss: the bare ``_try_start()`` of the old fault branch picked
-# the next packet without maturing the holds due by then.
+# The draw the naive removal breaks: the bare ``_try_start()`` of the
+# old fault branch picked the next packet without maturing the holds
+# due by then.
 @example(discipline="lit-jitter", seed=0, node="n2", at=0.1, kind="loss")
 def test_a_plan_acts_on_the_parked_path_as_on_the_event_path(
         discipline, seed, node, at, kind):
@@ -201,32 +160,23 @@ GAMMA = 3 * QUANTUM
 
 def faulted_lockstep(per_arrival: bool, cell, plan: FaultPlan):
     """A lockstep cell under ``plan``: per packet, per drop, per service
-    decision; plus what was parked at the node when it restarted."""
+    decision."""
     def run():
         network = lockstep(per_arrival, *cell, gamma=GAMMA)
         injector = FaultInjector(plan).install(network)
-        for restart in plan.node_restarts:
-            inbox = network.nodes[restart.node]._inbox
-            network.sim.schedule_at(
-                restart.at, lambda inbox=inbox: parked.extend(
-                    (time / QUANTUM, packet.session.id, packet.seq)
-                    for time, packet in inbox or ()),
-                priority=PRIORITY_FAULT - 1)
         network.run(512 * QUANTUM)
         return network, injector
 
-    parked: list = []
     (_, packets), (network, injector) = observe(run)
     tracer = network.tracer
     return {
         "delays": sorted(packets),
         "served": sorted((r.node, r.time / QUANTUM, r.session, r.packet)
                          for r in tracer.filter("tx_start")),
-        "dropped": sorted((r.node, r.time / QUANTUM, r.session, r.packet,
-                           r.detail["reason"])
+        "dropped": sorted((r.node, r.time / QUANTUM, r.session, r.packet)
                           for r in tracer.filter("fault_drop")),
         "outcome": outcome(network, injector),
-    }, network.sim.events_dispatched, parked
+    }, network.sim.events_dispatched
 
 
 def grid_plan(kind: str, node: str, at: int, span: int) -> FaultPlan:
@@ -245,30 +195,16 @@ ROUTES = [("n1", "n2"), ("n1", "n2", "n3")]
                      st.sampled_from([8, 12, 16, 24, 32]),
                      st.integers(0, 7), st.integers(1, 2)),
            min_size=2, max_size=6),
-       kind=st.sampled_from(sorted(set(KINDS) - {"outage"})),
+       kind=st.sampled_from(sorted(KINDS)),
        at=st.integers(20, 300),
        span=st.sampled_from([1, 3, 5, 8, 16, 40, 60]))
-# One per queue-touching handler on which reverting it shows: a restart
-# (the flush misses what was parked, the idle node is never woken), a
-# link-up and a resume (the backlog's first parked arrival is started
-# before the rest of it has queued, ahead of a smaller deadline), a
-# ``drop_expired`` recovery (it scans a queue the parked arrivals have
-# not reached).
-@example(factory=LeaveInTime, slow={"n2"},
-         sessions=[(ROUTES[1], 24, 0, 1), (ROUTES[0], 8, 4, 1),
-                   (ROUTES[0], 16, 7, 2)], kind="restart", at=191, span=1)
+# The link-up, on which reverting its settle shows: the backlog's first
+# parked arrival is started before the rest of it has queued, ahead of
+# a smaller deadline.
 @example(factory=LeaveInTime, slow={"n2", "n3"},
          sessions=[(ROUTES[1], 12, 0, 1), (ROUTES[0], 32, 4, 2),
                    (ROUTES[1], 32, 1, 1), (ROUTES[1], 8, 1, 2),
                    (ROUTES[1], 24, 4, 1)], kind="requeue", at=122, span=5)
-@example(factory=LeaveInTime, slow=set(),
-         sessions=[(ROUTES[0], 8, 1, 1), (ROUTES[1], 8, 3, 2),
-                   (ROUTES[0], 12, 4, 2), (ROUTES[1], 24, 2, 2)],
-         kind="pause", at=250, span=3)
-@example(factory=LeaveInTime, slow={"n2", "n3"},
-         sessions=[(ROUTES[0], 32, 6, 1), (ROUTES[0], 8, 3, 2),
-                   (ROUTES[1], 32, 4, 2)], kind="drop_expired", at=239,
-         span=1)
 def test_a_fault_on_the_grid_acts_the_same_on_both_paths(
         factory, slow, sessions, kind, at, span):
     """Dyadic instants, the fault's own included: it ties with arrivals
@@ -280,28 +216,11 @@ def test_a_fault_on_the_grid_acts_the_same_on_both_paths(
     assume(faulted_lockstep(False, cell, FaultPlan())[0]
            == faulted_lockstep(True, cell, FaultPlan())[0])
     plan = grid_plan(kind, "n2", at, span)
-    (parked_run, events, _), (twin_run, twin_events, _) = (
+    (parked_run, events), (twin_run, twin_events) = (
         faulted_lockstep(False, cell, plan),
         faulted_lockstep(True, cell, plan))
     assert parked_run == twin_run
     assert events <= twin_events
-
-
-def test_an_arrival_at_the_restart_instant_survives_the_flush():
-    """n2 restarts at 143 with ``s0#18`` parked for 142 and ``s1#18``
-    for 143 itself: the fault timer goes first of its instant, so the
-    first is flushed and the second arrives at a restarted node — on
-    both paths."""
-    cell = (LeaveInTime, [(ROUTES[1], 8, 1, 2), (ROUTES[1], 8, 2, 1),
-                          (ROUTES[0], 32, 0, 2)], False, {"n2", "n3"})
-    plan = grid_plan("restart", "n2", 143, 0)
-    parked_run, events, waiting = faulted_lockstep(False, cell, plan)
-    twin_run, twin_events, _ = faulted_lockstep(True, cell, plan)
-    assert waiting == [(142.0, "s0", 18), (143.0, "s1", 18)]
-    assert parked_run == twin_run and events < twin_events
-    flushed = [drop[2:4] for drop in parked_run["dropped"]]
-    assert ("s0", 18) in flushed and ("s1", 18) not in flushed
-    assert ("n2", 143.0, "s1", 18) in parked_run["served"]
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +277,7 @@ def test_a_loss_that_ends_a_drain_does_not_start_two_transmissions():
         losses=[PacketLoss("n2", 0.15, 0.25, 1.0)])).install(network)
     network.sim.schedule_at(0.15, network.remove_session, "a")
     network.run(1.0)
-    assert injector.states["n2"].drops == {"loss": {"a": 1}}
+    assert injector.states["n2"].drops == {"a": 1}
     assert not network._draining
     assert {sid: network.sink(sid).received for sid in "abc"} == {
         "a": 0, "b": 2, "c": 1}
@@ -407,7 +326,7 @@ def test_an_armed_plan_clamps_it_and_books_a_deadline_miss(monkeypatch):
     assert injector.hold_misses == {("n1", "b"): 10}
 
 
-@pytest.mark.parametrize("kind", ["requeue", "drop_expired", "pause"])
+@pytest.mark.parametrize("kind", ["requeue"])
 def test_a_blocking_fault_under_jitter_control_is_not_a_traceback(kind):
     """At the parent ``LinkDown("n2", 0.15, 0.17)`` on this cell raised
     ``holding-time computation went negative (-0.0078…)`` out of

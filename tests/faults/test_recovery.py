@@ -1,224 +1,20 @@
-"""Recovery semantics: requeue-or-drop on link up, session re-admission."""
+"""Recovery: a link that comes back serves the whole backlog."""
 
-import pytest
-
-from repro.admission.classes import DelayClass
-from repro.admission.controller import AdmissionController
-from repro.admission.procedure1 import Procedure1
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    LinkDown,
-    SessionOutage,
-)
-from repro.net.packet import Packet
-from repro.net.session import Session
-from repro.sched.calendar_queue import HeapDeadlineQueue, drain_expired
-from repro.sched.edd import DelayEDD
-from repro.sched.fcfs import FCFS
+from repro.faults import FaultInjector, FaultPlan, LinkDown
 from repro.sched.leave_in_time import LeaveInTime
-from repro.sched.rcsp import RCSP
-from repro.traffic.trace_source import TraceSource
 from tests.conftest import add_trace_session, make_network
 
 
-def packet_with_deadline(session, seq, deadline):
-    packet = Packet(session, seq, 100.0, 0.0)
-    packet.deadline = deadline
-    return packet
-
-
-def spare_session():
-    return Session("s", rate=100.0, route=["n1"], l_max=100.0)
-
-
-# ----------------------------------------------------------------------
-# drain_expired helper
-# ----------------------------------------------------------------------
-def test_drain_expired_partitions_and_preserves_order():
-    session = spare_session()
-    queue = HeapDeadlineQueue()
-    for seq, deadline in ((1, 5.0), (2, 1.0), (3, 9.0), (4, 2.0)):
-        queue.push(packet_with_deadline(session, seq, deadline))
-    expired = drain_expired(queue, 4.0)
-    assert [p.seq for p in expired] == [2, 4]      # deadline order
-    assert [queue.pop().seq for _ in range(2)] == [1, 3]
-    assert queue.pop() is None
-
-
-def test_drain_expired_keeps_fifo_within_ties():
-    session = spare_session()
-    queue = HeapDeadlineQueue()
-    for seq in (1, 2, 3):
-        queue.push(packet_with_deadline(session, seq, 7.0))
-    assert drain_expired(queue, 4.0) == []
-    assert [queue.pop().seq for _ in range(3)] == [1, 2, 3]
-
-
-# ----------------------------------------------------------------------
-# Scheduler drop_expired overrides
-# ----------------------------------------------------------------------
-def test_fcfs_drop_expired_is_empty():
-    # FCFS stamps deadline = arrival; dropping "expired" packets would
-    # empty the whole queue, so the base no-op default must apply.
-    scheduler = FCFS()
-    assert scheduler.drop_expired(100.0) == []
-
-
-def test_edd_drop_expired_uses_queue():
-    network = make_network(DelayEDD, nodes=1, capacity=1.0)
-    add_trace_session(network, "s", rate=1.0, times=[0.0, 0.0],
-                      lengths=10.0, route=["n1"])
-    network.run(5.0)  # first packet still transmitting (10 s each)
-    scheduler = network.node("n1").scheduler
-    # Queued packet's deadline = 0 + l_max/rate = 10; not yet expired.
-    assert scheduler.drop_expired(5.0) == []
-    expired = scheduler.drop_expired(50.0)
-    assert [p.seq for p in expired] == [2]
-
-
-def test_rcsp_drop_expired_filters_levels():
-    scheduler = RCSP(levels=[1.0, 2.0], assignment={"s": 0})
-    session = spare_session()
-    stale = packet_with_deadline(session, 1, 1.0)
-    fresh = packet_with_deadline(session, 2, 9.0)
-    scheduler._queues[0].extend([stale, fresh])
-    expired = scheduler.drop_expired(5.0)
-    assert expired == [stale]
-    assert list(scheduler._queues[0]) == [fresh]
-
-
-# ----------------------------------------------------------------------
-# Link recovery policies, end to end
-# ----------------------------------------------------------------------
-def lit_flap_network(on_recovery):
+def test_requeue_serves_the_whole_backlog():
     # 100-bit packets at 1000 bit/s; VirtualClock default gives each
-    # packet d = L/r = 1 s, so deadlines during a long outage expire.
+    # packet d = L/r = 1 s, so the first two deadlines pass during the
+    # outage: nothing is discarded for it.
     network = make_network(LeaveInTime, nodes=1, capacity=1000.0)
     add_trace_session(network, "s", rate=100.0,
                       times=[0.1, 0.2, 4.9], lengths=100.0,
                       route=["n1"])
-    injector = FaultInjector(FaultPlan(link_downs=[
-        LinkDown("n1", 0.0, 5.0, on_recovery=on_recovery)])
-    ).install(network)
+    FaultInjector(FaultPlan(link_downs=[LinkDown("n1", 0.0, 5.0)])
+                  ).install(network)
     network.run(10.0)
-    return network, injector
-
-
-def test_requeue_serves_the_whole_backlog():
-    network, _ = lit_flap_network("requeue")
     assert network.sink("s").received == 3
-
-
-def test_drop_expired_discards_stale_keeps_fresh():
-    # Deadlines: #1 -> 1.1, #2 -> 2.1 (both < 5.0, expired); packet #3
-    # arrives at 4.9 with deadline 5.9 and survives the recovery.
-    network, injector = lit_flap_network("drop_expired")
-    assert network.sink("s").received == 1
-    state = injector.states["n1"]
-    assert state.drops == {"expired": {"s": 2}}
-    # Expired drops release their buffered bits.
-    assert network.node("n1").buffer_bits["s"] == pytest.approx(0.0)
-
-
-# ----------------------------------------------------------------------
-# Session outage and re-admission
-# ----------------------------------------------------------------------
-def controller_for(network):
-    return AdmissionController(
-        network,
-        lambda node: Procedure1(node.link.capacity,
-                                [DelayClass(node.link.capacity, 1.0)]))
-
-
-def outage_run(*, up_at=3.0, duration=8.0):
-    network = make_network(LeaveInTime, nodes=2, capacity=1000.0,
-                           trace=True)
-    controller = controller_for(network)
-    session = Session("s", rate=100.0, route=["n1", "n2"],
-                      l_max=100.0)
-    controller.admit(session, class_number=1)
-    network.add_session(session)
-    TraceSource(network, session, times=[0.0, 0.5, 6.0], lengths=100.0)
-
-    def session_factory(net, session_id):
-        return Session(session_id, rate=100.0, route=["n1", "n2"],
-                       l_max=100.0)
-
-    def source_factory(net, recovered):
-        TraceSource(net, recovered, times=[0.0, 0.5],
-                    lengths=100.0).start()
-
-    injector = FaultInjector(
-        FaultPlan(session_outages=[SessionOutage("s", 1.0, up_at)]),
-        controller=controller,
-        session_factory=session_factory,
-        source_factory=source_factory,
-        admit_options={"class_number": 1},
-    ).install(network)
-    network.run(duration)
-    return network, controller, injector
-
-
-def test_outage_tears_down_and_readmits():
-    network, controller, injector = outage_run()
-    # Old call delivered its pre-outage packets (0.0, 0.5), the stopped
-    # source never emitted the 6.0 one; the recovered call delivered
-    # both of its packets (at 3.0 and 3.5).
-    assert network.sink("s").received == 2
-    assert injector.re_admissions == 1
-    assert injector.session_events == [(1.0, "s", "down"),
-                                       (3.0, "s", "up")]
-    assert injector.outage_seconds("session", "s") == pytest.approx(2.0)
-    # The recovered session holds a live reservation everywhere.
-    assert controller.procedures["n1"].is_admitted("s")
-    assert "s" in network.sessions
-    assert network.sessions["s"].packets_sent == 2  # fresh counters
-    cats = [r.category for r in network.tracer.records]
-    assert "session_down" in cats and "session_up" in cats
-
-
-def test_readmission_waits_for_drain():
-    # Tear down at 1.0 while a packet is mid-flight; recovery at 1.05
-    # must defer until the drain finishes, never collide with stale
-    # per-node state.
-    network = make_network(LeaveInTime, nodes=1, capacity=10.0,
-                           trace=True)
-    controller = controller_for(network)
-    session = Session("s", rate=10.0, route=["n1"], l_max=10.0)
-    controller.admit(session, class_number=1)
-    network.add_session(session)
-    # 10-bit packet at 10 bit/s: transmits 0.0 -> 1.0... make it long:
-    TraceSource(network, session, times=[0.0], lengths=10.0)
-
-    def session_factory(net, session_id):
-        return Session(session_id, rate=10.0, route=["n1"],
-                       l_max=10.0)
-
-    injector = FaultInjector(
-        FaultPlan(session_outages=[SessionOutage("s", 0.5, 0.6)]),
-        controller=controller,
-        session_factory=session_factory,
-        admit_options={"class_number": 1},
-    ).install(network)
-    network.run(5.0)
-    # The in-flight packet finished at 1.0 (> up_at): re-admission had
-    # to wait for the drain instant.
-    assert injector.re_admissions == 1
-    up_events = [r for r in network.tracer.filter("session_up")]
-    assert up_events[0].time == pytest.approx(1.0)
-
-
-def test_readmit_clears_stale_reservation():
-    network = make_network(LeaveInTime, nodes=2, capacity=1000.0)
-    controller = controller_for(network)
-    session = Session("s", rate=100.0, route=["n1", "n2"],
-                      l_max=100.0)
-    controller.admit(session, class_number=1)
-    # Simulate a recovery where release was never called: readmit must
-    # not double-reserve.
-    replacement = Session("s", rate=100.0, route=["n1", "n2"],
-                          l_max=100.0)
-    controller.readmit(replacement, class_number=1)
-    assert controller.reserved_rate("n1") == pytest.approx(100.0)
-    assert controller.procedures["n1"].is_admitted("s")
+    assert network.node("n1").faults.drops == {}

@@ -121,9 +121,11 @@ CALLS_PER_HOP_CEILING = {"plain": 13.7, "jitter": 15.9,
 #: With a Welford tally per hop, a policy object per first packet and
 #: ``randrange`` per marked pick: 809.0 / 960.7 / 1014.8 / 1086.9; with
 #: ``network.faults`` read in the park condition and in ``_hold``:
-#: 773.8 / 903.5 / 927.9 / 1053.1.
-OPCODES_PER_HOP_CEILING = {"plain": 771, "jitter": 899,
-                           "heavy_1e3": 925, "call_churn": 1053}
+#: 773.8 / 903.5 / 927.9 / 1053.1; while every transmission stored its
+#: completion event for a crash-restart to cancel: 770.9 / 898.5 /
+#: 924.9 / 1051.5.
+OPCODES_PER_HOP_CEILING = {"plain": 770, "jitter": 898,
+                           "heavy_1e3": 924, "call_churn": 1051}
 
 #: heavy_1e3 set-up, from ``_cell`` entry to ``Network.run``: (Python
 #: frames entered, opcodes) per session on CPython 3.11.  While

@@ -159,24 +159,23 @@ def test_reserved_rate_drops_after_removal():
 
 
 class TestChurnFaultOverlap:
-    """remove_session racing node pauses and restarts (drain-then-forget
-    must neither wedge the drain nor leak per-node state)."""
+    """remove_session racing a link outage (drain-then-forget must
+    neither wedge the drain nor leak per-node state)."""
 
-    def _paused_network(self, pause_at, resume_at):
+    def _link_down_network(self, times, down_at, up_at):
         from repro.faults.injector import FaultInjector
-        from repro.faults.plan import FaultPlan, NodePause
+        from repro.faults.plan import FaultPlan, LinkDown
         network = make_network(LeaveInTime, nodes=2, capacity=1000.0)
-        add_trace_session(network, "s", rate=100.0, times=[0.0, 0.1],
+        add_trace_session(network, "s", rate=100.0, times=times,
                           lengths=100.0, route=["n1", "n2"])
-        plan = FaultPlan(node_pauses=(NodePause("n1", pause_at,
-                                                resume_at),))
+        plan = FaultPlan(link_downs=(LinkDown("n1", down_at, up_at),))
         FaultInjector(plan).install(network)
         return network
 
-    def test_remove_while_paused_drains_after_resume(self):
-        # Pause lands mid-first-transmission; removal happens while the
-        # second packet is stuck behind the paused node.
-        network = self._paused_network(0.05, 2.0)
+    def test_remove_while_link_down_drains_after_link_up(self):
+        # The link goes down mid-first-transmission; removal happens
+        # while the second packet is stuck behind it.
+        network = self._link_down_network([0.0, 0.1], 0.05, 2.0)
         network.run(0.2)
         slot = network.session_table.slot("s")
         network.remove_session("s")
@@ -187,48 +186,19 @@ class TestChurnFaultOverlap:
         assert "s" not in network.node("n1").buffer_bits
         assert_row_reset(network, "n1", slot)
 
-    def test_pause_starting_mid_drain_only_defers_it(self):
+    def test_link_down_starting_mid_drain_only_defers_it(self):
         # Removal happens first (packet 2 queued behind the in-flight
-        # transmission); the pause then begins before that transmission
-        # completes, so the queued packet is stuck until resume.
-        from repro.faults.injector import FaultInjector
-        from repro.faults.plan import FaultPlan, NodePause
-        network = make_network(LeaveInTime, nodes=2, capacity=1000.0)
-        add_trace_session(network, "s", rate=100.0, times=[0.0, 0.01],
-                          lengths=100.0, route=["n1", "n2"])
-        plan = FaultPlan(node_pauses=(NodePause("n1", 0.08, 2.0),))
-        FaultInjector(plan).install(network)
+        # transmission); the link then goes down before that
+        # transmission completes, so the queued packet is stuck until
+        # the link comes back.
+        network = self._link_down_network([0.0, 0.01], 0.08, 2.0)
         network.run(0.05)
         network.remove_session("s")
-        network.run(1.0)         # pause holds the drain open
+        network.run(1.0)         # the outage holds the drain open
         assert "s" in network._draining
         network.run(5.0)
         assert network.sink("s").received == 2
         assert "s" not in network._draining
-
-    def test_restart_mid_drain_finalizes_via_drops(self):
-        # A crash-restart flushes the queue *and* aborts the in-flight
-        # transmission; both land as drops, which must still count as
-        # drain progress — the removal finalizes instead of wedging.
-        from repro.faults.injector import FaultInjector
-        from repro.faults.plan import FaultPlan, NodeRestart
-        network = make_network(LeaveInTime, nodes=2, capacity=1000.0)
-        add_trace_session(network, "s", rate=100.0,
-                          times=[0.0, 0.01, 0.02], lengths=100.0,
-                          route=["n1", "n2"])
-        plan = FaultPlan(node_restarts=(NodeRestart("n1", 0.05),))
-        injector = FaultInjector(plan)
-        injector.install(network)
-        network.run(0.03)        # one tx in flight, two queued
-        slot = network.session_table.slot("s")
-        network.remove_session("s")
-        assert "s" in network._draining
-        network.run(5.0)
-        assert "s" not in network._draining
-        assert "s" not in network.node("n1").buffer_bits
-        assert_row_reset(network, "n1", slot)
-        drops = injector.states["n1"].drops.get("flush", {})
-        assert drops.get("s", 0) >= 1
 
 
 class TestForgetAcrossDisciplines:
