@@ -77,7 +77,9 @@ heavy-traffic-smoke:
 # tests/analysis/test_det.py rides along because det/perturb.py is the
 # one builder of heap entries outside sim/; tests/faults because fault
 # timers are the only PRIORITY_FAULT traffic through the C loop, and
-# they interleave with parked work.
+# they interleave with parked work; tests/analysis/test_sanitizer.py and
+# a sanitized fig07 because a sanitized run drains through the C loop
+# too (the kernel has one loop whoever is watching).
 ckernel:
 	@echo "== ci job: ckernel =="
 	@if command -v cc >/dev/null 2>&1; then \
@@ -85,7 +87,9 @@ ckernel:
 		&& $(PYTHON) -c "from repro.sim import _ckernel" \
 		&& $(PYTHON) -m pytest -q tests/sim tests/properties tests/integration \
 			tests/faults tests/net/test_decision_epochs.py \
-			tests/net/test_hop_path_budget.py tests/analysis/test_det.py; \
+			tests/net/test_hop_path_budget.py tests/analysis/test_det.py \
+			tests/analysis/test_sanitizer.py \
+		&& $(PYTHON) -m repro figure07 --duration 1 --workers 1 --sanitize; \
 	elif [ -n "$$CI" ]; then \
 		echo "-- no C compiler on a CI runner: the job cannot run --"; exit 1; \
 	else \

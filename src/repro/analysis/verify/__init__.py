@@ -10,9 +10,8 @@ Two coupled layers (see :doc:`docs/static_analysis` and
   ``repro-analyze`` (:mod:`repro.analysis.front`).
 * **Runtime** — :mod:`.sanitizer` installs conservation-law checkers
   into a live simulation (``--sanitize`` / ``REPRO_SANITIZE=1``),
-  verifying per-node packet conservation, reservation sums, LiT label
-  monotonicity, and kernel-clock monotonicity at zero per-event cost
-  when disabled.
+  verifying per-node packet conservation, reservation sums and LiT
+  label monotonicity at zero per-event cost when disabled.
 
 This ``__init__`` imports nothing, so a sanitized run (which imports
 :mod:`.sanitizer`) does not compile the static analyzer.  Import from

@@ -94,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sanitize", action="store_true",
                         help="install runtime conservation-law checkers "
                              "(packet conservation, reservation sums, "
-                             "LiT label monotonicity, clock "
-                             "monotonicity); equivalent to "
+                             "LiT label monotonicity); equivalent to "
                              "REPRO_SANITIZE=1; violations abort with "
                              "a JSON report")
     return parser

@@ -76,12 +76,10 @@ class Network:
             if sanitize_enabled(os.environ.get("REPRO_SANITIZE")):
                 sanitizer = _Sanitizer()
         #: Conservation-law checker (``--sanitize`` /
-        #: ``REPRO_SANITIZE=1``); shared with the kernel, every node,
-        #: every scheduler, and the admission controller.  None in
-        #: normal runs — the hooks are single ``is not None`` checks.
+        #: ``REPRO_SANITIZE=1``); shared with every node, every
+        #: scheduler, and the admission controller.  None in normal
+        #: runs — the hooks are single ``is not None`` checks.
         self.sanitizer = sanitizer
-        if sanitizer is not None:
-            self.sim.sanitizer = sanitizer
         self.streams = RandomStreams(seed)
         self.tracer = tracer or Tracer(False)
         self.nodes: Dict[str, ServerNode] = {}

@@ -1,14 +1,14 @@
 /* The C drain loop: Simulator.run's hot path when this module is built.
  *
- * One entry point: drain(sim, until, exclusive) — the fast loop from
+ * One entry point: drain(sim, until, exclusive) — the loop of
  * repro/sim/kernel.py rewritten as C against the same data structure.
  * The heap stays sim._heap, a Python list of Event entries
  * ([time, priority, seq, callback, args], repro/sim/events.py), so
  * scheduling from callbacks (which runs the ordinary Python
  * schedule()) interleaves freely with the C pops, and the Python
- * loops see an identical heap.
+ * loop sees an identical heap.
  *
- * Semantics are held bit-identical to the reference loops: the
+ * Semantics are held bit-identical to the reference loop: the
  * dispatch-digest goldens and the fused-vs-naive hypothesis suite run
  * on both.  Specifically:
  *
@@ -17,12 +17,12 @@
  *    values are distinct, so no user __lt__ can run inside the sift.
  *  - The inclusive horizon dispatches events at exactly `until`; the
  *    exclusive horizon (the space-parallel barrier window) leaves
- *    them queued.  Same form as both Python loops: the first live
+ *    them queued.  Same form as the Python loop: the first live
  *    event past the horizon is pushed back.
  *  - An entry whose callback slot is None is stale and skipped; a
  *    dispatched entry has its callback slot set to None and sim.now
  *    set to its time before the callback runs, exactly like the
- *    reference loops.  sim._dispatched accumulates in a C local and is
+ *    reference loop.  sim._dispatched accumulates in a C local and is
  *    written back on every exit path (the reference loop's `finally`),
  *    including when a callback raises.
  *
@@ -328,7 +328,7 @@ drain(PyObject *module, PyObject *call_args)
     }
     /* The heap keeps its identity for the simulator's whole lifetime
      * (clear() empties it in place), so borrowing it across callbacks
-     * is safe — same argument as the Python loops' hot local. */
+     * is safe — same argument as the Python loop's hot local. */
     heap = SLOT(sim, off_heap);
     if (heap == NULL || !PyList_CheckExact(heap)) {
         PyErr_SetString(PyExc_TypeError,
@@ -378,7 +378,7 @@ drain(PyObject *module, PyObject *call_args)
             }
         }
         /* Dispatch.  Bookkeeping before the callback, exactly like
-         * the reference loops: clock, count, stale-marking (which
+         * the reference loop: clock, count, stale-marking (which
          * hands us the entry's reference to the callback). */
         Py_INCREF(time_obj);
         old = SLOT(sim, off_now);
@@ -429,7 +429,7 @@ PyDoc_STRVAR(drain_doc,
 "drain(sim, until, exclusive) -> float\n\
 \n\
 Dispatch pending events in (time, priority, seq) order up to the\n\
-horizon; the C form of Simulator.run's fast loop.  Returns the\n\
+horizon; the C form of Simulator.run's Python loop.  Returns the\n\
 clock when the loop stopped.  Internal: call Simulator.run() instead.");
 
 static PyMethodDef ckernel_methods[] = {

@@ -23,29 +23,27 @@ Design notes
   directly (one pop per event, cancelled entries walked once) with the
   heap and ``heappop`` bound to locals.  The heap entry *is* the
   :class:`~repro.sim.events.Event` handle — one list per scheduled
-  callback, nothing recycled.  Two Python loops: the *fast* loop (one
-  horizon comparison per event) and the *checked* loop, which adds
-  the ``max_events`` budget and the ``--sanitize`` probe.  Both are
-  behaviourally identical to ``while step(): ...`` — proven by the
-  digest tests in ``tests/sim/test_dispatch_digest.py``.
+  callback, nothing recycled.  One Python loop, one horizon
+  comparison per event, behaviourally identical to
+  ``while step(): ...`` — proven by the digest tests in
+  ``tests/sim/test_dispatch_digest.py``.  The kernel knows no
+  observer: a traced, sanitized or fault-armed run takes the same
+  loop, and a caller that needs a budget drives :meth:`step`.
 * When the optional C extension ``repro.sim._ckernel`` is built
-  (``make ckernel``), :meth:`Simulator.run` hands the fast loop's job
-  to its ``drain()`` — same heap, same entries, written in C.  Nothing
+  (``make ckernel``), :meth:`Simulator.run` hands the loop's job to
+  its ``drain()`` — same heap, same entries, written in C.  Nothing
   selects it: it runs whenever it imports, and is held bit-identical
-  to the Python loops (``tests/sim/test_kernel_backends.py``).
+  to the Python loop (``tests/sim/test_kernel_backends.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 from math import inf
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.verify.sanitizer import Sanitizer
 
 _heappush = heapq.heappush
 
@@ -63,8 +61,7 @@ PRIORITY_NORMAL = 0
 class Simulator:
     """Discrete-event simulator: virtual clock plus event loop."""
 
-    __slots__ = ("_heap", "_seq", "now", "_running", "_dispatched",
-                 "sanitizer")
+    __slots__ = ("_heap", "_seq", "now", "_running", "_dispatched")
 
     def __init__(self) -> None:
         #: Binary heap of :class:`Event` entries.  The list keeps its
@@ -79,9 +76,6 @@ class Simulator:
         self.now = 0.0
         self._running = False
         self._dispatched = 0
-        #: Runtime invariant checker (``--sanitize``); a sanitized run
-        #: takes the checked loop, selected once per ``run()`` call.
-        self.sanitizer: Optional["Sanitizer"] = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -160,8 +154,7 @@ class Simulator:
         callback(*event[4])
         return True
 
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None, *,
+    def run(self, until: Optional[float] = None, *,
             exclusive: bool = False) -> float:
         """Run the event loop.
 
@@ -171,11 +164,6 @@ class Simulator:
             Stop once the clock would pass this time; the clock is then
             advanced exactly to ``until`` (events at later times stay
             queued). ``None`` means run until the queue drains.
-        max_events:
-            Safety valve for tests: stop after dispatching this many
-            events even if more are pending.  When the budget runs out
-            with entries still queued the clock stays at the last
-            dispatch — it is never advanced over a queued event.
         exclusive:
             Treat ``until`` as a half-open horizon: dispatch only
             events strictly before ``until`` and leave events at
@@ -194,18 +182,15 @@ class Simulator:
             raise SimulationError(
                 "run(exclusive=True) needs an explicit until horizon")
         # NaN fails every comparison, so ``time > until`` would never
-        # stop either loop: reject it once, before the C hand-off.
+        # stop the loop: reject it once, before the C hand-off.
         if until is not None and until != until:
             raise SimulationError(f"NaN horizon until={until!r}")
-        san = self.sanitizer
-        checked = max_events is not None or san is not None
-        if _ckernel is not None and not checked:
-            self._running = True
+        self._running = True
+        if _ckernel is not None:
             try:
                 return _ckernel.drain(self, until, exclusive)
             finally:
                 self._running = False
-        self._running = True
         heap = self._heap
         heappop = heapq.heappop
         # Dispatch count kept in a local and written back once in the
@@ -213,61 +198,34 @@ class Simulator:
         # (nothing in the tree reads it from inside a callback) and the
         # attribute round-trip costs ~5% of a bare dispatch.
         dispatched = 0
-        # Every loop (these two and ``_ckernel.drain``) ends a horizon
-        # the same way: the first live event past it is pushed back.
+        # Both loops (this one and ``_ckernel.drain``) end a horizon the
+        # same way: the first live event past it is pushed back.
         # Pop-then-undo beats peek-then-pop: the undo runs at most once
         # per run() call, the peek would run once per event.
         limit = inf if until is None else until
         try:
-            if checked:
-                # Checked loop: the horizon test plus a per-event
-                # budget and the sanitizer's clock-monotonicity probe.
-                remaining = inf if max_events is None else max_events
-                while heap and remaining > 0:
+            # The horizon test is the only per-event check (one float
+            # comparison until the horizon is reached).  An empty heap
+            # surfaces as ``IndexError`` from ``heappop``: once per
+            # run(), not per event, where a ``while heap`` truth test
+            # would cost every iteration.
+            while True:
+                try:
                     event = heappop(heap)
-                    callback = event[3]
-                    if callback is None:
-                        continue
-                    time = event[0]
-                    if time >= limit and (exclusive or time > limit):
-                        _heappush(heap, event)
-                        break
-                    if san is not None and time < self.now:
-                        san.on_clock_regression(self.now, time)
-                    remaining -= 1
-                    self.now = time
-                    dispatched += 1
-                    # The handle goes stale at dispatch.
-                    event[3] = None
-                    callback(*event[4])
-                if san is not None:
-                    san.events_checked += dispatched
-                if heap and remaining <= 0:
-                    # Out of budget, not out of events: advancing to
-                    # ``until`` would jump the clock over queued work.
-                    return self.now
-            else:
-                # Fast loop: the horizon test is the only per-event
-                # check (one float comparison until the horizon is
-                # reached).  An empty heap surfaces as ``IndexError``
-                # from ``heappop``: once per run(), not per event, where
-                # a ``while heap`` truth test would cost every iteration.
-                while True:
-                    try:
-                        event = heappop(heap)
-                    except IndexError:
-                        break
-                    callback = event[3]
-                    if callback is None:
-                        continue
-                    time = event[0]
-                    if time >= limit and (exclusive or time > limit):
-                        _heappush(heap, event)
-                        break
-                    self.now = time
-                    dispatched += 1
-                    event[3] = None
-                    callback(*event[4])
+                except IndexError:
+                    break
+                callback = event[3]
+                if callback is None:
+                    continue
+                time = event[0]
+                if time >= limit and (exclusive or time > limit):
+                    _heappush(heap, event)
+                    break
+                self.now = time
+                dispatched += 1
+                # The handle goes stale at dispatch.
+                event[3] = None
+                callback(*event[4])
             if until is not None and self.now < until:
                 self.now = until
         finally:

@@ -1,15 +1,17 @@
 """Runtime conservation-law sanitizer: unit hooks and live-network runs.
 
 The deliberate-bug tests inject broken invariants (a scheduler that
-swallows packets, decreasing LiT labels, a rewound kernel clock,
-over-committed reservations) and assert the sanitizer names each one;
-the clean-run tests assert silence *and* that sanitizing is
-behaviourally invisible — the shortened Figure-7 cell must still match
-the golden dispatch digest from ``tests/sim/test_dispatch_digest.py``.
+swallows packets, decreasing LiT labels, over-committed reservations)
+and assert the sanitizer names each one; the clean-run tests assert
+silence *and* that sanitizing is behaviourally invisible — the
+shortened Figure-7 cell must still match the golden dispatch digest
+from ``tests/sim/test_dispatch_digest.py``, dispatched through the
+plain run's loop.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import pickle
 from types import SimpleNamespace
@@ -28,7 +30,7 @@ from repro.net.network import Network
 from repro.net.session import Session
 from repro.sched.fcfs import FCFS
 from repro.sched.leave_in_time import LeaveInTime
-from repro.sim.kernel import Simulator
+from repro.sim import kernel
 from repro.traffic.trace_source import TraceSource
 from repro.units import TIME_EPSILON
 from tests.conftest import add_trace_session
@@ -116,17 +118,6 @@ def test_serving_before_eligibility_is_flagged():
     [violation] = sanitizer.report().violations
     assert violation.check == "lit-eligible-before-serve"
     assert violation.session == "s"
-
-
-def test_kernel_flags_clock_regression():
-    sim = Simulator()
-    sim.sanitizer = Sanitizer()
-    sim.schedule_at(1.0, lambda: None)
-    sim.now = 2.0  # rewound event: its timestamp is now in the past
-    sim.run()
-    [violation] = sim.sanitizer.report().violations
-    assert violation.check == "clock-monotonic"
-    assert sim.sanitizer.events_checked == 1
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +247,7 @@ def test_env_var_installs_sanitizer(monkeypatch):
 def test_explicit_sanitizer_is_shared_with_all_layers():
     sanitizer = Sanitizer()
     network = _one_node_network(FCFS(), sanitizer)
-    assert network.sim.sanitizer is sanitizer
+    assert not hasattr(network.sim, "sanitizer")  # the kernel never sees it
     node = network.node("a")
     assert node.sanitizer is sanitizer
     assert node.scheduler.sanitizer is sanitizer
@@ -267,10 +258,12 @@ def test_explicit_sanitizer_is_shared_with_all_layers():
 # cell still matches the golden dispatch digest, with zero violations.
 # ----------------------------------------------------------------------
 
-def test_sanitized_fig07_cell_is_clean_and_bit_identical(monkeypatch):
-    """Same output, same events, same trace as the unwatched run — and
-    the number of checks the sanitizer ran while it still forced one
-    event per arrival (recorded at 3dd4576)."""
+def test_sanitized_fig07_cell_is_clean_and_bit_identical(kernel_loop,
+                                                         monkeypatch):
+    """Same output, same events, same trace as the unwatched run, on
+    either drain loop — and the number of checks the sanitizer ran
+    while it still forced one event per arrival (recorded at 3dd4576).
+    ``events_checked`` is the kernel's own dispatch count."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     for trace_on in (False, True):
         ((network,), _), cell = observe(lambda: fig07_cell(trace_on))
@@ -280,6 +273,51 @@ def test_sanitized_fig07_cell_is_clean_and_bit_identical(monkeypatch):
         assert report.checks_run == 52956
         assert cell == (FIG07_CELL_OBSERVABLES_TRACE_OFF, FIG07_CELL_EVENTS,
                         FIG07_CELL_TRACE if trace_on else None)
+
+
+class RecordingDrain:
+    """Stand-in for ``repro.sim._ckernel``: records which simulators it
+    drained and drains them as ``_ckernel.drain`` does, one
+    :meth:`~repro.sim.kernel.Simulator.step` at a time."""
+
+    def __init__(self) -> None:
+        self.drained = []
+
+    def drain(self, sim, until, exclusive):
+        self.drained.append(sim)
+        limit = float("inf") if until is None else until
+        heap = sim._heap
+        while heap:
+            event = heap[0]
+            if event[3] is None:
+                heapq.heappop(heap)  # stale: step() would skip past it
+                continue
+            if event[0] >= limit and (exclusive or event[0] > limit):
+                break
+            sim.step()
+        if until is not None and sim.now < until:
+            sim.now = until
+        return sim.now
+
+
+@pytest.mark.parametrize("sanitized", [False, True],
+                         ids=["plain", "sanitized"])
+def test_sanitized_run_drains_through_the_compiled_loop(monkeypatch,
+                                                       sanitized):
+    """Whoever is watching, ``Network.run`` hands its drain to
+    ``_ckernel.drain`` when the module is there, and a sanitized run
+    comes out as the plain one: same events, same observables."""
+    stand_in = RecordingDrain()
+    monkeypatch.setattr(kernel, "_ckernel", stand_in)
+    monkeypatch.setenv("REPRO_SANITIZE", "1" if sanitized else "0")
+    ((network,), _), cell = observe(lambda: fig07_cell(trace_on=False))
+    assert (network.sanitizer is not None) == sanitized
+    assert stand_in.drained == [network.sim]
+    assert cell == (FIG07_CELL_OBSERVABLES_TRACE_OFF, FIG07_CELL_EVENTS,
+                    None)
+    if sanitized:
+        report = network.sanitizer.report()
+        assert report.clean and report.events_checked == FIG07_CELL_EVENTS
 
 
 def test_sanitized_fault_sweep_short_is_clean(monkeypatch):

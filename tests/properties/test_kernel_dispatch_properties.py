@@ -1,23 +1,28 @@
 """Property tests for the fused dispatch loop and handle lifetime.
 
-Two claims the kernel must uphold:
+Three claims the kernel must uphold:
 
 * any randomized schedule/cancel/reset workload dispatches in exactly
   the same order through the fused ``Simulator.run`` loop as through a
   straightforward reference loop (kept here, deliberately naive);
+* no dispatch ever goes back in time: whatever mix of ``run`` /
+  ``step`` / ``clear`` / ``reset`` drives it, every dispatch time is at
+  or after the clock before it and the previous dispatch (``reset``
+  alone rewinds, and restarts the history);
 * a held :class:`Event` handle can never reach into somebody else's
   event — no object is ever handed out twice, a stale handle's
   ``cancel()`` is a no-op and the live-event count stays exact no
   matter how handles are abused.
 
 Every test takes the ``kernel_loop`` fixture (tests/conftest.py), so
-both claims are held on the Python loop and, where it is built, on the
+every claim is held on the Python loop and, where it is built, on the
 C drain loop.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import inf
 from typing import Any, Callable, List, Optional, Tuple
 
 from hypothesis import HealthCheck, given, settings
@@ -81,9 +86,7 @@ class RefEngine:
         self._seq += 1
         return handle
 
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> float:
-        dispatched = 0
+    def run(self, until: Optional[float] = None) -> float:
         while self._heap:
             time = self._heap[0][0]
             if self._heap[0][3].cancelled:
@@ -91,22 +94,27 @@ class RefEngine:
                 continue
             if until is not None and time > until:
                 break
-            if max_events is not None and dispatched >= max_events:
-                break
-            entry = heapq.heappop(self._heap)
-            self.now = time
-            dispatched += 1
-            entry[4](*entry[5])
+            self.step()
         if until is not None and self.now < until:
             self.now = until
         return self.now
+
+    def step(self) -> bool:
+        while self._heap:
+            entry = heapq.heappop(self._heap)
+            if entry[3].cancelled:
+                continue
+            self.now = entry[0]
+            entry[4](*entry[5])
+            return True
+        return False
 
     def reset(self) -> None:
         self._heap.clear()
         self.now = 0.0
 
 
-def run_workload(engine, script, until: float, max_events: int):
+def run_workload(engine, script, until: float, budget: int):
     """Drive ``engine`` through a deterministic script of schedule /
     cancel / spawn decisions; return the (time, tag) dispatch log."""
     log: List[Tuple[float, str]] = []
@@ -135,7 +143,8 @@ def run_workload(engine, script, until: float, max_events: int):
             # Same-instant ties across roots: insertion order decides.
             engine.schedule_at(0.004, cb, f"tie{index}", k + 1)
     engine.run(until=until)
-    engine.run(max_events=max_events)
+    for _ in range(budget):
+        engine.step()
     engine.run()
 
     # Second act after a reset: stale handles must be inert.
@@ -158,13 +167,65 @@ def run_workload(engine, script, until: float, max_events: int):
                      st.integers(0, 9)),
            min_size=1, max_size=20),
        until_idx=st.integers(0, len(DELAYS) - 1),
-       max_events=st.integers(1, 60))
+       budget=st.integers(1, 60))
 def test_fused_loop_dispatches_identically_to_reference(
-        kernel_loop, script, until_idx, max_events):
+        kernel_loop, script, until_idx, budget):
     until = DELAYS[until_idx] * 3 + 0.001
-    fused = run_workload(Simulator(), script, until, max_events)
-    reference = run_workload(RefEngine(), script, until, max_events)
+    fused = run_workload(Simulator(), script, until, budget)
+    reference = run_workload(RefEngine(), script, until, budget)
     assert fused == reference
+
+
+#: One top-level call each: schedule a root, run to an absolute horizon
+#: (often behind the clock), drain, take a few steps, clear, reset.
+CALL_SCRIPTS = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), st.integers(0, len(DELAYS) - 1),
+              st.integers(-2, 2)),
+    st.tuples(st.just("until"), st.integers(0, len(DELAYS) - 1),
+              st.booleans()),
+    st.tuples(st.just("run")),
+    st.tuples(st.just("step"), st.integers(1, 20)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("reset"))), min_size=1, max_size=30)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=SAME_LOOP_FOR_ALL_EXAMPLES)
+@given(ops=CALL_SCRIPTS)
+def test_no_dispatch_goes_back_in_time(kernel_loop, ops):
+    sim = Simulator()
+    clock = [0.0]  # the clock as last seen, in a callback or between calls
+    previous = [-inf]  # the last dispatch time since the last reset
+    spawned = [0]
+
+    def cb(k: int) -> None:
+        now = sim.now
+        assert now >= clock[0] and now >= previous[0]
+        clock[0] = previous[0] = now
+        n = spawned[0]
+        if k % 3 != 2 and n < MAX_SPAWNS:
+            spawned[0] = n + 1
+            sim.schedule(DELAYS[(k + n) % len(DELAYS)], cb, k + n,
+                         priority=(k + n) % 3 - 1)
+
+    for op in ops:
+        kind = op[0]
+        if kind == "schedule":
+            sim.schedule(DELAYS[op[1]], cb, op[1], priority=op[2])
+        elif kind == "until":
+            sim.run(until=DELAYS[op[1]] * 3, exclusive=op[2])
+        elif kind == "run":
+            sim.run()
+        elif kind == "step":
+            for _ in range(op[1]):
+                sim.step()
+        elif kind == "clear":
+            sim.clear()
+        else:
+            sim.reset()
+            previous[0] = -inf
+        assert kind == "reset" or sim.now >= clock[0]
+        clock[0] = sim.now
 
 
 @settings(max_examples=40, deadline=None,

@@ -94,7 +94,8 @@ def run_scripted_kernel_workload(sim: Simulator) -> List[Tuple[float, str]]:
             # decide.
             sim.schedule_at(0.02, cb, f"tie{k}")
     sim.run(until=0.075)
-    sim.run(max_events=40)
+    for _ in range(40):  # a budget: step(), not run()
+        sim.step()
     sim.run()  # drain
 
     # Reset mid-script, then a short second act: the clock rewinds and

@@ -90,13 +90,6 @@ class TestRunControl:
         sim.run(until=10.0)
         assert seen == [1, 5]
 
-    def test_max_events_limits_dispatch(self):
-        sim = Simulator()
-        for _ in range(10):
-            sim.schedule(1.0, lambda: None)
-        sim.run(max_events=3)
-        assert sim.events_dispatched == 3
-
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
 
@@ -290,19 +283,19 @@ class TestHorizonHoldsForAnyPriority:
                              ids=["inclusive", "exclusive"])
     @pytest.mark.parametrize("priority", [2 ** 31 + 5, -2 ** 31 - 5,
                                           2 ** 80])
-    @pytest.mark.parametrize("mode", ["plain", "checked", "sanitized"])
+    @pytest.mark.parametrize("mode", ["plain", "sanitized"])
     def test_event_at_the_horizon(self, kernel_loop, mode, priority,
                                   exclusive):
-        # plain: the fast loop, or the C loop under kernel_loop's
-        # ``compiled``; the other two always take the checked loop.
+        # Both modes take one loop: the Python one, or the C one under
+        # kernel_loop's ``compiled``; a sanitized network's kernel is
+        # the plain kernel.
         from repro.analysis.verify.sanitizer import Sanitizer
-        sim = Simulator()
-        if mode == "sanitized":
-            sim.sanitizer = Sanitizer()
-        budget = {"max_events": 10 ** 9} if mode == "checked" else {}
+        from repro.net.network import Network
+        sim = (Network(sanitizer=Sanitizer()).sim if mode == "sanitized"
+               else Simulator())
         seen = []
         sim.schedule_at(1.0, seen.append, "at-horizon", priority=priority)
-        assert sim.run(until=1.0, exclusive=exclusive, **budget) == 1.0
+        assert sim.run(until=1.0, exclusive=exclusive) == 1.0
         # Inclusive runs it whatever its priority; exclusive never does.
         assert seen == ([] if exclusive else ["at-horizon"])
         assert sim.pending == (1 if exclusive else 0)
@@ -326,33 +319,3 @@ def test_clear_from_a_callback_keeps_the_horizon(kernel_loop):
     assert (seen, sim.pending) == ([], 1)
     assert sim.run() == 5.0
     assert seen == ["late"]
-
-
-class TestBudgetNeverJumpsTheClock:
-    """``run(until=T, max_events=n)`` used to advance the clock to ``T``
-    even when the budget ran out first, leaving events queued in the
-    past: the next ``run()`` then moved the clock backwards."""
-
-    def test_budget_spent_before_the_horizon(self):
-        sim = Simulator()
-        seen = []
-        for time in (1.0, 2.0, 3.0):
-            sim.schedule_at(time, seen.append, time)
-        assert sim.run(until=10.0, max_events=1) == 1.0
-        assert (sim.now, sim.pending, seen) == (1.0, 2, [1.0])
-        sim.schedule_at(1.5, seen.append, 1.5)  # still in the future
-        clock = [sim.now]
-        sim.schedule_at(2.5, lambda: clock.append(sim.now))
-        assert sim.run(until=10.0) == 10.0
-        assert seen == [1.0, 1.5, 2.0, 3.0]
-        assert clock == sorted(clock)
-
-    def test_horizon_or_empty_heap_still_advance(self):
-        sim = Simulator()
-        sim.schedule_at(1.0, lambda: None)
-        sim.schedule_at(20.0, lambda: None)
-        # Stopped at the horizon with budget to spare.
-        assert sim.run(until=10.0, max_events=5) == 10.0
-        # Drained on exactly the last unit of budget.
-        assert sim.run(until=30.0, max_events=1) == 30.0
-        assert sim.pending == 0

@@ -1,9 +1,9 @@
 """Loop equivalence: the C drain loop against the reference loop.
 
-``Simulator.run`` has two Python reference loops (fast and checked)
-and, when ``repro.sim._ckernel`` is built, a C loop that takes over
-the un-sanitized unbounded drain.  Nothing selects between them, so the
-only thing that may differ is speed.  Each test here takes the
+``Simulator.run`` has one Python reference loop and, when
+``repro.sim._ckernel`` is built, a C loop that takes over every drain,
+sanitized or not.  Nothing selects between them, so the only thing
+that may differ is speed.  Each test here takes the
 ``kernel_loop`` fixture (tests/conftest.py) and so runs once on the
 reference loop and once on the C loop (skipped where it is not built),
 and checks *exact dispatch-log equality against the reference loop* on
