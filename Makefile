@@ -67,7 +67,7 @@ mypy:
 
 heavy-traffic-smoke:
 	@echo "== ci job: heavy-traffic-smoke =="
-	$(PYTHON) -m repro heavy_traffic --duration 0.5
+	$(PYTHON) -m repro heavy_traffic --duration 0.5 --sanitize
 
 # Also the build recipe for the optional C drain loop, and the whole of
 # ci.yml's `ckernel` job (`make ckernel PYTHON=python`): a failed

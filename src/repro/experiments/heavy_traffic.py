@@ -139,23 +139,21 @@ def _cell(*, topology: str, discipline: str, backend: str,
     mean_per_session = (PAPER_PACKET_BITS * sessions
                         / (rho * T1_RATE_BPS))
     aggregate = backend == "soa"
-    shared_sink = Sink("aggregate", keep_samples=False) \
-        if aggregate else None
-    members: List[Session] = []
-    for index in range(sessions):
-        session = Session(f"h{index}", rate=per_session_rate,
-                          route=route, l_max=PAPER_PACKET_BITS)
-        network.add_session(session, sink=shared_sink,
-                            keep_samples=False)
-        members.append(session)
-        if not aggregate:
-            PoissonSource(network, session,
-                          length=PAPER_PACKET_BITS,
-                          mean=mean_per_session)
+    members = [Session(f"h{index}", rate=per_session_rate, route=route,
+                       l_max=PAPER_PACKET_BITS)
+               for index in range(sessions)]
     if aggregate:
+        shared_sink = Sink("aggregate", keep_samples=False)
+        network.add_sessions(members, sink=shared_sink)
         SuperposedPoissonSource(network, members,
                                 length=PAPER_PACKET_BITS,
                                 mean=mean_per_session)
+    else:
+        network.add_sessions(members, keep_samples=False)
+        for session in members:
+            PoissonSource(network, session,
+                          length=PAPER_PACKET_BITS,
+                          mean=mean_per_session)
     network.run(duration)
     if aggregate:
         received = shared_sink.received

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from itertools import repeat
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
+    Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.link import Link
@@ -21,6 +24,7 @@ from repro.net.packet import Packet
 from repro.net.session import Session
 from repro.net.session_table import SessionTable
 from repro.net.sink import Sink
+from repro.sched.base import Scheduler
 from repro.sim.kernel import PRIORITY_NORMAL, Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
@@ -36,6 +40,12 @@ __all__ = ["Network"]
 #: the due ones (memory only: every reader settles anyway).
 _CALENDAR_BATCH = 64
 
+#: The base class's no-op registration hook: a scheduler whose class
+#: keeps it has nothing to accept or refuse.
+_NO_HOOK = Scheduler.register_session
+
+_ID, _L_MAX = attrgetter("id"), attrgetter("l_max")
+
 #: The values ``Network(state_backend=...)`` still accepts.
 _BACKENDS = (None, "objects", "soa")
 
@@ -43,7 +53,9 @@ _BACKENDS = (None, "objects", "soa")
 class Network:
     """A packet network with pluggable per-node service disciplines.
 
-    Per-session hot state lives in one slot-indexed
+    Sessions register through :meth:`add_sessions` — one call for a
+    whole population, all or nothing; :meth:`add_session` is that call
+    for one session.  Per-session hot state lives in one slot-indexed
     :class:`~repro.net.session_table.SessionTable` shared by every node
     and scheduler.  ``state_backend`` selects nothing: the argument and
     the constant :attr:`state_backend` attribute are kept, as inert
@@ -84,6 +96,9 @@ class Network:
         self.tracer = tracer or Tracer(False)
         self.nodes: Dict[str, ServerNode] = {}
         self.sessions: Dict[str, Session] = {}
+        #: Node name -> its scheduler, for the schedulers whose
+        #: ``register_session`` hook is not the base class's no-op.
+        self._hooked: Dict[str, Scheduler] = {}
         self._sinks: Dict[str, Sink] = {}
         #: Sink deliveries not yet made: ``(arrival time, packet)`` in
         #: time order, appended by last-hop completions.
@@ -124,62 +139,137 @@ class Network:
             node.sanitizer = self.sanitizer
             scheduler.sanitizer = self.sanitizer
         self.nodes[name] = node
+        if type(scheduler).register_session is not _NO_HOOK:
+            self._hooked[name] = scheduler
         return node
 
-    def add_session(self, session: Session, *, keep_samples: bool = True,
+    def add_session(self, session: Session, *, sink: Optional[Sink] = None,
+                    keep_samples: bool = True,
                     max_samples: Optional[int] = None,
                     warmup: float = 0.0,
-                    keep_packets: bool = False,
-                    sink: Optional[Sink] = None) -> Sink:
-        """Register a session on every node of its route; create its sink.
+                    keep_packets: bool = False) -> Sink:
+        """Register one session (:meth:`add_sessions` with ``(session,)``);
+        returns its sink."""
+        self.add_sessions((session,), sink=sink, keep_samples=keep_samples,
+                          max_samples=max_samples, warmup=warmup,
+                          keep_packets=keep_packets)
+        return self._sinks[session.id]
 
-        Pass ``sink`` to attach an existing (possibly shared) sink
-        instead of creating a dedicated one — the heavy-traffic
-        experiments aggregate 10^5 sessions into one plain
-        :class:`~repro.net.sink.Sink` this way.
+    def add_sessions(self, sessions: Iterable[Session], *,
+                     sink: Optional[Sink] = None,
+                     keep_samples: bool = True,
+                     max_samples: Optional[int] = None,
+                     warmup: float = 0.0,
+                     keep_packets: bool = False) -> None:
+        """Register ``sessions`` on every node of their routes, in order.
 
-        Transactional: checks run before any write, and a scheduler's
-        refusal (HRR's frame budget) is rolled back on every node.
+        Each session gets a dedicated :class:`~repro.net.sink.Sink`
+        built with the sink options, unless ``sink`` is given: then the
+        whole batch shares it (the heavy-traffic experiments aggregate
+        10^5 sessions into one plain Sink this way), and a sink option
+        passed beside it is refused.
+
+        All or nothing: a refusal — a failed check or a scheduler hook's
+        (HRR's frame budget) — leaves the network as it was.  The ids
+        the checks entered in :attr:`sessions` are taken out again and
+        the hooks that accepted forget their sessions; slots, node
+        columns and sinks are written only once every hook accepted.  A
+        hook runs before its session holds a slot.  A list or tuple
+        ``sessions`` is used without a copy.
         """
-        session_id = session.id
-        sessions = self.sessions
-        nodes = self.nodes
-        if session_id in sessions:
-            raise ConfigurationError(f"duplicate session id {session_id!r}")
-        if session_id in self._draining:
-            raise ConfigurationError(
-                f"session id {session_id!r} is still draining after "
-                f"removal; let its in-flight packets arrive first")
-        route = session.route
-        for name in route:
-            if name not in nodes:
+        if sink is not None:
+            given = [name for name, value, default in (
+                ("keep_samples", keep_samples, True),
+                ("max_samples", max_samples, None),
+                ("warmup", warmup, 0.0),
+                ("keep_packets", keep_packets, False)) if value != default]
+            if given:
                 raise ConfigurationError(
-                    f"session {session_id!r} routes through unknown nodes "
-                    f"{[n for n in route if n not in nodes]}")
-        if session.slot >= 0:
-            raise ConfigurationError(
-                f"session object {session_id!r} already holds slot "
-                f"{session.slot} of a live network's session table; "
-                f"remove it there first or build a fresh Session")
-        if sink is None:
-            sink = Sink(session_id, keep_samples=keep_samples,
-                        max_samples=max_samples, warmup=warmup,
-                        keep_packets=keep_packets)
-        session.slot = self.session_table.acquire(session)
+                    f"sink options {given} do nothing beside a given "
+                    f"sink; build that Sink with them instead")
+        live = self.sessions
+        draining = self._draining
+        nodes = self.nodes
+        batch = sessions if isinstance(sessions, (list, tuple)) \
+            else tuple(sessions)
+        #: Route -> the batch's sessions on it (the whole batch while
+        #: it has one route); a route's nodes are checked when it is
+        #: first seen.
+        routes: Dict[Tuple[str, ...], Sequence[Session]] = {}
+        # A checked id is entered in ``live`` at once, which makes a
+        # second one in the batch a duplicate; a refusal takes the
+        # first ``checked`` out again.
+        checked = 0
         try:
-            for name in route:
-                nodes[name].register_session(session)
+            for checked, session in enumerate(batch):
+                session_id = session.id
+                if session_id in live:
+                    raise ConfigurationError(
+                        f"duplicate session id {session_id!r}")
+                if session_id in draining:
+                    raise ConfigurationError(
+                        f"session id {session_id!r} is still draining "
+                        f"after removal; let its in-flight packets "
+                        f"arrive first")
+                route = session.route
+                if route not in routes:
+                    if not all(map(nodes.__contains__, route)):
+                        raise ConfigurationError(
+                            f"session {session_id!r} routes through "
+                            f"unknown nodes "
+                            f"{[n for n in route if n not in nodes]}")
+                    routes[route] = batch
+                if session.slot >= 0:
+                    raise ConfigurationError(
+                        f"session object {session_id!r} already holds "
+                        f"slot {session.slot} of a live network's session "
+                        f"table; remove it there first or build a fresh "
+                        f"Session")
+                live[session_id] = session
+            checked = len(batch)
+            if len(routes) > 1:
+                routes = {route: [] for route in routes}
+                for session in batch:
+                    routes[session.route].append(session)
+            if sink is None:
+                sinks = [Sink(session.id, keep_samples=keep_samples,
+                              max_samples=max_samples, warmup=warmup,
+                              keep_packets=keep_packets)
+                         for session in batch]
+            if self._hooked:
+                self._register_hooks(routes)
         except Exception:
-            for accepted in route[:route.index(name)]:
-                nodes[accepted].forget_session(session_id)
-            self.session_table.release(session_id)
-            session.slot = -1
+            for session in batch[:checked]:
+                del live[session.id]
             raise
-        sessions[session_id] = session
-        if session.l_max > self._l_max_seen:
-            self._l_max_seen = session.l_max
-        self._sinks[session_id] = sink
-        return sink
+        self.session_table.acquire(batch)
+        for route, members in routes.items():
+            for name in route:
+                nodes[name].add_members(members)
+        l_max = max(map(_L_MAX, batch), default=0.0)
+        if l_max > self._l_max_seen:
+            self._l_max_seen = l_max
+        self._sinks.update(zip(map(_ID, batch), sinks if sink is None
+                               else repeat(sink)))
+
+    def _register_hooks(self, routes: Dict[Tuple[str, ...],
+                                           Sequence[Session]]) -> None:
+        """Hand each batch session to every scheduler hook on its route;
+        on a refusal, forget the ones already accepted and re-raise."""
+        hooked = self._hooked
+        accepted: List[Tuple[Scheduler, str]] = []
+        try:
+            for route, members in routes.items():
+                for name in route:
+                    scheduler = hooked.get(name)
+                    if scheduler is not None:
+                        for session in members:
+                            scheduler.register_session(session)
+                            accepted.append((scheduler, session.id))
+        except Exception:
+            for scheduler, session_id in reversed(accepted):
+                scheduler.forget_session(session_id)
+            raise
 
     def remove_session(self, session_id: str, *,
                        keep_sink: bool = True) -> None:
@@ -222,8 +312,12 @@ class Network:
     def _in_flight(self, session: Session) -> int:
         """Packets injected but not yet delivered to the sink or dropped."""
         delivered = self.sinks[session.id].received
-        dropped = sum(self.nodes[name].drop_count(session.id)
-                      for name in session.route)
+        slot = session.slot
+        dropped = 0
+        for name in session.route:
+            node = self.nodes[name]
+            node.settle()  # the drops due by now
+            dropped += node._drops[slot]
         return session.packets_sent - delivered - dropped
 
     def _finalize_removal(self, session: Session,
@@ -232,14 +326,22 @@ class Network:
         for node_name in session.route:
             node = self.nodes[node_name]
             node.settle()
-            node.forget_session(session.id)
-        self.session_table.release(session.id)
+            node.forget_session(session)
+        self.session_table.release(session.slot)
         session.slot = -1
         self._draining.pop(session.id, None)
         if not keep_sink:
             self._sinks.pop(session.id, None)
         for callback in self._drained_callbacks.pop(session.id, ()):
             callback()
+
+    def registered(self, session_id: str) -> Optional[Session]:
+        """The session ``session_id`` names here — live, or removed but
+        still draining — or None."""
+        session = self.sessions.get(session_id)
+        if session is None and session_id in self._draining:
+            session = self._draining[session_id][0]
+        return session
 
     def notify_when_drained(self, session_id: str,
                             callback: Callable[[], None]) -> None:

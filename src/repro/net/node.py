@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from math import inf
-from typing import Dict, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, Iterable, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.link import Link
@@ -64,8 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
 
 __all__ = ["ServerNode"]
-
-_NO_HOOK = Scheduler.register_session  # the base class's no-op
 
 
 class ServerNode:
@@ -139,30 +137,37 @@ class ServerNode:
     # ------------------------------------------------------------------
     # Session registration
     # ------------------------------------------------------------------
-    def register_session(self, session: Session) -> None:
-        """Prepare per-session state and inform the scheduler."""
-        slot = session.slot
-        if slot < 0:
-            raise SimulationError(
-                f"session {session.id!r} has no session-table slot; "
-                f"register sessions through Network.add_session")
-        scheduler = self.scheduler  # first: it may refuse; skip a no-op
-        if scheduler.__class__.register_session is not _NO_HOOK:
-            scheduler.register_session(session)
-        self._member[slot] = True
-        if session.monitor_buffer and slot not in self._samples:
-            self._samples[slot] = TimeSeries(
-                f"{self.name}.{session.id}.buffer")
+    def add_members(self, sessions: Iterable[Session]) -> None:
+        """Route ``sessions`` through here: they hold their slots and
+        this node's scheduler accepted them
+        (:meth:`Network.add_sessions
+        <repro.net.network.Network.add_sessions>`)."""
+        member = self._member
+        samples = self._samples
+        for session in sessions:
+            slot = session.slot
+            member[slot] = True
+            if session.monitor_buffer:
+                samples[slot] = TimeSeries(
+                    f"{self.name}.{session.id}.buffer")
 
-    def forget_session(self, session_id: str) -> None:
+    def forget_session(self, session: Session) -> None:
         """Drop a drained session's scheduler state and monitor series.
 
         Its table row is reset by :meth:`SessionTable.release
         <repro.net.session_table.SessionTable.release>`.
         """
-        self.scheduler.forget_session(session_id)
+        self.scheduler.forget_session(session.id)
         if self._samples:
-            self._samples.pop(self.table.slot(session_id), None)
+            self._samples.pop(session.slot, None)
+
+    def _slot(self, session_id: str) -> int:
+        """Slot of a session the network holds (live or draining), or
+        ``-1``."""
+        network = self.network
+        session = network.registered(session_id) \
+            if network is not None else None
+        return session.slot if session is not None else -1
 
     # ------------------------------------------------------------------
     # Data path
@@ -180,7 +185,7 @@ class ServerNode:
         if not positive:  # NaN too: no occupancy would exceed it
             raise SimulationError(
                 f"buffer limit must be positive, got {bits}")
-        slot = self.table.slot(session_id)
+        slot = self._slot(session_id)
         if slot < 0:
             raise SimulationError(
                 f"cannot set a buffer limit for unknown session "
@@ -447,8 +452,8 @@ class ServerNode:
         """``column`` as a dict over the sessions routed through here."""
         self.settle()
         member = self._member
-        return {sid: column[slot] for sid, slot in self.table.items()
-                if member[slot]}
+        return {session.id: column[slot]
+                for slot, session in self.table.items() if member[slot]}
 
     @property
     def buffer_bits(self) -> Dict[str, float]:
@@ -464,10 +469,9 @@ class ServerNode:
     def buffer_samples(self) -> Dict[str, TimeSeries]:
         """Arrival-sampled occupancy series for monitored sessions."""
         self.settle()
-        ids = self.table.ids
-        return {ids[slot]: series
-                for slot, series in self._samples.items()
-                if ids[slot] is not None}
+        rows = self.table.rows
+        return {rows[slot].id: series
+                for slot, series in self._samples.items()}
 
     @property
     def drops(self) -> Dict[str, int]:
@@ -478,7 +482,7 @@ class ServerNode:
     def drop_count(self, session_id: str) -> int:
         """Packets of ``session_id`` dropped at this node."""
         self.settle()
-        slot = self.table.slot(session_id)
+        slot = self._slot(session_id)
         return self._drops[slot] if slot >= 0 else 0
 
     def utilization(self, now: Optional[float] = None) -> float:

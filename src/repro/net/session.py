@@ -129,8 +129,8 @@ class Session:
         self.packets_sent = 0
         #: Dense slot in the owning network's
         #: :class:`~repro.net.session_table.SessionTable`, assigned by
-        #: ``Network.add_session``; -1 before that, after a refused
-        #: ``add_session``, and once the session has left and drained.
+        #: ``Network.add_sessions``; -1 before that, after a refused
+        #: registration, and once the session has left and drained.
         self.slot = -1
 
     @property

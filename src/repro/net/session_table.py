@@ -10,7 +10,8 @@ columns as a :class:`ColumnGroup` of stdlib :mod:`array` arrays indexed
 by that slot.  Every :class:`~repro.net.network.Network` owns one
 table; there is no other session-state store.
 
-* ``acquire`` hands out the lowest fresh slot first and the most
+* ``acquire`` gives a batch of sessions their slots, growing the table
+  at most once; it hands out the lowest fresh slot first and the most
   recently released slot before any fresh one (LIFO free list), so the
   same admission sequence always produces the same slot assignment;
 * ``release`` restores the slot to its fill value in *every* column of
@@ -29,7 +30,8 @@ boxed float and a dict entry — which is what lets one node carry the
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterator, List, Optional, Tuple, \
+from itertools import repeat
+from typing import Any, Collection, Iterator, List, Optional, Tuple, \
     TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -81,11 +83,13 @@ class ColumnGroup:
 
 
 class SessionTable:
-    """Dense-id registry mapping session ids to array slots.
+    """Slot-indexed rows: slot -> the :class:`~repro.net.session.Session`
+    holding it, plus the free list.
 
-    The table owns the id <-> slot mapping; per-concern state lives in
-    consumer-owned :class:`ColumnGroup` instances created through
-    :meth:`group`.
+    A session knows its own slot (``session.slot``) and the owning
+    network knows its sessions by id, so the table keeps no id index;
+    per-concern state lives in consumer-owned :class:`ColumnGroup`
+    instances created through :meth:`group`.
     """
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
@@ -93,12 +97,8 @@ class SessionTable:
             raise SimulationError(
                 f"session-table capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        #: Session id -> slot, in acquisition (insertion) order; the
-        #: nodes' read-only views iterate this, so their dicts list
-        #: sessions in the order they were admitted.
-        self.slot_of: Dict[str, int] = {}
-        #: Slot -> session id (None while free).
-        self.ids: List[Optional[str]] = [None] * capacity
+        #: Slot -> the session holding it (None while free).
+        self.rows: List[Optional["Session"]] = [None] * capacity
         #: LIFO free list, stored so ``pop()`` yields the lowest fresh
         #: slot first and the most recently released slot before any
         #: fresh one — deterministic reuse.
@@ -112,61 +112,74 @@ class SessionTable:
     # ------------------------------------------------------------------
     # Slot lifecycle
     # ------------------------------------------------------------------
-    def acquire(self, session: "Session") -> int:
-        """Assign (or return) the slot for ``session``; idempotent per id."""
-        session_id = session.id
-        slot_of = self.slot_of
-        if session_id in slot_of:
-            return slot_of[session_id]
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        slot_of[session_id] = slot
-        self.ids[slot] = session_id
-        return slot
+    def acquire(self, sessions: Collection["Session"]) -> None:
+        """Give each of ``sessions``, in order, a slot (``session.slot``).
 
-    def slot(self, session_id: str) -> int:
-        """Slot of ``session_id``, or ``-1`` when not in the table."""
-        return self.slot_of.get(session_id, -1)
-
-    def release(self, session_id: str) -> None:
-        """Free a session's slot, resetting it in every column.
-
-        Call only once the session has fully drained (no packets in
-        flight anywhere) — :meth:`repro.net.network.Network
-        ._finalize_removal` and ``add_session``'s rollback call it.  The reset
-        is what guarantees a reused slot starts with zeroed buffer
-        occupancy, drop counters, and deadline-recursion state.
+        The table grows at most once per call, to the capacity that
+        acquiring them one at a time would have reached, and hands out
+        the same slots in the same order.
         """
-        slot = self.slot_of.pop(session_id, None)
-        if slot is None:
-            return
-        self.ids[slot] = None
+        free = self._free
+        short = len(sessions) - len(free)
+        if short > 0:
+            self._grow(short)
+        rows = self.rows
+        for session in sessions:
+            slot = free.pop()
+            rows[slot] = session
+            session.slot = slot
+
+    def release(self, slot: int) -> None:
+        """Free ``slot``, resetting it in every column.
+
+        Call only once its session has fully drained (no packets in
+        flight anywhere) — :meth:`repro.net.network.Network
+        ._finalize_removal` calls it.  The reset is what guarantees a
+        reused slot starts with zeroed buffer occupancy, drop counters,
+        and deadline-recursion state.
+        """
+        if self.rows[slot] is None:
+            raise SimulationError(f"session-table slot {slot} is not live")
+        self.rows[slot] = None
         for group in self.groups:
             for column, fill in group.columns:
                 column[slot] = fill
         self._free.append(slot)
 
-    def _grow(self) -> None:
-        extra = self.capacity
+    def _grow(self, needed: int) -> None:
+        """Double the capacity until ``needed`` more slots are free.
+
+        The fresh slots go out after every released one, lowest first —
+        what doubling each time the free list ran dry would do.
+        """
+        old = self.capacity
+        capacity = old * 2
+        while capacity - old < needed:
+            capacity *= 2
+        extra = capacity - old
         for group in self.groups:
             for column, fill in group.columns:
                 column.extend(array(column.typecode, [fill]) * extra)
-        self.ids.extend([None] * extra)
-        self._free.extend(
-            range(self.capacity + extra - 1, self.capacity - 1, -1))
-        self.capacity += extra
+        # No 10^5-entry temporary lists: glibc keeps a freed one's pages
+        # resident (docs/heavy_traffic.md, "One call per population").
+        self.rows.extend(repeat(None, extra))
+        free = self._free  # the fresh slots go in below the released ones
+        free.reverse()
+        free.extend(range(old, capacity))
+        free.reverse()
+        self.capacity = capacity
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.slot_of)
+        return self.capacity - len(self._free)
 
-    def items(self) -> Iterator[Tuple[str, int]]:
-        """(session id, slot) pairs in acquisition order."""
-        return iter(self.slot_of.items())
+    def items(self) -> Iterator[Tuple[int, "Session"]]:
+        """(slot, session) for every live row, in slot order."""
+        return ((slot, session) for slot, session in enumerate(self.rows)
+                if session is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<SessionTable {len(self.slot_of)}/{self.capacity} "
+        return (f"<SessionTable {len(self)}/{self.capacity} "
                 f"slots, {len(self.groups)} groups>")

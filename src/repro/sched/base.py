@@ -112,7 +112,11 @@ class Scheduler(ABC):
         """Learn about a session before its first packet (optional hook).
 
         Disciplines with per-session state (reserved rates, regulators,
-        frame slots) override this; the default accepts anything.
+        frame slots) override this; the default accepts anything.  It
+        runs before the session holds a table slot; raising refuses the
+        whole :meth:`~repro.net.network.Network.add_sessions` batch,
+        which then calls :meth:`forget_session` for every session this
+        hook already accepted.
         """
 
     def forget_session(self, session_id: str) -> None:

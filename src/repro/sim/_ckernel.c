@@ -55,7 +55,7 @@ enum { EV_TIME, EV_PRIORITY, EV_SEQ, EV_CALLBACK, EV_ARGS, EV_SIZE };
  * on the type (inherited descriptors report the defining class's
  * offset, which is where the slot lives in subclass instances too). */
 static Py_ssize_t
-slot_offset(PyTypeObject *tp, const char *name)
+member_offset(PyTypeObject *tp, const char *name)
 {
     PyObject *descr = PyObject_GetAttrString((PyObject *)tp, name);
     if (descr == NULL)
@@ -84,10 +84,10 @@ ensure_bindings(PyObject *sim)
 {
     if (bindings_ready)
         return 0;
-    if ((off_now = slot_offset(Py_TYPE(sim), "now")) < 0
-        || (off_dispatched = slot_offset(Py_TYPE(sim),
+    if ((off_now = member_offset(Py_TYPE(sim), "now")) < 0
+        || (off_dispatched = member_offset(Py_TYPE(sim),
                                          "_dispatched")) < 0
-        || (off_heap = slot_offset(Py_TYPE(sim), "_heap")) < 0)
+        || (off_heap = member_offset(Py_TYPE(sim), "_heap")) < 0)
         return -1;
     bindings_ready = 1;
     return 0;

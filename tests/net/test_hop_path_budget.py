@@ -40,10 +40,10 @@ the classes constructed: the table a per-hop change is sized with.
 
 The heavy_1e3 cell's set-up has a row of its own, ``construct``: Python
 frames entered and opcodes per session from ``_cell`` entry to
-``Network.run`` — what registering one session costs (``Session()``,
-``add_session``, ``acquire``, ``register_session``), held to a ceiling
-by the same rule and printed by ``make hop-budget`` after the per-hop
-tables.
+``Network.run`` — what registering one session costs (its
+``Session()`` frame and a share of one ``add_sessions`` call), held to a
+ceiling by the same rule and printed by ``make hop-budget`` after the
+per-hop tables.
 
 The kernel under those cells gets the same treatment at the bottom of
 the file: the ledger's spin probe (``kernel_spin``), held to its exact
@@ -114,8 +114,11 @@ EVENTS_AND_HOPS = {"plain": (27323, 17723), "jitter": (27787, 17503),
 #: mix cells read 24.7 / 29.9; before decision-epoch forwarding the four
 #: read 16.2 / 19.3 / 22.0 / 33.7; while lateness was a ``Tally.observe``
 #: per hop and the marked pick a ``randrange``, 14.7 / 18.2 / 20.0 / 32.8.
+#: call_churn read 31.485 while a removal's drop count looked each
+#: node's slot up by id; its ceiling sits about 0.4 above the tree,
+#: headroom for a full-suite run's gc noise.
 CALLS_PER_HOP_CEILING = {"plain": 13.7, "jitter": 15.9,
-                         "heavy_1e3": 16.6, "call_churn": 31.8}
+                         "heavy_1e3": 16.6, "call_churn": 31.5}
 
 #: cell -> opcodes per packet-hop inside ``Network.run`` on CPython 3.11.
 #: With a Welford tally per hop, a policy object per first packet and
@@ -123,16 +126,18 @@ CALLS_PER_HOP_CEILING = {"plain": 13.7, "jitter": 15.9,
 #: ``network.faults`` read in the park condition and in ``_hold``:
 #: 773.8 / 903.5 / 927.9 / 1053.1; while every transmission stored its
 #: completion event for a crash-restart to cancel: 770.9 / 898.5 /
-#: 924.9 / 1051.5.
+#: 924.9 / 1051.5; while a removal's drop count looked each node's slot
+#: up by id, call_churn read 1050.5.
 OPCODES_PER_HOP_CEILING = {"plain": 770, "jitter": 898,
-                           "heavy_1e3": 924, "call_churn": 1051}
+                           "heavy_1e3": 924, "call_churn": 1050}
 
 #: heavy_1e3 set-up, from ``_cell`` entry to ``Network.run``: (Python
-#: frames entered, opcodes) per session on CPython 3.11.  While
-#: ``Session.__init__`` called ``math.isfinite`` per field and
-#: ``add_session`` built its missing-node list in a comprehension every
-#: time, and every node called its scheduler's no-op hook: 6.05 / 287.4.
-CONSTRUCT_PER_SESSION_CEILING = (4.1, 263)
+#: frames entered, opcodes) per session on CPython 3.11.  While each
+#: session was one ``add_session`` call (``add_session``, ``acquire``,
+#: ``register_session`` frames and an id -> slot dict): 4.05 / 262.4.
+#: One ``add_sessions`` call reads 1.053 / 170.01 alone and a few
+#: hundredths more after the rest of the suite (frames that run once).
+CONSTRUCT_PER_SESSION_CEILING = (1.1, 171)
 
 
 def _run_cell(cell, monkeypatch, watch, unwatch):
@@ -242,9 +247,9 @@ class _Built(Exception):
 @needs_311
 def test_construct_budget(monkeypatch):
     """What registering one session costs, from ``_cell`` entry to
-    ``Network.run`` on the heavy_1e3 cell: 10^3 passes through
-    ``Session()`` / ``add_session`` / ``acquire`` /
-    ``register_session`` plus the cell's own set-up, per session."""
+    ``Network.run`` on the heavy_1e3 cell: 10^3 ``Session()`` frames,
+    one ``add_sessions`` call for all of them and the cell's own
+    set-up, per session."""
     tracer, opcodes, calls, _ = _opcode_tracer()
     outer = sys.gettrace()
     built = []
@@ -271,6 +276,9 @@ def test_construct_budget(monkeypatch):
     assert len(network.sessions) == HEAVY_SESSIONS
     _print_opcodes("heavy_1e3 construct", "session", HEAVY_SESSIONS,
                    opcodes, calls)
+    # One registration call for the population, none per session.
+    assert calls["Network.add_sessions"] == 1
+    assert calls["Network.add_session"] == 0
     frames = sum(calls.values()) / HEAVY_SESSIONS
     total = sum(opcodes.values()) / HEAVY_SESSIONS
     frame_ceiling, opcode_ceiling = CONSTRUCT_PER_SESSION_CEILING

@@ -158,8 +158,6 @@ class TestNetworkValidation:
         stray = Session("s", rate=1.0, route=["n1"], l_max=100.0)
         with pytest.raises(SimulationError, match="Network.add_session"):
             network.node("n1").receive(Packet(stray, 1, 100.0, 0.0))
-        with pytest.raises(SimulationError, match="Network.add_session"):
-            network.node("n1").register_session(stray)
 
     def test_oversized_packet_rejected_at_injection(self):
         network = make_network(FCFS)

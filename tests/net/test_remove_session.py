@@ -12,7 +12,7 @@ from tests.conftest import add_trace_session, make_network
 
 def assert_row_reset(network, node_name, slot):
     """``s`` left the table; its ``slot`` reads fill values at the LiT."""
-    assert network.session_table.slot("s") == -1
+    assert network.session_table.rows[slot] is None
     scheduler = network.node(node_name).scheduler
     assert scheduler._k_prev[slot] == -inf
     assert scheduler._d_slope[slot] != scheduler._d_slope[slot]  # NaN
@@ -30,7 +30,7 @@ def drained_network():
 
 def test_remove_after_drain_clears_state():
     network, session, sink = drained_network()
-    slot = network.session_table.slot("s")
+    slot = session.slot
     assert network.node("n1").scheduler._k_prev[slot] > 0.0
     network.remove_session("s")
     assert "s" not in network.sessions
@@ -57,9 +57,10 @@ def test_remove_unknown_session_rejected():
 def test_remove_with_in_flight_packets_defers_cleanup():
     """Mid-flight removal drains, then forgets (drain-then-forget)."""
     network = make_network(LeaveInTime, capacity=1.0)
-    add_trace_session(network, "s", rate=1.0, times=[0.0], lengths=10.0)
+    session, _, _ = add_trace_session(network, "s", rate=1.0, times=[0.0],
+                                      lengths=10.0)
     network.run(5.0)  # still transmitting (10 s long)
-    slot = network.session_table.slot("s")
+    slot = session.slot
     network.remove_session("s")
     # Gone from the routing table at once; node state lingers while
     # the packet is still on the link.
@@ -90,12 +91,12 @@ def test_remove_while_packet_held_by_regulator():
     """Teardown while the regulator holds packets must not wedge them."""
     network = make_network(LeaveInTime, nodes=2, capacity=1000.0)
     # Jitter control maximizes downstream holding at n2.
-    add_trace_session(network, "s", rate=10.0, times=[0.0, 0.01],
-                      lengths=100.0, route=["n1", "n2"],
-                      jitter_control=True)
+    session, _, _ = add_trace_session(
+        network, "s", rate=10.0, times=[0.0, 0.01], lengths=100.0,
+        route=["n1", "n2"], jitter_control=True)
     # Run just long enough for packets to reach n2's regulator.
     network.run(0.3)
-    slot = network.session_table.slot("s")
+    slot = session.slot
     network.remove_session("s")
     network.run(60.0)
     assert network.sink("s").received == 2
@@ -166,18 +167,19 @@ class TestChurnFaultOverlap:
         from repro.faults.injector import FaultInjector
         from repro.faults.plan import FaultPlan, LinkDown
         network = make_network(LeaveInTime, nodes=2, capacity=1000.0)
-        add_trace_session(network, "s", rate=100.0, times=times,
-                          lengths=100.0, route=["n1", "n2"])
+        session, _, _ = add_trace_session(
+            network, "s", rate=100.0, times=times, lengths=100.0,
+            route=["n1", "n2"])
         plan = FaultPlan(link_downs=(LinkDown("n1", down_at, up_at),))
         FaultInjector(plan).install(network)
-        return network
+        return network, session
 
     def test_remove_while_link_down_drains_after_link_up(self):
         # The link goes down mid-first-transmission; removal happens
         # while the second packet is stuck behind it.
-        network = self._link_down_network([0.0, 0.1], 0.05, 2.0)
+        network, session = self._link_down_network([0.0, 0.1], 0.05, 2.0)
         network.run(0.2)
-        slot = network.session_table.slot("s")
+        slot = session.slot
         network.remove_session("s")
         assert "s" in network._draining
         network.run(5.0)
@@ -191,7 +193,7 @@ class TestChurnFaultOverlap:
         # transmission); the link then goes down before that
         # transmission completes, so the queued packet is stuck until
         # the link comes back.
-        network = self._link_down_network([0.0, 0.01], 0.08, 2.0)
+        network, _ = self._link_down_network([0.0, 0.01], 0.08, 2.0)
         network.run(0.05)
         network.remove_session("s")
         network.run(1.0)         # the outage holds the drain open

@@ -1,8 +1,9 @@
 """Unit tests for the slot-indexed session table.
 
 Behavioural gates: ``tests/sim/test_state_backends.py``.  Here, the
-table's own contract: lowest fresh slot first, LIFO reuse, release resets
-every column of every group, growth extends the arrays in place.
+table's own contract: lowest fresh slot first, LIFO reuse, a batch grows
+the table once to the slots one-at-a-time acquisition hands out, release
+resets every column of every group, growth extends the arrays in place.
 """
 
 from math import inf
@@ -20,36 +21,49 @@ def _session(sid: str, rate: float = 100.0) -> Session:
 
 def test_acquire_hands_out_lowest_fresh_slot_first():
     table = SessionTable(capacity=4)
-    slots = [table.acquire(_session(f"s{i}")) for i in range(3)]
-    assert slots == [0, 1, 2]
+    sessions = [_session(f"s{i}") for i in range(3)]
+    table.acquire(sessions)
+    assert [session.slot for session in sessions] == [0, 1, 2]
 
 
-def test_acquire_is_idempotent_per_id():
-    table = SessionTable(capacity=4)
-    session = _session("s")
-    assert table.acquire(session) == table.acquire(session) == 0
-    assert len(table) == 1
+def test_acquire_grows_once_to_what_one_at_a_time_reaches():
+    # Two sessions at a time first, then a batch past two doublings.
+    one, batch = SessionTable(capacity=2), SessionTable(capacity=2)
+    for table in (one, batch):
+        table.acquire([_session("a"), _session("b")])
+        table.release(0)
+    singles = [_session(f"s{i}") for i in range(7)]
+    for session in singles:
+        one.acquire([session])
+    together = [_session(f"s{i}") for i in range(7)]
+    batch.acquire(together)
+    assert [s.slot for s in together] == [s.slot for s in singles] \
+        == [0, 2, 3, 4, 5, 6, 7]
+    assert batch.capacity == one.capacity == 8
+    assert batch._free == one._free == []
 
 
 def test_release_then_acquire_reuses_lifo():
     table = SessionTable(capacity=8)
-    for i in range(4):
-        table.acquire(_session(f"s{i}"))
-    table.release("s1")
-    table.release("s3")
+    table.acquire([_session(f"s{i}") for i in range(4)])
+    table.release(1)
+    table.release(3)
     # Most recently released first (LIFO), then fresh slots.
-    assert table.acquire(_session("a")) == 3
-    assert table.acquire(_session("b")) == 1
-    assert table.acquire(_session("c")) == 4
+    fresh = [_session("a"), _session("b"), _session("c")]
+    table.acquire(fresh)
+    assert [session.slot for session in fresh] == [3, 1, 4]
 
 
-def test_slot_lookup_returns_minus_one_for_unknown():
+def test_rows_hold_the_live_sessions():
     table = SessionTable(capacity=2)
-    table.acquire(_session("s"))
-    assert table.slot("s") == 0
-    assert table.slot("ghost") == -1
-    table.release("s")
-    assert table.slot("s") == -1
+    first, second = _session("s"), _session("t")
+    table.acquire([first, second])
+    assert table.rows == [first, second] and len(table) == 2
+    table.release(0)
+    assert table.rows == [None, second] and len(table) == 1
+    assert list(table.items()) == [(1, second)]
+    with pytest.raises(SimulationError, match="not live"):
+        table.release(0)
 
 
 def test_release_resets_every_attached_group():
@@ -58,9 +72,11 @@ def test_release_resets_every_attached_group():
     k_prev = first.add("k_prev", -inf)
     member = first.add("member", False)
     drops = second.add("drops", 0)
-    slot = table.acquire(_session("s"))
+    session = _session("s")
+    table.acquire([session])
+    slot = session.slot
     k_prev[slot], member[slot], drops[slot] = 7.5, True, 3
-    table.release("s")
+    table.release(slot)
     assert (k_prev[slot], member[slot], drops[slot]) == (-inf, 0, 0)
     assert first.k_prev is k_prev and second.drops is drops
 
@@ -70,15 +86,15 @@ def test_growth_preserves_slot_contents():
     group = table.group()
     value = group.add("value", inf)
     flag = group.add("flag", False)
-    first = table.acquire(_session("s0"))
-    value[first], flag[first] = 42.0, True
-    for i in range(1, 10):  # forces two doublings past capacity 2
-        table.acquire(_session(f"s{i}"))
+    table.acquire([_session("s0")])
+    value[0], flag[0] = 42.0, True
+    for i in range(1, 10):  # forces three doublings past capacity 2
+        table.acquire([_session(f"s{i}")])
     assert table.capacity >= 10
-    assert len(value) == len(flag) == table.capacity
+    assert len(value) == len(flag) == len(table.rows) == table.capacity
     # Grown in place: the references taken before still are the columns.
     assert group.value is value and group.flag is flag
-    assert (value[first], flag[first]) == (42.0, 1)
+    assert (value[0], flag[0]) == (42.0, 1)
     assert (value[9], flag[9]) == (inf, 0)  # fresh slots hold the fill
 
 

@@ -7,8 +7,9 @@ arrival traces, mid-run teardown (churn), and Bernoulli packet-loss
 faults — must run clean under the ``Sanitizer`` (packet conservation,
 per-session buffer balance, LiT label monotonicity: the laws a stale
 or shared table row breaks) and leave the table consistent: live plus
-free slots equal the capacity, ``slot_of`` and ``ids`` are inverse, and
-every free slot reads its fill value in every column of every group.
+free slots equal the capacity, a live row is the session whose ``slot``
+it is (and the one the network knows by that id), and every free slot
+holds ``None`` and reads its fill value in every column of every group.
 """
 
 from __future__ import annotations
@@ -105,17 +106,22 @@ def _run_script(specs: List[SessionSpec],
 @settings(max_examples=12, deadline=None)
 @given(specs=_session_specs, loss=_loss_windows)
 def test_random_scripts_keep_the_table_consistent(specs, loss):
-    table = _run_script(specs, loss).session_table
-    assert len(table) + len(table._free) == table.capacity
+    network = _run_script(specs, loss)
+    table = network.session_table
+    live = [slot for slot, session in enumerate(table.rows)
+            if session is not None]
+    assert len(live) + len(table._free) == table.capacity == len(table.rows)
     assert len(set(table._free)) == len(table._free)
-    for session_id, slot in table.items():
-        assert table.ids[slot] == session_id
+    for slot in live:
+        session = table.rows[slot]
+        assert session.slot == slot
         assert slot not in table._free
+        assert network.registered(session.id) is session
     # Never handed out here (<= 4 sessions, 64 rows): a late packet of a
     # drained session (slot -1) would land on it and fail the fill check.
     assert table.capacity - 1 in table._free
     for slot in table._free:
-        assert table.ids[slot] is None
+        assert table.rows[slot] is None
         for group in table.groups:
             for column, fill in group.columns:
                 value = column[slot]  # a NaN fill equals nothing

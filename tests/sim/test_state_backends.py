@@ -91,22 +91,22 @@ def test_fault_sweep_cell_digest_matches_golden(outage):
 def test_forget_session_recycles_a_zeroed_slot():
     """A reused slot must start from fill values, not stale state."""
     network = make_network(LeaveInTime, nodes=2, capacity=1000.0)
-    add_trace_session(network, "a", rate=100.0,
-                      times=[0.0, 0.1, 0.2], lengths=100.0,
-                      route=["n1", "n2"])
+    session_a, _, _ = add_trace_session(
+        network, "a", rate=100.0, times=[0.0, 0.1, 0.2], lengths=100.0,
+        route=["n1", "n2"])
     add_trace_session(network, "b", rate=100.0,
                       times=[0.05, 0.15], lengths=100.0,
                       route=["n1", "n2"])
     network.run(5.0)
     table = network.session_table
-    slot_a = table.slot("a")
+    slot_a = session_a.slot
     network.remove_session("a")
-    assert table.slot("a") == -1
+    assert session_a.slot == -1 and table.rows[slot_a] is None
     # LIFO reuse: the next admission takes a's slot back.
-    _, sink_c, _ = add_trace_session(
+    session_c, sink_c, _ = add_trace_session(
         network, "c", rate=100.0, times=[0.0, 0.1], lengths=100.0,
         route=["n1", "n2"])
-    assert table.slot("c") == slot_a
+    assert session_c.slot == slot_a
     # The recycled slot starts clean: zero buffered bits, zero drops,
     # and the deadline recursion restarts from c's first arrival.
     node = network.node("n1")
@@ -122,12 +122,14 @@ def test_forget_session_recycles_a_zeroed_slot():
 def test_drain_accounting_survives_mid_flight_removal():
     """Drain-then-forget keeps array accounting exact."""
     network = make_network(LeaveInTime, capacity=1.0)
-    add_trace_session(network, "s", rate=1.0, times=[0.0],
-                      lengths=10.0)
+    session, _, _ = add_trace_session(network, "s", rate=1.0, times=[0.0],
+                                      lengths=10.0)
     network.run(5.0)  # the 10 s packet is still on the wire
     network.remove_session("s")
-    assert network.session_table.slot("s") >= 0  # draining, not freed
+    slot = session.slot
+    assert slot >= 0  # draining, not freed
+    assert network.session_table.rows[slot] is session
     network.run(20.0)
     assert network.sink("s").received == 1
-    assert network.session_table.slot("s") == -1
+    assert session.slot == -1 and network.session_table.rows[slot] is None
     assert "s" not in network.node("n1").buffer_bits
