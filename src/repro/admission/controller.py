@@ -41,10 +41,6 @@ class AdmissionController:
             for name, node in network.nodes.items()
         }
         self._routes: Dict[str, List[str]] = {}
-        #: Conservation-law checker (``--sanitize``), inherited from the
-        #: network; verifies reserved-rate ≤ capacity after every
-        #: admission-state change.
-        self.sanitizer = getattr(network, "sanitizer", None)
 
     def procedure_at(self, node_name: str) -> Procedure:
         procedure = self.procedures.get(node_name)
@@ -80,7 +76,8 @@ class AdmissionController:
         for node_name, policy in policies.items():
             session.set_policy(node_name, policy)
         self._routes[session.id] = list(session.route)
-        san = self.sanitizer
+        # ``--sanitize``: reserved rate ≤ capacity after every change.
+        san = self.network.sanitizer
         if san is not None:
             san.check_reservations(self.procedures,
                                    self.network.sim.now)
@@ -93,7 +90,7 @@ class AdmissionController:
         for node_name in route:
             self.procedures[node_name].release(session.id)
         session.delay_policies.clear()
-        san = self.sanitizer
+        san = self.network.sanitizer
         if san is not None:
             san.check_reservations(self.procedures,
                                    self.network.sim.now)

@@ -272,7 +272,7 @@ class Fig07Scenario(Scenario):
             horizon: float = 0.25) -> RunResult:
         network = build_mix_network(ms(88.0), seed=0, sim=sim,
                                     order_seed=order_seed)
-        network.tracer.enabled = True
+        network.tracer.recording = True
         network.run(seconds(horizon))
         return RunResult(
             observables=_mix_observables(network, _FIG07_TARGET_SESSION),

@@ -38,14 +38,14 @@ def per_hop_delays(network: Network,
                    session_id: str) -> List[HopBreakdown]:
     """Reduce trace records to per-node residence times for a session.
 
-    Requires the network to have been built with an enabled tracer
+    Requires the network to have been built with a recording tracer
     (``Network(tracer=Tracer(True))`` or ``make_network(trace=True)``
     in the tests). Residence = tx_end − arrival at the same node,
     which includes regulator holds, queueing, and transmission.
     """
-    if not network.tracer.enabled:
+    if not network.tracer.recording:
         raise ConfigurationError(
-            "per-hop decomposition needs tracing enabled on the network")
+            "per-hop decomposition needs the network's tracer recording")
     session = network.sessions.get(session_id)
     if session is None:
         raise ConfigurationError(f"unknown session {session_id!r}")

@@ -8,10 +8,10 @@ Two coupled layers (see :doc:`docs/static_analysis` and
   (symbol table, call graph, dimension inference); :mod:`.rules` is
   the ``verify`` pack, four interprocedural rules over it, run by
   ``repro-analyze`` (:mod:`repro.analysis.front`).
-* **Runtime** — :mod:`.sanitizer` installs conservation-law checkers
-  into a live simulation (``--sanitize`` / ``REPRO_SANITIZE=1``),
-  verifying per-node packet conservation, reservation sums and LiT
-  label monotonicity at zero per-event cost when disabled.
+* **Runtime** — :mod:`.sanitizer` reads a live simulation's trace
+  (``--sanitize`` / ``REPRO_SANITIZE=1``), verifying per-node packet
+  conservation, reservation sums, LiT label monotonicity and
+  eligibility, at zero per-event cost of its own when disabled.
 
 This ``__init__`` imports nothing, so a sanitized run (which imports
 :mod:`.sanitizer`) does not compile the static analyzer.  Import from

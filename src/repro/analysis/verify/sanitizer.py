@@ -13,14 +13,16 @@ of the *code*; this module checks the corresponding properties of a
   with the same epsilon the admission layer uses.
 * **Leave-in-Time label monotonicity** — per (node, session), the
   deadline ``F_i`` and virtual-clock ``K_i`` recursions (paper
-  eqs. 10-11) never decrease, and no packet is served before its
-  regulator eligibility time (eq. 6-8).
+  eqs. 10-11) never decrease.
+* **Eligibility** — under every discipline, no packet is served before
+  its regulator eligibility time (eq. 6-8).
 
-Cost model: hooks live behind the same ``x = self.sanitizer; if x is
-not None:`` pattern as fault injection and tracing, so a run without
-``--sanitize`` executes exactly one extra ``is not None`` test per hook
-site — and the kernel pays *zero*: it does not know the sanitizer
-exists, and a sanitized run dispatches through the plain run's loop.
+Cost model: it consumes the network's :class:`~repro.sim.trace.Tracer`
+records, so no node or scheduler knows it exists and a run without
+``--sanitize`` pays nothing beyond tracing's own ``enabled`` test.  What
+has no record (injection, sink, teardown, admission, end of run) the
+network and the admission controller call directly.  The kernel pays
+*zero*: a sanitized run dispatches through the plain run's loop.
 
 Violations are collected (capped) rather than raised at the offending
 instant, so one report shows every broken invariant of a run;
@@ -32,6 +34,7 @@ for CI consumption.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -146,11 +149,9 @@ def sanitize_enabled(value: Optional[str]) -> bool:
 class Sanitizer:
     """Collects conservation-law checks for one simulation run.
 
-    One instance is shared by every
-    :class:`~repro.net.node.ServerNode`, every scheduler, and the
-    :class:`~repro.admission.controller.AdmissionController` of a
-    network.  Every hook is O(1) and a pure observer: it works from
-    the ``now`` it is handed and never settles, wakes or schedules.
+    It consumes a network's trace records (:meth:`watch`).  Every
+    check is O(1) and a pure observer: it works from the record's
+    ``time`` and never settles, wakes or schedules.
     """
 
     def __init__(self, max_violations: int = MAX_VIOLATIONS) -> None:
@@ -164,10 +165,17 @@ class Sanitizer:
         self.checks_run = 0
         self.injected = 0
         self.sunk = 0
-        self._ledgers: Dict[str, _NodeLedger] = {}
+        self._ledgers: Dict[str, _NodeLedger] = defaultdict(_NodeLedger)
         #: Last seen (K_i, F_i) per (node, session); cleared on
         #: teardown so a session re-added under its id restarts its recursion.
-        self._lit_labels: Dict[Tuple[str, str], Tuple[float, float]] = {}
+        self._labels: Dict[Tuple[str, str], Tuple[float, float]] = {}
+        #: The watched network's nodes by name: a record names its node.
+        self._nodes: Mapping[str, Any] = {}
+
+    def watch(self, network: Any) -> None:
+        """Consume ``network``'s records, whether its tracer keeps them."""
+        self._nodes = network.nodes
+        network.tracer.attach(self.consume)
 
     # ------------------------------------------------------------------
     # Recording
@@ -192,68 +200,103 @@ class Sanitizer:
             checks_run=self.checks_run)
 
     # ------------------------------------------------------------------
-    # Network / node hooks (packet conservation)
+    # Network calls (packet counts, teardown)
     # ------------------------------------------------------------------
-    def _ledger(self, name: str) -> _NodeLedger:
-        ledger = self._ledgers.get(name)
-        if ledger is None:
-            ledger = self._ledgers[name] = _NodeLedger()
-        return ledger
-
     def on_inject(self, packet: Any) -> None:
         self.injected += 1
 
     def on_sink(self, packet: Any) -> None:
         self.sunk += 1
 
-    def on_receive(self, node: Any, packet: Any, now: float) -> None:
-        """A packet was accepted into ``node``'s buffer at ``now``."""
-        self._ledger(node.name).arrivals += 1
-        self._check_conservation(node, now, packet.session.id)
+    def forget_session(self, node: str, session: str) -> None:
+        """``session`` was torn down at ``node``; restart its recursion."""
+        self._labels.pop((node, session), None)
 
-    def on_buffer_drop(self, node: Any, packet: Any, now: float) -> None:
-        """A packet hit a finite buffer limit and was discarded."""
-        ledger = self._ledger(node.name)
-        ledger.arrivals += 1
-        ledger.dropped += 1
-        self._check_conservation(node, now, packet.session.id)
+    # ------------------------------------------------------------------
+    # Trace records
+    # ------------------------------------------------------------------
+    def consume(self, time: float, category: str, node: str = "",
+                session: str = "", packet: int = -1, eligible: float = 0.0,
+                deadline: float = 0.0, k: float = 0.0) -> None:
+        """One trace record, as :meth:`Tracer.emit` takes it; the four a
+        hop passes first.
 
-    def on_forward(self, node: Any, packet: Any, now: float) -> None:
-        """A packet finished transmission and left toward the next hop."""
-        self._ledger(node.name).forwarded += 1
-        self._check_conservation(node, now, packet.session.id)
+        The detail fields the data path emits are parameters and there
+        is no ``**detail``: CPython matches a keyword it has no name for
+        against every parameter and builds a dict for the rest, which
+        cost more than the checks.  A record with a new field fails
+        here, loud."""
+        if category == "tx_end":  # it left the node
+            ledger = self._ledgers[node]
+            ledger.forwarded += 1
+        elif category == "arrival":  # the scheduler took it in
+            ledger = self._ledgers[node]
+            ledger.arrivals += 1
+        elif category == "tx_start":
+            # Any discipline's: served no earlier than eligible (eq. 6-8).
+            self.checks_run += 1
+            due = self._nodes[node].transmitting.eligible_time
+            if due > time + TIME_EPSILON:
+                self.record(
+                    "eligible-before-serve", time,
+                    f"packet #{packet} served at {time!r} before its "
+                    f"eligibility time {due!r}", node=node, session=session)
+            return
+        elif category == "deadline":
+            # Leave-in-Time's F_i / K_i (eqs. 10-11) never decrease.
+            self.checks_run += 1
+            key = (node, session)
+            previous = self._labels.get(key)
+            if previous is not None:
+                k_prev, f_prev = previous
+                if k < k_prev - TIME_EPSILON:
+                    self.record(
+                        "lit-k-monotone", time,
+                        f"K recursion decreased: {k!r} < {k_prev!r}",
+                        node=node, session=session)
+                if deadline < f_prev - TIME_EPSILON:
+                    self.record(
+                        "lit-f-monotone", time,
+                        f"deadline recursion decreased: {deadline!r} < "
+                        f"{f_prev!r}", node=node, session=session)
+            self._labels[key] = (k, deadline)
+            return
+        elif category == "drop":  # a finite buffer refused it
+            ledger = self._ledgers[node]
+            ledger.arrivals += 1
+            ledger.dropped += 1
+        elif category == "fault_drop":
+            # Lost on the link right after its ``tx_end``: it ends as a
+            # drop, not a forward (the identity holds).
+            ledger = self._ledgers[node]
+            ledger.forwarded -= 1
+            ledger.dropped += 1
+            return
+        else:  # eligible, flush, link_down, link_up
+            return
+        self._check_conservation(node, ledger, time, session)
 
-    def on_fault_drop(self, node: Any, packet: Any) -> None:
-        """``packet`` was lost on ``node``'s link as it completed.
-
-        Bookkeeping only: the identity is checked at the data-path hooks
-        above and at :meth:`finalize`.
-        """
-        self._ledger(node.name).dropped += 1
-
-    def _check_conservation(self, node: Any, now: float,
+    def _check_conservation(self, name: str, ledger: _NodeLedger,
+                            now: float,
                             session: Optional[str] = None) -> None:
         """The identity at ``now``, a parked arrival's own instant, from
         the queue and the holds as they are: the ``backlog`` view would
         settle the node, and an observer takes nothing in."""
         self.checks_run += 1
-        ledger = self._ledger(node.name)
+        node = self._nodes[name]
         scheduler = node.scheduler
-        try:
-            backlog = scheduler._queued() + len(scheduler._holds)
-        except NotImplementedError:
-            return  # discipline exposes no occupancy; skip the identity
-        in_node = backlog + (1 if node.transmitting is not None else 0)
+        in_node = (scheduler._queued() + len(scheduler._holds)
+                   + (1 if node.transmitting is not None else 0))
         expected = ledger.forwarded + ledger.dropped + in_node
         if ledger.arrivals != expected:
             self.record(
                 "packet-conservation", now,
                 f"arrivals={ledger.arrivals} != forwarded="
                 f"{ledger.forwarded} + dropped={ledger.dropped} + "
-                f"in_node={in_node}", node=node.name, session=session)
+                f"in_node={in_node}", node=name, session=session)
 
     # ------------------------------------------------------------------
-    # Admission hooks (reservation sums)
+    # Admission calls (reservation sums)
     # ------------------------------------------------------------------
     def check_reservations(self, procedures: Mapping[str, Any],
                            now: float = 0.0) -> None:
@@ -270,44 +313,6 @@ class Sanitizer:
                     f"{capacity!r}", node=node_name)
 
     # ------------------------------------------------------------------
-    # Leave-in-Time hooks (label monotonicity, eligibility)
-    # ------------------------------------------------------------------
-    def on_lit_labels(self, node_name: str, session_id: str,
-                      deadline: float, k: float, now: float) -> None:
-        """Scheduler assigned ``F_i``/``K_i`` labels to one packet."""
-        self.checks_run += 1
-        key = (node_name, session_id)
-        previous = self._lit_labels.get(key)
-        if previous is not None:
-            k_prev, f_prev = previous
-            if k < k_prev - TIME_EPSILON:
-                self.record(
-                    "lit-k-monotone", now,
-                    f"K recursion decreased: {k!r} < {k_prev!r}",
-                    node=node_name, session=session_id)
-            if deadline < f_prev - TIME_EPSILON:
-                self.record(
-                    "lit-f-monotone", now,
-                    f"deadline recursion decreased: {deadline!r} < "
-                    f"{f_prev!r}", node=node_name, session=session_id)
-        self._lit_labels[key] = (k, deadline)
-
-    def on_lit_serve(self, node_name: str, packet: Any,
-                     now: float) -> None:
-        """Scheduler handed a packet to the link for transmission."""
-        self.checks_run += 1
-        if packet.eligible_time > now + TIME_EPSILON:
-            self.record(
-                "lit-eligible-before-serve", now,
-                f"packet #{packet.seq} served at {now!r} before its "
-                f"eligibility time {packet.eligible_time!r}",
-                node=node_name, session=packet.session.id)
-
-    def on_lit_forget(self, node_name: str, session_id: str) -> None:
-        """Per-session scheduler state torn down; restart the recursion."""
-        self._lit_labels.pop((node_name, session_id), None)
-
-    # ------------------------------------------------------------------
     # End of run
     # ------------------------------------------------------------------
     def finalize(self, network: Any) -> None:
@@ -315,11 +320,14 @@ class Sanitizer:
         now = network.sim.now
         self.dispatched = network.sim.events_dispatched
         for name in sorted(network.nodes):
-            self._check_conservation(network.nodes[name], now)
-        # Wire balance: every forwarded packet either sank, arrived at
-        # the next hop, or is still mid-propagation — so forwards minus
-        # sinks can never fall short of the inter-node handoffs
-        # (``in-flight on the wire`` is the nonnegative difference).
+            self._check_conservation(name, self._ledgers[name], now)
+        self._check_wire_balance(now)
+
+    def _check_wire_balance(self, now: float) -> None:
+        """Every forwarded packet either sank, arrived at the next hop,
+        or is still mid-propagation — so forwards minus sinks can never
+        fall short of the inter-node handoffs (``in-flight on the wire``
+        is the nonnegative difference)."""
         self.checks_run += 1
         total_forwarded = sum(led.forwarded
                               for led in self._ledgers.values())

@@ -160,7 +160,7 @@ class FaultInjector:
         self._outage_started[name] = network.sim.now
         tracer = network.tracer
         if tracer.enabled:
-            tracer.emit(network.sim.now, "link_down", node=name)
+            tracer.emit(network.sim.now, "link_down", name)
 
     def _link_up(self, name: str) -> None:
         network = self.network
@@ -172,7 +172,7 @@ class FaultInjector:
         self.outages.append((name, self._outage_started.pop(name), now))
         tracer = network.tracer
         if tracer.enabled:
-            tracer.emit(now, "link_up", node=name)
+            tracer.emit(now, "link_up", name)
         node.wakeup(-inf)
 
     def _set_loss_rate(self, name: str, rate: float) -> None:

@@ -88,13 +88,13 @@ class Network:
             if sanitize_enabled(os.environ.get("REPRO_SANITIZE")):
                 sanitizer = _Sanitizer()
         #: Conservation-law checker (``--sanitize`` /
-        #: ``REPRO_SANITIZE=1``); shared with every node, every
-        #: scheduler, and the admission controller.  None in normal
-        #: runs — the hooks are single ``is not None`` checks.
+        #: ``REPRO_SANITIZE=1``), fed by :attr:`tracer`; None normally.
         self.sanitizer = sanitizer
         self.streams = RandomStreams(seed)
         self.tracer = tracer or Tracer(False)
         self.nodes: Dict[str, ServerNode] = {}
+        if sanitizer is not None:
+            sanitizer.watch(self)
         self.sessions: Dict[str, Session] = {}
         #: Node name -> its scheduler, for the schedulers whose
         #: ``register_session`` hook is not the base class's no-op.
@@ -135,9 +135,6 @@ class Network:
         node = ServerNode(name, link, scheduler, self.sim, self.tracer,
                           self.session_table)
         node.network = self
-        if self.sanitizer is not None:
-            node.sanitizer = self.sanitizer
-            scheduler.sanitizer = self.sanitizer
         self.nodes[name] = node
         if type(scheduler).register_session is not _NO_HOOK:
             self._hooked[name] = scheduler
@@ -323,10 +320,13 @@ class Network:
     def _finalize_removal(self, session: Session,
                           keep_sink: bool) -> None:
         """Clear per-node state once the session has fully drained."""
+        san = self.sanitizer
         for node_name in session.route:
             node = self.nodes[node_name]
             node.settle()
             node.forget_session(session)
+            if san is not None:
+                san.forget_session(node_name, session.id)
         self.session_table.release(session.slot)
         session.slot = -1
         self._draining.pop(session.id, None)

@@ -16,10 +16,10 @@ on an arrival before its own next completion, so a completion whose
 next hop is busy *parks* the packet in that node's inbox, stamped
 ``now + Γ``, instead of buying a kernel event.  The owner takes parked
 arrivals in — each at its own instant, in order — whenever it looks at
-its queue; when it goes idle they become events again.  The tracer and
-the sanitizer are handed that instant and change nothing; a link-up,
-first of its instant, settles what is due *before* it and wakes the
-node (``repro.faults.injector``).
+its queue; when it goes idle they become events again.  The tracer, and
+so whoever consumes its records, is handed that instant and changes
+nothing; a link-up, first of its instant, settles what is due *before*
+it and wakes the node (``repro.faults.injector``).
 
 The node also measures per-session buffer occupancy the way the paper's
 Figures 12-13 do: sampled at the instant a packet's last bit arrives,
@@ -59,7 +59,6 @@ from repro.sim.monitor import TimeSeries
 from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.verify.sanitizer import Sanitizer
     from repro.faults.injector import NodeFaultState
     from repro.net.network import Network
 
@@ -120,10 +119,6 @@ class ServerNode:
         #: plan references; None otherwise, so the fault-free data path
         #: pays exactly one ``is not None`` check per hook.
         self.faults: Optional["NodeFaultState"] = None
-        #: Conservation-law checker (``--sanitize``), set by
-        #: ``Network.add_node``; None costs one check per hook, exactly
-        #: like ``faults``.
-        self.sanitizer: Optional["Sanitizer"] = None
 
         self.transmitting: Optional[Packet] = None
         self.packets_served = 0
@@ -225,16 +220,12 @@ class ServerNode:
             if samples is not None:
                 samples.record(now, occupancy)
 
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(now, "arrival", node=self.name,
-                        session=session.id, packet=packet.seq)
         if self._holds and self._holds[0][0] <= now:
             self.scheduler._mature(now, packet.finish_time)
         self._on_arrival(packet, now)
-        san = self.sanitizer
-        if san is not None:
-            san.on_receive(self, packet, now)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit(now, "arrival", self.name, session.id, packet.seq)
         if self.transmitting is None:
             self._try_start()
 
@@ -242,11 +233,8 @@ class ServerNode:
         """The rest of a finite-buffer drop, off the arrival path."""
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(now, "drop", node=self.name,
-                        session=packet.session.id, packet=packet.seq)
-        san = self.sanitizer
-        if san is not None:
-            san.on_buffer_drop(self, packet, now)
+            tracer.emit(now, "drop", self.name, packet.session.id,
+                        packet.seq)
         if self.network is not None:
             self.network.packet_dropped(packet)
         if self.transmitting is None:
@@ -318,9 +306,8 @@ class ServerNode:
         self._tx_time = transmission
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(now, "tx_start", node=self.name,
-                        session=packet.session.id, packet=packet.seq,
-                        deadline=packet.deadline)
+            tracer.emit(now, "tx_start", self.name, packet.session.id,
+                        packet.seq, deadline=packet.deadline)
         # Tie-break: NORMAL, so a completion coinciding with an arrival
         # resolves by insertion order — the arrival was scheduled first
         # and is processed first, which is the store-and-forward order
@@ -353,19 +340,16 @@ class ServerNode:
 
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(now, "tx_end", node=self.name,
-                        session=session.id, packet=packet.seq)
+            tracer.emit(now, "tx_end", self.name, session.id, packet.seq)
         network = self.network
         if network is None:
             raise SimulationError(
                 f"node {self.name} is not attached to a network")
         faults = self.faults
-        san = self.sanitizer
         link = self.link
         shard = network.shard
         if faults is not None and faults.transmit_verdict(packet):
             self.fault_drop(packet)
-            san = None  # fault_drop told it: nothing was forwarded
         elif shard is None or not shard.intercept(self, packet):
             # Tie-break: NORMAL. With zero propagation the arrival lands
             # at this same instant, after this handler's dequeue below:
@@ -395,8 +379,6 @@ class ServerNode:
             else:
                 sim.schedule(link.propagation, target.receive, packet,
                              priority=PRIORITY_NORMAL)
-        if san is not None:
-            san.on_forward(self, packet, now)
         # Start the next transmission: ``_try_start`` inlined.  Only a
         # loss above can have put a packet on the link since it was
         # cleared (a draining session's last drop settles this node).
@@ -415,9 +397,8 @@ class ServerNode:
         self._tx_started_at = now
         self._tx_time = transmission
         if tracer.enabled:
-            tracer.emit(now, "tx_start", node=self.name,
-                        session=head.session.id, packet=head.seq,
-                        deadline=head.deadline)
+            tracer.emit(now, "tx_start", self.name, head.session.id,
+                        head.seq, deadline=head.deadline)
         sim.schedule(transmission, self._finish_transmission, head,
                      priority=PRIORITY_NORMAL)
 
@@ -432,16 +413,13 @@ class ServerNode:
         """
         session = packet.session
         session_id = session.id
-        san = self.sanitizer
-        if san is not None:
-            san.on_fault_drop(self, packet)
         self._drops[session.slot] += 1
         drops = self.faults.drops
         drops[session_id] = drops.get(session_id, 0) + 1
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(self.sim.now, "fault_drop", node=self.name,
-                        session=session_id, packet=packet.seq)
+            tracer.emit(self.sim.now, "fault_drop", self.name, session_id,
+                        packet.seq)
         if self.network is not None:
             self.network.packet_dropped(packet)
 

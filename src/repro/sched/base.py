@@ -37,7 +37,6 @@ from repro.sim.kernel import PRIORITY_NORMAL, Simulator
 from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.verify.sanitizer import Sanitizer
     from repro.net.node import ServerNode
     from repro.net.session_table import SessionTable
 
@@ -67,9 +66,6 @@ class Scheduler(ABC):
         self.node: Optional["ServerNode"] = None
         self.sim: Optional[Simulator] = None
         self.tracer: Tracer = Tracer(False)
-        #: Conservation-law checker (``--sanitize``), set by
-        #: ``Network.add_node``; None on the default path.
-        self.sanitizer: Optional["Sanitizer"] = None
         #: finish_time − deadline where deadlines are assigned: count,
         #: maximum, Σ, Σ², updated inline; :attr:`lateness` reads them.
         self._late_count = 0
@@ -174,9 +170,8 @@ class Scheduler(ABC):
             heappop(holds)
             self._release(packet)
             if self.tracer.enabled:
-                self.tracer.emit(time, "eligible", node=self.node.name,
-                                 session=packet.session.id,
-                                 packet=packet.seq)
+                self.tracer.emit(time, "eligible", self.node.name,
+                                 packet.session.id, packet.seq)
 
     def _arm_wake(self) -> None:
         """The node went idle: one wake timer at the earliest timer-less
@@ -206,8 +201,8 @@ class Scheduler(ABC):
             self._release(held)
             # The class's own: the tests' per-instance twin traces too.
             if tracer.enabled and type(self).deferrable:
-                tracer.emit(self.sim.now, "eligible", node=self.node.name,
-                            session=held.session.id, packet=held.seq)
+                tracer.emit(self.sim.now, "eligible", self.node.name,
+                            held.session.id, held.seq)
             if held is packet:
                 break
         self._wake_node()
@@ -255,9 +250,9 @@ class Scheduler(ABC):
             self.node.settle()
         return len(self._holds)
 
+    @abstractmethod
     def _queued(self) -> int:
         """Packets in the discipline's own queue(s), holds excluded."""
-        raise NotImplementedError
 
     def _wake_node(self) -> None:
         if self.node is not None:

@@ -141,14 +141,9 @@ class LeaveInTime(Scheduler):
 
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(now, "deadline", node=self.node.name,
-                        session=session.id, packet=packet.seq,
-                        eligible=eligible_at, deadline=packet.deadline,
-                        k=self._k_prev[slot])
-        san = self.sanitizer
-        if san is not None:
-            san.on_lit_labels(self.node.name, session.id,
-                              packet.deadline, self._k_prev[slot], now)
+            tracer.emit(now, "deadline", self.node.name, session.id,
+                        packet.seq, eligible=eligible_at,
+                        deadline=packet.deadline, k=self._k_prev[slot])
 
         if eligible_at <= now:
             self._push(packet)
@@ -160,11 +155,7 @@ class LeaveInTime(Scheduler):
         self._push(packet)
 
     def next_packet(self, now: float) -> Optional[Packet]:
-        packet = self._pop()
-        san = self.sanitizer
-        if san is not None and packet is not None:
-            san.on_lit_serve(self.node.name, packet, now)
-        return packet
+        return self._pop()
 
     def on_transmit_complete(self, packet: Packet, now: float) -> None:
         late = now - packet.deadline  # Scheduler.on_transmit_complete, inline
@@ -211,20 +202,14 @@ class LeaveInTime(Scheduler):
         :meth:`repro.net.network.Network.remove_session` defers this
         call until the session has fully drained.
         """
-        node = self.node
-        san = self.sanitizer
-        if san is not None:
-            # A session re-added under its id restarts its K/F
-            # recursion from the current clock; drop the stale
-            # monotonicity baseline.
-            san.on_lit_forget(node.name, session_id)
         held = self._unhold(session_id)
         if not held:
             return
+        node = self.node
         tracer = self.tracer
         for packet in held:
             self._push(packet)
             if tracer.enabled:
-                tracer.emit(self.sim.now, "flush", node=node.name,
-                            session=session_id, packet=packet.seq)
+                tracer.emit(self.sim.now, "flush", node.name, session_id,
+                            packet.seq)
         self._wake_node()

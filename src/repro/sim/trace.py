@@ -1,8 +1,9 @@
-"""Optional structured event tracing.
+"""Optional structured event tracing, the hop path's one observer.
 
-A :class:`Tracer` collects :class:`TraceRecord` tuples when enabled and
-is a no-op otherwise, so instrumented hot paths cost a single attribute
-check per event when tracing is off. Traces are used by the test suite
+A :class:`Tracer` keeps :class:`TraceRecord` tuples when recording and
+hands each to its one consumer (the ``--sanitize`` checker); with
+neither it is a no-op, so instrumented hot paths cost a single
+attribute check per event. Traces are used by the test suite
 to assert fine-grained scheduler behaviour (e.g. that a regulated packet
 was held exactly until its eligibility time) without coupling tests to
 internal data structures.
@@ -25,7 +26,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 __all__ = ["TraceRecord", "Tracer"]
 _TIME = attrgetter("time")
@@ -61,17 +62,51 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects trace records when enabled."""
+    """Keeps records when recording (``Tracer(True)``); hands each to
+    the consumer.  ``enabled``, what the emit sites test, is recording
+    or a consumer attached: set :attr:`recording`, not ``enabled``."""
 
     def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
+        self.enabled = self._recording = enabled
+        #: The one consumer (the ``--sanitize`` checker), called as
+        #: :meth:`emit` is, with every record.
+        self.consumer: Optional[Callable[..., None]] = None
         self.records: List[TraceRecord] = []
 
-    def emit(self, time: float, category: str, *, node: str = "",
+    @property
+    def recording(self) -> bool:
+        """Whether emitted records are kept in :attr:`records`."""
+        return self._recording
+
+    @recording.setter
+    def recording(self, on: bool) -> None:
+        self._recording = on
+        self._route()
+
+    def attach(self, consumer: Callable[..., None]) -> None:
+        """Hand every record to ``consumer`` (it takes the one slot),
+        whether or not this tracer records."""
+        self.consumer = consumer
+        self._route()
+
+    def _route(self) -> None:
+        """Turn the sites on for a consumer or recording; with nothing
+        to record, ``emit`` *is* the consumer: one call per record."""
+        self.enabled = self._recording or self.consumer is not None
+        if self._recording or self.consumer is None:
+            vars(self).pop("emit", None)
+        else:
+            vars(self)["emit"] = self.consumer
+
+    def emit(self, time: float, category: str, node: str = "",
              session: str = "", packet: int = -1,
              **detail: Any) -> None:
-        """Record an occurrence if tracing is enabled."""
-        if not self.enabled:
+        """Record an occurrence, and hand it to the consumer.  The data
+        path passes ``node``, ``session`` and ``packet`` by position: a
+        keyword costs the consumer more to match."""
+        if self.consumer is not None:
+            self.consumer(time, category, node, session, packet, **detail)
+        if not self._recording:
             return
         record = TraceRecord(time=time, category=category, node=node,
                              session=session, packet=packet, detail=detail)

@@ -1,8 +1,10 @@
-"""Runtime conservation-law sanitizer: unit hooks and live-network runs.
+"""Runtime conservation-law sanitizer: fed trace records, and on live
+networks.
 
 The deliberate-bug tests inject broken invariants (a scheduler that
-swallows packets, decreasing LiT labels, over-committed reservations)
-and assert the sanitizer names each one; the clean-run tests assert
+swallows packets, decreasing LiT labels, over-committed reservations,
+holds released early) and assert the sanitizer names each one; the
+clean-run tests — one per discipline — assert
 silence *and* that sanitizing is behaviourally invisible — the
 shortened Figure-7 cell must still match the golden dispatch digest
 from ``tests/sim/test_dispatch_digest.py``, dispatched through the
@@ -28,11 +30,19 @@ from repro.analysis.verify.sanitizer import (
 )
 from repro.net.network import Network
 from repro.net.session import Session
+from repro.sched.edd import DelayEDD, JitterEDD
 from repro.sched.fcfs import FCFS
+from repro.sched.hrr import HierarchicalRoundRobin
 from repro.sched.leave_in_time import LeaveInTime
+from repro.sched.rcsp import RCSP
+from repro.sched.stop_and_go import StopAndGo
+from repro.sched.wfq import WFQ
 from repro.sim import kernel
+from repro.sim.trace import Tracer
+from repro.traffic.onoff import OnOffSource
+from repro.traffic.poisson import PoissonSource
 from repro.traffic.trace_source import TraceSource
-from repro.units import TIME_EPSILON
+from repro.units import TIME_EPSILON, ms
 from tests.conftest import add_trace_session
 from tests.sim.test_dispatch_digest import (
     FIG07_CELL_EVENTS,
@@ -78,8 +88,17 @@ def test_violation_cap_counts_overflow():
 
 
 # ----------------------------------------------------------------------
-# Individual hooks against deliberate violations
+# Individual checks against deliberate violations, fed as trace records
 # ----------------------------------------------------------------------
+def _watching(sanitizer, **nodes):
+    """A tracer, not recording, that feeds ``sanitizer`` records about
+    ``nodes`` (name -> stand-in node)."""
+    tracer = Tracer()
+    sanitizer.watch(SimpleNamespace(nodes=nodes, tracer=tracer))
+    assert tracer.enabled and not tracer.recording
+    return tracer
+
+
 def test_reservation_sum_over_capacity_is_flagged():
     sanitizer = Sanitizer()
     procedures = {
@@ -95,18 +114,24 @@ def test_reservation_sum_over_capacity_is_flagged():
 
 def test_lit_label_recursions_must_not_decrease():
     sanitizer = Sanitizer()
-    sanitizer.on_lit_labels("n", "s", deadline=2.0, k=2.5, now=0.0)
-    sanitizer.on_lit_labels("n", "s", deadline=1.0, k=1.5, now=1.0)
+    tracer = _watching(sanitizer)
+    tracer.emit(0.0, "deadline", node="n", session="s", packet=1,
+                eligible=0.0, deadline=2.0, k=2.5)
+    tracer.emit(1.0, "deadline", node="n", session="s", packet=2,
+                eligible=1.0, deadline=1.0, k=1.5)
     checks = sorted(v.check for v in sanitizer.report().violations)
     assert checks == ["lit-f-monotone", "lit-k-monotone"]
 
 
 def test_lit_forget_restarts_the_recursion():
     sanitizer = Sanitizer()
-    sanitizer.on_lit_labels("n", "s", deadline=2.0, k=2.5, now=0.0)
-    sanitizer.on_lit_forget("n", "s")
+    tracer = _watching(sanitizer)
+    tracer.emit(0.0, "deadline", node="n", session="s", packet=1,
+                eligible=0.0, deadline=2.0, k=2.5)
+    sanitizer.forget_session("n", "s")
     # Re-admitted session: smaller labels are legitimate now.
-    sanitizer.on_lit_labels("n", "s", deadline=1.0, k=1.5, now=1.0)
+    tracer.emit(1.0, "deadline", node="n", session="s", packet=1,
+                eligible=1.0, deadline=1.0, k=1.5)
     assert sanitizer.report().clean
 
 
@@ -114,9 +139,12 @@ def test_serving_before_eligibility_is_flagged():
     sanitizer = Sanitizer()
     packet = SimpleNamespace(seq=7, eligible_time=5.0,
                              session=SimpleNamespace(id="s"))
-    sanitizer.on_lit_serve("n", packet, now=1.0)
+    tracer = _watching(sanitizer,
+                       n=SimpleNamespace(transmitting=packet))
+    tracer.emit(1.0, "tx_start", node="n", session="s", packet=7,
+                deadline=6.0)
     [violation] = sanitizer.report().violations
-    assert violation.check == "lit-eligible-before-serve"
+    assert violation.check == "eligible-before-serve"
     assert violation.session == "s"
 
 
@@ -206,17 +234,17 @@ def test_a_swallowed_parked_arrival_is_named_at_its_own_instant():
             first["time"]) == ("packet-conservation", "n2", "s", 1.1)
 
 
-class _EarlyLiT(LeaveInTime):
-    """Ends every regulator hold a little over TIME_EPSILON early."""
+def _released_early(discipline):
+    """Run a one-packet tandem whose second node (``discipline``) ends
+    every regulator hold a little over TIME_EPSILON early; return the
+    hold's release instant and the one violation reported."""
+    class Early(discipline):
+        def _hold(self, packet, eligible_at):
+            super()._hold(packet, eligible_at - 2.5 * TIME_EPSILON)
 
-    def _hold(self, packet, eligible_at):
-        super()._hold(packet, eligible_at - 2.5 * TIME_EPSILON)
-
-
-def test_a_hold_released_early_is_named_at_its_own_instant():
     network = Network(sanitizer=Sanitizer())
-    network.add_node("n1", LeaveInTime(), capacity=100.0, propagation=0.1)
-    network.add_node("n2", _EarlyLiT(), capacity=100.0, propagation=0.1)
+    network.add_node("n1", discipline(), capacity=100.0, propagation=0.1)
+    network.add_node("n2", Early(), capacity=100.0, propagation=0.1)
     _, sink, _ = add_trace_session(
         network, "s", rate=50.0, times=[0.0], lengths=100.0,
         route=["n1", "n2"], jitter_control=True)
@@ -228,11 +256,25 @@ def test_a_hold_released_early_is_named_at_its_own_instant():
     [(release, _, packet, timer)] = held
     assert timer is None  # no event of its own: it matured at a wake
     assert release == packet.eligible_time - 2.5 * TIME_EPSILON
-    [violation] = json.loads(excinfo.value.report_json)["violations"]
-    assert (violation["check"], violation["node"], violation["session"],
-            violation["time"]) == ("lit-eligible-before-serve", "n2", "s",
-                                   release)
     assert sink.received == 1
+    [violation] = json.loads(excinfo.value.report_json)["violations"]
+    return release, violation
+
+
+def test_a_hold_released_early_is_named_at_its_own_instant():
+    release, violation = _released_early(LeaveInTime)
+    assert (violation["check"], violation["node"], violation["session"],
+            violation["time"]) == ("eligible-before-serve", "n2", "s",
+                                   release)
+
+
+def test_a_jitter_edd_hold_released_early_is_named_too():
+    """Eligibility is read off the packet put on the link, whichever
+    regulator held it: a discipline that is not LiT is checked too."""
+    release, violation = _released_early(JitterEDD)
+    assert (violation["check"], violation["node"], violation["session"],
+            violation["time"]) == ("eligible-before-serve", "n2", "s",
+                                   release)
 
 
 def test_env_var_installs_sanitizer(monkeypatch):
@@ -244,19 +286,67 @@ def test_env_var_installs_sanitizer(monkeypatch):
     assert Network().sanitizer is None
 
 
-def test_explicit_sanitizer_is_shared_with_all_layers():
+def test_explicit_sanitizer_consumes_the_network_trace():
+    """The tracer is the one observer the hop path knows: nodes and
+    schedulers never see the sanitizer, which reads the records it
+    checks without the tracer keeping them."""
     sanitizer = Sanitizer()
     network = _one_node_network(FCFS(), sanitizer)
+    assert network.sanitizer is sanitizer
     assert not hasattr(network.sim, "sanitizer")  # the kernel never sees it
     node = network.node("a")
-    assert node.sanitizer is sanitizer
-    assert node.scheduler.sanitizer is sanitizer
+    assert not hasattr(node, "sanitizer")
+    assert not hasattr(node.scheduler, "sanitizer")
+    tracer = network.tracer
+    assert node.tracer is node.scheduler.tracer is tracer
+    # Nothing to record: the emit sites call the sanitizer itself.
+    assert tracer.consumer == tracer.emit == sanitizer.consume
+    assert tracer.enabled and not tracer.recording
+    network.run(1.0)
+    assert tracer.records == [] and sanitizer.report().checks_run > 0
 
 
 # ----------------------------------------------------------------------
 # Sanitizing must be behaviourally invisible: the shortened Figure-7
 # cell still matches the golden dispatch digest, with zero violations.
 # ----------------------------------------------------------------------
+
+#: Every discipline of ``repro.sched``, as a factory.
+EVERY_DISCIPLINE = {
+    "lit": LeaveInTime, "fcfs": FCFS, "wfq": WFQ, "delay-edd": DelayEDD,
+    "jitter-edd": JitterEDD, "rcsp": lambda: RCSP([0.01, 0.05]),
+    "stop-and-go": lambda: StopAndGo(ms(13.25)),
+    "hrr": lambda: HierarchicalRoundRobin(ms(13.25)),
+}
+
+
+@pytest.mark.parametrize("discipline", sorted(EVERY_DISCIPLINE))
+def test_every_discipline_runs_clean_under_the_sanitizer(discipline):
+    """A 3-node tandem, ON-OFF and Poisson sessions, half of them under
+    jitter control: conservation and eligibility are checked on every
+    hop of every discipline, and nothing is found."""
+    sanitizer = Sanitizer()
+    network = Network(seed=3, sanitizer=sanitizer)
+    names = ["n1", "n2", "n3"]
+    for name in names:
+        network.add_node(name, EVERY_DISCIPLINE[discipline](),
+                         capacity=1_536_000.0, propagation=0.001)
+    for index in range(6):
+        session = Session(f"s{index}", rate=200_000.0,
+                          route=names[index % 2:], l_max=424.0,
+                          jitter_control=index % 2 == 0)
+        network.add_session(session, keep_samples=False)
+        if index < 3:
+            OnOffSource(network, session, length=424.0, spacing=0.0015,
+                        mean_on=0.02, mean_off=0.004)
+        else:
+            PoissonSource(network, session, length=424.0, mean=0.0025)
+    network.run(1.0)  # a violation raises here
+    report = sanitizer.report()
+    hops = sum(node.packets_served for node in network.nodes.values())
+    assert report.clean and hops > 1000
+    assert report.checks_run > 3 * hops  # arrival, tx_start, tx_end
+
 
 def test_sanitized_fig07_cell_is_clean_and_bit_identical(kernel_loop,
                                                          monkeypatch):

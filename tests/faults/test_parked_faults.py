@@ -241,7 +241,7 @@ def test_an_empty_plan_dispatches_the_unarmed_runs_events(
         network = build_mix_network(ms(88.0), seed=0, jitter_ids=jitter)
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         assert (network.sanitizer is not None) == watched
-        network.tracer.enabled = watched
+        network.tracer.recording = watched
         if arm:
             FaultInjector(FaultPlan()).install(network)
         network.run(1.0)

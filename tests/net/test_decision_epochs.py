@@ -289,7 +289,7 @@ def watched_mix(monkeypatch) -> Network:
     network = mix(False)
     monkeypatch.delenv("REPRO_SANITIZE")
     assert network.sanitizer is not None
-    network.tracer.enabled = True
+    network.tracer.recording = True
     return network
 
 
@@ -340,7 +340,7 @@ def test_trace_records_come_back_in_time_order_and_complete(monkeypatch):
     assert times == sorted(times) and times[-1] <= 0.3
     # The event-per-arrival twin emitted every record at the clock.
     twin = mix(True)
-    twin.tracer.enabled = True
+    twin.tracer.recording = True
     twin.run(0.3)
     assert lines(records, 0.3) == lines(twin.tracer.records, 0.3)
     for when, (_, settled) in seen.items():

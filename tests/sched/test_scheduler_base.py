@@ -11,6 +11,7 @@ from repro.net.link import Link
 from repro.net.node import ServerNode
 from repro.net.packet import Packet
 from repro.net.session import Session
+from repro.sched.base import Scheduler
 from repro.sched.edd import JitterEDD
 from repro.sched.fcfs import FCFS
 from repro.sched.leave_in_time import LeaveInTime
@@ -102,3 +103,18 @@ def test_virtual_time_disciplines_record_no_lateness():
     assert sink.received == 3
     lateness = network.node("n1").scheduler.lateness
     assert lateness.count == 0 and lateness.maximum is None
+
+
+def test_a_discipline_must_say_how_many_packets_it_queues():
+    """The sanitizer's conservation identity reads ``_queued`` at every
+    arrival, forward and drop: a discipline without it is refused at
+    construction rather than left unchecked."""
+    class Silent(Scheduler):
+        def on_arrival(self, packet, now):
+            pass
+
+        def next_packet(self, now):
+            return None
+
+    with pytest.raises(TypeError, match="_queued"):
+        Silent()

@@ -125,7 +125,7 @@ def fig07_cell(trace_on: bool) -> Tuple[str, int, Optional[str]]:
     """One shortened fig07 MIX cell: ``(observables digest, events
     dispatched, digest of the sorted trace lines or None)``."""
     network = build_mix_network(_A_OFF, seed=0)
-    network.tracer.enabled = trace_on
+    network.tracer.recording = trace_on
     network.run(_CELL_DURATION)
     sink = network.sink(TARGET_SESSION)
     observables = _digest([

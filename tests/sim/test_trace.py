@@ -54,3 +54,50 @@ def test_records_come_back_in_time_order_whatever_order_they_went_in():
     tracer.emit(2.5, "g")
     assert [r.category for r in tracer.records] == list("facegbd")
     assert tracer.count("g") == 1
+
+
+def _collector(seen):
+    def consume(time, category, node="", session="", packet=-1, **detail):
+        seen.append((time, category, node, session, packet, detail))
+    return consume
+
+
+def test_an_attached_consumer_sees_every_record_without_recording():
+    seen = []
+    tracer = Tracer()
+    assert not tracer.enabled
+    tracer.attach(_collector(seen))
+    assert tracer.enabled and not tracer.recording
+    tracer.emit(1.0, "arrival", "n1", "s", 3)
+    tracer.emit(2.0, "deadline", node="n1", deadline=2.5, k=2.0)
+    assert seen == [(1.0, "arrival", "n1", "s", 3, {}),
+                    (2.0, "deadline", "n1", "", -1,
+                     {"deadline": 2.5, "k": 2.0})]
+    assert tracer.records == []
+
+
+def test_turning_recording_off_does_not_blind_the_consumer():
+    seen = []
+    tracer = Tracer(True)
+    tracer.attach(_collector(seen))
+    tracer.emit(1.0, "deadline", "n1", deadline=2.5, k=2.0)
+    assert seen == [(1.0, "deadline", "n1", "", -1,
+                     {"deadline": 2.5, "k": 2.0})]
+    assert tracer.count("deadline") == 1
+    tracer.recording = False
+    assert tracer.enabled
+    tracer.emit(2.0, "tx_end", "n1")
+    assert len(seen) == 2 and tracer.count() == 1
+    tracer.recording = True
+    tracer.emit(3.0, "tx_end", "n1")
+    assert len(seen) == 3 and tracer.count("tx_end") == 1
+
+
+def test_recording_alone_turns_the_sites_on_and_off():
+    tracer = Tracer()
+    tracer.recording = True
+    assert tracer.enabled
+    tracer.emit(1.0, "arrival")
+    tracer.recording = False
+    assert not tracer.enabled
+    assert tracer.count("arrival") == 1
