@@ -9,29 +9,20 @@ node.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import AdmissionError
 from repro.net.session import Session
 from repro.sched.policy import DelayPolicy
 
-__all__ = ["AdmittedSession", "Procedure"]
+__all__ = ["Procedure"]
 
 #: Slack for floating-point equality in the ≤-capacity tests; the
 #: paper's configurations commit capacity *exactly* (48 × 32 kbit/s on
 #: a 1536 kbit/s link), which must pass.
 RATE_EPSILON = 1e-6
-
-
-@dataclass(slots=True)
-class AdmittedSession:
-    """What a procedure remembers about an admitted session."""
-
-    session_id: str
-    rate: float
-    l_max: float
 
 
 class Procedure(ABC):
@@ -42,30 +33,32 @@ class Procedure(ABC):
             raise AdmissionError(
                 f"link capacity must be positive, got {capacity}")
         self.capacity = float(capacity)
-        self._admitted: Dict[str, AdmittedSession] = {}
+        #: The admitted set: session id -> reserved rate r.
+        self._rates: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Common state
     # ------------------------------------------------------------------
     @property
     def reserved_rate(self) -> float:
-        """Σ r_j over admitted sessions."""
-        return sum(entry.rate for entry in self._admitted.values())
+        """Σ r_j over admitted sessions, correctly rounded (``fsum``),
+        so it does not depend on the order sessions came and went."""
+        return math.fsum(self._rates.values())
 
     @property
     def admitted_count(self) -> int:
-        return len(self._admitted)
+        return len(self._rates)
 
     def is_admitted(self, session_id: str) -> bool:
-        return session_id in self._admitted
+        return session_id in self._rates
 
     def check_rate_reservation(self, session: Session) -> None:
         """Paper eq. 18: Σ r_j ≤ C including the candidate."""
-        if self.reserved_rate + session.rate > self.capacity + RATE_EPSILON:
+        projected = self.reserved_rate + session.rate
+        if projected > self.capacity + RATE_EPSILON:
             raise AdmissionError(
                 f"rate reservation would exceed capacity: "
-                f"{self.reserved_rate + session.rate:.0f} > "
-                f"{self.capacity:.0f} bit/s",
+                f"{projected:.0f} > {self.capacity:.0f} bit/s",
                 rule="eq-18")
 
     # ------------------------------------------------------------------
@@ -81,4 +74,4 @@ class Procedure(ABC):
 
     def release(self, session_id: str) -> None:
         """Tear down a session's reservation (connection teardown)."""
-        self._admitted.pop(session_id, None)
+        self._rates.pop(session_id, None)

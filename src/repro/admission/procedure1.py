@@ -22,9 +22,11 @@ mode, under which the delay bound (eq. 15) equals PGPS's.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import math
+from itertools import chain
+from typing import Dict, List, Sequence
 
-from repro.admission.base import AdmittedSession, Procedure, RATE_EPSILON
+from repro.admission.base import Procedure, RATE_EPSILON
 from repro.admission.classes import DelayClass, validate_classes
 from repro.errors import AdmissionError, ConfigurationError
 from repro.net.session import Session
@@ -45,32 +47,29 @@ class Procedure1(Procedure):
                  classes: Sequence[DelayClass]) -> None:
         super().__init__(capacity)
         self.classes: List[DelayClass] = validate_classes(classes, capacity)
-        #: Sessions per class (1-based class numbers; index 0 unused).
-        self._members: List[List[str]] = [[] for _ in
-                                          range(len(self.classes) + 1)]
+        #: Per class (class j at index j − 1), session id -> r and
+        #: session id -> L_max / C: the terms rules (1.1) and (1.2) sum.
+        self._class_rates: List[Dict[str, float]] = [
+            {} for _ in self.classes]
+        self._class_loads: List[Dict[str, float]] = [
+            {} for _ in self.classes]
 
     # ------------------------------------------------------------------
-    # Aggregates
+    # Aggregates (correctly rounded: independent of admission order)
     # ------------------------------------------------------------------
     @property
     def class_count(self) -> int:
         return len(self.classes)
 
-    def _classes_upto(self, m: int) -> List[AdmittedSession]:
-        """Admitted sessions in classes 1..m."""
-        members: List[AdmittedSession] = []
-        for class_number in range(1, m + 1):
-            for session_id in self._members[class_number]:
-                members.append(self._admitted[session_id])
-        return members
-
     def rate_in_classes_upto(self, m: int) -> float:
-        return sum(entry.rate for entry in self._classes_upto(m))
+        """Σ r over classes 1..m (the bandwidth tests' left side)."""
+        return math.fsum(chain.from_iterable(
+            map(dict.values, self._class_rates[:m])))
 
     def transmission_load_upto(self, m: int) -> float:
         """Σ L_max,s / C over classes 1..m (the σ tests' left side)."""
-        return sum(entry.l_max / self.capacity
-                   for entry in self._classes_upto(m))
+        return math.fsum(chain.from_iterable(
+            map(dict.values, self._class_loads[:m])))
 
     # ------------------------------------------------------------------
     # Tests
@@ -137,19 +136,21 @@ class Procedure1(Procedure):
         ``per_packet=True`` uses rule (1.3); ``False`` uses (1.3a).
         Returns the node's delay policy for the session.
         """
-        if session.id in self._admitted:
+        session_id = session.id
+        if session_id in self._rates:
             raise AdmissionError(
-                f"session {session.id!r} is already admitted here",
+                f"session {session_id!r} is already admitted here",
                 rule="duplicate")
         self._check(session, class_number)
-        self._admitted[session.id] = AdmittedSession(
-            session.id, session.rate, session.l_max)
-        self._members[class_number].append(session.id)
+        self._rates[session_id] = session.rate
+        self._class_rates[class_number - 1][session_id] = session.rate
+        self._class_loads[class_number - 1][session_id] = (
+            session.l_max / self.capacity)
         return self._policy(session, class_number,
                             per_packet=per_packet, epsilon=epsilon)
 
     def release(self, session_id: str) -> None:
         super().release(session_id)
-        for members in self._members:
-            if session_id in members:
-                members.remove(session_id)
+        for rates, loads in zip(self._class_rates, self._class_loads):
+            rates.pop(session_id, None)
+            loads.pop(session_id, None)

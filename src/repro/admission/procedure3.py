@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from repro.admission.base import AdmittedSession, Procedure
+from repro.admission.base import Procedure
 from repro.errors import AdmissionError, ConfigurationError
 from repro.net.session import Session
 from repro.sched.policy import DelayPolicy
@@ -59,14 +59,15 @@ class Procedure3(Procedure):
             raise ConfigurationError(
                 f"exhaustive limit must be >= 1, got {exhaustive_limit}")
         self.exhaustive_limit = exhaustive_limit
+        self._l_maxes: Dict[str, float] = {}
         self._delays: Dict[str, float] = {}
         #: True when the last admit had to use the sufficient condition.
         self.last_check_was_conservative = False
 
     def _entries_with(self, session: Session,
                       d: float) -> List[Tuple[float, float, float]]:
-        entries = [(entry.rate, entry.l_max, self._delays[sid])
-                   for sid, entry in self._admitted.items()]
+        entries = [(rate, self._l_maxes[sid], self._delays[sid])
+                   for sid, rate in self._rates.items()]
         entries.append((session.rate, session.l_max, d))
         return entries
 
@@ -97,19 +98,20 @@ class Procedure3(Procedure):
     def admit(self, session: Session, *, d: float,
               **_ignored) -> DelayPolicy:
         """Admit with constant service parameter ``d`` seconds."""
-        if session.id in self._admitted:
+        if session.id in self._rates:
             raise AdmissionError(
                 f"session {session.id!r} is already admitted here",
                 rule="duplicate")
         self._check(session, d)
-        self._admitted[session.id] = AdmittedSession(
-            session.id, session.rate, session.l_max)
+        self._rates[session.id] = session.rate
+        self._l_maxes[session.id] = session.l_max
         self._delays[session.id] = float(d)
         return DelayPolicy(slope=0.0, offset=float(d),
                            l_max=session.l_max, l_min=session.l_min)
 
     def release(self, session_id: str) -> None:
         super().release(session_id)
+        self._l_maxes.pop(session_id, None)
         self._delays.pop(session_id, None)
 
     def delay_of(self, session_id: str) -> Optional[float]:

@@ -103,6 +103,10 @@ class Network:
         #: Sink deliveries not yet made: ``(arrival time, packet)`` in
         #: time order, appended by last-hop completions.
         self._calendar: deque = deque()
+        #: The sources :meth:`run` starts: every source built on this
+        #: network and not yet stopped (a stopped one leaves through
+        #: :meth:`remove_source`).  Iterate a copy to stop sources in
+        #: the loop.
         self.sources: List[object] = []
         #: ``L_MAX``: the maximum packet length allowed in the network
         #: (paper eq. 9 and eq. 13). Grows automatically as sessions
@@ -278,9 +282,11 @@ class Network:
         ``keep_sink=False``, the sink — are cleared once the session
         has no packets in flight: right away if it already drained, or
         as soon as its last in-flight packet reaches the sink or is
-        dropped. Stop the session's source before removal; long-running
-        call churn relies on this to tear calls down mid-flight without
-        waiting for the network to drain.
+        dropped. Stop the session's source before removal — which also
+        takes the source out of :attr:`sources` and releases its own
+        random stream; long-running call churn relies on this to tear
+        calls down mid-flight without waiting for the network to drain,
+        and to hold only the live calls' sources and streams.
         """
         if self.shard is not None:
             # A removal's drain-then-forget bookkeeping needs a global
@@ -431,6 +437,10 @@ class Network:
     def add_source(self, source) -> None:
         """Track a traffic source so :meth:`run` can start it."""
         self.sources.append(source)
+
+    def remove_source(self, source) -> None:
+        """Forget a stopped source; O(live sources)."""
+        self.sources.remove(source)
 
     def run(self, duration: float) -> None:
         """Start all sources (idempotently) and run for ``duration`` seconds.

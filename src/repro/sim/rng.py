@@ -10,6 +10,10 @@ need:
   shift the random numbers other sessions see (common-random-numbers
   variance reduction across experiment variants, which the paper's
   with/without-jitter-control comparisons rely on implicitly).
+
+A stream's seed depends only on the master seed and the name, so the
+table can forget a stream nobody draws from any more
+(:meth:`RandomStreams.release`) without moving anyone else's numbers.
 """
 
 from __future__ import annotations
@@ -19,11 +23,20 @@ import random
 import zlib
 from typing import Dict
 
+from repro.errors import SimulationError
+
 __all__ = ["RandomStreams", "ExponentialSampler", "GeometricSampler"]
 
 
 class RandomStreams:
-    """Factory of independent :class:`random.Random` streams by name."""
+    """Factory of independent :class:`random.Random` streams by name.
+
+    The table holds every stream handed out and not yet released: a
+    traffic source releases the one it named itself when it stops
+    (:meth:`repro.traffic.base.TrafficSource.stop`), so under call
+    churn it holds the live calls' streams and the fixed ones, not one
+    per call ever made.
+    """
 
     def __init__(self, master_seed: int = 0) -> None:
         self.master_seed = int(master_seed)
@@ -44,6 +57,22 @@ class RandomStreams:
         stream = random.Random(mixed)
         self._streams[name] = stream
         return stream
+
+    def __contains__(self, name: str) -> bool:
+        """Whether the table holds a stream for ``name`` now."""
+        return name in self._streams
+
+    def release(self, name: str) -> None:
+        """Forget the stream ``name``; whoever still holds it keeps it.
+
+        Requesting ``name`` again afterwards builds a new stream that
+        restarts from the name's seed: it does not continue the
+        released one.  Raises :class:`~repro.errors.SimulationError`
+        when the table holds no stream for ``name``.
+        """
+        if self._streams.pop(name, None) is None:
+            raise SimulationError(
+                f"no random stream named {name!r} to release")
 
     def spawn(self, name: str) -> "RandomStreams":
         """A child factory whose streams are disjoint from this one's."""

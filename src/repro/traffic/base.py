@@ -3,7 +3,10 @@
 A source is bound to a network and a session; when started it drives
 itself with kernel timers — one per gap drawn from :meth:`TrafficSource
 .intervals` — and injects a packet at the session's first node each
-time one fires. A source optionally keeps its emission trace (times and
+time one fires.  :meth:`TrafficSource.stop` is final: the stopped
+source leaves the network and gives back the random stream it named
+itself, so a torn-down call leaves nothing behind but what its caller
+keeps. A source optionally keeps its emission trace (times and
 lengths), which the distribution experiments feed to the session's
 *reference server* to obtain the paper's "simulated upper bound" without
 a second run.
@@ -86,7 +89,11 @@ class TrafficSource:
         self.trace_times: List[float] = []
         self.trace_lengths: List[float] = []
         self.started = False
+        self.stopped = False
         self._gaps = None
+        #: The stream name :meth:`stop` releases: the default name a
+        #: subclass's :meth:`_stream` took for this source, or None.
+        self._own_stream: Optional[str] = None
         #: The one timer this source has in the kernel (start offset,
         #: gap, or shaper hold); None exactly when it is not running.
         #: While a timer callback runs this still names the dispatched
@@ -112,11 +119,24 @@ class TrafficSource:
             return self.length_sampler.sample()
         return self.length
 
+    def _stream(self, stream_name: Optional[str], default: str):
+        """The random stream ``stream_name`` names, or ``default``.
+
+        A caller-given name may be shared and is never released.  The
+        ``default`` name is this source's own — :meth:`stop` releases
+        it — unless another source already holds it.
+        """
+        streams = self.network.streams
+        if not stream_name and default not in streams:
+            self._own_stream = default
+        return streams.stream(stream_name or default)
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "TrafficSource":
-        if self.started:
+        """Arm the first timer; a no-op once started or stopped."""
+        if self.started or self.stopped:
             return self
         self.started = True
         self._gaps = iter(self.intervals())
@@ -126,11 +146,28 @@ class TrafficSource:
         return self
 
     def stop(self) -> None:
-        """Cancel the pending timer; the source never emits again."""
+        """Stop for good: the source never emits again, even if started
+        later, and a second call does nothing.
+
+        Cancels the pending timer and leaves the network
+        (:meth:`~repro.net.network.Network.remove_source`).  It drops
+        the :meth:`intervals` generator, whose frame refers back to the
+        source, so refcounting frees a stopped source as soon as its
+        caller lets go; and it releases the stream the source named
+        itself (:meth:`_stream`).
+        """
+        if self.stopped:
+            return
+        self.stopped = True
         pending = self._pending
         if pending is not None:
             pending.cancel()
             self._pending = None
+        self._gaps = None
+        network = self.network
+        network.remove_source(self)
+        if self._own_stream is not None:
+            network.streams.release(self._own_stream)
 
     def _arm(self) -> None:
         """Draw the next gap and set the timer that ends it."""

@@ -61,7 +61,7 @@ class OnOffSource(TrafficSource):
         self.spacing = float(spacing)
         self.mean_on = float(mean_on)
         self.mean_off = float(mean_off)
-        rng = network.streams.stream(stream_name or f"onoff:{session.id}")
+        rng = self._stream(stream_name, f"onoff:{session.id}")
         self._burst_length = GeometricSampler(rng, mean_on / spacing)
         self._off = (ExponentialSampler(rng, mean_off)
                      if mean_off > 0 else None)

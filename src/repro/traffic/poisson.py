@@ -34,7 +34,7 @@ class PoissonSource(TrafficSource):
                          max_packets=max_packets,
                          length_sampler=length_sampler,
                          shaper=shaper)
-        rng = network.streams.stream(stream_name or f"poisson:{session.id}")
+        rng = self._stream(stream_name, f"poisson:{session.id}")
         self._gap = ExponentialSampler(rng, mean)
 
     @property

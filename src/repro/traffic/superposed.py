@@ -81,6 +81,7 @@ class SuperposedPoissonSource:
         self.max_packets = max_packets
         self.emitted = 0
         self.started = False
+        self.stopped = False
         #: The one pending timer; None exactly when the source is not
         #: running (see :class:`~repro.traffic.base.TrafficSource`).
         self._pending: Optional[Event] = None
@@ -92,7 +93,8 @@ class SuperposedPoissonSource:
         return self._gap.mean
 
     def start(self) -> "SuperposedPoissonSource":
-        if self.started:
+        """Arm the first timer; a no-op once started or stopped."""
+        if self.started or self.stopped:
             return self
         self.started = True
         if self.max_packets != 0:  # told to send nothing: never arms
@@ -101,11 +103,17 @@ class SuperposedPoissonSource:
         return self
 
     def stop(self) -> None:
-        """Cancel the pending timer; the source never emits again."""
+        """Stop for good and leave the network, as
+        :meth:`~repro.traffic.base.TrafficSource.stop` does; the two
+        ``label`` streams are the caller's and stay in the table."""
+        if self.stopped:
+            return
+        self.stopped = True
         pending = self._pending
         if pending is not None:
             pending.cancel()
             self._pending = None
+        self.network.remove_source(self)
 
     def _arm(self) -> None:
         """Draw the next aggregate gap and set the timer that ends it."""

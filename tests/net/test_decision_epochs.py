@@ -185,7 +185,7 @@ def test_removal_with_packets_parked_ends_the_drain_on_time():
                 continue
             found["inbox"] += in_inbox
             found["calendar"] += in_calendar
-            for source in network.sources:
+            for source in list(network.sources):
                 if source.session is session:
                     source.stop()
             network.remove_session(session_id)
@@ -204,7 +204,7 @@ def test_removal_with_packets_parked_ends_the_drain_on_time():
     twin.run(0.2)
     reference = {}
     for session_id in removed:
-        for source in twin.sources:
+        for source in list(twin.sources):
             if source.session.id == session_id:
                 source.stop()
         twin.remove_session(session_id)

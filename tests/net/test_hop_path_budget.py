@@ -118,10 +118,12 @@ EVENTS_AND_HOPS = {"plain": (27323, 17723), "jitter": (27787, 17503),
 #: node's slot up by id.  While nodes and schedulers held a sanitizer
 #: of their own beside the tracer the four read 13.614 / 15.893 /
 #: 16.514 / 31.114 (an ``is not None`` test is no call): the same, and
-#: call_churn's ceiling sat at 31.5.  call_churn reads 31.228 late in a
-#: full tier-1 run (earlier tests' state), its ceiling's reference.
+#: call_churn's ceiling sat at 31.5.  While admission summed its
+#: members in Python generators call_churn read 31.228 late in a full
+#: tier-1 run (earlier tests' state), its ceiling's reference; with
+#: ``math.fsum`` over per-class dicts it reads 19.253 there.
 CALLS_PER_HOP_CEILING = {"plain": 13.7, "jitter": 15.9,
-                         "heavy_1e3": 16.6, "call_churn": 31.3}
+                         "heavy_1e3": 16.6, "call_churn": 19.3}
 
 #: cell -> opcodes per packet-hop inside ``Network.run`` on CPython 3.11.
 #: With a Welford tally per hop, a policy object per first packet and
@@ -132,9 +134,10 @@ CALLS_PER_HOP_CEILING = {"plain": 13.7, "jitter": 15.9,
 #: 924.9 / 1051.5; while a removal's drop count looked each node's slot
 #: up by id, call_churn read 1050.5; while every node and scheduler
 #: tested a sanitizer of its own beside the tracer (four sites a LiT
-#: hop passes): 769.9 / 897.5 / 923.9 / 1049.6.
+#: hop passes): 769.9 / 897.5 / 923.9 / 1049.6; while admission summed
+#: its members in Python generators, call_churn read 1021.3.
 OPCODES_PER_HOP_CEILING = {"plain": 748, "jitter": 876,
-                           "heavy_1e3": 902, "call_churn": 1022}
+                           "heavy_1e3": 902, "call_churn": 871}
 
 #: heavy_1e3 set-up, from ``_cell`` entry to ``Network.run``: (Python
 #: frames entered, opcodes) per session on CPython 3.11.  While each

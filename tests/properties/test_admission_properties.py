@@ -6,6 +6,8 @@ procedures are not merely gatekeepers at admission time, their
 bookkeeping stays consistent under arbitrary interleavings.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +78,21 @@ class TestProcedure1Churn:
                        if cls <= m)
             assert load <= CLASSES[m - 1].base_delay + 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(ops=operations)
+    def test_sums_are_correctly_rounded_whatever_the_order(self, ops):
+        # fsum of the live set, exactly: admission order and the
+        # releases in between leave no rounding residue behind.
+        procedure = Procedure1(CAPACITY, CLASSES)
+        live = apply_churn(procedure, ops)
+        assert procedure.reserved_rate == math.fsum(
+            rate for rate, _ in live.values())
+        for m in range(1, 4):
+            members = [rate for rate, cls in live.values() if cls <= m]
+            assert procedure.rate_in_classes_upto(m) == math.fsum(members)
+            assert procedure.transmission_load_upto(m) == math.fsum(
+                [424.0 / CAPACITY] * len(members))
+
     @settings(max_examples=40, deadline=None)
     @given(ops=operations)
     def test_membership_matches_admitted(self, ops):
@@ -123,3 +140,5 @@ class TestProcedure3Churn:
         entries = [(rate, 424.0, d) for rate, d in live.values()]
         if entries and len(entries) <= 8:
             assert subsets_feasible(entries, CAPACITY)
+        assert procedure.reserved_rate == math.fsum(
+            rate for rate, _ in live.values())

@@ -5,6 +5,7 @@ import statistics
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim.rng import ExponentialSampler, GeometricSampler, RandomStreams
 
 
@@ -37,6 +38,33 @@ class TestRandomStreams:
         a = RandomStreams(1).stream("x").random()
         b = RandomStreams(2).stream("x").random()
         assert a != b
+
+    def test_release_forgets_and_a_new_request_restarts_from_the_seed(self):
+        streams = RandomStreams(5)
+        held = streams.stream("x")
+        first = [held.random() for _ in range(3)]
+        streams.release("x")
+        assert "x" not in streams
+        held.random()  # the holder keeps drawing from the old state
+        again = streams.stream("x")
+        assert again is not held
+        assert [again.random() for _ in range(3)] == first
+
+    def test_release_leaves_other_streams_alone(self):
+        streams = RandomStreams(5)
+        other = streams.stream("y")
+        streams.stream("x")
+        streams.release("x")
+        assert streams.stream("y") is other
+
+    def test_releasing_a_name_not_held_names_it(self):
+        streams = RandomStreams(5)
+        with pytest.raises(SimulationError, match="'x'"):
+            streams.release("x")
+        streams.stream("x")
+        streams.release("x")
+        with pytest.raises(SimulationError, match="'x'"):
+            streams.release("x")
 
     def test_spawn_is_disjoint(self):
         parent = RandomStreams(1)

@@ -5,6 +5,7 @@ import statistics
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.traffic.onoff import OnOffSource
 from repro.net.session import Session
 from repro.sched.fcfs import FCFS
 from repro.traffic.deterministic import DeterministicSource
@@ -137,3 +138,68 @@ class TestSourceLifecycle:
         source.stop()
         network.run(1.0)
         assert source.emitted == 3  # t = 0, 0.1, 0.2
+
+    def test_stop_before_start_is_final(self):
+        network = make_network(FCFS, capacity=1e6)
+        session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
+        network.add_session(session)
+        source = DeterministicSource(network, session, length=424.0,
+                                     interval=0.1)
+        source.stop()
+        source.start()
+        network.run(1.0)
+        assert source.emitted == 0
+        assert not source.started
+        assert network.sim.events_dispatched == 0  # it never armed
+
+    def test_a_second_stop_does_nothing(self):
+        network = make_network(FCFS, capacity=1e6)
+        session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
+        network.add_session(session)
+        source = PoissonSource(network, session, length=424.0, mean=0.01)
+        network.run(0.1)
+        source.stop()
+        source.stop()
+        network.run(0.2)
+        assert source.stopped
+        assert "poisson:s" not in network.streams
+
+    @pytest.mark.parametrize("started", [False, True])
+    def test_a_stopped_source_leaves_with_its_own_stream(self, started):
+        network = make_network(FCFS, capacity=1e6)
+        session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
+        network.add_session(session)
+        source = OnOffSource(network, session, length=424.0,
+                             spacing=0.01, mean_on=0.1, mean_off=0.1)
+        other = PoissonSource(network, session, length=424.0, mean=0.01)
+        assert network.sources == [source, other]
+        if started:
+            network.run(0.5)
+            assert source._gaps is not None
+        source.stop()
+        assert network.sources == [other]
+        assert "onoff:s" not in network.streams
+        assert "poisson:s" in network.streams
+        assert source._gaps is None  # its frame referred to the source
+
+    def test_a_given_stream_name_is_never_released(self):
+        network = make_network(FCFS, capacity=1e6)
+        session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
+        network.add_session(session)
+        source = PoissonSource(network, session, length=424.0, mean=0.01,
+                               stream_name="shared")
+        source.stop()
+        assert "shared" in network.streams
+
+    def test_a_default_stream_already_held_is_shared_not_owned(self):
+        # Two sources of one session share ``poisson:s``: the first one
+        # made it and releases it; the second's stop must not fail.
+        network = make_network(FCFS, capacity=1e6)
+        session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
+        network.add_session(session)
+        first = PoissonSource(network, session, length=424.0, mean=0.01)
+        second = PoissonSource(network, session, length=424.0, mean=0.01)
+        first.stop()
+        assert "poisson:s" not in network.streams
+        second.stop()
+        assert network.sources == []

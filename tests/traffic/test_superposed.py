@@ -73,3 +73,15 @@ def test_max_packets_stops_the_clock():
 def test_negative_max_packets_is_rejected():
     with pytest.raises(ConfigurationError, match="max_packets"):
         _superposed(max_packets=-1)
+
+
+def test_stop_is_final_and_leaves_the_network():
+    network, source = _superposed()
+    source.stop()
+    source.stop()
+    source.start()
+    network.run(1.0)
+    assert source.emitted == 0
+    assert network.sources == []
+    # The label's streams are the caller's: they stay in the table.
+    assert "superposed:agg:gaps" in network.streams
