@@ -57,6 +57,7 @@ sanitize:
 	$(PYTHON) -m repro call_churn --duration 20 --workers 1 --sanitize
 	$(PYTHON) -m repro fault_sweep --duration 5 --workers 2 --sanitize
 	$(PYTHON) -m repro regulator_comparison --duration 3 --workers 1 --sanitize
+	$(PYTHON) -m repro figure11 --duration 3 --workers 1 --sanitize
 
 mypy:
 	@echo "== ci job: mypy =="

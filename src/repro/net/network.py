@@ -146,20 +146,17 @@ class Network:
 
     def add_session(self, session: Session, *, sink: Optional[Sink] = None,
                     keep_samples: bool = True,
-                    max_samples: Optional[int] = None,
                     warmup: float = 0.0,
                     keep_packets: bool = False) -> Sink:
         """Register one session (:meth:`add_sessions` with ``(session,)``);
         returns its sink."""
         self.add_sessions((session,), sink=sink, keep_samples=keep_samples,
-                          max_samples=max_samples, warmup=warmup,
-                          keep_packets=keep_packets)
+                          warmup=warmup, keep_packets=keep_packets)
         return self._sinks[session.id]
 
     def add_sessions(self, sessions: Iterable[Session], *,
                      sink: Optional[Sink] = None,
                      keep_samples: bool = True,
-                     max_samples: Optional[int] = None,
                      warmup: float = 0.0,
                      keep_packets: bool = False) -> None:
         """Register ``sessions`` on every node of their routes, in order.
@@ -181,7 +178,6 @@ class Network:
         if sink is not None:
             given = [name for name, value, default in (
                 ("keep_samples", keep_samples, True),
-                ("max_samples", max_samples, None),
                 ("warmup", warmup, 0.0),
                 ("keep_packets", keep_packets, False)) if value != default]
             if given:
@@ -234,8 +230,7 @@ class Network:
                     routes[session.route].append(session)
             if sink is None:
                 sinks = [Sink(session.id, keep_samples=keep_samples,
-                              max_samples=max_samples, warmup=warmup,
-                              keep_packets=keep_packets)
+                              warmup=warmup, keep_packets=keep_packets)
                          for session in batch]
             if self._hooked:
                 self._register_hooks(routes)

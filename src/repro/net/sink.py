@@ -28,7 +28,6 @@ class Sink:
 
     def __init__(self, session_id: str, *,
                  keep_samples: bool = True,
-                 max_samples: Optional[int] = None,
                  warmup: float = 0.0,
                  keep_packets: bool = False) -> None:
         self.session_id = session_id
@@ -37,7 +36,7 @@ class Sink:
         self.warmup = warmup
         self.delay = Tally(f"{session_id}.delay")
         self.samples: Optional[TimeSeries] = (
-            TimeSeries(f"{session_id}.delay-series", max_samples)
+            TimeSeries(f"{session_id}.delay-series")
             if keep_samples else None)
         #: Delivered packet objects, retained only when requested —
         #: used by tests asserting per-packet scheduler state.

@@ -5,14 +5,13 @@ Two small, composable recorders:
 * :class:`Tally` — streaming min/max/mean/variance of observations
   (Welford's algorithm, numerically stable for long runs).
 * :class:`TimeSeries` — raw ``(time, value)`` samples for distribution
-  plots; optionally bounded to the most recent N samples.
+  plots.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 __all__ = ["Tally", "TimeSeries"]
 
@@ -67,49 +66,21 @@ class Tally:
 
 
 class TimeSeries:
-    """Raw ``(time, value)`` samples, optionally bounded in length.
+    """Raw ``(time, value)`` samples, every one kept."""
 
-    Bounded mode is a ring buffer: the series keeps the most *recent*
-    ``max_samples`` samples and ``dropped`` counts the oldest ones
-    evicted to make room.  (It used to keep the first N and silently
-    ignore newcomers, which made bounded sinks useless for steady-state
-    distribution plots.)
-    """
+    __slots__ = ("name", "times", "values")
 
-    __slots__ = ("name", "max_samples", "_times", "_values", "dropped")
-
-    def __init__(self, name: str = "series",
-                 max_samples: Optional[int] = None) -> None:
+    def __init__(self, name: str = "series") -> None:
         self.name = name
-        self.max_samples = max_samples
-        if max_samples is None:
-            self._times: Deque[float] | List[float] = []
-            self._values: Deque[float] | List[float] = []
-        else:
-            self._times = deque(maxlen=max_samples)
-            self._values = deque(maxlen=max_samples)
-        self.dropped = 0
+        self.times: List[float] = []
+        self.values: List[float] = []
 
     def record(self, time: float, value: float) -> None:
-        times = self._times
-        if self.max_samples is not None and len(times) == self.max_samples:
-            # The deque evicts the oldest entry on append.
-            self.dropped += 1
-        times.append(time)
-        self._values.append(value)
+        self.times.append(time)
+        self.values.append(value)
 
     def __len__(self) -> int:
-        return len(self._times)
-
-    @property
-    def times(self) -> List[float]:
-        times = self._times
-        return times if isinstance(times, list) else list(times)
-
-    @property
-    def values(self) -> List[float]:
-        values = self._values
-        return values if isinstance(values, list) else list(values)
+        return len(self.times)
 
     def items(self) -> List[Tuple[float, float]]:
-        return list(zip(self._times, self._values))
+        return list(zip(self.times, self.values))

@@ -1,9 +1,14 @@
 """Traffic sources and traffic-envelope utilities.
 
 The three source models of the paper's Section 3 — ON-OFF (two-state
-Markov-modulated), Poisson, and Deterministic — plus a trace-replay
-source for tests, and token-bucket / (r,T)-smoothness utilities used by
-the analytical bounds and the Stop-and-Go admission comparison.
+Markov-modulated), Poisson, and Deterministic, all fixed-length — plus
+a trace-replay source, and token-bucket / (r,T)-smoothness utilities
+used by the analytical bounds and the Stop-and-Go admission comparison.
+A source is its gap process: a subclass of :class:`TrafficSource`
+implements ``intervals()`` and nothing else; one whose packet lengths
+vary sets ``length`` there. Ingress shaping is offline:
+:func:`shape_arrivals` makes a trace token-bucket conformant and a
+:class:`TraceSource` replays it.
 """
 
 from repro import _lazy_exports
@@ -19,10 +24,6 @@ _EXPORTS = {
     "is_conformant": ".token_bucket",
     "is_rt_smooth": ".token_bucket",
     "shape_arrivals": ".token_bucket",
-    "FixedLength": ".lengths",
-    "UniformLength": ".lengths",
-    "ChoiceLength": ".lengths",
-    "BimodalLength": ".lengths",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

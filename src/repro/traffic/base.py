@@ -1,19 +1,20 @@
 """Common machinery for traffic sources.
 
-A source is bound to a network and a session; when started it drives
-itself with kernel timers — one per gap drawn from :meth:`TrafficSource
-.intervals` — and injects a packet at the session's first node each
-time one fires.  :meth:`TrafficSource.stop` is final: the stopped
-source leaves the network and gives back the random stream it named
-itself, so a torn-down call leaves nothing behind but what its caller
-keeps. A source optionally keeps its emission trace (times and
-lengths), which the distribution experiments feed to the session's
-*reference server* to obtain the paper's "simulated upper bound" without
-a second run.
+A source is its gap process. Bound to a network and a session, it
+drives itself with kernel timers — one per gap drawn from
+:meth:`TrafficSource.intervals` — and each time one fires it injects a
+packet of :attr:`TrafficSource.length` bits at the session's first
+node. :meth:`TrafficSource.stop` is final: the stopped source leaves
+the network and gives back the random stream it named itself, so a
+torn-down call leaves nothing behind but what its caller keeps. A
+source optionally keeps its emission trace (times and lengths), which
+the distribution experiments feed to the session's *reference server*
+to obtain the paper's "simulated upper bound" without a second run.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from repro.errors import ConfigurationError, SimulationError
@@ -22,10 +23,38 @@ from repro.net.session import Session
 from repro.sim.events import Event
 from repro.sim.kernel import PRIORITY_NORMAL
 
-__all__ = ["TrafficSource"]
+__all__ = ["TrafficSource", "finite", "packet_length"]
 
 #: What ``next`` returns when ``intervals()`` has no more gaps.
 _EXHAUSTED = object()
+
+
+def finite(field: str, value: float, *, zero: bool = False) -> float:
+    """``value`` as a float if it is finite and positive (or zero, with
+    ``zero=True``); else a :class:`ConfigurationError` naming ``field``.
+
+    Written so NaN fails it: a NaN gap or length would otherwise surface
+    mid-run, far from the constructor that took it.
+    """
+    if not (math.isfinite(value) and (value >= 0 if zero else value > 0)):
+        raise ConfigurationError(
+            f"{field} must be a finite "
+            f"{'non-negative' if zero else 'positive'} number, "
+            f"got {value!r}")
+    return float(value)
+
+
+def packet_length(session: Session, value: float,
+                  field: str = "length") -> float:
+    """``value`` as a float if it is a length ``session`` may send —
+    in ``(0, session.l_max]`` — else a :class:`ConfigurationError`
+    naming ``field``."""
+    length = finite(field, value)
+    if length > session.l_max:
+        raise ConfigurationError(
+            f"{field} {value!r} exceeds session {session.id!r}'s declared "
+            f"l_max {session.l_max}")
+    return length
 
 
 class TrafficSource:
@@ -37,54 +66,25 @@ class TrafficSource:
         Where packets go. The source registers itself with the network
         so :meth:`repro.net.network.Network.run` starts it.
     length:
-        Packet length in bits for every emitted packet (the paper uses
-        fixed 424-bit packets throughout). Subclasses may override
-        :meth:`next_length` for variable sizes.
-    length_sampler:
-        Optional sampler from :mod:`repro.traffic.lengths`; when given
-        it overrides ``length`` per packet (``length`` then only seeds
-        the default). Exercises the variable-length code paths of the
-        discipline (eq. 9's ``d_max − d_i`` term, the α constant).
-    shaper:
-        Optional ``(rate, depth)`` ingress token-bucket shaper. Packets
-        the raw process would emit too early are held at the source
-        until they conform, so the injected traffic satisfies the
-        token-bucket envelope — and therefore the session earns the
-        eq.-14 reference delay bound ``depth/rate`` no matter how
-        bursty the underlying process is. This is the paper's remark
-        that a session "may need to reserve more bandwidth than its
-        average rate in order to reduce the end-to-end delay", realized
-        as a mechanism.
+        Packet length in bits, in ``(0, session.l_max]`` (the paper
+        uses fixed 424-bit packets throughout). A source whose lengths
+        vary sets :attr:`length` inside :meth:`intervals`, before it
+        yields the gap that ends at that packet.
     start_delay:
         Offset before the first interval is drawn, useful to desynchronize
         deterministic sources.
     keep_trace:
         Record (emission time, length) pairs.
-    max_packets:
-        Stop after emitting this many packets (None = unbounded).
     """
 
     def __init__(self, network: Network, session: Session, *,
                  length: float, start_delay: float = 0.0,
-                 keep_trace: bool = False,
-                 max_packets: Optional[int] = None,
-                 length_sampler=None,
-                 shaper: Optional[tuple] = None) -> None:
+                 keep_trace: bool = False) -> None:
         self.network = network
         self.session = session
-        self.length = float(length)
-        self.length_sampler = length_sampler
-        if shaper is None:
-            self._shaper_bucket = None
-        else:
-            from repro.traffic.token_bucket import TokenBucket
-            shaper_rate, shaper_depth = shaper
-            self._shaper_bucket = TokenBucket(shaper_rate, shaper_depth)
-        self.start_delay = float(start_delay)
+        self.length = packet_length(session, length)
+        self.start_delay = finite("start_delay", start_delay, zero=True)
         self.keep_trace = keep_trace
-        if max_packets is not None and max_packets < 0:
-            raise ConfigurationError(f"negative max_packets {max_packets}")
-        self.max_packets = max_packets
         self.emitted = 0
         self.trace_times: List[float] = []
         self.trace_lengths: List[float] = []
@@ -94,10 +94,10 @@ class TrafficSource:
         #: The stream name :meth:`stop` releases: the default name a
         #: subclass's :meth:`_stream` took for this source, or None.
         self._own_stream: Optional[str] = None
-        #: The one timer this source has in the kernel (start offset,
-        #: gap, or shaper hold); None exactly when it is not running.
-        #: While a timer callback runs this still names the dispatched
-        #: event, so a ``stop()`` from inside an emission shows as None.
+        #: The one timer this source has in the kernel (start offset or
+        #: gap); None exactly when it is not running.  While a timer
+        #: callback runs this still names the dispatched event, so a
+        #: ``stop()`` from inside an emission shows as None.
         self._pending: Optional[Event] = None
         network.add_source(self)
 
@@ -109,15 +109,10 @@ class TrafficSource:
 
         The first yielded value is the delay from the start of the
         source to the first packet; each later value is the gap to the
-        next packet.
+        next packet.  The packet at the end of a gap has the
+        :attr:`length` in force when that gap was yielded.
         """
         raise NotImplementedError
-
-    def next_length(self) -> float:
-        """Length of the next packet in bits."""
-        if self.length_sampler is not None:
-            return self.length_sampler.sample()
-        return self.length
 
     def _stream(self, stream_name: Optional[str], default: str):
         """The random stream ``stream_name`` names, or ``default``.
@@ -140,9 +135,8 @@ class TrafficSource:
             return self
         self.started = True
         self._gaps = iter(self.intervals())
-        if self.max_packets != 0:  # told to send nothing: never arms
-            self._pending = self.network.sim.schedule(
-                self.start_delay, self._arm, priority=PRIORITY_NORMAL)
+        self._pending = self.network.sim.schedule(
+            self.start_delay, self._arm, priority=PRIORITY_NORMAL)
         return self
 
     def stop(self) -> None:
@@ -182,36 +176,14 @@ class TrafficSource:
                 f"source of session {self.session.id!r} yielded {gap!r}; "
                 "intervals() must yield non-negative numbers of seconds")
         self._pending = self.network.sim.schedule(
-            float(gap), self._tick, priority=PRIORITY_NORMAL)
+            float(gap), self._emit, priority=PRIORITY_NORMAL)
 
-    def _tick(self) -> None:
-        """A gap ran out: emit a packet, or hold it until it conforms."""
-        length = self.next_length()
-        bucket = self._shaper_bucket
-        if bucket is not None:
-            sim = self.network.sim
-            now = sim.now
-            release = bucket.earliest(length, now)
-            if release > now:
-                self._pending = sim.schedule(
-                    release - now, self._emit, length,
-                    priority=PRIORITY_NORMAL)
-                return
-        self._emit(length)
-
-    def _emit(self, length: float) -> None:
-        """Inject one packet now, then arm the next gap."""
-        network = self.network
-        bucket = self._shaper_bucket
-        if bucket is not None:
-            bucket.consume(length, network.sim.now)
-        packet = network.inject(self.session, length)
+    def _emit(self) -> None:
+        """A gap ran out: inject one packet now, then arm the next gap."""
+        length = self.length
+        packet = self.network.inject(self.session, length)
         self.emitted += 1
         if self.keep_trace:
             self.trace_times.append(packet.entry_time)
             self.trace_lengths.append(length)
-        if (self.max_packets is not None
-                and self.emitted >= self.max_packets):
-            self._pending = None
-            return
         self._arm()

@@ -77,7 +77,7 @@ class EddCharacterization:
         return self.p_max / self.x_ave
 
     @property
-    def max_packets_per_interval(self) -> int:
+    def packets_per_window(self) -> int:
         """⌊I / x_ave⌋: the packet budget of one averaging window."""
         return int(self.interval / self.x_ave + 1e-9)
 
@@ -93,7 +93,7 @@ def conforms_to_edd(times: Sequence[float], lengths: Sequence[float],
     if len(times) != len(lengths):
         raise ConfigurationError(
             f"{len(times)} times but {len(lengths)} lengths")
-    budget = spec.max_packets_per_interval
+    budget = spec.packets_per_window
     window_start = 0
     for index, (t, length) in enumerate(zip(times, lengths)):
         if length > spec.p_max + 1e-9:
@@ -136,6 +136,6 @@ def average_rate_reservation(specs: Sequence[EddCharacterization],
     for spec in specs:
         by_peak = math.ceil(horizon / spec.x_min)
         windows = math.ceil(horizon / spec.interval)
-        by_average = (windows + 1) * spec.max_packets_per_interval
+        by_average = (windows + 1) * spec.packets_per_window
         total_bits += min(by_peak, by_average) * spec.p_max
     return total_bits / capacity <= horizon + 1e-9

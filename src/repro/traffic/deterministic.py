@@ -7,12 +7,9 @@ sources of 32 kbit/s per hop.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.net.session import Session
-from repro.traffic.base import TrafficSource
+from repro.traffic.base import TrafficSource, finite
 
 __all__ = ["DeterministicSource"]
 
@@ -22,19 +19,10 @@ class DeterministicSource(TrafficSource):
 
     def __init__(self, network: Network, session: Session, *,
                  length: float, interval: float, start_delay: float = 0.0,
-                 keep_trace: bool = False,
-                 max_packets: Optional[int] = None,
-                 length_sampler=None,
-                 shaper=None) -> None:
+                 keep_trace: bool = False) -> None:
+        self.interval = finite("interval", interval)
         super().__init__(network, session, length=length,
-                         start_delay=start_delay, keep_trace=keep_trace,
-                         max_packets=max_packets,
-                         length_sampler=length_sampler,
-                         shaper=shaper)
-        if interval <= 0:
-            raise ConfigurationError(
-                f"interval must be positive, got {interval}")
-        self.interval = float(interval)
+                         start_delay=start_delay, keep_trace=keep_trace)
 
     @property
     def mean_rate(self) -> float:

@@ -27,7 +27,7 @@ from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.net.session import Session
 from repro.sim.rng import ExponentialSampler, GeometricSampler
-from repro.traffic.base import TrafficSource
+from repro.traffic.base import TrafficSource, finite
 
 __all__ = ["OnOffSource"]
 
@@ -39,28 +39,16 @@ class OnOffSource(TrafficSource):
                  length: float, spacing: float, mean_on: float,
                  mean_off: float, start_delay: float = 0.0,
                  keep_trace: bool = False,
-                 max_packets: Optional[int] = None,
-                 length_sampler=None,
-                 shaper=None,
                  stream_name: Optional[str] = None) -> None:
-        super().__init__(network, session, length=length,
-                         start_delay=start_delay, keep_trace=keep_trace,
-                         max_packets=max_packets,
-                         length_sampler=length_sampler,
-                         shaper=shaper)
-        if spacing <= 0:
-            raise ConfigurationError(
-                f"in-burst spacing must be positive, got {spacing}")
+        self.spacing = finite("spacing", spacing)
+        self.mean_on = finite("mean_on", mean_on)
+        self.mean_off = finite("mean_off", mean_off, zero=True)
         if mean_on < spacing:
             raise ConfigurationError(
-                f"mean ON duration {mean_on} shorter than spacing {spacing} "
+                f"mean_on {mean_on} shorter than spacing {spacing} "
                 "would emit fewer than one packet per burst")
-        if mean_off < 0:
-            raise ConfigurationError(
-                f"mean OFF duration must be non-negative, got {mean_off}")
-        self.spacing = float(spacing)
-        self.mean_on = float(mean_on)
-        self.mean_off = float(mean_off)
+        super().__init__(network, session, length=length,
+                         start_delay=start_delay, keep_trace=keep_trace)
         rng = self._stream(stream_name, f"onoff:{session.id}")
         self._burst_length = GeometricSampler(rng, mean_on / spacing)
         self._off = (ExponentialSampler(rng, mean_off)

@@ -14,7 +14,7 @@ from typing import Optional
 from repro.net.network import Network
 from repro.net.session import Session
 from repro.sim.rng import ExponentialSampler
-from repro.traffic.base import TrafficSource
+from repro.traffic.base import TrafficSource, finite
 
 __all__ = ["PoissonSource"]
 
@@ -25,15 +25,10 @@ class PoissonSource(TrafficSource):
     def __init__(self, network: Network, session: Session, *,
                  length: float, mean: float, start_delay: float = 0.0,
                  keep_trace: bool = False,
-                 max_packets: Optional[int] = None,
-                 length_sampler=None,
-                 shaper=None,
                  stream_name: Optional[str] = None) -> None:
+        mean = finite("mean", mean)
         super().__init__(network, session, length=length,
-                         start_delay=start_delay, keep_trace=keep_trace,
-                         max_packets=max_packets,
-                         length_sampler=length_sampler,
-                         shaper=shaper)
+                         start_delay=start_delay, keep_trace=keep_trace)
         rng = self._stream(stream_name, f"poisson:{session.id}")
         self._gap = ExponentialSampler(rng, mean)
 

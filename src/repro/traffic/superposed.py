@@ -33,6 +33,7 @@ from repro.net.session import Session
 from repro.sim.events import Event
 from repro.sim.kernel import PRIORITY_NORMAL
 from repro.sim.rng import ExponentialSampler
+from repro.traffic.base import finite
 
 __all__ = ["SuperposedPoissonSource"]
 
@@ -53,20 +54,21 @@ class SuperposedPoissonSource:
         Names the two RNG streams (``superposed:<label>:gaps`` and
         ``superposed:<label>:picks``), so adding other traffic never
         shifts this source's random numbers.
-    start_delay / max_packets:
+    start_delay:
         As in :class:`~repro.traffic.base.TrafficSource`.
     """
 
     def __init__(self, network: Network, sessions: Sequence[Session], *,
                  length: float, mean: float, label: str = "agg",
-                 start_delay: float = 0.0,
-                 max_packets: Optional[int] = None) -> None:
+                 start_delay: float = 0.0) -> None:
         if not sessions:
             raise ConfigurationError(
                 "SuperposedPoissonSource needs at least one session")
+        mean = finite("mean", mean)
         self.network = network
         self.sessions: List[Session] = list(sessions)
-        self.length = float(length)
+        self.length = finite("length", length)
+        self.start_delay = finite("start_delay", start_delay, zero=True)
         self.label = label
         self._gap = ExponentialSampler(
             network.streams.stream(f"superposed:{label}:gaps"),
@@ -75,10 +77,6 @@ class SuperposedPoissonSource:
         #: ``_pick.randrange(n)`` inlined: the same draws, redrawn to ``< n``.
         self._getrandbits = self._pick.getrandbits
         self._pick_bits = len(self.sessions).bit_length()
-        self.start_delay = float(start_delay)
-        if max_packets is not None and max_packets < 0:
-            raise ConfigurationError(f"negative max_packets {max_packets}")
-        self.max_packets = max_packets
         self.emitted = 0
         self.started = False
         self.stopped = False
@@ -97,9 +95,8 @@ class SuperposedPoissonSource:
         if self.started or self.stopped:
             return self
         self.started = True
-        if self.max_packets != 0:  # told to send nothing: never arms
-            self._pending = self.network.sim.schedule(
-                self.start_delay, self._arm, priority=PRIORITY_NORMAL)
+        self._pending = self.network.sim.schedule(
+            self.start_delay, self._arm, priority=PRIORITY_NORMAL)
         return self
 
     def stop(self) -> None:
@@ -116,22 +113,22 @@ class SuperposedPoissonSource:
         self.network.remove_source(self)
 
     def _arm(self) -> None:
-        """Draw the next aggregate gap and set the timer that ends it."""
-        if self._pending is None:
-            return
+        """The start timer fired: draw the first aggregate gap and set
+        the timer that ends it."""
         self._pending = self.network.sim.schedule(
-            self._gap.sample(), self._tick, priority=PRIORITY_NORMAL)
+            self._gap.sample(), self._emit, priority=PRIORITY_NORMAL)
 
-    def _tick(self) -> None:
-        """The clock fired: mark the arrival with a session and inject."""
+    def _emit(self) -> None:
+        """The clock fired: mark the arrival with a session, inject it
+        and set the next timer — unless the injection stopped the
+        source."""
         sessions = self.sessions
         index = self._getrandbits(self._pick_bits)
         while index >= len(sessions):
             index = self._getrandbits(self._pick_bits)
-        self.network.inject(sessions[index], self.length)
+        network = self.network
+        network.inject(sessions[index], self.length)
         self.emitted += 1
-        if (self.max_packets is not None
-                and self.emitted >= self.max_packets):
-            self._pending = None
-            return
-        self._arm()
+        if self._pending is not None:
+            self._pending = network.sim.schedule(
+                self._gap.sample(), self._emit, priority=PRIORITY_NORMAL)

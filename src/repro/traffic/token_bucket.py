@@ -7,9 +7,9 @@ module provides:
 * :class:`TokenBucket` — the filter itself (continuous refill at rate
   ``r``, capacity ``b0``, initially full, one token per bit).
 * :func:`is_conformant` — batch conformance check of an arrival trace.
-* :func:`shape_arrivals` — the greedy shaper: earliest conformant
-  release times for a trace (used to pre-shape sources when a bound
-  requires conformance).
+* :func:`shape_arrivals` — greedy shaping: earliest conformant
+  release times for a trace, which a ``TraceSource`` replays (ingress
+  shaping, when a bound requires conformance).
 * :func:`is_rt_smooth` — Golestani's ``(r, T)``-smoothness (at most
   ``r·T`` bits in any frame), the stricter envelope Stop-and-Go
   requires; a ``(r, T)``-smooth session conforms to a token bucket
@@ -114,7 +114,7 @@ def is_conformant(times: Sequence[float], lengths: Sequence[float],
 
 def shape_arrivals(times: Sequence[float], lengths: Sequence[float],
                    rate: float, depth: float) -> List[float]:
-    """Greedy shaper: earliest conformant, order-preserving release times."""
+    """Greedy shaping: earliest conformant, order-preserving release times."""
     if len(times) != len(lengths):
         raise ConfigurationError(
             f"{len(times)} times but {len(lengths)} lengths")
@@ -124,7 +124,7 @@ def shape_arrivals(times: Sequence[float], lengths: Sequence[float],
     for t, length in zip(times, lengths):
         release = max(bucket.earliest(length, max(t, previous)), previous)
         if not bucket.consume(length, release):  # pragma: no cover
-            raise ConfigurationError("shaper arithmetic violated the bucket")
+            raise ConfigurationError("shaping arithmetic violated the bucket")
         releases.append(release)
         previous = release
     return releases

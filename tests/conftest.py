@@ -7,6 +7,7 @@ here keep those tests declarative.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence
 
 import pytest
@@ -17,6 +18,8 @@ from repro.sched.base import Scheduler
 from repro.sched.calendar_queue import HeapDeadlineQueue
 from repro.sim import kernel
 from repro.sim.trace import Tracer
+from repro.traffic.onoff import OnOffSource
+from repro.traffic.poisson import PoissonSource
 from repro.traffic.trace_source import TraceSource
 
 
@@ -112,6 +115,38 @@ def add_trace_session(network: Network, session_id: str, *,
     sink = network.add_session(session, keep_packets=True)
     source = TraceSource(network, session, times=times, lengths=lengths)
     return session, sink, source
+
+
+class UniformLengths:
+    """Source mixin: packet lengths uniform on the session's ``[l_min,
+    l_max]``, drawn from the stream ``length_stream`` names.
+
+    This is how a source with variable lengths is written: it sets
+    ``length`` inside ``intervals()``, before it yields the gap that
+    ends at that packet.  ``packets`` ends the source after that many
+    (None: never).
+    """
+
+    def __init__(self, *args, length_stream: str,
+                 packets: Optional[int] = None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._lengths = self.network.streams.stream(length_stream)
+        self._packets = packets
+
+    def intervals(self):
+        uniform = self._lengths.uniform
+        session = self.session
+        for gap in islice(super().intervals(), self._packets):
+            self.length = uniform(session.l_min, session.l_max)
+            yield gap
+
+
+class UniformLengthPoisson(UniformLengths, PoissonSource):
+    """A Poisson source of :class:`UniformLengths` packets."""
+
+
+class UniformLengthOnOff(UniformLengths, OnOffSource):
+    """An ON-OFF source of :class:`UniformLengths` packets."""
 
 
 @pytest.fixture

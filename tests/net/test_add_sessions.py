@@ -176,8 +176,7 @@ def test_an_hrr_refusal_on_the_kth_session_changes_nothing():
 # Sink options
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("option, value", [
-    ("keep_samples", False), ("max_samples", 10), ("warmup", 1.0),
-    ("keep_packets", True)])
+    ("keep_samples", False), ("warmup", 1.0), ("keep_packets", True)])
 def test_a_sink_option_beside_a_given_sink_is_refused(option, value):
     network = make_network(LeaveInTime)
     session = Session("s", rate=1.0, route=["n1"], l_max=10.0)

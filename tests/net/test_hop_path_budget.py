@@ -121,9 +121,12 @@ EVENTS_AND_HOPS = {"plain": (27323, 17723), "jitter": (27787, 17503),
 #: call_churn's ceiling sat at 31.5.  While admission summed its
 #: members in Python generators call_churn read 31.228 late in a full
 #: tier-1 run (earlier tests' state), its ceiling's reference; with
-#: ``math.fsum`` over per-class dicts it reads 19.253 there.
-CALLS_PER_HOP_CEILING = {"plain": 13.7, "jitter": 15.9,
-                         "heavy_1e3": 16.6, "call_churn": 19.3}
+#: ``math.fsum`` over per-class dicts it reads 19.253 there.  While a
+#: source ran ``_tick`` → ``next_length`` → ``_emit`` per packet and the
+#: superposed clock re-armed through ``_arm``: 13.614 / 15.893 / 16.514 /
+#: 19.140.
+CALLS_PER_HOP_CEILING = {"plain": 12.7, "jitter": 15.0,
+                         "heavy_1e3": 15.6, "call_churn": 19.1}
 
 #: cell -> opcodes per packet-hop inside ``Network.run`` on CPython 3.11.
 #: With a Welford tally per hop, a policy object per first packet and
@@ -135,9 +138,12 @@ CALLS_PER_HOP_CEILING = {"plain": 13.7, "jitter": 15.9,
 #: up by id, call_churn read 1050.5; while every node and scheduler
 #: tested a sanitizer of its own beside the tracer (four sites a LiT
 #: hop passes): 769.9 / 897.5 / 923.9 / 1049.6; while admission summed
-#: its members in Python generators, call_churn read 1021.3.
-OPCODES_PER_HOP_CEILING = {"plain": 748, "jitter": 876,
-                           "heavy_1e3": 902, "call_churn": 871}
+#: its members in Python generators, call_churn read 1021.3; while a
+#: source ran ``_tick`` → ``next_length`` → ``_emit`` per packet (with a
+#: shaper test) and a ``TimeSeries`` tested its bound per sample:
+#: 747.6 / 875.0 / 901.4 / 870.9.
+OPCODES_PER_HOP_CEILING = {"plain": 733, "jitter": 860,
+                           "heavy_1e3": 893, "call_churn": 867}
 
 #: heavy_1e3 set-up, from ``_cell`` entry to ``Network.run``: (Python
 #: frames entered, opcodes) per session on CPython 3.11.  While each

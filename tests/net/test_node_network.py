@@ -189,8 +189,11 @@ class TestNetworkValidation:
         network.add_session(session)
 
         class Broken(DeterministicSource):
-            def next_length(self):
-                return float("nan") if self.emitted == 2 else self.length
+            def intervals(self):
+                for gap in super().intervals():
+                    if self.emitted == 2:
+                        self.length = float("nan")
+                    yield gap
 
         source = Broken(network, session, length=100.0, interval=1.0)
         with pytest.raises(SimulationError, match="positive"):

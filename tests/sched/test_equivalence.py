@@ -17,11 +17,9 @@ from hypothesis import strategies as st
 
 from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
-from repro.traffic.lengths import UniformLength
-from repro.traffic.onoff import OnOffSource
-from repro.traffic.poisson import PoissonSource
 from repro.units import ms
-from tests.conftest import VirtualClockOracle, make_network
+from tests.conftest import (UniformLengthOnOff, UniformLengthPoisson,
+                            VirtualClockOracle, make_network)
 
 L_MAX = 424.0
 
@@ -60,18 +58,15 @@ def build(scheduler_factory, scenario=FIXED, duration=30.0):
         session = Session(name, rate=rate, l_max=L_MAX, l_min=l_min,
                           route=[f"n{i}" for i in range(first, last + 1)])
         sinks[name] = network.add_session(session, keep_packets=True)
-        sampler = None
-        if l_min < L_MAX:
-            sampler = UniformLength(network.streams.stream(f"len:{name}"),
-                                    l_min, L_MAX)
         if kind == "onoff":
-            OnOffSource(network, session, length=L_MAX,
-                        spacing=ms(13.25), mean_on=ms(352),
-                        mean_off=ms(88), length_sampler=sampler,
-                        stream_name=name)
+            UniformLengthOnOff(network, session, length=L_MAX,
+                               spacing=ms(13.25), mean_on=ms(352),
+                               mean_off=ms(88), stream_name=name,
+                               length_stream=f"len:{name}")
         else:
-            PoissonSource(network, session, length=L_MAX, mean=ms(8),
-                          length_sampler=sampler, stream_name=name)
+            UniformLengthPoisson(network, session, length=L_MAX,
+                                 mean=ms(8), stream_name=name,
+                                 length_stream=f"len:{name}")
     network.run(duration)
     return sinks
 

@@ -18,11 +18,9 @@ from repro.bounds.delay import compute_session_bounds
 from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.policy import constant_policy
-from repro.traffic.lengths import UniformLength
-from repro.traffic.poisson import PoissonSource
 from repro.traffic.token_bucket import shape_arrivals
 from repro.traffic.trace_source import TraceSource
-from tests.conftest import add_trace_session, make_network
+from tests.conftest import UniformLengthPoisson, make_network
 
 
 class TestSaturationInjection:
@@ -79,10 +77,8 @@ class TestVariableLengthTraffic:
                           route=["n1", "n2", "n3"], l_max=424.0,
                           l_min=100.0, jitter_control=True)
         network.add_session(session)
-        sampler = UniformLength(network.streams.stream("len"),
-                                100.0, 424.0)
-        PoissonSource(network, session, length=424.0, mean=0.5,
-                      length_sampler=sampler, max_packets=60)
+        UniformLengthPoisson(network, session, length=424.0, mean=0.5,
+                             length_stream="len", packets=60)
         network.run(600.0)
         assert network.sink("s").received == 60
 
@@ -93,10 +89,8 @@ class TestVariableLengthTraffic:
                               route=["n1", "n2"], l_max=424.0,
                               l_min=100.0)
             network.add_session(session)
-            sampler = UniformLength(network.streams.stream(f"l{index}"),
-                                    100.0, 424.0)
-            PoissonSource(network, session, length=424.0, mean=0.1,
-                          length_sampler=sampler, max_packets=200)
+            UniformLengthPoisson(network, session, length=424.0, mean=0.1,
+                                 length_stream=f"l{index}", packets=200)
         network.run(600.0)
         for node in network.nodes.values():
             assert node.scheduler.lateness.maximum < 424.0 / 10_000.0
@@ -130,10 +124,8 @@ class TestVariableLengthTraffic:
         session = Session("s", rate=1000.0, route=["n1"], l_max=424.0,
                           l_min=100.0)
         network.add_session(session, keep_packets=True)
-        sampler = UniformLength(network.streams.stream("len"),
-                                100.0, 424.0)
-        PoissonSource(network, session, length=424.0, mean=0.05,
-                      length_sampler=sampler, max_packets=100)
+        UniformLengthPoisson(network, session, length=424.0, mean=0.05,
+                             length_stream="len", packets=100)
         network.run(600.0)
         sink = network.sink("s")
         lengths = [p.length for p in sink.packets]

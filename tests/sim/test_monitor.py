@@ -50,28 +50,3 @@ class TestTimeSeries:
         series.record(2.0, 20.0)
         assert series.items() == [(1.0, 10.0), (2.0, 20.0)]
         assert len(series) == 2
-
-    def test_max_samples_drops_excess(self):
-        series = TimeSeries(max_samples=2)
-        for i in range(5):
-            series.record(float(i), float(i))
-        assert len(series) == 2
-        assert series.dropped == 3
-
-    def test_bounded_mode_keeps_most_recent(self):
-        # Ring-buffer semantics: the docstring promises the most recent
-        # N samples, not the first N.
-        series = TimeSeries(max_samples=3)
-        for i in range(7):
-            series.record(float(i), float(i) * 10.0)
-        assert series.times == [4.0, 5.0, 6.0]
-        assert series.values == [40.0, 50.0, 60.0]
-        assert series.items() == [(4.0, 40.0), (5.0, 50.0), (6.0, 60.0)]
-        assert series.dropped == 4
-
-    def test_bounded_mode_under_capacity_behaves_like_unbounded(self):
-        series = TimeSeries(max_samples=10)
-        series.record(1.0, 100.0)
-        series.record(2.0, 200.0)
-        assert series.values == [100.0, 200.0]
-        assert series.dropped == 0

@@ -18,7 +18,7 @@ class TestDeclaration:
     def test_derived_rates(self):
         assert VOICE.peak_rate == pytest.approx(42_400.0)
         assert VOICE.average_rate == pytest.approx(21_200.0)
-        assert VOICE.max_packets_per_interval == 10
+        assert VOICE.packets_per_window == 10
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -10,6 +10,8 @@ from repro.net.session import Session
 from repro.sched.fcfs import FCFS
 from repro.traffic.deterministic import DeterministicSource
 from repro.traffic.poisson import PoissonSource
+from repro.traffic.superposed import SuperposedPoissonSource
+from repro.traffic.trace_source import TraceSource
 from tests.conftest import make_network
 
 
@@ -89,44 +91,17 @@ class TestDeterministic:
 
 
 class TestSourceLifecycle:
-    def test_max_packets_stops_source(self):
-        network = make_network(FCFS, capacity=1e6)
-        session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
-        network.add_session(session)
-        source = DeterministicSource(network, session, length=424.0,
-                                     interval=0.01, max_packets=3)
-        network.run(1.0)
-        assert source.emitted == 3
-
-    def test_max_packets_zero_sends_nothing(self):
-        # The limit used to be tested only after injecting: one got out.
-        network = make_network(FCFS, capacity=1e6)
-        session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
-        network.add_session(session)
-        source = PoissonSource(network, session, length=424.0, mean=0.01,
-                               max_packets=0)
-        network.run(1.0)
-        assert source.emitted == 0
-        assert network.sim.events_dispatched == 0  # it never armed
-
-    def test_negative_max_packets_is_rejected(self):
-        network = make_network(FCFS, capacity=1e6)
-        session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
-        network.add_session(session)
-        with pytest.raises(ConfigurationError, match="max_packets"):
-            PoissonSource(network, session, length=424.0, mean=0.01,
-                          max_packets=-1)
-
     def test_start_is_idempotent(self):
         network = make_network(FCFS, capacity=1e6)
         session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
         network.add_session(session)
         source = DeterministicSource(network, session, length=424.0,
-                                     interval=0.01, max_packets=2)
+                                     interval=0.01)
         source.start()
         source.start()
-        network.run(1.0)
+        network.run(0.015)
         assert source.emitted == 2
+        assert network.sim.pending == 1
 
     def test_stop_halts_emission(self):
         network = make_network(FCFS, capacity=1e6)
@@ -203,3 +178,65 @@ class TestSourceLifecycle:
         assert "poisson:s" not in network.streams
         second.stop()
         assert network.sources == []
+
+
+NAN, INF = float("nan"), float("inf")
+_ONOFF = dict(length=424.0, spacing=0.01, mean_on=0.1, mean_off=0.1)
+_BAD_FIELDS = [
+    (OnOffSource, _ONOFF, "mean_off", NAN),
+    (OnOffSource, _ONOFF, "mean_off", -0.1),
+    (OnOffSource, _ONOFF, "spacing", NAN),
+    (OnOffSource, _ONOFF, "spacing", 0.0),
+    (OnOffSource, _ONOFF, "mean_on", NAN),
+    (OnOffSource, _ONOFF, "mean_on", INF),
+    (OnOffSource, _ONOFF, "mean_on", 0.005),
+    (PoissonSource, dict(length=424.0, mean=0.01), "mean", 0.0),
+    (PoissonSource, dict(length=424.0, mean=0.01), "mean", NAN),
+    (PoissonSource, dict(length=424.0, mean=0.01), "mean", INF),
+    (DeterministicSource, dict(length=424.0, interval=0.01), "interval",
+     NAN),
+    (DeterministicSource, dict(length=424.0, interval=0.01), "interval",
+     INF),
+    (DeterministicSource, dict(length=424.0, interval=0.01),
+     "start_delay", NAN),
+    (DeterministicSource, dict(length=424.0, interval=0.01),
+     "start_delay", INF),
+    (DeterministicSource, dict(length=424.0, interval=0.01),
+     "start_delay", -1.0),
+    (PoissonSource, dict(length=424.0, mean=0.01), "length", 0.0),
+    (PoissonSource, dict(length=424.0, mean=0.01), "length", NAN),
+    (PoissonSource, dict(length=424.0, mean=0.01), "length", 425.0),
+    (OnOffSource, _ONOFF, "length", -1.0),
+    (TraceSource, dict(times=[0.0, 1.0], lengths=[424.0, 100.0]),
+     "lengths", [424.0, NAN]),
+    (TraceSource, dict(times=[0.0], lengths=424.0), "lengths", 500.0),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, good, field, value", _BAD_FIELDS,
+    ids=[f"{kind.__name__}-{field}={value}"
+         for kind, _, field, value in _BAD_FIELDS])
+def test_constructor_rejects_a_bad_field(kind, good, field, value):
+    """Refused when built, naming the field — not partway through the
+    run — and the refused source never joins the network."""
+    network = make_network(FCFS, capacity=1e6)
+    session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
+    network.add_session(session)
+    kind(network, session, **good)  # the good values are good
+    with pytest.raises(ConfigurationError, match=field):
+        kind(network, session, **{**good, field: value})
+    assert len(network.sources) == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mean", 0.0), ("mean", NAN), ("length", NAN), ("start_delay", -1.0)])
+def test_superposed_constructor_rejects_a_bad_field(field, value):
+    network = make_network(FCFS, capacity=1e6)
+    session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
+    network.add_session(session)
+    good = dict(length=424.0, mean=0.01, start_delay=0.0)
+    with pytest.raises(ConfigurationError, match=field):
+        SuperposedPoissonSource(network, [session],
+                                **{**good, field: value})
+    assert network.sources == []

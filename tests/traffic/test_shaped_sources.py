@@ -1,8 +1,11 @@
 """Ingress shaping: bursty sources made token-bucket conformant.
 
-The payoff test is the last one: a *Poisson* session — which on its own
-has no worst-case delay bound at all — gains the full eq.-12 bound once
-shaped at entry, and a loaded Leave-in-Time tandem respects it.
+Shaping is offline: :func:`shape_arrivals` moves each arrival of a raw
+trace to its earliest conformant instant and a :class:`TraceSource`
+replays the result.  The payoff test is the last one: a *Poisson*
+session — which on its own has no worst-case delay bound at all — gains
+the full eq.-12 bound once shaped at entry, and a loaded Leave-in-Time
+tandem respects it.
 """
 
 import pytest
@@ -10,16 +13,23 @@ import pytest
 from repro.bounds.delay import compute_session_bounds
 from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
+from repro.sim.rng import ExponentialSampler
 from repro.traffic.poisson import PoissonSource
-from repro.traffic.token_bucket import is_conformant
+from repro.traffic.token_bucket import is_conformant, shape_arrivals
+from repro.traffic.trace_source import TraceSource
 from tests.conftest import add_trace_session, make_network
 
 
-def shaped_poisson(network, session, *, rate, depth, mean,
-                   max_packets=None):
-    return PoissonSource(network, session, length=424.0, mean=mean,
-                         keep_trace=True, shaper=(rate, depth),
-                         max_packets=max_packets)
+def shaped_poisson(network, session, *, rate, depth, mean, horizon):
+    """Poisson arrivals of 424-bit packets over ``horizon`` seconds,
+    shaped to the bucket ``(rate, depth)`` and replayed."""
+    gap = ExponentialSampler(network.streams.stream("raw"), mean)
+    raw = [gap.sample()]
+    while raw[-1] < horizon:
+        raw.append(raw[-1] + gap.sample())
+    lengths = [424.0] * len(raw)
+    return TraceSource(network, session, lengths=lengths, keep_trace=True,
+                       times=shape_arrivals(raw, lengths, rate, depth))
 
 
 class TestShapedEmission:
@@ -28,7 +38,7 @@ class TestShapedEmission:
         session = Session("s", rate=10_000.0, route=["n1"], l_max=424.0)
         network.add_session(session, keep_samples=False)
         source = shaped_poisson(network, session, rate=10_000.0,
-                                depth=424.0, mean=0.01)
+                                depth=424.0, mean=0.01, horizon=30.0)
         network.run(30.0)
         assert source.emitted > 100
         assert is_conformant(source.trace_times, source.trace_lengths,
@@ -52,7 +62,8 @@ class TestShapedEmission:
         session = Session("s", rate=20_000.0, route=["n1"], l_max=424.0)
         network.add_session(session, keep_samples=False)
         source = shaped_poisson(network, session, rate=20_000.0,
-                                depth=848.0, mean=424.0 / 10_000.0)
+                                depth=848.0, mean=424.0 / 10_000.0,
+                                horizon=60.0)
         network.run(60.0)
         expected = 60.0 / (424.0 / 10_000.0)
         assert source.emitted == pytest.approx(expected, rel=0.1)
@@ -65,7 +76,7 @@ class TestShapedEmission:
                               l_max=424.0)
             network.add_session(session, keep_samples=False)
             source = shaped_poisson(network, session, rate=10_000.0,
-                                    depth=depth, mean=0.05)
+                                    depth=depth, mean=0.05, horizon=60.0)
             network.run(60.0)
             gaps = [b - a for a, b in zip(source.trace_times,
                                           source.trace_times[1:])]
@@ -86,7 +97,7 @@ class TestShapedSessionEarnsTheBound:
                           token_bucket=(rate, depth))
         network.add_session(session)
         shaped_poisson(network, session, rate=rate, depth=depth,
-                       mean=424.0 / 1500.0)
+                       mean=424.0 / 1500.0, horizon=60.0)
         # Competing load.
         for index in range(2):
             add_trace_session(network, f"bg{index}", rate=4000.0,

@@ -2,8 +2,8 @@
 
 Sources used to be a ``Process`` around a ``_run`` generator around
 ``intervals()``.  They now drive themselves with kernel timers
-(``_arm`` / ``_tick`` / ``_emit``).  The generator form lives on here,
-as the reference the callback form is held to: the same emissions at
+(``_arm`` draws a gap, ``_emit`` ends it).  The generator form lives on
+here, as the reference the callback form is held to: the same emissions at
 the same instants for the same sessions, and the same number of
 dispatched events — the schedule is part of the contract, because every
 dispatch-order golden in ``tests/sim`` depends on it.
@@ -34,40 +34,29 @@ CAPACITY = 1e6
 # The reference: generator-driven sources, as they were
 # ----------------------------------------------------------------------
 def _run_source(source):
-    """``TrafficSource._run`` before the timer callbacks, verbatim."""
+    """``TrafficSource._run`` before the timer callbacks, with the
+    options the sources no longer have taken out."""
     network = source.network
     sim = network.sim
-    bucket = source._shaper_bucket
     for gap in source.intervals():
         yield gap
-        length = source.next_length()
-        if bucket is not None:
-            now = sim.now
-            release = bucket.earliest(length, now)
-            if release > now:
-                yield release - now
-            bucket.consume(length, sim.now)
+        length = source.length
         network.inject(source.session, length)
         source.emitted += 1
         if source.keep_trace:
             source.trace_times.append(sim.now)
             source.trace_lengths.append(length)
-        if (source.max_packets is not None
-                and source.emitted >= source.max_packets):
-            return
 
 
 def _run_superposed(source):
-    """``SuperposedPoissonSource._run`` before the callbacks, verbatim."""
+    """``SuperposedPoissonSource._run`` before the callbacks, with
+    ``max_packets`` taken out."""
     n = len(source.sessions)
     while True:
         yield source._gap.sample()
         session = source.sessions[source._pick.randrange(n)]
         source.network.inject(session, source.length)
         source.emitted += 1
-        if (source.max_packets is not None
-                and source.emitted >= source.max_packets):
-            return
 
 
 class GeneratorDriver:
@@ -151,15 +140,6 @@ def _trace(seed):
                                 lengths=lengths, keep_trace=True)
 
 
-def _shaped(seed):
-    # Offered 106 kbit/s into a 64 kbit/s bucket two packets deep:
-    # most packets sit out a shaper hold.
-    network, (session,) = _network(seed)
-    return network, PoissonSource(network, session, length=LENGTH,
-                                  mean=0.004, keep_trace=True,
-                                  shaper=(64_000.0, 2 * LENGTH))
-
-
 def _superposed(seed):
     network, sessions = _network(seed, sessions=7)
     return network, SuperposedPoissonSource(network, sessions,
@@ -177,7 +157,7 @@ def _back_to_back(seed):
 
 SCENARIOS = {"onoff": _onoff, "poisson": _poisson,
              "deterministic": _deterministic, "trace": _trace,
-             "shaped": _shaped, "superposed": _superposed,
+             "superposed": _superposed,
              "back_to_back": _back_to_back}
 
 
@@ -275,18 +255,6 @@ def test_start_delay_offsets_the_first_gap():
     assert _times(observed) == [0.025, 0.035, 0.045]
 
 
-def test_max_packets_ends_the_source_without_a_trailing_timer():
-    def script(network, driver):
-        driver.start()
-        network.run(1.0)
-
-    reference, observed = _both(
-        lambda seed: _fixed(seed, max_packets=4), 0, script)
-    assert observed == reference
-    assert observed["emitted"] == 4
-    assert observed["pending"] == 0
-
-
 def test_stop_mid_gap_cancels_the_pending_timer():
     def script(network, driver):
         driver.start()
@@ -299,25 +267,6 @@ def test_stop_mid_gap_cancels_the_pending_timer():
     reference, observed = _both(_fixed, 0, script)
     assert observed == reference
     assert _times(observed) == [0.0, 0.01, 0.02]
-
-
-def test_stop_during_a_shaper_hold_drops_the_held_packet():
-    # 10 ms spacing into a bucket that refills one packet per 20 ms:
-    # the second packet is due at 10 ms and held until 20 ms.
-    def build(seed):
-        return _fixed(seed, shaper=(LENGTH / 0.02, LENGTH))
-
-    def script(network, driver):
-        driver.start()
-        network.run(0.015)
-        assert network.sim.pending == 1  # the hold, nothing else
-        driver.stop()
-        network.run(0.1)
-
-    reference, observed = _both(build, 0, script)
-    assert observed == reference
-    assert _times(observed) == [0.0]
-    assert observed["pending"] == 0
 
 
 def test_start_in_the_middle_of_a_run():

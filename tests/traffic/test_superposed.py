@@ -1,6 +1,6 @@
 """The superposed source's marked pick, and its lifecycle edges.
 
-``SuperposedPoissonSource._tick`` draws the session index with
+``SuperposedPoissonSource._emit`` draws the session index with
 ``random.Random.randrange``'s own algorithm written inline — ``k =
 n.bit_length()`` bits, redrawn until ``< n`` — so the picks, and the
 state the stream is left in, are those of ``randrange(n)`` itself.
@@ -10,11 +10,9 @@ a generator twin that calls ``.randrange`` on the same stream.)
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
 from repro.net.session import Session
 from repro.sched.fcfs import FCFS
 from repro.traffic.superposed import SuperposedPoissonSource
@@ -37,12 +35,12 @@ def test_inline_pick_is_randrange_draw_for_draw(n, seed):
     network.inject = lambda session, length: picked.append(session)
     source._pick.seed(seed)
     for _ in range(1000):
-        source._tick()
+        source._emit()
 
     reference = random.Random(seed)
     assert picked == [reference.randrange(n) for _ in range(1000)]
     assert source._pick.getstate() == reference.getstate()
-    assert network.sim.pending == 0  # never started: ``_arm`` declined
+    assert network.sim.pending == 0  # never started: no re-arm
 
 
 def _superposed(**kwargs):
@@ -53,26 +51,6 @@ def _superposed(**kwargs):
         network.add_session(session)
     return network, SuperposedPoissonSource(
         network, sessions, length=424.0, mean=0.01, **kwargs)
-
-
-def test_max_packets_zero_sends_nothing():
-    # It used to test the limit only after injecting, and sent one.
-    network, source = _superposed(max_packets=0)
-    network.run(1.0)
-    assert source.emitted == 0
-    assert network.sim.events_dispatched == 0  # it never armed
-
-
-def test_max_packets_stops_the_clock():
-    network, source = _superposed(max_packets=5)
-    network.run(1.0)
-    assert source.emitted == 5
-    assert network.sim.pending == 0
-
-
-def test_negative_max_packets_is_rejected():
-    with pytest.raises(ConfigurationError, match="max_packets"):
-        _superposed(max_packets=-1)
 
 
 def test_stop_is_final_and_leaves_the_network():

@@ -64,8 +64,7 @@ def test_rejects_mismatched_lengths():
 
 
 def test_empty_trace_is_valid():
-    # ``max_packets=0``: saved by the limit now, not by the iterator
-    # that happens to be exhausted — it never arms a timer.
+    # Not even the start timer: an empty trace never arms.
     network, source = build([], 100.0)
     network.run(1.0)
     assert source.emitted == 0
