@@ -88,7 +88,6 @@ _EXPORTS = {
     "StopAndGo": ".sched.stop_and_go",
     "HierarchicalRoundRobin": ".sched.hrr",
     "RCSP": ".sched.rcsp",
-    "ReferenceServer": ".sched.reference",
     "DelayPolicy": ".sched.policy",
     "virtual_clock_policy": ".sched.policy",
     # traffic

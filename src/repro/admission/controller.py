@@ -9,7 +9,7 @@ network unchanged — the behaviour a signalling protocol would have.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.admission.base import Procedure
 from repro.errors import AdmissionError, ConfigurationError

@@ -30,7 +30,6 @@ from repro.admission.procedure1 import Procedure1
 from repro.analysis.report import format_table
 from repro.bounds.delay import compute_session_bounds
 from repro.errors import AdmissionError
-from repro.experiments.parallel import Cell, run_cells
 from repro.net.session import Session
 from repro.net.topology import build_paper_network
 from repro.sched.leave_in_time import LeaveInTime
@@ -39,7 +38,7 @@ from repro.sim.rng import ExponentialSampler
 from repro.traffic.onoff import OnOffSource
 from repro.units import ms, to_ms
 
-__all__ = ["CallRecord", "CallChurnResult", "cells", "run"]
+__all__ = ["CallRecord", "CallChurnResult", "run"]
 
 FIVE_HOP = ("n1", "n2", "n3", "n4", "n5")
 RATE = 32_000.0
@@ -181,9 +180,15 @@ class _ChurnDriver:
             self._harvest(record, session)
 
 
-def _cell(*, duration: float, seed: int, offered_erlangs: float,
-          mean_holding: float) -> CallChurnResult:
-    """The single call-churn cell: one network, one churn driver."""
+def run(*, duration: float = 60.0, seed: int = 0,
+        offered_erlangs: float = 60.0,
+        mean_holding: float = 10.0) -> CallChurnResult:
+    """Drive Poisson call arrivals at ``offered_erlangs`` of load over
+    one network with one churn driver.
+
+    Offered load in erlangs = arrival rate × mean holding; with 48
+    trunks per link, 60 erlangs gives substantial blocking.
+    """
     network = build_paper_network(LeaveInTime, seed=seed)
     controller = AdmissionController(
         network,
@@ -199,29 +204,4 @@ def _cell(*, duration: float, seed: int, offered_erlangs: float,
     driver.start()
     network.run(duration)
     driver.finish()
-    return result
-
-
-def cells(*, duration: float, seed: int, offered_erlangs: float,
-          mean_holding: float) -> List[Cell]:
-    """One declarative cell; single-cell sweeps always run in-process."""
-    return [Cell(label="call_churn", fn=_cell,
-                 kwargs={"duration": duration, "seed": seed,
-                         "offered_erlangs": offered_erlangs,
-                         "mean_holding": mean_holding})]
-
-
-def run(*, duration: float = 60.0, seed: int = 0,
-        offered_erlangs: float = 60.0, mean_holding: float = 10.0,
-        workers: Optional[int] = 1) -> CallChurnResult:
-    """Drive Poisson call arrivals at ``offered_erlangs`` of load.
-
-    Offered load in erlangs = arrival rate × mean holding; with 48
-    trunks per link, 60 erlangs gives substantial blocking.
-    """
-    (result,) = run_cells(
-        cells(duration=duration, seed=seed,
-              offered_erlangs=offered_erlangs,
-              mean_holding=mean_holding),
-        workers=workers)
     return result

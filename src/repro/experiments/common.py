@@ -9,8 +9,8 @@ each figure module only states what differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Set
 
 from repro.net.network import Network
 from repro.net.route import route_from_letters
@@ -95,8 +95,7 @@ def add_onoff_session(network: Network, session_id: str,
                       jitter_control: bool = False,
                       monitor_buffer: bool = False,
                       keep_samples: bool = False,
-                      keep_trace: bool = False,
-                      warmup: float = 0.0) -> Session:
+                      keep_trace: bool = False) -> Session:
     """A paper-standard 32 kbit/s ON-OFF session with its source.
 
     The session declares conformance to the token bucket
@@ -110,7 +109,7 @@ def add_onoff_session(network: Network, session_id: str,
                       token_bucket=(PAPER_ONOFF_RATE_BPS,
                                     PAPER_PACKET_BITS),
                       monitor_buffer=monitor_buffer)
-    network.add_session(session, keep_samples=keep_samples, warmup=warmup)
+    network.add_session(session, keep_samples=keep_samples)
     OnOffSource(network, session, length=PAPER_PACKET_BITS,
                 spacing=PAPER_SPACING_S, mean_on=PAPER_A_ON_S,
                 mean_off=a_off, keep_trace=keep_trace)
@@ -122,18 +121,17 @@ def build_mix_network(a_off: float, *,
                       seed: int = 0,
                       jitter_ids: Set[str] = frozenset(),
                       sample_ids: Set[str] = frozenset(),
-                      monitor_buffer_ids: Set[str] = frozenset(),
                       admit: Optional[Callable[[Network, Session], None]]
                       = None,
                       sim: Optional[Simulator] = None,
                       order_seed: Optional[int] = None) -> Network:
     """The MIX configuration: 116 ON-OFF sessions, 48 per node.
 
-    ``jitter_ids`` / ``sample_ids`` / ``monitor_buffer_ids`` select
-    sessions (by ``"label/index"`` id) that get delay-jitter control,
-    raw delay samples, and buffer monitoring respectively. ``admit``,
-    when given, is called with each session *before* traffic starts so
-    an admission controller can install per-node delay policies.
+    ``jitter_ids`` / ``sample_ids`` select sessions (by
+    ``"label/index"`` id) that get delay-jitter control and raw delay
+    samples respectively. ``admit``, when given, is called with each
+    session *before* traffic starts so an admission controller can
+    install per-node delay policies.
 
     ``sim`` injects a pre-built simulator; ``order_seed``, when set,
     registers the sessions in a seeded-shuffled order instead of the
@@ -153,8 +151,7 @@ def build_mix_network(a_off: float, *,
                           route=spec.route, l_max=PAPER_PACKET_BITS,
                           jitter_control=session_id in jitter_ids,
                           token_bucket=(PAPER_ONOFF_RATE_BPS,
-                                        PAPER_PACKET_BITS),
-                          monitor_buffer=session_id in monitor_buffer_ids)
+                                        PAPER_PACKET_BITS))
         if admit is not None:
             admit(network, session)  # repro: disable=unreleased-reservation -- caller-supplied callback wrapping AdmissionController.admit, which is transactional (releases on rejection)
         network.add_session(session,

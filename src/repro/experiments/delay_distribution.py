@@ -19,7 +19,7 @@ sampling noise in the far tail).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.histogram import ccdf_at, tail_percentile
 from repro.analysis.report import format_table
@@ -31,7 +31,6 @@ from repro.experiments.common import (
     add_poisson_cross_traffic,
     build_cross_network,
 )
-from repro.experiments.parallel import Cell, run_cells
 from repro.net.network import Network
 from repro.net.route import route_from_letters
 from repro.net.session import Session
@@ -40,7 +39,7 @@ from repro.optdeps import np
 from repro.sched.reference import reference_delays
 from repro.traffic.deterministic import DeterministicSource
 from repro.traffic.poisson import PoissonSource
-from repro.units import ms, to_ms
+from repro.units import to_ms
 
 __all__ = ["DistributionResult", "run_distribution_experiment"]
 
@@ -97,19 +96,29 @@ class DistributionResult:
                   f"{self.utilization:.2f} ({self.duration:.0f}s)")
 
 
-def _cell(*, figure: str,
-          target_mean_interarrival: float,
-          target_rate: float,
-          cross_kind: str,
-          cross_rate: float,
-          cross_mean: float,
-          deterministic_cross_count: int,
-          deterministic_cross_rate: float,
-          stagger_cross: bool,
-          duration: float,
-          seed: int,
-          delay_grid_ms: Optional[Sequence[float]]) -> DistributionResult:
-    """The single distribution cell (the result holds the network)."""
+def run_distribution_experiment(
+        *, figure: str,
+        target_mean_interarrival: float,
+        target_rate: float,
+        cross_kind: str,
+        cross_rate: float = 0.0,
+        cross_mean: float = 0.0,
+        deterministic_cross_count: int = 0,
+        deterministic_cross_rate: float = 0.0,
+        duration: float = 60.0,
+        seed: int = 0,
+        delay_grid_ms: Optional[Sequence[float]] = None
+        ) -> DistributionResult:
+    """Run one of the Figure-9/10/11 experiments (the result holds the
+    live network).
+
+    ``cross_kind`` is ``"poisson"`` (Figs. 9-10: one Poisson session
+    per one-hop route) or ``"deterministic"`` (Fig. 11: N fixed-rate
+    sessions per one-hop route). Deterministic cross sources fire in
+    phase — the adversarial alignment that pushes the measured
+    distribution toward the analytical bound, which is the point of
+    Figure 11.
+    """
     network = build_cross_network(seed=seed)
     target = Session(TARGET_SESSION, rate=target_rate, route=FIVE_HOP,
                      l_max=PAPER_PACKET_BITS)
@@ -130,11 +139,9 @@ def _cell(*, figure: str,
                                   rate=deterministic_cross_rate,
                                   route=route, l_max=PAPER_PACKET_BITS)
                 network.add_session(session, keep_samples=False)
-                phase = (spacing * index / deterministic_cross_count
-                         if stagger_cross else 0.0)
                 DeterministicSource(
                     network, session, length=PAPER_PACKET_BITS,
-                    interval=spacing, start_delay=phase)
+                    interval=spacing)
     else:
         raise ValueError(f"unknown cross_kind {cross_kind!r}")
 
@@ -177,46 +184,3 @@ def _cell(*, figure: str,
         simulated_bound=simulated,
         packets=sink.received,
     )
-
-
-def run_distribution_experiment(
-        *, figure: str,
-        target_mean_interarrival: float,
-        target_rate: float,
-        cross_kind: str,
-        cross_rate: float = 0.0,
-        cross_mean: float = 0.0,
-        deterministic_cross_count: int = 0,
-        deterministic_cross_rate: float = 0.0,
-        stagger_cross: bool = False,
-        duration: float = 60.0,
-        seed: int = 0,
-        delay_grid_ms: Optional[Sequence[float]] = None,
-        workers: Optional[int] = 1) -> DistributionResult:
-    """Run one of the Figure-9/10/11 experiments.
-
-    ``cross_kind`` is ``"poisson"`` (Figs. 9-10: one Poisson session
-    per one-hop route) or ``"deterministic"`` (Fig. 11: N fixed-rate
-    sessions per one-hop route). Deterministic cross sources fire in
-    phase by default — the adversarial alignment that pushes the
-    measured distribution toward the analytical bound, which is the
-    point of Figure 11; ``stagger_cross=True`` spreads their phases
-    evenly instead (a best case that shows how benign the same load
-    can be).
-    """
-    cell = Cell(label=figure, fn=_cell, kwargs={
-        "figure": figure,
-        "target_mean_interarrival": target_mean_interarrival,
-        "target_rate": target_rate,
-        "cross_kind": cross_kind,
-        "cross_rate": cross_rate,
-        "cross_mean": cross_mean,
-        "deterministic_cross_count": deterministic_cross_count,
-        "deterministic_cross_rate": deterministic_cross_rate,
-        "stagger_cross": stagger_cross,
-        "duration": duration,
-        "seed": seed,
-        "delay_grid_ms": delay_grid_ms,
-    })
-    (result,) = run_cells([cell], workers=workers)
-    return result

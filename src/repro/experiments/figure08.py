@@ -11,7 +11,7 @@ session's delays concentrated near the delay bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from repro.analysis.histogram import histogram
 from repro.analysis.report import format_table
@@ -21,12 +21,11 @@ from repro.experiments.common import (
     add_poisson_cross_traffic,
     build_cross_network,
 )
-from repro.experiments.parallel import Cell, run_cells
 from repro.net.network import Network
 from repro.optdeps import np
 from repro.units import ms, to_ms
 
-__all__ = ["Figure8Result", "cells", "run",
+__all__ = ["Figure8Result", "run",
            "SESSION_NO_CONTROL", "SESSION_CONTROL"]
 
 SESSION_NO_CONTROL = "onoff-nojc"
@@ -107,9 +106,14 @@ class Figure8Result:
                   f"({self.duration:.0f}s, seed {self.seed})")
 
 
-def _cell(*, duration: float, seed: int,
-          monitor_buffers: bool) -> Figure8Result:
-    """The single Figure-8 cell (the result holds the live network)."""
+def run(*, duration: float = 60.0, seed: int = 0,
+        monitor_buffers: bool = False) -> Figure8Result:
+    """Run the Figure-8 experiment (also the base of Figures 12-13).
+
+    ``monitor_buffers=True`` additionally samples the two target
+    sessions' buffer occupancy at every node.  The result holds the
+    live network.
+    """
     network = build_cross_network(seed=seed)
     no_control = add_onoff_session(
         network, SESSION_NO_CONTROL, FIVE_HOP, A_OFF,
@@ -128,26 +132,3 @@ def _cell(*, duration: float, seed: int,
         bounds_no_control=compute_session_bounds(network, no_control),
         bounds_control=compute_session_bounds(network, control),
     )
-
-
-def cells(*, duration: float, seed: int,
-          monitor_buffers: bool) -> List[Cell]:
-    """One declarative cell; single-cell sweeps always run in-process."""
-    return [Cell(label="fig08", fn=_cell,
-                 kwargs={"duration": duration, "seed": seed,
-                         "monitor_buffers": monitor_buffers})]
-
-
-def run(*, duration: float = 60.0, seed: int = 0,
-        monitor_buffers: bool = False,
-        workers: Optional[int] = 1) -> Figure8Result:
-    """Run the Figure-8 experiment (also the base of Figures 12-13).
-
-    ``monitor_buffers=True`` additionally samples the two target
-    sessions' buffer occupancy at every node.
-    """
-    (result,) = run_cells(
-        cells(duration=duration, seed=seed,
-              monitor_buffers=monitor_buffers),
-        workers=workers)
-    return result

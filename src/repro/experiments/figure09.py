@@ -9,8 +9,6 @@ distribution reaches it near 23 ms.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.delay_distribution import (
     DistributionResult,
     run_distribution_experiment,
@@ -25,8 +23,7 @@ CROSS_MEAN_S = 0.3929e-3
 CROSS_RATE_BPS = kbps(1136)
 
 
-def run(*, duration: float = 60.0, seed: int = 0,
-        workers: Optional[int] = 1) -> DistributionResult:
+def run(*, duration: float = 60.0, seed: int = 0) -> DistributionResult:
     return run_distribution_experiment(
         figure="Figure 9",
         target_mean_interarrival=TARGET_MEAN_S,
@@ -36,5 +33,4 @@ def run(*, duration: float = 60.0, seed: int = 0,
         cross_mean=CROSS_MEAN_S,
         duration=duration,
         seed=seed,
-        workers=workers,
     )

@@ -8,8 +8,6 @@ grows as d_max = L/r inflates), yet still valid.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.common import (
     PAPER_CROSS_POISSON_MEAN_S,
     PAPER_CROSS_POISSON_RATE_BPS,
@@ -27,8 +25,7 @@ TARGET_MEAN_S = 40e-3
 TARGET_RATE_BPS = kbps(32)
 
 
-def run(*, duration: float = 60.0, seed: int = 0,
-        workers: Optional[int] = 1) -> DistributionResult:
+def run(*, duration: float = 60.0, seed: int = 0) -> DistributionResult:
     return run_distribution_experiment(
         figure="Figure 10",
         target_mean_interarrival=TARGET_MEAN_S,
@@ -39,5 +36,4 @@ def run(*, duration: float = 60.0, seed: int = 0,
         duration=duration,
         seed=seed,
         delay_grid_ms=np.linspace(0.0, 160.0, 81),
-        workers=workers,
     )

@@ -9,8 +9,6 @@ reflects the benign cross traffic there, not slack in the analysis.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.delay_distribution import (
     DistributionResult,
     run_distribution_experiment,
@@ -26,8 +24,7 @@ CROSS_COUNT = 47
 CROSS_RATE_BPS = kbps(32)
 
 
-def run(*, duration: float = 60.0, seed: int = 0,
-        workers: Optional[int] = 1) -> DistributionResult:
+def run(*, duration: float = 60.0, seed: int = 0) -> DistributionResult:
     return run_distribution_experiment(
         figure="Figure 11",
         target_mean_interarrival=TARGET_MEAN_S,
@@ -38,5 +35,4 @@ def run(*, duration: float = 60.0, seed: int = 0,
         duration=duration,
         seed=seed,
         delay_grid_ms=np.linspace(0.0, 160.0, 81),
-        workers=workers,
     )

@@ -15,13 +15,12 @@ regulators restore the entry traffic shape at every hop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.buffers import BufferDistribution, buffer_distribution
 from repro.analysis.report import format_table
 from repro.experiments import figure08
 from repro.experiments.common import PAPER_PACKET_BITS
-from repro.units import to_ms
 
 __all__ = ["BufferFigureResult", "run"]
 
@@ -68,10 +67,9 @@ class BufferFigureResult:
                   f"({self.duration:.0f}s, seed {self.seed})")
 
 
-def run(*, duration: float = 60.0, seed: int = 0,
-        workers: Optional[int] = 1) -> BufferFigureResult:
+def run(*, duration: float = 60.0, seed: int = 0) -> BufferFigureResult:
     base = figure08.run(duration=duration, seed=seed,
-                        monitor_buffers=True, workers=workers)
+                        monitor_buffers=True)
     network = base.network
     distributions: Dict[Tuple[str, str], BufferDistribution] = {}
     bounds_bits: Dict[Tuple[str, str], float] = {}

@@ -9,27 +9,15 @@ one.  This experiment pushes the simulator there: one bottleneck node
 each reserving an equal share ``C/N`` of the link, fed by a superposed
 Poisson process at load ``ρ``.
 
-Session state is the same slot-indexed table in every cell; the two
-``backends`` labels name the *traffic construction* (the names are kept
-for ``benchmarks/ledger/`` until a benchmark PR renames them):
-
-* ``objects`` — the pipeline exactly as every paper-scale experiment
-  assembles it: one :class:`~repro.traffic.poisson.PoissonSource` (own
-  named RNG stream, own pending timer event) and one
-  :class:`~repro.net.sink.Sink` per session.
-* ``soa`` — the scale pipeline: one
-  :class:`~repro.traffic.superposed.SuperposedPoissonSource` clock
-  marking arrivals uniformly across sessions (statistically identical
-  by Poisson superposition, two RNG streams total, one pending event)
-  and one shared sink.
-
-So the table's cost columns answer "what does the aggregate source and
-sink buy" end to end.  The two constructions draw different random
-numbers and are not digest-comparable.
+Session state is the same slot-indexed table in every cell, and the
+traffic is one :class:`~repro.traffic.superposed.SuperposedPoissonSource`
+clock marking arrivals uniformly across sessions (statistically
+identical to one Poisson source per session by Poisson superposition,
+two RNG streams total, one pending event) feeding one shared sink.
 
 Two measurements per cell, directly comparable across disciplines
-because cells of one construction replay the *same* arrival sample path
-(source streams are named independently of the discipline):
+because cells of one topology and load replay the *same* arrival sample
+path (source streams are named independently of the discipline):
 
 * **Lead-time profile** — the bottleneck scheduler's lateness tally
   (``finish − deadline`` per packet; lead time is its negation).
@@ -43,9 +31,8 @@ because cells of one construction replay the *same* arrival sample path
   the utilization spread.
 
 Each cell runs in a **fresh process** so its ``peak_rss_bytes`` (a
-process-wide high-water mark) is attributable to that cell alone —
-this is what makes the memory comparison between the constructions
-honest.  This experiment compares *cost*: events/sec and peak RSS per
+process-wide high-water mark) is attributable to that cell alone.
+This experiment also reports *cost*: events/sec and peak RSS per
 session count.
 """
 
@@ -65,7 +52,6 @@ from repro.net.topology import build_paper_network
 from repro.sched.edd import DelayEDD
 from repro.sched.fcfs import FCFS
 from repro.sched.leave_in_time import LeaveInTime
-from repro.traffic.poisson import PoissonSource
 from repro.traffic.superposed import SuperposedPoissonSource
 from repro.units import T1_RATE_BPS, to_ms
 
@@ -95,17 +81,13 @@ DEFAULT_SESSIONS = 10_000
 #: Default load sweep approaching the heavy-traffic limit.
 DEFAULT_RHOS = (0.90, 0.99)
 
-#: The two traffic constructions (see the module docstring).
-DEFAULT_BACKENDS = ("objects", "soa")
-
 
 @dataclass
 class HeavyTrafficRow:
-    """One (topology, discipline, construction, ρ) cell's measurements."""
+    """One (topology, discipline, ρ) cell's measurements."""
 
     topology: str
     discipline: str
-    backend: str
     sessions: int
     rho: float
     packets: int
@@ -123,9 +105,8 @@ class HeavyTrafficRow:
     lateness_std_ms: float
 
 
-def _cell(*, topology: str, discipline: str, backend: str,
-          sessions: int, rho: float, duration: float,
-          seed: int) -> HeavyTrafficRow:
+def _cell(*, topology: str, discipline: str, sessions: int, rho: float,
+          duration: float, seed: int) -> HeavyTrafficRow:
     """One isolated heavy-traffic simulation, RSS measured in-cell."""
     watch = bench.Stopwatch()
     factory = dict(_DISCIPLINES)[discipline]
@@ -138,35 +119,14 @@ def _cell(*, topology: str, discipline: str, backend: str,
     # aggregate arrival rate of ρ·C/L packets/s.
     mean_per_session = (PAPER_PACKET_BITS * sessions
                         / (rho * T1_RATE_BPS))
-    aggregate = backend == "soa"
     members = [Session(f"h{index}", rate=per_session_rate, route=route,
                        l_max=PAPER_PACKET_BITS)
                for index in range(sessions)]
-    if aggregate:
-        shared_sink = Sink("aggregate", keep_samples=False)
-        network.add_sessions(members, sink=shared_sink)
-        SuperposedPoissonSource(network, members,
-                                length=PAPER_PACKET_BITS,
-                                mean=mean_per_session)
-    else:
-        network.add_sessions(members, keep_samples=False)
-        for session in members:
-            PoissonSource(network, session,
-                          length=PAPER_PACKET_BITS,
-                          mean=mean_per_session)
+    sink = Sink("aggregate", keep_samples=False)
+    network.add_sessions(members, sink=sink)
+    SuperposedPoissonSource(network, members, length=PAPER_PACKET_BITS,
+                            mean=mean_per_session)
     network.run(duration)
-    if aggregate:
-        received = shared_sink.received
-        mean_delay = shared_sink.delay.mean
-    else:
-        # Sorted keys: float summation order must not depend on dict
-        # order (the determinism analyzer's unordered-merge rule).
-        per_session = [network.sinks[sid]
-                       for sid in sorted(network.sinks)]
-        received = sum(sink.received for sink in per_session)
-        total = sum(sink.delay.mean * sink.delay.count
-                    for sink in per_session)
-        mean_delay = total / received if received else 0.0
     bottleneck = network.nodes[route[-1]]
     lateness = bottleneck.scheduler.lateness
     wall = watch.elapsed()
@@ -174,16 +134,15 @@ def _cell(*, topology: str, discipline: str, backend: str,
     return HeavyTrafficRow(
         topology=topology,
         discipline=discipline,
-        backend=backend,
         sessions=sessions,
         rho=rho,
-        packets=received,
+        packets=sink.received,
         events=events,
         wall_s=wall,
         events_per_sec=events / wall if wall > 0 else 0.0,
         peak_rss_bytes=bench.peak_rss_bytes(),
         utilization=bottleneck.utilization(network.sim.now),
-        mean_delay_ms=to_ms(mean_delay),
+        mean_delay_ms=to_ms(sink.delay.mean),
         mean_lateness_ms=to_ms(lateness.mean),
         max_lateness_ms=to_ms(lateness.maximum or 0.0),
         lateness_std_ms=to_ms(lateness.stddev),
@@ -201,25 +160,25 @@ class HeavyTrafficResult:
     def workload_conserved(self, tolerance: float = 0.02) -> bool:
         """Utilization spread across disciplines within ``tolerance``.
 
-        All cells sharing (topology, construction, ρ) replay the same
-        arrival sample path with work-conserving disciplines, so their
-        busy times may differ only by edge effects (the packets still
-        in service when the horizon ends).
+        All cells sharing (topology, ρ) replay the same arrival sample
+        path with work-conserving disciplines, so their busy times may
+        differ only by edge effects (the packets still in service when
+        the horizon ends).
         """
-        groups: Dict[Tuple[str, str, float], List[float]] = {}
+        groups: Dict[Tuple[str, float], List[float]] = {}
         for row in self.rows:
-            key = (row.topology, row.backend, row.rho)
-            groups.setdefault(key, []).append(row.utilization)
+            groups.setdefault((row.topology, row.rho), []).append(
+                row.utilization)
         return all(max(utils) - min(utils) <= tolerance
                    for utils in groups.values()
                    if len(utils) > 1)
 
     def table(self) -> str:
         return format_table(
-            ["topo", "discipline", "backend", "rho", "pkts",
+            ["topo", "discipline", "rho", "pkts",
              "events/s", "util", "delay(ms)", "lead mean(ms)",
              "rss(MB)"],
-            [(r.topology, r.discipline, r.backend, f"{r.rho:.2f}",
+            [(r.topology, r.discipline, f"{r.rho:.2f}",
               r.packets, f"{r.events_per_sec:,.0f}",
               f"{r.utilization:.3f}", f"{r.mean_delay_ms:.3f}",
               f"{-r.mean_lateness_ms:.3f}",
@@ -239,29 +198,30 @@ class HeavyTrafficResult:
 
 def cells(*, duration: float, seed: int, sessions: int,
           rhos: Sequence[float],
-          backends: Sequence[str],
-          topologies: Sequence[str]) -> List[Cell]:
-    """The declarative sweep: topology × discipline × construction × ρ."""
+          topologies: Sequence[str],
+          backends: Sequence[str] = ("soa",)) -> List[Cell]:
+    """The declarative sweep: topology × discipline × ρ.
+
+    ``backends`` is accepted only as ``("soa",)``, the one traffic
+    construction, because ``benchmarks/ledger/`` still passes it;
+    ROADMAP item 1a removes it with the ledger's next change.
+    """
     unknown = [t for t in topologies if t not in _TOPOLOGIES]
     if unknown:
         raise ConfigurationError(
             f"unknown heavy-traffic topologies {unknown}; "
             f"expected subset of {sorted(_TOPOLOGIES)}")
-    unknown = [b for b in backends if b not in DEFAULT_BACKENDS]
-    if unknown:
+    if tuple(backends) != ("soa",):
         raise ConfigurationError(
-            f"unknown heavy-traffic constructions {unknown}; "
-            f"expected subset of {DEFAULT_BACKENDS}")
-    return [Cell(label=f"heavy[{topology},{discipline},{backend},"
-                       f"rho={rho:g}]",
+            f"heavy-traffic constructions {list(backends)}; the one "
+            f"construction is ('soa',)")
+    return [Cell(label=f"heavy[{topology},{discipline},rho={rho:g}]",
                  fn=_cell,
                  kwargs={"topology": topology, "discipline": discipline,
-                         "backend": backend, "sessions": sessions,
-                         "rho": rho, "duration": duration,
-                         "seed": seed})
+                         "sessions": sessions, "rho": rho,
+                         "duration": duration, "seed": seed})
             for topology in topologies
             for discipline, _ in _DISCIPLINES
-            for backend in backends
             for rho in rhos]
 
 
@@ -269,8 +229,8 @@ def _run_isolated(cell_list: List[Cell]) -> List[HeavyTrafficRow]:
     """Each cell in a fresh single-use process (accurate per-cell RSS).
 
     ``ru_maxrss`` is a process-lifetime high-water mark, so reusing a
-    process would let a big per-session-source cell inflate every later
-    aggregate cell's reading.
+    process would let a bigger cell (a tandem, a higher ρ) inflate
+    every later cell's reading.
     """
     from concurrent.futures import ProcessPoolExecutor
     rows: List[HeavyTrafficRow] = []
@@ -283,13 +243,11 @@ def _run_isolated(cell_list: List[Cell]) -> List[HeavyTrafficRow]:
 def run(*, duration: float = 2.0, seed: int = 0,
         sessions: int = DEFAULT_SESSIONS,
         rhos: Sequence[float] = DEFAULT_RHOS,
-        backends: Sequence[str] = DEFAULT_BACKENDS,
         topologies: Sequence[str] = ("single", "tandem")
         ) -> HeavyTrafficResult:
     """Run the heavy-traffic sweep, each cell in its own fresh process
     (see :func:`_run_isolated`) — RSS attribution requires it."""
     cell_list = cells(duration=duration, seed=seed, sessions=sessions,
-                      rhos=rhos, backends=backends,
-                      topologies=topologies)
+                      rhos=rhos, topologies=topologies)
     return HeavyTrafficResult(duration=duration, seed=seed,
                               rows=_run_isolated(cell_list))

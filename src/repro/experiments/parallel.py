@@ -13,15 +13,16 @@ running the same cells serially:
 * ``workers=N`` runs up to N cells concurrently via ``multiprocessing``
   (through :class:`concurrent.futures.ProcessPoolExecutor`); results
   are collected positionally, never in completion order;
-* a sweep with a single cell always runs in-process, which lets
-  single-run experiments keep returning live objects (networks, sinks)
-  that would not survive pickling.
+* a sweep with a single cell always runs in-process.
 
-A figure module stays declarative: it exposes a ``cells(...)`` builder
-returning ``[Cell(label, fn, kwargs), ...]`` where ``fn`` is a
-module-level function (picklable) returning the cell's value, and its
-``run(..., workers=N)`` hands the list to :func:`run_cells` and merges
-the per-cell values into its result dataclass.
+An experiment that is one simulation (Figures 8-13, call churn) is a
+plain ``run`` call and returns live objects (networks, sinks) that
+would not survive pickling.  A sweep module stays declarative: it
+exposes a ``cells(...)`` builder returning ``[Cell(label, fn, kwargs),
+...]`` where ``fn`` is a module-level function (picklable) returning
+the cell's value, and its ``run(..., workers=N)`` hands the list to
+:func:`run_cells` and merges the per-cell values into its result
+dataclass.
 
 A worker that dies (OOM-killed, segfaulted, ``os._exit``) surfaces as
 :class:`~repro.errors.SimulationError` naming the first unfinished

@@ -34,7 +34,6 @@ from repro.analysis.report import format_table
 from repro.bounds.delay import compute_session_bounds
 from repro.experiments.parallel import Cell, run_cells
 from repro.experiments.common import (
-    PAPER_CROSS_POISSON_MEAN_S,
     PAPER_CROSS_POISSON_RATE_BPS,
     PAPER_PACKET_BITS,
     add_onoff_session,

@@ -146,18 +146,16 @@ class Network:
 
     def add_session(self, session: Session, *, sink: Optional[Sink] = None,
                     keep_samples: bool = True,
-                    warmup: float = 0.0,
                     keep_packets: bool = False) -> Sink:
         """Register one session (:meth:`add_sessions` with ``(session,)``);
         returns its sink."""
         self.add_sessions((session,), sink=sink, keep_samples=keep_samples,
-                          warmup=warmup, keep_packets=keep_packets)
+                          keep_packets=keep_packets)
         return self._sinks[session.id]
 
     def add_sessions(self, sessions: Iterable[Session], *,
                      sink: Optional[Sink] = None,
                      keep_samples: bool = True,
-                     warmup: float = 0.0,
                      keep_packets: bool = False) -> None:
         """Register ``sessions`` on every node of their routes, in order.
 
@@ -178,7 +176,6 @@ class Network:
         if sink is not None:
             given = [name for name, value, default in (
                 ("keep_samples", keep_samples, True),
-                ("warmup", warmup, 0.0),
                 ("keep_packets", keep_packets, False)) if value != default]
             if given:
                 raise ConfigurationError(
@@ -230,7 +227,7 @@ class Network:
                     routes[session.route].append(session)
             if sink is None:
                 sinks = [Sink(session.id, keep_samples=keep_samples,
-                              warmup=warmup, keep_packets=keep_packets)
+                              keep_packets=keep_packets)
                          for session in batch]
             if self._hooked:
                 self._register_hooks(routes)

@@ -23,17 +23,13 @@ __all__ = ["Sink"]
 class Sink:
     """Per-session packet sink with delay statistics."""
 
-    __slots__ = ("session_id", "warmup", "delay", "samples", "packets",
-                 "received", "bits_received")
+    __slots__ = ("session_id", "delay", "samples", "packets", "received",
+                 "bits_received")
 
     def __init__(self, session_id: str, *,
                  keep_samples: bool = True,
-                 warmup: float = 0.0,
                  keep_packets: bool = False) -> None:
         self.session_id = session_id
-        #: Observations made before this time are discarded (transient
-        #: removal; 0 keeps everything, as the paper's short runs do).
-        self.warmup = warmup
         self.delay = Tally(f"{session_id}.delay")
         self.samples: Optional[TimeSeries] = (
             TimeSeries(f"{session_id}.delay-series")
@@ -50,8 +46,6 @@ class Sink:
         self.bits_received += packet.length
         if self.packets is not None:
             self.packets.append(packet)
-        if now < self.warmup:
-            return
         delay = now - packet.entry_time
         self.delay.observe(delay)
         if self.samples is not None:

@@ -41,7 +41,6 @@ _EXPORTS = {
     "StopAndGo": ".stop_and_go",
     "HierarchicalRoundRobin": ".hrr",
     "RCSP": ".rcsp",
-    "ReferenceServer": ".reference",
     "reference_finish_times": ".reference",
     "DelayPolicy": ".policy",
     "virtual_clock_policy": ".policy",

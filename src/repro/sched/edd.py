@@ -22,8 +22,7 @@ local bound, every prefix must satisfy ``Σ L_max/C ≤ d_j`` — see
 from __future__ import annotations
 
 from math import nan
-from typing import Dict, Iterable, Optional, Sequence, Tuple, \
-    TYPE_CHECKING
+from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet

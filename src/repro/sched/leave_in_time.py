@@ -75,7 +75,8 @@ class LeaveInTime(Scheduler):
 
     def __init__(self, queue: Optional[DeadlineQueue] = None) -> None:
         super().__init__()
-        self._eligible: DeadlineQueue = queue or HeapDeadlineQueue()
+        self._eligible: DeadlineQueue = (
+            queue if queue is not None else HeapDeadlineQueue())
         #: The queue's two per-packet operations, bound once.
         self._push = self._eligible.push
         self._pop = self._eligible.pop

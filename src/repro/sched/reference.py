@@ -9,19 +9,19 @@ The delay of packet ``i`` in the reference server is
 ``D_ref_i = W_i − t_i``, and every end-to-end bound in the paper is a
 constant shift of a reference-server quantity. Because the recursion is
 closed-form, the reference server needs no event simulation: it is a
-fold over the arrival sequence. :func:`reference_finish_times` is the
-batch form; :class:`ReferenceServer` the incremental form used when a
-live simulation wants the running reference delay of its own arrivals
-(the paper's "simulated upper bound" in Figures 9-11).
+fold over the arrival sequence, run once a simulation has recorded its
+session's arrivals (the paper's "simulated upper bound" in Figures
+9-11 replays the target's arrival trace through
+:func:`reference_delays`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["reference_finish_times", "reference_delays", "ReferenceServer"]
+__all__ = ["reference_finish_times", "reference_delays"]
 
 
 def reference_finish_times(arrivals: Sequence[float],
@@ -56,39 +56,3 @@ def reference_delays(arrivals: Sequence[float], lengths: Sequence[float],
     finishes = reference_finish_times(arrivals, lengths, rate)
     return [w - t for w, t in zip(finishes, arrivals)]
 
-
-class ReferenceServer:
-    """Incremental eq.-1 evaluator for one session.
-
-    Feed it each packet arrival as it happens and read back the delay
-    the packet *would* have had in a private fixed-rate server. Used to
-    produce the paper's simulated upper bound on the end-to-end delay
-    distribution without a second simulation run.
-    """
-
-    def __init__(self, rate: float) -> None:
-        if rate <= 0:
-            raise ConfigurationError(f"rate must be positive, got {rate}")
-        self.rate = float(rate)
-        self._previous_finish: Optional[float] = None
-        self._last_arrival = float("-inf")
-        self.packets = 0
-
-    def arrive(self, time: float, length: float) -> float:
-        """Register an arrival; return this packet's reference delay."""
-        if time < self._last_arrival:
-            raise ConfigurationError(
-                f"arrivals must be non-decreasing: {time} after "
-                f"{self._last_arrival}")
-        self._last_arrival = time
-        if self._previous_finish is None:
-            self._previous_finish = time
-        finish = max(time, self._previous_finish) + length / self.rate
-        self._previous_finish = finish
-        self.packets += 1
-        return finish - time
-
-    @property
-    def busy_until(self) -> Optional[float]:
-        """When the server would go idle given arrivals so far."""
-        return self._previous_finish

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Optional
 
 from repro.errors import AdmissionError, ConfigurationError
 from repro.net.packet import Packet

@@ -19,8 +19,9 @@ streams total.
 The two forms are *statistically* equivalent but draw different random
 numbers, so they are **not** bit-identical to each other — use the
 same source construction on both sides of any digest comparison
-(``repro.experiments.heavy_traffic`` compares the two constructions on
-throughput and memory, not digests).
+(``docs/heavy_traffic.md`` records the two compared on throughput and
+memory, not digests; ``repro.experiments.heavy_traffic`` runs this
+one).
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from repro.admission.procedure2 import Procedure2
 from repro.errors import AdmissionError
 from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
-from repro.units import kbps
 from tests.conftest import make_network
 
 

@@ -1,6 +1,5 @@
 """Unit tests for the analysis reducers."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.histogram import (

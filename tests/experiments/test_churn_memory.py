@@ -36,8 +36,8 @@ def _probed_cell(monkeypatch, duration, probe):
         return network
 
     monkeypatch.setattr(call_churn, "build_paper_network", building)
-    return call_churn._cell(duration=duration, seed=0,
-                            offered_erlangs=60.0, mean_holding=0.5)
+    return call_churn.run(duration=duration, seed=0,
+                          offered_erlangs=60.0, mean_holding=0.5)
 
 
 def _live_at(result, instant):

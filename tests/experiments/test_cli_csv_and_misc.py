@@ -1,7 +1,6 @@
 """CLI --csv flag and assorted experiment edge cases."""
 
 import csv
-import os
 
 import pytest
 

@@ -54,13 +54,11 @@ class TestBuilders:
 
     def test_mix_flags_apply(self):
         network = build_mix_network(
-            ms(650), jitter_ids={"a-j/1"}, sample_ids={"a-j/2"},
-            monitor_buffer_ids={"a-j/3"})
+            ms(650), jitter_ids={"a-j/1"}, sample_ids={"a-j/2"})
         assert network.sessions["a-j/1"].jitter_control
         assert not network.sessions["a-j/2"].jitter_control
         assert network.sinks["a-j/2"].samples is not None
         assert network.sinks["a-j/1"].samples is None
-        assert network.sessions["a-j/3"].monitor_buffer
 
     def test_admit_hook_called_per_session(self):
         admitted = []

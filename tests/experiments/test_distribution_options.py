@@ -42,24 +42,6 @@ def test_unknown_cross_kind_rejected():
         run(cross_kind="fractal")
 
 
-def test_stagger_option_changes_deterministic_cross():
-    sync = run(cross_kind="deterministic",
-               deterministic_cross_count=10,
-               deterministic_cross_rate=kbps(147.2),
-               stagger_cross=False,
-               target_mean_interarrival=40e-3,
-               target_rate=kbps(32))
-    staggered = run(cross_kind="deterministic",
-                    deterministic_cross_count=10,
-                    deterministic_cross_rate=kbps(147.2),
-                    stagger_cross=True,
-                    target_mean_interarrival=40e-3,
-                    target_rate=kbps(32))
-    # Synchronized cross aligns bursts against the target: heavier
-    # delays than the evenly staggered best case.
-    assert sync.tail_delay_ms(0.5) > staggered.tail_delay_ms(0.5)
-
-
 def test_curves_are_valid_ccdfs():
     result = run()
     for curve in (result.measured, result.analytical_bound,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments import call_churn, hop_scaling
-from repro.units import ms
 
 
 class TestHopScaling:

@@ -13,21 +13,43 @@ import pytest
 
 from repro.errors import AdmissionError, ConfigurationError
 from repro.experiments import heavy_traffic
+from repro.experiments.common import PAPER_PACKET_BITS
 from repro.net.network import Network
 from repro.net.session import Session
 from repro.net.sink import Sink
+from repro.net.topology import build_paper_network
 from repro.sched.hrr import HierarchicalRoundRobin
 from repro.sched.leave_in_time import LeaveInTime
+from repro.traffic.poisson import PoissonSource
+from repro.units import T1_RATE_BPS
 from tests.conftest import add_trace_session, make_network
 from tests.sim.test_observable_digest import digest, observe
 
 
-def _heavy_cell(backend):
+SESSIONS = 1000
+
+
+def _soa():
+    """The heavy-traffic cell: one superposed source, one shared sink."""
     (cell,) = [cell for cell in heavy_traffic.cells(
-        duration=1.0, seed=0, sessions=1000, rhos=(0.95,),
-        backends=(backend,), topologies=("single",))
+        duration=1.0, seed=0, sessions=SESSIONS, rhos=(0.95,),
+        topologies=("single",))
         if cell.kwargs["discipline"] == "leave-in-time"]
-    return cell
+    cell.fn(**cell.kwargs)
+
+
+def _objects():
+    """The same population with a ``PoissonSource`` and a sink each."""
+    network = build_paper_network(LeaveInTime, node_count=1, seed=0)
+    length = PAPER_PACKET_BITS
+    members = [Session(f"h{index}", rate=T1_RATE_BPS / SESSIONS,
+                       route=("n1",), l_max=length)
+               for index in range(SESSIONS)]
+    network.add_sessions(members, keep_samples=False)
+    for session in members:
+        PoissonSource(network, session, length=length,
+                      mean=length * SESSIONS / (0.95 * T1_RATE_BPS))
+    network.run(1.0)
 
 
 def _one_at_a_time(monkeypatch):
@@ -41,8 +63,8 @@ def _one_at_a_time(monkeypatch):
     monkeypatch.setattr(Network, "add_sessions", singly)
 
 
-def _built(cell):
-    observed, _ = observe(lambda: cell.fn(**cell.kwargs))
+def _built(build):
+    observed, _ = observe(build)
     (network,) = observed[0]
     node = network.nodes["n1"]
     return (
@@ -54,17 +76,17 @@ def _built(cell):
     )
 
 
-@pytest.mark.parametrize("backend", ["soa", "objects"])
-def test_a_batch_builds_what_one_call_per_session_builds(backend,
+@pytest.mark.parametrize("build", [_soa, _objects],
+                         ids=["soa", "objects"])
+def test_a_batch_builds_what_one_call_per_session_builds(build,
                                                          monkeypatch):
-    cell = _heavy_cell(backend)
-    batch = _built(cell)
+    batch = _built(build)
     with monkeypatch.context() as patch:
         _one_at_a_time(patch)
-        singly = _built(cell)
+        singly = _built(build)
     slots, peaks, _, _ = batch
-    assert len(slots) == 1000 and len(peaks) == 1000
-    assert [slot for _, slot in slots] == list(range(1000))
+    assert len(slots) == SESSIONS and len(peaks) == SESSIONS
+    assert [slot for _, slot in slots] == list(range(SESSIONS))
     assert batch == singly
 
 
@@ -176,7 +198,7 @@ def test_an_hrr_refusal_on_the_kth_session_changes_nothing():
 # Sink options
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("option, value", [
-    ("keep_samples", False), ("warmup", 1.0), ("keep_packets", True)])
+    ("keep_samples", False), ("keep_packets", True)])
 def test_a_sink_option_beside_a_given_sink_is_refused(option, value):
     network = make_network(LeaveInTime)
     session = Session("s", rate=1.0, route=["n1"], l_max=10.0)

@@ -89,8 +89,8 @@ def _heavy():
 
 
 def _churn():
-    call_churn._cell(duration=3.0, seed=0, offered_erlangs=60.0,
-                     mean_holding=0.5)
+    call_churn.run(duration=3.0, seed=0, offered_erlangs=60.0,
+                   mean_holding=0.5)
 
 
 def _python_calls(profiler):
@@ -141,9 +141,11 @@ CALLS_PER_HOP_CEILING = {"plain": 12.7, "jitter": 15.0,
 #: its members in Python generators, call_churn read 1021.3; while a
 #: source ran ``_tick`` → ``next_length`` → ``_emit`` per packet (with a
 #: shaper test) and a ``TimeSeries`` tested its bound per sample:
-#: 747.6 / 875.0 / 901.4 / 870.9.
-OPCODES_PER_HOP_CEILING = {"plain": 733, "jitter": 860,
-                           "heavy_1e3": 893, "call_churn": 867}
+#: 747.6 / 875.0 / 901.4 / 870.9; while every sink delivery tested a
+#: warm-up instant: plain 732.6, jitter 859.8, heavy_1e3 892.4,
+#: call_churn 866.7.
+OPCODES_PER_HOP_CEILING = {"plain": 731, "jitter": 858,
+                           "heavy_1e3": 888, "call_churn": 866}
 
 #: heavy_1e3 set-up, from ``_cell`` entry to ``Network.run``: (Python
 #: frames entered, opcodes) per session on CPython 3.11.  While each

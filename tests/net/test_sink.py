@@ -35,15 +35,6 @@ def test_keep_samples_false():
     assert sink.max_delay == 1.0
 
 
-def test_warmup_discards_early_observations():
-    sink = Sink("s", warmup=10.0)
-    sink.receive(make_packet(0.0), 5.0)       # during warmup
-    sink.receive(make_packet(11.0), 12.0)     # after warmup
-    assert sink.received == 2                  # counted
-    assert sink.delay.count == 1               # but not measured
-    assert sink.max_delay == pytest.approx(1.0)
-
-
 def test_keep_packets():
     sink = Sink("s", keep_packets=True)
     packet = make_packet(0.0)

@@ -10,7 +10,6 @@ invariants live in ``test_properties.py``):
 * all deadline disciplines deliver everything (no packet leaks).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

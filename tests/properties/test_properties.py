@@ -12,10 +12,8 @@ over randomized traffic and configurations:
 * M/D/1 CDF well-formedness.
 """
 
-import math
-
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bounds.delay import compute_session_bounds

@@ -6,7 +6,6 @@ from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.stop_and_go import StopAndGo
 from repro.sched.wfq import WFQ
-from repro.traffic.trace_source import TraceSource
 from tests.conftest import (VirtualClockOracle, add_trace_session,
                             make_network)
 

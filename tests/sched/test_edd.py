@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.net.session import Session
 from repro.sched.edd import DelayEDD, JitterEDD, edd_schedulable
-from repro.traffic.trace_source import TraceSource
 from tests.conftest import add_trace_session, make_network
 
 

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sched.reference import (
-    ReferenceServer,
-    reference_delays,
-    reference_finish_times,
-)
+from repro.sched.reference import reference_delays, reference_finish_times
 
 
 class TestBatchForm:
@@ -52,31 +48,9 @@ class TestBatchForm:
         with pytest.raises(ConfigurationError):
             reference_finish_times([0.0], [1.0], 0.0)
 
-
-class TestIncrementalForm:
-    def test_matches_batch(self):
-        arrivals = [0.0, 0.3, 0.3, 1.7, 2.0]
-        lengths = [100.0, 50.0, 200.0, 100.0, 10.0]
-        server = ReferenceServer(rate=100.0)
-        incremental = [server.arrive(t, l)
-                       for t, l in zip(arrivals, lengths)]
-        assert incremental == pytest.approx(
-            reference_delays(arrivals, lengths, 100.0))
-
-    def test_busy_until(self):
-        server = ReferenceServer(rate=100.0)
-        server.arrive(0.0, 100.0)
-        assert server.busy_until == pytest.approx(1.0)
-
     def test_token_bucket_conformant_delay_bound(self):
         # Spacing >= L/r implies every delay is exactly L/r (eq. 14
         # with b0 = L): the reference server never queues.
-        server = ReferenceServer(rate=100.0)
-        delays = [server.arrive(i * 1.0, 100.0) for i in range(50)]
+        delays = reference_delays([i * 1.0 for i in range(50)],
+                                  [100.0] * 50, rate=100.0)
         assert all(d == pytest.approx(1.0) for d in delays)
-
-    def test_rejects_time_reversal(self):
-        server = ReferenceServer(rate=100.0)
-        server.arrive(1.0, 10.0)
-        with pytest.raises(ConfigurationError):
-            server.arrive(0.5, 10.0)

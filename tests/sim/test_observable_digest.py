@@ -110,7 +110,7 @@ def _heavy() -> str:
 
 
 def _churn() -> str:
-    observed, result = observe(lambda: call_churn._cell(
+    observed, result = observe(lambda: call_churn.run(
         duration=4.0, seed=0, offered_erlangs=60.0, mean_holding=0.5))
     return digest(observed, *(repr(call) for call in result.calls))
 

@@ -51,7 +51,7 @@ def _digest(parts) -> str:
 
 def churn_cell():
     """``(observables digest, events)`` of a short call-churn cell."""
-    ((network,), _), result = observe(lambda: call_churn._cell(
+    ((network,), _), result = observe(lambda: call_churn.run(
         duration=8.0, seed=0, offered_erlangs=12.0, mean_holding=2.0))
     return (_digest([repr(call) for call in result.calls]),
             network.sim.events_dispatched)

@@ -72,7 +72,7 @@ class TestPackageSurface:
     def test_scheduler_classes_exported(self):
         for name in ("LeaveInTime", "WFQ", "FCFS", "StopAndGo",
                      "HierarchicalRoundRobin", "RCSP", "DelayEDD",
-                     "JitterEDD", "ReferenceServer"):
+                     "JitterEDD"):
             assert hasattr(repro, name)
 
     @pytest.mark.parametrize("package", [

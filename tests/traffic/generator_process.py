@@ -21,7 +21,7 @@ raising ``StopIteration``) ends the process.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.errors import SimulationError
 from repro.sim.kernel import PRIORITY_NORMAL, Simulator
