@@ -101,9 +101,11 @@ ckernel:
 # Not a CI job (tier-1 runs the same file without -s): the table a
 # per-hop change is sized with.  Per cell, Python calls per packet-hop,
 # opcodes per packet-hop by function, twelve heaviest first, and the
-# classes constructed inside Network.run.
+# classes constructed inside Network.run; then the heavy_1e4 cell's
+# bytes held per session at Network.run entry, by allocation site.
 hop-budget:
-	$(PYTHON) -m pytest -q -s tests/net/test_hop_path_budget.py
+	$(PYTHON) -m pytest -q -s tests/net/test_hop_path_budget.py \
+		tests/experiments/test_heavy_memory.py
 
 # Not a CI job (tier-1 runs the same file without -s): per entry point
 # (import repro, import repro.cli, the ledger child), the repro modules

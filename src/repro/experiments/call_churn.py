@@ -169,7 +169,7 @@ class _ChurnDriver:
         network.remove_session(session.id, keep_sink=False)
 
     def _harvest(self, record: CallRecord, session: Session) -> None:
-        sink = self.network.sinks[session.id]
+        sink = self.network.sink(session.id)
         record.packets = sink.received
         record.max_delay = sink.max_delay
 

@@ -39,6 +39,7 @@ session count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import bench
@@ -119,9 +120,11 @@ def _cell(*, topology: str, discipline: str, sessions: int, rho: float,
     # aggregate arrival rate of ρ·C/L packets/s.
     mean_per_session = (PAPER_PACKET_BITS * sessions
                         / (rho * T1_RATE_BPS))
-    members = [Session(f"h{index}", rate=per_session_rate, route=route,
-                       l_max=PAPER_PACKET_BITS)
-               for index in range(sessions)]
+    # One tuple, registered and marked without a copy, built with no
+    # Python frame but ``Session()``'s.
+    member = partial(Session, rate=per_session_rate, route=route,
+                     l_max=PAPER_PACKET_BITS)
+    members = tuple(map(member, map("h{}".format, range(sessions))))
     sink = Sink("aggregate", keep_samples=False)
     network.add_sessions(members, sink=sink)
     SuperposedPoissonSource(network, members, length=PAPER_PACKET_BITS,

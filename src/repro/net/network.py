@@ -3,19 +3,20 @@
 A :class:`Network` wires :class:`~repro.net.node.ServerNode` objects
 together implicitly through session routes (the paper's model is
 connection-oriented: packets follow their session's fixed node list, so
-no routing table is needed). It owns the simulator, the random streams,
-and the per-session sinks, and exposes :meth:`inject` for traffic
-sources and :meth:`run` for experiments.
+no routing table is needed). It owns the simulator and the random
+streams, hands every registered session its sink (``Session.sink``),
+and exposes :meth:`inject` for traffic sources and :meth:`run` for
+experiments.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from itertools import repeat
+from collections.abc import Mapping
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
-    Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
+    Sequence, Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.link import Link
@@ -44,7 +45,7 @@ _CALENDAR_BATCH = 64
 #: keeps it has nothing to accept or refuse.
 _NO_HOOK = Scheduler.register_session
 
-_ID, _L_MAX = attrgetter("id"), attrgetter("l_max")
+_L_MAX = attrgetter("l_max")
 
 #: The values ``Network(state_backend=...)`` still accepts.
 _BACKENDS = (None, "objects", "soa")
@@ -57,10 +58,12 @@ class Network:
     whole population, all or nothing; :meth:`add_session` is that call
     for one session.  Per-session hot state lives in one slot-indexed
     :class:`~repro.net.session_table.SessionTable` shared by every node
-    and scheduler.  ``state_backend`` selects nothing: the argument and
-    the constant :attr:`state_backend` attribute are kept, as inert
-    labels, for ``benchmarks/ledger/`` until a benchmark PR renames
-    them.
+    and scheduler, and a session carries its own sink
+    (``Session.sink``): there is no id -> sink map for live or draining
+    sessions, and :attr:`sinks` is a read-only view over them.
+    ``state_backend`` selects nothing: the argument and the constant
+    :attr:`state_backend` attribute are kept, as inert labels, for
+    ``benchmarks/ledger/`` until a benchmark PR renames them.
     """
 
     #: What ``benchmarks/ledger/`` records per run; always ``"soa"``.
@@ -99,7 +102,9 @@ class Network:
         #: Node name -> its scheduler, for the schedulers whose
         #: ``register_session`` hook is not the base class's no-op.
         self._hooked: Dict[str, Scheduler] = {}
-        self._sinks: Dict[str, Sink] = {}
+        #: Sinks of sessions removed with ``keep_sink=True`` and
+        #: drained; registering the id again replaces its entry.
+        self._kept: Dict[str, Sink] = {}
         #: Sink deliveries not yet made: ``(arrival time, packet)`` in
         #: time order, appended by last-hop completions.
         self._calendar: deque = deque()
@@ -151,7 +156,7 @@ class Network:
         returns its sink."""
         self.add_sessions((session,), sink=sink, keep_samples=keep_samples,
                           keep_packets=keep_packets)
-        return self._sinks[session.id]
+        return session.sink
 
     def add_sessions(self, sessions: Iterable[Session], *,
                      sink: Optional[Sink] = None,
@@ -163,15 +168,17 @@ class Network:
         built with the sink options, unless ``sink`` is given: then the
         whole batch shares it (the heavy-traffic experiments aggregate
         10^5 sessions into one plain Sink this way), and a sink option
-        passed beside it is refused.
+        passed beside it is refused.  The sink goes on the session
+        (``session.sink``) once its checks pass.
 
         All or nothing: a refusal — a failed check or a scheduler hook's
         (HRR's frame budget) — leaves the network as it was.  The ids
         the checks entered in :attr:`sessions` are taken out again and
         the hooks that accepted forget their sessions; slots, node
-        columns and sinks are written only once every hook accepted.  A
-        hook runs before its session holds a slot.  A list or tuple
-        ``sessions`` is used without a copy.
+        columns and kept sinks are written only once every hook
+        accepted (a refused session may carry the sink it would have
+        had; nothing reads it).  A hook runs before its session holds a
+        slot.  A list or tuple ``sessions`` is used without a copy.
         """
         if sink is not None:
             given = [name for name, value, default in (
@@ -219,16 +226,15 @@ class Network:
                         f"slot {session.slot} of a live network's session "
                         f"table; remove it there first or build a fresh "
                         f"Session")
+                session.sink = sink or Sink(session_id,
+                                            keep_samples=keep_samples,
+                                            keep_packets=keep_packets)
                 live[session_id] = session
             checked = len(batch)
             if len(routes) > 1:
                 routes = {route: [] for route in routes}
                 for session in batch:
                     routes[session.route].append(session)
-            if sink is None:
-                sinks = [Sink(session.id, keep_samples=keep_samples,
-                              keep_packets=keep_packets)
-                         for session in batch]
             if self._hooked:
                 self._register_hooks(routes)
         except Exception:
@@ -242,8 +248,10 @@ class Network:
         l_max = max(map(_L_MAX, batch), default=0.0)
         if l_max > self._l_max_seen:
             self._l_max_seen = l_max
-        self._sinks.update(zip(map(_ID, batch), sinks if sink is None
-                               else repeat(sink)))
+        kept = self._kept
+        if kept:
+            for session in batch:
+                kept.pop(session.id, None)
 
     def _register_hooks(self, routes: Dict[Tuple[str, ...],
                                            Sequence[Session]]) -> None:
@@ -306,7 +314,9 @@ class Network:
 
     def _in_flight(self, session: Session) -> int:
         """Packets injected but not yet delivered to the sink or dropped."""
-        delivered = self.sinks[session.id].received
+        if self._calendar:
+            self.settle_sinks()
+        delivered = session.sink.received
         slot = session.slot
         dropped = 0
         for name in session.route:
@@ -328,8 +338,10 @@ class Network:
         self.session_table.release(session.slot)
         session.slot = -1
         self._draining.pop(session.id, None)
-        if not keep_sink:
-            self._sinks.pop(session.id, None)
+        if keep_sink:
+            self._kept[session.id] = session.sink
+        else:
+            session.sink = None
         for callback in self._drained_callbacks.pop(session.id, ()):
             callback()
 
@@ -418,10 +430,12 @@ class Network:
         san = self.sanitizer
         if san is not None:
             san.on_sink(packet)
-        session_id = packet.session.id
-        self.sinks[session_id].receive(packet, self.sim.now)
+        if self._calendar:
+            self.settle_sinks()  # the earlier deliveries first
+        session = packet.session
+        session.sink.receive(packet, self.sim.now)
         if self._draining:
-            self._drain_progress(session_id)
+            self._drain_progress(session.id)
 
     # ------------------------------------------------------------------
     # Execution
@@ -458,16 +472,15 @@ class Network:
         """Make every sink delivery that is due by now."""
         now = self.sim.now
         calendar = self._calendar
-        sinks = self._sinks
         san = self.sanitizer
         while calendar and calendar[0][0] <= now:
             time, packet = calendar.popleft()
             if san is not None:
                 san.on_sink(packet)
-            session_id = packet.session.id
-            sinks[session_id].receive(packet, time)
+            session = packet.session
+            session.sink.receive(packet, time)
             if self._draining:
-                self._drain_progress(session_id)
+                self._drain_progress(session.id)
 
     def settle(self) -> None:
         """Apply every parked arrival, release and delivery due by now
@@ -477,17 +490,25 @@ class Network:
         self.settle_sinks()
 
     @property
-    def sinks(self) -> Dict[str, Sink]:
-        """Session id -> sink, every delivery due by now already made."""
+    def sinks(self) -> Mapping[str, Sink]:
+        """Session id -> sink of every live, draining and kept session
+        (read-only), every delivery due by now already made."""
         if self._calendar:
             self.settle_sinks()
-        return self._sinks
+        return _SinkView(self)
 
     # ------------------------------------------------------------------
     # Convenience accessors
     # ------------------------------------------------------------------
     def sink(self, session_id: str) -> Sink:
-        return self.sinks[session_id]
+        """The sink of ``session_id`` — live, draining, or removed with
+        ``keep_sink`` — every delivery due by now already made."""
+        if self._calendar:
+            self.settle_sinks()
+        session = self.registered(session_id)
+        if session is None:
+            return self._kept[session_id]
+        return session.sink
 
     def node(self, name: str) -> ServerNode:
         return self.nodes[name]
@@ -496,3 +517,32 @@ class Network:
         """Sum of reserved rates of sessions traversing ``node_name``."""
         return sum(s.rate for s in self.sessions.values()
                    if node_name in s.route)
+
+
+class _SinkView(Mapping):
+    """:attr:`Network.sinks`: the ids of live sessions, then of draining
+    ones, then of kept sinks, each looked up as :meth:`Network.sink`
+    does."""
+
+    __slots__ = ("_network",)
+
+    def __init__(self, network: Network) -> None:
+        self._network = network
+
+    def __getitem__(self, session_id: str) -> Sink:
+        network = self._network
+        session = network.sessions.get(session_id)  # the common case
+        if session is None:
+            return network.sink(session_id)
+        return session.sink
+
+    def __iter__(self) -> Iterator[str]:
+        network = self._network
+        yield from network.sessions
+        yield from network._draining
+        yield from network._kept
+
+    def __len__(self) -> int:
+        network = self._network
+        return (len(network.sessions) + len(network._draining)
+                + len(network._kept))

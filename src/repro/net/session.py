@@ -65,12 +65,13 @@ class Session:
     is allocated lazily: the heavy-traffic experiments keep 10^5-10^6
     live ``Session`` objects, and the instance dict plus an empty
     ``delay_policies`` dict per session used to double their footprint
-    (see ``docs/performance.md``).
+    (see ``docs/performance.md``).  A registered session carries its
+    sink, so delivery reads no id-keyed map.
     """
 
     __slots__ = ("id", "rate", "route", "l_max", "l_min",
                  "jitter_control", "token_bucket", "monitor_buffer",
-                 "_delay_policies", "packets_sent", "slot")
+                 "_delay_policies", "packets_sent", "slot", "sink")
 
     def __init__(self, session_id: str, rate: float,
                  route: Sequence[str], *, l_max: float,
@@ -132,6 +133,10 @@ class Session:
         #: ``Network.add_sessions``; -1 before that, after a refused
         #: registration, and once the session has left and drained.
         self.slot = -1
+        # ``sink`` (the :class:`~repro.net.sink.Sink` its packets reach)
+        # is set by ``Network.add_sessions``, not here: a session that
+        # was never registered delivers nothing.  None once it has left
+        # and drained without ``keep_sink``.
 
     @property
     def delay_policies(self) -> Dict[str, "DelayPolicy"]:

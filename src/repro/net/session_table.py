@@ -11,9 +11,10 @@ by that slot.  Every :class:`~repro.net.network.Network` owns one
 table; there is no other session-state store.
 
 * ``acquire`` gives a batch of sessions their slots, growing the table
-  at most once; it hands out the lowest fresh slot first and the most
-  recently released slot before any fresh one (LIFO free list), so the
-  same admission sequence always produces the same slot assignment;
+  at most once; it hands out the most recently released slot before
+  any fresh one (a LIFO list of released slots) and fresh slots lowest
+  first, from a high-water mark, so the same admission sequence always
+  produces the same slot assignment;
 * ``release`` restores the slot to its fill value in *every* column of
   every group before recycling it — the one reset of a teardown, and
   what keeps drain accounting exact across slot reuse;
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import repeat
-from typing import Any, Collection, Iterator, List, Optional, Tuple, \
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, \
     TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -84,12 +85,14 @@ class ColumnGroup:
 
 class SessionTable:
     """Slot-indexed rows: slot -> the :class:`~repro.net.session.Session`
-    holding it, plus the free list.
+    holding it, the released slots and a high-water mark.
 
     A session knows its own slot (``session.slot``) and the owning
     network knows its sessions by id, so the table keeps no id index;
     per-concern state lives in consumer-owned :class:`ColumnGroup`
-    instances created through :meth:`group`.
+    instances created through :meth:`group`.  Slots at or above the
+    high-water mark have never been issued; below it a slot is either
+    live or released.
     """
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
@@ -99,10 +102,12 @@ class SessionTable:
         self.capacity = capacity
         #: Slot -> the session holding it (None while free).
         self.rows: List[Optional["Session"]] = [None] * capacity
-        #: LIFO free list, stored so ``pop()`` yields the lowest fresh
-        #: slot first and the most recently released slot before any
-        #: fresh one — deterministic reuse.
-        self._free: List[int] = list(range(capacity - 1, -1, -1))
+        #: Released slots, reused LIFO before any fresh one —
+        #: deterministic reuse.
+        self._free: List[int] = []
+        #: The lowest slot never issued; the fresh slots are
+        #: ``range(_fresh, capacity)``.
+        self._fresh = 0
         self.groups: List[ColumnGroup] = []
 
     def group(self) -> ColumnGroup:
@@ -112,22 +117,30 @@ class SessionTable:
     # ------------------------------------------------------------------
     # Slot lifecycle
     # ------------------------------------------------------------------
-    def acquire(self, sessions: Collection["Session"]) -> None:
+    def acquire(self, sessions: Sequence["Session"]) -> None:
         """Give each of ``sessions``, in order, a slot (``session.slot``).
 
         The table grows at most once per call, to the capacity that
         acquiring them one at a time would have reached, and hands out
-        the same slots in the same order.
+        the same slots in the same order.  A list or tuple is not
+        copied unless released slots take its head.
         """
         free = self._free
-        short = len(sessions) - len(free)
-        if short > 0:
-            self._grow(short)
         rows = self.rows
-        for session in sessions:
+        reused = min(len(free), len(sessions))
+        for session in sessions[:reused]:
             slot = free.pop()
             rows[slot] = session
             session.slot = slot
+        tail = sessions[reused:] if reused else sessions
+        start = self._fresh
+        end = start + len(tail)
+        if end > self.capacity:
+            self._grow(end)
+        rows[start:end] = tail
+        for slot, session in enumerate(tail, start):
+            session.slot = slot
+        self._fresh = end
 
     def release(self, slot: int) -> None:
         """Free ``slot``, resetting it in every column.
@@ -147,14 +160,11 @@ class SessionTable:
         self._free.append(slot)
 
     def _grow(self, needed: int) -> None:
-        """Double the capacity until ``needed`` more slots are free.
-
-        The fresh slots go out after every released one, lowest first —
-        what doubling each time the free list ran dry would do.
-        """
+        """Double the capacity until it holds ``needed`` slots — what
+        doubling each time the free slots ran out would reach."""
         old = self.capacity
         capacity = old * 2
-        while capacity - old < needed:
+        while capacity < needed:
             capacity *= 2
         extra = capacity - old
         for group in self.groups:
@@ -163,17 +173,13 @@ class SessionTable:
         # No 10^5-entry temporary lists: glibc keeps a freed one's pages
         # resident (docs/heavy_traffic.md, "One call per population").
         self.rows.extend(repeat(None, extra))
-        free = self._free  # the fresh slots go in below the released ones
-        free.reverse()
-        free.extend(range(old, capacity))
-        free.reverse()
         self.capacity = capacity
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self.capacity - len(self._free)
+        return self._fresh - len(self._free)
 
     def items(self) -> Iterator[Tuple[int, "Session"]]:
         """(slot, session) for every live row, in slot order."""

@@ -168,7 +168,7 @@ class TrafficSource:
         if self._pending is None:
             return
         gap = next(self._gaps, _EXHAUSTED)
-        if not isinstance(gap, (int, float)) or gap < 0:
+        if not isinstance(gap, (int, float)) or not gap >= 0:  # NaN too
             self._pending = None
             if gap is _EXHAUSTED:
                 return

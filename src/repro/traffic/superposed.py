@@ -26,7 +26,7 @@ one).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.network import Network
@@ -46,6 +46,7 @@ class SuperposedPoissonSource:
     ----------
     network / sessions:
         The sessions to feed; all must already be added to the network.
+        A tuple is kept as given, anything else is copied into one.
     length:
         Packet length in bits (fixed, as in the paper's experiments).
     mean:
@@ -67,7 +68,7 @@ class SuperposedPoissonSource:
                 "SuperposedPoissonSource needs at least one session")
         mean = finite("mean", mean)
         self.network = network
-        self.sessions: List[Session] = list(sessions)
+        self.sessions: Tuple[Session, ...] = tuple(sessions)
         self.length = finite("length", length)
         self.start_delay = finite("start_delay", start_delay, zero=True)
         self.label = label

@@ -15,7 +15,7 @@ from typing import Sequence
 from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.net.session import Session
-from repro.traffic.base import TrafficSource, packet_length
+from repro.traffic.base import TrafficSource, finite, packet_length
 
 __all__ = ["TraceSource"]
 
@@ -23,10 +23,10 @@ __all__ = ["TraceSource"]
 class TraceSource(TrafficSource):
     """Replay an explicit (times, lengths) schedule.
 
-    ``times`` are absolute emission instants (non-decreasing) measured
-    from the source start; ``lengths`` may be a scalar applied to all
-    packets or a per-packet sequence.  The source ends with its trace;
-    an empty one never arms a timer.
+    ``times`` are absolute emission instants (finite, non-negative and
+    non-decreasing) measured from the source start; ``lengths`` may be
+    a scalar applied to all packets or a per-packet sequence.  The
+    source ends with its trace; an empty one never arms a timer.
     """
 
     def __init__(self, network: Network, session: Session, *,
@@ -40,7 +40,7 @@ class TraceSource(TrafficSource):
         if len(per_packet) != len(times):
             raise ConfigurationError(
                 f"{len(times)} times but {len(per_packet)} lengths")
-        ordered = [float(t) for t in times]
+        ordered = [finite("times", float(t), zero=True) for t in times]
         if any(b < a for a, b in zip(ordered, ordered[1:])):
             raise ConfigurationError("trace times must be non-decreasing")
         super().__init__(network, session,

@@ -98,10 +98,11 @@ def _state(network):
     table = network.session_table
     return (
         list(network.sessions.items()),
-        list(network._sinks.items()),
+        list(network.sinks.items()),
         network.l_max,
         list(table.rows),
         list(table._free),
+        table._fresh,
         table.capacity,
         {name: (node._member.tobytes(), dict(node._samples))
          for name, node in network.nodes.items()},

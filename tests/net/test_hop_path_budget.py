@@ -124,9 +124,11 @@ EVENTS_AND_HOPS = {"plain": (27323, 17723), "jitter": (27787, 17503),
 #: ``math.fsum`` over per-class dicts it reads 19.253 there.  While a
 #: source ran ``_tick`` → ``next_length`` → ``_emit`` per packet and the
 #: superposed clock re-armed through ``_arm``: 13.614 / 15.893 / 16.514 /
-#: 19.140.
+#: 19.140.  While a call's harvest read its sink through the ``sinks``
+#: property, call_churn read 19.021 alone; through ``Network.sink`` it
+#: reads 18.874 alone and 18.987 late in a full tier-1 run.
 CALLS_PER_HOP_CEILING = {"plain": 12.7, "jitter": 15.0,
-                         "heavy_1e3": 15.6, "call_churn": 19.1}
+                         "heavy_1e3": 15.6, "call_churn": 19.0}
 
 #: cell -> opcodes per packet-hop inside ``Network.run`` on CPython 3.11.
 #: With a Welford tally per hop, a policy object per first packet and
@@ -143,17 +145,23 @@ CALLS_PER_HOP_CEILING = {"plain": 12.7, "jitter": 15.0,
 #: shaper test) and a ``TimeSeries`` tested its bound per sample:
 #: 747.6 / 875.0 / 901.4 / 870.9; while every sink delivery tested a
 #: warm-up instant: plain 732.6, jitter 859.8, heavy_1e3 892.4,
-#: call_churn 866.7.
-OPCODES_PER_HOP_CEILING = {"plain": 731, "jitter": 858,
-                           "heavy_1e3": 888, "call_churn": 866}
+#: call_churn 866.7; while a sink delivery looked its sink up in an
+#: id -> sink dict: 730.1 / 857.4 / 887.4 / 865.6.
+OPCODES_PER_HOP_CEILING = {"plain": 730, "jitter": 857,
+                           "heavy_1e3": 886, "call_churn": 866}
 
 #: heavy_1e3 set-up, from ``_cell`` entry to ``Network.run``: (Python
 #: frames entered, opcodes) per session on CPython 3.11.  While each
 #: session was one ``add_session`` call (``add_session``, ``acquire``,
 #: ``register_session`` frames and an id -> slot dict): 4.05 / 262.4.
-#: One ``add_sessions`` call reads 1.053 / 170.01 alone and a few
-#: hundredths more after the rest of the suite (frames that run once).
-CONSTRUCT_PER_SESSION_CEILING = (1.1, 171)
+#: One ``add_sessions`` call read 1.053 / 170.01 alone while ``_cell``
+#: built its sessions in a list comprehension, the sinks went into an
+#: id -> sink dict and ``acquire`` popped every slot off a free list.
+#: Built by ``map`` over a ``partial`` and handed over as one tuple,
+#: the sink set on each session in the check loop and fresh slots
+#: assigned by one slice: 1.055 / 152.0 alone and a few hundredths more
+#: after the rest of the suite (frames that run once).
+CONSTRUCT_PER_SESSION_CEILING = (1.1, 153)
 
 
 def _run_cell(cell, monkeypatch, watch, unwatch):

@@ -5,8 +5,11 @@ from math import inf
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net.session import Session
+from repro.net.sink import Sink
 from repro.sched.edd import DelayEDD, JitterEDD
 from repro.sched.leave_in_time import LeaveInTime
+from repro.traffic.trace_source import TraceSource
 from tests.conftest import add_trace_session, make_network
 
 
@@ -306,3 +309,60 @@ class TestForgetAcrossDisciplines:
         network.run(20.0)
         packet = sink.packets[-1]
         assert packet.deadline - packet.arrival_time == pytest.approx(0.5)
+
+
+def _check_sinks(network, ids, waiting=()):
+    """``network.sinks`` maps exactly ``ids``, each to the sink its
+    packets reach (``waiting`` ones have not delivered yet), and
+    ``network.sink`` agrees with it."""
+    sinks = dict(network.sinks)
+    assert sorted(sinks) == sorted(ids) and len(network.sinks) == len(ids)
+    for session_id, sink in sinks.items():
+        assert network.sink(session_id) is sink
+        assert all(sinks[packet.session.id] is sink
+                   for packet in sink.packets)
+        delivered = {packet.session.id for packet in sink.packets}
+        assert session_id in delivered or session_id in waiting
+    return sinks
+
+
+def test_sinks_maps_every_id_to_the_sink_it_delivers_to():
+    """Shared and own sinks, a draining session, ``keep_sink`` both
+    ways and a re-registered id, all read through ``network.sinks``."""
+    network = make_network(LeaveInTime, capacity=10.0)  # 1 s a packet
+    shared = Sink("shared", keep_samples=False, keep_packets=True)
+    pair = [Session(f"a{index}", rate=1.0, route=["n1"], l_max=10.0)
+            for index in (1, 2)]
+    network.add_sessions(pair, sink=shared)
+    for session in pair:
+        TraceSource(network, session, times=[0.0], lengths=10.0)
+    for session_id in ("own", "kept", "gone"):
+        add_trace_session(network, session_id, rate=1.0, times=[0.0],
+                          lengths=10.0)
+    network.run(6.0)
+    old_kept = network.sink("kept")
+    network.remove_session("kept")
+    network.remove_session("gone", keep_sink=False)
+    sinks = _check_sinks(network, ["a1", "a2", "own", "kept"])
+    assert sinks["a1"] is sinks["a2"] is shared
+    assert sinks["kept"] is old_kept and "gone" not in network.sinks
+
+    # Two 1 s packets from t = 6; removed at 6.5, it drains.
+    add_trace_session(network, "draining", rate=1.0, times=[0.0, 0.0],
+                      lengths=10.0)
+    network.run(6.5)
+    network.remove_session("draining")
+    assert "draining" in network._draining
+    _check_sinks(network, ["a1", "a2", "own", "kept", "draining"],
+                 waiting=["draining"])
+
+    # The id registered again: its new sink replaces the kept one.
+    _, new_kept, _ = add_trace_session(network, "kept", rate=1.0,
+                                       times=[0.0], lengths=10.0)
+    network.run(20.0)
+    assert "draining" not in network._draining
+    sinks = _check_sinks(network,
+                         ["a1", "a2", "own", "kept", "draining"])
+    assert sinks["kept"] is new_kept is not old_kept
+    assert all(sink is not old_kept for sink in sinks.values())
+    assert shared.received == 2 and sinks["draining"].received == 2

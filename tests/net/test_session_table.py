@@ -40,7 +40,9 @@ def test_acquire_grows_once_to_what_one_at_a_time_reaches():
     assert [s.slot for s in together] == [s.slot for s in singles] \
         == [0, 2, 3, 4, 5, 6, 7]
     assert batch.capacity == one.capacity == 8
+    # Every slot is live: none released, none left to issue.
     assert batch._free == one._free == []
+    assert len(batch) == len(one) == 8
 
 
 def test_release_then_acquire_reuses_lifo():

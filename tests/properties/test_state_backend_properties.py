@@ -110,17 +110,21 @@ def test_random_scripts_keep_the_table_consistent(specs, loss):
     table = network.session_table
     live = [slot for slot, session in enumerate(table.rows)
             if session is not None]
-    assert len(live) + len(table._free) == table.capacity == len(table.rows)
-    assert len(set(table._free)) == len(table._free)
+    released = table._free
+    never_issued = range(table._fresh, table.capacity)
+    assert (len(live) + len(released) + len(never_issued)
+            == table.capacity == len(table.rows))
+    assert len(set(released)) == len(released)
+    assert all(slot < table._fresh for slot in released)
     for slot in live:
         session = table.rows[slot]
         assert session.slot == slot
-        assert slot not in table._free
+        assert slot not in released and slot < table._fresh
         assert network.registered(session.id) is session
     # Never handed out here (<= 4 sessions, 64 rows): a late packet of a
     # drained session (slot -1) would land on it and fail the fill check.
-    assert table.capacity - 1 in table._free
-    for slot in table._free:
+    assert table.capacity - 1 in never_issued
+    for slot in [*released, *never_issued]:
         assert table.rows[slot] is None
         for group in table.groups:
             for column, fill in group.columns:

@@ -4,10 +4,11 @@ import statistics
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.traffic.onoff import OnOffSource
 from repro.net.session import Session
 from repro.sched.fcfs import FCFS
+from repro.traffic.base import TrafficSource
 from repro.traffic.deterministic import DeterministicSource
 from repro.traffic.poisson import PoissonSource
 from repro.traffic.superposed import SuperposedPoissonSource
@@ -210,6 +211,11 @@ _BAD_FIELDS = [
     (TraceSource, dict(times=[0.0, 1.0], lengths=[424.0, 100.0]),
      "lengths", [424.0, NAN]),
     (TraceSource, dict(times=[0.0], lengths=424.0), "lengths", 500.0),
+    (TraceSource, dict(times=[0.5], lengths=424.0), "times", [NAN]),
+    (TraceSource, dict(times=[1.0, 2.0], lengths=424.0), "times",
+     [-1.0, 2.0]),
+    (TraceSource, dict(times=[0.5, 1.0], lengths=424.0), "times",
+     [0.5, INF]),
 ]
 
 
@@ -227,6 +233,25 @@ def test_constructor_rejects_a_bad_field(kind, good, field, value):
     with pytest.raises(ConfigurationError, match=field):
         kind(network, session, **{**good, field: value})
     assert len(network.sources) == 1
+
+
+def test_a_nan_gap_is_refused_by_its_source():
+    """``intervals()`` yielding NaN fails naming the source, not as a
+    kernel delay error."""
+
+    class NanGaps(TrafficSource):
+        def intervals(self):
+            yield 0.1
+            yield NAN
+
+    network = make_network(FCFS, capacity=1e6)
+    session = Session("s", rate=32_000.0, route=["n1"], l_max=424.0)
+    network.add_session(session)
+    source = NanGaps(network, session, length=424.0)
+    with pytest.raises(SimulationError,
+                       match="source of session 's' yielded nan"):
+        network.run(1.0)
+    assert source.emitted == 1
 
 
 @pytest.mark.parametrize("field, value", [
