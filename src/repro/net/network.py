@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from collections.abc import Mapping
+from math import fsum
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
     Sequence, Tuple, TYPE_CHECKING
@@ -515,8 +516,8 @@ class Network:
 
     def reserved_rate(self, node_name: str) -> float:
         """Sum of reserved rates of sessions traversing ``node_name``."""
-        return sum(s.rate for s in self.sessions.values()
-                   if node_name in s.route)
+        return fsum(s.rate for s in self.sessions.values()
+                    if node_name in s.route)
 
 
 class _SinkView(Mapping):

@@ -25,28 +25,32 @@ The node also measures per-session buffer occupancy the way the paper's
 Figures 12-13 do: sampled at the instant a packet's last bit arrives,
 counting queued, held, *and in-transmission* bits of that session.
 
-Occupancy, peak, limit and drop counters are columns of the network's
+Occupancy, peak and drop counters are columns of the network's
 :class:`~repro.net.session_table.SessionTable`, indexed by the packet's
-dense ``session.slot`` — ~33 bytes of array rows per session and node,
+dense ``session.slot`` — 24 bytes of array rows per session and node,
 no per-session object and no dict probe on the arrival path (see
-``docs/performance.md``).  Reports and tests read them through the
-dict-shaped views (``buffer_bits`` etc.).
+``docs/performance.md``); a buffer limit is a sparse slot -> bits
+dict.  Reports and tests read them through the dict-shaped views
+(``buffer_bits`` etc.) over the network's sessions routed here.
 
 Slot invariant: :meth:`ServerNode.receive` is the one place that checks
 ``slot >= 0``.  Everything downstream of it (the scheduler hooks,
 ``_finish_transmission``, ``fault_drop``) indexes ``session.slot``
 unguarded, relying on ``Network`` releasing a slot only once the
 session's in-flight count is zero — no packet that passed ``receive``
-outlives its row.  A ``-1`` there would alias the table's last row;
-the table property suite under ``tests/properties`` keeps that row free
-and checks it still reads its fill values after in-flight removals.
+outlives its row.  A ``-1`` there would index every column's last
+row; the table property suite under ``tests/properties`` keeps that
+row free and checks it still reads its fill values after in-flight
+removals.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from math import inf
-from typing import Dict, Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, Iterable, Iterator, Optional, Sequence, \
+    TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.link import Link
@@ -83,14 +87,13 @@ class ServerNode:
         self.sim = sim
         self.tracer = tracer or Tracer(False)
         self.table = table if table is not None else SessionTable()
-        #: Buffer columns, indexed by ``packet.session.slot``.  A
-        #: session without a configured limit reads the +inf fill.
+        #: Buffer columns, indexed by ``packet.session.slot``.
         group = self.table.group()
         self._bits = group.add("bits", 0.0)
         self._peak = group.add("peak", 0.0)
-        self._limit = group.add("limit", inf)
         self._drops = group.add("drops", 0)
-        self._member = group.add("member", False)
+        #: Buffer limits, slot -> bits (sparse: absent is unlimited).
+        self._limits: Dict[int, float] = {}
         #: Arrival-sampled occupancy series for monitored sessions,
         #: keyed by slot (sparse — monitoring is rare).
         self._samples: Dict[int, TimeSeries] = {}
@@ -133,26 +136,26 @@ class ServerNode:
     # Session registration
     # ------------------------------------------------------------------
     def add_members(self, sessions: Iterable[Session]) -> None:
-        """Route ``sessions`` through here: they hold their slots and
-        this node's scheduler accepted them
+        """Start the buffer series of the monitored ``sessions`` routed
+        through here, which hold their slots
         (:meth:`Network.add_sessions
         <repro.net.network.Network.add_sessions>`)."""
-        member = self._member
         samples = self._samples
         for session in sessions:
-            slot = session.slot
-            member[slot] = True
             if session.monitor_buffer:
-                samples[slot] = TimeSeries(
+                samples[session.slot] = TimeSeries(
                     f"{self.name}.{session.id}.buffer")
 
     def forget_session(self, session: Session) -> None:
-        """Drop a drained session's scheduler state and monitor series.
+        """Drop a drained session's scheduler state, buffer limit and
+        monitor series, so a recycled slot inherits none of them.
 
         Its table row is reset by :meth:`SessionTable.release
         <repro.net.session_table.SessionTable.release>`.
         """
         self.scheduler.forget_session(session.id)
+        if self._limits:
+            self._limits.pop(session.slot, None)
         if self._samples:
             self._samples.pop(session.slot, None)
 
@@ -185,7 +188,7 @@ class ServerNode:
             raise SimulationError(
                 f"cannot set a buffer limit for unknown session "
                 f"{session_id!r}; add the session to the network first")
-        self._limit[slot] = float(bits)
+        self._limits[slot] = float(bits)
 
     def receive(self, packet: Packet, now: Optional[float] = None) -> None:
         """A packet's last bit arrived at this node.
@@ -208,7 +211,7 @@ class ServerNode:
                 f"session through Network.add_session before it sends")
         bits = self._bits
         occupancy = bits[slot] + packet.length
-        if occupancy > self._limit[slot] + 1e-9:
+        if self._limits and occupancy > self._limits.get(slot, inf) + 1e-9:
             self._drops[slot] += 1
             self._drop_on_arrival(packet, now)
             return
@@ -426,12 +429,27 @@ class ServerNode:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def _routed(self) -> Iterator[Session]:
+        """The network's live and draining sessions routed through here,
+        in slot order (placed by slot, not sorted), once all that is due
+        by now is taken in."""
+        self.settle()
+        network = self.network
+        if network is None:
+            return iter(())
+        name = self.name
+        by_slot = [None] * self.table._fresh
+        for session in chain(network.sessions.values(),
+                             (entry[0] for entry
+                              in network._draining.values())):
+            if name in session.route:
+                by_slot[session.slot] = session
+        return filter(None, by_slot)
+
     def _rows(self, column: Sequence[float]) -> Dict[str, float]:
         """``column`` as a dict over the sessions routed through here."""
-        self.settle()
-        member = self._member
-        return {session.id: column[slot]
-                for slot, session in self.table.items() if member[slot]}
+        return {session.id: column[session.slot]
+                for session in self._routed()}
 
     @property
     def buffer_bits(self) -> Dict[str, float]:
@@ -446,16 +464,16 @@ class ServerNode:
     @property
     def buffer_samples(self) -> Dict[str, TimeSeries]:
         """Arrival-sampled occupancy series for monitored sessions."""
-        self.settle()
-        rows = self.table.rows
-        return {rows[slot].id: series
-                for slot, series in self._samples.items()}
+        samples = self._samples
+        return {session.id: samples[session.slot]
+                for session in self._routed() if session.slot in samples}
 
     @property
     def drops(self) -> Dict[str, int]:
         """Dropped-packet counts for sessions that dropped (read-only)."""
-        return {sid: count for sid, count in self._rows(self._drops).items()
-                if count > 0}
+        drops = self._drops
+        return {session.id: drops[session.slot]
+                for session in self._routed() if drops[session.slot]}
 
     def drop_count(self, session_id: str) -> int:
         """Packets of ``session_id`` dropped at this node."""

@@ -8,7 +8,8 @@ admitted session one dense integer **slot**, and consumers — a node's
 buffer accounting, a scheduler's deadline recursion — declare their
 columns as a :class:`ColumnGroup` of stdlib :mod:`array` arrays indexed
 by that slot.  Every :class:`~repro.net.network.Network` owns one
-table; there is no other session-state store.
+table; there is no other session-state store, and no slot -> session
+list: the network's live and draining sessions are the registry.
 
 * ``acquire`` gives a batch of sessions their slots, growing the table
   at most once; it hands out the most recently released slot before
@@ -18,8 +19,9 @@ table; there is no other session-state store.
 * ``release`` restores the slot to its fill value in *every* column of
   every group before recycling it — the one reset of a teardown, and
   what keeps drain accounting exact across slot reuse;
-* growth doubles capacity by extending each array **in place**, so a
-  consumer may bind a column once and keep the reference.
+* growth extends each array **in place** to exactly the slots issued
+  (``array`` over-allocates on its own), so a consumer may bind a
+  column once and keep the reference.
 
 ``array('d')`` stores IEEE-754 doubles and hands them back as Python
 floats, so the arithmetic on a row is the same float sequence a
@@ -31,9 +33,7 @@ boxed float and a dict entry — which is what lets one node carry the
 from __future__ import annotations
 
 from array import array
-from itertools import repeat
-from typing import Any, Iterator, List, Optional, Sequence, Tuple, \
-    TYPE_CHECKING
+from typing import Any, List, Sequence, Tuple, TYPE_CHECKING
 
 from repro.errors import SimulationError
 
@@ -42,9 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ColumnGroup", "SessionTable"]
 
-#: Initial slot capacity; doubled on demand.  Small enough that the
-#: paper-scale topologies allocate a few KB, large enough that the
-#: heavy-traffic runs reach 10^5 slots in ~11 doublings.
+#: Initial slot capacity, the floor of every table: small enough that
+#: the paper-scale topologies allocate a few KB and never grow.
 _INITIAL_CAPACITY = 64
 
 #: Column storage by the type of its fill value.
@@ -84,15 +83,14 @@ class ColumnGroup:
 
 
 class SessionTable:
-    """Slot-indexed rows: slot -> the :class:`~repro.net.session.Session`
-    holding it, the released slots and a high-water mark.
+    """Slot bookkeeping: the released slots and a high-water mark.
 
     A session knows its own slot (``session.slot``) and the owning
-    network knows its sessions by id, so the table keeps no id index;
-    per-concern state lives in consumer-owned :class:`ColumnGroup`
-    instances created through :meth:`group`.  Slots at or above the
-    high-water mark have never been issued; below it a slot is either
-    live or released.
+    network knows its sessions by id, so the table keeps neither an id
+    index nor a slot -> session list; per-concern state lives in
+    consumer-owned :class:`ColumnGroup` instances created through
+    :meth:`group`.  Slots at or above the high-water mark have never
+    been issued; below it a slot is either live or released.
     """
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
@@ -100,8 +98,6 @@ class SessionTable:
             raise SimulationError(
                 f"session-table capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        #: Slot -> the session holding it (None while free).
-        self.rows: List[Optional["Session"]] = [None] * capacity
         #: Released slots, reused LIFO before any fresh one —
         #: deterministic reuse.
         self._free: List[int] = []
@@ -126,18 +122,14 @@ class SessionTable:
         copied unless released slots take its head.
         """
         free = self._free
-        rows = self.rows
         reused = min(len(free), len(sessions))
         for session in sessions[:reused]:
-            slot = free.pop()
-            rows[slot] = session
-            session.slot = slot
+            session.slot = free.pop()
         tail = sessions[reused:] if reused else sessions
         start = self._fresh
         end = start + len(tail)
         if end > self.capacity:
             self._grow(end)
-        rows[start:end] = tail
         for slot, session in enumerate(tail, start):
             session.slot = slot
         self._fresh = end
@@ -151,40 +143,26 @@ class SessionTable:
         reused slot starts with zeroed buffer occupancy, drop counters,
         and deadline-recursion state.
         """
-        if self.rows[slot] is None:
+        if not 0 <= slot < self._fresh or slot in self._free:
             raise SimulationError(f"session-table slot {slot} is not live")
-        self.rows[slot] = None
         for group in self.groups:
             for column, fill in group.columns:
                 column[slot] = fill
         self._free.append(slot)
 
     def _grow(self, needed: int) -> None:
-        """Double the capacity until it holds ``needed`` slots — what
-        doubling each time the free slots ran out would reach."""
-        old = self.capacity
-        capacity = old * 2
-        while capacity < needed:
-            capacity *= 2
-        extra = capacity - old
+        """Extend every column in place to exactly ``needed`` slots."""
+        extra = needed - self.capacity
         for group in self.groups:
             for column, fill in group.columns:
                 column.extend(array(column.typecode, [fill]) * extra)
-        # No 10^5-entry temporary lists: glibc keeps a freed one's pages
-        # resident (docs/heavy_traffic.md, "One call per population").
-        self.rows.extend(repeat(None, extra))
-        self.capacity = capacity
+        self.capacity = needed
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._fresh - len(self._free)
-
-    def items(self) -> Iterator[Tuple[int, "Session"]]:
-        """(slot, session) for every live row, in slot order."""
-        return ((slot, session) for slot, session in enumerate(self.rows)
-                if session is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<SessionTable {len(self)}/{self.capacity} "

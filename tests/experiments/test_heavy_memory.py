@@ -22,8 +22,11 @@ SESSIONS = 10_000
 #: 10^4-entry id -> sink dict beside the sessions, a free list holding
 #: every never-issued slot and a list copy of the population in the
 #: source it read 418.8; with the sink on the session, fresh slots from
-#: a high-water mark and the population one tuple, 365.8.
-HELD_PER_SESSION_CEILING = 385
+#: a high-water mark and the population one tuple, 365.8; with columns
+#: grown to exactly the slots issued instead of doubled, and no
+#: slot -> session row list or per-node ``member``/``limit`` column,
+#: 298.8.
+HELD_PER_SESSION_CEILING = 305
 
 
 class _Built(Exception):

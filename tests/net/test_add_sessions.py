@@ -100,12 +100,15 @@ def _state(network):
         list(network.sessions.items()),
         list(network.sinks.items()),
         network.l_max,
-        list(table.rows),
+        [(session.id, session.slot) for session
+         in [*network.sessions.values(),
+             *(entry[0] for entry in network._draining.values())]],
         list(table._free),
         table._fresh,
         table.capacity,
-        {name: (node._member.tobytes(), dict(node._samples))
-         for name, node in network.nodes.items()},
+        [column.tobytes() for group in table.groups
+         for column, _ in group.columns],
+        {name: dict(node._samples) for name, node in network.nodes.items()},
     )
 
 

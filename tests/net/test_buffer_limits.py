@@ -14,6 +14,7 @@ from repro.experiments.common import (
     add_onoff_session,
     add_poisson_cross_traffic,
 )
+from repro.net.network import Network
 from repro.net.topology import build_paper_network
 from repro.sched.fcfs import FCFS
 from repro.sched.leave_in_time import LeaveInTime
@@ -55,6 +56,47 @@ class TestDropMechanics:
         network.run(10.0)
         assert sink_a.received == 1
         assert sink_b.received == 2
+
+    def test_a_recycled_slot_starts_unlimited(self):
+        # Limits are a sparse slot -> bits map: the teardown that frees
+        # the slot must take the entry with it.
+        network = make_network(FCFS, capacity=1000.0)
+        old, _, source = add_trace_session(network, "old", rate=100.0,
+                                           times=[], lengths=100.0)
+        node = network.node("n1")
+        node.set_buffer_limit("old", 100.0)
+        slot = old.slot
+        source.stop()
+        network.remove_session("old")  # nothing in flight: freed now
+        assert node._limits == {}
+        new, sink, _ = add_trace_session(network, "new", rate=100.0,
+                                         times=[0.0] * 3, lengths=100.0)
+        assert new.slot == slot
+        network.run(10.0)
+        assert sink.received == 3 and node.drops == {}
+
+    def test_a_draining_session_keeps_its_limit_until_it_finalizes(self):
+        # n1 sends three 100-bit packets in 0.3 s; they reach the slow
+        # n2 (10 s each) at 5.1 / 5.2 / 5.3, after the removal, and the
+        # third finds 200 bits there: over the limit.
+        network = Network()
+        network.add_node("n1", FCFS(), capacity=1000.0, propagation=5.0)
+        network.add_node("n2", FCFS(), capacity=10.0)
+        session, sink, source = add_trace_session(
+            network, "s", rate=1.0, times=[0.0] * 3, lengths=100.0)
+        n2 = network.node("n2")
+        n2.set_buffer_limit("s", 200.0)
+        network.run(1.0)
+        source.stop()
+        network.remove_session("s")
+        assert "s" in network._draining
+        network.run(6.0)
+        assert n2.drops == {"s": 1} and n2.buffer_peak["s"] == 200.0
+        assert n2._limits == {session.slot: 200.0}
+        network.run(30.0)  # the second delivery, at 25.1, finalizes it
+        assert sink.received == 2 and session.slot == -1
+        assert n2._limits == {} and n2.drops == {}
+        assert "s" not in n2.buffer_peak
 
     def test_rejects_non_positive_limit(self):
         network = make_network(FCFS)

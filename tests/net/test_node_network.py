@@ -225,6 +225,15 @@ class TestNetworkValidation:
         assert network.reserved_rate("n1") == 10.0
         assert network.reserved_rate("n2") == 15.0
 
+    def test_reserved_rate_is_exactly_rounded(self):
+        # Summed left to right, 0.1 + 0.2 + 0.3 reads 0.6000000000000001;
+        # admission's ``math.fsum`` reads 0.6, and so does the network.
+        network = make_network(FCFS)
+        for session_id, rate in (("a", 0.1), ("b", 0.2), ("c", 0.3)):
+            add_trace_session(network, session_id, rate=rate, times=[],
+                              lengths=1.0)
+        assert network.reserved_rate("n1") == 0.6
+
 
 class TestRefusedSession:
     """A session a scheduler refuses leaves the network as it found it.
@@ -251,7 +260,7 @@ class TestRefusedSession:
         with pytest.raises(ConfigurationError, match="L_MAX unknown"):
             network.l_max
         for node in network.nodes.values():
-            assert not any(node._member)
+            assert node.buffer_bits == {}
             assert node._samples == {}
         first = network.node("n1").scheduler
         assert first._reserved == 0.0

@@ -15,7 +15,7 @@ from tests.conftest import add_trace_session, make_network
 
 def assert_row_reset(network, node_name, slot):
     """``s`` left the table; its ``slot`` reads fill values at the LiT."""
-    assert network.session_table.rows[slot] is None
+    assert slot in network.session_table._free
     scheduler = network.node(node_name).scheduler
     assert scheduler._k_prev[slot] == -inf
     assert scheduler._d_slope[slot] != scheduler._d_slope[slot]  # NaN
@@ -366,3 +366,37 @@ def test_sinks_maps_every_id_to_the_sink_it_delivers_to():
     assert sinks["kept"] is new_kept is not old_kept
     assert all(sink is not old_kept for sink in sinks.values())
     assert shared.received == 2 and sinks["draining"].received == 2
+
+
+def test_views_list_live_and_draining_sessions_in_slot_order():
+    """A node's views walk the network's live and draining sessions
+    routed through it, by slot — not by registration order."""
+    network = make_network(LeaveInTime, nodes=2, capacity=1.0)
+
+    def register(session_id, route, monitor=False):
+        session = Session(session_id, rate=0.01, route=route, l_max=10.0,
+                          monitor_buffer=monitor)
+        network.add_session(session)
+        return session
+
+    register("a", ["n1", "n2"])
+    register("b", ["n2"], monitor=True)
+    register("c", ["n1"], monitor=True)
+    _, _, source = add_trace_session(network, "f", rate=0.01,
+                                     times=[0.0], lengths=10.0)
+    network.remove_session("a")  # drained: its slot 0 is free
+    assert register("e", ["n1", "n2"], monitor=True).slot == 0
+    network.run(5.0)  # f's 10 s packet is on n1's link
+    source.stop()
+    network.remove_session("f")
+    assert "f" in network._draining
+    n1, n2 = network.node("n1"), network.node("n2")
+    # Registered b, c, f, e; by slot e 0, b 1, c 2, f 3.
+    assert list(n1.buffer_bits) == list(n1.buffer_peak) == ["e", "c", "f"]
+    assert list(n2.buffer_bits) == list(n2.buffer_peak) == ["e", "b", "f"]
+    assert list(n1.buffer_samples) == ["e", "c"]
+    assert list(n2.buffer_samples) == ["e", "b"]
+    assert n1.buffer_bits["f"] == 10.0
+    network.run(30.0)  # f reaches its sink and finalizes
+    assert list(n1.buffer_bits) == ["e", "c"]
+    assert list(n2.buffer_bits) == ["e", "b"]

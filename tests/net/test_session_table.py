@@ -2,8 +2,10 @@
 
 Behavioural gates: ``tests/sim/test_state_backends.py``.  Here, the
 table's own contract: lowest fresh slot first, LIFO reuse, a batch grows
-the table once to the slots one-at-a-time acquisition hands out, release
-resets every column of every group, growth extends the arrays in place.
+the table once to the slots one-at-a-time acquisition hands out — exactly
+the slots issued, above a 64-row floor — release resets every column of
+every group and refuses a slot that is not live, growth extends the
+arrays in place.
 """
 
 from math import inf
@@ -60,12 +62,14 @@ def test_rows_hold_the_live_sessions():
     table = SessionTable(capacity=2)
     first, second = _session("s"), _session("t")
     table.acquire([first, second])
-    assert table.rows == [first, second] and len(table) == 2
+    assert (first.slot, second.slot) == (0, 1) and len(table) == 2
     table.release(0)
-    assert table.rows == [None, second] and len(table) == 1
-    assert list(table.items()) == [(1, second)]
-    with pytest.raises(SimulationError, match="not live"):
-        table.release(0)
+    assert table._free == [0] and len(table) == 1
+    # Released, never issued and out of range: none of them is live.
+    for slot in (0, 2, -1):
+        with pytest.raises(SimulationError, match="not live"):
+            table.release(slot)
+    assert table._free == [0] and len(table) == 1
 
 
 def test_release_resets_every_attached_group():
@@ -90,10 +94,10 @@ def test_growth_preserves_slot_contents():
     flag = group.add("flag", False)
     table.acquire([_session("s0")])
     value[0], flag[0] = 42.0, True
-    for i in range(1, 10):  # forces three doublings past capacity 2
+    for i in range(1, 10):  # grows past capacity 2, a slot at a time
         table.acquire([_session(f"s{i}")])
     assert table.capacity >= 10
-    assert len(value) == len(flag) == len(table.rows) == table.capacity
+    assert len(value) == len(flag) == table.capacity == 10
     # Grown in place: the references taken before still are the columns.
     assert group.value is value and group.flag is flag
     assert (value[0], flag[0]) == (42.0, 1)
@@ -113,3 +117,29 @@ def test_reserved_attribute_name_rejected():
     group = table.group()
     with pytest.raises(SimulationError, match="duplicate"):
         group.add("columns", 0.0)
+
+
+def test_columns_grow_to_exactly_the_slots_issued():
+    """A batch of 1 000 grows every column once to 1 000 rows; one
+    session at a time reaches the same capacity, each column grown in
+    place; a table never shrinks below its 64-row floor."""
+    batch, one = SessionTable(), SessionTable()
+    columns = {}
+    for table in (batch, one):
+        group = table.group()
+        columns[id(table)] = (group.add("bits", 0.0), group.add("drops", 0))
+    assert batch.capacity == one.capacity == 64
+    batch.acquire([_session(f"s{i}") for i in range(1000)])
+    for i in range(1000):
+        one.acquire([_session(f"s{i}")])
+    for table in (batch, one):
+        assert table.capacity == table._fresh == len(table) == 1000
+        # The references taken at 64 rows are the grown columns.
+        bits, drops = columns[id(table)]
+        assert len(bits) == len(drops) == 1000
+        assert [column for column, _ in table.groups[0].columns] \
+            == [bits, drops]
+        assert table.groups[0].bits is bits and table.groups[0].drops is drops
+    small = SessionTable()
+    small.acquire([_session("s")])
+    assert small.capacity == 64

@@ -6,10 +6,11 @@ known workloads against frozen digests; this suite generalises them:
 arrival traces, mid-run teardown (churn), and Bernoulli packet-loss
 faults — must run clean under the ``Sanitizer`` (packet conservation,
 per-session buffer balance, LiT label monotonicity: the laws a stale
-or shared table row breaks) and leave the table consistent: live plus
-free slots equal the capacity, a live row is the session whose ``slot``
-it is (and the one the network knows by that id), and every free slot
-holds ``None`` and reads its fill value in every column of every group.
+or shared table row breaks) and leave the table consistent: live,
+released and never-issued slots partition the capacity, every live or
+draining session the network knows holds a slot of its own, and every
+slot no session holds reads its fill value in every column of every
+group.
 """
 
 from __future__ import annotations
@@ -108,24 +109,25 @@ def _run_script(specs: List[SessionSpec],
 def test_random_scripts_keep_the_table_consistent(specs, loss):
     network = _run_script(specs, loss)
     table = network.session_table
-    live = [slot for slot, session in enumerate(table.rows)
-            if session is not None]
+    holders = [*network.sessions.values(),
+               *(entry[0] for entry in network._draining.values())]
+    live = {session.slot: session for session in holders}
     released = table._free
     never_issued = range(table._fresh, table.capacity)
     assert (len(live) + len(released) + len(never_issued)
-            == table.capacity == len(table.rows))
+            == table.capacity)
+    assert len(live) == len(holders) == len(table)  # no slot is shared
+    assert all(len(column) == table.capacity for group in table.groups
+               for column, _ in group.columns)
     assert len(set(released)) == len(released)
     assert all(slot < table._fresh for slot in released)
-    for slot in live:
-        session = table.rows[slot]
-        assert session.slot == slot
-        assert slot not in released and slot < table._fresh
+    for slot, session in live.items():
+        assert 0 <= slot < table._fresh and slot not in released
         assert network.registered(session.id) is session
     # Never handed out here (<= 4 sessions, 64 rows): a late packet of a
     # drained session (slot -1) would land on it and fail the fill check.
     assert table.capacity - 1 in never_issued
     for slot in [*released, *never_issued]:
-        assert table.rows[slot] is None
         for group in table.groups:
             for column, fill in group.columns:
                 value = column[slot]  # a NaN fill equals nothing

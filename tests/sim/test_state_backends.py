@@ -101,7 +101,7 @@ def test_forget_session_recycles_a_zeroed_slot():
     table = network.session_table
     slot_a = session_a.slot
     network.remove_session("a")
-    assert session_a.slot == -1 and table.rows[slot_a] is None
+    assert session_a.slot == -1 and slot_a in table._free
     # LIFO reuse: the next admission takes a's slot back.
     session_c, sink_c, _ = add_trace_session(
         network, "c", rate=100.0, times=[0.0, 0.1], lengths=100.0,
@@ -128,8 +128,9 @@ def test_drain_accounting_survives_mid_flight_removal():
     network.remove_session("s")
     slot = session.slot
     assert slot >= 0  # draining, not freed
-    assert network.session_table.rows[slot] is session
+    assert slot not in network.session_table._free
+    assert network.registered("s") is session
     network.run(20.0)
     assert network.sink("s").received == 1
-    assert session.slot == -1 and network.session_table.rows[slot] is None
+    assert session.slot == -1 and slot in network.session_table._free
     assert "s" not in network.node("n1").buffer_bits
