@@ -38,7 +38,7 @@ class NoWallclock(Rule):
     reads make runs irreproducible and ``time.sleep`` stalls the event
     loop without advancing virtual time.  Benchmarking code that
     genuinely measures real elapsed time suppresses this rule with a
-    justification (see ``repro/experiments/ablation.py``).
+    justification (see ``repro/analysis/bench.py``'s ``Stopwatch``).
     """
 
     id = "no-wallclock"

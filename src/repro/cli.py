@@ -11,9 +11,9 @@ Examples::
 
 Durations default to laptop-friendly values; pass ``--full`` for the
 paper's 5- or 10-minute horizons (slow in pure Python). Sweeps shard
-their cells across ``--workers`` processes (default: all cores but
-one); the merged tables are bit-identical to a serial run. A run
-writes nothing but the ``--csv`` files it was asked for.
+their cells across ``--workers`` processes (default: every core this
+process may run on); the merged tables are bit-identical to a serial
+run. A run writes nothing but the ``--csv`` files it was asked for.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ _SIMULATED: Dict[str, float] = {
     "fault_sweep": 60.0,
     "firewall": 60.0,
     "heavy_traffic": 20.0,
-    "ablation": 30.0,
     "hop_scaling": 60.0,
     "call_churn": 300.0,
     "md1_validation": 600.0,
@@ -84,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(for experiments that support export)")
     parser.add_argument("--workers", type=positive_int, default=None,
                         help="processes to shard sweep cells across "
-                             "(default: all cores but one); results "
-                             "are identical at any worker count")
+                             "(default: every core this process may "
+                             "run on); results are identical at any "
+                             "worker count")
     parser.add_argument("--profile", nargs="?", const=25,
                         type=positive_int, default=None, metavar="N",
                         help="run under cProfile and print the top N "

@@ -1,6 +1,6 @@
 """Experiment harness: one module per paper figure plus the Section-4
-analytic comparisons, the firewall-property experiment, and the queue
-ablation. Each module exposes ``run(...)`` returning a result object
+analytic comparisons, the firewall-property experiment, and the
+scaling, churn and fault studies. Each module exposes ``run(...)`` returning a result object
 with a ``table()`` method printing the figure's rows, and the shared
 paper constants live in :mod:`repro.experiments.common`."""
 

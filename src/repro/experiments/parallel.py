@@ -60,12 +60,10 @@ class Cell:
 
 
 def default_workers() -> int:
-    """All-but-one of the CPUs this process may run on (min 1)."""
+    """Every CPU this process may run on."""
     if hasattr(os, "sched_getaffinity"):
-        count = len(os.sched_getaffinity(0))
-    else:  # platforms without an affinity mask (macOS, Windows)
-        count = os.cpu_count() or 1
-    return max(1, count - 1)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # no affinity mask (macOS, Windows)
 
 
 def _run_pool(cells: List[Cell], workers: int) -> List[Any]:

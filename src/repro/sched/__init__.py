@@ -22,10 +22,9 @@ VirtualClock is Leave-in-Time with its default ``d = L/r`` policy
 two to eq. 2 packet for packet.
 
 All disciplines plug into :class:`~repro.net.node.ServerNode` through
-the :class:`~repro.sched.base.Scheduler` contract. Leave-in-Time can
-swap its deadline queue between an exact binary heap and the
-approximate O(1) calendar queue the paper mentions
-(:mod:`repro.sched.calendar_queue`).
+the :class:`~repro.sched.base.Scheduler` contract; the deadline-ordered
+ones (Leave-in-Time, WFQ, EDD) share the one exact heap of
+:class:`~repro.sched.base.DeadlineScheduler`.
 """
 
 from repro import _lazy_exports
@@ -44,8 +43,6 @@ _EXPORTS = {
     "reference_finish_times": ".reference",
     "DelayPolicy": ".policy",
     "virtual_clock_policy": ".policy",
-    "HeapDeadlineQueue": ".calendar_queue",
-    "ApproximateDeadlineQueue": ".calendar_queue",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -21,6 +21,7 @@ covers all of them, and the bound helpers can compute
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from repro.errors import ConfigurationError
 
@@ -34,11 +35,11 @@ class DelayPolicy:
     Attributes
     ----------
     slope:
-        Seconds per bit applied to the packet length (≥ 0).
+        Seconds per bit applied to the packet length (finite, ≥ 0).
     offset:
-        Constant seconds added to every packet's ``d`` (≥ 0).
+        Constant seconds added to every packet's ``d`` (finite, ≥ 0).
     l_max:
-        The session's maximum packet length, fixing ``d_max``.
+        The session's maximum packet length (finite), fixing ``d_max``.
     l_min:
         The session's minimum packet length, used when maximizing
         ``d_i − L_i/r_s`` over packet lengths (the α term).
@@ -50,13 +51,15 @@ class DelayPolicy:
     l_min: float
 
     def __post_init__(self) -> None:
-        if self.slope < 0 or self.offset < 0:
+        # Written so that NaN fails: a NaN ``d`` breaks deadline order.
+        if not (0 <= self.slope < inf and 0 <= self.offset < inf):
             raise ConfigurationError(
-                f"delay policy must be non-negative, got slope={self.slope}, "
-                f"offset={self.offset}")
-        if not 0 < self.l_min <= self.l_max:
+                f"delay policy must be finite and non-negative, got "
+                f"slope={self.slope}, offset={self.offset}")
+        if not 0 < self.l_min <= self.l_max < inf:
             raise ConfigurationError(
-                f"need 0 < l_min <= l_max, got {self.l_min}, {self.l_max}")
+                f"need 0 < l_min <= l_max < inf, got {self.l_min}, "
+                f"{self.l_max}")
 
     def d_of(self, length: float) -> float:
         """``d_{i,s}`` for a packet of ``length`` bits."""

@@ -9,7 +9,6 @@ test-suite friendly; the benchmarks run the fuller versions.
 import pytest
 
 from repro.experiments import (
-    ablation,
     figure07,
     figure08,
     figure09,
@@ -193,16 +192,6 @@ class TestFirewall:
 
     def test_table_flags_violation(self, result):
         assert "NO" in result.table()
-
-
-class TestAblation:
-    def test_calendar_queue_preserves_guarantees(self):
-        result = ablation.run(duration=4.0, seed=1)
-        for outcome in result.outcomes.values():
-            assert outcome.bound_holds
-            # Emulation error below bin width + one packet time.
-            assert outcome.max_lateness_ms < (424.0 / 1.536e6
-                                              + result.bin_width) * 1e3
 
 
 class TestSpaceParallel:

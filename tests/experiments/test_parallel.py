@@ -74,10 +74,10 @@ class TestRunCells:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 7},
                             raising=False)
-        assert default_workers() == 1
+        assert default_workers() == 2
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(8)), raising=False)
-        assert default_workers() == 7
+        assert default_workers() == 8
 
     def test_workers_none_uses_default(self):
         cells = [Cell(label="c", fn=_square, kwargs={"x": 2})]

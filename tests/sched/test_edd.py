@@ -1,7 +1,10 @@
 """Unit tests for Delay-EDD and Jitter-EDD."""
 
+from math import inf, nan
+
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.sched.edd import DelayEDD, JitterEDD, edd_schedulable
 from tests.conftest import add_trace_session, make_network
 
@@ -27,6 +30,18 @@ class TestSchedulabilityTest:
 
 
 class TestDelayEDD:
+    @pytest.mark.parametrize("bound", [nan, inf, -1.0])
+    @pytest.mark.parametrize("discipline", [DelayEDD, JitterEDD])
+    def test_rejects_a_bound_that_is_not_finite_and_non_negative(
+            self, discipline, bound):
+        # A NaN deadline breaks heap order without a word; an infinite
+        # one reads lateness -inf.
+        with pytest.raises(ConfigurationError, match="'late'"):
+            discipline(local_delays={"ok": 0.5, "late": bound})
+
+    def test_accepts_a_zero_bound(self):
+        assert DelayEDD(local_delays={"s": 0.0}).local_delays == {"s": 0.0}
+
     def test_deadline_is_arrival_plus_local_bound(self):
         network = make_network(
             lambda: DelayEDD(local_delays={"s": 0.5}), capacity=1000.0)

@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.session import Session
-from repro.sched.calendar_queue import ApproximateDeadlineQueue
 from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.policy import (DelayPolicy, constant_policy,
                                 virtual_clock_policy)
@@ -93,27 +92,6 @@ class TestDeadlineRecursion:
         network.run(200.0)
         # Delay is just the transmission time, not L/r = 100 s.
         assert sink.max_delay == pytest.approx(0.1)
-
-
-class TestDeadlineQueue:
-    def test_a_given_calendar_queue_holds_the_packets(self):
-        # A fresh calendar queue is empty, so ``len`` makes it falsy: a
-        # truthiness default would swap it for the exact heap.
-        pushed = []
-
-        class Recording(ApproximateDeadlineQueue):
-            def push(self, packet):
-                pushed.append(packet)
-                super().push(packet)
-
-        queue = Recording(bin_width=0.5)
-        network = make_network(lambda: LeaveInTime(queue=queue))
-        _, sink, _ = add_trace_session(
-            network, "s", rate=100.0, times=[0.0, 0.0, 0.0],
-            lengths=100.0)
-        network.run(10.0)
-        assert network.node("n1").scheduler._eligible is queue
-        assert pushed == sink.packets and len(pushed) == 3
 
 
 class TestRegulators:

@@ -1,5 +1,7 @@
 """Unit tests for delay policies (the d_{i,s} rules)."""
 
+from math import inf, nan
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -71,6 +73,21 @@ class TestGeneralPolicy:
             DelayPolicy(slope=0.0, offset=-1.0, l_max=1.0, l_min=1.0)
         with pytest.raises(ConfigurationError):
             DelayPolicy(slope=0.0, offset=0.0, l_max=1.0, l_min=2.0)
+
+    @pytest.mark.parametrize("field", ["slope", "offset"])
+    @pytest.mark.parametrize("value", [nan, inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        # NaN passes ``x < 0``; a NaN slope would also read as LiT's
+        # "policy not resolved yet" mark on every packet.
+        kwargs = dict(slope=0.0, offset=0.0, l_max=1.0, l_min=1.0)
+        kwargs[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            DelayPolicy(**kwargs)
+
+    @pytest.mark.parametrize("l_max", [nan, inf])
+    def test_rejects_non_finite_l_max(self, l_max):
+        with pytest.raises(ConfigurationError):
+            DelayPolicy(slope=0.0, offset=0.0, l_max=l_max, l_min=1.0)
 
     def test_frozen(self):
         policy = constant_policy(0.005, l_max=424.0)

@@ -61,12 +61,11 @@ MODULES = {
         "repro.net.network", "repro.net.node", "repro.net.packet",
         "repro.net.route", "repro.net.session", "repro.net.session_table",
         "repro.net.sink", "repro.net.topology", "repro.sched",
-        "repro.sched.base", "repro.sched.calendar_queue", "repro.sched.edd",
-        "repro.sched.fcfs", "repro.sched.leave_in_time",
-        "repro.sched.policy", "repro.sim", "repro.sim.events",
-        "repro.sim.kernel", "repro.sim.monitor", "repro.sim.parallel",
-        "repro.sim.rng", "repro.sim.trace", "repro.traffic",
-        "repro.traffic.base", "repro.traffic.onoff",
+        "repro.sched.base", "repro.sched.edd", "repro.sched.fcfs",
+        "repro.sched.leave_in_time", "repro.sched.policy", "repro.sim",
+        "repro.sim.events", "repro.sim.kernel", "repro.sim.monitor",
+        "repro.sim.parallel", "repro.sim.rng", "repro.sim.trace",
+        "repro.traffic", "repro.traffic.base", "repro.traffic.onoff",
         "repro.traffic.poisson", "repro.traffic.superposed",
         "repro.units",
     ],
