@@ -236,7 +236,7 @@ def test_nothing_is_parked_in_front_of_a_framed_discipline(factory):
 def test_every_deferrable_discipline_works_from_the_now_it_is_handed():
     """No data-path hook of a deferrable discipline reads the clock."""
     hooks = {"on_arrival", "next_packet", "on_transmit_complete",
-             "_release", "_eligibility", "_mature", "_hold"}
+             "_release", "_push", "_eligibility", "_mature", "_hold"}
     checked = 0
     for name in sched.__all__:
         cls = getattr(sched, name)
