@@ -46,10 +46,10 @@ def buffer_distribution(node: ServerNode,
         raise ConfigurationError(
             f"session {session_id!r} is not buffer-monitored at "
             f"{node.name!r} (set monitor_buffer=True on the session)")
-    if len(series) == 0:
-        raise ConfigurationError(
-            f"no buffer samples for {session_id!r} at {node.name!r}; "
-            "did the simulation run?")
+    if len(series) == 0:  # no arrival here yet: a zero-sample row
+        empty = np.zeros(0)
+        return BufferDistribution(node.name, session_id, 0, 0.0, 0.0,
+                                  (empty, empty))
     values = np.asarray(series.values, dtype=float)
     xs, probs = empirical_ccdf(values)
     return BufferDistribution(

@@ -49,7 +49,6 @@ __all__ = [
     "Scenario",
     "TiebreakShuffledSimulator",
     "perturb_scenario",
-    "scenarios",
 ]
 
 #: Perturbation modes in the order they run.
@@ -284,11 +283,6 @@ class Fig07Scenario(Scenario):
                      fn=_fig07_probe_cell,
                      kwargs={"a_off": a_off, "horizon": horizon})
                 for a_off in _FIG07_A_OFF_POINTS_S]
-
-
-def scenarios() -> dict:
-    """Registered perturbable scenarios by name."""
-    return {Fig07Scenario.name: Fig07Scenario}
 
 
 # ----------------------------------------------------------------------

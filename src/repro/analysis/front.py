@@ -23,11 +23,11 @@ ingests).
 
 One dynamic mode shares the entry point: ``--perturb``, the
 schedule-perturbation differ (:mod:`repro.analysis.det.perturb`) —
-rerun ``--scenario`` for ``--horizon`` simulated seconds under shuffled
-tie-break, shuffled session registration and ``workers=1`` vs
-``--workers N`` (``--modes`` picks a subset), and diff observables +
-traces.  Its verdict is its exit code
-(1 on a divergence).
+rerun a shortened Figure-7 cell for ``--horizon`` simulated seconds
+under shuffled tie-break, shuffled session registration and
+``workers=1`` vs ``--workers N`` (``--modes`` picks a subset), and diff
+observables + traces.  Its verdict is its exit code (1 on a
+divergence).
 """
 
 from __future__ import annotations
@@ -133,9 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the schedule-perturbation differ instead of the "
              "static rules")
     dynamic.add_argument(
-        "--scenario", default="fig07",
-        help="scenario to perturb (default: fig07)")
-    dynamic.add_argument(
         "--modes", default=None, metavar="M1,M2",
         help="comma-separated subset of tiebreak,registration,workers "
              "(default: all)")
@@ -158,14 +155,10 @@ def _run_perturb(options: argparse.Namespace,
     # static path (CI's hot path) must not pay for.
     from repro.analysis.det.perturb import (
         DEFAULT_MODES,
+        Fig07Scenario,
         perturb_scenario,
-        scenarios,
     )
 
-    registry = scenarios()
-    if options.scenario not in registry:
-        parser.error(f"unknown scenario {options.scenario!r} "
-                     f"(available: {', '.join(sorted(registry))})")
     modes: Sequence[str] = DEFAULT_MODES
     if options.modes is not None:
         modes = tuple(part.strip() for part in options.modes.split(",")
@@ -178,8 +171,8 @@ def _run_perturb(options: argparse.Namespace,
             parser.error(f"unknown perturbation mode(s): "
                          f"{', '.join(unknown)} "
                          f"(available: {', '.join(DEFAULT_MODES)})")
-    scenario = registry[options.scenario]()
-    report = perturb_scenario(scenario, modes, horizon=options.horizon,
+    report = perturb_scenario(Fig07Scenario(), modes,
+                              horizon=options.horizon,
                               workers=options.workers,
                               rounds=options.rounds)
     print(report.render())

@@ -12,18 +12,7 @@ from typing import Iterable, List, Sequence, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
 
-__all__ = ["format_row", "format_table", "network_summary"]
-
-
-def format_row(values: Sequence, widths: Sequence[int]) -> str:
-    cells = []
-    for value, width in zip(values, widths):
-        if isinstance(value, float):
-            text = f"{value:.3f}"
-        else:
-            text = str(value)
-        cells.append(text.rjust(width))
-    return "  ".join(cells)
+__all__ = ["format_table", "network_summary"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence],

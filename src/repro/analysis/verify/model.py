@@ -101,10 +101,11 @@ _UNIT_CONSTRUCTORS: Dict[str, Dim] = {
 _PASSTHROUGH_CALLS = ("min", "max", "abs", "float", "round", "sum")
 
 #: Method names that put an event on a queue: the kernel's schedule
-#: calls plus the deadline-queue enqueue every discipline funnels
-#: through.  Reaching one of these via the call graph is what makes an
-#: iteration order observable in dispatch order.
-SINK_NAMES = ("schedule", "schedule_at", "push")
+#: calls plus ``DeadlineScheduler._push``, the deadline-heap enqueue
+#: every deadline discipline funnels through.  Reaching one of these
+#: via the call graph is what makes an iteration order observable in
+#: dispatch order.
+SINK_NAMES = ("schedule", "schedule_at", "_push")
 
 #: Method names that create a reservation / release one.
 RESERVE_NAMES = ("admit", "reserve")
@@ -283,7 +284,6 @@ def _record_import(ctx: _ModuleContext, node: ast.AST) -> None:
         base = node.module or ""
         if node.level:
             # Relative import: resolve against this module's package.
-            package_parts = ctx.module.split(".")[:-node.level or None]
             package_parts = ctx.module.split(".")
             package_parts = package_parts[:len(package_parts) - node.level]
             base = ".".join(package_parts + ([node.module]
@@ -720,24 +720,15 @@ class _FunctionScanner:
                      if _concrete(spec) is not None]
             if known and all(dim == known[0] for dim in known):
                 return known[0]
-        # Array-typed constants (the session table's ColumnGroup): an
-        # array built by numpy.full(shape, fill) — or declared via
-        # ColumnGroup.add("name", fill), whose first argument is the
-        # column-name string — holds the fill value's dimension in
-        # every element, and ndarray.item(slot) reads one element back
-        # out.  Propagating fill through both keeps the dimension
-        # algebra connected across the array round-trip instead of
-        # going dark at the store.
-        if last == "full" and len(arg_specs) >= 2:
-            return arg_specs[1]
+        # A session-table column declared via ColumnGroup.add("name",
+        # fill), whose first argument is the column-name string, holds
+        # the fill value's dimension in every element: propagating it
+        # keeps the dimension algebra connected across the store.
         if last == "add" and isinstance(node.func, ast.Attribute) \
                 and len(node.args) >= 2 \
                 and isinstance(node.args[0], ast.Constant) \
                 and isinstance(node.args[0].value, str):
             return arg_specs[1]
-        if last == "item" and isinstance(node.func, ast.Attribute) \
-                and len(node.args) <= 1:
-            return self._expr(node.func.value)
         return None
 
     # -- result --------------------------------------------------------

@@ -60,10 +60,11 @@ class NondeterministicIteration(ProgramRule):
 
     Python sets hash-order their elements, so any loop over a ``set``
     (or a dict whose population order is not itself deterministic) that
-    ends up calling ``Simulator.schedule*`` / queue ``push`` bakes an
-    arbitrary order into the event heap's FIFO tie-break — runs stop
-    being reproducible across interpreters and ``PYTHONHASHSEED``
-    values.  Iterate ``sorted(...)`` or an explicitly ordered list.
+    ends up calling ``Simulator.schedule*`` or
+    ``DeadlineScheduler._push`` bakes an arbitrary order into the event
+    heap's or the deadline heap's FIFO tie-break — runs stop being
+    reproducible across interpreters and ``PYTHONHASHSEED`` values.
+    Iterate ``sorted(...)`` or an explicitly ordered list.
     """
 
     id = "nondeterministic-iteration"

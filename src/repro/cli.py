@@ -14,6 +14,8 @@ paper's 5- or 10-minute horizons (slow in pure Python). Sweeps shard
 their cells across ``--workers`` processes (default: every core this
 process may run on); the merged tables are bit-identical to a serial
 run. A run writes nothing but the ``--csv`` files it was asked for.
+To profile a run, ``python -m cProfile -s cumulative -m repro figure07
+--workers 1``.
 """
 
 from __future__ import annotations
@@ -86,11 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: every core this process may "
                              "run on); results are identical at any "
                              "worker count")
-    parser.add_argument("--profile", nargs="?", const=25,
-                        type=positive_int, default=None, metavar="N",
-                        help="run under cProfile and print the top N "
-                             "functions by cumulative time "
-                             "(default N: 25)")
     parser.add_argument("--sanitize", action="store_true",
                         help="install runtime conservation-law checkers "
                              "(packet conservation, reservation sums, "
@@ -102,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_simulated(name: str, duration: Optional[float], seed: int,
                    full: bool, csv_dir: Optional[str],
-                   workers: Optional[int]) -> str:
+                   workers: Optional[int]) -> None:
+    """Run ``name`` and print its table, then export it: a failed
+    export must not cost a finished run its table."""
     runner = _runner(name)
     if duration is None:
         duration = _SIMULATED[name] if full else None
@@ -114,8 +113,8 @@ def _run_simulated(name: str, duration: Optional[float], seed: int,
     if "workers" in parameters:
         kwargs["workers"] = workers
     result = runner(**kwargs)
+    print(result.table())
     _maybe_export(name, result, csv_dir)
-    return result.table()
 
 
 def _maybe_export(name: str, result, csv_dir: Optional[str]) -> None:
@@ -157,42 +156,23 @@ def main(argv: Optional[list] = None) -> int:
         os.environ["REPRO_SANITIZE"] = "1"
     names = (sorted(_SIMULATED) + sorted(_ANALYTIC)
              if args.experiment == "all" else [args.experiment])
-    profiler = None
-    if args.profile is not None:
-        import cProfile
-        profiler = cProfile.Profile()
-        profiler.enable()
-    try:
-        for name in names:
-            if name in _ANALYTIC:
-                print(_runner(name)().table())
-            else:
-                try:
-                    print(_run_simulated(name, args.duration, args.seed,
-                                         args.full, args.csv, workers))
-                except SanitizerError as error:
-                    print(f"[sanitize] {name}: VIOLATIONS",
-                          file=sys.stderr)
-                    print(error.report_json, file=sys.stderr)
-                    return 1
-                except ConfigurationError as error:
-                    return _input_error(str(error))
-                if args.sanitize:
-                    print(f"[sanitize] {name}: clean")
-            print()
-    finally:
-        if profiler is not None:
-            profiler.disable()
-            _print_profile(profiler, args.profile)
+    for name in names:
+        if name in _ANALYTIC:
+            print(_runner(name)().table())
+        else:
+            try:
+                _run_simulated(name, args.duration, args.seed, args.full,
+                               args.csv, workers)
+            except SanitizerError as error:
+                print(f"[sanitize] {name}: VIOLATIONS", file=sys.stderr)
+                print(error.report_json, file=sys.stderr)
+                return 1
+            except ConfigurationError as error:
+                return _input_error(str(error))
+            if args.sanitize:
+                print(f"[sanitize] {name}: clean")
+        print()
     return 0
-
-
-def _print_profile(profiler, top: int) -> None:
-    """Top ``top`` functions by cumulative time, on stdout."""
-    import pstats
-    print(f"[profile: top {top} functions by cumulative time]")
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats("cumulative").print_stats(top)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -166,7 +166,7 @@ class _ChurnDriver:
         # Tear the call down immediately, even with packets still in
         # flight: remove_session drains then forgets, so no deferred
         # cleanup-and-retry dance is needed.
-        network.remove_session(session.id, keep_sink=False)
+        network.remove_session(session.id)
 
     def _harvest(self, record: CallRecord, session: Session) -> None:
         sink = self.network.sink(session.id)

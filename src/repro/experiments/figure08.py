@@ -66,25 +66,31 @@ class Figure8Result:
         return edges * 1e3, mass
 
     def to_csv(self, path) -> None:
-        """Write both sessions' delay histograms (1 ms bins) to CSV."""
+        """Write both sessions' delay histograms (1 ms bins) to CSV; a
+        session with no samples has zero mass in every bin."""
         from repro.analysis.export import write_series_csv
-        edges_nc, mass_nc = self.delay_histogram(SESSION_NO_CONTROL)
-        edges_c, mass_c = self.delay_histogram(SESSION_CONTROL)
-        # Align the two histograms on a common grid.
-        low = min(edges_nc[0], edges_c[0])
-        high = max(edges_nc[-1], edges_c[-1])
+        histograms = {
+            session_id: self.delay_histogram(session_id)
+            for session_id in (SESSION_NO_CONTROL, SESSION_CONTROL)
+            if len(self._sink(session_id).samples)}
+        # Align the histograms on a common grid.
+        low = min((edges[0] for edges, _ in histograms.values()),
+                  default=0.0)
+        high = max((edges[-1] for edges, _ in histograms.values()),
+                   default=0.0)
         grid = np.arange(low, high + 0.5, 1.0)
 
-        def on_grid(edges, mass):
+        def on_grid(session_id):
             out = np.zeros(len(grid))
-            index = np.rint(edges - low).astype(int)
-            out[index] = mass
+            if session_id in histograms:
+                edges, mass = histograms[session_id]
+                out[np.rint(edges - low).astype(int)] = mass
             return out
 
         write_series_csv(path, {
             "delay_ms": grid,
-            "mass_no_control": on_grid(edges_nc, mass_nc),
-            "mass_with_control": on_grid(edges_c, mass_c),
+            "mass_no_control": on_grid(SESSION_NO_CONTROL),
+            "mass_with_control": on_grid(SESSION_CONTROL),
         })
 
     def table(self) -> str:

@@ -1,21 +1,17 @@
 """Declarative fault plans: what breaks, where, and when.
 
 A :class:`FaultPlan` is pure data — a set of typed fault windows,
-validated at construction and serializable to/from JSON — with **no**
-reference to live simulation objects.  Binding a plan to a
+validated at construction — with **no** reference to live simulation
+objects.  Binding a plan to a
 :class:`~repro.net.network.Network` is the job of
 :class:`~repro.faults.injector.FaultInjector`, which turns every entry
-into ordinary kernel events.  Keeping the plan declarative gives three
+into ordinary kernel events.  Keeping the plan declarative gives two
 properties the reproduction needs:
 
 * **Determinism** — a plan fully describes the disruption, so the same
   plan + the same master seed replays the same run, serially or across
   ``--workers`` (each sweep cell builds its own network and its own
   injector from the same plan data).
-* **Shareability** — plans round-trip through JSON
-  (:meth:`FaultPlan.to_json` / :meth:`FaultPlan.from_json`), so a
-  failure scenario can be committed next to the experiment that uses
-  it, or attached to a bug report.
 * **Zero cost when empty** — an empty plan installs nothing; the data
   path stays byte-for-byte on the fault-free fast path (see
   ``tests/sim/test_dispatch_digest.py``).
@@ -33,22 +29,17 @@ Fault families (see ``docs/faults.md`` for the exact semantics):
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Tuple, Union
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "PLAN_SCHEMA_VERSION",
     "LinkDown",
     "PacketLoss",
     "FaultPlan",
 ]
-
-#: Version stamped into serialized plans; bump on incompatible changes.
-PLAN_SCHEMA_VERSION = 2
 
 
 def _require_instant(owner: str, name: str, value: float) -> float:
@@ -118,7 +109,7 @@ class PacketLoss:
                 f"PacketLoss: rate must be in (0, 1], got {rate!r}")
 
 
-#: JSON key -> spec class, in serialization order.
+#: Plan field -> the spec class its entries must be.
 _FAMILIES: Tuple[Tuple[str, type], ...] = (
     ("link_downs", LinkDown),
     ("losses", PacketLoss),
@@ -180,62 +171,3 @@ class FaultPlan:
         """Sorted node names any fault touches."""
         return tuple(sorted({spec.node for spec in
                              self.link_downs + self.losses}))
-
-    # ------------------------------------------------------------------
-    # JSON (de)serialization
-    # ------------------------------------------------------------------
-    def to_json(self) -> Dict[str, Any]:
-        """A plain-dict form, stable across runs (sorted, versioned)."""
-        payload: Dict[str, Any] = {"schema": PLAN_SCHEMA_VERSION}
-        for key, spec_type in _FAMILIES:
-            entries = getattr(self, key)
-            if entries:
-                names = [f.name for f in fields(spec_type)]
-                payload[key] = [
-                    {name: getattr(entry, name) for name in names}
-                    for entry in entries]
-        return payload
-
-    def dumps(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_json(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: Union[str, Dict[str, Any]]) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_json` output (dict or string)."""
-        if isinstance(payload, str):
-            try:
-                payload = json.loads(payload)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ConfigurationError(
-                    f"FaultPlan.from_json: not JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"FaultPlan.from_json expects a dict or JSON object, "
-                f"got {type(payload).__name__}")
-        # Keys and entries before the schema: a schema-1 plan is told
-        # which of its keys schema 2 retired (docs/faults.md).
-        known = {key for key, _ in _FAMILIES} | {"schema"}
-        unknown = sorted(set(payload) - known, key=str)
-        if unknown:
-            raise ConfigurationError(
-                f"FaultPlan.from_json: unknown keys {unknown}")
-        kwargs: Dict[str, Any] = {}
-        for key, spec_type in _FAMILIES:
-            entries = payload.get(key, [])
-            if not isinstance(entries, list):
-                raise ConfigurationError(
-                    f"FaultPlan.{key} must be a list, got "
-                    f"{type(entries).__name__}")
-            try:
-                kwargs[key] = tuple(spec_type(**entry)
-                                    for entry in entries)
-            except TypeError as exc:  # a field unknown or missing
-                raise ConfigurationError(
-                    f"FaultPlan.{key}: bad entry: {exc}") from exc
-        schema = payload.get("schema")
-        # ``type(...) is int``: ``True`` and ``2.0`` compare equal to 2.
-        if type(schema) is not int or schema != PLAN_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"FaultPlan schema {schema!r}, expected "
-                f"{PLAN_SCHEMA_VERSION}")
-        return cls(**kwargs)

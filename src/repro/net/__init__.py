@@ -18,7 +18,6 @@ _EXPORTS = {
     "Session": ".session",
     "Sink": ".sink",
     "route_from_letters": ".route",
-    "route_name": ".route",
     "ENTRANCES": ".route",
     "EXITS": ".route",
     "build_paper_network": ".topology",

@@ -46,12 +46,5 @@ class Link:
         self.capacity = float(capacity)
         self.propagation = float(propagation)
 
-    def transmission_time(self, length_bits: float) -> float:
-        """Time to clock ``length_bits`` onto the link: ``L / C``."""
-        if length_bits < 0:
-            raise ConfigurationError(
-                f"packet length must be non-negative, got {length_bits}")
-        return length_bits / self.capacity
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link C={self.capacity:g}bps Γ={self.propagation:g}s>"

@@ -16,8 +16,8 @@ from collections import deque
 from collections.abc import Mapping
 from math import fsum
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
-    Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
+    Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.link import Link
@@ -103,9 +103,6 @@ class Network:
         #: Node name -> its scheduler, for the schedulers whose
         #: ``register_session`` hook is not the base class's no-op.
         self._hooked: Dict[str, Scheduler] = {}
-        #: Sinks of sessions removed with ``keep_sink=True`` and
-        #: drained; registering the id again replaces its entry.
-        self._kept: Dict[str, Sink] = {}
         #: Sink deliveries not yet made: ``(arrival time, packet)`` in
         #: time order, appended by last-hop completions.
         self._calendar: deque = deque()
@@ -119,12 +116,9 @@ class Network:
         #: register unless pinned explicitly here.
         self._l_max_network = l_max_network
         self._l_max_seen = 0.0
-        #: Sessions removed while packets were still in flight:
-        #: id -> (session, keep_sink). Finalized when the last packet
-        #: reaches its sink or is dropped.
-        self._draining: Dict[str, Tuple[Session, bool]] = {}
-        #: Callbacks waiting for a draining session to finalize.
-        self._drained_callbacks: Dict[str, List[Callable[[], None]]] = {}
+        #: Sessions removed while packets were still in flight, by id.
+        #: Finalized when the last packet reaches its sink or is dropped.
+        self._draining: Dict[str, Session] = {}
         #: The armed fault injector, if any (see repro.faults); None in
         #: fault-free runs, so the delivery path pays one check.
         self.faults: Optional["FaultInjector"] = None
@@ -175,11 +169,11 @@ class Network:
         All or nothing: a refusal — a failed check or a scheduler hook's
         (HRR's frame budget) — leaves the network as it was.  The ids
         the checks entered in :attr:`sessions` are taken out again and
-        the hooks that accepted forget their sessions; slots, node
-        columns and kept sinks are written only once every hook
-        accepted (a refused session may carry the sink it would have
-        had; nothing reads it).  A hook runs before its session holds a
-        slot.  A list or tuple ``sessions`` is used without a copy.
+        the hooks that accepted forget their sessions; slots and node
+        columns are written only once every hook accepted (a refused
+        session may carry the sink it would have had; nothing reads
+        it).  A hook runs before its session holds a slot.  A list or
+        tuple ``sessions`` is used without a copy.
         """
         if sink is not None:
             given = [name for name, value, default in (
@@ -249,10 +243,6 @@ class Network:
         l_max = max(map(_L_MAX, batch), default=0.0)
         if l_max > self._l_max_seen:
             self._l_max_seen = l_max
-        kept = self._kept
-        if kept:
-            for session in batch:
-                kept.pop(session.id, None)
 
     def _register_hooks(self, routes: Dict[Tuple[str, ...],
                                            Sequence[Session]]) -> None:
@@ -273,21 +263,22 @@ class Network:
                 scheduler.forget_session(session_id)
             raise
 
-    def remove_session(self, session_id: str, *,
-                       keep_sink: bool = True) -> None:
+    def remove_session(self, session_id: str) -> None:
         """Tear a session out of the network (drain-then-forget).
 
         Drops the session from the routing table immediately, so its
         reserved rate stops counting and new traffic cannot be added
-        for it. Per-node scheduler and buffer state — and, when
-        ``keep_sink=False``, the sink — are cleared once the session
-        has no packets in flight: right away if it already drained, or
-        as soon as its last in-flight packet reaches the sink or is
-        dropped. Stop the session's source before removal — which also
-        takes the source out of :attr:`sources` and releases its own
-        random stream; long-running call churn relies on this to tear
-        calls down mid-flight without waiting for the network to drain,
-        and to hold only the live calls' sources and streams.
+        for it. Per-node scheduler and buffer state, and the network's
+        hold on the sink, are cleared once the session has no packets
+        in flight: right away if it already drained, or as soon as its
+        last in-flight packet reaches the sink or is dropped. A caller
+        that wants the numbers afterwards keeps the sink
+        :meth:`add_session` returned. Stop the session's source before
+        removal — which also takes the source out of :attr:`sources`
+        and releases its own random stream; long-running call churn
+        relies on this to tear calls down mid-flight without waiting
+        for the network to drain, and to hold only the live calls'
+        sources and streams.
         """
         if self.shard is not None:
             # A removal's drain-then-forget bookkeeping needs a global
@@ -300,7 +291,7 @@ class Network:
         if session is None:
             raise ConfigurationError(f"unknown session {session_id!r}")
         if self._in_flight(session) > 0:
-            self._draining[session_id] = (session, keep_sink)
+            self._draining[session_id] = session
             # Its packets now travel as events, so the drain ends at
             # its own instant; the parked ones get an event at theirs.
             nodes = [self.nodes[name] for name in session.route]
@@ -311,7 +302,7 @@ class Network:
                         self.sim.schedule_at(time, settle,
                                              priority=PRIORITY_NORMAL)
             return
-        self._finalize_removal(session, keep_sink)
+        self._finalize_removal(session)
 
     def _in_flight(self, session: Session) -> int:
         """Packets injected but not yet delivered to the sink or dropped."""
@@ -326,8 +317,7 @@ class Network:
             dropped += node._drops[slot]
         return session.packets_sent - delivered - dropped
 
-    def _finalize_removal(self, session: Session,
-                          keep_sink: bool) -> None:
+    def _finalize_removal(self, session: Session) -> None:
         """Clear per-node state once the session has fully drained."""
         san = self.sanitizer
         for node_name in session.route:
@@ -339,44 +329,21 @@ class Network:
         self.session_table.release(session.slot)
         session.slot = -1
         self._draining.pop(session.id, None)
-        if keep_sink:
-            self._kept[session.id] = session.sink
-        else:
-            session.sink = None
-        for callback in self._drained_callbacks.pop(session.id, ()):
-            callback()
+        session.sink = None
 
     def registered(self, session_id: str) -> Optional[Session]:
         """The session ``session_id`` names here — live, or removed but
         still draining — or None."""
         session = self.sessions.get(session_id)
-        if session is None and session_id in self._draining:
-            session = self._draining[session_id][0]
+        if session is None:
+            session = self._draining.get(session_id)
         return session
-
-    def notify_when_drained(self, session_id: str,
-                            callback: Callable[[], None]) -> None:
-        """Run ``callback`` once ``session_id`` has no packets in flight.
-
-        Fires immediately when the session is not draining (already
-        finalized, or never removed); otherwise it runs right after
-        :meth:`_finalize_removal`, i.e. at the deterministic instant
-        the last in-flight packet reaches its sink or is dropped.
-        """
-        if session_id in self._draining:
-            self._drained_callbacks.setdefault(session_id, []) \
-                .append(callback)
-            return
-        callback()
 
     def _drain_progress(self, session_id: str) -> None:
         """A draining session's packet arrived or dropped; maybe finalize."""
-        entry = self._draining.get(session_id)
-        if entry is None:
-            return
-        session, keep_sink = entry
-        if self._in_flight(session) <= 0:
-            self._finalize_removal(session, keep_sink)
+        session = self._draining.get(session_id)
+        if session is not None and self._in_flight(session) <= 0:
+            self._finalize_removal(session)
 
     def packet_dropped(self, packet: Packet) -> None:
         """A node dropped ``packet`` (finite buffer); track draining."""
@@ -492,7 +459,7 @@ class Network:
 
     @property
     def sinks(self) -> Mapping[str, Sink]:
-        """Session id -> sink of every live, draining and kept session
+        """Session id -> sink of every live and draining session
         (read-only), every delivery due by now already made."""
         if self._calendar:
             self.settle_sinks()
@@ -502,13 +469,13 @@ class Network:
     # Convenience accessors
     # ------------------------------------------------------------------
     def sink(self, session_id: str) -> Sink:
-        """The sink of ``session_id`` — live, draining, or removed with
-        ``keep_sink`` — every delivery due by now already made."""
+        """The sink of ``session_id``, live or draining, every delivery
+        due by now already made; KeyError once it is torn down."""
         if self._calendar:
             self.settle_sinks()
         session = self.registered(session_id)
         if session is None:
-            return self._kept[session_id]
+            raise KeyError(session_id)
         return session.sink
 
     def node(self, name: str) -> ServerNode:
@@ -522,8 +489,7 @@ class Network:
 
 class _SinkView(Mapping):
     """:attr:`Network.sinks`: the ids of live sessions, then of draining
-    ones, then of kept sinks, each looked up as :meth:`Network.sink`
-    does."""
+    ones, each looked up as :meth:`Network.sink` does."""
 
     __slots__ = ("_network",)
 
@@ -541,9 +507,7 @@ class _SinkView(Mapping):
         network = self._network
         yield from network.sessions
         yield from network._draining
-        yield from network._kept
 
     def __len__(self) -> int:
         network = self._network
-        return (len(network.sessions) + len(network._draining)
-                + len(network._kept))
+        return len(network.sessions) + len(network._draining)

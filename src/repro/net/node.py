@@ -440,8 +440,7 @@ class ServerNode:
         name = self.name
         by_slot = [None] * self.table._fresh
         for session in chain(network.sessions.values(),
-                             (entry[0] for entry
-                              in network._draining.values())):
+                             network._draining.values()):
             if name in session.route:
                 by_slot[session.slot] = session
         return filter(None, by_slot)

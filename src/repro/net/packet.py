@@ -14,7 +14,7 @@ semantically travels between nodes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.net.session import Session
@@ -53,15 +53,11 @@ class Packet:
     finish_time:
         Actual finishing transmission time at the current node
         (``F̂^n_{i,s}``), set when the last bit leaves.
-    extra:
-        Lazily created dict for baseline disciplines needing additional
-        header fields (e.g. Jitter-EDD's correction term). ``None``
-        until first used; see :meth:`scratch`.
     """
 
     __slots__ = ("session", "seq", "length", "entry_time", "hop_index",
                  "holding_time", "arrival_time", "eligible_time",
-                 "deadline", "finish_time", "extra")
+                 "deadline", "finish_time")
 
     def __init__(self, session: "Session", seq: int, length: float,
                  entry_time: float) -> None:
@@ -75,17 +71,6 @@ class Packet:
         self.eligible_time = entry_time
         self.deadline = entry_time
         self.finish_time = entry_time
-        self.extra: Optional[Dict[str, Any]] = None
-
-    def scratch(self) -> Dict[str, Any]:
-        """Return the lazily created per-packet scratch dict."""
-        if self.extra is None:
-            self.extra = {}
-        return self.extra
-
-    @property
-    def session_id(self) -> str:
-        return self.session.id
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Packet {self.session.id}#{self.seq} L={self.length}b "

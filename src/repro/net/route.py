@@ -7,11 +7,11 @@ route ``a-j`` traverses all five servers and ``b-g`` only server 2.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import ConfigurationError
 
-__all__ = ["ENTRANCES", "EXITS", "route_from_letters", "route_name"]
+__all__ = ["ENTRANCES", "EXITS", "route_from_letters"]
 
 #: Entrance letters in node order: traffic entering at ENTRANCES[k]
 #: first visits node k+1.
@@ -46,18 +46,3 @@ def route_from_letters(entrance: str, exit_: str) -> List[str]:
             f"route {entrance}-{exit_} would flow right to left")
     return [node_name(i) for i in range(first, last + 1)]
 
-
-def route_name(entrance: str, exit_: str) -> str:
-    """The paper's compact route label, e.g. ``"a-j"``."""
-    return f"{entrance}-{exit_}"
-
-
-def parse_route_name(label: str) -> Tuple[str, str]:
-    """Split ``"a-j"`` into ``("a", "j")`` with validation."""
-    parts = label.split("-")
-    if len(parts) != 2:
-        raise ConfigurationError(f"malformed route label {label!r}")
-    entrance, exit_ = parts
-    if entrance not in ENTRANCES or exit_ not in EXITS:
-        raise ConfigurationError(f"malformed route label {label!r}")
-    return entrance, exit_

@@ -136,7 +136,7 @@ class Session:
         # ``sink`` (the :class:`~repro.net.sink.Sink` its packets reach)
         # is set by ``Network.add_sessions``, not here: a session that
         # was never registered delivers nothing.  None once it has left
-        # and drained without ``keep_sink``.
+        # and drained.
 
     @property
     def delay_policies(self) -> Dict[str, "DelayPolicy"]:

@@ -66,8 +66,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, \
-    Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, FrozenSet, List, Sequence, \
+    Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.kernel import PRIORITY_NORMAL
@@ -120,9 +120,8 @@ class PacketEnvelope:
 
     Carries exactly the state that semantically travels between nodes:
     the identifying header (session, seq, length, entry time), the
-    transmitter's hop index, the in-header holding time ``A`` (paper
-    eq. 8-9), and the scratch header extension (Jitter-EDD's correction
-    term).  Everything else on :class:`~repro.net.packet.Packet` is
+    transmitter's hop index and the in-header holding time ``A`` (paper
+    eq. 8-9).  Everything else on :class:`~repro.net.packet.Packet` is
     per-node scratch recomputed on arrival.
 
     ``arrival`` is absolute receiver time (``sent_at + Γ``); the sort
@@ -139,7 +138,6 @@ class PacketEnvelope:
     sent_at: float
     arrival: float
     origin: str
-    extra: Optional[Dict[str, Any]] = None
 
     @property
     def sort_key(self) -> Tuple[float, float, str, str, int]:
@@ -188,8 +186,7 @@ class ShardContext:
             session_id=session.id, seq=packet.seq, length=packet.length,
             entry_time=packet.entry_time, hop_index=hop,
             holding_time=packet.holding_time,
-            sent_at=sim.now, arrival=sim.now + gamma, origin=node.name,
-            extra=dict(packet.extra) if packet.extra else None))
+            sent_at=sim.now, arrival=sim.now + gamma, origin=node.name))
         return True
 
     def take_outbox(self) -> List[PacketEnvelope]:
@@ -218,8 +215,6 @@ class ShardContext:
             packet.hop_index = env.hop_index + 1
             packet.holding_time = env.holding_time
             packet.finish_time = env.sent_at
-            if env.extra:
-                packet.extra = dict(env.extra)
             node = network.nodes[session.route[packet.hop_index]]
             sim.schedule_at(env.arrival, node.receive, packet,
                             priority=PRIORITY_BOUNDARY)

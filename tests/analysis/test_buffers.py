@@ -47,10 +47,14 @@ def test_unmonitored_session_rejected():
         buffer_distribution(network.node("n1"), "s")
 
 
-def test_no_samples_rejected():
+def test_no_samples_is_a_zero_sample_row():
+    """A monitored session with no arrival yet reduces to an empty
+    distribution, not an error."""
     network = make_network(FCFS, capacity=1000.0)
     session = Session("s", rate=100.0, route=["n1"], l_max=100.0,
                       monitor_buffer=True)
     network.add_session(session)
-    with pytest.raises(ConfigurationError):
-        buffer_distribution(network.node("n1"), "s")
+    network.run(1.0)
+    dist = buffer_distribution(network.node("n1"), "s")
+    assert (dist.samples, dist.max_bits, dist.mean_bits) == (0, 0.0, 0.0)
+    assert [len(part) for part in dist.ccdf_bits] == [0, 0]

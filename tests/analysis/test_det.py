@@ -278,7 +278,7 @@ def test_cli_select_unknown_rule_is_usage_error():
 def test_cli_perturb_verdict_is_the_exit_code(tmp_path, monkeypatch,
                                              capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(["--perturb", "--scenario", "fig07",
+    assert main(["--perturb",
                  "--modes", "registration", "--horizon", "0.05",
                  "--rounds", "1"]) == 0
     assert "deterministic under registration" in capsys.readouterr().out
@@ -297,7 +297,8 @@ def test_cli_perturb_rejects_an_empty_mode_list(modes, capsys):
 
 def test_cli_perturb_rejects_unknown_scenario_and_mode(capsys):
     for argv, complaint in (
-            (["--scenario", "nosuch"], "unknown scenario 'nosuch'"),
+            # fig07 is the one scenario: the flag that named it is gone.
+            (["--scenario", "fig07"], "unrecognized arguments: --scenario"),
             (["--modes", "nosuch"], "unknown perturbation mode(s): nosuch"),
             # Retired with the explicit partitions it shuffled.
             (["--modes", "partitions"],

@@ -208,6 +208,7 @@ def test_retired_cli_modules_are_gone_not_forwarded(pack):
     ["--profile", "fig07"],
     ["--budget", "5"],
     ["--list-scenarios"],
+    ["--scenario", "fig07"],
 ], ids=lambda argv: argv[0])
 def test_removed_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

@@ -9,7 +9,7 @@ from repro.analysis.histogram import (
     histogram,
     tail_percentile,
 )
-from repro.analysis.report import format_row, format_table
+from repro.analysis.report import format_table
 from repro.errors import ConfigurationError
 
 
@@ -81,8 +81,10 @@ class TestReport:
         assert table.splitlines()[0] == "My Title"
 
     def test_format_row(self):
-        row = format_row(["ab", 1.5], [5, 8])
-        assert row == "   ab     1.500"
+        # A row's cells: floats to 3 places, right-justified to the
+        # column's widest cell, two spaces apart.
+        table = format_table(["name", "value"], [("ab", 1.5)])
+        assert table.splitlines()[-1] == "  ab  1.500"
 
 
 class TestNetworkSummary:

@@ -43,11 +43,13 @@ def test_registry_has_the_four_program_rules():
 
 # ----------------------------------------------------------------------
 # nondeterministic-iteration: needs the cross-module call graph — the
-# loop body only reaches sim.schedule() through helpers.kick().
+# loop body only reaches sim.schedule() through helpers.kick() — and
+# knows the deadline heap's ``_push`` as an enqueue of its own.
 # ----------------------------------------------------------------------
 def test_nondeterministic_iteration_positive():
     assert findings("nondet_bad", "nondeterministic-iteration") == [
         ("nondeterministic-iteration", 13),  # for packet in waiting:
+        ("nondeterministic-iteration", 21),  # for packet in set(held):
     ]
 
 

@@ -60,10 +60,6 @@ def test_retired_bench_dir_flag_is_rejected(capsys):
     (["figure07", "--duration", "inf"], "--duration: must be a finite"),
     (["figure07", "--workers", "0"], "--workers: must be >= 1"),
     (["figure07", "--workers", "-2"], "--workers: must be >= 1"),
-    # pstats slices by the count: 0 printed an empty table, -1 every
-    # row but the last.
-    (["figure07", "--profile", "0"], "--profile: must be >= 1"),
-    (["figure07", "--profile", "-1"], "--profile: must be >= 1"),
 ])
 def test_nonsense_duration_and_workers_are_usage_errors(capsys, argv,
                                                         complaint):
@@ -165,26 +161,12 @@ def test_workers_not_passed_to_plain_runners(monkeypatch):
     assert main(["firewall", "--workers", "2"]) == 0
 
 
-def test_parser_accepts_profile_flag():
-    parser = build_parser()
-    assert parser.parse_args(["figure07"]).profile is None
-    assert parser.parse_args(["figure07", "--profile"]).profile == 25
-    assert parser.parse_args(["figure07", "--profile", "5"]).profile == 5
-
-
-def test_profile_prints_hotspots(monkeypatch, capsys):
-    def fake_run(duration=None, seed=0):
-        class Result:
-            def table(self):
-                return "stub"
-
-        return Result()
-
-    monkeypatch.setattr("repro.experiments.firewall.run", fake_run)
-    assert main(["firewall", "--profile", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "[profile: top 5 functions by cumulative time]" in out
-    assert "cumulative" in out  # the pstats table header
+def test_retired_profile_flag_is_rejected(capsys):
+    # ``python -m cProfile -s cumulative -m repro ...`` prints the table.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["firewall", "--profile", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
 
 def test_a_run_writes_nothing_it_was_not_asked_to(tmp_path, monkeypatch,

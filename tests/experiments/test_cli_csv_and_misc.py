@@ -32,6 +32,26 @@ class TestCliCsv:
                      "--csv", str(tmp_path)]) == 0
         assert not (tmp_path / "firewall.csv").exists()
 
+    def test_a_session_with_no_samples_exports_zero_mass(self, tmp_path,
+                                                         capsys):
+        # In 1 s the jitter-controlled session delivers nothing: the
+        # table still prints and its CSV column is all zero.
+        assert main(["figure08", "--duration", "1", "--workers", "1",
+                     "--csv", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 8" in out and "csv written" in out
+        with open(tmp_path / "figure08.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows and all(float(row["mass_with_control"]) == 0.0
+                            for row in rows)
+        assert sum(float(row["mass_no_control"]) for row in rows) \
+            == pytest.approx(1.0)
+
+    def test_buffer_figures_run_at_a_short_horizon(self, capsys):
+        assert main(["figure12_13", "--duration", "1",
+                     "--workers", "1"]) == 0
+        assert "onoff-jc    n1        0" in capsys.readouterr().out
+
     def test_analytic_experiment_ignores_csv(self, tmp_path, capsys):
         assert main(["section4", "--csv", str(tmp_path)]) == 0
         assert list(tmp_path.iterdir()) == []

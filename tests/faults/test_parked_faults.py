@@ -267,11 +267,12 @@ def test_a_loss_that_ends_a_drain_does_not_start_two_transmissions():
     completion's own pick must then stand back (it used to be
     ``_try_start()``, which asks whether the link is free)."""
     network = make_network(FCFS, nodes=2, capacity=1000.0)
+    sinks = {}
     for name, route, times in (("a", ["n1", "n2"], [0.0]),
                                ("b", ["n1", "n2"], [0.1, 0.2]),
                                ("c", ["n2"], [0.12])):
         session = Session(name, rate=100.0, route=route, l_max=100.0)
-        network.add_session(session)
+        sinks[name] = network.add_session(session)
         TraceSource(network, session, times=times, lengths=100.0)
     injector = FaultInjector(FaultPlan(
         losses=[PacketLoss("n2", 0.15, 0.25, 1.0)])).install(network)
@@ -279,7 +280,7 @@ def test_a_loss_that_ends_a_drain_does_not_start_two_transmissions():
     network.run(1.0)
     assert injector.states["n2"].drops == {"a": 1}
     assert not network._draining
-    assert {sid: network.sink(sid).received for sid in "abc"} == {
+    assert {sid: sink.received for sid, sink in sinks.items()} == {
         "a": 0, "b": 2, "c": 1}
 
 

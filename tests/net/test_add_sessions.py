@@ -101,8 +101,7 @@ def _state(network):
         list(network.sinks.items()),
         network.l_max,
         [(session.id, session.slot) for session
-         in [*network.sessions.values(),
-             *(entry[0] for entry in network._draining.values())]],
+         in [*network.sessions.values(), *network._draining.values()]],
         list(table._free),
         table._fresh,
         table.capacity,

@@ -28,6 +28,7 @@ from repro.experiments.common import build_mix_network, mix_specs
 from repro.net.network import Network
 from repro.net.node import ServerNode
 from repro.net.session import Session
+from repro.net.sink import Sink
 from repro.sched.base import Scheduler
 from repro.sched.fcfs import FCFS
 from repro.sched.hrr import HierarchicalRoundRobin
@@ -170,11 +171,34 @@ def test_a_sink_is_not_written_before_the_packet_lands():
 # ----------------------------------------------------------------------
 # Teardown with packets parked
 # ----------------------------------------------------------------------
+def record_drains(network: Network) -> Dict[str, float]:
+    """Removed session id -> the instant its removal was finalized."""
+    drained: Dict[str, float] = {}
+    finalize = network._finalize_removal
+
+    def recording(session: Session) -> None:
+        drained[session.id] = network.sim.now
+        finalize(session)
+    network._finalize_removal = recording
+    return drained
+
+
+def remove(network: Network, session_id: str) -> Sink:
+    """Stop ``session_id``'s source and remove it; return its sink."""
+    sink = network.sink(session_id)
+    for source in list(network.sources):
+        if source.session.id == session_id:
+            source.stop()
+    network.remove_session(session_id)
+    return sink
+
+
 def test_removal_with_packets_parked_ends_the_drain_on_time():
     def drive(network):
+        drained = record_drains(network)
         network.run(0.2)
         found = {"inbox": 0, "calendar": 0}
-        removed, drained = [], {}
+        removed = {}
         for session_id, session in list(network.sessions.items()):
             in_inbox = any(packet.session is session
                            for node in network.nodes.values()
@@ -185,14 +209,7 @@ def test_removal_with_packets_parked_ends_the_drain_on_time():
                 continue
             found["inbox"] += in_inbox
             found["calendar"] += in_calendar
-            for source in list(network.sources):
-                if source.session is session:
-                    source.stop()
-            network.remove_session(session_id)
-            removed.append(session_id)
-            network.notify_when_drained(
-                session_id, lambda sid=session_id: drained.setdefault(
-                    sid, network.sim.now))
+            removed[session_id] = remove(network, session_id)
         network.run(0.3)
         assert not network._draining
         return found, removed, drained, reading(network)
@@ -201,19 +218,17 @@ def test_removal_with_packets_parked_ends_the_drain_on_time():
     found, removed, drained, after = drive(network)
     assert found["inbox"] and found["calendar"]
     # The twin parks nothing: remove the same sessions there.
+    reference = record_drains(twin)
     twin.run(0.2)
-    reference = {}
-    for session_id in removed:
-        for source in list(twin.sources):
-            if source.session.id == session_id:
-                source.stop()
-        twin.remove_session(session_id)
-        twin.notify_when_drained(
-            session_id, lambda sid=session_id: reference.setdefault(
-                sid, twin.sim.now))
+    kept = {session_id: remove(twin, session_id) for session_id in removed}
     twin.run(0.3)
+    assert sorted(drained) == sorted(removed)
     assert drained == reference
     assert after == reading(twin)
+    assert ({sid: (sink.received, sink.delay.mean)
+             for sid, sink in removed.items()}
+            == {sid: (sink.received, sink.delay.mean)
+                for sid, sink in kept.items()})
 
 
 # ----------------------------------------------------------------------

@@ -168,9 +168,11 @@ CALLS_PER_HOP_CEILING = {"plain": 11.7, "jitter": 13.9,
 #: read a dense ``limit`` column (no experiment sets a limit) and a
 #: release cleared a slot -> session row: 729.1 / 856.4 / 885.3 / 865.4;
 #: while a queue object's ``push`` / ``pop`` sat behind the scheduler's
-#: own frames: 723.1 / 850.3 / 879.3 / 856.0.
-OPCODES_PER_HOP_CEILING = {"plain": 719, "jitter": 846,
-                           "heavy_1e3": 875, "call_churn": 850}
+#: own frames: 723.1 / 850.3 / 879.3 / 856.0; while every ``Packet``
+#: stored an ``extra`` header dict slot that no discipline read: 718.0
+#: / 845.1 / 874.0 / 849.1.
+OPCODES_PER_HOP_CEILING = {"plain": 717, "jitter": 844,
+                           "heavy_1e3": 872, "call_churn": 849}
 
 #: heavy_1e3 set-up, from ``_cell`` entry to ``Network.run``: (Python
 #: frames entered, opcodes) per session on CPython 3.11.  While each

@@ -4,21 +4,30 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.link import Link
+from repro.sched.fcfs import FCFS
+from tests.conftest import add_trace_session, make_network
+
+
+def transmission_seconds(capacity: float, length: float) -> float:
+    """The delay of one ``length``-bit packet through an idle node whose
+    link has ``capacity`` and no propagation: its transmission time."""
+    network = make_network(FCFS, capacity=capacity)
+    _, sink, _ = add_trace_session(network, "s", rate=capacity,
+                                   times=[0.0], lengths=length)
+    network.run(1.0)
+    assert sink.received == 1
+    return sink.max_delay
 
 
 def test_transmission_time():
-    link = Link(capacity=1000.0)
-    assert link.transmission_time(500.0) == pytest.approx(0.5)
+    # The node clocks a packet onto its link in L / C.
+    assert transmission_seconds(1000.0, 500.0) == pytest.approx(0.5)
 
 
 def test_t1_packet_time_matches_paper():
     # 424 bits on a 1536 kbit/s link: about 0.276 ms.
-    link = Link(capacity=1.536e6)
-    assert link.transmission_time(424) == pytest.approx(0.000276, abs=1e-6)
-
-
-def test_zero_length_transmits_instantly():
-    assert Link(1000.0).transmission_time(0.0) == 0.0
+    assert transmission_seconds(1.536e6, 424.0) == pytest.approx(
+        0.000276, abs=1e-6)
 
 
 def test_rejects_non_positive_capacity():
@@ -47,7 +56,3 @@ def test_rejects_negative_propagation():
     with pytest.raises(ConfigurationError):
         Link(1000.0, propagation=-0.001)
 
-
-def test_rejects_negative_length():
-    with pytest.raises(ConfigurationError):
-        Link(1000.0).transmission_time(-1.0)

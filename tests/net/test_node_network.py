@@ -169,8 +169,8 @@ class TestNetworkValidation:
     @pytest.mark.parametrize("length", [float("nan"), -5.0, 0.0])
     def test_unusable_length_rejected_at_injection(self, length,
                                                    kernel_loop):
-        # Used to be accepted; a negative one tripped
-        # Link.transmission_time hops later, NaN and zero never did.
+        # Used to be accepted; a negative one tripped a length check
+        # hops later, NaN and zero never did.
         network = make_network(FCFS)
         session = Session("s", rate=1.0, route=["n1"], l_max=100.0)
         network.add_session(session)

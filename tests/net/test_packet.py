@@ -16,16 +16,7 @@ def test_initial_state():
     assert packet.hop_index == -1
     assert packet.holding_time == 0.0
     assert packet.entry_time == 0.5
-    assert packet.session_id == "s"
-    assert packet.extra is None
-
-
-def test_scratch_is_lazy_and_sticky():
-    packet = make_packet()
-    scratch = packet.scratch()
-    scratch["tag"] = 42
-    assert packet.scratch()["tag"] == 42
-    assert packet.extra == {"tag": 42}
+    assert packet.session.id == "s"
 
 
 def test_slots_prevent_arbitrary_attributes():

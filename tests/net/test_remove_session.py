@@ -40,15 +40,16 @@ def test_remove_after_drain_clears_state():
     assert session.slot == -1
     assert_row_reset(network, "n1", slot)
     assert "s" not in network.node("n1").buffer_bits
-    # Sink survives by default for post-hoc analysis.
-    assert network.sink("s").received == 2
+    # The network lets go of the sink; the caller still holds it.
+    assert session.sink is None and sink.received == 2
 
 
 def test_remove_discarding_sink():
     network, session, sink = drained_network()
-    network.remove_session("s", keep_sink=False)
+    network.remove_session("s")
     with pytest.raises(KeyError):
         network.sink("s")
+    assert "s" not in network.sinks and len(network.sinks) == 0
 
 
 def test_remove_unknown_session_rejected():
@@ -60,8 +61,8 @@ def test_remove_unknown_session_rejected():
 def test_remove_with_in_flight_packets_defers_cleanup():
     """Mid-flight removal drains, then forgets (drain-then-forget)."""
     network = make_network(LeaveInTime, capacity=1.0)
-    session, _, _ = add_trace_session(network, "s", rate=1.0, times=[0.0],
-                                      lengths=10.0)
+    session, sink, _ = add_trace_session(network, "s", rate=1.0,
+                                         times=[0.0], lengths=10.0)
     network.run(5.0)  # still transmitting (10 s long)
     slot = session.slot
     network.remove_session("s")
@@ -72,7 +73,7 @@ def test_remove_with_in_flight_packets_defers_cleanup():
     assert "s" in network._draining
     network.run(20.0)
     # Drained: packet delivered, per-node state cleared.
-    assert network.sink("s").received == 1
+    assert sink.received == 1
     assert "s" not in network._draining
     assert "s" not in network.node("n1").buffer_bits
     assert_row_reset(network, "n1", slot)
@@ -82,7 +83,7 @@ def test_remove_mid_flight_discarding_sink():
     network = make_network(LeaveInTime, capacity=1.0)
     add_trace_session(network, "s", rate=1.0, times=[0.0], lengths=10.0)
     network.run(5.0)
-    network.remove_session("s", keep_sink=False)
+    network.remove_session("s")
     # Sink must survive until the drain completes, then vanish.
     assert "s" in network.sinks
     network.run(20.0)
@@ -94,7 +95,7 @@ def test_remove_while_packet_held_by_regulator():
     """Teardown while the regulator holds packets must not wedge them."""
     network = make_network(LeaveInTime, nodes=2, capacity=1000.0)
     # Jitter control maximizes downstream holding at n2.
-    session, _, _ = add_trace_session(
+    session, sink, _ = add_trace_session(
         network, "s", rate=10.0, times=[0.0, 0.01], lengths=100.0,
         route=["n1", "n2"], jitter_control=True)
     # Run just long enough for packets to reach n2's regulator.
@@ -102,7 +103,7 @@ def test_remove_while_packet_held_by_regulator():
     slot = session.slot
     network.remove_session("s")
     network.run(60.0)
-    assert network.sink("s").received == 2
+    assert sink.received == 2
     assert "s" not in network._draining
     assert_row_reset(network, "n2", slot)
 
@@ -111,7 +112,7 @@ def test_inject_after_removal_rejected():
     """A source left running past removal fails loudly, not via KeyError."""
     from repro.errors import SimulationError
     network, session, sink = drained_network()
-    network.remove_session("s", keep_sink=False)
+    network.remove_session("s")
     with pytest.raises(SimulationError, match="stop the source"):
         network.inject(session, 100.0)
 
@@ -148,7 +149,7 @@ def test_forget_session_flushes_held_packets():
 
 def test_session_id_reusable_after_removal():
     network, session, sink = drained_network()
-    network.remove_session("s", keep_sink=False)
+    network.remove_session("s")
     _, sink2, _ = add_trace_session(
         network, "s", rate=100.0, times=[], lengths=100.0,
         route=["n1", "n2"])
@@ -175,18 +176,19 @@ class TestChurnFaultOverlap:
             route=["n1", "n2"])
         plan = FaultPlan(link_downs=(LinkDown("n1", down_at, up_at),))
         FaultInjector(plan).install(network)
-        return network, session
+        return network, session, session.sink
 
     def test_remove_while_link_down_drains_after_link_up(self):
         # The link goes down mid-first-transmission; removal happens
         # while the second packet is stuck behind it.
-        network, session = self._link_down_network([0.0, 0.1], 0.05, 2.0)
+        network, session, sink = self._link_down_network([0.0, 0.1],
+                                                         0.05, 2.0)
         network.run(0.2)
         slot = session.slot
         network.remove_session("s")
         assert "s" in network._draining
         network.run(5.0)
-        assert network.sink("s").received == 2
+        assert sink.received == 2
         assert "s" not in network._draining
         assert "s" not in network.node("n1").buffer_bits
         assert_row_reset(network, "n1", slot)
@@ -196,13 +198,13 @@ class TestChurnFaultOverlap:
         # transmission); the link then goes down before that
         # transmission completes, so the queued packet is stuck until
         # the link comes back.
-        network, _ = self._link_down_network([0.0, 0.01], 0.08, 2.0)
+        network, _, sink = self._link_down_network([0.0, 0.01], 0.08, 2.0)
         network.run(0.05)
         network.remove_session("s")
         network.run(1.0)         # the outage holds the drain open
         assert "s" in network._draining
         network.run(5.0)
-        assert network.sink("s").received == 2
+        assert sink.received == 2
         assert "s" not in network._draining
 
 
@@ -295,7 +297,7 @@ class TestForgetAcrossDisciplines:
             _, sink, _ = add_trace_session(network, "s", rate=rate,
                                            times=[0.0, 0.0], lengths=100.0)
             network.run(network.sim.now + 10.0)
-            network.remove_session("s", keep_sink=False)
+            network.remove_session("s")
         first, second = (p.eligible_time for p in sink.packets)
         assert second - first == pytest.approx(0.1)
         assert network.node("n1").scheduler.x_min == {}
@@ -327,8 +329,8 @@ def _check_sinks(network, ids, waiting=()):
 
 
 def test_sinks_maps_every_id_to_the_sink_it_delivers_to():
-    """Shared and own sinks, a draining session, ``keep_sink`` both
-    ways and a re-registered id, all read through ``network.sinks``."""
+    """Shared and own sinks, a draining session, a removed one and a
+    re-registered id, all read through ``network.sinks``."""
     network = make_network(LeaveInTime, capacity=10.0)  # 1 s a packet
     shared = Sink("shared", keep_samples=False, keep_packets=True)
     pair = [Session(f"a{index}", rate=1.0, route=["n1"], l_max=10.0)
@@ -336,36 +338,33 @@ def test_sinks_maps_every_id_to_the_sink_it_delivers_to():
     network.add_sessions(pair, sink=shared)
     for session in pair:
         TraceSource(network, session, times=[0.0], lengths=10.0)
-    for session_id in ("own", "kept", "gone"):
+    for session_id in ("own", "gone"):
         add_trace_session(network, session_id, rate=1.0, times=[0.0],
                           lengths=10.0)
     network.run(6.0)
-    old_kept = network.sink("kept")
-    network.remove_session("kept")
-    network.remove_session("gone", keep_sink=False)
-    sinks = _check_sinks(network, ["a1", "a2", "own", "kept"])
+    old = network.sink("gone")
+    network.remove_session("gone")
+    sinks = _check_sinks(network, ["a1", "a2", "own"])
     assert sinks["a1"] is sinks["a2"] is shared
-    assert sinks["kept"] is old_kept and "gone" not in network.sinks
+    assert "gone" not in network.sinks and old.received == 1
 
     # Two 1 s packets from t = 6; removed at 6.5, it drains.
-    add_trace_session(network, "draining", rate=1.0, times=[0.0, 0.0],
-                      lengths=10.0)
+    _, draining, _ = add_trace_session(network, "draining", rate=1.0,
+                                       times=[0.0, 0.0], lengths=10.0)
     network.run(6.5)
     network.remove_session("draining")
     assert "draining" in network._draining
-    _check_sinks(network, ["a1", "a2", "own", "kept", "draining"],
+    _check_sinks(network, ["a1", "a2", "own", "draining"],
                  waiting=["draining"])
 
-    # The id registered again: its new sink replaces the kept one.
-    _, new_kept, _ = add_trace_session(network, "kept", rate=1.0,
-                                       times=[0.0], lengths=10.0)
+    # The id registered again: it has a new sink of its own.
+    _, new, _ = add_trace_session(network, "gone", rate=1.0,
+                                  times=[0.0], lengths=10.0)
     network.run(20.0)
     assert "draining" not in network._draining
-    sinks = _check_sinks(network,
-                         ["a1", "a2", "own", "kept", "draining"])
-    assert sinks["kept"] is new_kept is not old_kept
-    assert all(sink is not old_kept for sink in sinks.values())
-    assert shared.received == 2 and sinks["draining"].received == 2
+    sinks = _check_sinks(network, ["a1", "a2", "own", "gone"])
+    assert sinks["gone"] is new is not old
+    assert shared.received == 2 and draining.received == 2
 
 
 def test_views_list_live_and_draining_sessions_in_slot_order():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.route import parse_route_name, route_from_letters, route_name
+from repro.net.route import route_from_letters
 
 
 def test_full_route():
@@ -32,16 +32,3 @@ def test_unknown_letters_rejected():
     with pytest.raises(ConfigurationError):
         route_from_letters("a", "a")
 
-
-def test_route_name_roundtrip():
-    assert route_name("a", "j") == "a-j"
-    assert parse_route_name("a-j") == ("a", "j")
-
-
-def test_parse_rejects_malformed():
-    with pytest.raises(ConfigurationError):
-        parse_route_name("aj")
-    with pytest.raises(ConfigurationError):
-        parse_route_name("a-j-k")
-    with pytest.raises(ConfigurationError):
-        parse_route_name("f-a")

@@ -109,8 +109,7 @@ def _run_script(specs: List[SessionSpec],
 def test_random_scripts_keep_the_table_consistent(specs, loss):
     network = _run_script(specs, loss)
     table = network.session_table
-    holders = [*network.sessions.values(),
-               *(entry[0] for entry in network._draining.values())]
+    holders = [*network.sessions.values(), *network._draining.values()]
     live = {session.slot: session for session in holders}
     released = table._free
     never_issued = range(table._fresh, table.capacity)

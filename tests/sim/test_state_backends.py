@@ -122,8 +122,8 @@ def test_forget_session_recycles_a_zeroed_slot():
 def test_drain_accounting_survives_mid_flight_removal():
     """Drain-then-forget keeps array accounting exact."""
     network = make_network(LeaveInTime, capacity=1.0)
-    session, _, _ = add_trace_session(network, "s", rate=1.0, times=[0.0],
-                                      lengths=10.0)
+    session, sink, _ = add_trace_session(network, "s", rate=1.0,
+                                         times=[0.0], lengths=10.0)
     network.run(5.0)  # the 10 s packet is still on the wire
     network.remove_session("s")
     slot = session.slot
@@ -131,6 +131,6 @@ def test_drain_accounting_survives_mid_flight_removal():
     assert slot not in network.session_table._free
     assert network.registered("s") is session
     network.run(20.0)
-    assert network.sink("s").received == 1
+    assert sink.received == 1
     assert session.slot == -1 and slot in network.session_table._free
     assert "s" not in network.node("n1").buffer_bits
