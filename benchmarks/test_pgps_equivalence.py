@@ -15,21 +15,20 @@ from repro.analysis.report import format_table
 from repro.bounds.comparisons import pgps_delay_bound
 from repro.bounds.delay import compute_session_bounds
 from repro.experiments.common import (
+    FIVE_HOP,
+    add_cross_traffic,
     add_onoff_session,
-    add_poisson_cross_traffic,
 )
 from repro.net.topology import build_paper_network
 from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.wfq import WFQ
 from repro.units import T1_RATE_BPS, kbps, to_ms
 
-FIVE_HOP = ("n1", "n2", "n3", "n4", "n5")
-
 
 def run_discipline(factory, duration):
     network = build_paper_network(factory, seed=21)
     target = add_onoff_session(network, "t", FIVE_HOP, 650e-3)
-    add_poisson_cross_traffic(network)
+    add_cross_traffic(network)
     network.run(duration)
     bounds = compute_session_bounds(network, target)
     return network.sink("t"), bounds

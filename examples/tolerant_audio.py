@@ -70,7 +70,7 @@ def main() -> None:
     playback = next(d for d in grid if bound(d) <= LOSS_TARGET)
 
     sink = network.sink("audio")
-    measured_late = float(ccdf_at(sink.samples.values, [playback])[0])
+    measured_late = float(ccdf_at(sink.samples, [playback])[0])
 
     print(f"packets observed        : {sink.received}")
     print(f"shift constant beta+alpha: {bounds.shift * 1e3:.2f} ms")

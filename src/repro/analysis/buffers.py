@@ -50,7 +50,7 @@ def buffer_distribution(node: ServerNode,
         empty = np.zeros(0)
         return BufferDistribution(node.name, session_id, 0, 0.0, 0.0,
                                   (empty, empty))
-    values = np.asarray(series.values, dtype=float)
+    values = np.asarray(series, dtype=float)
     xs, probs = empirical_ccdf(values)
     return BufferDistribution(
         node=node.name,

@@ -61,10 +61,9 @@ def deadline_misses(sink: Sink, bound: float) -> Tuple[int, int]:
     Needs the sink's raw delay samples (``keep_samples=True``); without
     them the answer is ``(-1, 0)`` — unknown, not zero.
     """
-    series = sink.samples
-    if series is None:
+    if sink.samples is None:
         return -1, 0
-    delays = np.asarray(series.values, dtype=float)
+    delays = np.asarray(sink.samples, dtype=float)
     if delays.size == 0:
         return 0, 0
     return int(np.count_nonzero(delays > bound)), int(delays.size)

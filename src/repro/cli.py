@@ -118,13 +118,20 @@ def _run_simulated(name: str, duration: Optional[float], seed: int,
 
 
 def _maybe_export(name: str, result, csv_dir: Optional[str]) -> None:
+    """Write ``DIR/<name>.csv``: the result's own ``to_csv``, else its
+    ``rows`` (dataclasses, one line each), else nothing."""
     if csv_dir is None:
         return
-    to_csv = getattr(result, "to_csv", None)
-    if to_csv is None:
-        return
     target = Path(csv_dir) / f"{name}.csv"
-    to_csv(target)
+    to_csv = getattr(result, "to_csv", None)
+    if to_csv is not None:
+        to_csv(target)
+    elif getattr(result, "rows", None) is not None:
+        # Imported on export only: ``import repro.cli`` stays small.
+        from repro.analysis.export import write_rows_csv
+        write_rows_csv(target, result.rows)
+    else:
+        return
     print(f"[csv written to {target}]")
 
 

@@ -14,9 +14,8 @@ _EXPORTS = {
     "PAPER_A_OFF_SWEEP_S": ".common",
     "PAPER_ONOFF_RATE_BPS": ".common",
     "build_mix_network": ".common",
-    "build_cross_network": ".common",
     "add_onoff_session": ".common",
-    "add_poisson_cross_traffic": ".common",
+    "add_cross_traffic": ".common",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Set
 
+from repro.bounds.delay import SessionBounds, compute_session_bounds
 from repro.net.network import Network
 from repro.net.route import route_from_letters
 from repro.net.session import Session
@@ -25,7 +26,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.traffic.onoff import OnOffSource
 from repro.traffic.poisson import PoissonSource
-from repro.units import ms
+from repro.units import ms, to_ms
 
 __all__ = [
     "PAPER_PACKET_BITS",
@@ -35,11 +36,14 @@ __all__ = [
     "PAPER_ONOFF_RATE_BPS",
     "PAPER_CROSS_POISSON_RATE_BPS",
     "PAPER_CROSS_POISSON_MEAN_S",
+    "FIVE_HOP",
+    "TARGET",
     "SessionSpec",
+    "Reading",
     "build_mix_network",
-    "build_cross_network",
     "add_onoff_session",
-    "add_poisson_cross_traffic",
+    "add_cross_traffic",
+    "read_target",
 ]
 
 #: 424-bit ATM packets, used by every source in Section 3.
@@ -62,6 +66,12 @@ PAPER_ONOFF_RATE_BPS = 32_000.0
 #: a_P = 0.28804 ms.
 PAPER_CROSS_POISSON_RATE_BPS = 1_472_000.0
 PAPER_CROSS_POISSON_MEAN_S = 0.28804e-3
+
+#: The tandem end to end: every five-hop target's route.
+FIVE_HOP = ("n1", "n2", "n3", "n4", "n5")
+
+#: The five-hop ON-OFF target of the CROSS-based studies.
+TARGET = "onoff-target"
 
 
 @dataclass
@@ -121,17 +131,15 @@ def build_mix_network(a_off: float, *,
                       seed: int = 0,
                       jitter_ids: Set[str] = frozenset(),
                       sample_ids: Set[str] = frozenset(),
-                      admit: Optional[Callable[[Network, Session], None]]
-                      = None,
                       sim: Optional[Simulator] = None,
                       order_seed: Optional[int] = None) -> Network:
     """The MIX configuration: 116 ON-OFF sessions, 48 per node.
 
     ``jitter_ids`` / ``sample_ids`` select sessions (by
     ``"label/index"`` id) that get delay-jitter control and raw delay
-    samples respectively. ``admit``, when given, is called with each
-    session *before* traffic starts so an admission controller can
-    install per-node delay policies.
+    samples respectively.  An admission controller may install per-node
+    delay policies on the built sessions any time before ``run``:
+    Leave-in-Time reads a session's policy at its first packet.
 
     ``sim`` injects a pre-built simulator; ``order_seed``, when set,
     registers the sessions in a seeded-shuffled order instead of the
@@ -147,42 +155,71 @@ def build_mix_network(a_off: float, *,
         RandomStreams(order_seed).stream("registration-order").shuffle(specs)
     for spec in specs:
         session_id = spec.session_id
-        session = Session(session_id, rate=PAPER_ONOFF_RATE_BPS,
-                          route=spec.route, l_max=PAPER_PACKET_BITS,
+        add_onoff_session(network, session_id, spec.route, a_off,
                           jitter_control=session_id in jitter_ids,
-                          token_bucket=(PAPER_ONOFF_RATE_BPS,
-                                        PAPER_PACKET_BITS))
-        if admit is not None:
-            admit(network, session)  # repro: disable=unreleased-reservation -- caller-supplied callback wrapping AdmissionController.admit, which is transactional (releases on rejection)
-        network.add_session(session,
-                            keep_samples=session_id in sample_ids)
-        OnOffSource(network, session, length=PAPER_PACKET_BITS,
-                    spacing=PAPER_SPACING_S, mean_on=PAPER_A_ON_S,
-                    mean_off=a_off)
+                          keep_samples=session_id in sample_ids)
     return network
 
 
-def add_poisson_cross_traffic(network: Network, *,
-                              rate: float = PAPER_CROSS_POISSON_RATE_BPS,
-                              mean: float = PAPER_CROSS_POISSON_MEAN_S,
-                              length: float = PAPER_PACKET_BITS
-                              ) -> List[Session]:
-    """One Poisson session per one-hop CROSS route."""
+def add_cross_traffic(network: Network, *,
+                      rate: float = PAPER_CROSS_POISSON_RATE_BPS,
+                      mean: float = PAPER_CROSS_POISSON_MEAN_S,
+                      deterministic: bool = False,
+                      count: Optional[int] = None,
+                      via: Sequence[str] = ()) -> List[Session]:
+    """Cross traffic on every one-hop CROSS route, registered route by
+    route; returns its sessions.
+
+    One Poisson session ``cross-<route>`` per route, mean gap
+    ``mean``; ``deterministic`` sessions are named ``det-<route>`` and
+    send one packet every ``L/rate``, every source in phase.  Given
+    ``count``, each route carries ``count`` sessions, the name suffixed
+    ``-0``, ``-1``, ...  ``via`` names nodes every cross route passes
+    first.
+    """
+    if deterministic:
+        # Imported where it is used: no ledger workload sends it.
+        from repro.traffic.deterministic import DeterministicSource
     sessions = []
     for label in CROSS_ONE_HOP_ROUTES:
         entrance, exit_ = label.split("-")
-        session = Session(f"cross-{label}", rate=rate,
-                          route=route_from_letters(entrance, exit_),
-                          l_max=length)
-        network.add_session(session, keep_samples=False)
-        PoissonSource(network, session, length=length, mean=mean)
-        sessions.append(session)
+        route = [*via, *route_from_letters(entrance, exit_)]
+        name = f"det-{label}" if deterministic else f"cross-{label}"
+        for session_id in ([name] if count is None else
+                           [f"{name}-{index}" for index in range(count)]):
+            session = Session(session_id, rate=rate, route=route,
+                              l_max=PAPER_PACKET_BITS)
+            network.add_session(session, keep_samples=False)
+            if deterministic:
+                DeterministicSource(network, session,
+                                    length=PAPER_PACKET_BITS,
+                                    interval=PAPER_PACKET_BITS / rate)
+            else:
+                PoissonSource(network, session, length=PAPER_PACKET_BITS,
+                              mean=mean)
+            sessions.append(session)
     return sessions
 
 
-def build_cross_network(*,
-                        scheduler_factory: Callable[[], object]
-                        = LeaveInTime,
-                        seed: int = 0) -> Network:
-    """The CROSS configuration's empty network (targets added by caller)."""
-    return build_paper_network(scheduler_factory, seed=seed)
+@dataclass(frozen=True)
+class Reading:
+    """One session's end-to-end measurements beside its eq.-12/17
+    bounds, in milliseconds; ``bounds`` holds every bound in seconds."""
+
+    packets: int
+    mean_ms: float
+    max_ms: float
+    jitter_ms: float
+    bound_ms: float
+    jitter_bound_ms: float
+    bounds: SessionBounds
+
+
+def read_target(network: Network, session_id: str) -> Reading:
+    """Read ``session_id``'s sink and bounds after a run."""
+    sink = network.sink(session_id)
+    bounds = compute_session_bounds(network, network.sessions[session_id])
+    return Reading(packets=sink.received, mean_ms=to_ms(sink.delay.mean),
+                   max_ms=to_ms(sink.max_delay), jitter_ms=to_ms(sink.jitter),
+                   bound_ms=to_ms(bounds.max_delay),
+                   jitter_bound_ms=to_ms(bounds.jitter), bounds=bounds)

@@ -27,24 +27,22 @@ from repro.bounds.delay import SessionBounds, compute_session_bounds
 from repro.bounds.distribution import shifted_ccdf
 from repro.bounds.md1 import md1_delay_ccdf_function
 from repro.experiments.common import (
+    FIVE_HOP,
     PAPER_PACKET_BITS,
-    add_poisson_cross_traffic,
-    build_cross_network,
+    add_cross_traffic,
 )
 from repro.net.network import Network
-from repro.net.route import route_from_letters
 from repro.net.session import Session
-from repro.net.topology import CROSS_ONE_HOP_ROUTES
+from repro.net.topology import build_paper_network
 from repro.optdeps import np
+from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.reference import reference_delays
-from repro.traffic.deterministic import DeterministicSource
 from repro.traffic.poisson import PoissonSource
 from repro.units import to_ms
 
 __all__ = ["DistributionResult", "run_distribution_experiment"]
 
 TARGET_SESSION = "poisson-target"
-FIVE_HOP = ("n1", "n2", "n3", "n4", "n5")
 
 
 @dataclass
@@ -71,8 +69,7 @@ class DistributionResult:
     def tail_delay_ms(self, tail_probability: float) -> float:
         """Measured delay exceeded with the given probability."""
         sink = self.network.sink(TARGET_SESSION)
-        return to_ms(tail_percentile(sink.samples.values,
-                                     tail_probability))
+        return to_ms(tail_percentile(sink.samples, tail_probability))
 
     def to_csv(self, path) -> None:
         """Write the three curves in plot-ready CSV form."""
@@ -119,7 +116,7 @@ def run_distribution_experiment(
     distribution toward the analytical bound, which is the point of
     Figure 11.
     """
-    network = build_cross_network(seed=seed)
+    network = build_paper_network(LeaveInTime, seed=seed)
     target = Session(TARGET_SESSION, rate=target_rate, route=FIVE_HOP,
                      l_max=PAPER_PACKET_BITS)
     network.add_session(target, keep_samples=True)
@@ -127,21 +124,11 @@ def run_distribution_experiment(
                            mean=target_mean_interarrival, keep_trace=True)
 
     if cross_kind == "poisson":
-        add_poisson_cross_traffic(network, rate=cross_rate,
-                                  mean=cross_mean)
+        add_cross_traffic(network, rate=cross_rate, mean=cross_mean)
     elif cross_kind == "deterministic":
-        spacing = PAPER_PACKET_BITS / deterministic_cross_rate
-        for label in CROSS_ONE_HOP_ROUTES:
-            entrance, exit_ = label.split("-")
-            route = route_from_letters(entrance, exit_)
-            for index in range(deterministic_cross_count):
-                session = Session(f"det-{label}-{index}",
-                                  rate=deterministic_cross_rate,
-                                  route=route, l_max=PAPER_PACKET_BITS)
-                network.add_session(session, keep_samples=False)
-                DeterministicSource(
-                    network, session, length=PAPER_PACKET_BITS,
-                    interval=spacing)
+        add_cross_traffic(network, rate=deterministic_cross_rate,
+                          deterministic=True,
+                          count=deterministic_cross_count)
     else:
         raise ValueError(f"unknown cross_kind {cross_kind!r}")
 
@@ -149,7 +136,7 @@ def run_distribution_experiment(
 
     bounds = compute_session_bounds(network, target)
     sink = network.sink(TARGET_SESSION)
-    measured_samples = sink.samples.values
+    measured_samples = sink.samples
 
     if delay_grid_ms is None:
         top = to_ms(bounds.shift) + to_ms(

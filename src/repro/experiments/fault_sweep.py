@@ -28,30 +28,24 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.analysis.faults import session_fault_stats
 from repro.analysis.report import format_table
-from repro.bounds.delay import compute_session_bounds
 from repro.experiments.common import (
-    PAPER_CROSS_POISSON_MEAN_S,
-    PAPER_CROSS_POISSON_RATE_BPS,
-    PAPER_PACKET_BITS,
+    FIVE_HOP,
+    TARGET,
+    add_cross_traffic,
     add_onoff_session,
+    read_target,
 )
+from repro.experiments.parallel import Cell, run_cells
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkDown, PacketLoss
 from repro.net.network import Network
-from repro.net.route import route_from_letters
-from repro.net.session import Session
 from repro.net.topology import CROSS_ONE_HOP_ROUTES, build_paper_network
-from repro.experiments.parallel import Cell, run_cells
 from repro.sched.fcfs import FCFS
 from repro.sched.leave_in_time import LeaveInTime
-from repro.traffic.poisson import PoissonSource
-from repro.units import ms, to_ms
+from repro.units import ms
 
 __all__ = ["FaultSweepRow", "FaultSweepResult", "cells", "run",
            "TARGET", "FEEDER"]
-
-TARGET = "onoff-target"
-FIVE_HOP = ("n1", "n2", "n3", "n4", "n5")
 
 #: The cross-traffic feeder node all Poisson sessions pass through.
 FEEDER = "x0"
@@ -111,11 +105,6 @@ class FaultSweepResult:
         return all(r.bound_holds for r in self.rows
                    if r.discipline == discipline)
 
-    def to_csv(self, path) -> None:
-        """Write the sweep rows in plot-ready CSV form."""
-        from repro.analysis.export import write_rows_csv
-        write_rows_csv(path, self.rows)
-
 
 def _build(scheduler_factory: Callable[[], object],
            seed: int) -> Network:
@@ -126,16 +115,7 @@ def _build(scheduler_factory: Callable[[], object],
                      propagation=network.nodes["n1"].link.propagation)
     add_onoff_session(network, TARGET, FIVE_HOP, ms(650),
                       keep_samples=True)
-    for label in CROSS_ONE_HOP_ROUTES:
-        entrance, exit_ = label.split("-")
-        session = Session(f"cross-{label}",
-                          rate=PAPER_CROSS_POISSON_RATE_BPS,
-                          route=[FEEDER]
-                          + route_from_letters(entrance, exit_),
-                          l_max=PAPER_PACKET_BITS)
-        network.add_session(session, keep_samples=False)
-        PoissonSource(network, session, length=PAPER_PACKET_BITS,
-                      mean=PAPER_CROSS_POISSON_MEAN_S)
+    add_cross_traffic(network, via=(FEEDER,))
     return network
 
 
@@ -166,20 +146,19 @@ def _cell(*, discipline: str, outage: float, duration: float,
     network.run(duration)
     if injector is not None:
         injector.finalize(duration)
-    bounds = compute_session_bounds(network, network.sessions[TARGET])
+    reading = read_target(network, TARGET)
     stats = session_fault_stats(network, TARGET,
-                                bound=bounds.max_delay)
+                                bound=reading.bounds.max_delay)
     cross_dropped = sum(
         session_fault_stats(network, f"cross-{label}").total_dropped
         for label in CROSS_ONE_HOP_ROUTES)
-    sink = network.sink(TARGET)
     return FaultSweepRow(
         discipline=discipline,
         outage_s=outage,
-        packets=sink.received,
-        max_delay_ms=to_ms(sink.max_delay),
-        mean_delay_ms=to_ms(sink.delay.mean),
-        bound_ms=to_ms(bounds.max_delay),
+        packets=reading.packets,
+        max_delay_ms=reading.max_ms,
+        mean_delay_ms=reading.mean_ms,
+        bound_ms=reading.bound_ms,
         deadline_misses=stats.deadline_misses,
         observed=stats.observed,
         cross_dropped=cross_dropped,

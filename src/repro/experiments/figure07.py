@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.analysis.report import format_table
-from repro.bounds.delay import compute_session_bounds
-from repro.experiments.common import PAPER_A_OFF_SWEEP_S, build_mix_network
+from repro.experiments.common import (
+    PAPER_A_OFF_SWEEP_S,
+    build_mix_network,
+    read_target,
+)
 from repro.experiments.parallel import Cell, run_cells
 from repro.units import to_ms
 
@@ -61,29 +64,22 @@ class Figure7Result:
                    and r.jitter_ms <= r.jitter_bound_ms
                    for r in self.rows)
 
-    def to_csv(self, path) -> None:
-        """Write the sweep rows in plot-ready CSV form."""
-        from repro.analysis.export import write_rows_csv
-        write_rows_csv(path, self.rows)
-
 
 def _cell(*, a_off: float, duration: float, seed: int) -> Figure7Row:
     """One sweep cell: a fully isolated MIX simulation at one a_OFF."""
     network = build_mix_network(a_off, seed=seed)
     network.run(duration)
-    sink = network.sink(TARGET_SESSION)
-    bounds = compute_session_bounds(
-        network, network.sessions[TARGET_SESSION])
+    reading = read_target(network, TARGET_SESSION)
     # Utilization at the first node, as a load indicator.
     utilization = network.node("n1").utilization()
     return Figure7Row(
         a_off_ms=to_ms(a_off),
         utilization=round(utilization, 3),
-        packets=sink.received,
-        max_delay_ms=to_ms(sink.max_delay),
-        jitter_ms=to_ms(sink.jitter),
-        delay_bound_ms=to_ms(bounds.max_delay),
-        jitter_bound_ms=to_ms(bounds.jitter),
+        packets=reading.packets,
+        max_delay_ms=reading.max_ms,
+        jitter_ms=reading.jitter_ms,
+        delay_bound_ms=reading.bound_ms,
+        jitter_bound_ms=reading.jitter_bound_ms,
     )
 
 

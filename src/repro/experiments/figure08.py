@@ -15,22 +15,23 @@ from typing import Tuple
 
 from repro.analysis.histogram import histogram
 from repro.analysis.report import format_table
-from repro.bounds.delay import SessionBounds, compute_session_bounds
 from repro.experiments.common import (
+    FIVE_HOP,
+    add_cross_traffic,
     add_onoff_session,
-    add_poisson_cross_traffic,
-    build_cross_network,
+    read_target,
 )
 from repro.net.network import Network
+from repro.net.topology import build_paper_network
 from repro.optdeps import np
-from repro.units import ms, to_ms
+from repro.sched.leave_in_time import LeaveInTime
+from repro.units import ms
 
 __all__ = ["Figure8Result", "run",
            "SESSION_NO_CONTROL", "SESSION_CONTROL"]
 
 SESSION_NO_CONTROL = "onoff-nojc"
 SESSION_CONTROL = "onoff-jc"
-FIVE_HOP = ("n1", "n2", "n3", "n4", "n5")
 A_OFF = ms(650)
 
 
@@ -39,30 +40,13 @@ class Figure8Result:
     duration: float
     seed: int
     network: Network
-    bounds_no_control: SessionBounds
-    bounds_control: SessionBounds
-
-    # ------------------------------------------------------------------
-    # Measurements
-    # ------------------------------------------------------------------
-    def _sink(self, session_id: str):
-        return self.network.sink(session_id)
-
-    def jitter_ms(self, session_id: str) -> float:
-        return to_ms(self._sink(session_id).jitter)
-
-    def max_delay_ms(self, session_id: str) -> float:
-        return to_ms(self._sink(session_id).max_delay)
-
-    def mean_delay_ms(self, session_id: str) -> float:
-        return to_ms(self._sink(session_id).delay.mean)
 
     def delay_histogram(self, session_id: str,
                         bin_ms: float = 1.0
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """The figure's per-session delay mass function (ms bins)."""
-        sink = self._sink(session_id)
-        edges, mass = histogram(sink.samples.values, ms(bin_ms))
+        samples = self.network.sink(session_id).samples
+        edges, mass = histogram(samples, ms(bin_ms))
         return edges * 1e3, mass
 
     def to_csv(self, path) -> None:
@@ -72,7 +56,7 @@ class Figure8Result:
         histograms = {
             session_id: self.delay_histogram(session_id)
             for session_id in (SESSION_NO_CONTROL, SESSION_CONTROL)
-            if len(self._sink(session_id).samples)}
+            if self.network.sink(session_id).samples}
         # Align the histograms on a common grid.
         low = min((edges[0] for edges, _ in histograms.values()),
                   default=0.0)
@@ -95,15 +79,10 @@ class Figure8Result:
 
     def table(self) -> str:
         rows = []
-        for session_id, bounds in (
-                (SESSION_NO_CONTROL, self.bounds_no_control),
-                (SESSION_CONTROL, self.bounds_control)):
-            sink = self._sink(session_id)
-            rows.append((
-                session_id, sink.received,
-                to_ms(sink.delay.mean), to_ms(sink.max_delay),
-                to_ms(sink.jitter), to_ms(bounds.jitter),
-                to_ms(bounds.max_delay)))
+        for session_id in (SESSION_NO_CONTROL, SESSION_CONTROL):
+            r = read_target(self.network, session_id)
+            rows.append((session_id, r.packets, r.mean_ms, r.max_ms,
+                         r.jitter_ms, r.jitter_bound_ms, r.bound_ms))
         return format_table(
             ["session", "pkts", "mean(ms)", "max(ms)", "jitter(ms)",
              "jbound(ms)", "dbound(ms)"],
@@ -120,21 +99,13 @@ def run(*, duration: float = 60.0, seed: int = 0,
     sessions' buffer occupancy at every node.  The result holds the
     live network.
     """
-    network = build_cross_network(seed=seed)
-    no_control = add_onoff_session(
-        network, SESSION_NO_CONTROL, FIVE_HOP, A_OFF,
-        jitter_control=False, keep_samples=True,
-        monitor_buffer=monitor_buffers)
-    control = add_onoff_session(
-        network, SESSION_CONTROL, FIVE_HOP, A_OFF,
-        jitter_control=True, keep_samples=True,
-        monitor_buffer=monitor_buffers)
-    add_poisson_cross_traffic(network)
+    network = build_paper_network(LeaveInTime, seed=seed)
+    for session_id, jitter_control in ((SESSION_NO_CONTROL, False),
+                                       (SESSION_CONTROL, True)):
+        add_onoff_session(network, session_id, FIVE_HOP, A_OFF,
+                          jitter_control=jitter_control,
+                          keep_samples=True,
+                          monitor_buffer=monitor_buffers)
+    add_cross_traffic(network)
     network.run(duration)
-    return Figure8Result(
-        duration=duration,
-        seed=seed,
-        network=network,
-        bounds_no_control=compute_session_bounds(network, no_control),
-        bounds_control=compute_session_bounds(network, control),
-    )
+    return Figure8Result(duration=duration, seed=seed, network=network)

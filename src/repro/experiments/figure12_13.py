@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 from repro.analysis.buffers import BufferDistribution, buffer_distribution
 from repro.analysis.report import format_table
 from repro.experiments import figure08
-from repro.experiments.common import PAPER_PACKET_BITS
+from repro.experiments.common import PAPER_PACKET_BITS, read_target
 
 __all__ = ["BufferFigureResult", "run"]
 
@@ -73,9 +73,9 @@ def run(*, duration: float = 60.0, seed: int = 0) -> BufferFigureResult:
     network = base.network
     distributions: Dict[Tuple[str, str], BufferDistribution] = {}
     bounds_bits: Dict[Tuple[str, str], float] = {}
-    for session_id, bounds in (
-            (figure08.SESSION_NO_CONTROL, base.bounds_no_control),
-            (figure08.SESSION_CONTROL, base.bounds_control)):
+    for session_id in (figure08.SESSION_NO_CONTROL,
+                       figure08.SESSION_CONTROL):
+        bounds = read_target(network, session_id).bounds
         session = network.sessions[session_id]
         for node_name in PLOTTED_NODES:
             node = network.node(node_name)

@@ -33,8 +33,12 @@ from repro.admission.classes import DelayClass
 from repro.admission.controller import AdmissionController
 from repro.admission.procedure2 import Procedure2
 from repro.analysis.report import format_table
-from repro.bounds.delay import compute_session_bounds
-from repro.experiments.common import PAPER_A_OFF_SWEEP_S, build_mix_network
+from repro.experiments.common import (
+    PAPER_A_OFF_SWEEP_S,
+    build_mix_network,
+    mix_specs,
+    read_target,
+)
 from repro.experiments.parallel import Cell, run_cells
 from repro.units import kbps, ms, to_ms
 
@@ -100,11 +104,6 @@ class TwoClassResult:
                    for classes in by_aoff.values()
                    if 1 in classes and 2 in classes)
 
-    def to_csv(self, path) -> None:
-        """Write all four figures' rows in plot-ready CSV form."""
-        from repro.analysis.export import write_rows_csv
-        write_rows_csv(path, self.rows)
-
     def table(self) -> str:
         return format_table(
             ["figure", "session", "cls", "jc", "a_OFF(ms)", "pkts",
@@ -126,40 +125,31 @@ def _cell(*, a_off: float, duration: float,
     """One sweep cell: the ACP2 MIX run at one a_OFF, all four targets."""
     jitter_ids = {sid for sid, jc in TARGETS.values() if jc}
     sample_ids = {sid for sid, _ in TARGETS.values()}
-    controller_box = {}
-
-    def admit(network, session):
-        controller = controller_box.get("controller")
-        if controller is None:
-            controller = AdmissionController(
-                network,
-                lambda node: Procedure2(node.link.capacity, CLASSES))
-            controller_box["controller"] = controller
-        controller.admit(session, class_number=class_of(session.id))
-
     network = build_mix_network(a_off, seed=seed,
                                 jitter_ids=jitter_ids,
-                                sample_ids=sample_ids,
-                                admit=admit)
+                                sample_ids=sample_ids)
+    controller = AdmissionController(
+        network, lambda node: Procedure2(node.link.capacity, CLASSES))
+    for spec in mix_specs():  # registration order
+        controller.admit(network.sessions[spec.session_id],
+                         class_number=class_of(spec.session_id))
     network.run(duration)
     rows = []
     # Sorted (== insertion) order: the merged row order must not lean
     # on dict iteration, per the unordered-merge rule.
     for figure, (session_id, jitter_control) in sorted(TARGETS.items()):
-        sink = network.sink(session_id)
-        bounds = compute_session_bounds(
-            network, network.sessions[session_id])
+        reading = read_target(network, session_id)
         rows.append(TwoClassRow(
             figure=figure,
             session_id=session_id,
             class_number=class_of(session_id),
             jitter_control=jitter_control,
             a_off_ms=to_ms(a_off),
-            packets=sink.received,
-            max_delay_ms=to_ms(sink.max_delay),
-            jitter_ms=to_ms(sink.jitter),
-            delay_bound_ms=to_ms(bounds.max_delay),
-            jitter_bound_ms=to_ms(bounds.jitter),
+            packets=reading.packets,
+            max_delay_ms=reading.max_ms,
+            jitter_ms=reading.jitter_ms,
+            delay_bound_ms=reading.bound_ms,
+            jitter_bound_ms=reading.jitter_bound_ms,
         ))
     return rows
 

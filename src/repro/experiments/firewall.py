@@ -21,22 +21,21 @@ from dataclasses import dataclass
 from typing import Callable, Dict
 
 from repro.analysis.report import format_table
-from repro.bounds.delay import compute_session_bounds
 from repro.experiments.common import (
+    FIVE_HOP,
     PAPER_CROSS_POISSON_RATE_BPS,
     PAPER_PACKET_BITS,
+    TARGET,
+    add_cross_traffic,
     add_onoff_session,
-    add_poisson_cross_traffic,
+    read_target,
 )
 from repro.net.topology import build_paper_network
 from repro.sched.fcfs import FCFS
 from repro.sched.leave_in_time import LeaveInTime
-from repro.units import ms, to_ms
+from repro.units import ms
 
 __all__ = ["FirewallResult", "run"]
-
-TARGET = "onoff-target"
-FIVE_HOP = ("n1", "n2", "n3", "n4", "n5")
 
 
 @dataclass(frozen=True)
@@ -76,24 +75,20 @@ def _run_one(discipline: str, scheduler_factory: Callable[[], object], *,
              duration: float, seed: int, overload: float
              ) -> FirewallOutcome:
     network = build_paper_network(scheduler_factory, seed=seed)
-    target = add_onoff_session(network, TARGET, FIVE_HOP, ms(650),
-                               keep_samples=False)
+    add_onoff_session(network, TARGET, FIVE_HOP, ms(650))
     # Cross sessions reserve the paper's 1472 kbit/s but offer
     # `overload` times that much: mean interarrival shrinks by the
     # overload factor.
     honest_mean = PAPER_PACKET_BITS / PAPER_CROSS_POISSON_RATE_BPS
-    add_poisson_cross_traffic(network,
-                              rate=PAPER_CROSS_POISSON_RATE_BPS,
-                              mean=honest_mean / overload)
+    add_cross_traffic(network, mean=honest_mean / overload)
     network.run(duration)
-    bounds = compute_session_bounds(network, target)
-    sink = network.sink(TARGET)
+    reading = read_target(network, TARGET)
     return FirewallOutcome(
         discipline=discipline,
-        packets=sink.received,
-        max_delay_ms=to_ms(sink.max_delay),
-        mean_delay_ms=to_ms(sink.delay.mean),
-        bound_ms=to_ms(bounds.max_delay),
+        packets=reading.packets,
+        max_delay_ms=reading.max_ms,
+        mean_delay_ms=reading.mean_ms,
+        bound_ms=reading.bound_ms,
     )
 
 

@@ -30,23 +30,24 @@ path (source streams are named independently of the discipline):
   disciplines; :meth:`HeavyTrafficResult.workload_conserved` checks
   the utilization spread.
 
-Each cell runs in a **fresh process** so its ``peak_rss_bytes`` (a
-process-wide high-water mark) is attributable to that cell alone.
-This experiment also reports *cost*: events/sec and peak RSS per
-session count.
+The cells run through :func:`~repro.experiments.parallel.run_cells`,
+one after another in this process.  Each row also reports its cost in
+events per wall-clock second; per-cell memory is measured by the
+ledger benchmark's ``heavy_1e4`` / ``heavy_1e5`` workloads
+(``peak_rss_mb``), one cell per fresh process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis import bench
 from repro.analysis.report import format_table
 from repro.errors import ConfigurationError
 from repro.experiments.common import PAPER_PACKET_BITS
-from repro.experiments.parallel import Cell
+from repro.experiments.parallel import Cell, run_cells
 from repro.net.session import Session
 from repro.net.sink import Sink
 from repro.net.topology import build_paper_network
@@ -95,7 +96,6 @@ class HeavyTrafficRow:
     events: int
     wall_s: float
     events_per_sec: float
-    peak_rss_bytes: Optional[int]
     utilization: float
     mean_delay_ms: float
     #: Bottleneck lateness (finish − deadline) statistics in ms; lead
@@ -108,7 +108,7 @@ class HeavyTrafficRow:
 
 def _cell(*, topology: str, discipline: str, sessions: int, rho: float,
           duration: float, seed: int) -> HeavyTrafficRow:
-    """One isolated heavy-traffic simulation, RSS measured in-cell."""
+    """One isolated heavy-traffic simulation."""
     watch = bench.Stopwatch()
     factory = dict(_DISCIPLINES)[discipline]
     node_count = _TOPOLOGIES[topology]
@@ -143,7 +143,6 @@ def _cell(*, topology: str, discipline: str, sessions: int, rho: float,
         events=events,
         wall_s=wall,
         events_per_sec=events / wall if wall > 0 else 0.0,
-        peak_rss_bytes=bench.peak_rss_bytes(),
         utilization=bottleneck.utilization(network.sim.now),
         mean_delay_ms=to_ms(sink.delay.mean),
         mean_lateness_ms=to_ms(lateness.mean),
@@ -179,24 +178,17 @@ class HeavyTrafficResult:
     def table(self) -> str:
         return format_table(
             ["topo", "discipline", "rho", "pkts",
-             "events/s", "util", "delay(ms)", "lead mean(ms)",
-             "rss(MB)"],
+             "events/s", "util", "delay(ms)", "lead mean(ms)"],
             [(r.topology, r.discipline, f"{r.rho:.2f}",
               r.packets, f"{r.events_per_sec:,.0f}",
               f"{r.utilization:.3f}", f"{r.mean_delay_ms:.3f}",
-              f"{-r.mean_lateness_ms:.3f}",
-              f"{r.peak_rss_bytes / 1e6:.1f}"
-              if r.peak_rss_bytes else "n/a")
+              f"{-r.mean_lateness_ms:.3f}")
              for r in self.rows],
-            title=f"Heavy traffic — {self.rows[0].sessions if self.rows else 0} "
+            title=f"Heavy traffic — "
+                  f"{self.rows[0].sessions if self.rows else 0} "
                   f"sessions, ρ → 1 ({self.duration:g}s simulated, "
                   f"seed {self.seed}; workload conserved: "
                   f"{'yes' if self.workload_conserved() else 'NO'})")
-
-    def to_csv(self, path) -> None:
-        """Write the sweep rows in plot-ready CSV form."""
-        from repro.analysis.export import write_rows_csv
-        write_rows_csv(path, self.rows)
 
 
 def cells(*, duration: float, seed: int, sessions: int,
@@ -228,29 +220,12 @@ def cells(*, duration: float, seed: int, sessions: int,
             for rho in rhos]
 
 
-def _run_isolated(cell_list: List[Cell]) -> List[HeavyTrafficRow]:
-    """Each cell in a fresh single-use process (accurate per-cell RSS).
-
-    ``ru_maxrss`` is a process-lifetime high-water mark, so reusing a
-    process would let a bigger cell (a tandem, a higher ρ) inflate
-    every later cell's reading.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    rows: List[HeavyTrafficRow] = []
-    for cell in cell_list:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            rows.append(pool.submit(cell.fn, **cell.kwargs).result())
-    return rows
-
-
 def run(*, duration: float = 2.0, seed: int = 0,
         sessions: int = DEFAULT_SESSIONS,
         rhos: Sequence[float] = DEFAULT_RHOS,
         topologies: Sequence[str] = ("single", "tandem")
         ) -> HeavyTrafficResult:
-    """Run the heavy-traffic sweep, each cell in its own fresh process
-    (see :func:`_run_isolated`) — RSS attribution requires it."""
-    cell_list = cells(duration=duration, seed=seed, sessions=sessions,
-                      rhos=rhos, topologies=topologies)
-    return HeavyTrafficResult(duration=duration, seed=seed,
-                              rows=_run_isolated(cell_list))
+    """Run the heavy-traffic sweep, one cell after another."""
+    rows = run_cells(cells(duration=duration, seed=seed, sessions=sessions,
+                           rhos=rhos, topologies=topologies))
+    return HeavyTrafficResult(duration=duration, seed=seed, rows=rows)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.analysis.report import format_table
-from repro.bounds.delay import compute_session_bounds
+from repro.experiments.common import add_onoff_session, read_target
 from repro.experiments.parallel import Cell, run_cells
 from repro.net.network import Network
 from repro.net.session import Session
@@ -36,7 +36,6 @@ from repro.units import PAPER_PROPAGATION_S, T1_RATE_BPS, kbps, ms, to_ms
 
 __all__ = ["HopScalingRow", "HopScalingResult", "cells", "run"]
 
-RATE = 32_000.0
 PACKET = 424.0
 
 
@@ -90,17 +89,13 @@ def _cell(*, hops: int, shifted_d: Optional[float], duration: float,
                          propagation=PAPER_PROPAGATION_S)
         route.append(name)
 
-    target = Session("target", rate=RATE, route=route, l_max=PACKET,
-                     token_bucket=(RATE, PACKET))
+    target = add_onoff_session(network, "target", route, ms(88))
     mode = "virtual-clock"
     if shifted_d is not None:
         mode = "shifted"
         for name in route:
             target.set_policy(name, constant_policy(shifted_d,
                                                     l_max=PACKET))
-    network.add_session(target, keep_samples=False)
-    OnOffSource(network, target, length=PACKET, spacing=ms(13.25),
-                mean_on=ms(352), mean_off=ms(88))
 
     # Background load on every hop: three 256 kbit/s ON-OFF sessions.
     for index, name in enumerate(route):
@@ -112,11 +107,9 @@ def _cell(*, hops: int, shifted_d: Optional[float], duration: float,
                         mean_on=ms(352), mean_off=ms(88))
 
     network.run(duration)
-    bounds = compute_session_bounds(network, target)
-    sink = network.sink("target")
-    return HopScalingRow(hops=hops, mode=mode,
-                         max_delay_ms=to_ms(sink.max_delay),
-                         bound_ms=to_ms(bounds.max_delay))
+    reading = read_target(network, "target")
+    return HopScalingRow(hops=hops, mode=mode, max_delay_ms=reading.max_ms,
+                         bound_ms=reading.bound_ms)
 
 
 def cells(*, duration: float, seed: int, hop_counts: Sequence[int],

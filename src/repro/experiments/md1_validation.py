@@ -88,7 +88,7 @@ def _run_point(rho: float, *, duration: float, seed: int) -> Md1Point:
     network.run(duration)
 
     sink = network.sink("m")
-    samples = sink.samples.values
+    samples = sink.samples
     # Drop a 10 % warmup prefix before batching.
     steady = samples[len(samples) // 10:]
     interval = batch_means(steady, batches=20)

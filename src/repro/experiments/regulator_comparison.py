@@ -31,34 +31,28 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
-from repro.bounds.delay import compute_session_bounds
-from repro.experiments.parallel import Cell, run_cells
 from repro.experiments.common import (
-    PAPER_CROSS_POISSON_RATE_BPS,
+    FIVE_HOP,
     PAPER_PACKET_BITS,
+    TARGET,
+    add_cross_traffic,
     add_onoff_session,
-    add_poisson_cross_traffic,
+    read_target,
 )
-from repro.net.route import route_from_letters
-from repro.net.session import Session
+from repro.experiments.parallel import Cell, run_cells
 from repro.net.topology import CROSS_ONE_HOP_ROUTES, build_paper_network
 from repro.sched.edd import JitterEDD, edd_schedulable
 from repro.sched.leave_in_time import LeaveInTime
-from repro.traffic.deterministic import DeterministicSource
 from repro.units import T1_RATE_BPS, ms, to_ms
 
 __all__ = ["RegulatorOutcome", "RegulatorComparisonResult", "cells",
            "run"]
-
-TARGET = "onoff-target"
-FIVE_HOP = ("n1", "n2", "n3", "n4", "n5")
 
 #: Jitter-EDD local per-hop bounds: target rate-matched, cross just
 #: above one cross-packet spacing. Schedulable iff cross honours its
 #: x_min = 0.288 ms spacing.
 TARGET_LOCAL = ms(13.8)
 CROSS_LOCAL = ms(0.35)
-CROSS_SPACING = PAPER_PACKET_BITS / PAPER_CROSS_POISSON_RATE_BPS
 
 
 @dataclass(frozen=True)
@@ -107,44 +101,26 @@ def _edd_factory():
     return JitterEDD(local_delays=local)
 
 
-def _add_cross(network, kind: str) -> None:
-    if kind == "unpoliced":
-        add_poisson_cross_traffic(network)
-        return
-    for label in CROSS_ONE_HOP_ROUTES:
-        entrance, exit_ = label.split("-")
-        session = Session(f"det-{label}",
-                          rate=PAPER_CROSS_POISSON_RATE_BPS,
-                          route=route_from_letters(entrance, exit_),
-                          l_max=PAPER_PACKET_BITS)
-        network.add_session(session, keep_samples=False)
-        DeterministicSource(network, session,
-                            length=PAPER_PACKET_BITS,
-                            interval=CROSS_SPACING)
-
-
 def _cell(*, discipline: str, cross_kind: str, duration: float,
           seed: int) -> RegulatorOutcome:
     """One cell: the five-hop target under one (discipline, cross)."""
     factory = LeaveInTime if discipline == "leave-in-time" \
         else _edd_factory
     network = build_paper_network(factory, seed=seed)
-    target = add_onoff_session(network, TARGET, FIVE_HOP, ms(650),
-                               jitter_control=True)
-    _add_cross(network, cross_kind)
+    add_onoff_session(network, TARGET, FIVE_HOP, ms(650),
+                      jitter_control=True)
+    add_cross_traffic(network, deterministic=cross_kind == "conformant")
     network.run(duration)
-    sink = network.sink(TARGET)
-    if discipline == "leave-in-time":
-        bound = compute_session_bounds(network, target).jitter
-    else:
-        # Jitter-EDD: end-to-end jitter collapses to last-node
-        # variation, bounded by the local delay bound there.
-        bound = TARGET_LOCAL
+    reading = read_target(network, TARGET)
+    # Jitter-EDD: end-to-end jitter collapses to last-node variation,
+    # bounded by the local delay bound there.
+    bound_ms = reading.jitter_bound_ms if discipline == "leave-in-time" \
+        else to_ms(TARGET_LOCAL)
     return RegulatorOutcome(
         discipline=discipline, cross_kind=cross_kind,
-        packets=sink.received, mean_ms=to_ms(sink.delay.mean),
-        max_ms=to_ms(sink.max_delay), jitter_ms=to_ms(sink.jitter),
-        jitter_bound_ms=to_ms(bound))
+        packets=reading.packets, mean_ms=reading.mean_ms,
+        max_ms=reading.max_ms, jitter_ms=reading.jitter_ms,
+        jitter_bound_ms=bound_ms)
 
 
 def cells(*, duration: float, seed: int) -> List[Cell]:

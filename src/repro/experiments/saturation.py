@@ -25,13 +25,12 @@ from typing import List, Optional, Sequence
 
 from repro.admission.procedure3 import subsets_feasible
 from repro.analysis.report import format_table
+from repro.experiments.common import add_onoff_session
 from repro.experiments.parallel import Cell, run_cells
 from repro.net.network import Network
-from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.policy import constant_policy
-from repro.traffic.onoff import OnOffSource
-from repro.units import kbps, ms, to_ms
+from repro.units import ms, to_ms
 
 __all__ = ["SaturationRow", "SaturationResult", "cells", "run"]
 
@@ -85,14 +84,9 @@ def _cell(*, d: float, duration: float, seed: int) -> SaturationRow:
     network.add_node("n1", LeaveInTime(), capacity=CAPACITY)
     entries = []
     for index in range(SESSIONS):
-        session = Session(f"s{index}", rate=kbps(32), route=["n1"],
-                          l_max=PACKET)
-        session.set_policy("n1", constant_policy(d, l_max=PACKET))
-        network.add_session(session, keep_samples=False)
         # Near-peak load so deadlines are contested.
-        OnOffSource(network, session, length=PACKET,
-                    spacing=ms(13.25), mean_on=ms(352),
-                    mean_off=ms(6.5))
+        session = add_onoff_session(network, f"s{index}", ["n1"], ms(6.5))
+        session.set_policy("n1", constant_policy(d, l_max=PACKET))
         entries.append((32_000.0, PACKET, d))
     network.run(duration)
     lateness = network.node("n1").scheduler.lateness

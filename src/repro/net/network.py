@@ -145,26 +145,23 @@ class Network:
         return node
 
     def add_session(self, session: Session, *, sink: Optional[Sink] = None,
-                    keep_samples: bool = True,
-                    keep_packets: bool = False) -> Sink:
+                    keep_samples: bool = True) -> Sink:
         """Register one session (:meth:`add_sessions` with ``(session,)``);
         returns its sink."""
-        self.add_sessions((session,), sink=sink, keep_samples=keep_samples,
-                          keep_packets=keep_packets)
+        self.add_sessions((session,), sink=sink, keep_samples=keep_samples)
         return session.sink
 
     def add_sessions(self, sessions: Iterable[Session], *,
                      sink: Optional[Sink] = None,
-                     keep_samples: bool = True,
-                     keep_packets: bool = False) -> None:
+                     keep_samples: bool = True) -> None:
         """Register ``sessions`` on every node of their routes, in order.
 
         Each session gets a dedicated :class:`~repro.net.sink.Sink`
-        built with the sink options, unless ``sink`` is given: then the
+        built with ``keep_samples``, unless ``sink`` is given: then the
         whole batch shares it (the heavy-traffic experiments aggregate
-        10^5 sessions into one plain Sink this way), and a sink option
-        passed beside it is refused.  The sink goes on the session
-        (``session.sink``) once its checks pass.
+        10^5 sessions into one plain Sink this way), and
+        ``keep_samples=False`` beside it is refused.  The sink goes on
+        the session (``session.sink``) once its checks pass.
 
         All or nothing: a refusal — a failed check or a scheduler hook's
         (HRR's frame budget) — leaves the network as it was.  The ids
@@ -175,14 +172,10 @@ class Network:
         it).  A hook runs before its session holds a slot.  A list or
         tuple ``sessions`` is used without a copy.
         """
-        if sink is not None:
-            given = [name for name, value, default in (
-                ("keep_samples", keep_samples, True),
-                ("keep_packets", keep_packets, False)) if value != default]
-            if given:
-                raise ConfigurationError(
-                    f"sink options {given} do nothing beside a given "
-                    f"sink; build that Sink with them instead")
+        if sink is not None and not keep_samples:
+            raise ConfigurationError(
+                "sink option keep_samples=False does nothing beside a "
+                "given sink; build that Sink with it instead")
         live = self.sessions
         draining = self._draining
         nodes = self.nodes
@@ -222,8 +215,7 @@ class Network:
                         f"table; remove it there first or build a fresh "
                         f"Session")
                 session.sink = sink or Sink(session_id,
-                                            keep_samples=keep_samples,
-                                            keep_packets=keep_packets)
+                                            keep_samples=keep_samples)
                 live[session_id] = session
             checked = len(batch)
             if len(routes) > 1:

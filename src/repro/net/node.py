@@ -49,7 +49,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import chain
 from math import inf
-from typing import Dict, Iterable, Iterator, Optional, Sequence, \
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
     TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
@@ -59,7 +59,6 @@ from repro.net.session import Session
 from repro.net.session_table import SessionTable
 from repro.sched.base import Scheduler
 from repro.sim.kernel import PRIORITY_NORMAL, Simulator
-from repro.sim.monitor import TimeSeries
 from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,7 +95,7 @@ class ServerNode:
         self._limits: Dict[int, float] = {}
         #: Arrival-sampled occupancy series for monitored sessions,
         #: keyed by slot (sparse — monitoring is rare).
-        self._samples: Dict[int, TimeSeries] = {}
+        self._samples: Dict[int, List[float]] = {}
         scheduler.bind(self, sim, self.tracer)
         #: The scheduler's three data-path entry points, bound once:
         #: each is called once per packet-hop.
@@ -143,8 +142,7 @@ class ServerNode:
         samples = self._samples
         for session in sessions:
             if session.monitor_buffer:
-                samples[session.slot] = TimeSeries(
-                    f"{self.name}.{session.id}.buffer")
+                samples[session.slot] = []
 
     def forget_session(self, session: Session) -> None:
         """Drop a drained session's scheduler state, buffer limit and
@@ -221,7 +219,7 @@ class ServerNode:
         if self._samples:
             samples = self._samples.get(slot)
             if samples is not None:
-                samples.record(now, occupancy)
+                samples.append(occupancy)
 
         if self._holds and self._holds[0][0] <= now:
             self.scheduler._mature(now, packet.finish_time)
@@ -461,8 +459,8 @@ class ServerNode:
         return self._rows(self._peak)
 
     @property
-    def buffer_samples(self) -> Dict[str, TimeSeries]:
-        """Arrival-sampled occupancy series for monitored sessions."""
+    def buffer_samples(self) -> Dict[str, List[float]]:
+        """Arrival-sampled occupancy (bits) of monitored sessions."""
         samples = self._samples
         return {session.id: samples[session.slot]
                 for session in self._routed() if session.slot in samples}

@@ -12,9 +12,9 @@ records the paper's three end-to-end observables:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
-from repro.sim.monitor import Tally, TimeSeries
+from repro.sim.monitor import Tally
 from repro.net.packet import Packet
 
 __all__ = ["Sink"]
@@ -23,20 +23,15 @@ __all__ = ["Sink"]
 class Sink:
     """Per-session packet sink with delay statistics."""
 
-    __slots__ = ("session_id", "delay", "samples", "packets", "received",
+    __slots__ = ("session_id", "delay", "samples", "received",
                  "bits_received")
 
     def __init__(self, session_id: str, *,
-                 keep_samples: bool = True,
-                 keep_packets: bool = False) -> None:
+                 keep_samples: bool = True) -> None:
         self.session_id = session_id
         self.delay = Tally(f"{session_id}.delay")
-        self.samples: Optional[TimeSeries] = (
-            TimeSeries(f"{session_id}.delay-series")
-            if keep_samples else None)
-        #: Delivered packet objects, retained only when requested —
-        #: used by tests asserting per-packet scheduler state.
-        self.packets: Optional[list] = [] if keep_packets else None
+        #: Every delay, in delivery order, when kept.
+        self.samples: Optional[List[float]] = [] if keep_samples else None
         self.received = 0
         self.bits_received = 0.0
 
@@ -44,12 +39,10 @@ class Sink:
         """Consume ``packet`` whose last bit arrived at time ``now``."""
         self.received += 1
         self.bits_received += packet.length
-        if self.packets is not None:
-            self.packets.append(packet)
         delay = now - packet.entry_time
         self.delay.observe(delay)
         if self.samples is not None:
-            self.samples.record(packet.entry_time, delay)
+            self.samples.append(delay)
 
     @property
     def max_delay(self) -> float:

@@ -12,13 +12,13 @@ The public surface:
   (the heap entry itself).
 * :class:`~repro.sim.rng.RandomStreams` — reproducible, named random
   substreams so each traffic source gets an independent stream.
-* Monitors in :mod:`repro.sim.monitor` — tallies and time-series
-  recorders used by the measurement layer.
+* :class:`~repro.sim.monitor.Tally` — the streaming statistics the
+  measurement layer records.
 """
 
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import Tally, TimeSeries
+from repro.sim.monitor import Tally
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -27,7 +27,6 @@ __all__ = [
     "Simulator",
     "RandomStreams",
     "Tally",
-    "TimeSeries",
     "Tracer",
     "TraceRecord",
 ]

@@ -1,19 +1,16 @@
-"""Measurement primitives used by the analysis layer.
+"""The measurement primitive used by the analysis layer.
 
-Two small, composable recorders:
-
-* :class:`Tally` — streaming min/max/mean/variance of observations
-  (Welford's algorithm, numerically stable for long runs).
-* :class:`TimeSeries` — raw ``(time, value)`` samples for distribution
-  plots.
+:class:`Tally` — streaming min/max/mean/variance of observations
+(Welford's algorithm, numerically stable for long runs).  Raw samples,
+where a sink or node keeps them, are plain lists of values.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional
 
-__all__ = ["Tally", "TimeSeries"]
+__all__ = ["Tally"]
 
 
 class Tally:
@@ -63,24 +60,3 @@ class Tally:
             return 0.0
         assert self.minimum is not None and self.maximum is not None
         return self.maximum - self.minimum
-
-
-class TimeSeries:
-    """Raw ``(time, value)`` samples, every one kept."""
-
-    __slots__ = ("name", "times", "values")
-
-    def __init__(self, name: str = "series") -> None:
-        self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def items(self) -> List[Tuple[float, float]]:
-        return list(zip(self.times, self.values))

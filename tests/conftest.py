@@ -14,6 +14,7 @@ import pytest
 
 from repro.net.network import Network
 from repro.net.session import Session
+from repro.net.sink import Sink
 from repro.sched.base import DeadlineScheduler
 from repro.sim import kernel
 from repro.sim.trace import Tracer
@@ -83,6 +84,22 @@ def make_network(scheduler_factory: Callable[[], object], *,
     return network
 
 
+class RecordingSink(Sink):
+    """A sink that also keeps every delivered packet, in delivery order,
+    for tests asserting per-packet scheduler state; hand it to
+    ``Network.add_session(s)`` as ``sink=``."""
+
+    __slots__ = ("packets",)
+
+    def __init__(self, session_id: str, **options) -> None:
+        super().__init__(session_id, **options)
+        self.packets: list = []
+
+    def receive(self, packet, now: float) -> None:
+        self.packets.append(packet)
+        super().receive(packet, now)
+
+
 def add_trace_session(network: Network, session_id: str, *,
                       rate: float, times: Sequence[float],
                       lengths, route: Optional[List[str]] = None,
@@ -104,7 +121,7 @@ def add_trace_session(network: Network, session_id: str, *,
     session = Session(session_id, rate=rate, route=route, l_max=l_max,
                       jitter_control=jitter_control,
                       token_bucket=token_bucket)
-    sink = network.add_session(session, keep_packets=True)
+    sink = network.add_session(session, sink=RecordingSink(session_id))
     source = TraceSource(network, session, times=times, lengths=lengths)
     return session, sink, source
 

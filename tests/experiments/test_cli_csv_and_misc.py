@@ -1,10 +1,29 @@
 """CLI --csv flag and assorted experiment edge cases."""
 
 import csv
+import dataclasses
+import importlib
+import inspect
+import multiprocessing.process
+import os
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.units import ms
+
+#: Experiment -> ``run`` options that keep it small.  Each result holds
+#: dataclass ``rows`` and no ``to_csv`` of its own.
+ROW_EXPERIMENTS = {
+    "fault_sweep": {"outages": (0.0,)},
+    "figure07": {"a_off_values": (ms(650),)},
+    "figure14_17": {"a_off_values": (ms(650),)},
+    "heavy_traffic": {"sessions": 200, "rhos": (0.9,),
+                      "topologies": ("single",)},
+    "hop_scaling": {"hop_counts": (1, 2)},
+    "saturation": {"d_values_ms": (13.25, 3.0)},
+}
 
 
 class TestCliCsv:
@@ -56,6 +75,39 @@ class TestCliCsv:
         assert main(["section4", "--csv", str(tmp_path)]) == 0
         assert list(tmp_path.iterdir()) == []
 
+    def test_the_row_experiments_are_every_result_with_rows(self):
+        with_rows = set()
+        for name in cli._SIMULATED:
+            module = importlib.import_module(f"repro.experiments.{name}")
+            result_type = getattr(
+                module, inspect.signature(module.run).return_annotation)
+            if "rows" in {f.name for f in dataclasses.fields(result_type)}:
+                with_rows.add(name)
+        assert with_rows == set(ROW_EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", sorted(ROW_EXPERIMENTS))
+    def test_a_result_with_rows_exports_them(self, name, tmp_path,
+                                             monkeypatch, capsys):
+        module = importlib.import_module(f"repro.experiments.{name}")
+        run, results = module.run, []
+
+        def small(**kwargs):
+            results.append(run(**kwargs, **ROW_EXPERIMENTS[name]))
+            return results[-1]
+
+        monkeypatch.setattr(module, "run", small)
+        assert main([name, "--duration", "1", "--csv", str(tmp_path)]) == 0
+        (result,) = results
+        assert not hasattr(result, "to_csv")
+        with open(tmp_path / f"{name}.csv", newline="") as handle:
+            lines = list(csv.reader(handle))
+        names = [f.name for f in dataclasses.fields(result.rows[0])]
+        assert lines[0] == names
+        assert lines[1:] == [[str(getattr(row, field)) for field in names]
+                             for row in result.rows]
+        assert f"[csv written to {tmp_path / f'{name}.csv'}]" in \
+            capsys.readouterr().out
+
 
 class TestDistributionResultEdges:
     def test_sound_against_detects_violations(self):
@@ -72,6 +124,33 @@ class TestDistributionResultEdges:
         from repro.experiments import figure09
         result = figure09.run(duration=2.0, seed=9)
         assert result.tail_delay_ms(0.01) >= result.tail_delay_ms(0.1)
+
+
+class TestHeavyTrafficRun:
+    def test_run_returns_each_cells_row_and_starts_no_process(
+            self, monkeypatch):
+        from repro.experiments import heavy_traffic
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("heavy_traffic.run started a process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        options = {"duration": 1.0, "seed": 0, "sessions": 200,
+                   "rhos": (0.9,), "topologies": ("single",)}
+        wall_clock = ("wall_s", "events_per_sec")
+
+        def observables(row):
+            return {name: value
+                    for name, value in dataclasses.asdict(row).items()
+                    if name not in wall_clock}
+
+        rows = heavy_traffic.run(**options).rows
+        cells = heavy_traffic.cells(**options)
+        assert len(rows) == len(cells) == 3
+        assert [observables(row) for row in rows] == [
+            observables(cell.fn(**cell.kwargs)) for cell in cells]
 
 
 class TestBenchDurationEnv:

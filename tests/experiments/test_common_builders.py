@@ -4,18 +4,23 @@ import csv
 
 import pytest
 
+from repro.cli import _maybe_export
 from repro.experiments import figure09
 from repro.experiments.common import (
+    FIVE_HOP,
     PAPER_A_OFF_SWEEP_S,
     PAPER_PACKET_BITS,
     PAPER_SPACING_S,
     SessionSpec,
+    add_cross_traffic,
     add_onoff_session,
-    add_poisson_cross_traffic,
-    build_cross_network,
     build_mix_network,
     mix_specs,
 )
+from repro.net.topology import build_paper_network
+from repro.sched.leave_in_time import LeaveInTime
+from repro.traffic.deterministic import DeterministicSource
+from repro.traffic.poisson import PoissonSource
 from repro.units import T1_RATE_BPS, ms
 
 
@@ -60,27 +65,41 @@ class TestBuilders:
         assert network.sinks["a-j/2"].samples is not None
         assert network.sinks["a-j/1"].samples is None
 
-    def test_admit_hook_called_per_session(self):
-        admitted = []
-        build_mix_network(ms(650),
-                          admit=lambda net, s: admitted.append(s.id))
-        assert len(admitted) == 116
-
     def test_onoff_session_declares_token_bucket(self):
-        network = build_cross_network()
-        session = add_onoff_session(network, "t",
-                                    ("n1", "n2", "n3", "n4", "n5"),
-                                    ms(650))
+        network = build_paper_network(LeaveInTime)
+        session = add_onoff_session(network, "t", FIVE_HOP, ms(650))
         assert session.token_bucket == (32_000.0, PAPER_PACKET_BITS)
 
     def test_cross_traffic_covers_all_one_hop_routes(self):
-        network = build_cross_network()
-        sessions = add_poisson_cross_traffic(network)
+        network = build_paper_network(LeaveInTime)
+        sessions = add_cross_traffic(network)
         routes = {s.route for s in sessions}
         assert routes == {("n1",), ("n2",), ("n3",), ("n4",), ("n5",)}
         for index in range(1, 6):
             assert network.reserved_rate(f"n{index}") == pytest.approx(
                 1_472_000.0)
+
+    def test_cross_traffic_names_routes_and_sources(self):
+        network = build_paper_network(LeaveInTime)
+        network.add_node("x0", LeaveInTime(), capacity=T1_RATE_BPS)
+        labels = ["a-f", "b-g", "c-h", "d-i", "e-j"]
+        poisson = add_cross_traffic(network, via=("x0",))
+        conformant = add_cross_traffic(network, deterministic=True)
+        counted = add_cross_traffic(network, rate=64_000.0,
+                                    deterministic=True, count=2)
+        assert [s.id for s in poisson] == [f"cross-{x}" for x in labels]
+        assert [s.route for s in poisson] == [
+            ("x0", f"n{i}") for i in range(1, 6)]
+        assert [s.id for s in conformant] == [f"det-{x}" for x in labels]
+        assert [s.id for s in counted] == [
+            f"det-{x}-{k}" for x in labels for k in range(2)]
+        sources = {source.session.id: source
+                   for source in network.sources}
+        assert all(type(sources[s.id]) is PoissonSource for s in poisson)
+        assert all(type(sources[s.id]) is DeterministicSource
+                   for s in conformant + counted)
+        assert sources["det-a-f-0"].interval == pytest.approx(
+            PAPER_PACKET_BITS / 64_000.0)
 
 
 class TestCsvExports:
@@ -97,9 +116,8 @@ class TestCsvExports:
     def test_figure07_to_csv(self, tmp_path):
         from repro.experiments import figure07
         result = figure07.run(duration=1.0, a_off_values=[ms(650)])
-        target = tmp_path / "fig7.csv"
-        result.to_csv(target)
-        with open(target, newline="") as handle:
+        _maybe_export("figure07", result, tmp_path)
+        with open(tmp_path / "figure07.csv", newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0][0] == "a_off_ms"
         assert len(rows) == 2

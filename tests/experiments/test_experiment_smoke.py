@@ -19,6 +19,7 @@ from repro.experiments import (
     firewall,
     section4,
 )
+from repro.experiments.common import read_target
 from repro.units import ms
 
 DURATION = 6.0
@@ -27,6 +28,14 @@ DURATION = 6.0
 @pytest.fixture(scope="module")
 def fig8_result():
     return figure08.run(duration=12.0, seed=1)
+
+
+@pytest.fixture(scope="module")
+def fig8(fig8_result):
+    """Figure 8's two targets, read: (no control, control)."""
+    return tuple(read_target(fig8_result.network, session_id)
+                 for session_id in (figure08.SESSION_NO_CONTROL,
+                                    figure08.SESSION_CONTROL))
 
 
 class TestFigure7:
@@ -58,25 +67,23 @@ class TestFigure7:
 
 
 class TestFigure8:
-    def test_jitter_control_reduces_jitter(self, fig8_result):
-        controlled = fig8_result.jitter_ms(figure08.SESSION_CONTROL)
-        uncontrolled = fig8_result.jitter_ms(figure08.SESSION_NO_CONTROL)
-        assert controlled < uncontrolled / 2
+    def test_jitter_control_reduces_jitter(self, fig8):
+        uncontrolled, controlled = fig8
+        assert controlled.jitter_ms < uncontrolled.jitter_ms / 2
 
-    def test_jitter_bounds_hold(self, fig8_result):
-        assert fig8_result.jitter_ms(figure08.SESSION_CONTROL) <= 13.25
-        assert fig8_result.jitter_ms(
-            figure08.SESSION_NO_CONTROL) <= 66.25
+    def test_jitter_bounds_hold(self, fig8):
+        uncontrolled, controlled = fig8
+        assert controlled.jitter_ms <= 13.25
+        assert uncontrolled.jitter_ms <= 66.25
 
-    def test_delay_bounds_hold(self, fig8_result):
-        for session_id in (figure08.SESSION_CONTROL,
-                           figure08.SESSION_NO_CONTROL):
-            assert fig8_result.max_delay_ms(session_id) <= 72.64
+    def test_delay_bounds_hold(self, fig8):
+        for reading in fig8:
+            assert reading.max_ms <= 72.64
 
-    def test_control_raises_mean_delay(self, fig8_result):
+    def test_control_raises_mean_delay(self, fig8):
         # The paper: regulators push delays toward the bound.
-        assert (fig8_result.mean_delay_ms(figure08.SESSION_CONTROL)
-                > fig8_result.mean_delay_ms(figure08.SESSION_NO_CONTROL))
+        uncontrolled, controlled = fig8
+        assert controlled.mean_ms > uncontrolled.mean_ms
 
     def test_histogram_available(self, fig8_result):
         edges, mass = fig8_result.delay_histogram(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import _maybe_export
 from repro.experiments import fault_sweep
 
 
@@ -60,7 +61,6 @@ def test_table_renders(result):
 
 
 def test_csv_export(result, tmp_path):
-    target = tmp_path / "fault_sweep.csv"
-    result.to_csv(target)
-    content = target.read_text()
+    _maybe_export("fault_sweep", result, tmp_path)
+    content = (tmp_path / "fault_sweep.csv").read_text()
     assert "discipline" in content and "fcfs" in content

@@ -1,5 +1,7 @@
 """Tests for the hop-scaling and call-churn extension experiments."""
 
+import re
+
 import pytest
 
 from repro.experiments import call_churn, hop_scaling
@@ -79,3 +81,16 @@ class TestCallChurn:
     def test_table_renders(self, result):
         text = result.table()
         assert "blocking probability" in text
+
+    def test_table_prints_the_accepted_calls_bound(self, result):
+        (bound,) = {call.bound for call in result.calls
+                    if not call.blocked}
+        row = rf"per-call delay bound \(ms\) +{bound * 1e3:.2f}\n"
+        assert re.search(row, result.table())
+
+    def test_no_call_prints_no_bound(self):
+        # The first call arrives ~0.17 s in on average; none by 1 us.
+        quiet = call_churn.run(duration=1e-6, seed=0)
+        assert quiet.attempts == 0
+        assert re.search(r"per-call delay bound \(ms\) +n/a\n",
+                         quiet.table())

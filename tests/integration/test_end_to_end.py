@@ -12,16 +12,15 @@ from repro.admission.controller import AdmissionController
 from repro.admission.procedure1 import Procedure1
 from repro.bounds.delay import compute_session_bounds
 from repro.experiments.common import (
+    FIVE_HOP,
+    add_cross_traffic,
     add_onoff_session,
-    add_poisson_cross_traffic,
     build_mix_network,
 )
 from repro.net.topology import build_paper_network
 from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.wfq import WFQ
 from repro.units import kbps, ms
-
-FIVE_HOP = ("n1", "n2", "n3", "n4", "n5")
 
 
 class TestMixConfiguration:
@@ -110,7 +109,7 @@ class TestCrossDisciplineComparison:
         for name, factory in (("lit", LeaveInTime), ("wfq", WFQ)):
             network = build_paper_network(factory, seed=9)
             target = add_onoff_session(network, "t", FIVE_HOP, ms(650))
-            add_poisson_cross_traffic(network)
+            add_cross_traffic(network)
             network.run(8.0)
             results[name] = network.sink("t").max_delay
         assert results["wfq"] <= 72.63e-3
@@ -120,7 +119,7 @@ class TestCrossDisciplineComparison:
         network = build_paper_network(LeaveInTime, seed=11)
         target = add_onoff_session(network, "t", FIVE_HOP, ms(650),
                                    jitter_control=True)
-        add_poisson_cross_traffic(network)
+        add_cross_traffic(network)
         network.run(8.0)
         bounds = compute_session_bounds(network, target)
         sink = network.sink("t")

@@ -89,7 +89,7 @@ class TestMixedLinkBounds:
         network.add_node("c", LeaveInTime(), capacity=1e6)
         session = Session("s", rate=50_000.0, route=["a", "b", "c"],
                           l_max=424.0, jitter_control=True)
-        sink = network.add_session(session, keep_packets=True)
+        sink = network.add_session(session)
         TraceSource(network, session, times=[0.0], lengths=424.0)
         network.run(10.0)
         # Node a: F = 424/50000 = 8.48 ms, F̂ = 0.424 ms,

@@ -200,8 +200,7 @@ def test_an_hrr_refusal_on_the_kth_session_changes_nothing():
 # ----------------------------------------------------------------------
 # Sink options
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("option, value", [
-    ("keep_samples", False), ("keep_packets", True)])
+@pytest.mark.parametrize("option, value", [("keep_samples", False)])
 def test_a_sink_option_beside_a_given_sink_is_refused(option, value):
     network = make_network(LeaveInTime)
     session = Session("s", rate=1.0, route=["n1"], l_max=10.0)

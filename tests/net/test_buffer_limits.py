@@ -11,8 +11,9 @@ import pytest
 from repro.bounds.delay import compute_session_bounds, provision_buffers
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.common import (
+    FIVE_HOP,
+    add_cross_traffic,
     add_onoff_session,
-    add_poisson_cross_traffic,
 )
 from repro.net.network import Network
 from repro.net.topology import build_paper_network
@@ -20,8 +21,6 @@ from repro.sched.fcfs import FCFS
 from repro.sched.leave_in_time import LeaveInTime
 from repro.units import ms
 from tests.conftest import add_trace_session, make_network
-
-FIVE_HOP = ("n1", "n2", "n3", "n4", "n5")
 
 
 class TestDropMechanics:
@@ -135,7 +134,7 @@ class TestProvisioningAtTheBound:
         # limit on a loaded network; any drop would disprove eq. Q.
         network = build_paper_network(LeaveInTime, seed=17)
         target = add_onoff_session(network, "t", FIVE_HOP, ms(650))
-        add_poisson_cross_traffic(network)
+        add_cross_traffic(network)
         limits = provision_buffers(network, target)
         assert len(limits) == 5
         network.run(20.0)
@@ -147,7 +146,7 @@ class TestProvisioningAtTheBound:
         network = build_paper_network(LeaveInTime, seed=18)
         target = add_onoff_session(network, "t", FIVE_HOP, ms(650),
                                    jitter_control=True)
-        add_poisson_cross_traffic(network)
+        add_cross_traffic(network)
         provision_buffers(network, target)
         network.run(20.0)
         assert all(network.node(n).drops.get("t", 0) == 0
@@ -158,7 +157,7 @@ class TestProvisioningAtTheBound:
         # enforcement is real, not vacuous.
         network = build_paper_network(LeaveInTime, seed=17)
         target = add_onoff_session(network, "t", FIVE_HOP, ms(6.5))
-        add_poisson_cross_traffic(network)
+        add_cross_traffic(network)
         for node_name in FIVE_HOP:
             network.node(node_name).set_buffer_limit("t", 424.0)
         network.run(20.0)

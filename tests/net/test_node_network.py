@@ -31,7 +31,7 @@ class TestSingleNodeTiming:
             network, "s", rate=100.0, times=[0.0, 0.0, 0.0],
             lengths=100.0)
         network.run(10.0)
-        delays = sink.samples.values
+        delays = sink.samples
         assert delays == pytest.approx([0.1, 0.2, 0.3])
 
     def test_idle_gap_resets_queueing(self):
@@ -39,7 +39,7 @@ class TestSingleNodeTiming:
         _, sink, _ = add_trace_session(
             network, "s", rate=100.0, times=[0.0, 1.0], lengths=100.0)
         network.run(10.0)
-        assert sink.samples.values == pytest.approx([0.1, 0.1])
+        assert sink.samples == pytest.approx([0.1, 0.1])
 
 
 class TestTandemTiming:
@@ -83,7 +83,7 @@ class TestBufferAccounting:
         samples = network.node("n1").buffer_samples["s"]
         # First arrival: itself only (100). Second arrives while the
         # first is still transmitting: 200 bits present.
-        assert samples.values == [100.0, 200.0]
+        assert samples == [100.0, 200.0]
 
     def test_peak_tracked_for_unmonitored_sessions(self):
         network = make_network(FCFS, capacity=1000.0)

@@ -6,11 +6,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.session import Session
-from repro.net.sink import Sink
 from repro.sched.edd import DelayEDD, JitterEDD
 from repro.sched.leave_in_time import LeaveInTime
 from repro.traffic.trace_source import TraceSource
-from tests.conftest import add_trace_session, make_network
+from tests.conftest import RecordingSink, add_trace_session, make_network
 
 
 def assert_row_reset(network, node_name, slot):
@@ -332,7 +331,7 @@ def test_sinks_maps_every_id_to_the_sink_it_delivers_to():
     """Shared and own sinks, a draining session, a removed one and a
     re-registered id, all read through ``network.sinks``."""
     network = make_network(LeaveInTime, capacity=10.0)  # 1 s a packet
-    shared = Sink("shared", keep_samples=False, keep_packets=True)
+    shared = RecordingSink("shared", keep_samples=False)
     pair = [Session(f"a{index}", rate=1.0, route=["n1"], l_max=10.0)
             for index in (1, 2)]
     network.add_sessions(pair, sink=shared)

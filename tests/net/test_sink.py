@@ -22,10 +22,11 @@ def test_delay_statistics():
     assert sink.jitter == pytest.approx(2.0)
 
 
-def test_samples_record_entry_time_and_delay():
+def test_samples_record_each_delay():
     sink = Sink("s")
     sink.receive(make_packet(2.0), 5.0)
-    assert sink.samples.items() == [(2.0, 3.0)]
+    sink.receive(make_packet(4.0, seq=2), 4.5)
+    assert sink.samples == [3.0, 0.5]
 
 
 def test_keep_samples_false():
@@ -33,13 +34,6 @@ def test_keep_samples_false():
     sink.receive(make_packet(0.0), 1.0)
     assert sink.samples is None
     assert sink.max_delay == 1.0
-
-
-def test_keep_packets():
-    sink = Sink("s", keep_packets=True)
-    packet = make_packet(0.0)
-    sink.receive(packet, 1.0)
-    assert sink.packets == [packet]
 
 
 def test_empty_sink_defaults():

@@ -37,7 +37,7 @@ class TestSimultaneousSessionsDeterminism:
                 PoissonSource(network, session, length=424.0,
                               mean=0.2)
             network.run(30.0)
-            return [tuple(sink.samples.values) for sink in sinks]
+            return [tuple(sink.samples) for sink in sinks]
 
         assert run() == run()
 
@@ -122,4 +122,4 @@ class TestBufferLimitInteraction:
         # Packet 3 dropped; 1, 2, 4 delivered with sane delays.
         assert sink.received == 3
         assert network.node("n1").drops["s"] == 1
-        assert sink.samples.values[-1] == pytest.approx(0.1)
+        assert sink.samples[-1] == pytest.approx(0.1)

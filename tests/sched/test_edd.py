@@ -110,7 +110,7 @@ class TestJitterEDD:
             network, "target", rate=100.0, times=[0.0, 0.5, 1.0],
             lengths=100.0, route=["n1", "n2"], jitter_control=True)
         network.run(20.0)
-        return sink.samples.values
+        return sink.samples
 
     def test_end_to_end_jitter_cancelled_by_regulators(self):
         delays = self._contended_tandem(

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
 from repro.units import ms
-from tests.conftest import (UniformLengthOnOff, UniformLengthPoisson,
-                            VirtualClockOracle, make_network)
+from tests.conftest import (RecordingSink, UniformLengthOnOff,
+                            UniformLengthPoisson, VirtualClockOracle,
+                            make_network)
 
 L_MAX = 424.0
 
@@ -57,7 +58,8 @@ def build(scheduler_factory, scenario=FIXED, duration=30.0):
         l_min = L_MAX * l_min_share
         session = Session(name, rate=rate, l_max=L_MAX, l_min=l_min,
                           route=[f"n{i}" for i in range(first, last + 1)])
-        sinks[name] = network.add_session(session, keep_packets=True)
+        sinks[name] = network.add_session(session,
+                                          sink=RecordingSink(name))
         if kind == "onoff":
             UniformLengthOnOff(network, session, length=L_MAX,
                                spacing=ms(13.25), mean_on=ms(352),
@@ -85,8 +87,8 @@ def test_identical_packet_counts(both):
 def test_identical_delay_sequences(both):
     lit, vc = both
     for session_id in lit:
-        assert lit[session_id].samples.values == pytest.approx(
-            vc[session_id].samples.values, abs=1e-12)
+        assert lit[session_id].samples == pytest.approx(
+            vc[session_id].samples, abs=1e-12)
 
 
 def test_identical_extremes(both):
@@ -121,7 +123,7 @@ def test_packet_for_packet_on_drawn_scenarios(scenario):
     lit = build(LeaveInTime, scenario, duration=3.0)
     vc = build(VirtualClockOracle, scenario, duration=3.0)
     for session_id, sink in lit.items():
-        assert sink.samples.values == vc[session_id].samples.values
+        assert sink.samples == vc[session_id].samples
         assert [packet.length for packet in sink.packets] == \
             [packet.length for packet in vc[session_id].packets]
         assert [packet.deadline for packet in sink.packets] == \

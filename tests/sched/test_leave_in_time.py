@@ -15,7 +15,7 @@ from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.policy import (DelayPolicy, constant_policy,
                                 virtual_clock_policy)
 from repro.traffic.trace_source import TraceSource
-from tests.conftest import add_trace_session, make_network
+from tests.conftest import RecordingSink, add_trace_session, make_network
 
 
 class TestDeadlineRecursion:
@@ -48,7 +48,7 @@ class TestDeadlineRecursion:
         network = make_network(LeaveInTime, capacity=1000.0)
         session = Session("s", rate=100.0, route=["n1"], l_max=100.0)
         session.set_policy("n1", constant_policy(0.2, l_max=100.0))
-        sink = network.add_session(session, keep_packets=True)
+        sink = network.add_session(session, sink=RecordingSink("s"))
         TraceSource(network, session, times=[0.0, 0.0, 0.0],
                     lengths=100.0)
         network.run(10.0)
@@ -120,7 +120,7 @@ class TestRegulators:
         # transmissions run [1.1, 1.2] and [2.1, 2.2].
         network, _, sink = self.build_tandem()
         network.run(10.0)
-        assert sink.samples.values == pytest.approx([1.2, 2.2])
+        assert sink.samples == pytest.approx([1.2, 2.2])
 
     def test_first_node_never_holds(self):
         # Eq. 8: A = 0 at node 1 — eligibility equals arrival there.

@@ -43,7 +43,7 @@ class TestRateRegulator:
                                        times=[0.0, 1.5, 3.0],
                                        lengths=100.0)
         network.run(10.0)
-        assert sink.samples.values == pytest.approx([0.1, 0.1, 0.1])
+        assert sink.samples == pytest.approx([0.1, 0.1, 0.1])
 
 
 class TestStaticPriority:

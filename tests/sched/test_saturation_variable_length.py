@@ -20,7 +20,8 @@ from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.policy import constant_policy
 from repro.traffic.token_bucket import shape_arrivals
 from repro.traffic.trace_source import TraceSource
-from tests.conftest import UniformLengthPoisson, make_network
+from tests.conftest import (RecordingSink, UniformLengthPoisson,
+                            make_network)
 
 
 class TestSaturationInjection:
@@ -123,7 +124,7 @@ class TestVariableLengthTraffic:
         network = make_network(LeaveInTime, capacity=10_000.0)
         session = Session("s", rate=1000.0, route=["n1"], l_max=424.0,
                           l_min=100.0)
-        network.add_session(session, keep_packets=True)
+        network.add_session(session, sink=RecordingSink("s"))
         UniformLengthPoisson(network, session, length=424.0, mean=0.05,
                              length_stream="len", packets=100)
         network.run(600.0)

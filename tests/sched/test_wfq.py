@@ -102,7 +102,7 @@ class TestWFQScheduling:
         _, sink, _ = add_trace_session(network, "s", rate=100.0,
                                        times=[0.0, 0.0], lengths=100.0)
         network.run(10.0)
-        assert sink.samples.values == pytest.approx([0.1, 0.2])
+        assert sink.samples == pytest.approx([0.1, 0.2])
 
     def test_pgps_delay_close_to_gps(self):
         # Parekh-Gallager: WFQ finishes every packet no later than GPS

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.monitor import Tally, TimeSeries
+from repro.sim.monitor import Tally
 
 
 class TestTally:
@@ -41,12 +41,3 @@ class TestTally:
         assert tally.mean == 7.0
         assert tally.variance == 0.0
         assert tally.stddev == 0.0
-
-
-class TestTimeSeries:
-    def test_records_pairs(self):
-        series = TimeSeries()
-        series.record(1.0, 10.0)
-        series.record(2.0, 20.0)
-        assert series.items() == [(1.0, 10.0), (2.0, 20.0)]
-        assert len(series) == 2

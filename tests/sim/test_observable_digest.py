@@ -26,7 +26,8 @@ from hypothesis import (HealthCheck, example, given, settings,
 from repro.analysis.verify.sanitizer import Sanitizer
 from repro.experiments import call_churn, heavy_traffic, \
     regulator_comparison
-from repro.experiments.common import (add_onoff_session,
+from repro.experiments.common import (FIVE_HOP, add_cross_traffic,
+                                      add_onoff_session,
                                       build_mix_network, mix_specs)
 from repro.net.network import Network
 from repro.net.session import Session
@@ -130,9 +131,9 @@ def _rcsp_network() -> Network:
                      assignment={f"det-{label}": 0
                                  for label in CROSS_ONE_HOP_ROUTES}),
         seed=0)
-    add_onoff_session(network, regulator_comparison.TARGET,
-                      regulator_comparison.FIVE_HOP, ms(650))
-    regulator_comparison._add_cross(network, "conformant")
+    add_onoff_session(network, regulator_comparison.TARGET, FIVE_HOP,
+                      ms(650))
+    add_cross_traffic(network, deterministic=True)
     return network
 
 

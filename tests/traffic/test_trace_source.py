@@ -12,7 +12,7 @@ from tests.conftest import make_network
 def build(times, lengths):
     network = make_network(FCFS, capacity=1e6)
     session = Session("s", rate=1000.0, route=["n1"], l_max=1000.0)
-    network.add_session(session, keep_packets=True)
+    network.add_session(session)
     source = TraceSource(network, session, times=times, lengths=lengths,
                          keep_trace=True)
     return network, source
