@@ -35,7 +35,6 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import SimulationError
 from repro.experiments.common import build_mix_network
 from repro.experiments.parallel import Cell, run_cells
-from repro.sim.events import Event
 from repro.sim.kernel import PRIORITY_NORMAL, Simulator
 from repro.sim.rng import RandomStreams
 from repro.units import ms, seconds
@@ -60,7 +59,7 @@ class TiebreakShuffledSimulator(Simulator):
 
     The production kernel resolves equal ``(time, priority)`` events by
     insertion order (the monotone ``seq``).  This subclass puts ``(actor
-    key, seq)`` in the :class:`Event` entry's ``seq`` slot — one seeded
+    key, seq)`` in the heap entry's ``seq`` slot — one seeded
     key per object whose method is the callback, a bare function being
     an actor of its own — so ties *between* actors dispatch in another
     order through the unmodified ``run`` loops while one actor's events
@@ -79,19 +78,19 @@ class TiebreakShuffledSimulator(Simulator):
 
     def _push_shuffled(self, time: float, priority: int,
                        callback: Callable[..., Any],
-                       args: Tuple[Any, ...]) -> Event:
+                       args: Tuple[Any, ...]) -> list:
         seq = self._seq
         self._seq = seq + 1
         owner = (callback.__self__ if isinstance(callback, MethodType)
                  else callback)
         key, _ = self._actor_keys.setdefault(
             id(owner), (self._tiebreak_rng.random(), owner))
-        event = Event((time, priority, (key, seq), callback, args))
+        event = [time, priority, (key, seq), callback, args]
         heapq.heappush(self._heap, event)
         return event
 
     def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any, priority: int = PRIORITY_NORMAL) -> Event:
+                 *args: Any, priority: int = PRIORITY_NORMAL) -> list:
         if not delay >= 0:
             raise SimulationError(
                 f"negative or NaN delay {delay!r} scheduling {callback!r}")
@@ -99,7 +98,7 @@ class TiebreakShuffledSimulator(Simulator):
                                    callback, args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
-                    *args: Any, priority: int = PRIORITY_NORMAL) -> Event:
+                    *args: Any, priority: int = PRIORITY_NORMAL) -> list:
         if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, clock already at "

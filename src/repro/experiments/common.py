@@ -130,14 +130,13 @@ def build_mix_network(a_off: float, *,
                       scheduler_factory: Callable[[], object] = LeaveInTime,
                       seed: int = 0,
                       jitter_ids: Set[str] = frozenset(),
-                      sample_ids: Set[str] = frozenset(),
                       sim: Optional[Simulator] = None,
                       order_seed: Optional[int] = None) -> Network:
     """The MIX configuration: 116 ON-OFF sessions, 48 per node.
 
-    ``jitter_ids`` / ``sample_ids`` select sessions (by
-    ``"label/index"`` id) that get delay-jitter control and raw delay
-    samples respectively.  An admission controller may install per-node
+    ``jitter_ids`` selects the sessions (by ``"label/index"`` id) that
+    get delay-jitter control; no session keeps raw delay samples.  An
+    admission controller may install per-node
     delay policies on the built sessions any time before ``run``:
     Leave-in-Time reads a session's policy at its first packet.
 
@@ -156,8 +155,7 @@ def build_mix_network(a_off: float, *,
     for spec in specs:
         session_id = spec.session_id
         add_onoff_session(network, session_id, spec.route, a_off,
-                          jitter_control=session_id in jitter_ids,
-                          keep_samples=session_id in sample_ids)
+                          jitter_control=session_id in jitter_ids)
     return network
 
 

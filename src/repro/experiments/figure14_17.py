@@ -124,10 +124,7 @@ def _cell(*, a_off: float, duration: float,
           seed: int) -> List[TwoClassRow]:
     """One sweep cell: the ACP2 MIX run at one a_OFF, all four targets."""
     jitter_ids = {sid for sid, jc in TARGETS.values() if jc}
-    sample_ids = {sid for sid, _ in TARGETS.values()}
-    network = build_mix_network(a_off, seed=seed,
-                                jitter_ids=jitter_ids,
-                                sample_ids=sample_ids)
+    network = build_mix_network(a_off, seed=seed, jitter_ids=jitter_ids)
     controller = AdmissionController(
         network, lambda node: Procedure2(node.link.capacity, CLASSES))
     for spec in mix_specs():  # registration order

@@ -36,7 +36,7 @@ from typing import List, NamedTuple, Optional, TYPE_CHECKING
 from repro.errors import SimulationError
 from repro.net.packet import Packet
 from repro.net.session import Session
-from repro.sim.events import Event
+from repro.sim.events import cancel
 from repro.sim.kernel import PRIORITY_NORMAL, Simulator
 from repro.sim.trace import Tracer
 
@@ -48,7 +48,7 @@ __all__ = ["Scheduler", "DeadlineScheduler"]
 
 #: The stale handle a scheduler with no wake timer holds: at +inf, so
 #: any hold is earlier, and cancelling it changes nothing.
-_NO_WAKE = Event((inf, 0, -1, None, ()))
+_NO_WAKE = [inf, 0, -1, None, ()]
 
 
 class Lateness(NamedTuple):
@@ -184,7 +184,7 @@ class Scheduler(ABC):
         at, _, _, timer = self._holds[0]
         armed = self._wake_timer
         if timer is None and at < armed[0]:
-            armed.cancel()
+            cancel(armed)
             # Tie-break: after NORMAL.  Arrivals and completions mature
             # the holds themselves, in ``seq`` order (``created``); the
             # wake releases blindly, so it looks last of its instant.
@@ -221,7 +221,7 @@ class Scheduler(ABC):
         for entry in taken:
             holds.remove(entry)
             if entry[3] is not None:
-                entry[3].cancel()
+                cancel(entry[3])
         heapify(holds)
         return [entry[2] for entry in taken]
 

@@ -8,23 +8,23 @@ framework is available offline.
 The public surface:
 
 * :class:`~repro.sim.kernel.Simulator` — the event loop and clock.
-* :class:`~repro.sim.events.Event` — a scheduled callback, cancellable
-  (the heap entry itself).
+* :func:`~repro.sim.events.cancel` — stops a scheduled callback; the
+  handle ``schedule`` returns is the heap entry itself, a plain list.
 * :class:`~repro.sim.rng.RandomStreams` — reproducible, named random
   substreams so each traffic source gets an independent stream.
 * :class:`~repro.sim.monitor.Tally` — the streaming statistics the
   measurement layer records.
 """
 
-from repro.sim.events import Event
+from repro.sim.events import cancel
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Tally
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
-    "Event",
     "Simulator",
+    "cancel",
     "RandomStreams",
     "Tally",
     "Tracer",

@@ -2,9 +2,10 @@
  *
  * One entry point: drain(sim, until, exclusive) — the loop of
  * repro/sim/kernel.py rewritten as C against the same data structure.
- * The heap stays sim._heap, a Python list of Event entries
- * ([time, priority, seq, callback, args], repro/sim/events.py), so
- * scheduling from callbacks (which runs the ordinary Python
+ * The heap stays sim._heap, a Python list of plain list entries
+ * ([time, priority, seq, callback, args]: built by the list display in
+ * Simulator.schedule / schedule_at, documented in repro/sim/events.py),
+ * so scheduling from callbacks (which runs the ordinary Python
  * schedule()) interleaves freely with the C pops, and the Python
  * loop sees an identical heap.
  *
@@ -48,7 +49,7 @@
 static int bindings_ready = 0;
 static Py_ssize_t off_now, off_dispatched, off_heap; /* Simulator */
 
-/* Event entry layout (repro/sim/events.py). */
+/* Heap entry layout (built in repro/sim/kernel.py's schedule). */
 enum { EV_TIME, EV_PRIORITY, EV_SEQ, EV_CALLBACK, EV_ARGS, EV_SIZE };
 
 /* Byte offset of a T_OBJECT_EX slot, found via its member descriptor

@@ -22,9 +22,9 @@ Design notes
 * :meth:`Simulator.run` is a *fused* dispatch loop: it pops the heap
   directly (one pop per event, cancelled entries walked once) with the
   heap and ``heappop`` bound to locals.  The heap entry *is* the
-  :class:`~repro.sim.events.Event` handle — one list per scheduled
-  callback, nothing recycled.  One Python loop, one horizon
-  comparison per event, behaviourally identical to
+  handle — one plain list per scheduled callback
+  (:mod:`repro.sim.events`), nothing recycled.  One Python loop, one
+  horizon comparison per event, behaviourally identical to
   ``while step(): ...`` — proven by the digest tests in
   ``tests/sim/test_dispatch_digest.py``.  The kernel knows no
   observer: a traced, sanitized or fault-armed run takes the same
@@ -43,7 +43,6 @@ from math import inf
 from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
 
 _heappush = heapq.heappush
 
@@ -64,10 +63,11 @@ class Simulator:
     __slots__ = ("_heap", "_seq", "now", "_running", "_dispatched")
 
     def __init__(self) -> None:
-        #: Binary heap of :class:`Event` entries.  The list keeps its
+        #: Binary heap of ``[time, priority, seq, callback, args]``
+        #: entries (:mod:`repro.sim.events`).  The list keeps its
         #: identity for the simulator's whole lifetime (``clear``
         #: empties it in place), so the drain loops may bind it once.
-        self._heap: List[Event] = []
+        self._heap: List[list] = []
         #: Next insertion sequence number, the last tie-breaker.
         self._seq = 0
         #: Current simulated time in seconds; read-only to callers.  A
@@ -95,7 +95,7 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any, priority: int = PRIORITY_NORMAL) -> Event:
+                 *args: Any, priority: int = PRIORITY_NORMAL) -> list:
         """Run ``callback(*args)`` after ``delay`` seconds of virtual time."""
         # ``not >=`` rather than ``<``: NaN fails every comparison, so
         # this form rejects it for the price of the same one test.
@@ -104,26 +104,26 @@ class Simulator:
                 f"negative or NaN delay {delay!r} scheduling {callback!r}")
         seq = self._seq
         self._seq = seq + 1
-        event = Event((self.now + delay, priority, seq, callback, args))
+        event = [self.now + delay, priority, seq, callback, args]
         _heappush(self._heap, event)
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
-                    *args: Any, priority: int = PRIORITY_NORMAL) -> Event:
+                    *args: Any, priority: int = PRIORITY_NORMAL) -> list:
         """Run ``callback(*args)`` at absolute virtual ``time``."""
         if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, clock already at {self.now!r}")
         seq = self._seq
         self._seq = seq + 1
-        event = Event((time, priority, seq, callback, args))
+        event = [time, priority, seq, callback, args]
         _heappush(self._heap, event)
         return event
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def pop(self) -> Optional[Event]:
+    def pop(self) -> Optional[list]:
         """Remove and return the earliest live event without running it.
 
         Cancelled entries met on the way are discarded.  The returned

@@ -20,7 +20,7 @@ from typing import List, Optional
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.network import Network
 from repro.net.session import Session
-from repro.sim.events import Event
+from repro.sim.events import cancel
 from repro.sim.kernel import PRIORITY_NORMAL
 
 __all__ = ["TrafficSource", "finite", "packet_length"]
@@ -98,7 +98,7 @@ class TrafficSource:
         #: gap); None exactly when it is not running.  While a timer
         #: callback runs this still names the dispatched event, so a
         #: ``stop()`` from inside an emission shows as None.
-        self._pending: Optional[Event] = None
+        self._pending: Optional[list] = None
         network.add_source(self)
 
     # ------------------------------------------------------------------
@@ -155,7 +155,7 @@ class TrafficSource:
         self.stopped = True
         pending = self._pending
         if pending is not None:
-            pending.cancel()
+            cancel(pending)
             self._pending = None
         self._gaps = None
         network = self.network

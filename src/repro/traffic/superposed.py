@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.net.session import Session
-from repro.sim.events import Event
+from repro.sim.events import cancel
 from repro.sim.kernel import PRIORITY_NORMAL
 from repro.sim.rng import ExponentialSampler
 from repro.traffic.base import finite
@@ -84,7 +84,7 @@ class SuperposedPoissonSource:
         self.stopped = False
         #: The one pending timer; None exactly when the source is not
         #: running (see :class:`~repro.traffic.base.TrafficSource`).
-        self._pending: Optional[Event] = None
+        self._pending: Optional[list] = None
         network.add_source(self)
 
     @property
@@ -110,7 +110,7 @@ class SuperposedPoissonSource:
         self.stopped = True
         pending = self._pending
         if pending is not None:
-            pending.cancel()
+            cancel(pending)
             self._pending = None
         self.network.remove_source(self)
 

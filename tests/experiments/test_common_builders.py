@@ -58,12 +58,9 @@ class TestBuilders:
                 T1_RATE_BPS)
 
     def test_mix_flags_apply(self):
-        network = build_mix_network(
-            ms(650), jitter_ids={"a-j/1"}, sample_ids={"a-j/2"})
+        network = build_mix_network(ms(650), jitter_ids={"a-j/1"})
         assert network.sessions["a-j/1"].jitter_control
         assert not network.sessions["a-j/2"].jitter_control
-        assert network.sinks["a-j/2"].samples is not None
-        assert network.sinks["a-j/1"].samples is None
 
     def test_onoff_session_declares_token_bucket(self):
         network = build_paper_network(LeaveInTime)

@@ -26,8 +26,7 @@ from repro.units import kbps, ms
 class TestMixConfiguration:
     @pytest.fixture(scope="class")
     def network(self):
-        network = build_mix_network(ms(88), seed=5,
-                                    sample_ids={"a-j/1"})
+        network = build_mix_network(ms(88), seed=5)
         network.run(8.0)
         return network
 

@@ -171,9 +171,11 @@ CALLS_PER_HOP_CEILING = {"plain": 11.7, "jitter": 13.9,
 #: own frames: 723.1 / 850.3 / 879.3 / 856.0; while every ``Packet``
 #: stored an ``extra`` header dict slot that no discipline read: 718.0
 #: / 845.1 / 874.0 / 849.1; while every sink delivery tested a kept
-#: packet list that only tests asked for: 716.5 / 843.6 / 871.0 / 848.0.
-OPCODES_PER_HOP_CEILING = {"plain": 716, "jitter": 843,
-                           "heavy_1e3": 869, "call_churn": 848}
+#: packet list that only tests asked for: 716.5 / 843.6 / 871.0 / 848.0;
+#: while ``schedule`` built each event as ``Event((...))``, a ``list``
+#: subclass, from a temporary tuple: 715.1 / 842.2 / 868.0 / 847.2.
+OPCODES_PER_HOP_CEILING = {"plain": 711, "jitter": 838,
+                           "heavy_1e3": 863, "call_churn": 841}
 
 #: heavy_1e3 set-up, from ``_cell`` entry to ``Network.run``: (Python
 #: frames entered, opcodes) per session on CPython 3.11.  While each

@@ -9,10 +9,10 @@ Three claims the kernel must uphold:
   ``step`` / ``clear`` / ``reset`` drives it, every dispatch time is at
   or after the clock before it and the previous dispatch (``reset``
   alone rewinds, and restarts the history);
-* a held :class:`Event` handle can never reach into somebody else's
-  event — no object is ever handed out twice, a stale handle's
-  ``cancel()`` is a no-op and the live-event count stays exact no
-  matter how handles are abused.
+* a held handle (the plain-list heap entry) can never reach into
+  somebody else's event — no object is ever handed out twice,
+  ``cancel`` on a stale handle is a no-op and the live-event count
+  stays exact no matter how handles are abused.
 
 Every test takes the ``kernel_loop`` fixture (tests/conftest.py), so
 every claim is held on the Python loop and, where it is built, on the
@@ -28,6 +28,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.sim.events import cancel
 from repro.sim.kernel import Simulator
 
 #: ``kernel_loop`` is function-scoped and hypothesis runs every example
@@ -54,6 +55,19 @@ class RefHandle:
 
     def cancel(self) -> None:
         self.cancelled = True
+
+
+def cancel_either(handle) -> None:
+    """Cancel a kernel handle (a plain list) or a :class:`RefHandle`."""
+    if isinstance(handle, RefHandle):
+        handle.cancel()
+    else:
+        cancel(handle)
+
+
+def stale(handle) -> bool:
+    """A kernel handle is stale exactly when its callback slot is None."""
+    return handle[3] is None
 
 
 class RefEngine:
@@ -133,7 +147,7 @@ def run_workload(engine, script, until: float, budget: int):
             if k % 2 == 0:
                 handles.append(child)
         if k % 4 == 1 and handles:
-            handles[(k * 7 + n) % len(handles)].cancel()
+            cancel_either(handles[(k * 7 + n) % len(handles)])
 
     for index, (delay_idx, priority, k) in enumerate(script):
         handles.append(engine.schedule(DELAYS[delay_idx], cb,
@@ -150,7 +164,7 @@ def run_workload(engine, script, until: float, budget: int):
     # Second act after a reset: stale handles must be inert.
     engine.reset()
     for handle in handles:
-        handle.cancel()
+        cancel_either(handle)
     for index, (delay_idx, priority, k) in enumerate(script[:5]):
         engine.schedule(DELAYS[delay_idx], cb, f"act2-{index}", k,
                         priority=priority)
@@ -241,12 +255,12 @@ def test_live_count_survives_stale_handle_abuse(kernel_loop, script):
                for d, p, _ in script]
     # Cancel a few, dispatch everything, then abuse every stale handle.
     for handle in handles[::3]:
-        handle.cancel()
+        cancel(handle)
     sim.run()
     assert sim.pending == 0
     for _ in range(3):
         for handle in handles:
-            handle.cancel()
+            cancel(handle)
     assert sim.pending == 0
     # The queue must still count correctly after the abuse.
     sim.schedule(0.5, lambda: None)
@@ -256,15 +270,15 @@ def test_live_count_survives_stale_handle_abuse(kernel_loop, script):
 
 
 def _abuse(sim, handle):
-    """A stale handle reports ``cancelled``, cancels as a no-op, and a
-    later ``schedule`` never hands the same object out again."""
-    assert handle.cancelled
+    """A stale handle reads stale, cancels as a no-op, and a later
+    ``schedule`` never hands the same object out again."""
+    assert stale(handle)
     before = sim.pending
     fresh = sim.schedule(0.2, lambda: None)
-    assert fresh is not handle and not fresh.cancelled
-    handle.cancel()
-    handle.cancel()
-    assert handle.cancelled and not fresh.cancelled
+    assert fresh is not handle and not stale(fresh)
+    cancel(handle)
+    cancel(handle)
+    assert stale(handle) and not stale(fresh)
     assert sim.pending == before + 1
     return fresh
 
@@ -273,13 +287,13 @@ def test_held_handle_goes_stale_at_dispatch(kernel_loop):
     sim = Simulator()
     fired = []
     held = sim.schedule(0.1, fired.append, "held")
-    assert not held.cancelled and held.time == 0.1
+    assert not stale(held) and held[0] == 0.1
     sim.run()
     assert fired == ["held"]
     fresh = _abuse(sim, held)
     # The untouched newcomer still fires; the stale handle stays inert.
     sim.run()
-    assert fresh.cancelled and sim.pending == 0
+    assert stale(fresh) and sim.pending == 0
 
 
 def test_no_handle_is_ever_handed_out_twice(kernel_loop):
@@ -293,11 +307,11 @@ def test_no_handle_is_ever_handed_out_twice(kernel_loop):
             sim.schedule(0.1, lambda: None)  # handle discarded
         kept.append(sim.schedule(0.1, lambda: None))
         sim.run()
-        assert all(handle.cancelled for handle in kept)
+        assert all(stale(handle) for handle in kept)
     assert len({id(handle) for handle in kept}) == len(kept)
     # A fresh handle is a live event: cancel works, exactly once.
     fresh = _abuse(sim, kept[0])
-    fresh.cancel()
+    cancel(fresh)
     assert sim.pending == 0
 
 
@@ -310,6 +324,6 @@ def test_held_handle_goes_stale_at_clear_and_reset(kernel_loop):
         wipe(sim)
         assert sim.pending == 0
         for handle in held:
-            _abuse(sim, handle).cancel()
+            cancel(_abuse(sim, handle))
         sim.run()
         assert fired == [1]  # nothing wiped ever fires

@@ -30,6 +30,7 @@ from typing import List, Optional, Tuple
 
 from repro.experiments.common import build_mix_network
 from repro.experiments.figure07 import TARGET_SESSION
+from repro.sim.events import cancel
 from repro.sim.kernel import Simulator
 from repro.units import ms, seconds
 
@@ -81,7 +82,7 @@ def run_scripted_kernel_workload(sim: Simulator) -> List[Tuple[float, str]]:
         if n % 3 == 0 and sim.now < 0.5:
             sim.schedule(0.001 * (n % 7), cb, f"{tag}/c{n}")
         if n % 5 == 0 and handles:
-            handles[n % len(handles)].cancel()
+            cancel(handles[n % len(handles)])
         if n % 4 == 0 and sim.now < 0.3:
             handles.append(sim.schedule(0.0005 * (n % 11), cb,
                                         f"{tag}/d{n}", priority=n % 3 - 1))
@@ -102,7 +103,7 @@ def run_scripted_kernel_workload(sim: Simulator) -> List[Tuple[float, str]]:
     # stale handles must stay inert.
     sim.reset()
     for handle in handles:
-        handle.cancel()
+        cancel(handle)
     for k in range(10):
         sim.schedule(0.002 * (k % 4), cb, f"act2-{k}", priority=-(k % 2))
     sim.run()

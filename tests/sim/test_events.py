@@ -1,14 +1,15 @@
 """Unit tests for the event list: ordering, ties, cancellation.
 
 Driven through ``Simulator.schedule_at`` / ``pop`` / ``pending`` /
-``clear`` — the heap entry is the :class:`Event` handle, so there is
-no queue object to test apart from the simulator.
+``clear`` — the heap entry, a plain list, is the handle, so there is
+no queue object to test apart from the simulator.  A handle is stale
+exactly when its callback slot (index 3) is ``None``.
 """
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import cancel
 from repro.sim.kernel import Simulator
 
 
@@ -23,7 +24,7 @@ class TestOrdering:
             sim.schedule_at(t, nothing)
         times = []
         while (event := sim.pop()) is not None:
-            times.append(event.time)
+            times.append(event[0])
         assert times == [1.0, 2.0, 3.0]
 
     def test_nan_time_rejected(self):
@@ -53,22 +54,22 @@ class TestCancellation:
         sim = Simulator()
         first = sim.schedule_at(1.0, nothing)
         sim.schedule_at(2.0, nothing)
-        first.cancel()
-        assert sim.pop().time == 2.0
+        cancel(first)
+        assert sim.pop()[0] == 2.0
 
     def test_cancel_updates_live_count(self):
         sim = Simulator()
         handle = sim.schedule_at(1.0, nothing)
-        assert sim.pending == 1 and not handle.cancelled
-        handle.cancel()
-        assert sim.pending == 0 and handle.cancelled
+        assert sim.pending == 1 and handle[3] is not None
+        cancel(handle)
+        assert sim.pending == 0 and handle[3] is None
 
     def test_double_cancel_is_idempotent(self):
         sim = Simulator()
         handle = sim.schedule_at(1.0, nothing)
         sim.schedule_at(2.0, nothing)
-        handle.cancel()
-        handle.cancel()
+        cancel(handle)
+        cancel(handle)
         assert sim.pending == 1
 
     def test_pop_empty_returns_none(self):
@@ -88,18 +89,18 @@ class TestCancellation:
         sim = Simulator()
         handle = sim.schedule_at(1.0, nothing)
         sim.clear()
-        assert handle.cancelled
-        handle.cancel()
+        assert handle[3] is None
+        cancel(handle)
         assert sim.pending == 0
         sim.schedule_at(2.0, nothing)
         assert sim.pending == 1
-        assert sim.pop().time == 2.0
+        assert sim.pop()[0] == 2.0
 
     def test_cancel_after_simulator_reset_is_harmless(self):
         sim = Simulator()
         event = sim.schedule(1.0, nothing)
         sim.reset()
-        event.cancel()
+        cancel(event)
         assert sim.pending == 0
 
 
@@ -107,8 +108,8 @@ class TestEvent:
     def test_comparison_is_total_via_sequence(self):
         # Equal (time, priority): seq decides, and the comparison never
         # reaches the callbacks (functions do not order).
-        a = Event((1.0, 0, 0, nothing, ()))
-        b = Event((1.0, 0, 1, print, ()))
+        a = [1.0, 0, 0, nothing, ()]
+        b = [1.0, 0, 1, print, ()]
         assert a < b
         assert not (b < a)
 
@@ -120,10 +121,16 @@ class TestEvent:
         callback(*args)
         assert sink == ["payload"]
 
-    def test_time_and_cancelled_are_read_only(self):
-        event = Simulator().schedule_at(1.0, nothing)
-        with pytest.raises(AttributeError):
-            event.time = 2.0
-        with pytest.raises(AttributeError):
-            event.cancelled = True
-        assert (event.time, event.cancelled) == (1.0, False)
+    def test_schedule_returns_a_plain_list(self):
+        # Exactly ``list``, built by a list display: a subclass would
+        # miss ``list``'s free list and pay a type call, a temporary
+        # tuple and a subclass dealloc on every event.  A plain list
+        # also takes no attributes, so a handle carries nothing beside
+        # its five slots.
+        sim = Simulator()
+        for handle in (sim.schedule(1.0, nothing),
+                       sim.schedule_at(1.0, nothing, "x", priority=2)):
+            assert type(handle) is list
+            with pytest.raises(AttributeError):
+                handle.time = 2.0
+        assert handle == [1.0, 2, 1, nothing, ("x",)]

@@ -30,6 +30,7 @@ from typing import Any, Callable, List, Optional, Tuple
 import pytest
 
 from repro.sim import kernel
+from repro.sim.events import cancel
 from repro.sim.kernel import Simulator
 from tests.sim.test_state_backends import churn_cell, fault_cell
 
@@ -88,7 +89,7 @@ def _cancel_inside_run_workload() -> Log:
     def cb(tag: str, kill: Optional[int]) -> None:
         log.append((sim.now, tag))
         if kill is not None:
-            handles[kill].cancel()
+            cancel(handles[kill])
 
     for k in range(8):
         # run2 kills run5, run3 kills run0 (already dispatched: no-op),
@@ -180,15 +181,15 @@ def test_stale_handles_stay_safe_across_a_tied_run(kernel_loop):
         sim.schedule_at(0.1, lambda: None)  # a tied run, discarded
     held = [sim.schedule_at(0.1, lambda: None) for _ in range(3)]
     killed = sim.schedule_at(0.1, lambda: None)
-    killed.cancel()
+    cancel(killed)
     sim.run()
     stale = held + [killed]
-    assert all(handle.cancelled for handle in stale)
+    assert all(handle[3] is None for handle in stale)
     fresh = [sim.schedule(0.2, lambda: None) for _ in range(12)]
     assert not any(new is old for new in fresh for old in stale)
     for handle in stale:
-        handle.cancel()
-    assert not any(handle.cancelled for handle in fresh)
+        cancel(handle)
+    assert not any(handle[3] is None for handle in fresh)
     assert sim.pending == 12
     sim.run()
     assert sim.pending == 0 and sim.events_dispatched == 9 + 12

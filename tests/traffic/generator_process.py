@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.errors import SimulationError
+from repro.sim.events import cancel
 from repro.sim.kernel import PRIORITY_NORMAL, Simulator
 
 __all__ = ["Process"]
@@ -53,7 +54,7 @@ class Process:
         """Terminate the process; any pending resumption is cancelled."""
         self.alive = False
         if self._pending is not None:
-            self._pending.cancel()
+            cancel(self._pending)
             self._pending = None
         self._generator.close()
 
