@@ -9,12 +9,9 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: ci test paper ruff repro-analyze sanitize mypy \
-	heavy-traffic-smoke ckernel ab hop-budget import-budget
+	heavy-traffic-smoke ab hop-budget import-budget
 
-# ckernel goes last: it leaves the built extension under src/, and
-# every python process after that runs the C drain loop.
-ci: test paper ruff repro-analyze sanitize mypy \
-	heavy-traffic-smoke ckernel
+ci: test paper ruff repro-analyze sanitize mypy heavy-traffic-smoke
 	@echo "== ci: all jobs done =="
 
 test:
@@ -70,33 +67,6 @@ mypy:
 heavy-traffic-smoke:
 	@echo "== ci job: heavy-traffic-smoke =="
 	$(PYTHON) -m repro heavy_traffic --duration 0.5 --sanitize
-
-# Also the build recipe for the optional C drain loop, and the whole of
-# ci.yml's `ckernel` job (`make ckernel PYTHON=python`): a failed
-# compile fails the target; no C compiler at all is a tool-absence
-# skip like ruff's, except on a CI runner ($CI set), where it fails.
-# `rm src/repro/sim/_ckernel*.so` goes back to the reference loop.
-# tests/analysis/test_det.py rides along because det/perturb.py is the
-# one builder of heap entries outside sim/; tests/faults because fault
-# timers are the only PRIORITY_FAULT traffic through the C loop, and
-# they interleave with parked work; tests/analysis/test_sanitizer.py and
-# a sanitized fig07 because a sanitized run drains through the C loop
-# too (the kernel has one loop whoever is watching).
-ckernel:
-	@echo "== ci job: ckernel =="
-	@if command -v cc >/dev/null 2>&1; then \
-		REPRO_BUILD_CKERNEL=1 $(PYTHON) setup.py build_ext --inplace \
-		&& $(PYTHON) -c "from repro.sim import _ckernel" \
-		&& $(PYTHON) -m pytest -q tests/sim tests/properties tests/integration \
-			tests/faults tests/net/test_decision_epochs.py \
-			tests/net/test_hop_path_budget.py tests/analysis/test_det.py \
-			tests/analysis/test_sanitizer.py \
-		&& $(PYTHON) -m repro figure07 --duration 1 --workers 1 --sanitize; \
-	elif [ -n "$$CI" ]; then \
-		echo "-- no C compiler on a CI runner: the job cannot run --"; exit 1; \
-	else \
-		echo "-- no C compiler: skipped (runs in GitHub Actions) --"; \
-	fi
 
 # Not a CI job (tier-1 runs the same file without -s): the table a
 # per-hop change is sized with.  Per cell, Python calls per packet-hop,

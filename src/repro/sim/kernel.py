@@ -29,11 +29,6 @@ Design notes
   ``tests/sim/test_dispatch_digest.py``.  The kernel knows no
   observer: a traced, sanitized or fault-armed run takes the same
   loop, and a caller that needs a budget drives :meth:`step`.
-* When the optional C extension ``repro.sim._ckernel`` is built
-  (``make ckernel``), :meth:`Simulator.run` hands the loop's job to
-  its ``drain()`` — same heap, same entries, written in C.  Nothing
-  selects it: it runs whenever it imports, and is held bit-identical
-  to the Python loop (``tests/sim/test_kernel_backends.py``).
 """
 
 from __future__ import annotations
@@ -45,11 +40,6 @@ from typing import Any, Callable, List, Optional
 from repro.errors import SimulationError
 
 _heappush = heapq.heappush
-
-try:
-    from repro.sim import _ckernel
-except ImportError:  # not built (the default checkout)
-    _ckernel = None  # type: ignore[assignment]
 
 __all__ = ["Simulator"]
 
@@ -66,7 +56,7 @@ class Simulator:
         #: Binary heap of ``[time, priority, seq, callback, args]``
         #: entries (:mod:`repro.sim.events`).  The list keeps its
         #: identity for the simulator's whole lifetime (``clear``
-        #: empties it in place), so the drain loops may bind it once.
+        #: empties it in place), so :meth:`run` may bind it once.
         self._heap: List[list] = []
         #: Next insertion sequence number, the last tie-breaker.
         self._seq = 0
@@ -182,15 +172,10 @@ class Simulator:
             raise SimulationError(
                 "run(exclusive=True) needs an explicit until horizon")
         # NaN fails every comparison, so ``time > until`` would never
-        # stop the loop: reject it once, before the C hand-off.
+        # stop the loop: reject it once, before the loop starts.
         if until is not None and until != until:
             raise SimulationError(f"NaN horizon until={until!r}")
         self._running = True
-        if _ckernel is not None:
-            try:
-                return _ckernel.drain(self, until, exclusive)
-            finally:
-                self._running = False
         heap = self._heap
         heappop = heapq.heappop
         # Dispatch count kept in a local and written back once in the
@@ -198,10 +183,9 @@ class Simulator:
         # (nothing in the tree reads it from inside a callback) and the
         # attribute round-trip costs ~5% of a bare dispatch.
         dispatched = 0
-        # Both loops (this one and ``_ckernel.drain``) end a horizon the
-        # same way: the first live event past it is pushed back.
-        # Pop-then-undo beats peek-then-pop: the undo runs at most once
-        # per run() call, the peek would run once per event.
+        # The loop ends a horizon by pushing the first live event past
+        # it back.  Pop-then-undo beats peek-then-pop: the undo runs at
+        # most once per run() call, the peek would run once per event.
         limit = inf if until is None else until
         try:
             # The horizon test is the only per-event check (one float

@@ -13,7 +13,6 @@ plain run's loop.
 
 from __future__ import annotations
 
-import heapq
 import json
 import pickle
 from types import SimpleNamespace
@@ -37,7 +36,6 @@ from repro.sched.leave_in_time import LeaveInTime
 from repro.sched.rcsp import RCSP
 from repro.sched.stop_and_go import StopAndGo
 from repro.sched.wfq import WFQ
-from repro.sim import kernel
 from repro.sim.trace import Tracer
 from repro.traffic.onoff import OnOffSource
 from repro.traffic.poisson import PoissonSource
@@ -348,11 +346,10 @@ def test_every_discipline_runs_clean_under_the_sanitizer(discipline):
     assert report.checks_run > 3 * hops  # arrival, tx_start, tx_end
 
 
-def test_sanitized_fig07_cell_is_clean_and_bit_identical(kernel_loop,
-                                                         monkeypatch):
-    """Same output, same events, same trace as the unwatched run, on
-    either drain loop — and the number of checks the sanitizer ran
-    while it still forced one event per arrival (recorded at 3dd4576).
+def test_sanitized_fig07_cell_is_clean_and_bit_identical(monkeypatch):
+    """Same output, same events, same trace as the unwatched run — and
+    the number of checks the sanitizer ran while it still forced one
+    event per arrival (recorded at 3dd4576).
     ``events_checked`` is the kernel's own dispatch count."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     for trace_on in (False, True):
@@ -363,51 +360,6 @@ def test_sanitized_fig07_cell_is_clean_and_bit_identical(kernel_loop,
         assert report.checks_run == 52956
         assert cell == (FIG07_CELL_OBSERVABLES_TRACE_OFF, FIG07_CELL_EVENTS,
                         FIG07_CELL_TRACE if trace_on else None)
-
-
-class RecordingDrain:
-    """Stand-in for ``repro.sim._ckernel``: records which simulators it
-    drained and drains them as ``_ckernel.drain`` does, one
-    :meth:`~repro.sim.kernel.Simulator.step` at a time."""
-
-    def __init__(self) -> None:
-        self.drained = []
-
-    def drain(self, sim, until, exclusive):
-        self.drained.append(sim)
-        limit = float("inf") if until is None else until
-        heap = sim._heap
-        while heap:
-            event = heap[0]
-            if event[3] is None:
-                heapq.heappop(heap)  # stale: step() would skip past it
-                continue
-            if event[0] >= limit and (exclusive or event[0] > limit):
-                break
-            sim.step()
-        if until is not None and sim.now < until:
-            sim.now = until
-        return sim.now
-
-
-@pytest.mark.parametrize("sanitized", [False, True],
-                         ids=["plain", "sanitized"])
-def test_sanitized_run_drains_through_the_compiled_loop(monkeypatch,
-                                                       sanitized):
-    """Whoever is watching, ``Network.run`` hands its drain to
-    ``_ckernel.drain`` when the module is there, and a sanitized run
-    comes out as the plain one: same events, same observables."""
-    stand_in = RecordingDrain()
-    monkeypatch.setattr(kernel, "_ckernel", stand_in)
-    monkeypatch.setenv("REPRO_SANITIZE", "1" if sanitized else "0")
-    ((network,), _), cell = observe(lambda: fig07_cell(trace_on=False))
-    assert (network.sanitizer is not None) == sanitized
-    assert stand_in.drained == [network.sim]
-    assert cell == (FIG07_CELL_OBSERVABLES_TRACE_OFF, FIG07_CELL_EVENTS,
-                    None)
-    if sanitized:
-        report = network.sanitizer.report()
-        assert report.clean and report.events_checked == FIG07_CELL_EVENTS
 
 
 def test_sanitized_fault_sweep_short_is_clean(monkeypatch):

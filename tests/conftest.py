@@ -16,26 +16,10 @@ from repro.net.network import Network
 from repro.net.session import Session
 from repro.net.sink import Sink
 from repro.sched.base import DeadlineScheduler
-from repro.sim import kernel
 from repro.sim.trace import Tracer
 from repro.traffic.onoff import OnOffSource
 from repro.traffic.poisson import PoissonSource
 from repro.traffic.trace_source import TraceSource
-
-
-@pytest.fixture(params=["python", "compiled"])
-def kernel_loop(request, monkeypatch):
-    """Run the test once per drain loop of ``Simulator.run``.
-
-    ``python`` forces the reference loop by hiding the C extension
-    (also on a box that has it built); ``compiled`` leaves it in place
-    and skips where it is not built (``make ckernel``).
-    """
-    if request.param == "python":
-        monkeypatch.setattr(kernel, "_ckernel", None)
-    elif kernel._ckernel is None:
-        pytest.skip("repro.sim._ckernel is not built (make ckernel)")
-    return request.param
 
 
 def event_per_arrival(factory: Callable[[], object]) -> Callable[[], object]:

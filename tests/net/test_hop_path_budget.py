@@ -64,7 +64,6 @@ from repro.analysis.throughput import kernel_spin
 from repro.experiments import call_churn, heavy_traffic
 from repro.experiments.common import build_mix_network, mix_specs
 from repro.net.network import Network
-from repro.sim import kernel
 from repro.units import ms
 
 
@@ -195,10 +194,8 @@ CONSTRUCT_PER_SESSION_CEILING = (1.1, 145)
 
 def _run_cell(cell, monkeypatch, watch, unwatch):
     """Run ``cell`` with ``watch()`` / ``unwatch()`` around its one
-    ``Network.run``, on the reference drain loop (so the ``ckernel``
-    job counts what every other job counts); check the cell did the
-    committed work and return its packet-hops."""
-    monkeypatch.setattr(kernel, "_ckernel", None)
+    ``Network.run``; check the cell did the committed work and return
+    its packet-hops."""
     networks = []
     run = Network.run
 
@@ -341,12 +338,11 @@ def test_construct_budget(monkeypatch):
         f"{opcode_ceiling}")
 
 
-def test_kernel_spin_budget(monkeypatch):
+def test_kernel_spin_budget():
     """What a wall-clock gate on the spin was for, made exact: an O(n)
     scan in the dispatch loop shows up as calls per event, a Python
     ``__init__`` or helper creeping into the per-event path as a frame
     that is none of ``tick`` / ``schedule`` / ``run`` / set-up."""
-    monkeypatch.setattr(kernel, "_ckernel", None)  # the reference loop
     profiler = cProfile.Profile()
     profiler.enable()
     try:

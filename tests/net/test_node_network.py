@@ -167,8 +167,7 @@ class TestNetworkValidation:
             network.inject(session, 200.0)
 
     @pytest.mark.parametrize("length", [float("nan"), -5.0, 0.0])
-    def test_unusable_length_rejected_at_injection(self, length,
-                                                   kernel_loop):
+    def test_unusable_length_rejected_at_injection(self, length):
         # Used to be accepted; a negative one tripped a length check
         # hops later, NaN and zero never did.
         network = make_network(FCFS)
@@ -182,7 +181,7 @@ class TestNetworkValidation:
         network.run(1000.0)
         assert network.sink("s").received == 1
 
-    def test_source_drawing_a_nan_length_stops_the_run(self, kernel_loop):
+    def test_source_drawing_a_nan_length_stops_the_run(self):
         from repro.traffic.deterministic import DeterministicSource
         network = make_network(FCFS)
         session = Session("s", rate=1.0, route=["n1"], l_max=100.0)

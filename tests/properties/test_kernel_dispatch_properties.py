@@ -13,10 +13,6 @@ Three claims the kernel must uphold:
   somebody else's event — no object is ever handed out twice,
   ``cancel`` on a stale handle is a no-op and the live-event count
   stays exact no matter how handles are abused.
-
-Every test takes the ``kernel_loop`` fixture (tests/conftest.py), so
-every claim is held on the Python loop and, where it is built, on the
-C drain loop.
 """
 
 from __future__ import annotations
@@ -25,17 +21,11 @@ import heapq
 from math import inf
 from typing import Any, Callable, List, Optional, Tuple
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.events import cancel
 from repro.sim.kernel import Simulator
-
-#: ``kernel_loop`` is function-scoped and hypothesis runs every example
-#: inside one call; that is what is wanted here — the fixture only
-#: picks the loop, it holds no state an example could dirty.
-SAME_LOOP_FOR_ALL_EXAMPLES = [HealthCheck.function_scoped_fixture]
-
 
 #: Small grid with repeats so same-instant ties are common.
 DELAYS = [0.0, 0.001, 0.001, 0.002, 0.0035, 0.005, 0.01, 0.0, 0.0025]
@@ -173,8 +163,7 @@ def run_workload(engine, script, until: float, budget: int):
     return log
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=SAME_LOOP_FOR_ALL_EXAMPLES)
+@settings(max_examples=60, deadline=None)
 @given(script=st.lists(
            st.tuples(st.integers(0, len(DELAYS) - 1),
                      st.integers(-2, 2),
@@ -183,7 +172,7 @@ def run_workload(engine, script, until: float, budget: int):
        until_idx=st.integers(0, len(DELAYS) - 1),
        budget=st.integers(1, 60))
 def test_fused_loop_dispatches_identically_to_reference(
-        kernel_loop, script, until_idx, budget):
+        script, until_idx, budget):
     until = DELAYS[until_idx] * 3 + 0.001
     fused = run_workload(Simulator(), script, until, budget)
     reference = run_workload(RefEngine(), script, until, budget)
@@ -203,10 +192,9 @@ CALL_SCRIPTS = st.lists(st.one_of(
     st.tuples(st.just("reset"))), min_size=1, max_size=30)
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=SAME_LOOP_FOR_ALL_EXAMPLES)
+@settings(max_examples=60, deadline=None)
 @given(ops=CALL_SCRIPTS)
-def test_no_dispatch_goes_back_in_time(kernel_loop, ops):
+def test_no_dispatch_goes_back_in_time(ops):
     sim = Simulator()
     clock = [0.0]  # the clock as last seen, in a callback or between calls
     previous = [-inf]  # the last dispatch time since the last reset
@@ -242,14 +230,13 @@ def test_no_dispatch_goes_back_in_time(kernel_loop, ops):
         clock[0] = sim.now
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=SAME_LOOP_FOR_ALL_EXAMPLES)
+@settings(max_examples=40, deadline=None)
 @given(script=st.lists(
            st.tuples(st.integers(0, len(DELAYS) - 1),
                      st.integers(-2, 2),
                      st.integers(0, 9)),
            min_size=1, max_size=20))
-def test_live_count_survives_stale_handle_abuse(kernel_loop, script):
+def test_live_count_survives_stale_handle_abuse(script):
     sim = Simulator()
     handles = [sim.schedule(DELAYS[d], lambda: None, priority=p)
                for d, p, _ in script]
@@ -283,7 +270,7 @@ def _abuse(sim, handle):
     return fresh
 
 
-def test_held_handle_goes_stale_at_dispatch(kernel_loop):
+def test_held_handle_goes_stale_at_dispatch():
     sim = Simulator()
     fired = []
     held = sim.schedule(0.1, fired.append, "held")
@@ -296,7 +283,7 @@ def test_held_handle_goes_stale_at_dispatch(kernel_loop):
     assert stale(fresh) and sim.pending == 0
 
 
-def test_no_handle_is_ever_handed_out_twice(kernel_loop):
+def test_no_handle_is_ever_handed_out_twice():
     # Across several schedule / dispatch rounds, with plenty of
     # discarded handles in between, ``schedule`` must never return an
     # object a caller already holds (``kept`` would list it twice).
@@ -315,7 +302,7 @@ def test_no_handle_is_ever_handed_out_twice(kernel_loop):
     assert sim.pending == 0
 
 
-def test_held_handle_goes_stale_at_clear_and_reset(kernel_loop):
+def test_held_handle_goes_stale_at_clear_and_reset():
     for wipe in (Simulator.clear, Simulator.reset):
         sim = Simulator()
         fired = []

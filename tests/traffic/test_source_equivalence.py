@@ -389,7 +389,7 @@ def test_intervals_may_be_any_iterable():
 
 @pytest.mark.parametrize("bad", ["soon", None, -0.001, math.nan])
 @pytest.mark.parametrize("driver_name", sorted(DRIVERS))
-def test_bad_gaps_raise_simulation_error(driver_name, bad, kernel_loop):
+def test_bad_gaps_raise_simulation_error(driver_name, bad):
     def script(network, driver):
         driver.start()
         with pytest.raises(SimulationError):
