@@ -40,7 +40,7 @@ ledger benchmark's ``heavy_1e4`` / ``heavy_1e5`` workloads
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from math import inf
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis import bench
@@ -120,11 +120,11 @@ def _cell(*, topology: str, discipline: str, sessions: int, rho: float,
     # aggregate arrival rate of ρ·C/L packets/s.
     mean_per_session = (PAPER_PACKET_BITS * sessions
                         / (rho * T1_RATE_BPS))
-    # One tuple, registered and marked without a copy, built with no
-    # Python frame but ``Session()``'s.
-    member = partial(Session, rate=per_session_rate, route=route,
-                     l_max=PAPER_PACKET_BITS)
-    members = tuple(map(member, map("h{}".format, range(sessions))))
+    # One tuple, registered and marked without a copy; the declaration
+    # is checked once, for ``h0``.
+    members = Session.population([f"h{i}" for i in range(sessions)],
+                                 per_session_rate, route,
+                                 l_max=PAPER_PACKET_BITS)
     sink = Sink("aggregate", keep_samples=False)
     network.add_sessions(members, sink=sink)
     SuperposedPoissonSource(network, members, length=PAPER_PACKET_BITS,
@@ -206,6 +206,17 @@ def cells(*, duration: float, seed: int, sessions: int,
         raise ConfigurationError(
             f"unknown heavy-traffic topologies {unknown}; "
             f"expected subset of {sorted(_TOPOLOGIES)}")
+    if isinstance(sessions, bool) or not isinstance(sessions, int) \
+            or sessions < 1:
+        raise ConfigurationError(
+            f"heavy-traffic session count {sessions!r}; expected an int "
+            f">= 1")
+    bad_rhos = [rho for rho in rhos
+                if not isinstance(rho, (int, float)) or not 0 < rho < inf]
+    if bad_rhos:
+        raise ConfigurationError(
+            f"heavy-traffic loads {bad_rhos}; each rho must be finite "
+            f"and positive")
     if tuple(backends) != ("soa",):
         raise ConfigurationError(
             f"heavy-traffic constructions {list(backends)}; the one "

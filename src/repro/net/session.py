@@ -17,7 +17,8 @@ class and ``ε = 0``).
 from __future__ import annotations
 
 from math import inf
-from typing import Dict, Optional, Sequence, TYPE_CHECKING
+from typing import (Dict, Iterable, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 from repro.errors import ConfigurationError
 
@@ -25,6 +26,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sched.policy import DelayPolicy
 
 __all__ = ["Session"]
+
+
+def _failed_field(session: "Session") -> str:
+    """The field ``Session.__init__`` was converting when it failed: the
+    first one not stored yet."""
+    for name in ("rate", "route", "l_max"):
+        if not hasattr(session, name):
+            return name
+    return "l_min"
 
 
 class Session:
@@ -110,9 +120,7 @@ class Session:
                     f"session {session_id!r}: need 0 < l_min <= l_max, "
                     f"got l_min={l_min}, l_max={l_max}")
         except (TypeError, OverflowError):
-            # The first field not stored yet is the one that failed.
-            field = next((name for name in ("rate", "route", "l_max")
-                          if not hasattr(self, name)), "l_min")
+            field = _failed_field(self)
             want = "node names" if field == "route" else "a finite number"
             raise ConfigurationError(
                 f"session {session_id!r}: {field} must be {want}, "
@@ -137,6 +145,51 @@ class Session:
         # is set by ``Network.add_sessions``, not here: a session that
         # was never registered delivers nothing.  None once it has left
         # and drained.
+
+    @classmethod
+    def population(cls, ids: Iterable[str], rate: float,
+                   route: Sequence[str], *, l_max: float,
+                   **options) -> Tuple["Session", ...]:
+        """One session per id in ``ids``, all of one declaration.
+
+        The first id's session is ``Session(id, rate, route,
+        l_max=l_max, **options)``: every check runs once, and a refusal
+        names that id.  Each other id gets a session that shares the
+        first one's checked values, built without ``__init__``; slot
+        for slot it equals the session ``Session(...)`` would build for
+        it.  The heavy-traffic cells build 10^5 sessions this way
+        (``docs/heavy_traffic.md``, "Set-up at 10⁵").  No ids, no
+        sessions.
+        """
+        ids = iter(ids)
+        for first in ids:
+            break
+        else:
+            return ()
+        head = cls(first, rate, route, l_max=l_max, **options)
+        # The checked values, as locals: the loop stores each per id.
+        rate, route = head.rate, head.route
+        l_max, l_min = head.l_max, head.l_min
+        jitter_control = head.jitter_control
+        token_bucket, monitor_buffer = head.token_bucket, head.monitor_buffer
+        new = object.__new__
+        members = [head]
+        append = members.append
+        for session_id in ids:
+            member = new(cls)
+            member.id = session_id
+            member.rate = rate
+            member.route = route
+            member.l_max = l_max
+            member.l_min = l_min
+            member.jitter_control = jitter_control
+            member.token_bucket = token_bucket
+            member.monitor_buffer = monitor_buffer
+            member._delay_policies = None
+            member.packets_sent = 0
+            member.slot = -1
+            append(member)
+        return tuple(members)
 
     @property
     def delay_policies(self) -> Dict[str, "DelayPolicy"]:

@@ -63,12 +63,13 @@ class SuperposedPoissonSource:
     def __init__(self, network: Network, sessions: Sequence[Session], *,
                  length: float, mean: float, label: str = "agg",
                  start_delay: float = 0.0) -> None:
-        if not sessions:
+        # An iterator is truthy even when empty: test the tuple.
+        self.sessions: Tuple[Session, ...] = tuple(sessions)
+        if not self.sessions:
             raise ConfigurationError(
                 "SuperposedPoissonSource needs at least one session")
         mean = finite("mean", mean)
         self.network = network
-        self.sessions: Tuple[Session, ...] = tuple(sessions)
         self.length = finite("length", length)
         self.start_delay = finite("start_delay", start_delay, zero=True)
         self.label = label

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import multiprocessing.process
 import os
+import re
 
 import pytest
 
@@ -151,6 +152,26 @@ class TestHeavyTrafficRun:
         assert len(rows) == len(cells) == 3
         assert [observables(row) for row in rows] == [
             observables(cell.fn(**cell.kwargs)) for cell in cells]
+
+    @pytest.mark.parametrize("options, named", [
+        ({"sessions": 0}, "session count 0;"),
+        ({"sessions": 2.5}, "session count 2.5;"),
+        ({"rhos": (0.9, 0.0)}, "loads [0.0];"),
+        ({"rhos": (float("nan"),)}, "loads [nan];"),
+        ({"rhos": (float("inf"),)}, "loads [inf];")],
+        ids=["no-sessions", "fractional-sessions", "zero-rho", "nan-rho",
+             "inf-rho"])
+    def test_a_bad_count_or_load_is_refused_before_any_cell_runs(
+            self, monkeypatch, options, named):
+        from repro.errors import ConfigurationError
+        from repro.experiments import heavy_traffic
+
+        def refuse(**kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(heavy_traffic, "_cell", refuse)
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            heavy_traffic.run(**{"duration": 1.0, "sessions": 10, **options})
 
 
 class TestBenchDurationEnv:

@@ -126,3 +126,42 @@ def test_a_checked_field_is_reported_before_a_later_garbage_one():
     # l_max is not a number at all.
     with pytest.raises(ConfigurationError, match="rate must be positive"):
         Session("o", -1.0, ["n1"], l_max=None)
+
+
+_UNSET = object()
+
+
+def _slots(session: Session):
+    """Every slot's value, ``_UNSET`` where it was never stored."""
+    return tuple(getattr(session, name, _UNSET) for name in Session.__slots__)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(st.text(max_size=3), min_size=1, max_size=3),
+       rate=numbers, l_max=numbers, l_min=st.none() | numbers,
+       route=routes, jitter_control=st.booleans(),
+       token_bucket=st.none() | st.tuples(numbers, numbers),
+       monitor_buffer=st.booleans(), lazy=st.booleans())
+def test_a_population_is_its_sessions_built_one_by_one(
+        ids, rate, l_max, l_min, route, jitter_control, token_bucket,
+        monitor_buffer, lazy):
+    options = dict(l_max=l_max, l_min=l_min, jitter_control=jitter_control,
+                   token_bucket=token_bucket, monitor_buffer=monitor_buffer)
+    expected = _outcome(lambda: Session(ids[0], rate, route, **options))
+    got = _outcome(lambda: Session.population(
+        iter(ids) if lazy else ids, rate, route, **options))
+    if isinstance(expected, tuple):  # refused: the same message, once
+        assert got == expected
+        return
+    assert type(got) is tuple and len(got) == len(ids)
+    for session_id, member in zip(ids, got):
+        alone = Session(session_id, rate, route, **options)
+        # Slot by slot, so a slot ``__init__`` stores and ``population``
+        # does not fails here.
+        assert _same(_slots(member), _slots(alone)), (member, alone)
+    assert len({id(member) for member in got}) == len(ids)
+
+
+def test_no_ids_is_no_sessions():
+    assert Session.population((), 1.0, ["a"], l_max=1.0) == ()
+    assert Session.population(iter([]), 1.0, ["a"], l_max=1.0) == ()

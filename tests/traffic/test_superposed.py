@@ -10,9 +10,11 @@ a generator twin that calls ``.randrange`` on the same stream.)
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.net.session import Session
 from repro.sched.fcfs import FCFS
 from repro.traffic.superposed import SuperposedPoissonSource
@@ -63,3 +65,18 @@ def test_stop_is_final_and_leaves_the_network():
     assert network.sources == []
     # The label's streams are the caller's: they stay in the table.
     assert "superposed:agg:gaps" in network.streams
+
+
+def _no_sessions():
+    yield from ()
+
+
+@pytest.mark.parametrize("empty", [lambda: iter(()), _no_sessions],
+                         ids=["iterator", "generator"])
+def test_an_empty_iterable_is_refused_as_empty(empty):
+    # An iterator is truthy whatever it holds: emptiness is read off
+    # the tuple the source keeps, before any rate is divided by it.
+    with pytest.raises(ConfigurationError,
+                       match="needs at least one session"):
+        SuperposedPoissonSource(make_network(FCFS), empty(), length=424.0,
+                                mean=1.0)
