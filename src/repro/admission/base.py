@@ -52,24 +52,26 @@ class Procedure(ABC):
     def is_admitted(self, session_id: str) -> bool:
         return session_id in self._rates
 
-    def check_rate_reservation(self, session: Session) -> None:
-        """Paper eq. 18: Σ r_j ≤ C including the candidate."""
-        projected = self.reserved_rate + session.rate
+    def check_rate_reservation(self, session: Session) -> float:
+        """Paper eq. 18: Σ r_j ≤ C with the candidate; returns Σ r_j."""
+        reserved = math.fsum(self._rates.values())  # reserved_rate, inline
+        projected = reserved + session.rate
         if projected > self.capacity + RATE_EPSILON:
             raise AdmissionError(
                 f"rate reservation would exceed capacity: "
                 f"{projected:.0f} > {self.capacity:.0f} bit/s",
                 rule="eq-18")
+        return reserved
 
     # ------------------------------------------------------------------
     # Procedure-specific
     # ------------------------------------------------------------------
     @abstractmethod
     def admit(self, session: Session, **options) -> DelayPolicy:
-        """Run every test; record the session; return its delay policy.
+        """Run every test; mint the delay policy; record the session.
 
-        Raises :class:`~repro.errors.AdmissionError` (leaving state
-        untouched) if any test fails.
+        Raises :class:`~repro.errors.AdmissionError` if a test fails (any
+        other error if an option is invalid), having recorded nothing.
         """
 
     def release(self, session_id: str) -> None:

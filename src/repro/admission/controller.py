@@ -2,14 +2,15 @@
 
 A connection is established only if the admission tests pass at *all*
 nodes along the session's route (paper §2). The controller holds one
-procedure instance per node and admits transactionally: a rejection at
-any hop rolls back the reservations already made upstream, leaving the
-network unchanged — the behaviour a signalling protocol would have.
+procedure instance per node and admits transactionally: a refusal of
+any kind at any hop rolls back the reservations already made upstream,
+leaving the network unchanged — the behaviour a signalling protocol
+would have.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Tuple
 
 from repro.admission.base import Procedure
 from repro.errors import AdmissionError, ConfigurationError
@@ -40,7 +41,7 @@ class AdmissionController:
             name: procedure_factory(node)
             for name, node in network.nodes.items()
         }
-        self._routes: Dict[str, List[str]] = {}
+        self._routes: Dict[str, Tuple[str, ...]] = {}
 
     def procedure_at(self, node_name: str) -> Procedure:
         procedure = self.procedures.get(node_name)
@@ -55,45 +56,49 @@ class AdmissionController:
         ``class_number=1``, ``per_packet=False``, ``epsilon=0.0`` for
         procedures 1/2, or ``d=0.002`` for procedure 3). On success the
         per-node delay policies are installed on the session, ready for
-        the schedulers to pick up.
+        the schedulers to pick up. A refusal re-raises an
+        :class:`AdmissionError` naming the node, any other error as is.
         """
-        granted: List[str] = []
-        policies = {}
+        route = session.route
+        procedures, policies = self.procedures, []
         try:
-            for node_name in session.route:
-                policy = self.procedure_at(node_name).admit(
-                    session, **options)
-                granted.append(node_name)
-                policies[node_name] = policy
-        except AdmissionError as error:
-            for node_name in granted:
-                self.procedures[node_name].release(session.id)
+            for node_name in route:
+                procedure = procedures.get(node_name)
+                if procedure is None:
+                    procedure = self.procedure_at(node_name)  # raises
+                policies.append(procedure.admit(session, **options))
+        except BaseException as error:
+            for node_name in route[:len(policies)]:
+                procedures[node_name].release(session.id)
+            if not isinstance(error, AdmissionError):
+                raise
+            node = route[len(policies)]
             raise AdmissionError(
-                f"session {session.id!r} rejected at node "
-                f"{session.route[len(granted)]!r}: {error}",
-                rule=error.rule,
-                node=session.route[len(granted)]) from error
-        for node_name, policy in policies.items():
-            session.set_policy(node_name, policy)
-        self._routes[session.id] = list(session.route)
-        # ``--sanitize``: reserved rate ≤ capacity after every change.
+                f"session {session.id!r} rejected at node {node!r}: "
+                f"{error}", rule=error.rule, node=node) from error
+        session.delay_policies.update(zip(route, policies))
+        self._routes[session.id] = route
+        # ``--sanitize``: reserved rate ≤ capacity where it changed.
         san = self.network.sanitizer
         if san is not None:
-            san.check_reservations(self.procedures,
-                                   self.network.sim.now)
+            san.check_reservations(
+                {name: procedures[name] for name in route},
+                self.network.sim.now)
 
     def release(self, session: Session) -> None:
         """Tear down a previously admitted session everywhere."""
         route = self._routes.pop(session.id, None)
         if route is None:
             return
+        procedures, session_id = self.procedures, session.id
         for node_name in route:
-            self.procedures[node_name].release(session.id)
+            procedures[node_name].release(session_id)
         session.delay_policies.clear()
         san = self.network.sanitizer
         if san is not None:
-            san.check_reservations(self.procedures,
-                                   self.network.sim.now)
+            san.check_reservations(
+                {name: procedures[name] for name in route},
+                self.network.sim.now)
 
     def reserved_rate(self, node_name: str) -> float:
         return self.procedure_at(node_name).reserved_rate

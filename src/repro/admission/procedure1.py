@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.admission.base import Procedure, RATE_EPSILON
 from repro.admission.classes import DelayClass, validate_classes
@@ -38,8 +38,8 @@ __all__ = ["Procedure1"]
 class Procedure1(Procedure):
     """Nested delay classes, rules (1.1)-(1.3a)."""
 
-    #: Which σ index rule (x.3) uses relative to the admitted class,
-    #: and which R index: overridden by Procedure2.
+    #: σ and R indices of rule (x.3) relative to the admitted class j
+    #: (overridden by Procedure2); rule (x.2) tests m = j..P + σ shift.
     _SIGMA_SHIFT = -1  # σ_{j-1}
     _R_SHIFT = 0       # R_j
 
@@ -53,14 +53,14 @@ class Procedure1(Procedure):
             {} for _ in self.classes]
         self._class_loads: List[Dict[str, float]] = [
             {} for _ in self.classes]
+        #: The last declaration ``(class, per_packet, ε, r, L_max, L_min)``
+        #: and the frozen policy minted for it, handed to the next twin.
+        self._declared: Optional[tuple] = None
+        self._minted: Optional[DelayPolicy] = None
 
     # ------------------------------------------------------------------
     # Aggregates (correctly rounded: independent of admission order)
     # ------------------------------------------------------------------
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
-
     def rate_in_classes_upto(self, m: int) -> float:
         """Σ r over classes 1..m (the bandwidth tests' left side)."""
         return math.fsum(chain.from_iterable(
@@ -74,32 +74,30 @@ class Procedure1(Procedure):
     # ------------------------------------------------------------------
     # Tests
     # ------------------------------------------------------------------
-    def _sigma_test_range(self, j: int) -> range:
-        """Rule (1.2) checks m = j..P−1; procedure 2 extends to P."""
-        return range(j, self.class_count)
-
     def _check(self, session: Session, class_number: int) -> None:
-        if not 1 <= class_number <= self.class_count:
+        classes, count = self.classes, len(self.classes)
+        if not 1 <= class_number <= count:
             raise ConfigurationError(
-                f"class {class_number} out of range 1..{self.class_count}")
-        self.check_rate_reservation(session)
-        # Rule (1.1): bandwidth nesting for m = j..P.
-        for m in range(class_number, self.class_count + 1):
-            projected = self.rate_in_classes_upto(m) + session.rate
-            if projected > self.classes[m - 1].limit_rate + RATE_EPSILON:
+                f"class {class_number} out of range 1..{count}")
+        reserved = self.check_rate_reservation(session)
+        # Rule (1.1): bandwidth nesting for m = j..P (eq. 18's Σ r at P).
+        for m in range(class_number, count + 1):
+            projected = (reserved if m == count
+                         else self.rate_in_classes_upto(m)) + session.rate
+            if projected > classes[m - 1].limit_rate + RATE_EPSILON:
                 raise AdmissionError(
                     f"class {m} bandwidth cap exceeded: {projected:.0f} > "
-                    f"{self.classes[m - 1].limit_rate:.0f} bit/s",
+                    f"{classes[m - 1].limit_rate:.0f} bit/s",
                     rule="1.1")
         # Rule (1.2)/(2.2): base-delay budget.
-        for m in self._sigma_test_range(class_number):
+        for m in range(class_number, count + 1 + self._SIGMA_SHIFT):
             projected = (self.transmission_load_upto(m)
                          + session.l_max / self.capacity)
-            if projected > self.classes[m - 1].base_delay + 1e-12:
+            if projected > classes[m - 1].base_delay + 1e-12:
                 raise AdmissionError(
                     f"class {m} base delay too small: needs "
                     f"{projected * 1e3:.3f} ms, has "
-                    f"{self.classes[m - 1].base_delay * 1e3:.3f} ms",
+                    f"{classes[m - 1].base_delay * 1e3:.3f} ms",
                     rule="1.2" if self._SIGMA_SHIFT == -1 else "2.2")
 
     # ------------------------------------------------------------------
@@ -142,15 +140,21 @@ class Procedure1(Procedure):
                 f"session {session_id!r} is already admitted here",
                 rule="duplicate")
         self._check(session, class_number)
+        declared = (class_number, per_packet, epsilon, session.rate,
+                    session.l_max, session.l_min)
+        if declared != self._declared:
+            self._minted = self._policy(session, class_number,
+                                        per_packet=per_packet,
+                                        epsilon=epsilon)
+            self._declared = declared
         self._rates[session_id] = session.rate
         self._class_rates[class_number - 1][session_id] = session.rate
         self._class_loads[class_number - 1][session_id] = (
             session.l_max / self.capacity)
-        return self._policy(session, class_number,
-                            per_packet=per_packet, epsilon=epsilon)
+        return self._minted
 
     def release(self, session_id: str) -> None:
-        super().release(session_id)
+        self._rates.pop(session_id, None)
         for rates, loads in zip(self._class_rates, self._class_loads):
             rates.pop(session_id, None)
             loads.pop(session_id, None)

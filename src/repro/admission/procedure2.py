@@ -27,9 +27,5 @@ __all__ = ["Procedure2"]
 class Procedure2(Procedure1):
     """Shifted-index variant: rules (1.1), (2.2), (2.3)/(2.3a)."""
 
-    _SIGMA_SHIFT = 0   # σ_j
+    _SIGMA_SHIFT = 0   # σ_j; rule (2.2) includes class P
     _R_SHIFT = -1      # R_{j-1}, with R_0 = 0
-
-    def _sigma_test_range(self, j: int) -> range:
-        # Rule (2.2) includes class P.
-        return range(j, self.class_count + 1)

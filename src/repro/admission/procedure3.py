@@ -23,6 +23,7 @@ result object says which regime ran.
 from __future__ import annotations
 
 from itertools import combinations
+from math import inf
 from typing import Dict, List, Optional, Tuple
 
 from repro.admission.base import Procedure
@@ -64,19 +65,14 @@ class Procedure3(Procedure):
         #: True when the last admit had to use the sufficient condition.
         self.last_check_was_conservative = False
 
-    def _entries_with(self, session: Session,
-                      d: float) -> List[Tuple[float, float, float]]:
+    def _check(self, session: Session, d: float) -> None:
+        if not 0 < d < inf:
+            raise ConfigurationError(
+                f"d_s must be positive and finite, got {d}")
+        self.check_rate_reservation(session)
         entries = [(rate, self._l_maxes[sid], self._delays[sid])
                    for sid, rate in self._rates.items()]
         entries.append((session.rate, session.l_max, d))
-        return entries
-
-    def _check(self, session: Session, d: float) -> None:
-        if d <= 0:
-            raise ConfigurationError(
-                f"d_s must be positive, got {d}")
-        self.check_rate_reservation(session)
-        entries = self._entries_with(session, d)
         if len(entries) <= self.exhaustive_limit:
             self.last_check_was_conservative = False
             if not subsets_feasible(entries, self.capacity):
@@ -103,11 +99,12 @@ class Procedure3(Procedure):
                 f"session {session.id!r} is already admitted here",
                 rule="duplicate")
         self._check(session, d)
+        policy = DelayPolicy(slope=0.0, offset=float(d),
+                             l_max=session.l_max, l_min=session.l_min)
         self._rates[session.id] = session.rate
         self._l_maxes[session.id] = session.l_max
         self._delays[session.id] = float(d)
-        return DelayPolicy(slope=0.0, offset=float(d),
-                           l_max=session.l_max, l_min=session.l_min)
+        return policy
 
     def release(self, session_id: str) -> None:
         super().release(session_id)

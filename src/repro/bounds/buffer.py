@@ -13,10 +13,11 @@ behaviour Figures 12-13 contrast.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List, Sequence
 
 from repro.errors import ConfigurationError
-from repro.bounds.jitter import delta_max
+from repro.bounds.jitter import route_deltas
 
 __all__ = ["buffer_bound", "buffer_bounds_along_route"]
 
@@ -43,21 +44,17 @@ def buffer_bounds_along_route(rate: float, d_ref_max: float,
                               l_min_session: float, *,
                               jitter_control: bool) -> List[float]:
     """Bounds at every node of the route, in bits."""
-    if len(capacities) != len(d_maxes) or not capacities:
-        raise ConfigurationError(
-            "capacities and d_maxes must align and be non-empty")
-    deltas = [delta_max(l_max_network, c, d, l_min_session)
-              for c, d in zip(capacities, d_maxes)]
-    bounds: List[float] = []
-    cumulative = 0.0
-    for index, (capacity, d_max) in enumerate(zip(capacities, d_maxes)):
-        if index == 0:
-            upstream = 0.0
-        elif jitter_control:
-            upstream = deltas[index - 1]
-        else:
-            upstream = cumulative
-        bounds.append(buffer_bound(rate, d_ref_max, upstream,
-                                   l_max_network, capacity, d_max))
-        cumulative += deltas[index]
-    return bounds
+    deltas = route_deltas(l_max_network, capacities, d_maxes, l_min_session)
+    return buffers_from_deltas(rate, d_ref_max, l_max_network, capacities,
+                               d_maxes, deltas, jitter_control=jitter_control)
+
+
+def buffers_from_deltas(rate: float, d_ref_max: float,
+                        l_max_network: float, capacities: Sequence[float],
+                        d_maxes: Sequence[float], deltas: Sequence[float],
+                        *, jitter_control: bool) -> List[float]:
+    """Every node's bound from the route's δ_max^n."""
+    upstreams = ([0.0, *deltas[:-1]] if jitter_control
+                 else accumulate(deltas[:-1], initial=0.0))
+    return [buffer_bound(rate, d_ref_max, upstream, l_max_network, c, d)
+            for upstream, c, d in zip(upstreams, capacities, d_maxes)]

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.bounds.delay import beta_constant, delay_bound
+from repro.bounds.jitter import jitter_bound
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -109,13 +111,13 @@ def compare_with_stop_and_go(*, capacity: float, frame: float, hops: int,
     # D_ref for a (r,T)-smooth session: token bucket (r, rT) → b0/r = T.
     d_ref = frame
 
-    beta = hops * (l_network / capacity) + (hops - 1) * d_max
-    lit_delay = d_ref + beta  # α^N = 0 in VirtualClock mode
-    # Jitter with control: D_ref + δ^N − d_max^N + α = D_ref + L_MAX/C
-    # − L_min/C + ... with fixed-size packets δ^N − d_max^N = (L_MAX −
-    # L_min)/C = 0 when the session's packets are the network maximum.
-    delta_last = l_network / capacity + d_max - l_session / capacity
-    lit_jitter = d_ref + delta_last - d_max
+    # No propagation; α^N = 0 in VirtualClock mode.
+    capacities, d_maxes = [capacity] * hops, [d_max] * hops
+    beta = beta_constant(l_network, capacities, [0.0] * hops, d_maxes)
+    # With jitter control, δ^N − d_max^N = (L_MAX − L_min)/C: zero when
+    # the session's packets are the network maximum.
+    lit_jitter = jitter_bound(d_ref, l_network, capacities, d_maxes,
+                              l_session, 0.0, jitter_control=True)
 
     return StopAndGoComparison(
         hops=hops,
@@ -124,7 +126,7 @@ def compare_with_stop_and_go(*, capacity: float, frame: float, hops: int,
         sg_delay_best=hops * frame - frame,
         sg_jitter=2.0 * frame,
         sg_per_link=2.0 * frame,
-        lit_delay=lit_delay,
+        lit_delay=delay_bound(d_ref, beta, 0.0),
         lit_jitter=lit_jitter,
         lit_per_link=l_network / capacity + d_max,
     )

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from repro.bounds.buffer import buffer_bounds_along_route
-from repro.bounds.jitter import jitter_bound
+from repro.bounds.buffer import buffers_from_deltas
+from repro.bounds.jitter import delta_max, jitter_from_deltas
 from repro.errors import ConfigurationError
 from repro.sched.policy import DelayPolicy, virtual_clock_policy
 
@@ -58,8 +58,8 @@ def beta_constant(l_max_network: float, capacities: Sequence[float],
     if not (len(propagations) == len(d_maxes) == hops):
         raise ConfigurationError(
             "capacities, propagations, and d_maxes must align")
-    per_hop = sum(l_max_network / c + g
-                  for c, g in zip(capacities, propagations))
+    per_hop = sum([l_max_network / c + g
+                   for c, g in zip(capacities, propagations)])
     regulator_part = sum(d_maxes[:-1])
     return per_hop + regulator_part
 
@@ -111,18 +111,6 @@ class SessionBounds:
     buffers: List[Optional[float]] = field(default_factory=list)
 
 
-def _policies_along_route(network: "Network",
-                          session: "Session") -> List[DelayPolicy]:
-    policies = []
-    for node_name in session.route:
-        policy = session.policy_for(node_name)
-        if policy is None:
-            policy = virtual_clock_policy(session.rate, session.l_max,
-                                          session.l_min)
-        policies.append(policy)
-    return policies
-
-
 def compute_session_bounds(network: "Network", session: "Session", *,
                            d_ref_max: Optional[float] = None
                            ) -> SessionBounds:
@@ -130,50 +118,49 @@ def compute_session_bounds(network: "Network", session: "Session", *,
 
     ``d_ref_max`` overrides the reference-server delay bound; when
     omitted it is derived from the session's declared token bucket
-    (eq. 14) if present, else left unknown.
+    (eq. 14) if present, else left unknown. One walk of the route reads
+    each hop's C, Γ and d_max (its admitted policy's, else ``d = L/r``)
+    and computes its δ_max once: β, eq. 17 and the buffers read those.
     """
-    nodes = [network.nodes[name] for name in session.route]
-    capacities = [node.link.capacity for node in nodes]
-    propagations = [node.link.propagation for node in nodes]
-    policies = _policies_along_route(network, session)
-    d_maxes = [policy.d_max for policy in policies]
-    l_max_network = network.l_max
-
+    rate, l_min, l_max_network = session.rate, session.l_min, network.l_max
+    nodes, policies = network.nodes, session.delay_policies
+    capacities, propagations, d_maxes, deltas = [], [], [], []
+    for node_name in session.route:
+        link = nodes[node_name].link
+        policy = policies.get(node_name)
+        if policy is None:
+            policy = virtual_clock_policy(rate, session.l_max, l_min)
+        capacity, d_max = link.capacity, policy.d_max
+        capacities.append(capacity)
+        propagations.append(link.propagation)
+        d_maxes.append(d_max)
+        deltas.append(delta_max(l_max_network, capacity, d_max, l_min))
     beta = beta_constant(l_max_network, capacities, propagations, d_maxes)
-    alpha = alpha_constant(policies[-1], session.rate)
+    alpha = policy.alpha_term(rate)  # α^N: the last hop's policy
 
     if d_ref_max is None and session.token_bucket is not None:
         bucket_rate, depth = session.token_bucket
-        if abs(bucket_rate - session.rate) > 1e-9:
+        if abs(bucket_rate - rate) > 1e-9:
             raise ConfigurationError(
                 f"session {session.id!r}: token-bucket rate {bucket_rate} "
-                f"differs from reserved rate {session.rate}; eq. 14 applies "
+                f"differs from reserved rate {rate}; eq. 14 applies "
                 "to a bucket at the reserved rate")
-        d_ref_max = token_bucket_reference_delay(depth, session.rate)
+        d_ref_max = token_bucket_reference_delay(depth, rate)
 
+    control = session.jitter_control
     max_delay = (delay_bound(d_ref_max, beta, alpha)
                  if d_ref_max is not None else None)
-    jitter = (jitter_bound(d_ref_max, l_max_network, capacities, d_maxes,
-                           session.l_min, alpha,
-                           jitter_control=session.jitter_control)
+    jitter = (jitter_from_deltas(d_ref_max, deltas, d_maxes[-1], alpha,
+                                 jitter_control=control)
               if d_ref_max is not None else None)
-    buffers = (buffer_bounds_along_route(
-        session.rate, d_ref_max, l_max_network, capacities, d_maxes,
-        session.l_min, jitter_control=session.jitter_control)
-        if d_ref_max is not None else [None] * len(nodes))
-
+    buffers = (buffers_from_deltas(
+        rate, d_ref_max, l_max_network, capacities, d_maxes, deltas,
+        jitter_control=control)
+        if d_ref_max is not None else [None] * len(capacities))
     return SessionBounds(
-        session_id=session.id,
-        rate=session.rate,
-        hops=len(nodes),
-        d_ref_max=d_ref_max,
-        beta=beta,
-        alpha=alpha,
-        shift=beta + alpha,
-        max_delay=max_delay,
-        jitter=jitter,
-        buffers=buffers,
-    )
+        session_id=session.id, rate=rate, hops=len(capacities),
+        d_ref_max=d_ref_max, beta=beta, alpha=alpha, shift=beta + alpha,
+        max_delay=max_delay, jitter=jitter, buffers=buffers)
 
 
 def provision_buffers(network: "Network", session: "Session", *,

@@ -26,11 +26,8 @@ def shifted_ccdf(reference_ccdf: Callable[[float], float], shift: float,
     For ``d < shift`` the bound is the trivial 1.0 (a probability can
     not exceed one, and the reference CCDF at negative arguments is 1).
     """
-    out = np.empty(len(delays), dtype=float)
-    for index, d in enumerate(delays):
-        argument = d - shift
-        out[index] = 1.0 if argument < 0 else min(1.0, reference_ccdf(argument))
-    return out
+    bound = shifted_ccdf_function(reference_ccdf, shift)
+    return np.array([bound(d) for d in delays], dtype=float)
 
 
 def shifted_ccdf_function(reference_ccdf: Callable[[float], float],

@@ -19,7 +19,7 @@ Figure 8 demonstrates (66.25 ms vs 13.25 ms for the paper's 5-hop
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -34,18 +34,30 @@ def delta_max(l_max_network: float, capacity: float, d_max: float,
     return l_max_network / capacity + d_max - l_min_session / capacity
 
 
+def route_deltas(l_max_network: float, capacities: Sequence[float],
+                 d_maxes: Sequence[float],
+                 l_min_session: float) -> List[float]:
+    """δ_max^n at every node of a route."""
+    if len(capacities) != len(d_maxes) or not capacities:
+        raise ConfigurationError(
+            "capacities and d_maxes must align and be non-empty")
+    return [delta_max(l_max_network, c, d, l_min_session)
+            for c, d in zip(capacities, d_maxes)]
+
+
 def jitter_bound(d_ref_max: float, l_max_network: float,
                  capacities: Sequence[float], d_maxes: Sequence[float],
                  l_min_session: float, alpha: float, *,
                  jitter_control: bool) -> float:
     """Eq. 17 (and the uncontrolled companion) assembled end to end."""
-    if len(capacities) != len(d_maxes) or not capacities:
-        raise ConfigurationError(
-            "capacities and d_maxes must align and be non-empty")
-    deltas = [delta_max(l_max_network, c, d, l_min_session)
-              for c, d in zip(capacities, d_maxes)]
-    if jitter_control:
-        accumulated = deltas[-1]
-    else:
-        accumulated = sum(deltas)
-    return d_ref_max + accumulated - d_maxes[-1] + alpha
+    deltas = route_deltas(l_max_network, capacities, d_maxes, l_min_session)
+    return jitter_from_deltas(d_ref_max, deltas, d_maxes[-1], alpha,
+                              jitter_control=jitter_control)
+
+
+def jitter_from_deltas(d_ref_max: float, deltas: Sequence[float],
+                       last_d_max: float, alpha: float, *,
+                       jitter_control: bool) -> float:
+    """Eq. 17 from the route's δ_max^n and d_max^N."""
+    accumulated = deltas[-1] if jitter_control else sum(deltas)
+    return d_ref_max + accumulated - last_d_max + alpha

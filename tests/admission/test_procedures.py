@@ -160,6 +160,24 @@ class TestProcedure1Rules:
         assert procedure.admitted_count == 0
         assert procedure.reserved_rate == 0.0
 
+    def test_invalid_epsilon_leaves_state_unchanged(self):
+        procedure = Procedure1(PAPER_C, PAPER_CLASSES)
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            procedure.admit(session(), class_number=1, epsilon=-1.0)
+        assert procedure.admitted_count == 0
+        procedure.admit(session(), class_number=1)
+
+    def test_identical_declarations_share_one_policy(self):
+        procedure = Procedure1(PAPER_C, PAPER_CLASSES)
+        first = procedure.admit(session("a"), class_number=2)
+        assert procedure.admit(session("b"), class_number=2) is first
+        other = procedure.admit(session("c"), class_number=2,
+                                epsilon=ms(1))
+        assert other.offset == first.offset + ms(1)
+        # The node keeps one declaration: the last one minted.
+        again = procedure.admit(session("d"), class_number=2)
+        assert again is not first and again == first
+
 
 class TestProcedure2Rules:
     def test_sigma_test_includes_class_p(self):
@@ -278,3 +296,11 @@ class TestProcedure3:
         with pytest.raises(ConfigurationError):
             procedure.admit(
                 Session("a", rate=1.0, route=["n1"], l_max=1.0), d=0.0)
+
+    @pytest.mark.parametrize("d", [float("inf"), float("nan")])
+    def test_rejects_non_finite_d_before_recording(self, d):
+        procedure = Procedure3(1000.0)
+        with pytest.raises(ConfigurationError, match=f"got {d}"):
+            procedure.admit(
+                Session("a", rate=1.0, route=["n1"], l_max=1.0), d=d)
+        assert procedure.admitted_count == 0

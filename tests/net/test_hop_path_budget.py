@@ -47,6 +47,12 @@ one ``Session.population`` and one ``add_sessions`` call), held to a
 ceiling by the same rule and printed by ``make hop-budget`` after the
 per-hop tables.
 
+A call's control plane has a row of its own too, ``control plane``:
+on the paper network with 47 ``call_churn`` calls admitted, the frames
+entered and opcodes of one more call's admit + release, and of its
+``compute_session_bounds`` — the per-call work beside ``call_churn``'s
+hops, held to ceilings and printed by ``make hop-budget``.
+
 The kernel under those cells gets the same treatment at the bottom of
 the file: the ledger's spin probe (``kernel_spin``), held to its exact
 event count, its calls per event and the set of Python frames it runs.
@@ -60,10 +66,18 @@ from collections import Counter
 
 import pytest
 
+from repro.admission.classes import DelayClass
+from repro.admission.controller import AdmissionController
+from repro.admission.procedure1 import Procedure1
 from repro.analysis.throughput import kernel_spin
+from repro.bounds.delay import compute_session_bounds
 from repro.experiments import call_churn, heavy_traffic
-from repro.experiments.common import build_mix_network, mix_specs
+from repro.experiments.common import (FIVE_HOP, build_mix_network,
+                                      mix_specs)
 from repro.net.network import Network
+from repro.net.session import Session
+from repro.net.topology import build_paper_network
+from repro.sched.leave_in_time import LeaveInTime
 from repro.units import ms
 
 
@@ -143,9 +157,12 @@ EVENTS_AND_HOPS = {"plain": (27323, 17723), "jitter": (27787, 17503),
 #: behind ``next_packet`` and whose ``push`` sat behind the scheduler's
 #: own: 12.644 / 14.910 / 15.514 / 19.048.  Jitter still enters LiT's
 #: ``_release`` frame per held packet (the ledger's ``sched.held_share``
-#: counts it).
+#: counts it).  While a call's admission summed each node's admitted set
+#: twice, built and installed a ``DelayPolicy`` per node and its bounds
+#: walked the route once per helper (``test_control_plane_budget``),
+#: call_churn read 17.229 under a 17.3 ceiling.
 CALLS_PER_HOP_CEILING = {"plain": 11.7, "jitter": 13.9,
-                         "heavy_1e3": 14.5, "call_churn": 17.3}
+                         "heavy_1e3": 14.5, "call_churn": 14.9}
 
 #: cell -> opcodes per packet-hop inside ``Network.run`` on CPython 3.11.
 #: With a Welford tally per hop, a policy object per first packet and
@@ -172,9 +189,11 @@ CALLS_PER_HOP_CEILING = {"plain": 11.7, "jitter": 13.9,
 #: / 845.1 / 874.0 / 849.1; while every sink delivery tested a kept
 #: packet list that only tests asked for: 716.5 / 843.6 / 871.0 / 848.0;
 #: while ``schedule`` built each event as ``Event((...))``, a ``list``
-#: subclass, from a temporary tuple: 715.1 / 842.2 / 868.0 / 847.2.
+#: subclass, from a temporary tuple: 715.1 / 842.2 / 868.0 / 847.2;
+#: while a call paid its admission twice over (see the calls ceiling):
+#: call_churn 840.9 under an 841 ceiling.
 OPCODES_PER_HOP_CEILING = {"plain": 711, "jitter": 838,
-                           "heavy_1e3": 863, "call_churn": 841}
+                           "heavy_1e3": 863, "call_churn": 801}
 
 #: heavy_1e3 set-up, from ``_cell`` entry to ``Network.run``: (Python
 #: frames entered, opcodes) per session on CPython 3.11.  While each
@@ -191,6 +210,18 @@ OPCODES_PER_HOP_CEILING = {"plain": 711, "jitter": 838,
 #: flag per session: 1.055 / 152.0.  While each session was its own
 #: ``Session()`` call (a frame and 93 opcodes of checks): 1.051 / 144.8.
 CONSTRUCT_PER_SESSION_CEILING = (0.06, 108)
+
+
+#: One call's control plane on the paper network with 47 ``call_churn``
+#: calls admitted: (Python frames entered, opcodes) on CPython 3.11.
+#: While eq. 18 and rule (1.1) each summed a node's admitted set, each
+#: node minted a fresh ``DelayPolicy`` per call and the controller
+#: installed it through ``set_policy`` (which re-checks the route):
+#: admit + release 88 / 2301.  While ``compute_session_bounds`` walked
+#: the route once per helper (10 ``delta_max``, 5 ``policy_for``):
+#: bounds 48 / 1322.
+CONTROL_PLANE_CEILING = {"admit + release": (24, 1249),
+                         "bounds": (27, 925)}
 
 
 def _run_cell(cell, monkeypatch, watch, unwatch):
@@ -340,6 +371,59 @@ def test_construct_budget(monkeypatch):
         f"{frames:.3f} frames / {total:.1f} opcodes per session to build "
         f"the heavy_1e3 cell; the committed ceiling is {frame_ceiling} / "
         f"{opcode_ceiling}")
+
+
+def _paper_calls(admitted):
+    """The paper network guarded as ``call_churn`` guards it, with
+    ``admitted`` of its calls admitted and registered, and one call
+    more, not yet admitted."""
+    network = build_paper_network(LeaveInTime, seed=0)
+    controller = AdmissionController(
+        network, lambda node: Procedure1(
+            node.link.capacity,
+            [DelayClass(node.link.capacity, ms(13.25))]))
+    calls = [Session(f"call-{index}", rate=call_churn.RATE,
+                     route=FIVE_HOP, l_max=call_churn.PACKET,
+                     token_bucket=(call_churn.RATE, call_churn.PACKET))
+             for index in range(admitted + 1)]
+    for session in calls[:-1]:
+        controller.admit(session, class_number=1)
+        network.add_session(session, keep_samples=False)
+    return network, controller, calls[-1]
+
+
+@needs_311
+def test_control_plane_budget():
+    """What ``call_churn`` pays per call beside its hops: one admit +
+    release of the 48th call over five hops, and its guarantee."""
+    network, controller, session = _paper_calls(call_churn.TRUNKS - 1)
+    outer = sys.gettrace()
+    gc.collect()
+    admit_release = _opcode_tracer()
+    sys.settrace(admit_release[0])
+    try:
+        controller.admit(session, class_number=1)
+        controller.release(session)
+    finally:
+        sys.settrace(outer)
+    controller.admit(session, class_number=1)
+    network.add_session(session, keep_samples=False)
+    bounds = _opcode_tracer()
+    sys.settrace(bounds[0])
+    try:
+        compute_session_bounds(network, session)
+    finally:
+        sys.settrace(outer)
+    for label, (_, opcodes, calls, _) in (
+            ("admit + release", admit_release), ("bounds", bounds)):
+        _print_opcodes(f"control plane {label}", "call", 1, opcodes,
+                       calls)
+        frames, total = sum(calls.values()), sum(opcodes.values())
+        frame_ceiling, opcode_ceiling = CONTROL_PLANE_CEILING[label]
+        assert frames <= frame_ceiling and total <= opcode_ceiling, (
+            f"{frames} frames / {total} opcodes per call for {label}; "
+            f"the committed ceiling is {frame_ceiling} / "
+            f"{opcode_ceiling}")
 
 
 def test_kernel_spin_budget():
